@@ -113,7 +113,10 @@ class MetricsReport:
 
     def check(self):
         expected = summary_metric(self.map_lc, self.map_l, self.map_c)
-        assert abs(self.summary_map - expected) < 1e-12
+        if not abs(self.summary_map - expected) < 1e-12:
+            raise ContractError(
+                f"summary_map {self.summary_map} != mean of per-condition mAP {expected}"
+            )
         return self
 
     def to_json(self) -> dict:
@@ -139,37 +142,26 @@ class MetricsReport:
 
 
 def evaluate_conditions(model, dataset, config_echo: dict | None = None,
-                        scene_indices: Sequence[int] | None = None,
-                        jobs: int = 1) -> MetricsReport:
-    """Run inference three times per scene (both / L / C) with one set of
-    weights and aggregate the mAP table."""
+                        scene_indices: Sequence[int] | None = None) -> MetricsReport:
+    """Score every condition (both / L / C) with one set of weights.
+
+    Each scene is encoded once per modality; the encoded maps are then fused
+    and decoded three times, once per condition (see Detector.predict_many).
+    """
     if tuple(model.spec.extent) != tuple(dataset.spec.extent):
         raise ContractError(
             f"model extent {model.spec.extent} != dataset extent {dataset.spec.extent}"
         )
     indices = list(scene_indices) if scene_indices is not None else list(range(len(dataset)))
     classes = list(range(dataset.params.n_classes))
+    masks = list(CONDITIONS.values())
     preds = {name: {} for name in CONDITIONS}
     gts = {}
-
-    def run_scene(i):
+    for i in indices:
         sample = dataset.load(i)
-        return i, {name: model.predict(sample, mask) for name, mask in CONDITIONS.items()}, sample.gts
-
-    model._bind(dataset.cams)  # before threading: binding mutates model state once
-    from . import tensor as T
-
-    if jobs > 1:
-        from multiprocessing.dummy import Pool  # threads: model is read-only here
-
-        with T.no_grad(), Pool(jobs) as pool:
-            results = pool.map(run_scene, indices)
-    else:
-        results = [run_scene(i) for i in indices]
-    for i, per_cond, scene_gts in results:
-        gts[i] = scene_gts
-        for name in CONDITIONS:
-            preds[name][i] = per_cond[name]
+        gts[i] = sample.gts
+        for name, scene_preds in zip(CONDITIONS, model.predict_many(sample, masks)):
+            preds[name][i] = scene_preds
 
     maps = {}
     tables = {}

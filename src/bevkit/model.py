@@ -9,14 +9,14 @@ discarding the features, since nothing downstream reads them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import tensor as T
 from .detection import BoxPrediction, DecoderParams, decode, decode_raw, set_loss
 from .encoders import BEVQuerySet, encode_camera_bev, encode_lidar_bev, make_encoder_layers
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .fusion import FusionWeights, ModalityMask, fuse
 from .geometry import BEVGridSpec, CameraModel
 from .synthscene import CameraBackbone, LidarBackbone, RenderedSample
@@ -147,15 +147,27 @@ class Detector:
                                          normalize_by_hits=self.cfg.normalize_by_hits)
         return cam_bev, lidar_bev
 
-    def fused_map(self, sample: RenderedSample, mask: ModalityMask) -> Tensor:
-        cam_bev, lidar_bev = self.encode(sample, mask)
-        return fuse(self.cfg.fusion,
-                    cam_bev.features if cam_bev is not None else None,
-                    lidar_bev.features if lidar_bev is not None else None,
-                    self.fusion_weights)
+    def fused_maps(self, sample: RenderedSample, masks: Sequence[ModalityMask]) -> List[Tensor]:
+        """The fused BEV map under each mask, in the order given.
+
+        Each modality that any mask uses is encoded once, and every mask fuses
+        only its own maps. Dropping a modality skips its branch exactly, so
+        element i equals what encoding under masks[i] alone gives, bit for bit.
+        """
+        if not masks:
+            raise ContractError("fused_maps: no masks")
+        for mask in masks:
+            mask.validate()
+        union = ModalityMask(any(m.use_cam for m in masks), any(m.use_lidar for m in masks))
+        cam_bev, lidar_bev = self.encode(sample, union)
+        return [fuse(self.cfg.fusion,
+                     cam_bev.features if mask.use_cam else None,
+                     lidar_bev.features if mask.use_lidar else None,
+                     self.fusion_weights)
+                for mask in masks]
 
     def loss(self, sample: RenderedSample, mask: ModalityMask) -> Tensor:
-        fused = self.fused_map(sample, mask)
+        fused, = self.fused_maps(sample, [mask])
         tokens = T.reshape(fused, (self.spec.h * self.spec.w, self.cfg.channels))
         logits, box_raw = decode_raw(tokens, self.decoder)
         return set_loss(logits, box_raw, sample.gts, self.spec,
@@ -163,6 +175,16 @@ class Detector:
                         background_weight=self.cfg.background_weight)
 
     def predict(self, sample: RenderedSample, mask: ModalityMask) -> List[BoxPrediction]:
+        return self.predict_many(sample, [mask])[0]
+
+    def predict_many(self, sample: RenderedSample,
+                     masks: Sequence[ModalityMask]) -> List[List[BoxPrediction]]:
+        """Predictions for one scene under each mask, in the order given.
+
+        The scene is encoded once (see ``fused_maps``); each mask's fused map
+        is then decoded. Element i equals ``predict(sample, masks[i])`` bit for
+        bit.
+        """
         with T.no_grad():
-            fused = self.fused_map(sample, mask)
-            return decode(fused, self.decoder, self.spec)
+            return [decode(fused, self.decoder, self.spec)
+                    for fused in self.fused_maps(sample, masks)]

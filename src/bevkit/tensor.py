@@ -12,6 +12,7 @@ demands exact shapes and raises ShapeError otherwise.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -541,48 +542,51 @@ def layer_normalize(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -
 # sampling and convolution
 
 
+def _neighbours(x: np.ndarray, n: int):
+    """The lower and upper grid neighbours of coordinates x along an axis of
+    length n, each as (clipped index, in-range mask, bilinear factor, sign of
+    the factor's derivative in x)."""
+    x0f = np.floor(x)
+    f = x - x0f
+    x0 = x0f.astype(np.intp)
+    x1 = x0 + 1
+    return ((np.clip(x0, 0, n - 1), (x0 >= 0) & (x0 < n), 1.0 - f, -1.0),
+            (np.clip(x1, 0, n - 1), (x1 >= 0) & (x1 < n), f, 1.0))
+
+
+def _corners(shape_hw, pts: np.ndarray):
+    """Row and column neighbour pairs of points [P,2], in corner order (0,0),
+    (0,1), (1,0), (1,1)."""
+    h, w = shape_hw
+    return list(itertools.product(_neighbours(pts[:, 0], h), _neighbours(pts[:, 1], w)))
+
+
 class _BilinearPlan:
     """Sparse interpolation operator for a fixed set of sample points.
 
     Row p of the [P, cells] CSR matrix holds the four bilinear corner weights
     of point p (zero where a corner falls outside its map), so sampling is one
-    sparse-dense matmul and the three backward products reuse the same index
+    sparse-dense matmul and the backward products reuse the same index
     structure. This is an order of magnitude faster than fancy-index gathers
-    plus np.add.at scatters at the sizes the encoders use.
+    plus np.add.at scatters at the sizes the encoders use. The weights'
+    derivatives with respect to the points are built only in backward, by
+    ``slopes``, so a forward pass never pays for them.
     """
 
-    __slots__ = ("indices", "indptr", "weights", "dwdr", "dwdc", "n_cells", "p")
+    __slots__ = ("shape_hw", "indices", "indptr", "weights", "n_cells", "p")
 
     def __init__(self, shape_hw, base, pts: np.ndarray, n_cells: int):
-        h, w = shape_hw
+        w = shape_hw[1]
         p = pts.shape[0]
-        r, c = pts[:, 0], pts[:, 1]
-        r0f = np.floor(r)
-        c0f = np.floor(c)
-        fr = r - r0f
-        fc = c - c0f
-        r0 = r0f.astype(np.intp)
-        c0 = c0f.astype(np.intp)
         idx = np.empty((p, 4), dtype=np.intp)
         wgt = np.empty((p, 4))
-        dwr = np.empty((p, 4))
-        dwc = np.empty((p, 4))
-        for k, (dr, dc) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-            ri, ci = r0 + dr, c0 + dc
-            inside = (ri >= 0) & (ri < h) & (ci >= 0) & (ci < w)
-            wr = fr if dr else 1.0 - fr
-            wc = fc if dc else 1.0 - fc
-            sr = 1.0 if dr else -1.0
-            sc = 1.0 if dc else -1.0
-            idx[:, k] = base + np.clip(ri, 0, h - 1) * w + np.clip(ci, 0, w - 1)
-            wgt[:, k] = wr * wc * inside
-            dwr[:, k] = sr * wc * inside
-            dwc[:, k] = wr * sc * inside
+        for k, ((ri, rin, wr, _), (ci, cin, wc, _)) in enumerate(_corners(shape_hw, pts)):
+            idx[:, k] = base + ri * w + ci
+            wgt[:, k] = wr * wc * (rin & cin)
+        self.shape_hw = shape_hw
         self.indices = idx.reshape(-1)
         self.indptr = np.arange(0, 4 * p + 4, 4, dtype=np.intp)
         self.weights = wgt.reshape(-1)
-        self.dwdr = dwr.reshape(-1)
-        self.dwdc = dwc.reshape(-1)
         self.n_cells = n_cells
         self.p = p
 
@@ -598,9 +602,21 @@ class _BilinearPlan:
     def scatter(self, g: np.ndarray) -> np.ndarray:
         return self._matrix(self.weights).T @ g
 
-    def point_grads(self, flat: np.ndarray, g: np.ndarray) -> np.ndarray:
-        dr = (self._matrix(self.dwdr) @ flat * g).sum(axis=1)
-        dc = (self._matrix(self.dwdc) @ flat * g).sum(axis=1)
+    def slopes(self, pts: np.ndarray):
+        """d(weights)/d(row) and d(weights)/d(col), flat like ``weights``, for
+        the points the plan was built from."""
+        dwr = np.empty((self.p, 4))
+        dwc = np.empty((self.p, 4))
+        for k, ((_, rin, wr, sr), (_, cin, wc, sc)) in enumerate(_corners(self.shape_hw, pts)):
+            inside = rin & cin
+            dwr[:, k] = sr * wc * inside
+            dwc[:, k] = wr * sc * inside
+        return dwr.reshape(-1), dwc.reshape(-1)
+
+    def point_grads(self, pts: np.ndarray, flat: np.ndarray, g: np.ndarray) -> np.ndarray:
+        dwdr, dwdc = self.slopes(pts)
+        dr = (self._matrix(dwdr) @ flat * g).sum(axis=1)
+        dc = (self._matrix(dwdc) @ flat * g).sum(axis=1)
         return np.stack([dr, dc], axis=1)
 
 
@@ -615,7 +631,7 @@ def _bilinear_common(feat: Tensor, pts: Tensor, shape_hw, base, op: str) -> Tens
         if feat.requires_grad:
             _accum(feat, plan.scatter(g).reshape(feat.shape), own=True)
         if pts.requires_grad:
-            _accum(pts, plan.point_grads(flat, g), own=True)
+            _accum(pts, plan.point_grads(pts.data, flat, g), own=True)
 
     return _make(out, op, (feat, pts), vjp)
 
@@ -701,8 +717,9 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
                 attn.grad = np.zeros_like(attn.data)
             np.add.at(attn.grad, qry_idx, dattn)
         if need_off:
-            sr = plan._matrix(plan.dwdr) @ flat
-            sc = plan._matrix(plan.dwdc) @ flat
+            dwdr, dwdc = plan.slopes(pts)
+            sr = plan._matrix(dwdr) @ flat
+            sc = plan._matrix(dwdc) @ flat
             dr = np.einsum("xkc,xoc->xk", sr.reshape(p * m, k, ch), g3).reshape(p, m, k)
             dc = np.einsum("xkc,xoc->xk", sc.reshape(p * m, k, ch), g3).reshape(p, m, k)
             dpts = np.stack([dr * attnp, dc * attnp], axis=-1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bevkit.tensor as T
+import bevkit.attention as attention
 from bevkit.attention import DeformAttnParams, EncoderLayerParams, deform_attn, deform_attn_multi, encoder_layer
 from bevkit.errors import ShapeError
 from bevkit.tensor import Tensor, backward
@@ -146,6 +147,72 @@ class TestDeformAttn:
             return T.tsum(T.sigmoid(out))
 
         check_grads(build, leaves)
+
+
+def scatter_rows_add_at(rows, idx, n_out):
+    """Reference _scatter_rows: one np.add.at over every pair."""
+    data = np.zeros((n_out, rows.shape[1]))
+    np.add.at(data, idx, rows.data)
+
+    def vjp(g):
+        T._accum(rows, g[idx])
+
+    return T._make(data, "scatter_rows", (rows,), vjp)
+
+
+class TestScatterRows:
+    @staticmethod
+    def source_indices(rng, t, n_sources):
+        """Concatenated per-source query indices as deform_attn_multi builds
+        them: each strictly increasing, sets overlapping, one source empty."""
+        parts = [np.nonzero(rng.random(t) > 0.4)[0] for _ in range(n_sources)]
+        parts[1] = np.zeros(0, dtype=np.intp)
+        parts.append(np.arange(t))
+        return np.concatenate(parts)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_add_at(self, seed):
+        rng = np.random.default_rng(seed + 300)
+        t = 9
+        idx = self.source_indices(rng, t, 4)
+        rows = Tensor(rng.standard_normal((idx.size, 6)))
+        out = attention._scatter_rows(rows, idx, t)
+        assert np.array_equal(out.data, scatter_rows_add_at(rows, idx, t).data)
+
+    def test_unordered_repeats_match_add_at(self):
+        rng = np.random.default_rng(310)
+        idx = rng.integers(0, 5, 40)
+        rows = Tensor(rng.standard_normal((40, 3)))
+        out = attention._scatter_rows(rows, idx, 5)
+        assert np.array_equal(out.data, scatter_rows_add_at(rows, idx, 5).data)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_deform_attn_multi_bitexact_vs_add_at(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed + 320)
+        p = make_params(rng)
+        t = 6
+        feats = [Tensor(rng.standard_normal((5, 5, 4)), requires_grad=True) for _ in range(3)]
+        sources = [
+            (feats[0], rng.uniform(-1, 5, (t, 2)), rng.random(t) > 0.3, 4),
+            (feats[1], rng.uniform(-1, 5, (t, 2)), np.zeros(t, dtype=bool)),
+            (feats[2], rng.uniform(-1, 5, (t, 2)), rng.random(t) > 0.5),
+            (feats[0], rng.uniform(-1, 5, (t, 2)), None),
+        ]
+        q0 = rng.standard_normal((t, 4))
+
+        def run():
+            queries = Tensor(q0, requires_grad=True)
+            for f in feats:
+                f.zero_grad()
+            out = deform_attn_multi(queries, sources, p)
+            backward(T.tsum(T.mul(out, out)))
+            return [out.data, queries.grad] + [f.grad for f in feats]
+
+        got = run()
+        monkeypatch.setattr(attention, "_scatter_rows", scatter_rows_add_at)
+        want = run()
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 class TestEncoderLayer:

@@ -1,0 +1,152 @@
+"""Three-condition evaluation against the predict-per-condition loop, the
+shared-encoding predict path, and hand-computed AP cases."""
+
+import numpy as np
+import pytest
+
+import bevkit.model as model_mod
+from bevkit.dataset import generate_dataset
+from bevkit.errors import ContractError
+from bevkit.evaluation import (
+    CONDITIONS,
+    MetricsReport,
+    average_precision,
+    evaluate_conditions,
+    mean_ap,
+    summary_metric,
+)
+from bevkit.fusion import ModalityMask
+from bevkit.geometry import BEVGridSpec
+from bevkit.model import Detector, ModelConfig
+from bevkit.synthscene import SceneParams
+
+CONFIGS = [(f, q) for f in ("cnw", "avg", "concat") for q in ("shared", "separate")]
+MASKS = list(CONDITIONS.values())
+
+
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    spec = BEVGridSpec(h=8, w=8, d=2)
+    return generate_dataset(tmp_path_factory.mktemp("eval"), 8, 0, SceneParams(), spec,
+                            lidar_shape=(8, 8), image_h=12, image_w=16, fx=6.0)
+
+
+def tiny_detector(spec, fusion, query_mode):
+    cfg = ModelConfig(channels=8, heads=2, points=2, enc_layers=1, dec_layers=1,
+                      fusion=fusion, query_mode=query_mode,
+                      cam_hidden=(4, 4), lidar_hidden=(4, 4))
+    det = Detector(cfg, spec, np.random.default_rng(1))
+    # spread the untrained boxes over the map so every condition scores a
+    # nonzero mAP and a mixed-up condition would show in the report
+    det.decoder.obj_embed.tensor.data[:] *= 20.0
+    det.decoder.box_w2.tensor.data[:] *= 8.0
+    return det
+
+
+def loop_oracle(det, ds):
+    """The evaluation loop before encode-once: one predict per condition per
+    scene, then mean_ap per condition."""
+    classes = list(range(ds.params.n_classes))
+    preds = {name: {} for name in CONDITIONS}
+    gts = {}
+    for i in range(len(ds)):
+        sample = ds.load(i)
+        gts[i] = sample.gts
+        for name, mask in CONDITIONS.items():
+            preds[name][i] = det.predict(sample, mask)
+    maps, tables = {}, {}
+    for name in CONDITIONS:
+        m, table = mean_ap(preds[name], gts, classes)
+        maps[name] = m
+        tables[name] = {f"{c}/{r}": ap for (c, r), ap in table.items()}
+    return MetricsReport(
+        map_lc=maps["both"], map_l=maps["lidar"], map_c=maps["camera"],
+        summary_map=summary_metric(maps["both"], maps["lidar"], maps["camera"]),
+        ap_table=tables,
+    )
+
+
+def box_bytes(preds):
+    return np.array([[p.cx, p.cy, p.w, p.l, p.yaw, *p.class_logits] for p in preds]).tobytes()
+
+
+@pytest.mark.parametrize("fusion,query_mode", CONFIGS)
+def test_matches_loop_oracle_bitexact(dataset, fusion, query_mode):
+    det = tiny_detector(dataset.spec, fusion, query_mode)
+    got = evaluate_conditions(det, dataset).to_json()
+    want = loop_oracle(det, dataset).to_json()
+    assert got == want
+    assert all(m > 0.0 for m in (got["map_lc"], got["map_l"], got["map_c"]))
+
+
+@pytest.mark.parametrize("fusion,query_mode", CONFIGS)
+def test_predict_many_equals_predict(dataset, fusion, query_mode):
+    det = tiny_detector(dataset.spec, fusion, query_mode)
+    for i in (0, 3):
+        sample = dataset.load(i)
+        many = det.predict_many(sample, MASKS)
+        assert len(many) == len(MASKS)
+        for mask, preds in zip(MASKS, many):
+            assert box_bytes(preds) == box_bytes(det.predict(sample, mask))
+
+
+def test_each_modality_encoded_once_per_scene(dataset, monkeypatch):
+    det = tiny_detector(dataset.spec, "cnw", "shared")
+    calls = {"camera": 0, "lidar": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(model_mod, "encode_camera_bev",
+                        counting("camera", model_mod.encode_camera_bev))
+    monkeypatch.setattr(model_mod, "encode_lidar_bev",
+                        counting("lidar", model_mod.encode_lidar_bev))
+    evaluate_conditions(det, dataset, scene_indices=[0, 1, 2])
+    assert calls == {"camera": 3, "lidar": 3}
+
+
+def test_predict_many_rejects_bad_masks(dataset):
+    det = tiny_detector(dataset.spec, "avg", "shared")
+    sample = dataset.load(0)
+    with pytest.raises(ContractError):
+        det.predict_many(sample, [])
+    with pytest.raises(ContractError):
+        det.predict_many(sample, [ModalityMask(True, True), ModalityMask(False, False)])
+
+
+def test_report_check_raises_on_inconsistent_summary():
+    report = MetricsReport(map_lc=0.3, map_l=0.2, map_c=0.1, summary_map=0.5, ap_table={})
+    with pytest.raises(ContractError):
+        report.check()
+    report.summary_map = summary_metric(0.3, 0.2, 0.1)
+    assert report.check() is report
+
+
+class TestAveragePrecision:
+    def test_score_ties_break_by_scene_then_index(self):
+        gts = {0: [(0.0, 0.0)], 1: [(10.0, 10.0)]}
+        preds = [
+            (1, 0.5, 10.0, 10.0),  # tied with both scene-0 entries, ranked after them
+            (0, 0.5, 5.0, 5.0),  # false positive, ranked first by index
+            (0, 0.5, 0.0, 0.0),  # true positive
+            (0, 0.9, 0.0, 0.0),  # true positive, claims the scene-0 box first
+        ]
+        # ranking: TP(0.9), FP, FP (scene-0 box taken), TP -> recall steps
+        # 0.5 at precision 1 and 1.0 at precision 2/4
+        assert average_precision(preds, gts, 1.0) == pytest.approx(0.5 * 1.0 + 0.5 * 0.5,
+                                                                   rel=1e-15)
+
+    def test_tied_true_positive_before_false_positive(self):
+        gts = {0: [(0.0, 0.0), (4.0, 0.0)]}
+        preds = [(0, 0.7, 9.0, 9.0), (0, 0.7, 4.0, 0.0), (0, 0.7, 0.0, 0.0)]
+        # index order: FP, TP, TP -> precision 1/2 then 2/3 at recall 0.5, 1.0;
+        # the envelope lifts the first step to 2/3
+        assert average_precision(preds, gts, 0.5) == pytest.approx(2.0 / 3.0, rel=1e-15)
+
+    def test_no_ground_truths(self):
+        assert average_precision([], {0: [], 1: []}, 1.0) == 1.0
+        assert average_precision([], {}, 1.0) == 1.0
+        assert average_precision([(0, 0.9, 0.0, 0.0)], {0: []}, 1.0) == 0.0

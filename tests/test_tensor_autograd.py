@@ -373,3 +373,19 @@ def test_constant_never_accumulates():
     x = Tensor([3.0, 4.0], requires_grad=True)
     backward(T.tsum(T.mul(c, x)))
     assert c.grad is None and np.array_equal(x.grad, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_deform_attend_no_grad_matches_grad_mode(seed):
+    rng = np.random.default_rng(seed + 700)
+    feats = Tensor(rnd(rng, 3, 5, 4, 6), requires_grad=True)
+    offsets = Tensor(rnd(rng, 7, 2, 3, 2), requires_grad=True)
+    attn = T.softmax_lastaxis(Tensor(rnd(rng, 7, 2, 3), requires_grad=True))
+    qry_idx = np.concatenate([np.arange(7), np.nonzero(rng.random(7) > 0.5)[0]])
+    map_idx = rng.integers(0, 3, qry_idx.size)
+    base = rng.uniform(-1, 5, (qry_idx.size, 2))
+    recorded = T.deform_attend(feats, map_idx, base, offsets, attn, qry_idx)
+    with T.no_grad():
+        plain = T.deform_attend(feats, map_idx, base, offsets, attn, qry_idx)
+    assert recorded.node is not None and plain.node is None
+    assert np.array_equal(recorded.data, plain.data)
