@@ -190,17 +190,11 @@ def deform_attn_multi(queries: Tensor, sources: Sequence, params: DeformAttnPara
 
 
 def _scatter_rows(rows: Tensor, idx: np.ndarray, n_out: int) -> Tensor:
-    """Sum rows [P,C] into an output [n_out,C] at integer indices.
-
-    idx is split into runs of strictly increasing (hence unique) entries, one
-    per source in deform_attn_multi, and each run is added with a plain
-    fancy-index ``+=``. Every output row thus receives its contributions in
-    index order, the same summation order as ``np.add.at``, bit for bit.
-    """
+    """Sum rows [P,C] into an output [n_out,C] at integer indices, in row
+    order. In deform_attn_multi idx holds one strictly increasing run per
+    source, which ``T._add_rows`` adds with one vectorized ``+=`` each."""
     data = np.zeros((n_out, rows.shape[1]))
-    bounds = [0, *(np.flatnonzero(idx[1:] <= idx[:-1]) + 1), idx.size]
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        data[idx[lo:hi]] += rows.data[lo:hi]
+    T._add_rows(data, idx, rows.data)
 
     def vjp(g):
         T._accum(rows, g[idx])

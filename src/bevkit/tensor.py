@@ -12,6 +12,7 @@ demands exact shapes and raises ShapeError otherwise.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 from typing import Iterable, Sequence
 
@@ -19,21 +20,21 @@ import numpy as np
 
 from .errors import ContractError, NumericError, ShapeError
 
-_grad_enabled = True
+# per thread (and per asyncio task): a no_grad block in one never stops
+# another from recording its tape
+_grad_enabled = contextvars.ContextVar("bevkit_grad_enabled", default=True)
 
 
 class no_grad:
-    """Context manager that disables graph recording (inference mode)."""
+    """Context manager that disables graph recording (inference mode) in the
+    current thread or task."""
 
     def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
+        self._token = _grad_enabled.set(False)
         return self
 
     def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
+        _grad_enabled.reset(self._token)
         return False
 
 
@@ -135,7 +136,7 @@ def _wrap(x) -> Tensor:
 
 def _make(data, op: str, parents: tuple, vjp) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _grad_enabled.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out.node = _Node(op, parents, vjp)
     return out
@@ -155,12 +156,31 @@ def _accum(t: Tensor, g: np.ndarray, own: bool = False):
         t.grad += g
 
 
+def _grad_buffer(t: Tensor) -> np.ndarray:
+    """t.grad, allocated as zeros if nothing has been accumulated yet."""
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    return t.grad
+
+
 def _accum_slice(t: Tensor, sl, g: np.ndarray):
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad[sl] += g
+    _grad_buffer(t)[sl] += g
+
+
+def _add_rows(dst: np.ndarray, idx: np.ndarray, src: np.ndarray):
+    """dst[idx[i]] += src[i] for every i, in the order of i.
+
+    idx may repeat and be unordered. It is split into runs of strictly
+    increasing (hence unique) entries, and each run is added with one
+    fancy-index ``+=``. Every row of dst thus receives its contributions in
+    the order of i, which gives the same bits as numpy's unbuffered
+    ``ufunc.at`` scatter with ``np.add`` at one vectorized add per run.
+    """
+    bounds = [0, *(np.flatnonzero(idx[1:] <= idx[:-1]) + 1), idx.size]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        dst[idx[lo:hi]] += src[lo:hi]
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -463,10 +483,8 @@ def take_rows(a: Tensor, idx) -> Tensor:
     data = a.data[idx]
 
     def vjp(g):
-        if a.grad is None and a.requires_grad:
-            a.grad = np.zeros_like(a.data)
         if a.requires_grad:
-            np.add.at(a.grad, idx, g)
+            _add_rows(_grad_buffer(a), idx, g)
 
     return _make(data, "take_rows", (a,), vjp)
 
@@ -564,13 +582,19 @@ def _corners(shape_hw, pts: np.ndarray):
 class _BilinearPlan:
     """Sparse interpolation operator for a fixed set of sample points.
 
-    Row p of the [P, cells] CSR matrix holds the four bilinear corner weights
-    of point p (zero where a corner falls outside its map), so sampling is one
-    sparse-dense matmul and the backward products reuse the same index
-    structure. This is an order of magnitude faster than fancy-index gathers
-    plus np.add.at scatters at the sizes the encoders use. The weights'
-    derivatives with respect to the points are built only in backward, by
-    ``slopes``, so a forward pass never pays for them.
+    Forward builds only what sampling needs: the four corner cells of each
+    point and their bilinear weights (zero where a corner falls outside its
+    map). Row p of the [P, cells] CSR matrix over them holds point p's four
+    weights, so sampling is one sparse-dense matmul. This is an order of
+    magnitude faster than fancy-index gathers plus scatters at the sizes the
+    encoders use. ``indices`` and ``indptr`` are built as int32, the index
+    type scipy computes with, so every CSR matrix over them shares them
+    instead of copying them on construction.
+
+    Backward builds ``jet``: a CSR of 3P rows holding each point's weights
+    and their derivatives in row and in column, all over the point's same
+    four corners. One product with the map then gives the samples and both
+    slopes in a single pass over the corners.
     """
 
     __slots__ = ("shape_hw", "indices", "indptr", "weights", "n_cells", "p")
@@ -578,14 +602,16 @@ class _BilinearPlan:
     def __init__(self, shape_hw, base, pts: np.ndarray, n_cells: int):
         w = shape_hw[1]
         p = pts.shape[0]
-        idx = np.empty((p, 4), dtype=np.intp)
+        # int32 unless a cell index or jet's row pointers (up to 12P) would overflow it
+        dtype = np.int32 if max(12 * p, n_cells) <= np.iinfo(np.int32).max else np.intp
+        idx = np.empty((p, 4), dtype=dtype)
         wgt = np.empty((p, 4))
         for k, ((ri, rin, wr, _), (ci, cin, wc, _)) in enumerate(_corners(shape_hw, pts)):
             idx[:, k] = base + ri * w + ci
             wgt[:, k] = wr * wc * (rin & cin)
         self.shape_hw = shape_hw
         self.indices = idx.reshape(-1)
-        self.indptr = np.arange(0, 4 * p + 4, 4, dtype=np.intp)
+        self.indptr = np.arange(0, 4 * p + 1, 4, dtype=dtype)
         self.weights = wgt.reshape(-1)
         self.n_cells = n_cells
         self.p = p
@@ -602,21 +628,28 @@ class _BilinearPlan:
     def scatter(self, g: np.ndarray) -> np.ndarray:
         return self._matrix(self.weights).T @ g
 
-    def slopes(self, pts: np.ndarray):
-        """d(weights)/d(row) and d(weights)/d(col), flat like ``weights``, for
-        the points the plan was built from."""
-        dwr = np.empty((self.p, 4))
-        dwc = np.empty((self.p, 4))
+    def jet(self, pts: np.ndarray):
+        """[3P, cells] CSR for the points the plan was built from: rows 3p,
+        3p+1 and 3p+2 hold point p's weights, d(weights)/d(row) and
+        d(weights)/d(col), each over its four corners in the order of
+        ``weights``, so every row sums in the same order as ``sample``."""
+        from scipy import sparse
+
+        tab = np.empty((self.p, 3, 4))
+        tab[:, 0] = self.weights.reshape(self.p, 4)
         for k, ((_, rin, wr, sr), (_, cin, wc, sc)) in enumerate(_corners(self.shape_hw, pts)):
             inside = rin & cin
-            dwr[:, k] = sr * wc * inside
-            dwc[:, k] = wr * sc * inside
-        return dwr.reshape(-1), dwc.reshape(-1)
+            tab[:, 1, k] = sr * wc * inside
+            tab[:, 2, k] = wr * sc * inside
+        indices = np.repeat(self.indices.reshape(self.p, 1, 4), 3, axis=1)
+        indptr = np.arange(0, 12 * self.p + 1, 4, dtype=self.indptr.dtype)
+        return sparse.csr_matrix((tab.reshape(-1), indices.reshape(-1), indptr),
+                                 shape=(3 * self.p, self.n_cells))
 
     def point_grads(self, pts: np.ndarray, flat: np.ndarray, g: np.ndarray) -> np.ndarray:
-        dwdr, dwdc = self.slopes(pts)
-        dr = (self._matrix(dwdr) @ flat * g).sum(axis=1)
-        dc = (self._matrix(dwdc) @ flat * g).sum(axis=1)
+        jet = (self.jet(pts) @ flat).reshape(self.p, 3, flat.shape[1])
+        dr = (jet[:, 1] * g).sum(axis=1)
+        dc = (jet[:, 2] * g).sum(axis=1)
         return np.stack([dr, dc], axis=1)
 
 
@@ -676,6 +709,13 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
     One sparse matmul evaluates the whole thing; equal to composing
     bilinear_sample_stacked / mul / sum but without the [P,M,K,C]
     intermediates.
+
+    Forward builds the bilinear plan and the [P*M, cells] matrix of
+    attention-scaled corner weights, and nothing else. Backward reuses that
+    matrix for the feature grad, and takes the attention and offset grads
+    from one product with the plan's ``jet``, which yields each point's
+    sample and both of its slopes together. Both grads are summed over the
+    pairs of a query in pair order (see ``_add_rows``).
     """
     if feats.data.ndim != 4:
         raise ShapeError(f"deform_attend: expected [B,H,W,C], got {feats.shape}")
@@ -697,7 +737,7 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
     from scipy import sparse
 
     data_attn = (plan.weights.reshape(p * m * k, 4) * attnp.reshape(p * m * k, 1)).reshape(-1)
-    indptr_pm = np.arange(0, 4 * k * (p * m) + 1, 4 * k, dtype=np.intp)
+    indptr_pm = np.arange(0, 4 * k * (p * m) + 1, 4 * k, dtype=plan.indptr.dtype)
     s_attn = sparse.csr_matrix((data_attn, plan.indices, indptr_pm), shape=(p * m, b * h * w))
     out = (s_attn @ flat).reshape(p, m, ch)
 
@@ -705,27 +745,15 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
         g2 = g.reshape(p * m, ch)
         if feats.requires_grad:
             _accum(feats, (s_attn.T @ g2).reshape(feats.shape), own=True)
-        need_off = offsets.requires_grad
-        need_attn = attn.requires_grad
-        if not (need_off or need_attn):
+        if not (offsets.requires_grad or attn.requires_grad):
             return
-        g3 = g2.reshape(p * m, 1, ch)
-        if need_attn:
-            samples = plan.sample(flat).reshape(p * m, k, ch)
-            dattn = np.einsum("xkc,xoc->xk", samples, g3).reshape(p, m, k)
-            if attn.grad is None:
-                attn.grad = np.zeros_like(attn.data)
-            np.add.at(attn.grad, qry_idx, dattn)
-        if need_off:
-            dwdr, dwdc = plan.slopes(pts)
-            sr = plan._matrix(dwdr) @ flat
-            sc = plan._matrix(dwdc) @ flat
-            dr = np.einsum("xkc,xoc->xk", sr.reshape(p * m, k, ch), g3).reshape(p, m, k)
-            dc = np.einsum("xkc,xoc->xk", sc.reshape(p * m, k, ch), g3).reshape(p, m, k)
-            dpts = np.stack([dr * attnp, dc * attnp], axis=-1)
-            if offsets.grad is None:
-                offsets.grad = np.zeros_like(offsets.data)
-            np.add.at(offsets.grad, qry_idx, dpts)
+        jet = (plan.jet(pts) @ flat).reshape(p * m, k, 3, ch)
+        # [P,M,K,3]: d/d(attn), and d/d(row), d/d(col) before the attention weight
+        d = np.einsum("xkjc,xoc->xkj", jet, g2.reshape(p * m, 1, ch)).reshape(p, m, k, 3)
+        if attn.requires_grad:
+            _add_rows(_grad_buffer(attn), qry_idx, d[..., 0])
+        if offsets.requires_grad:
+            _add_rows(_grad_buffer(offsets), qry_idx, d[..., 1:] * attnp[..., None])
 
     return _make(out, "deform_attend", (feats, offsets, attn), vjp)
 

@@ -1,0 +1,207 @@
+"""The single-pass deform_attend backward and the run-wise row scatter,
+checked bit for bit against the backward_reference oracles, at op level and
+through a full Detector.loss."""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import backward_reference as ref
+import bevkit.tensor as T
+from bevkit.attention import DeformAttnParams, deform_attn_multi
+from bevkit.dataset import generate_dataset
+from bevkit.evaluation import CONDITIONS
+from bevkit.geometry import BEVGridSpec
+from bevkit.model import Detector, ModelConfig
+from bevkit.synthscene import SceneParams
+from bevkit.tensor import Tensor, backward
+
+REQUIRES = list(itertools.product((False, True), repeat=3))
+
+
+def attend_case(rng, case):
+    """(feats [B,H,W,C], map_idx, base_pts, offsets, attn, qry_idx) arrays."""
+    b, h, w, ch, t, m, k = 3, 5, 4, 6, 7, 2, 3
+    feats = rng.standard_normal((b, h, w, ch))
+    offsets = rng.uniform(-1.5, 1.5, (t, m, k, 2))
+    attn = rng.dirichlet(np.ones(k), (t, m))
+    if case == "sources":
+        # one strictly increasing run per source; query 0 visible in all,
+        # the third source holding every query twice over
+        runs = [np.array([0, 2, 3, 6]), np.array([0, 1, 5]), np.arange(t), np.arange(t)]
+        qry_idx = np.concatenate(runs)
+        map_idx = np.concatenate([np.full(r.size, s % b) for s, r in enumerate(runs)])
+        base = rng.uniform(-1, 5, (qry_idx.size, 2))
+    elif case == "border":
+        # sample points exactly on every border, one cell beyond, and far off
+        offsets[:6] = 0.0
+        qry_idx = np.array([0, 1, 2, 3, 4, 5, 6, 0, 3])
+        base = np.array([[0.0, 0.0], [h - 1, w - 1], [-1.0, 2.0], [h, 1.0], [2.0, -1.0],
+                         [3.0, w], [-7.5, 40.0], [h - 1, 0.0], [0.0, w - 1]])
+        map_idx = np.arange(qry_idx.size) % b
+    elif case == "unordered":
+        qry_idx = rng.integers(0, t, 12)
+        map_idx = rng.integers(0, b, 12)
+        base = rng.uniform(-1, 5, (12, 2))
+    else:  # empty
+        qry_idx = np.zeros(0, dtype=np.intp)
+        map_idx = np.zeros(0, dtype=np.intp)
+        base = np.zeros((0, 2))
+    return feats, map_idx, base, offsets, attn, qry_idx
+
+
+def attend_grads(fn, arrays, requires):
+    feats, map_idx, base, offsets, attn, qry_idx = arrays
+    leaves = [Tensor(a, requires_grad=r) for a, r in zip((feats, offsets, attn), requires)]
+    out = fn(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx)
+    if out.node is not None:
+        out.node.vjp(np.random.default_rng(41).standard_normal(out.shape))
+    return out.data, [x.grad for x in leaves]
+
+
+@pytest.mark.parametrize("case", ["sources", "border", "unordered", "empty"])
+@pytest.mark.parametrize("requires", REQUIRES)
+def test_deform_attend_matches_reference(case, requires):
+    arrays = attend_case(np.random.default_rng(40), case)
+    out, grads = attend_grads(T.deform_attend, arrays, requires)
+    want_out, want = attend_grads(ref.deform_attend_reference, arrays, requires)
+    assert np.array_equal(out, want_out)
+    for r, a, b in zip(requires, grads, want):
+        assert (a is None) == (b is None) == (not r or out.size == 0)
+        if a is not None:
+            assert np.array_equal(a, b)
+
+
+def test_border_case_samples_off_map():
+    # the border case above really puts points on, beyond and far off the map
+    feats, map_idx, base, offsets, attn, qry_idx = attend_case(np.random.default_rng(40), "border")
+    pts = base[:, None, None, :] + offsets[qry_idx]
+    assert np.any(pts[..., 0] == 4.0) and np.any(pts[..., 1] == 3.0)
+    assert np.any(pts < -1.0) and np.any(pts[..., 1] > 4.0)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_bilinear_point_grads_match_reference(seed):
+    rng = np.random.default_rng(seed + 60)
+    pts = np.concatenate([rng.uniform(-2, 6, (9, 2)), [[0.0, 0.0], [4.0, 3.0], [-1.0, 5.0]]])
+    flat = rng.standard_normal((20, 3))
+    g = rng.standard_normal((pts.shape[0], 3))
+    plan = T._BilinearPlan((5, 4), 0, pts, 20)
+    assert np.array_equal(plan.point_grads(pts, flat, g),
+                          ref.point_grads_reference(plan, pts, flat, g))
+
+
+def test_plan_index_arrays_are_int32_and_shared():
+    pts = np.random.default_rng(70).uniform(-1, 5, (11, 2))
+    plan = T._BilinearPlan((5, 4), 0, pts, 20)
+    assert plan.indices.dtype == np.int32 and plan.indptr.dtype == np.int32
+    m = plan._matrix(plan.weights)
+    # scipy slices indices to nnz (a view), so share, not identity, shows no copy
+    assert np.shares_memory(m.indices, plan.indices) and m.indptr is plan.indptr
+    jet = plan.jet(pts)
+    assert jet.indices.dtype == np.int32 and jet.shape == (33, 20)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_deform_attn_multi_matches_reference(seed, monkeypatch):
+    """Several sources, one counted 4 times, one empty, queries seen by many."""
+    rng = np.random.default_rng(seed + 80)
+    p = DeformAttnParams("t", 2, 2, 4, 4, rng)
+    p.offset_w.tensor.data[:] = rng.uniform(-0.5, 0.5, p.offset_w.tensor.shape)
+    p.offset_b.tensor.data[:] = rng.uniform(-0.5, 0.5, p.offset_b.tensor.shape)
+    p.weight_w.tensor.data[:] = rng.uniform(-1, 1, p.weight_w.tensor.shape)
+    t = 6
+    feats = [Tensor(rng.standard_normal((5, 5, 4)), requires_grad=True) for _ in range(3)]
+    sources = [
+        (feats[0], rng.uniform(-1, 5, (t, 2)), rng.random(t) > 0.3, 4),
+        (feats[1], rng.uniform(-1, 5, (t, 2)), np.zeros(t, dtype=bool)),
+        (feats[2], rng.uniform(-1, 5, (t, 2)), rng.random(t) > 0.5),
+        (feats[0], rng.uniform(-1, 5, (t, 2)), None),
+    ]
+    q0 = rng.standard_normal((t, 4))
+
+    def run():
+        queries = Tensor(q0, requires_grad=True)
+        for x in feats + [q.tensor for q in p.parameters()]:
+            x.zero_grad()
+        out = deform_attn_multi(queries, sources, p)
+        backward(T.tsum(T.mul(out, out)))
+        return ([out.data, queries.grad] + [f.grad for f in feats]
+                + [q.tensor.grad for q in p.parameters()])
+
+    got = run()
+    ref.install(monkeypatch)
+    want = run()
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+@pytest.fixture(scope="module")
+def scenes(tmp_path_factory):
+    spec = BEVGridSpec(h=8, w=8, d=2)
+    ds = generate_dataset(tmp_path_factory.mktemp("bitexact"), 2, 3, SceneParams(), spec,
+                          lidar_shape=(8, 8), image_h=12, image_w=16, fx=6.0)
+    return spec, [ds.load(i) for i in range(len(ds))]
+
+
+MODEL_CONFIGS = [
+    dict(fusion="cnw", query_mode="shared"),
+    dict(fusion="avg", query_mode="separate"),
+    dict(fusion="concat", query_mode="shared"),
+    dict(fusion="cnw", query_mode="shared", normalize_by_hits=True),
+]
+
+
+@pytest.mark.parametrize("kw", MODEL_CONFIGS, ids=lambda kw: "-".join(map(str, kw.values())))
+def test_detector_loss_grads_match_reference(scenes, kw, monkeypatch):
+    spec, samples = scenes
+    cfg = ModelConfig(channels=8, heads=2, points=2, enc_layers=2, dec_layers=1,
+                      cam_hidden=(4, 4), lidar_hidden=(4, 4), **kw)
+    det = Detector(cfg, spec, np.random.default_rng(5))
+    rng = np.random.default_rng(6)
+    for prm in det.parameters():  # move offsets and attention off their zero init
+        prm.data[:] += 0.1 * rng.standard_normal(prm.data.shape)
+
+    def run():
+        bits = []
+        for sample in samples:
+            for mask in CONDITIONS.values():
+                for prm in det.parameters():
+                    prm.tensor.zero_grad()
+                loss = det.loss(sample, mask)
+                backward(loss)
+                bits.append(loss.data)
+                bits += [prm.tensor.grad for prm in det.parameters()]
+        return bits
+
+    got = run()
+    ref.install(monkeypatch)
+    want = run()
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert np.array_equal(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_dst=st.integers(1, 6),
+    idx=st.lists(st.integers(0, 5), max_size=30),
+    trailing=st.sampled_from([(), (3,), (2, 2)]),
+    seed=st.integers(0, 2**16),
+)
+def test_add_rows_equals_add_at(n_dst, idx, trailing, seed):
+    rng = np.random.default_rng(seed)
+    idx = np.array([i % n_dst for i in idx], dtype=np.intp)
+    # magnitudes over 16 decades, so any change of summation order shows
+    scale = 10.0 ** rng.integers(-8, 8, idx.size)
+    src = rng.standard_normal((idx.size, *trailing)) * scale.reshape(-1, *[1] * len(trailing))
+    dst = rng.standard_normal((n_dst, *trailing))
+    want = dst.copy()
+    np.add.at(want, idx, src)
+    T._add_rows(dst, idx, src)
+    assert np.array_equal(dst, want)

@@ -1,5 +1,8 @@
 """Engine tests: op semantics, finite-difference oracle, Adam, checkpoints."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -389,3 +392,58 @@ def test_deform_attend_no_grad_matches_grad_mode(seed):
         plain = T.deform_attend(feats, map_idx, base, offsets, attn, qry_idx)
     assert recorded.node is not None and plain.node is None
     assert np.array_equal(recorded.data, plain.data)
+
+
+def test_no_grad_in_a_thread_leaves_other_threads_recording():
+    entered, release = threading.Event(), threading.Event()
+    seen = {}
+
+    def worker():
+        with T.no_grad():
+            entered.set()
+            release.wait(timeout=10)
+            x = Tensor([1.0], requires_grad=True)
+            seen["node"] = T.mul(x, x).node
+
+    th = threading.Thread(target=worker)
+    th.start()
+    try:
+        assert entered.wait(timeout=10)
+        x = Tensor([2.0], requires_grad=True)
+        y = T.mul(x, x)
+    finally:
+        release.set()
+        th.join(timeout=10)
+    assert not th.is_alive()
+    assert y.node is not None
+    assert "node" in seen and seen["node"] is None
+
+
+def test_no_grad_threads_stress():
+    """More threads than cores, each alternating modes under frequent
+    switches; every op must record exactly when its own thread allows."""
+    errors = []
+
+    def worker(n):
+        x = Tensor([float(n)], requires_grad=True)
+        for i in range(200):
+            if (i + n) % 2:
+                with T.no_grad():
+                    ok = T.mul(x, x).node is None
+            else:
+                ok = T.mul(x, x).node is not None
+            if not ok:
+                errors.append((n, i))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
