@@ -100,40 +100,6 @@ def _query_offsets_weights(queries: Tensor, params: DeformAttnParams):
     return off, attn
 
 
-def deform_attn(queries: Tensor, ref_pts, feat: Tensor, params: DeformAttnParams,
-                valid=None) -> Tensor:
-    """Deformable attention of T queries against one feature map.
-
-    ref_pts: [T,2] continuous (row, col) feature coordinates. valid: [T] bool;
-    rows with valid=False yield exactly zero output.
-    """
-    ref = np.asarray(ref_pts.data if isinstance(ref_pts, Tensor) else ref_pts)
-    if ref.ndim != 2 or ref.shape[1] != 2:
-        raise ShapeError(f"deform_attn: ref_pts must be [T,2], got {ref.shape}")
-    if feat.shape[-1] != params.value_dim:
-        raise ShapeError(
-            f"deform_attn: feature channels {feat.shape[-1]} != value width {params.value_dim}"
-        )
-    t = queries.shape[0]
-    m, k = params.heads, params.points
-    off, attn = _query_offsets_weights(queries, params)
-    base = Tensor(np.broadcast_to(ref[:, None, None, :], (t, m, k, 2)).copy())
-    pts = T.reshape(T.add(base, off), (t * m * k, 2))
-    sampled = T.bilinear_sample(feat, pts)  # [T*M*K, value_dim]
-    sampled = T.reshape(sampled, (t, m, k, params.value_dim))
-    weighted = T.tsum(T.mul(sampled, T.reshape(attn, (t, m, k, 1))), axis=2)  # [T,M,Vd]
-    per_head = []
-    flat = T.reshape(weighted, (t * m, params.value_dim))
-    for h in range(m):
-        rows = T.take_rows(flat, np.arange(t) * m + h)
-        per_head.append(T.matmul(rows, params.value_w[h].tensor))
-    mixed = T.concat_lastaxis(per_head)  # [T, N]
-    out = T.matmul(mixed, params.out_w.tensor)
-    if valid is not None:
-        out = T.mul(out, Tensor(np.asarray(valid, dtype=np.float64)[:, None]))
-    return out
-
-
 def deform_attn_multi(queries: Tensor, sources: Sequence, params: DeformAttnParams) -> Tensor:
     """Sum of deformable attention over many (feature map, refs, valid) sources.
 
@@ -153,6 +119,10 @@ def deform_attn_multi(queries: Tensor, sources: Sequence, params: DeformAttnPara
     for f, _, _, _ in sources:
         if f.shape != shape0:
             raise ShapeError(f"deform_attn_multi: map shapes differ: {f.shape} vs {shape0}")
+    if len(shape0) != 3 or shape0[2] != params.value_dim:
+        raise ShapeError(
+            f"deform_attn_multi: maps must be [H,W,{params.value_dim}], got {shape0}"
+        )
     off, attn = _query_offsets_weights(queries, params)
 
     pair_src = []
@@ -202,9 +172,25 @@ def _scatter_rows(rows: Tensor, idx: np.ndarray, n_out: int) -> Tensor:
     return T._make(data, "scatter_rows", (rows,), vjp)
 
 
+def cross_attend(x: Tensor, sources: Sequence, params: DeformAttnParams,
+                 normalize_by_hits: bool = False) -> Tensor:
+    """Cross-attention term of an encoder layer: deform_attn_multi over the
+    sources, divided per query by its number of visible sources (counting
+    multiplicity, at least 1) when normalize_by_hits is set."""
+    out = deform_attn_multi(x, sources, params)
+    if not normalize_by_hits:
+        return out
+    hits = np.zeros(x.shape[0])
+    for src in sources:
+        vis = src[2]
+        mult = src[3] if len(src) == 4 else 1
+        hits += (np.asarray(vis, dtype=np.float64) if vis is not None else 1.0) * mult
+    return T.mul(out, Tensor(1.0 / np.maximum(hits, 1.0)[:, None]))
+
+
 def encoder_layer(tokens: Tensor, grid_hw, self_refs: np.ndarray,
                   sources: Sequence, params: EncoderLayerParams,
-                  normalize_by_hits: bool = False, return_parts: bool = False):
+                  normalize_by_hits: bool = False) -> Tensor:
     """One encoder layer over (H*W) BEV tokens.
 
     tokens: [T,N]; grid_hw: (H, W) with T = H*W; self_refs: [T,2] of each
@@ -223,21 +209,11 @@ def encoder_layer(tokens: Tensor, grid_hw, self_refs: np.ndarray,
     g1, b1 = params.norms[0]
     x1 = T.layer_normalize(T.add(tokens, sa), g1.tensor, b1.tensor)
 
-    ca = deform_attn_multi(x1, sources, params.cross_attn)
-    if normalize_by_hits:
-        hits = np.zeros(t)
-        for src in sources:
-            vis = src[2]
-            mult = src[3] if len(src) == 4 else 1
-            hits += (np.asarray(vis, dtype=np.float64) if vis is not None else 1.0) * mult
-        ca = T.mul(ca, Tensor(1.0 / np.maximum(hits, 1.0)[:, None]))
+    ca = cross_attend(x1, sources, params.cross_attn, normalize_by_hits)
     g2, b2 = params.norms[1]
     x2 = T.layer_normalize(T.add(x1, ca), g2.tensor, b2.tensor)
 
     ff = T.linear(T.relu(T.linear(x2, params.ffn_w1.tensor, params.ffn_b1.tensor)),
                   params.ffn_w2.tensor, params.ffn_b2.tensor)
     g3, b3 = params.norms[2]
-    out = T.layer_normalize(T.add(x2, ff), g3.tensor, b3.tensor)
-    if return_parts:
-        return out, {"self": sa, "cross": ca, "after_self": x1, "after_cross": x2}
-    return out
+    return T.layer_normalize(T.add(x2, ff), g3.tensor, b3.tensor)

@@ -14,6 +14,8 @@ array dicts always serialize to identical bytes.
 
 from __future__ import annotations
 
+import math
+import re
 from typing import Dict
 
 import numpy as np
@@ -21,6 +23,8 @@ import numpy as np
 from .errors import DataError
 
 _MAGIC = "BEVKIT-CHECKPOINT 1"
+_COUNT = re.compile(r"count ([0-9]+)")
+_ENTRY = re.compile(r"(\S+) ([0-9]+(?:,[0-9]+)*) ([0-9]+)")  # name, dims, byte offset
 
 
 def save_checkpoint(path, arrays: Dict[str, np.ndarray]):
@@ -47,24 +51,36 @@ def save_checkpoint(path, arrays: Dict[str, np.ndarray]):
 
 
 def load_checkpoint(path) -> Dict[str, np.ndarray]:
+    """Arrays of a checkpoint file. A file that is truncated, has bytes past
+    its last array, or has a malformed manifest raises DataError."""
     with open(path, "rb") as f:
         raw = f.read()
     sep = raw.find(b"\n\n")
     if sep < 0:
         raise DataError(f"{path}: not a checkpoint file (no manifest terminator)")
-    header = raw[:sep].decode("ascii").splitlines()
+    try:
+        header = raw[:sep].decode("ascii").split("\n")
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: manifest is not ASCII") from None
     payload = raw[sep + 2 :]
-    if not header or header[0] != _MAGIC:
+    if header[0] != _MAGIC:
         raise DataError(f"{path}: bad checkpoint magic")
-    n = int(header[1].split()[1])
+    count = _COUNT.fullmatch(header[1]) if len(header) > 1 else None
+    if count is None or int(count[1]) != len(header) - 2:
+        raise DataError(f"{path}: count line does not match the {len(header) - 2} entries")
     out: Dict[str, np.ndarray] = {}
-    for line in header[2 : 2 + n]:
-        name, dims, offset = line.rsplit(" ", 2)
-        shape = tuple(int(d) for d in dims.split(","))
-        count = int(np.prod(shape))
-        start = int(offset)
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start)
-        out[name] = arr.reshape(shape).copy()
-    if len(out) != n:
-        raise DataError(f"{path}: manifest truncated ({len(out)} of {n} entries)")
+    offset = 0
+    for line in header[2:]:
+        entry = _ENTRY.fullmatch(line)
+        if entry is None or entry[1] in out or int(entry[3]) != offset:
+            raise DataError(f"{path}: malformed manifest line {line!r} (expected offset {offset})")
+        shape = tuple(int(d) for d in entry[2].split(","))
+        n = math.prod(shape)
+        if offset + 8 * n > len(payload):
+            raise DataError(f"{path}: payload truncated inside {entry[1]}")
+        arr = np.frombuffer(payload, dtype="<f8", count=n, offset=offset)
+        out[entry[1]] = arr.reshape(shape).copy()
+        offset += 8 * n
+    if offset != len(payload):
+        raise DataError(f"{path}: {len(payload) - offset} bytes past the last array")
     return out

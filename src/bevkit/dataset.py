@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 from dataclasses import asdict
 from pathlib import Path
@@ -25,7 +26,6 @@ from .geometry import BEVGridSpec, CameraModel
 from .rng import seeded_rng
 from .synthscene import (
     RenderedSample,
-    Scene,
     SceneBox,
     SceneParams,
     default_rig,
@@ -54,18 +54,22 @@ def _write_array(f, arr: np.ndarray, dtype: str):
     f.write(arr.tobytes())
 
 
-def _read_array(buf: memoryview, offset: int, dtype: str):
+def _read_array(path, buf: memoryview, offset: int, dtype: str):
+    """(array, offset past it) of the field at offset in the record read from
+    path; DataError where the record ends inside the field."""
+    if offset + 8 > len(buf):
+        raise DataError(f"{path}: record truncated inside a field header")
     (ndim,) = struct.unpack_from("<Q", buf, offset)
     offset += 8
-    shape = []
-    for _ in range(ndim):
-        (d,) = struct.unpack_from("<Q", buf, offset)
-        shape.append(d)
-        offset += 8
-    count = int(np.prod(shape)) if shape else 1
+    if offset + 8 * ndim > len(buf):
+        raise DataError(f"{path}: record truncated inside a header of {ndim} dimensions")
+    shape = struct.unpack_from(f"<{ndim}Q", buf, offset)
+    offset += 8 * ndim
+    count = math.prod(shape)
+    if offset + count * np.dtype(dtype).itemsize > len(buf):
+        raise DataError(f"{path}: record truncated inside a field of shape {shape}")
     arr = np.frombuffer(buf, dtype=dtype, count=count, offset=offset).reshape(shape)
-    offset += arr.nbytes
-    return arr.copy(), offset
+    return arr.copy(), offset + arr.nbytes
 
 
 def _params_from_json(d: dict) -> SceneParams:
@@ -174,7 +178,14 @@ class SceneDataset:
         arrays = {}
         offset = 0
         for spec_field in self.manifest["record_fields"]:
-            arrays[spec_field["name"]], offset = _read_array(raw, offset, spec_field["dtype"])
+            arrays[spec_field["name"]], offset = _read_array(path, raw, offset,
+                                                             spec_field["dtype"])
+        if offset != len(raw):
+            raise DataError(f"{path}: {len(raw) - offset} bytes past the last field")
+        n = arrays["gt_yaws"].size
+        box_shapes = [arrays[name].shape for name, _ in _FIELDS[2:]]
+        if box_shapes != [(n, 2), (n, 2), (n,), (n,), (n,), (n,)]:
+            raise DataError(f"{path}: box fields disagree on the box count: {box_shapes}")
         boxes = []
         for j in range(arrays["gt_centers"].shape[0]):
             boxes.append(SceneBox(

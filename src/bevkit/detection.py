@@ -10,7 +10,7 @@ seam. Matching runs on detached values; gradients flow only through the loss.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 

@@ -10,14 +10,13 @@ single affine-projected source. Cross-attention sums over every
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
 
 from . import tensor as T
 from .attention import EncoderLayerParams, encoder_layer
-from .errors import ContractError, ShapeError
+from .errors import ContractError
 from .geometry import AffineBEVProjector, BEVGridSpec, ReferenceGrid, build_reference_grid
 from .tensor import Parameter, Tensor
 
@@ -68,14 +67,6 @@ class BEVQuerySet:
         return np.stack([r.reshape(-1), c.reshape(-1)], axis=1).astype(np.float64)
 
 
-@dataclass
-class ModalityBEV:
-    """Encoded BEV feature map of one modality, [H,W,N]."""
-
-    modality: str
-    features: Tensor
-
-
 def build_sources(refs: ReferenceGrid, projectors: Sequence, feats: Sequence[Tensor]):
     """Flatten (view, pillar level) pairs into encoder cross-attention sources.
 
@@ -99,70 +90,43 @@ def build_sources(refs: ReferenceGrid, projectors: Sequence, feats: Sequence[Ten
     return sources
 
 
-def encode_bev_features(tokens: Tensor, queries: BEVQuerySet, sources,
-                        layers: Sequence[EncoderLayerParams],
-                        normalize_by_hits: bool = False,
-                        return_intermediates: bool = False):
+def encode_bev(queries: BEVQuerySet, modality: str, projectors: Sequence,
+               feats: Sequence[Tensor], layers: Sequence[EncoderLayerParams],
+               normalize_by_hits: bool = False) -> Tensor:
+    """BEV feature map [H,W,N] of one modality.
+
+    The modality's queries cross-attend to every (feature map, pillar level)
+    source that ``build_sources`` makes from the projectors, one per map.
+    """
+    if len(projectors) == 0:
+        raise ContractError(f"encode_bev: {modality} needs at least one feature map")
     spec = queries.spec
+    sources = build_sources(queries.refs, projectors, feats)
     self_refs = queries.self_refs()
-    x = tokens
-    inters = []
+    x = queries.tokens(modality)
     for lp in layers:
-        if return_intermediates:
-            x, parts = encoder_layer(x, (spec.h, spec.w), self_refs, sources, lp,
-                                     normalize_by_hits=normalize_by_hits, return_parts=True)
-            inters.append(parts)
-        else:
-            x = encoder_layer(x, (spec.h, spec.w), self_refs, sources, lp,
-                              normalize_by_hits=normalize_by_hits)
-    if return_intermediates:
-        return x, inters
-    return x
+        x = encoder_layer(x, (spec.h, spec.w), self_refs, sources, lp,
+                          normalize_by_hits=normalize_by_hits)
+    return T.reshape(x, (spec.h, spec.w, queries.channels))
 
 
 def encode_camera_bev(queries: BEVQuerySet, views: Sequence, feats: Sequence[Tensor],
                       layers: Sequence[EncoderLayerParams],
-                      normalize_by_hits: bool = False,
-                      return_intermediates: bool = False):
+                      normalize_by_hits: bool = False) -> Tensor:
     """Camera-branch BEV map: cross-attention over all V views x D levels.
 
     `views` are projection providers (CameraModel or anything with a
     .project(refs) -> (uv, visible) method); one feature map per view.
     """
-    if len(views) == 0:
-        raise ContractError("encode_camera_bev: need at least one view")
-    widths = {f.shape[-1] for f in feats}
-    if len(widths) != 1:
-        raise ShapeError(f"camera feature maps disagree on channels: {sorted(widths)}")
-    sources = build_sources(queries.refs, views, feats)
-    tokens = queries.tokens("camera")
-    out = encode_bev_features(tokens, queries, sources, layers,
-                              normalize_by_hits=normalize_by_hits,
-                              return_intermediates=return_intermediates)
-    if return_intermediates:
-        final, inters = out
-        spec = queries.spec
-        return ModalityBEV("camera", T.reshape(final, (spec.h, spec.w, queries.channels))), inters
-    spec = queries.spec
-    return ModalityBEV("camera", T.reshape(out, (spec.h, spec.w, queries.channels)))
+    return encode_bev(queries, "camera", views, feats, layers, normalize_by_hits)
 
 
 def encode_lidar_bev(queries: BEVQuerySet, feat_l: Tensor,
                      layers: Sequence[EncoderLayerParams],
-                     normalize_by_hits: bool = False,
-                     return_intermediates: bool = False):
-    """LiDAR-branch BEV map: identical machinery, single affine-projected source."""
+                     normalize_by_hits: bool = False) -> Tensor:
+    """LiDAR-branch BEV map: the same encoder over one affine-projected source."""
     proj = AffineBEVProjector((feat_l.shape[0], feat_l.shape[1]))
-    sources = build_sources(queries.refs, [proj], [feat_l])
-    tokens = queries.tokens("lidar")
-    out = encode_bev_features(tokens, queries, sources, layers,
-                              normalize_by_hits=normalize_by_hits,
-                              return_intermediates=return_intermediates)
-    spec = queries.spec
-    if return_intermediates:
-        final, inters = out
-        return ModalityBEV("lidar", T.reshape(final, (spec.h, spec.w, queries.channels))), inters
-    return ModalityBEV("lidar", T.reshape(out, (spec.h, spec.w, queries.channels)))
+    return encode_bev(queries, "lidar", [proj], [feat_l], layers, normalize_by_hits)
 
 
 def make_encoder_layers(prefix: str, n_layers: int, heads: int, points: int,

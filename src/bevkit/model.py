@@ -8,7 +8,7 @@ discarding the features, since nothing downstream reads them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -19,7 +19,7 @@ from .encoders import BEVQuerySet, encode_camera_bev, encode_lidar_bev, make_enc
 from .errors import ConfigError, ContractError
 from .fusion import FusionWeights, ModalityMask, fuse
 from .geometry import BEVGridSpec, CameraModel
-from .synthscene import CameraBackbone, LidarBackbone, RenderedSample
+from .synthscene import ConvBackbone, RenderedSample
 from .tensor import Parameter, Tensor
 
 
@@ -40,16 +40,19 @@ class ModelConfig:
     background_weight: float = 0.1
     cam_hidden: Tuple[int, int] = (8, 16)
     lidar_hidden: Tuple[int, int] = (12, 16)
-    feature_downsample: int = 2  # camera backbone spatial reduction
 
     def validate(self):
         if self.fusion not in ("cnw", "avg", "concat"):
             raise ConfigError(f"fusion must be cnw|avg|concat, got {self.fusion!r}")
         if self.query_mode not in ("shared", "separate"):
             raise ConfigError(f"query_mode must be shared|separate, got {self.query_mode!r}")
-        n_enc = self.channels // 2 if self.fusion == "concat" else self.channels
+        n_enc = self.encoder_channels
         if self.fusion == "concat" and self.channels % 2:
             raise ConfigError(f"concat fusion needs even channels, got {self.channels}")
+        if n_enc < 3:
+            # layer_normalize over 2 channels outputs +-gain whatever its input,
+            # so almost no gradient would reach the encoders and backbones
+            raise ConfigError(f"encoder width {n_enc} is below 3 (fusion={self.fusion!r})")
         if n_enc % self.heads:
             raise ConfigError(
                 f"encoder width {n_enc} not divisible by heads {self.heads}"
@@ -79,8 +82,9 @@ class Detector:
         self.cfg = cfg.validate()
         self.spec = spec.validate()
         n_enc = cfg.encoder_channels
-        self.cam_backbone = CameraBackbone(n_enc, rng, hidden=cfg.cam_hidden)
-        self.lidar_backbone = LidarBackbone(n_enc, rng, hidden=cfg.lidar_hidden)
+        self.cam_backbone = ConvBackbone(3, cfg.cam_hidden, n_enc, True, "backbone.camera", rng)
+        self.lidar_backbone = ConvBackbone(2, cfg.lidar_hidden, n_enc, False, "backbone.lidar",
+                                           rng)
         self.queries = BEVQuerySet(spec, n_enc, cfg.query_mode, rng)
         self.cam_layers = make_encoder_layers("encoder.camera", cfg.enc_layers, cfg.heads,
                                               cfg.points, n_enc, n_enc, rng)
@@ -126,7 +130,7 @@ class Detector:
             return
         self._projectors = []
         for cam in cams:
-            feat_cam = cam.scaled(self.cfg.feature_downsample)
+            feat_cam = cam.scaled(self.cam_backbone.stride)
             uv, vis = feat_cam.project(self.queries.refs)
             self._projectors.append(_FrozenProjector(uv, vis))
         self._bound_cams = cams
@@ -142,7 +146,7 @@ class Detector:
                                         self.cam_layers,
                                         normalize_by_hits=self.cfg.normalize_by_hits)
         if mask.use_lidar:
-            feat_l = self.lidar_backbone.forward(sample.lidar_grid)
+            feat_l, = self.lidar_backbone.forward(sample.lidar_grid[None])
             lidar_bev = encode_lidar_bev(self.queries, feat_l, self.lidar_layers,
                                          normalize_by_hits=self.cfg.normalize_by_hits)
         return cam_bev, lidar_bev
@@ -161,8 +165,8 @@ class Detector:
         union = ModalityMask(any(m.use_cam for m in masks), any(m.use_lidar for m in masks))
         cam_bev, lidar_bev = self.encode(sample, union)
         return [fuse(self.cfg.fusion,
-                     cam_bev.features if mask.use_cam else None,
-                     lidar_bev.features if mask.use_lidar else None,
+                     cam_bev if mask.use_cam else None,
+                     lidar_bev if mask.use_lidar else None,
                      self.fusion_weights)
                 for mask in masks]
 

@@ -63,7 +63,3 @@ class Adam:
             self.m[p.name] = arrays[f"opt.m.{p.name}"].reshape(p.data.shape).copy()
             self.v[p.name] = arrays[f"opt.v.{p.name}"].reshape(p.data.shape).copy()
 
-
-def adam_step(opt: Adam):
-    """One optimizer step (alias kept for symmetry with the op suite)."""
-    opt.step()

@@ -11,8 +11,8 @@ spatially while first-order LiDAR channel statistics stay class-blind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -216,14 +216,18 @@ def render_lidar(scene: Scene, spec: BEVGridSpec, lidar_shape: Tuple[int, int],
 # tiny trainable backbones
 
 
-class CameraBackbone:
-    """conv3x3 -> relu -> 2x2 avg pool -> conv3x3 -> relu -> 1x1 linear."""
+class ConvBackbone:
+    """conv3x3 -> relu -> [2x2 avg pool] -> conv3x3 -> relu -> 1x1 linear.
 
-    def __init__(self, out_channels: int, rng: np.random.Generator,
-                 hidden: Tuple[int, int] = (8, 16), in_channels: int = 3,
-                 prefix: str = "backbone.camera"):
+    ``stride`` is how many input pixels one output cell spans along each
+    axis: 2 with the pool, 1 without.
+    """
+
+    def __init__(self, in_channels: int, hidden: Tuple[int, int], out_channels: int,
+                 pool: bool, prefix: str, rng: np.random.Generator):
         h1, h2 = hidden
-        self.out_channels = out_channels
+        self.pool = pool
+        self.stride = 2 if pool else 1
         s1 = 1.0 / np.sqrt(9 * in_channels)
         s2 = 1.0 / np.sqrt(9 * h1)
         s3 = 1.0 / np.sqrt(h2)
@@ -234,43 +238,17 @@ class CameraBackbone:
         self.pw = Parameter(f"{prefix}.proj.weight", rng.uniform(-s3, s3, (h2, out_channels)))
         self.pb = Parameter(f"{prefix}.proj.bias", np.zeros(out_channels))
 
-    def forward_one(self, image) -> Tensor:
-        x = image if isinstance(image, Tensor) else Tensor(image)
-        x = T.relu(T.conv2d_3x3(x, self.k1.tensor, self.b1.tensor))
-        x = T.avgpool2x2(x)
-        x = T.relu(T.conv2d_3x3(x, self.k2.tensor, self.b2.tensor))
-        return T.linear(x, self.pw.tensor, self.pb.tensor)
-
-    def forward(self, images) -> List[Tensor]:
-        return [self.forward_one(images[i]) for i in range(len(images))]
-
-    def parameters(self) -> List[Parameter]:
-        return [self.k1, self.b1, self.k2, self.b2, self.pw, self.pb]
-
-
-class LidarBackbone:
-    """conv3x3 -> relu -> conv3x3 -> relu -> 1x1 linear (no pooling)."""
-
-    def __init__(self, out_channels: int, rng: np.random.Generator,
-                 hidden: Tuple[int, int] = (12, 16), in_channels: int = 2,
-                 prefix: str = "backbone.lidar"):
-        h1, h2 = hidden
-        self.out_channels = out_channels
-        s1 = 1.0 / np.sqrt(9 * in_channels)
-        s2 = 1.0 / np.sqrt(9 * h1)
-        s3 = 1.0 / np.sqrt(h2)
-        self.k1 = Parameter(f"{prefix}.conv1.kernel", rng.uniform(-s1, s1, (3, 3, in_channels, h1)))
-        self.b1 = Parameter(f"{prefix}.conv1.bias", np.zeros(h1))
-        self.k2 = Parameter(f"{prefix}.conv2.kernel", rng.uniform(-s2, s2, (3, 3, h1, h2)))
-        self.b2 = Parameter(f"{prefix}.conv2.bias", np.zeros(h2))
-        self.pw = Parameter(f"{prefix}.proj.weight", rng.uniform(-s3, s3, (h2, out_channels)))
-        self.pb = Parameter(f"{prefix}.proj.bias", np.zeros(out_channels))
-
-    def forward(self, grid) -> Tensor:
-        x = grid if isinstance(grid, Tensor) else Tensor(grid)
-        x = T.relu(T.conv2d_3x3(x, self.k1.tensor, self.b1.tensor))
-        x = T.relu(T.conv2d_3x3(x, self.k2.tensor, self.b2.tensor))
-        return T.linear(x, self.pw.tensor, self.pb.tensor)
+    def forward(self, maps) -> List[Tensor]:
+        """Feature map [H/stride, W/stride, out_channels] of each map in a
+        stack [B,H,W,in_channels]."""
+        outs = []
+        for i in range(len(maps)):
+            x = T.relu(T.conv2d_3x3(Tensor(maps[i]), self.k1.tensor, self.b1.tensor))
+            if self.pool:
+                x = T.avgpool2x2(x)
+            x = T.relu(T.conv2d_3x3(x, self.k2.tensor, self.b2.tensor))
+            outs.append(T.linear(x, self.pw.tensor, self.pb.tensor))
+        return outs
 
     def parameters(self) -> List[Parameter]:
         return [self.k1, self.b1, self.k2, self.b2, self.pw, self.pb]

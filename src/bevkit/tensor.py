@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import contextvars
 import itertools
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -580,16 +580,15 @@ def _corners(shape_hw, pts: np.ndarray):
 
 
 class _BilinearPlan:
-    """Sparse interpolation operator for a fixed set of sample points.
+    """Bilinear corner tables for a fixed set of sample points.
 
     Forward builds only what sampling needs: the four corner cells of each
     point and their bilinear weights (zero where a corner falls outside its
-    map). Row p of the [P, cells] CSR matrix over them holds point p's four
-    weights, so sampling is one sparse-dense matmul. This is an order of
-    magnitude faster than fancy-index gathers plus scatters at the sizes the
-    encoders use. ``indices`` and ``indptr`` are built as int32, the index
-    type scipy computes with, so every CSR matrix over them shares them
-    instead of copying them on construction.
+    map), flat in point order. A CSR matrix over them samples with one
+    sparse-dense matmul, which is an order of magnitude faster than
+    fancy-index gathers plus scatters at the sizes the encoders use.
+    ``indices`` are built as int32, the index type scipy computes with, so a
+    CSR matrix over them shares them instead of copying them on construction.
 
     Backward builds ``jet``: a CSR of 3P rows holding each point's weights
     and their derivatives in row and in column, all over the point's same
@@ -597,7 +596,7 @@ class _BilinearPlan:
     slopes in a single pass over the corners.
     """
 
-    __slots__ = ("shape_hw", "indices", "indptr", "weights", "n_cells", "p")
+    __slots__ = ("shape_hw", "indices", "weights", "n_cells", "p")
 
     def __init__(self, shape_hw, base, pts: np.ndarray, n_cells: int):
         w = shape_hw[1]
@@ -611,28 +610,15 @@ class _BilinearPlan:
             wgt[:, k] = wr * wc * (rin & cin)
         self.shape_hw = shape_hw
         self.indices = idx.reshape(-1)
-        self.indptr = np.arange(0, 4 * p + 1, 4, dtype=dtype)
         self.weights = wgt.reshape(-1)
         self.n_cells = n_cells
         self.p = p
-
-    def _matrix(self, data):
-        from scipy import sparse
-
-        return sparse.csr_matrix((data, self.indices, self.indptr),
-                                 shape=(self.p, self.n_cells))
-
-    def sample(self, flat: np.ndarray) -> np.ndarray:
-        return self._matrix(self.weights) @ flat
-
-    def scatter(self, g: np.ndarray) -> np.ndarray:
-        return self._matrix(self.weights).T @ g
 
     def jet(self, pts: np.ndarray):
         """[3P, cells] CSR for the points the plan was built from: rows 3p,
         3p+1 and 3p+2 hold point p's weights, d(weights)/d(row) and
         d(weights)/d(col), each over its four corners in the order of
-        ``weights``, so every row sums in the same order as ``sample``."""
+        ``weights``, so every row sums in the same order as forward."""
         from scipy import sparse
 
         tab = np.empty((self.p, 3, 4))
@@ -642,61 +628,9 @@ class _BilinearPlan:
             tab[:, 1, k] = sr * wc * inside
             tab[:, 2, k] = wr * sc * inside
         indices = np.repeat(self.indices.reshape(self.p, 1, 4), 3, axis=1)
-        indptr = np.arange(0, 12 * self.p + 1, 4, dtype=self.indptr.dtype)
+        indptr = np.arange(0, 12 * self.p + 1, 4, dtype=self.indices.dtype)
         return sparse.csr_matrix((tab.reshape(-1), indices.reshape(-1), indptr),
                                  shape=(3 * self.p, self.n_cells))
-
-    def point_grads(self, pts: np.ndarray, flat: np.ndarray, g: np.ndarray) -> np.ndarray:
-        jet = (self.jet(pts) @ flat).reshape(self.p, 3, flat.shape[1])
-        dr = (jet[:, 1] * g).sum(axis=1)
-        dc = (jet[:, 2] * g).sum(axis=1)
-        return np.stack([dr, dc], axis=1)
-
-
-def _bilinear_common(feat: Tensor, pts: Tensor, shape_hw, base, op: str) -> Tensor:
-    n_cells = feat.data.size // feat.shape[-1]
-    ch = feat.shape[-1]
-    flat = feat.data.reshape(n_cells, ch)
-    plan = _BilinearPlan(shape_hw, base, pts.data, n_cells)
-    out = plan.sample(flat) if plan.p else np.zeros((0, ch))
-
-    def vjp(g):
-        if feat.requires_grad:
-            _accum(feat, plan.scatter(g).reshape(feat.shape), own=True)
-        if pts.requires_grad:
-            _accum(pts, plan.point_grads(pts.data, flat, g), own=True)
-
-    return _make(out, op, (feat, pts), vjp)
-
-
-def bilinear_sample(feat: Tensor, pts: Tensor) -> Tensor:
-    """Sample feat[H,W,C] at continuous (row, col) points [P,2], zero padding.
-
-    Corner cells outside [0,H-1]x[0,W-1] read as zero, so the result decays
-    linearly to zero within one cell of the border and is zero beyond.
-    """
-    pts = _wrap(pts)
-    if feat.data.ndim != 3:
-        raise ShapeError(f"bilinear_sample: feature map must be [H,W,C], got {feat.shape}")
-    if pts.data.ndim != 2 or pts.shape[1] != 2:
-        raise ShapeError(f"bilinear_sample: points must be [P,2], got {pts.shape}")
-    h, w, _ = feat.shape
-    return _bilinear_common(feat, pts, (h, w), 0, "bilinear")
-
-
-def bilinear_sample_stacked(feats: Tensor, map_idx, pts: Tensor) -> Tensor:
-    """Sample a stack feats[B,H,W,C] at points [P,2], map_idx[P] selecting the map.
-
-    Same padding rule as bilinear_sample; used to batch multi-view sampling.
-    """
-    pts = _wrap(pts)
-    if feats.data.ndim != 4:
-        raise ShapeError(f"bilinear_sample_stacked: expected [B,H,W,C], got {feats.shape}")
-    if pts.data.ndim != 2 or pts.shape[1] != 2:
-        raise ShapeError(f"bilinear_sample_stacked: points must be [P,2], got {pts.shape}")
-    b, h, w, _ = feats.shape
-    base = np.asarray(map_idx, dtype=np.intp) * (h * w)
-    return _bilinear_common(feats, pts, (h, w), base, "bilinear_stacked")
 
 
 def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
@@ -706,9 +640,10 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
     For each of P (source, query) pairs with base point base_pts[p] on map
     map_idx[p], sample feats at base + offsets[qry_idx[p], m, k], combine the
     K points of each head with attn[qry_idx[p], m, k], and return [P, M, C].
-    One sparse matmul evaluates the whole thing; equal to composing
-    bilinear_sample_stacked / mul / sum but without the [P,M,K,C]
-    intermediates.
+    One sparse matmul evaluates the whole thing, without the [P,M,K,C]
+    intermediates of sampling every point first. Corners outside a map read
+    as zero, so a sample decays linearly to zero within one cell of the
+    border and is zero beyond.
 
     Forward builds the bilinear plan and the [P*M, cells] matrix of
     attention-scaled corner weights, and nothing else. Backward reuses that
@@ -737,7 +672,7 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
     from scipy import sparse
 
     data_attn = (plan.weights.reshape(p * m * k, 4) * attnp.reshape(p * m * k, 1)).reshape(-1)
-    indptr_pm = np.arange(0, 4 * k * (p * m) + 1, 4 * k, dtype=plan.indptr.dtype)
+    indptr_pm = np.arange(0, 4 * k * (p * m) + 1, 4 * k, dtype=plan.indices.dtype)
     s_attn = sparse.csr_matrix((data_attn, plan.indices, indptr_pm), shape=(p * m, b * h * w))
     out = (s_attn @ flat).reshape(p, m, ch)
 
@@ -808,7 +743,3 @@ def avgpool2x2(x: Tensor) -> Tensor:
 
     return _make(data, "avgpool", (x,), vjp)
 
-
-# convenience aliases matching common naming elsewhere in the package
-sum_all = tsum
-mean_all = tmean

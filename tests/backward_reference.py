@@ -27,11 +27,10 @@ def slopes_reference(plan, pts):
     return dwr.reshape(-1), dwc.reshape(-1)
 
 
-def point_grads_reference(plan, pts, flat, g):
-    dwdr, dwdc = slopes_reference(plan, pts)
-    dr = (plan._matrix(dwdr) @ flat * g).sum(axis=1)
-    dc = (plan._matrix(dwdc) @ flat * g).sum(axis=1)
-    return np.stack([dr, dc], axis=1)
+def plan_matrix(plan, data):
+    """[P, cells] CSR with row p holding data over point p's four corners."""
+    indptr = np.arange(0, 4 * plan.p + 1, 4)
+    return sparse.csr_matrix((data, plan.indices, indptr), shape=(plan.p, plan.n_cells))
 
 
 def deform_attend_reference(feats, map_idx, base_pts, offsets, attn, qry_idx):
@@ -59,15 +58,15 @@ def deform_attend_reference(feats, map_idx, base_pts, offsets, attn, qry_idx):
             T._accum(feats, (s_attn.T @ g2).reshape(feats.shape), own=True)
         g3 = g2.reshape(p * m, 1, ch)
         if attn.requires_grad:
-            samples = plan.sample(flat).reshape(p * m, k, ch)
+            samples = (plan_matrix(plan, plan.weights) @ flat).reshape(p * m, k, ch)
             dattn = np.einsum("xkc,xoc->xk", samples, g3).reshape(p, m, k)
             if attn.grad is None:
                 attn.grad = np.zeros_like(attn.data)
             np.add.at(attn.grad, qry_idx, dattn)
         if offsets.requires_grad:
             dwdr, dwdc = slopes_reference(plan, pts)
-            sr = plan._matrix(dwdr) @ flat
-            sc = plan._matrix(dwdc) @ flat
+            sr = plan_matrix(plan, dwdr) @ flat
+            sc = plan_matrix(plan, dwdc) @ flat
             dr = np.einsum("xkc,xoc->xk", sr.reshape(p * m, k, ch), g3).reshape(p, m, k)
             dc = np.einsum("xkc,xoc->xk", sc.reshape(p * m, k, ch), g3).reshape(p, m, k)
             dpts = np.stack([dr * attnp, dc * attnp], axis=-1)

@@ -1,16 +1,22 @@
-"""Deformable attention vs the naive loop oracle, plus encoder layer tests."""
+"""deform_attn_multi vs the naive loop oracle, plus encoder layer tests."""
 
 import numpy as np
 import pytest
 
 import bevkit.tensor as T
 import bevkit.attention as attention
-from bevkit.attention import DeformAttnParams, EncoderLayerParams, deform_attn, deform_attn_multi, encoder_layer
+from bevkit.attention import (
+    DeformAttnParams,
+    EncoderLayerParams,
+    cross_attend,
+    deform_attn_multi,
+    encoder_layer,
+)
 from bevkit.errors import ShapeError
 from bevkit.tensor import Tensor, backward
 
 from helpers import check_grads
-from naive_reference import deform_attn_naive
+from naive_reference import bilinear_scalar, deform_attn_naive
 
 
 def make_params(rng, heads=2, points=2, channels=4, value_dim=4, randomize=True):
@@ -34,16 +40,21 @@ def run_naive(queries, refs, feat, p, valid=None):
     )
 
 
+def single(queries, refs, feat, p, valid=None):
+    """deform_attn_multi over one source."""
+    return deform_attn_multi(queries, [(feat, refs, valid)], p)
+
+
 class TestDeformAttn:
     def test_degenerate_is_plain_sampling(self):
         rng = np.random.default_rng(0)
         p = DeformAttnParams("t", heads=1, points=1, channels=3, value_dim=3, rng=rng)
         p.value_w[0].tensor.data[:] = np.eye(3)
         p.out_w.tensor.data[:] = np.eye(3)
-        feat = Tensor(rng.standard_normal((5, 5, 3)))
+        feat = rng.standard_normal((5, 5, 3))
         refs = rng.uniform(0, 4, (7, 2))
-        out = deform_attn(Tensor(rng.standard_normal((7, 3))), refs, feat, p)
-        expected = T.bilinear_sample(feat, Tensor(refs)).data
+        out = single(Tensor(rng.standard_normal((7, 3))), refs, Tensor(feat), p)
+        expected = [bilinear_scalar(feat, r, c) for r, c in refs]
         assert np.array_equal(out.data, expected)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -53,16 +64,15 @@ class TestDeformAttn:
         queries = rng.standard_normal((3, 4))
         refs = rng.uniform(-1, 5, (3, 2))
         feat = rng.standard_normal((4, 4, 4))
-        out = deform_attn(Tensor(queries), refs, Tensor(feat), p)
+        out = single(Tensor(queries), refs, Tensor(feat), p)
         ref = run_naive(queries, refs, feat, p)
         assert np.max(np.abs(out.data - ref)) < 1e-10
 
     def test_all_invalid_gives_zero(self):
         rng = np.random.default_rng(1)
         p = make_params(rng)
-        out = deform_attn(Tensor(rng.standard_normal((3, 4))), rng.uniform(0, 3, (3, 2)),
-                          Tensor(rng.standard_normal((4, 4, 4))), p,
-                          valid=np.zeros(3, dtype=bool))
+        out = single(Tensor(rng.standard_normal((3, 4))), rng.uniform(0, 3, (3, 2)),
+                     Tensor(rng.standard_normal((4, 4, 4))), p, valid=np.zeros(3, dtype=bool))
         assert np.array_equal(out.data, np.zeros((3, 4)))
 
     def test_partial_valid_matches_naive(self):
@@ -72,7 +82,7 @@ class TestDeformAttn:
         refs = rng.uniform(0, 3, (5, 2))
         feat = rng.standard_normal((4, 4, 4))
         valid = np.array([True, False, True, True, False])
-        out = deform_attn(Tensor(queries), refs, Tensor(feat), p, valid=valid)
+        out = single(Tensor(queries), refs, Tensor(feat), p, valid=valid)
         assert np.max(np.abs(out.data - run_naive(queries, refs, feat, p, valid))) < 1e-10
 
     def test_head_weights_sum_to_one(self):
@@ -87,21 +97,28 @@ class TestDeformAttn:
         rng = np.random.default_rng(4)
         p = make_params(rng)
         with pytest.raises(ShapeError):
-            deform_attn(Tensor(rng.standard_normal((3, 4))), rng.uniform(0, 3, (3, 2)),
-                        Tensor(rng.standard_normal((4, 4, 5))), p)
+            single(Tensor(rng.standard_normal((3, 4))), rng.uniform(0, 3, (3, 2)),
+                   Tensor(rng.standard_normal((4, 4, 5))), p)
+
+    def test_value_width_mismatch_without_visible_pairs(self):
+        rng = np.random.default_rng(4)
+        p = make_params(rng)
+        with pytest.raises(ShapeError):
+            single(Tensor(rng.standard_normal((3, 4))), rng.uniform(0, 3, (3, 2)),
+                   Tensor(rng.standard_normal((4, 4, 5))), p, valid=np.zeros(3, dtype=bool))
 
     def test_bad_ref_arity(self):
         rng = np.random.default_rng(5)
         p = make_params(rng)
         with pytest.raises(ShapeError):
-            deform_attn(Tensor(rng.standard_normal((3, 4))), rng.uniform(0, 3, (3, 3)),
-                        Tensor(rng.standard_normal((4, 4, 4))), p)
+            single(Tensor(rng.standard_normal((3, 4))), rng.uniform(0, 3, (3, 3)),
+                   Tensor(rng.standard_normal((4, 4, 4))), p)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_multi_equals_sum_of_singles(self, seed):
         rng = np.random.default_rng(seed + 60)
         p = make_params(rng)
-        queries = Tensor(rng.standard_normal((4, 4)))
+        queries = rng.standard_normal((4, 4))
         sources = []
         singles = np.zeros((4, 4))
         for _ in range(3):
@@ -109,8 +126,8 @@ class TestDeformAttn:
             refs = rng.uniform(-1, 5, (4, 2))
             valid = rng.random(4) > 0.3
             sources.append((Tensor(feat), refs, valid))
-            singles += deform_attn(queries, refs, Tensor(feat), p, valid=valid).data
-        multi = deform_attn_multi(queries, sources, p)
+            singles += run_naive(queries, refs, feat, p, valid)
+        multi = deform_attn_multi(Tensor(queries), sources, p)
         assert np.max(np.abs(multi.data - singles)) < 1e-10
 
     def test_duplicated_source_doubles(self):
@@ -143,7 +160,7 @@ class TestDeformAttn:
             p.value_w[0].tensor = vw0
             p.out_w.tensor = outw
             p.offset_b.tensor = Tensor(p.offset_b.tensor.data)
-            out = deform_attn(q, refs, f, p)
+            out = single(q, refs, f, p)
             return T.tsum(T.sigmoid(out))
 
         check_grads(build, leaves)
@@ -256,15 +273,12 @@ class TestEncoderLayer:
         rng = np.random.default_rng(12)
         lp = self.make_layer(rng)
         tokens = Tensor(rng.standard_normal((6, 4)))
-        refs = self.grid_refs(2, 3)
         feat = Tensor(rng.standard_normal((4, 4, 4)))
         cross_refs = rng.uniform(0, 3, (6, 2))
         valid = np.ones(6, bool)
-        _, p1 = encoder_layer(tokens, (2, 3), refs, [(feat, cross_refs, valid)], lp,
-                              return_parts=True)
-        _, p2 = encoder_layer(tokens, (2, 3), refs, [(feat, cross_refs, valid)] * 2, lp,
-                              return_parts=True)
-        assert np.array_equal(p2["cross"].data, 2.0 * p1["cross"].data)
+        one = cross_attend(tokens, [(feat, cross_refs, valid)], lp.cross_attn)
+        two = cross_attend(tokens, [(feat, cross_refs, valid)] * 2, lp.cross_attn)
+        assert np.array_equal(two.data, 2.0 * one.data)
 
     def test_source_count_mismatch_raises(self):
         rng = np.random.default_rng(13)
@@ -281,11 +295,14 @@ class TestEncoderLayer:
         feat = Tensor(rng.standard_normal((4, 4, 4)))
         cross_refs = rng.uniform(0, 3, (4, 2))
         valid = np.ones(4, bool)
-        _, raw = encoder_layer(tokens, (2, 2), refs, [(feat, cross_refs, valid)] * 2, lp,
-                               return_parts=True)
-        _, nrm = encoder_layer(tokens, (2, 2), refs, [(feat, cross_refs, valid)] * 2, lp,
-                               normalize_by_hits=True, return_parts=True)
-        assert np.allclose(nrm["cross"].data, raw["cross"].data / 2.0)
+        sources = [(feat, cross_refs, valid)] * 2
+        raw = cross_attend(tokens, sources, lp.cross_attn)
+        nrm = cross_attend(tokens, sources, lp.cross_attn, normalize_by_hits=True)
+        assert np.allclose(nrm.data, raw.data / 2.0)
+        # and the layer passes the flag on
+        plain = encoder_layer(tokens, (2, 2), refs, sources, lp)
+        halved = encoder_layer(tokens, (2, 2), refs, sources, lp, normalize_by_hits=True)
+        assert not np.allclose(plain.data, halved.data)
 
     def test_fd_through_full_layer(self):
         rng = np.random.default_rng(15)

@@ -83,26 +83,27 @@ def test_border_case_samples_off_map():
     assert np.any(pts < -1.0) and np.any(pts[..., 1] > 4.0)
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_bilinear_point_grads_match_reference(seed):
-    rng = np.random.default_rng(seed + 60)
-    pts = np.concatenate([rng.uniform(-2, 6, (9, 2)), [[0.0, 0.0], [4.0, 3.0], [-1.0, 5.0]]])
-    flat = rng.standard_normal((20, 3))
-    g = rng.standard_normal((pts.shape[0], 3))
-    plan = T._BilinearPlan((5, 4), 0, pts, 20)
-    assert np.array_equal(plan.point_grads(pts, flat, g),
-                          ref.point_grads_reference(plan, pts, flat, g))
+def test_plan_index_arrays_are_int32_and_shared(monkeypatch):
+    """Every CSR matrix deform_attend builds, in forward and in backward,
+    keeps the int32 index arrays it is given instead of copying them."""
+    from scipy import sparse
 
+    built = []
+    csr_matrix = sparse.csr_matrix
 
-def test_plan_index_arrays_are_int32_and_shared():
-    pts = np.random.default_rng(70).uniform(-1, 5, (11, 2))
-    plan = T._BilinearPlan((5, 4), 0, pts, 20)
-    assert plan.indices.dtype == np.int32 and plan.indptr.dtype == np.int32
-    m = plan._matrix(plan.weights)
-    # scipy slices indices to nnz (a view), so share, not identity, shows no copy
-    assert np.shares_memory(m.indices, plan.indices) and m.indptr is plan.indptr
-    jet = plan.jet(pts)
-    assert jet.indices.dtype == np.int32 and jet.shape == (33, 20)
+    def spy(arg, **kw):
+        m = csr_matrix(arg, **kw)
+        built.append((arg[1], arg[2], m))
+        return m
+
+    monkeypatch.setattr(sparse, "csr_matrix", spy)
+    arrays = attend_case(np.random.default_rng(70), "sources")
+    attend_grads(T.deform_attend, arrays, (True, True, True))
+    assert len(built) == 2  # the attention-scaled weights, and the jet
+    for indices, indptr, m in built:
+        assert indices.dtype == np.int32 and indptr.dtype == np.int32
+        # scipy slices indices to nnz (a view), so share, not identity, shows no copy
+        assert np.shares_memory(m.indices, indices) and m.indptr is indptr
 
 
 @pytest.mark.parametrize("seed", range(3))

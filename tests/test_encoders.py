@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 import bevkit.tensor as T
+from bevkit.attention import cross_attend
 from bevkit.encoders import (
     BEVQuerySet,
+    build_sources,
+    encode_bev,
     encode_camera_bev,
     encode_lidar_bev,
     make_encoder_layers,
 )
-from bevkit.errors import ContractError
+from bevkit.errors import ContractError, ShapeError
 from bevkit.geometry import AffineBEVProjector, BEVGridSpec, make_camera
 from bevkit.optim import Adam
 from bevkit.tensor import Tensor, backward
@@ -38,7 +41,7 @@ class TestUniformity:
         via_camera = encode_camera_bev(queries, [AffineBEVProjector((spec.h, spec.w))],
                                        [feat], layers)
         via_lidar = encode_lidar_bev(queries, feat, layers)
-        assert np.array_equal(via_camera.features.data, via_lidar.features.data)
+        assert np.array_equal(via_camera.data, via_lidar.data)
 
     def test_output_shapes(self):
         rng, spec, queries, layers = make_setup(seed=2)
@@ -47,27 +50,54 @@ class TestUniformity:
         lidar_feat = Tensor(rng.standard_normal((7, 9, 4)))  # resolution differs from grid
         out_c = encode_camera_bev(queries, [cam], [cam_feat], layers)
         out_l = encode_lidar_bev(queries, lidar_feat, layers)
-        assert out_c.features.shape == (spec.h, spec.w, 4)
-        assert out_l.features.shape == (spec.h, spec.w, 4)
+        assert out_c.shape == (spec.h, spec.w, 4)
+        assert out_l.shape == (spec.h, spec.w, 4)
 
     def test_no_views_is_contract_error(self):
         _, _, queries, layers = make_setup(seed=3)
         with pytest.raises(ContractError):
             encode_camera_bev(queries, [], [], layers)
 
+    def test_camera_maps_of_different_width_raise(self):
+        rng, spec, queries, layers = make_setup(seed=3)
+        proj = AffineBEVProjector((spec.h, spec.w))
+        feats = [Tensor(rng.standard_normal((spec.h, spec.w, c))) for c in (4, 5)]
+        with pytest.raises(ShapeError):
+            encode_camera_bev(queries, [proj, proj], feats, layers)
+
+    def test_entry_points_are_encode_bev(self):
+        rng, spec, queries, layers = make_setup(seed=3, mode="separate")
+        cam = make_camera([0, 0, 1.6], 0.0, 0.087, fx=3, fy=3, image_h=6, image_w=8)
+        feat = Tensor(rng.standard_normal((6, 8, 4)))
+        assert np.array_equal(encode_camera_bev(queries, [cam], [feat], layers).data,
+                              encode_bev(queries, "camera", [cam], [feat], layers).data)
+        lidar_feat = Tensor(rng.standard_normal((7, 9, 4)))
+        lidar_proj = AffineBEVProjector((7, 9))
+        assert np.array_equal(encode_lidar_bev(queries, lidar_feat, layers).data,
+                              encode_bev(queries, "lidar", [lidar_proj], [lidar_feat],
+                                         layers).data)
+
+
+def cross_term(queries, projectors, feats, layers, normalize_by_hits=False):
+    """The first layer's cross-attention term over the sources the encoder
+    builds, from the LiDAR query tokens."""
+    sources = build_sources(queries.refs, projectors, feats)
+    return cross_attend(queries.tokens("lidar"), sources, layers[0].cross_attn,
+                        normalize_by_hits).data
+
 
 class TestCrossAttentionStructure:
     def test_lidar_identity_projection_reads_own_cell(self):
         # degenerate attention: zero offsets, identity value/out, D=1 and a
-        # grid-matched map -> the first layer's cross term is exactly the map
+        # grid-matched map -> the cross term is exactly the map
         rng, spec, queries, layers = make_setup(seed=4, n_layers=1, d=1)
         lp = layers[0]
         lp.cross_attn.value_w[0].tensor.data[:] = np.eye(4)[:, :2]
         lp.cross_attn.value_w[1].tensor.data[:] = np.eye(4)[:, 2:]
         lp.cross_attn.out_w.tensor.data[:] = np.eye(4)
         feat = rng.standard_normal((spec.h, spec.w, 4))
-        _, inters = encode_lidar_bev(queries, Tensor(feat), layers, return_intermediates=True)
-        cross = inters[0]["cross"].data
+        cross = cross_term(queries, [AffineBEVProjector((spec.h, spec.w))], [Tensor(feat)],
+                           layers)
         assert np.allclose(cross, feat.reshape(-1, 4), atol=1e-12)
 
     def test_two_views_double_one_view(self):
@@ -75,29 +105,29 @@ class TestCrossAttentionStructure:
         rng, spec, queries, layers = make_setup(seed=5, n_layers=1)
         proj = AffineBEVProjector((spec.h, spec.w))
         feat = Tensor(rng.standard_normal((spec.h, spec.w, 4)))
-        _, one = encode_camera_bev(queries, [proj], [feat], layers, return_intermediates=True)
-        _, two = encode_camera_bev(queries, [proj, proj], [feat, feat], layers,
-                                   return_intermediates=True)
-        assert np.array_equal(two[0]["cross"].data, 2.0 * one[0]["cross"].data)
+        one = cross_term(queries, [proj], [feat], layers)
+        two = cross_term(queries, [proj, proj], [feat, feat], layers)
+        assert np.array_equal(two, 2.0 * one)
 
     def test_fully_invisible_cell_contributes_zero(self):
         rng, spec, queries, layers = make_setup(seed=6, n_layers=1)
         # camera looking away from the whole grid -> nothing visible
         cam = make_camera([100.0, 0, 1.6], 0.0, 0.0, fx=3, fy=3, image_h=6, image_w=8)
         feat = Tensor(rng.standard_normal((6, 8, 4)))
-        _, inters = encode_camera_bev(queries, [cam], [feat], layers, return_intermediates=True)
-        assert np.array_equal(inters[0]["cross"].data, np.zeros((spec.h * spec.w, 4)))
+        assert np.array_equal(cross_term(queries, [cam], [feat], layers),
+                              np.zeros((spec.h * spec.w, 4)))
 
     def test_normalize_by_hits_default_off(self):
         rng, spec, queries, layers = make_setup(seed=7, n_layers=1)
         proj = AffineBEVProjector((spec.h, spec.w))
         feat = Tensor(rng.standard_normal((spec.h, spec.w, 4)))
-        _, raw = encode_camera_bev(queries, [proj, proj], [feat, feat], layers,
-                                   return_intermediates=True)
-        _, nrm = encode_camera_bev(queries, [proj, proj], [feat, feat], layers,
-                                   normalize_by_hits=True, return_intermediates=True)
+        raw = cross_term(queries, [proj, proj], [feat, feat], layers)
+        nrm = cross_term(queries, [proj, proj], [feat, feat], layers, normalize_by_hits=True)
         # D=2 levels x 2 views = 4 hits per cell
-        assert np.allclose(nrm[0]["cross"].data, raw[0]["cross"].data / 4.0)
+        assert np.allclose(nrm, raw / 4.0)
+        assert np.array_equal(encode_camera_bev(queries, [proj], [feat], layers).data,
+                              encode_camera_bev(queries, [proj], [feat], layers,
+                                                normalize_by_hits=False).data)
 
 
 class TestQuerySharing:
@@ -117,7 +147,7 @@ class TestQuerySharing:
         feat = Tensor(rng.standard_normal((6, 8, 4)))
         before = queries.tokens("lidar").data.copy()
         out = encode_camera_bev(queries, [cam], [feat], layers)
-        backward(T.tsum(T.sigmoid(out.features)))
+        backward(T.tsum(T.sigmoid(out)))
         Adam(queries.parameters(), lr=1e-2).step()
         after = queries.tokens("lidar").data
         assert not np.array_equal(before, after)
@@ -128,7 +158,7 @@ class TestQuerySharing:
         feat = Tensor(rng.standard_normal((6, 8, 4)))
         before = queries.tokens("lidar").data.copy()
         out = encode_camera_bev(queries, [cam], [feat], layers)
-        backward(T.tsum(T.sigmoid(out.features)))
+        backward(T.tsum(T.sigmoid(out)))
         Adam(queries.parameters(), lr=1e-2).step()
         assert np.array_equal(before, queries.tokens("lidar").data)
 
@@ -151,6 +181,6 @@ def test_fd_gradient_through_lidar_encoder():
         for prm, t in zip(lp.parameters(), ts[2:]):
             prm.tensor = t
         out = encode_lidar_bev(queries, feat, layers)
-        return T.tsum(T.sigmoid(out.features))
+        return T.tsum(T.sigmoid(out))
 
     check_grads(build, leaves)

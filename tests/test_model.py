@@ -1,0 +1,60 @@
+"""ModelConfig validation, the detector's initial weights and its backbones."""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from bevkit.errors import ConfigError
+from bevkit.geometry import BEVGridSpec
+from bevkit.model import Detector, ModelConfig
+from bevkit.synthscene import default_rig
+
+# sha256 over (name, NUL, little-endian float64 bytes) of every array of
+# Detector(ModelConfig(), BEVGridSpec(), default_rng(0)).param_arrays(), in
+# order. Parameter names, shapes and the order of random draws all feed it, so
+# a change to any of them breaks every existing checkpoint and shows here.
+DEFAULT_INIT_SHA256 = "8b7ece11f59f7b96c572083f984bd7d7d0ea240d59127fe1de544a7c94bf455b"
+
+
+def test_default_init_is_unchanged():
+    arrays = Detector(ModelConfig(), BEVGridSpec(), np.random.default_rng(0)).param_arrays()
+    h = hashlib.sha256()
+    for name, a in arrays.items():
+        h.update(name.encode() + b"\0" + a.astype("<f8").tobytes())
+    assert len(arrays) == 198
+    assert h.hexdigest() == DEFAULT_INIT_SHA256
+
+
+@pytest.mark.parametrize("kw", [
+    dict(fusion="concat", channels=4, heads=2),  # encoder width 2
+    dict(fusion="concat", channels=2, heads=1),
+    dict(fusion="cnw", channels=2, heads=2),
+    dict(fusion="avg", channels=1, heads=1),
+])
+def test_encoder_width_below_three_is_config_error(kw):
+    with pytest.raises(ConfigError):
+        ModelConfig(**kw).validate()
+
+
+def test_encoder_width_three_is_accepted():
+    assert ModelConfig(fusion="concat", channels=6, heads=3).validate().encoder_channels == 3
+
+
+def test_backbone_stride_matches_camera_scaling():
+    # the camera projectors are scaled by the backbone's stride, so sampling
+    # coordinates line up with the feature map the backbone returns
+    spec = BEVGridSpec(h=8, w=8, d=2)
+    cfg = ModelConfig(channels=8, heads=2, points=2, enc_layers=1, dec_layers=1,
+                      cam_hidden=(4, 4), lidar_hidden=(4, 4))
+    det = Detector(cfg, spec, np.random.default_rng(0))
+    assert (det.cam_backbone.stride, det.lidar_backbone.stride) == (2, 1)
+    rig = default_rig(image_h=12, image_w=16, fx=6.0)
+    images = np.random.default_rng(1).standard_normal((len(rig), 12, 16, 3))
+    feats = det.cam_backbone.forward(images)
+    assert len(feats) == len(rig)
+    for cam, feat in zip(rig, feats):
+        scaled = cam.scaled(det.cam_backbone.stride)
+        assert feat.shape == (scaled.image_h, scaled.image_w, 8)
+    lidar, = det.lidar_backbone.forward(np.zeros((1, 10, 6, 2)))
+    assert lidar.shape == (10, 6, 8)

@@ -13,6 +13,7 @@ from bevkit.optim import Adam
 from bevkit.tensor import Parameter, Tensor, backward
 
 from helpers import check_grads
+from naive_reference import bilinear_scalar
 
 SEEDS = list(range(20))
 
@@ -71,38 +72,62 @@ class TestSoftmax:
         assert np.all(np.abs(y - y2) < 1e-6)
 
 
+def sample(feats: Tensor, pts: Tensor, map_idx=None) -> Tensor:
+    """Bilinear samples [P,C] of feats [B,H,W,C] at points pts [P,2] on maps
+    map_idx (all 0 by default): deform_attend with one head, one point per
+    head, attention 1 and the points as offsets from base points at 0."""
+    p, ch = pts.shape[0], feats.shape[-1]
+    map_idx = np.zeros(p, dtype=np.intp) if map_idx is None else map_idx
+    out = T.deform_attend(feats, map_idx, np.zeros((p, 2)), T.reshape(pts, (p, 1, 1, 2)),
+                          Tensor(np.ones((p, 1, 1))), np.arange(p))
+    return T.reshape(out, (p, ch))
+
+
 class TestBilinear:
     def setup_method(self):
         rng = np.random.default_rng(0)
         self.f = rng.standard_normal((4, 5, 3))
 
+    def sample(self, pts):
+        return sample(Tensor(self.f[None]), Tensor(pts)).data
+
     def test_on_grid_exact(self):
-        out = T.bilinear_sample(Tensor(self.f), Tensor([[1.0, 1.0]]))
-        assert np.array_equal(out.data[0], self.f[1, 1])
+        out = self.sample([[1.0, 1.0]])
+        assert np.array_equal(out[0], self.f[1, 1])
 
     def test_center_of_2x2_is_mean(self):
-        f = np.arange(4.0).reshape(2, 2, 1)
-        out = T.bilinear_sample(Tensor(f), Tensor([[0.5, 0.5]]))
+        f = np.arange(4.0).reshape(1, 2, 2, 1)
+        out = sample(Tensor(f), Tensor([[0.5, 0.5]]))
         assert np.allclose(out.data[0], f.mean())
 
     def test_far_outside_is_zero(self):
-        out = T.bilinear_sample(Tensor(self.f), Tensor([[-5.0, -5.0]]))
-        assert np.array_equal(out.data[0], np.zeros(3))
+        assert np.array_equal(self.sample([[-5.0, -5.0]])[0], np.zeros(3))
 
     def test_border_decays_linearly(self):
         # half a cell past the edge blends 50% zero padding
-        out = T.bilinear_sample(Tensor(self.f), Tensor([[-0.5, 2.0]]))
-        assert np.allclose(out.data[0], 0.5 * self.f[0, 2])
+        assert np.allclose(self.sample([[-0.5, 2.0]])[0], 0.5 * self.f[0, 2])
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_lipschitz_continuity(self, seed):
         rng = np.random.default_rng(seed)
         p = rng.uniform(-1.5, 4.5, size=(10, 2))
         d = rng.standard_normal((10, 2)) * 1e-4
-        a = T.bilinear_sample(Tensor(self.f), Tensor(p)).data
-        b = T.bilinear_sample(Tensor(self.f), Tensor(p + d)).data
+        a = self.sample(p)
+        b = self.sample(p + d)
         lip = 4.0 * np.abs(self.f).max()  # coarse bound for this map
         assert np.all(np.abs(a - b) <= lip * np.abs(d).max(axis=1, keepdims=True) + 1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_scalar_oracle(self, seed):
+        # on, between, at the border of and beyond the map, over a stack of maps
+        rng = np.random.default_rng(seed + 900)
+        f = rnd(rng, 3, 4, 5, 2)
+        pts = np.concatenate([rng.uniform(-2, 6, (20, 2)), rng.integers(-1, 6, (8, 2)),
+                              [[0.0, 0.0], [3.0, 4.0], [-1.0, 2.0], [2.0, 5.0]]])
+        idx = rng.integers(0, 3, pts.shape[0])
+        out = sample(Tensor(f), Tensor(pts), idx).data
+        want = [bilinear_scalar(f[i], r, c) for i, (r, c) in zip(idx, pts)]
+        assert np.array_equal(out, want)
 
 
 class TestConv:
@@ -248,10 +273,10 @@ def test_fd_layernorm(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fd_bilinear(seed):
     rng = np.random.default_rng(seed + 400)
-    f = rnd(rng, 5, 4, 3)
+    f = rnd(rng, 1, 5, 4, 3)
     # keep clear of integer grid lines where the interpolant has kinks
     pts = rng.integers(-1, 5, size=(6, 2)) + rng.uniform(0.2, 0.8, size=(6, 2))
-    check_grads(lambda ts: T.tsum(T.sigmoid(T.bilinear_sample(ts[0], ts[1]))), [f, pts])
+    check_grads(lambda ts: T.tsum(T.sigmoid(sample(ts[0], ts[1]))), [f, pts])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -260,9 +285,24 @@ def test_fd_bilinear_stacked(seed):
     f = rnd(rng, 2, 4, 4, 3)
     idx = rng.integers(0, 2, size=8)
     pts = rng.integers(-1, 4, size=(8, 2)) + rng.uniform(0.2, 0.8, size=(8, 2))
-    check_grads(
-        lambda ts: T.tsum(T.sigmoid(T.bilinear_sample_stacked(ts[0], idx, ts[1]))), [f, pts]
-    )
+    check_grads(lambda ts: T.tsum(T.sigmoid(sample(ts[0], ts[1], idx))), [f, pts])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fd_deform_attend(seed):
+    # several heads and points, queries seen by several pairs, attention not
+    # normalized; every point kept clear of the grid lines
+    rng = np.random.default_rng(seed + 480)
+    b, t, m, k = 2, 3, 2, 3
+    f = rnd(rng, b, 4, 5, 3)
+    qry_idx = np.array([0, 1, 2, 0, 2, 0])
+    map_idx = rng.integers(0, b, qry_idx.size)
+    base = rng.integers(-1, 4, (qry_idx.size, 2)).astype(np.float64)
+    offsets = rng.integers(0, 2, (t, m, k, 2)) + rng.uniform(0.2, 0.8, (t, m, k, 2))
+    attn = rng.uniform(-1, 1, (t, m, k))
+    check_grads(lambda ts: T.tsum(T.sigmoid(T.deform_attend(ts[0], map_idx, base, ts[1],
+                                                            ts[2], qry_idx))),
+                [f, offsets, attn])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
