@@ -1,11 +1,25 @@
 """Single-scale multi-head deformable attention and the encoder layer.
 
 Each query predicts, per head, K sampling offsets around its reference point
-and K softmax-normalized weights; sampled values go through a per-head value
-projection, heads are concatenated and output-projected. One evaluation can
-aggregate many (source map, reference set) pairs at once: offsets and weights
-depend only on the query, so they are computed once and shared across
-sources, and invalid (source, query) pairs contribute exactly zero.
+and K softmax-normalized weights. Head m samples its value map at the K
+points and weights the samples; heads are concatenated and output-projected.
+
+The value projection happens before sampling. ``deform_attn_multi`` projects
+each distinct feature map [H,W,value_dim] once, with all M heads' value
+weights side by side in one matmul, to a value map [H,W,M*N/M] whose
+channels are M blocks, one per head; ``tensor.deform_attend`` then samples
+head m from block m only. Bilinear sampling, attention weighting and the sum
+over sources are linear, and the value projection is linear and bias-free,
+so projecting before sampling equals projecting the sampled values (as
+Deformable DETR's formula reads) in real arithmetic. In float64 the two
+orders round differently, by about 1e-15 relative. Projecting first makes
+every sparse product N/M wide instead of value_dim wide.
+
+One evaluation aggregates many (source map, reference set) pairs at once:
+offsets and weights depend only on the query, so they are computed once and
+shared across sources, and invalid (source, query) pairs contribute exactly
+zero. Sources that share one feature-map Tensor, such as the D pillar levels
+of a camera view, share one projected map.
 
 Value and output projections carry no bias; this keeps "sum over sources of
 per-source attention outputs" exactly equal to "output projection of the
@@ -108,13 +122,13 @@ def deform_attn_multi(queries: Tensor, sources: Sequence, params: DeformAttnPara
     that many times). All maps must share one shape. Offsets/weights are
     computed once from the queries; invalid (source, query) pairs are skipped,
     which equals the masked dense sum bit for bit because their contribution
-    is exactly zero.
+    is exactly zero. Each distinct map Tensor is value-projected once, however
+    many sources list it.
     """
     if not sources:
         raise ContractError("deform_attn_multi: no sources")
     sources = [s if len(s) == 4 else (*s, 1) for s in sources]
     t = queries.shape[0]
-    m, k = params.heads, params.points
     shape0 = sources[0][0].shape
     for f, _, _, _ in sources:
         if f.shape != shape0:
@@ -125,38 +139,38 @@ def deform_attn_multi(queries: Tensor, sources: Sequence, params: DeformAttnPara
         )
     off, attn = _query_offsets_weights(queries, params)
 
-    pair_src = []
-    pair_query = []
-    pair_mult = []
-    for s, (_, ref, vis, mult) in enumerate(sources):
+    maps = []
+    slot_of = {}  # id of a map Tensor -> its index in maps
+    pair_map, pair_query, pair_ref, pair_mult = [], [], [], []
+    for f, ref, vis, mult in sources:
         ref = np.asarray(ref)
-        if ref.ndim != 2 or ref.shape[1] != 2:
-            raise ShapeError(f"deform_attn_multi: ref_pts must be [T,2], got {ref.shape}")
+        if ref.shape != (t, 2):
+            raise ShapeError(f"deform_attn_multi: ref_pts must be [{t},2], got {ref.shape}")
+        slot = slot_of.setdefault(id(f), len(maps))
+        if slot == len(maps):
+            maps.append(f)
         qidx = np.nonzero(np.asarray(vis))[0] if vis is not None else np.arange(t)
-        pair_src.append(np.full(qidx.shape, s, dtype=np.intp))
+        pair_map.append(np.full(qidx.shape, slot, dtype=np.intp))
         pair_query.append(qidx)
+        pair_ref.append(ref[qidx])
         pair_mult.append(np.full(qidx.shape, float(mult)))
-    src_idx = np.concatenate(pair_src)
     qry_idx = np.concatenate(pair_query)
     mults = np.concatenate(pair_mult)
-    n_pairs = src_idx.size
+    n_pairs = qry_idx.size
 
-    stacked = T.stack_first([f for f, _, _, _ in sources])
-    accum = Tensor(np.zeros((t, m * params.value_dim)))
+    width = params.channels  # M blocks of N/M, one per head
+    accum = Tensor(np.zeros((t, width)))
     if n_pairs:
-        refs_all = np.stack([np.asarray(r) for _, r, _, _ in sources])  # [S,T,2]
-        pair_ref = refs_all[src_idx, qry_idx]  # [P,2]
-        attended = T.deform_attend(stacked, src_idx, pair_ref, off, attn, qry_idx)
+        hf, wf, vd = shape0
+        value_w = T.concat_lastaxis([w.tensor for w in params.value_w])  # [Vd, M*N/M]
+        cells = T.reshape(T.stack_first(maps), (len(maps) * hf * wf, vd))
+        values = T.reshape(T.matmul(cells, value_w), (len(maps), hf, wf, width))
+        attended = T.deform_attend(values, np.concatenate(pair_map), np.concatenate(pair_ref),
+                                   off, attn, qry_idx)
         if np.any(mults != 1.0):
             attended = T.mul(attended, Tensor(mults[:, None, None]))
-        accum = _scatter_rows(T.reshape(attended, (n_pairs, m * params.value_dim)), qry_idx, t)
-    per_head = []
-    flat = T.reshape(accum, (t * m, params.value_dim))
-    for h in range(m):
-        rows = T.take_rows(flat, np.arange(t) * m + h)
-        per_head.append(T.matmul(rows, params.value_w[h].tensor))
-    mixed = T.concat_lastaxis(per_head)
-    return T.matmul(mixed, params.out_w.tensor)
+        accum = _scatter_rows(T.reshape(attended, (n_pairs, width)), qry_idx, t)
+    return T.matmul(accum, params.out_w.tensor)
 
 
 def _scatter_rows(rows: Tensor, idx: np.ndarray, n_out: int) -> Tensor:

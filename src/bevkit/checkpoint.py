@@ -20,7 +20,7 @@ from typing import Dict
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ContractError, DataError
 
 _MAGIC = "BEVKIT-CHECKPOINT 1"
 _COUNT = re.compile(r"count ([0-9]+)")
@@ -28,13 +28,17 @@ _ENTRY = re.compile(r"(\S+) ([0-9]+(?:,[0-9]+)*) ([0-9]+)")  # name, dims, byte 
 
 
 def save_checkpoint(path, arrays: Dict[str, np.ndarray]):
+    """Write arrays to path. A name that is empty, not ASCII or contains
+    whitespace raises ContractError before path is opened."""
     names = sorted(arrays)
+    for name in names:
+        if not name or not name.isascii() or any(ch.isspace() for ch in name):
+            raise ContractError(f"checkpoint names must be non-empty ASCII without "
+                                f"whitespace: {name!r}")
     lines = [_MAGIC, f"count {len(names)}"]
     blobs = []
     offset = 0
     for name in names:
-        if any(ch.isspace() for ch in name):
-            raise ValueError(f"checkpoint names cannot contain whitespace: {name!r}")
         arr = np.ascontiguousarray(arrays[name], dtype="<f8")
         if arr.ndim == 0:
             arr = arr.reshape(1)

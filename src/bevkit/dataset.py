@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ContractError, DataError
 from .geometry import BEVGridSpec, CameraModel
 from .rng import seeded_rng
 from .synthscene import (
@@ -72,7 +72,28 @@ def _read_array(path, buf: memoryview, offset: int, dtype: str):
     return arr.copy(), offset + arr.nbytes
 
 
+def _check_fields(d, template: dict, what: str):
+    """DataError unless the parsed JSON object d has exactly template's keys,
+    each holding a number or nested list of numbers of the shape of
+    template's value, integers where template has integers."""
+    if not isinstance(d, dict) or d.keys() != template.keys():
+        raise DataError(f"manifest {what} must have the keys {sorted(template)}, got {d!r}")
+    for key, like in template.items():
+        want = np.asarray(like)
+        try:
+            got = np.asarray(d[key])
+        except ValueError:  # ragged nesting
+            got = np.asarray(None)
+        # one aspect range per class, for any number of classes
+        count_free = key == "aspect_ranges" and got.ndim == 2 and got.shape[0] >= 1
+        if (got.dtype.kind not in ("i" if want.dtype.kind == "i" else "if")
+                or (got.shape != want.shape and not (count_free and got.shape[1:] == (2,)))):
+            raise DataError(f"manifest {what}.{key} must be shaped and typed like {like!r}, "
+                            f"got {d[key]!r}")
+
+
 def _params_from_json(d: dict) -> SceneParams:
+    _check_fields(d, asdict(SceneParams()), "scene_params")
     d = dict(d)
     for key in ("n_boxes", "area_range", "height_range", "appearance_range"):
         d[key] = tuple(d[key])
@@ -145,24 +166,43 @@ class SceneDataset:
     """Read access to a generated dataset directory."""
 
     def __init__(self, root):
+        """Open a dataset directory. A missing, truncated or malformed
+        manifest.json (not JSON, a key missing, a field of the wrong type or
+        shape) raises DataError."""
         self.root = Path(root)
         manifest_path = self.root / "manifest.json"
         if not manifest_path.exists():
             raise DataError(f"{self.root}: no manifest.json (not a dataset directory)")
-        with open(manifest_path) as f:
-            self.manifest = json.load(f)
-        if self.manifest.get("format") != "bevkit-dataset":
+        try:
+            manifest = json.loads(manifest_path.read_bytes())
+        except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+            raise DataError(f"{manifest_path}: not a JSON manifest: {e}") from None
+        if not isinstance(manifest, dict) or manifest.get("format") != "bevkit-dataset":
             raise DataError(f"{self.root}: unrecognized dataset format")
-        self.n_scenes = int(self.manifest["n_scenes"])
-        self.spec = BEVGridSpec(
-            h=self.manifest["grid"]["h"], w=self.manifest["grid"]["w"],
-            d=self.manifest["grid"]["d"],
-            extent=tuple(self.manifest["grid"]["extent"]),
-            z_range=tuple(self.manifest["grid"]["z_range"]),
-        )
-        self.lidar_shape = tuple(self.manifest["lidar_shape"])
-        self.cams = [CameraModel.from_json(c) for c in self.manifest["cameras"]]
-        self.params = _params_from_json(self.manifest["scene_params"])
+        _check_fields({k: manifest.get(k) for k in ("n_scenes", "lidar_shape")},
+                      {"n_scenes": 0, "lidar_shape": [0, 0]}, "top level")
+        if manifest["n_scenes"] < 0:
+            raise DataError(f"{manifest_path}: negative n_scenes {manifest['n_scenes']}")
+        if manifest.get("record_fields") != [{"name": n, "dtype": d} for n, d in _FIELDS]:
+            raise DataError(f"{manifest_path}: record_fields are not {_FIELDS}")
+        grid, cameras = manifest.get("grid"), manifest.get("cameras")
+        _check_fields(grid, asdict(BEVGridSpec()), "grid")
+        if not isinstance(cameras, list):
+            raise DataError(f"{manifest_path}: cameras must be a list, got {cameras!r}")
+        camera_fields = default_rig()[0].to_json()
+        for cam in cameras:
+            _check_fields(cam, camera_fields, "camera")
+        self.manifest = manifest
+        self.n_scenes = manifest["n_scenes"]
+        self.lidar_shape = tuple(manifest["lidar_shape"])
+        self.params = _params_from_json(manifest.get("scene_params"))
+        try:
+            self.spec = BEVGridSpec(h=grid["h"], w=grid["w"], d=grid["d"],
+                                    extent=tuple(grid["extent"]),
+                                    z_range=tuple(grid["z_range"])).validate()
+            self.cams = [CameraModel.from_json(c).validate() for c in cameras]
+        except ContractError as e:
+            raise DataError(f"{manifest_path}: {e}") from None
 
     def __len__(self):
         return self.n_scenes

@@ -594,28 +594,32 @@ class _BilinearPlan:
     and their derivatives in row and in column, all over the point's same
     four corners. One product with the map then gives the samples and both
     slopes in a single pass over the corners.
+
+    A corner at (row, col) of an H x W map is row ``base + (row*W + col) *
+    stride`` of the flat value table, so a table that interleaves ``stride``
+    rows per cell (one per head) is addressed by per-point ``base`` offsets.
     """
 
-    __slots__ = ("shape_hw", "indices", "weights", "n_cells", "p")
+    __slots__ = ("shape_hw", "indices", "weights", "n_rows", "p")
 
-    def __init__(self, shape_hw, base, pts: np.ndarray, n_cells: int):
+    def __init__(self, shape_hw, base, pts: np.ndarray, n_rows: int, stride: int):
         w = shape_hw[1]
         p = pts.shape[0]
-        # int32 unless a cell index or jet's row pointers (up to 12P) would overflow it
-        dtype = np.int32 if max(12 * p, n_cells) <= np.iinfo(np.int32).max else np.intp
+        # int32 unless a row index or jet's row pointers (up to 12P) would overflow it
+        dtype = np.int32 if max(12 * p, n_rows) <= np.iinfo(np.int32).max else np.intp
         idx = np.empty((p, 4), dtype=dtype)
         wgt = np.empty((p, 4))
         for k, ((ri, rin, wr, _), (ci, cin, wc, _)) in enumerate(_corners(shape_hw, pts)):
-            idx[:, k] = base + ri * w + ci
+            idx[:, k] = base + (ri * w + ci) * stride
             wgt[:, k] = wr * wc * (rin & cin)
         self.shape_hw = shape_hw
         self.indices = idx.reshape(-1)
         self.weights = wgt.reshape(-1)
-        self.n_cells = n_cells
+        self.n_rows = n_rows
         self.p = p
 
     def jet(self, pts: np.ndarray):
-        """[3P, cells] CSR for the points the plan was built from: rows 3p,
+        """[3P, rows] CSR for the points the plan was built from: rows 3p,
         3p+1 and 3p+2 hold point p's weights, d(weights)/d(row) and
         d(weights)/d(col), each over its four corners in the order of
         ``weights``, so every row sums in the same order as forward."""
@@ -630,61 +634,84 @@ class _BilinearPlan:
         indices = np.repeat(self.indices.reshape(self.p, 1, 4), 3, axis=1)
         indptr = np.arange(0, 12 * self.p + 1, 4, dtype=self.indices.dtype)
         return sparse.csr_matrix((tab.reshape(-1), indices.reshape(-1), indptr),
-                                 shape=(3 * self.p, self.n_cells))
+                                 shape=(3 * self.p, self.n_rows))
 
 
 def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
                   attn: Tensor, qry_idx) -> Tensor:
-    """Fused deformable-attention gather.
+    """Fused deformable-attention gather over per-head value maps.
 
-    For each of P (source, query) pairs with base point base_pts[p] on map
-    map_idx[p], sample feats at base + offsets[qry_idx[p], m, k], combine the
-    K points of each head with attn[qry_idx[p], m, k], and return [P, M, C].
-    One sparse matmul evaluates the whole thing, without the [P,M,K,C]
-    intermediates of sampling every point first. Corners outside a map read
-    as zero, so a sample decays linearly to zero within one cell of the
-    border and is zero beyond.
+    feats [B,H,W,M*D] holds B value maps whose channels are M blocks of D,
+    one block per head. For each of P (source, query) pairs with base point
+    base_pts[p] on map map_idx[p], head m samples its own block at base +
+    offsets[qry_idx[p], m, k], combines its K points with attn[qry_idx[p],
+    m, k], and the result is [P, M, D]. Read as the table
+    ``feats.reshape(B*H*W*M, D)``, head m's corners are the rows
+    ``cell*M + m``, so every head's samples come from one sparse matmul,
+    without the [P,M,K,D] intermediates of sampling every point first.
+    Corners outside a map read as zero, so a sample decays linearly to zero
+    within one cell of the border and is zero beyond.
 
-    Forward builds the bilinear plan and the [P*M, cells] matrix of
+    Forward builds the bilinear plan and the [P*M, B*H*W*M] matrix of
     attention-scaled corner weights, and nothing else. Backward reuses that
-    matrix for the feature grad, and takes the attention and offset grads
+    matrix for the value grad, and takes the attention and offset grads
     from one product with the plan's ``jet``, which yields each point's
     sample and both of its slopes together. Both grads are summed over the
     pairs of a query in pair order (see ``_add_rows``).
+
+    offsets must be [T,M,K,2] and attn [T,M,K]; map_idx, base_pts [P,2] and
+    qry_idx must agree on P, with map_idx in [0,B) and qry_idx in [0,T).
     """
     if feats.data.ndim != 4:
-        raise ShapeError(f"deform_attend: expected [B,H,W,C], got {feats.shape}")
+        raise ShapeError(f"deform_attend: expected [B,H,W,M*D], got {feats.shape}")
+    if offsets.data.ndim != 4 or offsets.shape[3] != 2:
+        raise ShapeError(f"deform_attend: offsets must be [T,M,K,2], got {offsets.shape}")
+    if attn.shape != offsets.shape[:3]:
+        raise ShapeError(f"deform_attend: attn {attn.shape} is not offsets' [T,M,K] "
+                         f"{offsets.shape[:3]}")
     b, h, w, ch = feats.shape
     t, m, k, _ = offsets.shape
+    if ch % m:
+        raise ShapeError(f"deform_attend: {ch} value channels do not split into {m} heads")
+    hd = ch // m  # per-head width D
+    map_idx = np.asarray(map_idx, dtype=np.intp)
     qry_idx = np.asarray(qry_idx, dtype=np.intp)
+    base_pts = np.asarray(base_pts)
     p = qry_idx.size
+    if qry_idx.shape != (p,) or map_idx.shape != (p,) or base_pts.shape != (p, 2):
+        raise ShapeError(f"deform_attend: map_idx {map_idx.shape}, base_pts {base_pts.shape} "
+                         f"and qry_idx {qry_idx.shape} must be [P], [P,2] and [P]")
+    if p and (map_idx.min() < 0 or map_idx.max() >= b or qry_idx.min() < 0 or qry_idx.max() >= t):
+        raise ShapeError(f"deform_attend: map_idx outside [0,{b}) or qry_idx outside [0,{t})")
     if p == 0:
         def vjp_empty(g):
             pass
-        return _make(np.zeros((0, m, ch)), "deform_attend", (feats, offsets, attn), vjp_empty)
+        return _make(np.zeros((0, m, hd)), "deform_attend", (feats, offsets, attn), vjp_empty)
     offp = offsets.data[qry_idx]  # [P,M,K,2]
     attnp = attn.data[qry_idx]  # [P,M,K]
     pts = (base_pts[:, None, None, :] + offp).reshape(p * m * k, 2)
-    cell_base = (np.asarray(map_idx, dtype=np.intp) * (h * w)).repeat(m * k)
-    plan = _BilinearPlan((h, w), cell_base, pts, b * h * w)
-    flat = feats.data.reshape(b * h * w, ch)
+    # row of corner (0,0) of map map_idx in head m's block, per point [P,M,K]
+    row_base = map_idx[:, None, None] * (h * w * m) + np.arange(m)[None, :, None]
+    plan = _BilinearPlan((h, w), np.broadcast_to(row_base, (p, m, k)).reshape(-1), pts,
+                         b * h * w * m, stride=m)
+    flat = feats.data.reshape(b * h * w * m, hd)
 
     from scipy import sparse
 
     data_attn = (plan.weights.reshape(p * m * k, 4) * attnp.reshape(p * m * k, 1)).reshape(-1)
     indptr_pm = np.arange(0, 4 * k * (p * m) + 1, 4 * k, dtype=plan.indices.dtype)
-    s_attn = sparse.csr_matrix((data_attn, plan.indices, indptr_pm), shape=(p * m, b * h * w))
-    out = (s_attn @ flat).reshape(p, m, ch)
+    s_attn = sparse.csr_matrix((data_attn, plan.indices, indptr_pm), shape=(p * m, b * h * w * m))
+    out = (s_attn @ flat).reshape(p, m, hd)
 
     def vjp(g):
-        g2 = g.reshape(p * m, ch)
+        g2 = g.reshape(p * m, hd)
         if feats.requires_grad:
             _accum(feats, (s_attn.T @ g2).reshape(feats.shape), own=True)
         if not (offsets.requires_grad or attn.requires_grad):
             return
-        jet = (plan.jet(pts) @ flat).reshape(p * m, k, 3, ch)
+        jet = (plan.jet(pts) @ flat).reshape(p * m, k, 3, hd)
         # [P,M,K,3]: d/d(attn), and d/d(row), d/d(col) before the attention weight
-        d = np.einsum("xkjc,xoc->xkj", jet, g2.reshape(p * m, 1, ch)).reshape(p, m, k, 3)
+        d = np.einsum("xkjc,xoc->xkj", jet, g2.reshape(p * m, 1, hd)).reshape(p, m, k, 3)
         if attn.requires_grad:
             _add_rows(_grad_buffer(attn), qry_idx, d[..., 0])
         if offsets.requires_grad:

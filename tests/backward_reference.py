@@ -4,7 +4,9 @@ bit-exact oracles for the production ops.
 deform_attend's vjp here runs three separate CSR products (samples, row
 slopes, column slopes) and scatters with np.add.at; take_rows and
 scatter_rows scatter with np.add.at. Forward passes equal the production
-ones, so any difference a test sees comes from backward.
+ones, so any difference a test sees comes from backward. Like production,
+deform_attend reads values [B,H,W,M*D] as the table [B*H*W*M, D], head m of
+cell c being row c*M + m.
 """
 
 from __future__ import annotations
@@ -30,12 +32,13 @@ def slopes_reference(plan, pts):
 def plan_matrix(plan, data):
     """[P, cells] CSR with row p holding data over point p's four corners."""
     indptr = np.arange(0, 4 * plan.p + 1, 4)
-    return sparse.csr_matrix((data, plan.indices, indptr), shape=(plan.p, plan.n_cells))
+    return sparse.csr_matrix((data, plan.indices, indptr), shape=(plan.p, plan.n_rows))
 
 
 def deform_attend_reference(feats, map_idx, base_pts, offsets, attn, qry_idx):
     b, h, w, ch = feats.shape
     t, m, k, _ = offsets.shape
+    ch //= m  # per-head width D
     qry_idx = np.asarray(qry_idx, dtype=np.intp)
     p = qry_idx.size
     if p == 0:
@@ -44,12 +47,15 @@ def deform_attend_reference(feats, map_idx, base_pts, offsets, attn, qry_idx):
     offp = offsets.data[qry_idx]
     attnp = attn.data[qry_idx]
     pts = (base_pts[:, None, None, :] + offp).reshape(p * m * k, 2)
-    cell_base = (np.asarray(map_idx, dtype=np.intp) * (h * w)).repeat(m * k)
-    plan = T._BilinearPlan((h, w), cell_base, pts, b * h * w)
-    flat = feats.data.reshape(b * h * w, ch)
+    # point (p, m, k) reads rows (map_idx[p]*H*W + cell)*M + m
+    head_base = (np.asarray(map_idx, dtype=np.intp)[:, None] * (h * w * m)
+                 + np.arange(m)[None, :]).repeat(k, axis=1).reshape(-1)
+    plan = T._BilinearPlan((h, w), head_base, pts, b * h * w * m, m)
+    flat = feats.data.reshape(b * h * w * m, ch)
     data_attn = (plan.weights.reshape(p * m * k, 4) * attnp.reshape(p * m * k, 1)).reshape(-1)
     indptr_pm = np.arange(0, 4 * k * (p * m) + 1, 4 * k, dtype=np.intp)
-    s_attn = sparse.csr_matrix((data_attn, plan.indices, indptr_pm), shape=(p * m, b * h * w))
+    s_attn = sparse.csr_matrix((data_attn, plan.indices, indptr_pm),
+                               shape=(p * m, b * h * w * m))
     out = (s_attn @ flat).reshape(p, m, ch)
 
     def vjp(g):

@@ -166,6 +166,38 @@ class TestDeformAttn:
         check_grads(build, leaves)
 
 
+class TestValueProjectionBeforeSampling:
+    """deform_attn_multi projects each distinct map before sampling; the
+    naive oracle samples first and projects after. Both orders are equal in
+    real arithmetic and round differently, so they agree to 1e-12."""
+
+    @pytest.mark.parametrize("heads", [2, 4])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_sample_then_project(self, heads, seed):
+        rng = np.random.default_rng(seed + 500)
+        p = make_params(rng, heads=heads, points=3, channels=8, value_dim=5)
+        for w in p.value_w:  # distinct per head, and away from the init draw
+            w.tensor.data[:] = rng.standard_normal(w.tensor.shape)
+        assert not np.allclose(p.value_w[0].tensor.data, p.value_w[1].tensor.data)
+        t = 7
+        queries = rng.standard_normal((t, 8))
+        shared = rng.standard_normal((5, 6, 5))
+        other = rng.standard_normal((5, 6, 5))
+        shared_t = Tensor(shared)
+        # one Tensor listed as three sources with different refs and visibilities
+        sources = [
+            (shared_t, rng.uniform(-1, 6, (t, 2)), rng.random(t) > 0.3),
+            (Tensor(other), rng.uniform(-1, 6, (t, 2)), rng.random(t) > 0.4),
+            (shared_t, rng.uniform(-1, 6, (t, 2)), None, 3),
+            (shared_t, rng.uniform(-1, 6, (t, 2)), rng.random(t) > 0.6),
+        ]
+        want = np.zeros((t, 8))
+        for feat, (_, refs, valid, *mult) in zip([shared, other, shared, shared], sources):
+            want += (mult[0] if mult else 1) * run_naive(queries, refs, feat, p, valid)
+        got = deform_attn_multi(Tensor(queries), sources, p)
+        np.testing.assert_allclose(got.data, want, rtol=1e-12)
+
+
 def scatter_rows_add_at(rows, idx, n_out):
     """Reference _scatter_rows: one np.add.at over every pair."""
     data = np.zeros((n_out, rows.shape[1]))

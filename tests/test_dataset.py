@@ -2,6 +2,7 @@
 the dataset and checkpoint readers on corrupt files."""
 
 import io
+import json
 import shutil
 import struct
 
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 from bevkit.checkpoint import load_checkpoint, save_checkpoint
-from bevkit.dataset import _FIELDS, _read_array, _write_array, generate_dataset
-from bevkit.errors import DataError
+from bevkit.dataset import SceneDataset, _FIELDS, _read_array, _write_array, generate_dataset
+from bevkit.errors import ContractError, DataError
 from bevkit.geometry import BEVGridSpec
 from bevkit.synthscene import SceneParams, sample_scene
 
@@ -148,3 +149,87 @@ class TestCheckpointReader:
         path.write_bytes(raw.replace(old, new))
         with pytest.raises(DataError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", ["a b", "tab\there", "new\nline", "", "caf\u00e9", "\u03b8.w"],
+                             ids=["space", "tab", "newline", "empty", "latin1", "greek"])
+    def test_bad_name_is_contract_error_before_writing(self, tmp_path, name):
+        path, raw = self.saved(tmp_path)
+        with pytest.raises(ContractError):
+            save_checkpoint(path, {**self.ARRAYS, name: np.ones(2)})
+        assert path.read_bytes() == raw
+
+
+class TestManifestReader:
+    def copy_with_manifest(self, ds, tmp_path, text):
+        root = tmp_path / "manifest"
+        shutil.copytree(ds.root, root)
+        (root / "manifest.json").write_bytes(text if isinstance(text, bytes) else text.encode())
+        return root
+
+    def manifest(self, ds):
+        return json.loads((ds.root / "manifest.json").read_text())
+
+    def test_round_trip(self, tiny_dataset, tmp_path):
+        root = self.copy_with_manifest(tiny_dataset, tmp_path,
+                                       json.dumps(self.manifest(tiny_dataset)))
+        ds = SceneDataset(root)
+        assert (ds.n_scenes, ds.spec, ds.lidar_shape) == (1, SPEC, (4, 4))
+        assert ds.params == tiny_dataset.params and len(ds.cams) == 4
+        assert len(ds.load(0).gts) >= 1
+
+    def test_truncated_is_data_error(self, tiny_dataset, tmp_path):
+        raw = (tiny_dataset.root / "manifest.json").read_bytes()
+        root = self.copy_with_manifest(tiny_dataset, tmp_path, raw)
+        for n in [0, 1, 2, 10, len(raw) // 3, len(raw) // 2, len(raw) - 2, len(raw) - 1]:
+            (root / "manifest.json").write_bytes(raw[:n])
+            with pytest.raises(DataError):
+                SceneDataset(root)
+
+    @pytest.mark.parametrize("text", [b"\xff\xfe{", b"[1, 2]", b"null", b"{\"format\": 1}"])
+    def test_not_a_manifest_is_data_error(self, tiny_dataset, tmp_path, text):
+        with pytest.raises(DataError):
+            SceneDataset(self.copy_with_manifest(tiny_dataset, tmp_path, text))
+
+    @pytest.mark.parametrize("key", ["n_scenes", "grid", "lidar_shape", "cameras",
+                                     "scene_params", "record_fields"])
+    def test_missing_key_is_data_error(self, tiny_dataset, tmp_path, key):
+        manifest = self.manifest(tiny_dataset)
+        del manifest[key]
+        with pytest.raises(DataError):
+            SceneDataset(self.copy_with_manifest(tiny_dataset, tmp_path, json.dumps(manifest)))
+
+    @pytest.mark.parametrize("path,value", [
+        (("n_scenes",), "1"),
+        (("n_scenes",), 1.0),
+        (("n_scenes",), True),
+        (("n_scenes",), -1),
+        (("lidar_shape",), [4]),
+        (("lidar_shape",), [4, "4"]),
+        (("grid",), [8, 8, 2]),
+        (("grid", "h"), 8.5),
+        (("grid", "h"), 0),
+        (("grid", "extent"), [-16.0, 16.0, -16.0]),
+        (("grid", "z_range"), [3.0, -1.0]),
+        (("cameras",), {}),
+        (("cameras", 0), "camera"),
+        (("cameras", 0, "fx"), "24"),
+        (("cameras", 0, "fx"), -1.0),
+        (("cameras", 0, "world_to_cam"), [[1.0, 0.0], [0.0, 1.0]]),
+        (("cameras", 0, "world_to_cam", 0, 0), 2.0),
+        (("cameras", 0, "image_h"), 2.5),
+        (("scene_params",), None),
+        (("scene_params", "n_boxes"), [1, 6, 2]),
+        (("scene_params", "margin"), "2.5"),
+        (("scene_params", "aspect_ranges"), [[3.2, 4.8], [1.6]]),
+        (("scene_params", "aspect_ranges"), []),
+        (("scene_params", "unknown"), 1.0),
+        (("record_fields", 0, "dtype"), "<f4"),
+    ])
+    def test_wrongly_typed_field_is_data_error(self, tiny_dataset, tmp_path, path, value):
+        manifest = self.manifest(tiny_dataset)
+        node = manifest
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(DataError):
+            SceneDataset(self.copy_with_manifest(tiny_dataset, tmp_path, json.dumps(manifest)))

@@ -130,6 +130,31 @@ class TestCrossAttentionStructure:
                                                 normalize_by_hits=False).data)
 
 
+def test_camera_cross_attention_samples_each_view_map_once(monkeypatch):
+    """V views x D pillar levels are V*D sources but V distinct maps: the
+    cross-attention deform_attend gets a stack of V projected maps, and
+    still one pair per visible (view, level, cell)."""
+    rng, spec, queries, layers = make_setup(seed=9, d=4)
+    views = [make_camera([0, 0, 1.6], np.deg2rad(90.0 * i), 0.087, fx=3, fy=3,
+                         image_h=6, image_w=8) for i in range(4)]
+    feats = [Tensor(rng.standard_normal((6, 8, 4))) for _ in views]
+    visible = sum(int(np.count_nonzero(vis))
+                  for _, _, vis, _ in build_sources(queries.refs, views, feats))
+    assert visible > 0
+    calls = []
+    attend = T.deform_attend
+
+    def spy(feats, map_idx, base_pts, offsets, attn, qry_idx):
+        calls.append((feats.shape[0], len(qry_idx)))
+        return attend(feats, map_idx, base_pts, offsets, attn, qry_idx)
+
+    monkeypatch.setattr(T, "deform_attend", spy)
+    encode_camera_bev(queries, views, feats, layers)
+    # per layer: self-attention over the token map, then cross-attention
+    t = spec.h * spec.w
+    assert calls == [(1, t), (len(views), visible)] * len(layers)
+
+
 class TestQuerySharing:
     def test_shared_mode_same_parameter_object(self):
         _, _, queries, _ = make_setup(mode="shared")

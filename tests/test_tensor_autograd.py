@@ -291,10 +291,10 @@ def test_fd_bilinear_stacked(seed):
 @pytest.mark.parametrize("seed", range(6))
 def test_fd_deform_attend(seed):
     # several heads and points, queries seen by several pairs, attention not
-    # normalized; every point kept clear of the grid lines
+    # normalized; every point kept clear of the grid lines; values [B,H,W,M*D]
     rng = np.random.default_rng(seed + 480)
     b, t, m, k = 2, 3, 2, 3
-    f = rnd(rng, b, 4, 5, 3)
+    f = rnd(rng, b, 4, 5, m * 3)
     qry_idx = np.array([0, 1, 2, 0, 2, 0])
     map_idx = rng.integers(0, b, qry_idx.size)
     base = rng.integers(-1, 4, (qry_idx.size, 2)).astype(np.float64)
@@ -432,6 +432,57 @@ def test_deform_attend_no_grad_matches_grad_mode(seed):
         plain = T.deform_attend(feats, map_idx, base, offsets, attn, qry_idx)
     assert recorded.node is not None and plain.node is None
     assert np.array_equal(recorded.data, plain.data)
+
+
+class TestDeformAttendShapes:
+    """deform_attend raises ShapeError, not numpy's errors, for inputs that
+    break its [B,H,W,M*D] / [T,M,K,2] / [T,M,K] / [P] contract."""
+
+    @staticmethod
+    def args(**change):
+        rng = np.random.default_rng(720)
+        args = dict(feats=Tensor(rnd(rng, 3, 5, 4, 6)), map_idx=np.array([0, 2, 1]),
+                    base_pts=rng.uniform(0, 4, (3, 2)), offsets=Tensor(rnd(rng, 4, 2, 3, 2)),
+                    attn=Tensor(rnd(rng, 4, 2, 3)), qry_idx=np.array([0, 3, 3]))
+        args.update(change)
+        return args
+
+    def test_valid_arguments_pass(self):
+        assert T.deform_attend(**self.args()).shape == (3, 2, 3)
+
+    @pytest.mark.parametrize("shape", [(4, 2, 3), (4, 2, 3, 1), (4, 2, 3, 2, 1)])
+    def test_offsets_not_tmk2(self, shape):
+        with pytest.raises(ShapeError):
+            T.deform_attend(**self.args(offsets=Tensor(np.zeros(shape))))
+
+    @pytest.mark.parametrize("shape", [(4, 2, 2), (4, 1, 3), (5, 2, 3), (4, 2, 3, 1)])
+    def test_attn_not_tmk_of_offsets(self, shape):
+        with pytest.raises(ShapeError):
+            T.deform_attend(**self.args(attn=Tensor(np.zeros(shape))))
+
+    def test_value_channels_not_divisible_by_heads(self):
+        with pytest.raises(ShapeError):
+            T.deform_attend(**self.args(feats=Tensor(np.zeros((3, 5, 4, 5)))))
+
+    @pytest.mark.parametrize("change", [
+        dict(map_idx=np.array([0, 2])),
+        dict(base_pts=np.zeros((4, 2))),
+        dict(base_pts=np.zeros((3, 3))),
+        dict(qry_idx=np.array([0, 3, 3, 1])),
+    ])
+    def test_pair_arrays_disagree_in_length(self, change):
+        with pytest.raises(ShapeError):
+            T.deform_attend(**self.args(**change))
+
+    @pytest.mark.parametrize("map_idx", [[0, 3, 1], [0, -1, 1]])
+    def test_map_idx_outside_maps(self, map_idx):
+        with pytest.raises(ShapeError):
+            T.deform_attend(**self.args(map_idx=np.array(map_idx)))
+
+    @pytest.mark.parametrize("qry_idx", [[0, 4, 3], [-1, 3, 3]])
+    def test_qry_idx_outside_queries(self, qry_idx):
+        with pytest.raises(ShapeError):
+            T.deform_attend(**self.args(qry_idx=np.array(qry_idx)))
 
 
 def test_no_grad_in_a_thread_leaves_other_threads_recording():
