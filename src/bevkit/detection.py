@@ -317,6 +317,9 @@ def set_loss(logits: Tensor, box_raw: Tensor, gts: Sequence[GroundTruthBox],
     if len(gts):
         tgt = box_targets(gts, spec)
         gt_classes = np.array([g.class_id for g in gts], dtype=np.intp)
+        if gt_classes.min() < 0 or gt_classes.max() >= bg:
+            raise ContractError(f"set_loss: class ids must lie in [0, {bg}) ({bg} is "
+                                f"background), got {sorted(set(gt_classes.tolist()))}")
         cost = matching_cost(logits.data, boxes6.data, tgt, gt_classes,
                              lambda_cls, lambda_box)
         assign = hungarian_match(cost)
@@ -333,14 +336,3 @@ def set_loss(logits: Tensor, box_raw: Tensor, gts: Sequence[GroundTruthBox],
     picked = T.tsum(T.mul(logp, Tensor(onehot * weights[:, None])))
     ce = T.mul(T.neg(picked), Tensor(1.0 / weights.sum()))
     return T.add(ce, T.mul(box_term, Tensor(float(lambda_box))))
-
-
-def predictions_to_json(scene_id, preds: Sequence[BoxPrediction]) -> dict:
-    return {
-        "scene_id": scene_id,
-        "boxes": [
-            {"x": p.cx, "y": p.cy, "w": p.w, "l": p.l, "yaw": p.yaw,
-             "class": p.class_id, "score": p.score}
-            for p in preds
-        ],
-    }

@@ -1,11 +1,13 @@
 """Per-modality BEV feature construction from shared queries.
 
-Both sensors run the identical encoder path; the only thing that differs is
-the projection used to turn the 3D reference grid into per-source sampling
-coordinates. The camera path takes V pinhole views (each contributing D
-pillar levels of references); the LiDAR path is the same machinery with a
-single affine-projected source. Cross-attention sums over every
-(source, level) pair where the reference is visible.
+Both sensors run one encoder body, ``encode_bev``. The only thing that
+differs is where each BEV pillar's D reference points land on the sensor's
+feature map, and this module turns that geometry into cross-attention
+sources. A camera view comes as the (uv, visible) arrays of
+``geometry.project_to_camera``, D sources per view. The LiDAR map comes from
+``geometry.project_to_lidar``, which drops z, so its D levels are one source
+with multiplicity D. Cross-attention sums over every visible (source, level)
+pair.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .attention import EncoderLayerParams, encoder_layer
 from .errors import ContractError
-from .geometry import AffineBEVProjector, BEVGridSpec, ReferenceGrid, build_reference_grid
+from .geometry import BEVGridSpec, build_reference_grid, project_to_lidar
 from .tensor import Parameter, Tensor
 
 
@@ -67,41 +69,32 @@ class BEVQuerySet:
         return np.stack([r.reshape(-1), c.reshape(-1)], axis=1).astype(np.float64)
 
 
-def build_sources(refs: ReferenceGrid, projectors: Sequence, feats: Sequence[Tensor]):
-    """Flatten (view, pillar level) pairs into encoder cross-attention sources.
+def camera_sources(projections: Sequence, feats: Sequence[Tensor]):
+    """Cross-attention sources of V camera views, one per (view, pillar level).
 
-    Order is views outer, z levels inner, which fixes the float summation
-    order for reproducibility. A projector advertising z_invariant collapses
-    its D identical levels into one source with multiplicity D.
+    projections[v] is view v's (uv [D,H,W,2], visible [D,H,W]) as
+    ``project_to_camera`` returns them; uv is (u, v) and a source's
+    references are (row, col). Order is views outer, levels inner, which
+    fixes the float summation order for reproducibility.
     """
-    if len(projectors) != len(feats):
-        raise ContractError(f"{len(projectors)} projectors vs {len(feats)} feature maps")
-    d, h, w, _ = refs.points.shape
-    t = h * w
+    if len(projections) != len(feats):
+        raise ContractError(f"{len(projections)} projections vs {len(feats)} feature maps")
     sources = []
-    for proj, feat in zip(projectors, feats):
-        uv, vis = proj.project(refs)
-        rc = np.ascontiguousarray(uv[..., ::-1])  # (u,v) -> (row,col)
-        if getattr(proj, "z_invariant", False):
-            sources.append((feat, rc[0].reshape(t, 2), vis[0].reshape(t), d))
-        else:
-            for z in range(d):
-                sources.append((feat, rc[z].reshape(t, 2), vis[z].reshape(t), 1))
+    for (uv, vis), feat in zip(projections, feats):
+        rc = np.ascontiguousarray(uv[..., ::-1])
+        for z in range(uv.shape[0]):
+            sources.append((feat, rc[z].reshape(-1, 2), vis[z].reshape(-1), 1))
     return sources
 
 
-def encode_bev(queries: BEVQuerySet, modality: str, projectors: Sequence,
-               feats: Sequence[Tensor], layers: Sequence[EncoderLayerParams],
+def encode_bev(queries: BEVQuerySet, modality: str, sources: Sequence,
+               layers: Sequence[EncoderLayerParams],
                normalize_by_hits: bool = False) -> Tensor:
-    """BEV feature map [H,W,N] of one modality.
-
-    The modality's queries cross-attend to every (feature map, pillar level)
-    source that ``build_sources`` makes from the projectors, one per map.
-    """
-    if len(projectors) == 0:
-        raise ContractError(f"encode_bev: {modality} needs at least one feature map")
+    """BEV feature map [H,W,N] of one modality: its queries cross-attend to
+    the (map, refs [H*W,2], visible, multiplicity) sources in every layer."""
+    if len(sources) == 0:
+        raise ContractError(f"encode_bev: {modality} needs at least one source")
     spec = queries.spec
-    sources = build_sources(queries.refs, projectors, feats)
     self_refs = queries.self_refs()
     x = queries.tokens(modality)
     for lp in layers:
@@ -110,23 +103,23 @@ def encode_bev(queries: BEVQuerySet, modality: str, projectors: Sequence,
     return T.reshape(x, (spec.h, spec.w, queries.channels))
 
 
-def encode_camera_bev(queries: BEVQuerySet, views: Sequence, feats: Sequence[Tensor],
+def encode_camera_bev(queries: BEVQuerySet, projections: Sequence, feats: Sequence[Tensor],
                       layers: Sequence[EncoderLayerParams],
                       normalize_by_hits: bool = False) -> Tensor:
-    """Camera-branch BEV map: cross-attention over all V views x D levels.
-
-    `views` are projection providers (CameraModel or anything with a
-    .project(refs) -> (uv, visible) method); one feature map per view.
-    """
-    return encode_bev(queries, "camera", views, feats, layers, normalize_by_hits)
+    """Camera-branch BEV map over V views x D levels; one (uv, visible) pair
+    from ``project_to_camera`` and one feature map per view."""
+    return encode_bev(queries, "camera", camera_sources(projections, feats), layers,
+                      normalize_by_hits)
 
 
 def encode_lidar_bev(queries: BEVQuerySet, feat_l: Tensor,
                      layers: Sequence[EncoderLayerParams],
                      normalize_by_hits: bool = False) -> Tensor:
-    """LiDAR-branch BEV map: the same encoder over one affine-projected source."""
-    proj = AffineBEVProjector((feat_l.shape[0], feat_l.shape[1]))
-    return encode_bev(queries, "lidar", [proj], [feat_l], layers, normalize_by_hits)
+    """LiDAR-branch BEV map: the same encoder over one source. The LiDAR map
+    drops z, so the D pillar levels are one source with multiplicity D."""
+    rc = project_to_lidar(queries.refs, feat_l.shape[:2])
+    source = (feat_l, rc[0].reshape(-1, 2), None, rc.shape[0])
+    return encode_bev(queries, "lidar", [source], layers, normalize_by_hits)
 
 
 def make_encoder_layers(prefix: str, n_layers: int, heads: int, points: int,

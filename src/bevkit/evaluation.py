@@ -152,6 +152,9 @@ def evaluate_conditions(model, dataset, config_echo: dict | None = None,
         raise ContractError(
             f"model extent {model.spec.extent} != dataset extent {dataset.spec.extent}"
         )
+    if dataset.params.n_classes > model.cfg.n_classes - 1:
+        raise ContractError(f"dataset has {dataset.params.n_classes} object classes, the "
+                            f"model's head {model.cfg.n_classes - 1}")
     indices = list(scene_indices) if scene_indices is not None else list(range(len(dataset)))
     classes = list(range(dataset.params.n_classes))
     masks = list(CONDITIONS.values())

@@ -4,7 +4,7 @@ normalized weights (a learnable per-channel softmax between the modalities).
 With both inputs present, CNW fuses F_cam * w + F_lidar * (1-w) with w the
 per-channel two-way softmax of the raw weight vectors; equal raw weights make
 it exact averaging. With one input present the normalized weight collapses to
-one and fusion is the identity, bit for bit. Concatenation zero-fills the
+one, so cnw and avg return that input unchanged. Concatenation zero-fills the
 missing modality's block instead.
 """
 
@@ -77,25 +77,17 @@ def sample_modality_mask(cfg: MDConfig, rng: np.random.Generator) -> ModalityMas
     return ModalityMask(True, False)
 
 
-def normalize_weights(w: FusionWeights, mask: ModalityMask):
-    """Per-channel softmax over the available modalities.
-
-    Returns (a_cam_bar, a_lidar_bar) as Tensors; an absent modality gets the
-    all-zeros vector, a lone modality the all-ones vector.
-    """
-    mask.validate()
+def normalize_weights(w: FusionWeights):
+    """Per-channel two-way softmax of the raw weights: (a_cam_bar,
+    a_lidar_bar) as length-N Tensors that sum to one."""
     n = w.channels
-    if mask.use_cam and mask.use_lidar:
-        stacked = T.concat_lastaxis([
-            T.reshape(w.a_cam.tensor, (n, 1)),
-            T.reshape(w.a_lidar.tensor, (n, 1)),
-        ])
-        soft = T.softmax_lastaxis(stacked)
-        cam_col, lidar_col = T.split_lastaxis(soft, [1, 1])
-        return T.reshape(cam_col, (n,)), T.reshape(lidar_col, (n,))
-    if mask.use_cam:
-        return Tensor(np.ones(n)), Tensor(np.zeros(n))
-    return Tensor(np.zeros(n)), Tensor(np.ones(n))
+    stacked = T.concat_lastaxis([
+        T.reshape(w.a_cam.tensor, (n, 1)),
+        T.reshape(w.a_lidar.tensor, (n, 1)),
+    ])
+    soft = T.softmax_lastaxis(stacked)
+    cam_col, lidar_col = T.split_lastaxis(soft, [1, 1])
+    return T.reshape(cam_col, (n,)), T.reshape(lidar_col, (n,))
 
 
 def fuse_cnw(cam: Optional[Tensor], lidar: Optional[Tensor], w: FusionWeights) -> Tensor:
@@ -105,8 +97,7 @@ def fuse_cnw(cam: Optional[Tensor], lidar: Optional[Tensor], w: FusionWeights) -
         return lidar
     if lidar is None:
         return cam
-    mask = ModalityMask(True, True)
-    a_cam, a_lidar = normalize_weights(w, mask)
+    a_cam, a_lidar = normalize_weights(w)
     return T.add(T.mul(cam, a_cam), T.mul(lidar, a_lidar))
 
 

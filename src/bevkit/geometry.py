@@ -37,14 +37,6 @@ class BEVGridSpec:
             raise ContractError(f"degenerate extent {self.extent} / z_range {self.z_range}")
         return self
 
-    @property
-    def cell_dx(self) -> float:
-        return (self.extent[1] - self.extent[0]) / self.w
-
-    @property
-    def cell_dy(self) -> float:
-        return (self.extent[3] - self.extent[2]) / self.h
-
 
 class ReferenceGrid:
     """Homogeneous 3D anchor points, D per BEV cell, shape [D,H,W,4]."""
@@ -115,9 +107,6 @@ class CameraModel:
             image_w=int(self.image_w // factor),
         )
 
-    def project(self, refs: "ReferenceGrid"):
-        return project_to_camera(refs, self)
-
     def unproject(self, u: float, v: float, depth: float) -> np.ndarray:
         """World point whose projection is (u, v) at camera depth `depth`."""
         x = (u - self.cx) / self.fx * depth
@@ -165,8 +154,8 @@ def project_to_lidar(refs: ReferenceGrid, lidar_shape: Tuple[int, int]) -> np.nd
     """Affine map from world (x, y) onto LiDAR grid (row, col) coordinates.
 
     The LiDAR grid covers the same extent as the BEV spec; with matching
-    resolution, cell centers land exactly on their own indices. All D levels
-    share the same 2D coordinates.
+    resolution, cell centers land exactly on their own indices. The map drops
+    z, so all D levels share the same 2D coordinates.
     """
     h_l, w_l = lidar_shape
     spec = refs.spec
@@ -195,27 +184,3 @@ def make_camera(position, yaw: float, pitch_down: float, fx: float, fy: float,
         fx=fx, fy=fy, cx=(image_w - 1) / 2.0, cy=(image_h - 1) / 2.0,
         world_to_cam=w2c, image_h=image_h, image_w=image_w,
     ).validate()
-
-
-class AffineBEVProjector:
-    """Projection adapter exposing the LiDAR affine map through the same
-    interface as CameraModel.project, so the uniform encoder can treat a
-    BEV-aligned source exactly like a camera view.
-
-    z_invariant marks that all D pillar levels project to identical
-    coordinates (the map drops z), letting callers sample one level and scale
-    by D instead of repeating identical work.
-    """
-
-    z_invariant = True
-
-    def __init__(self, grid_shape: Tuple[int, int]):
-        self.grid_shape = tuple(grid_shape)
-
-    def project(self, refs: ReferenceGrid):
-        rc = project_to_lidar(refs, self.grid_shape)
-        # already (row, col); report as uv = (col, row) to match the camera
-        # convention, callers flip back to (row, col) for sampling
-        uv = rc[..., ::-1]
-        visible = np.ones(rc.shape[:-1], dtype=bool)
-        return uv, visible

@@ -18,7 +18,7 @@ from .detection import BoxPrediction, DecoderParams, decode, decode_raw, set_los
 from .encoders import BEVQuerySet, encode_camera_bev, encode_lidar_bev, make_encoder_layers
 from .errors import ConfigError, ContractError
 from .fusion import FusionWeights, ModalityMask, fuse
-from .geometry import BEVGridSpec, CameraModel
+from .geometry import BEVGridSpec, CameraModel, project_to_camera
 from .synthscene import ConvBackbone, RenderedSample
 from .tensor import Parameter, Tensor
 
@@ -66,17 +66,6 @@ class ModelConfig:
         return self.channels // 2 if self.fusion == "concat" else self.channels
 
 
-class _FrozenProjector:
-    """Precomputed (uv, visible) for a fixed camera and reference grid."""
-
-    def __init__(self, uv, visible):
-        self._uv = uv
-        self._visible = visible
-
-    def project(self, refs):
-        return self._uv, self._visible
-
-
 class Detector:
     def __init__(self, cfg: ModelConfig, spec: BEVGridSpec, rng: np.random.Generator):
         self.cfg = cfg.validate()
@@ -94,7 +83,7 @@ class Detector:
         self.decoder = DecoderParams(cfg.n_obj, cfg.channels, cfg.n_classes,
                                      cfg.dec_layers, rng)
         self._bound_cams: Optional[list] = None
-        self._projectors: List[_FrozenProjector] = []
+        self._projections: list = []
 
     # -- parameters and state ------------------------------------------------
 
@@ -126,13 +115,12 @@ class Detector:
     # -- forward -------------------------------------------------------------
 
     def _bind(self, cams: List[CameraModel]):
+        """Cache each view's (uv, visible) on its feature map for this rig."""
         if self._bound_cams is cams:
             return
-        self._projectors = []
-        for cam in cams:
-            feat_cam = cam.scaled(self.cam_backbone.stride)
-            uv, vis = feat_cam.project(self.queries.refs)
-            self._projectors.append(_FrozenProjector(uv, vis))
+        stride = self.cam_backbone.stride
+        self._projections = [project_to_camera(self.queries.refs, cam.scaled(stride))
+                             for cam in cams]
         self._bound_cams = cams
 
     def encode(self, sample: RenderedSample, mask: ModalityMask):
@@ -142,7 +130,7 @@ class Detector:
         if mask.use_cam:
             self._bind(sample.cams)
             feats = self.cam_backbone.forward(sample.camera_images)
-            cam_bev = encode_camera_bev(self.queries, self._projectors, feats,
+            cam_bev = encode_camera_bev(self.queries, self._projections, feats,
                                         self.cam_layers,
                                         normalize_by_hits=self.cfg.normalize_by_hits)
         if mask.use_lidar:

@@ -6,6 +6,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
+from .errors import ConfigError, ContractError
 from .tensor import Parameter
 
 
@@ -19,7 +20,7 @@ class Adam:
         self.params = sorted(params, key=lambda p: p.name)
         names = [p.name for p in self.params]
         if len(set(names)) != len(names):
-            raise ValueError("duplicate parameter names")
+            raise ContractError("duplicate parameter names")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -58,8 +59,17 @@ class Adam:
         return out
 
     def load_state_arrays(self, arrays: Dict[str, np.ndarray]):
+        """Restore ``state_arrays()`` output. Every key and shape is checked
+        before any state changes; a missing key or a wrong shape is a
+        ConfigError."""
+        want = self.state_arrays()
+        for key, cur in want.items():
+            if key not in arrays:
+                raise ConfigError(f"optimizer state is missing {key}")
+            if np.shape(arrays[key]) != cur.shape:
+                raise ConfigError(
+                    f"optimizer state shape {np.shape(arrays[key])} != {cur.shape} for {key}")
         self.t = int(arrays["opt.step"][0])
         for p in self.params:
-            self.m[p.name] = arrays[f"opt.m.{p.name}"].reshape(p.data.shape).copy()
-            self.v[p.name] = arrays[f"opt.v.{p.name}"].reshape(p.data.shape).copy()
-
+            self.m[p.name] = arrays[f"opt.m.{p.name}"].copy()
+            self.v[p.name] = arrays[f"opt.v.{p.name}"].copy()

@@ -312,15 +312,6 @@ def exp(a: Tensor) -> Tensor:
     return _make(data, "exp", (a,), vjp)
 
 
-def log(a: Tensor) -> Tensor:
-    data = np.log(a.data)
-
-    def vjp(g):
-        _accum(a, g / a.data)
-
-    return _make(data, "log", (a,), vjp)
-
-
 def absval(a: Tensor) -> Tensor:
     data = np.abs(a.data)
 
@@ -328,23 +319,6 @@ def absval(a: Tensor) -> Tensor:
         _accum(a, g * np.sign(a.data))
 
     return _make(data, "abs", (a,), vjp)
-
-
-def atan2(y: Tensor, x: Tensor) -> Tensor:
-    """Elementwise atan2. Gradient at the undefined origin is taken as 0."""
-    y, x = _wrap(y), _wrap(x)
-    if y.shape != x.shape:
-        raise ShapeError(f"atan2: shapes {y.shape} and {x.shape} differ")
-    data = np.arctan2(y.data, x.data)
-    denom = y.data * y.data + x.data * x.data
-
-    def vjp(g):
-        safe = np.where(denom == 0.0, 1.0, denom)
-        scale = np.where(denom == 0.0, 0.0, g / safe)
-        _accum(y, scale * x.data)
-        _accum(x, -scale * y.data)
-
-    return _make(data, "atan2", (y, x), vjp)
 
 
 def tsum(a: Tensor, axis: int | None = None) -> Tensor:
@@ -357,19 +331,6 @@ def tsum(a: Tensor, axis: int | None = None) -> Tensor:
             _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.shape).copy(), own=True)
 
     return _make(data, "sum", (a,), vjp)
-
-
-def tmean(a: Tensor, axis: int | None = None) -> Tensor:
-    data = a.data.mean(axis=axis)
-    n = a.data.size if axis is None else a.data.shape[axis]
-
-    def vjp(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g / n, a.shape).copy())
-        else:
-            _accum(a, np.broadcast_to(np.expand_dims(g / n, axis), a.shape).copy())
-
-    return _make(data, "mean", (a,), vjp)
 
 
 # ---------------------------------------------------------------------------

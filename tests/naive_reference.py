@@ -66,3 +66,46 @@ def hungarian_brute_force(cost: np.ndarray):
         if total < best:
             best, best_assign = total, perm
     return list(best_assign), best
+
+
+def average_precision_naive(preds, gts, radius: float) -> float:
+    """Center-distance AP for one class with explicit loops.
+
+    preds: (scene, score, x, y); gts: scene -> [(x, y)]. Predictions are
+    taken by descending score (ties by scene, then list position); each takes
+    the nearest still-free ground truth of its scene if that lies within
+    `radius`. AP sums, at each true positive, the recall step times the best
+    precision at any later rank. No ground truths: 1 without predictions,
+    else 0.
+    """
+    n_pos = sum(len(v) for v in gts.values())
+    if n_pos == 0:
+        return 1.0 if len(preds) == 0 else 0.0
+    order = sorted(range(len(preds)), key=lambda i: (-preds[i][1], preds[i][0], i))
+    taken = {scene: [False] * len(centers) for scene, centers in gts.items()}
+    hits = []
+    for i in order:
+        scene, _, x, y = preds[i]
+        best, best_d = None, None
+        for j, (gx, gy) in enumerate(gts.get(scene, [])):
+            if taken[scene][j]:
+                continue
+            d = float(np.hypot(gx - x, gy - y))
+            if best_d is None or d < best_d:
+                best, best_d = j, d
+        hit = best is not None and best_d <= radius
+        if hit:
+            taken[scene][best] = True
+        hits.append(hit)
+    precision, recall = [], []
+    tp = 0
+    for k, hit in enumerate(hits):
+        tp += hit
+        precision.append(tp / (k + 1))
+        recall.append(tp / n_pos)
+    ap, prev = 0.0, 0.0
+    for k, hit in enumerate(hits):
+        if hit:
+            ap += (recall[k] - prev) * max(precision[k:])
+            prev = recall[k]
+    return ap

@@ -204,6 +204,18 @@ class TestSetLoss:
         expected = ce + 2.0 * l1_total / 2.0
         assert abs(loss - expected) < 1e-12
 
+    @pytest.mark.parametrize("class_id", [3, 4, -1])
+    def test_class_id_outside_head_is_contract_error(self, class_id):
+        # with 4 head classes the background is 3: class 3 would train as
+        # background, class 4 would index past the head
+        gts = [GroundTruthBox(1.0, 1.0, 2.0, 3.0, 0.2, 0),
+               GroundTruthBox(-2.0, 4.0, 1.0, 2.0, -0.4, class_id)]
+        logits = np.zeros((4, 4))
+        with pytest.raises(ContractError):
+            set_loss(Tensor(logits), Tensor(np.zeros((4, 6))), gts, SPEC)
+        gts[1].class_id = 2
+        assert np.isfinite(set_loss(Tensor(logits), Tensor(np.zeros((4, 6))), gts, SPEC).item())
+
     def test_nonnegative_and_gt_permutation_invariant(self):
         rng = np.random.default_rng(5)
         gts = [GroundTruthBox(1.0, 1.0, 2.0, 3.0, 0.2, 0),

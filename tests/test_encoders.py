@@ -7,14 +7,14 @@ import bevkit.tensor as T
 from bevkit.attention import cross_attend
 from bevkit.encoders import (
     BEVQuerySet,
-    build_sources,
+    camera_sources,
     encode_bev,
     encode_camera_bev,
     encode_lidar_bev,
     make_encoder_layers,
 )
 from bevkit.errors import ContractError, ShapeError
-from bevkit.geometry import AffineBEVProjector, BEVGridSpec, make_camera
+from bevkit.geometry import BEVGridSpec, make_camera, project_to_camera, project_to_lidar
 from bevkit.optim import Adam
 from bevkit.tensor import Tensor, backward
 
@@ -34,21 +34,72 @@ def make_setup(seed=0, channels=4, mode="shared", n_layers=2, h=4, w=4, d=2):
     return rng, spec, queries, layers
 
 
+def front_camera(queries, yaw=0.0):
+    """(uv, visible) of a small camera at the origin looking along `yaw`."""
+    cam = make_camera([0, 0, 1.6], yaw, 0.087, fx=3, fy=3, image_h=6, image_w=8)
+    return project_to_camera(queries.refs, cam)
+
+
+def lidar_source(queries, feat):
+    """The LiDAR branch's one source: D identical levels, multiplicity D."""
+    rc = project_to_lidar(queries.refs, feat.shape[:2])
+    return (feat, rc[0].reshape(-1, 2), None, rc.shape[0])
+
+
+def lidar_as_camera(queries, shape):
+    """project_to_lidar's coordinates as a camera view: (u, v), all visible,
+    so the camera path makes D explicit sources from them."""
+    rc = project_to_lidar(queries.refs, shape)
+    return rc[..., ::-1], np.ones(rc.shape[:-1], dtype=bool)
+
+
 class TestUniformity:
-    def test_camera_path_with_affine_projector_matches_lidar_bitexact(self):
+    def test_lidar_source_through_camera_modality_matches_lidar_bitexact(self):
         rng, spec, queries, layers = make_setup(seed=1)
         feat = Tensor(rng.standard_normal((spec.h, spec.w, 4)))
-        via_camera = encode_camera_bev(queries, [AffineBEVProjector((spec.h, spec.w))],
-                                       [feat], layers)
+        via_camera = encode_bev(queries, "camera", [lidar_source(queries, feat)], layers)
         via_lidar = encode_lidar_bev(queries, feat, layers)
         assert np.array_equal(via_camera.data, via_lidar.data)
 
+    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("normalize_by_hits", [False, True])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_explicit_levels_equal_multiplicity_source_bitexact(self, d, normalize_by_hits,
+                                                                seed):
+        # D identical levels as D sources of multiplicity 1 (camera path) sum
+        # to the same bits as one source of multiplicity D (LiDAR path)
+        rng, spec, queries, layers = make_setup(seed=20 + seed, d=d)
+        for lp in layers:  # move sample points off the cell lattice
+            for attn in (lp.self_attn, lp.cross_attn):
+                for prm in attn.parameters():
+                    prm.tensor.data[:] += 0.3 * rng.standard_normal(prm.tensor.shape)
+        feat = Tensor(rng.standard_normal((7, 9, 4)))  # resolution differs from grid
+        levels = encode_camera_bev(queries, [lidar_as_camera(queries, (7, 9))], [feat], layers,
+                                   normalize_by_hits)
+        one = encode_lidar_bev(queries, feat, layers, normalize_by_hits)
+        assert np.array_equal(levels.data, one.data)
+
+    def test_camera_sources_order_and_flip(self):
+        rng, spec, queries, layers = make_setup(seed=2, d=2)
+        views = [front_camera(queries, yaw) for yaw in (0.0, 0.5, 1.0)]
+        feats = [Tensor(rng.standard_normal((6, 8, 4))) for _ in views]
+        sources = camera_sources(views, feats)
+        t = spec.h * spec.w
+        assert len(sources) == len(views) * spec.d
+        for i, (feat, rc, vis, mult) in enumerate(sources):
+            v, z = divmod(i, spec.d)  # views outer, levels inner
+            uv, visible = views[v]
+            assert feat is feats[v] and mult == 1
+            assert np.array_equal(rc, uv[z, ..., ::-1].reshape(t, 2))
+            assert np.array_equal(vis, visible[z].reshape(t))
+        with pytest.raises(ContractError):
+            camera_sources(views, feats[:2])
+
     def test_output_shapes(self):
         rng, spec, queries, layers = make_setup(seed=2)
-        cam = make_camera([0, 0, 1.6], 0.0, 0.087, fx=3, fy=3, image_h=6, image_w=8)
         cam_feat = Tensor(rng.standard_normal((6, 8, 4)))
         lidar_feat = Tensor(rng.standard_normal((7, 9, 4)))  # resolution differs from grid
-        out_c = encode_camera_bev(queries, [cam], [cam_feat], layers)
+        out_c = encode_camera_bev(queries, [front_camera(queries)], [cam_feat], layers)
         out_l = encode_lidar_bev(queries, lidar_feat, layers)
         assert out_c.shape == (spec.h, spec.w, 4)
         assert out_l.shape == (spec.h, spec.w, 4)
@@ -60,28 +111,27 @@ class TestUniformity:
 
     def test_camera_maps_of_different_width_raise(self):
         rng, spec, queries, layers = make_setup(seed=3)
-        proj = AffineBEVProjector((spec.h, spec.w))
+        proj = lidar_as_camera(queries, (spec.h, spec.w))
         feats = [Tensor(rng.standard_normal((spec.h, spec.w, c))) for c in (4, 5)]
         with pytest.raises(ShapeError):
             encode_camera_bev(queries, [proj, proj], feats, layers)
 
     def test_entry_points_are_encode_bev(self):
         rng, spec, queries, layers = make_setup(seed=3, mode="separate")
-        cam = make_camera([0, 0, 1.6], 0.0, 0.087, fx=3, fy=3, image_h=6, image_w=8)
+        cam = front_camera(queries)
         feat = Tensor(rng.standard_normal((6, 8, 4)))
         assert np.array_equal(encode_camera_bev(queries, [cam], [feat], layers).data,
-                              encode_bev(queries, "camera", [cam], [feat], layers).data)
+                              encode_bev(queries, "camera", camera_sources([cam], [feat]),
+                                         layers).data)
         lidar_feat = Tensor(rng.standard_normal((7, 9, 4)))
-        lidar_proj = AffineBEVProjector((7, 9))
         assert np.array_equal(encode_lidar_bev(queries, lidar_feat, layers).data,
-                              encode_bev(queries, "lidar", [lidar_proj], [lidar_feat],
+                              encode_bev(queries, "lidar", [lidar_source(queries, lidar_feat)],
                                          layers).data)
 
 
-def cross_term(queries, projectors, feats, layers, normalize_by_hits=False):
-    """The first layer's cross-attention term over the sources the encoder
-    builds, from the LiDAR query tokens."""
-    sources = build_sources(queries.refs, projectors, feats)
+def cross_term(queries, sources, layers, normalize_by_hits=False):
+    """The first layer's cross-attention term over the sources, from the
+    LiDAR query tokens."""
     return cross_attend(queries.tokens("lidar"), sources, layers[0].cross_attn,
                         normalize_by_hits).data
 
@@ -96,17 +146,16 @@ class TestCrossAttentionStructure:
         lp.cross_attn.value_w[1].tensor.data[:] = np.eye(4)[:, 2:]
         lp.cross_attn.out_w.tensor.data[:] = np.eye(4)
         feat = rng.standard_normal((spec.h, spec.w, 4))
-        cross = cross_term(queries, [AffineBEVProjector((spec.h, spec.w))], [Tensor(feat)],
-                           layers)
+        cross = cross_term(queries, [lidar_source(queries, Tensor(feat))], layers)
         assert np.allclose(cross, feat.reshape(-1, 4), atol=1e-12)
 
     def test_two_views_double_one_view(self):
         # a cell visible in two identical views gets exactly twice the cross term
         rng, spec, queries, layers = make_setup(seed=5, n_layers=1)
-        proj = AffineBEVProjector((spec.h, spec.w))
+        proj = lidar_as_camera(queries, (spec.h, spec.w))
         feat = Tensor(rng.standard_normal((spec.h, spec.w, 4)))
-        one = cross_term(queries, [proj], [feat], layers)
-        two = cross_term(queries, [proj, proj], [feat, feat], layers)
+        one = cross_term(queries, camera_sources([proj], [feat]), layers)
+        two = cross_term(queries, camera_sources([proj, proj], [feat, feat]), layers)
         assert np.array_equal(two, 2.0 * one)
 
     def test_fully_invisible_cell_contributes_zero(self):
@@ -114,15 +163,17 @@ class TestCrossAttentionStructure:
         # camera looking away from the whole grid -> nothing visible
         cam = make_camera([100.0, 0, 1.6], 0.0, 0.0, fx=3, fy=3, image_h=6, image_w=8)
         feat = Tensor(rng.standard_normal((6, 8, 4)))
-        assert np.array_equal(cross_term(queries, [cam], [feat], layers),
+        sources = camera_sources([project_to_camera(queries.refs, cam)], [feat])
+        assert np.array_equal(cross_term(queries, sources, layers),
                               np.zeros((spec.h * spec.w, 4)))
 
     def test_normalize_by_hits_default_off(self):
         rng, spec, queries, layers = make_setup(seed=7, n_layers=1)
-        proj = AffineBEVProjector((spec.h, spec.w))
+        proj = lidar_as_camera(queries, (spec.h, spec.w))
         feat = Tensor(rng.standard_normal((spec.h, spec.w, 4)))
-        raw = cross_term(queries, [proj, proj], [feat, feat], layers)
-        nrm = cross_term(queries, [proj, proj], [feat, feat], layers, normalize_by_hits=True)
+        sources = camera_sources([proj, proj], [feat, feat])
+        raw = cross_term(queries, sources, layers)
+        nrm = cross_term(queries, sources, layers, normalize_by_hits=True)
         # D=2 levels x 2 views = 4 hits per cell
         assert np.allclose(nrm, raw / 4.0)
         assert np.array_equal(encode_camera_bev(queries, [proj], [feat], layers).data,
@@ -135,11 +186,9 @@ def test_camera_cross_attention_samples_each_view_map_once(monkeypatch):
     cross-attention deform_attend gets a stack of V projected maps, and
     still one pair per visible (view, level, cell)."""
     rng, spec, queries, layers = make_setup(seed=9, d=4)
-    views = [make_camera([0, 0, 1.6], np.deg2rad(90.0 * i), 0.087, fx=3, fy=3,
-                         image_h=6, image_w=8) for i in range(4)]
+    views = [front_camera(queries, np.deg2rad(90.0 * i)) for i in range(4)]
     feats = [Tensor(rng.standard_normal((6, 8, 4))) for _ in views]
-    visible = sum(int(np.count_nonzero(vis))
-                  for _, _, vis, _ in build_sources(queries.refs, views, feats))
+    visible = sum(int(np.count_nonzero(vis)) for _, vis in views)
     assert visible > 0
     calls = []
     attend = T.deform_attend
@@ -168,7 +217,7 @@ class TestQuerySharing:
 
     def test_camera_step_changes_lidar_tokens_in_shared_mode(self):
         rng, spec, queries, layers = make_setup(seed=8, mode="shared", n_layers=1)
-        cam = make_camera([0, 0, 1.6], 0.0, 0.087, fx=3, fy=3, image_h=6, image_w=8)
+        cam = front_camera(queries)
         feat = Tensor(rng.standard_normal((6, 8, 4)))
         before = queries.tokens("lidar").data.copy()
         out = encode_camera_bev(queries, [cam], [feat], layers)
@@ -179,7 +228,7 @@ class TestQuerySharing:
 
     def test_separate_mode_lidar_tokens_untouched_by_camera_loss(self):
         rng, spec, queries, layers = make_setup(seed=9, mode="separate", n_layers=1)
-        cam = make_camera([0, 0, 1.6], 0.0, 0.087, fx=3, fy=3, image_h=6, image_w=8)
+        cam = front_camera(queries)
         feat = Tensor(rng.standard_normal((6, 8, 4)))
         before = queries.tokens("lidar").data.copy()
         out = encode_camera_bev(queries, [cam], [feat], layers)

@@ -6,6 +6,7 @@ import pytest
 
 import bevkit.model as model_mod
 from bevkit.dataset import generate_dataset
+from bevkit.detection import BoxPrediction, GroundTruthBox
 from bevkit.errors import ContractError
 from bevkit.evaluation import (
     CONDITIONS,
@@ -19,6 +20,8 @@ from bevkit.fusion import ModalityMask
 from bevkit.geometry import BEVGridSpec
 from bevkit.model import Detector, ModelConfig
 from bevkit.synthscene import SceneParams
+
+from naive_reference import average_precision_naive
 
 CONFIGS = [(f, q) for f in ("cnw", "avg", "concat") for q in ("shared", "separate")]
 MASKS = list(CONDITIONS.values())
@@ -117,6 +120,15 @@ def test_predict_many_rejects_bad_masks(dataset):
         det.predict_many(sample, [ModalityMask(True, True), ModalityMask(False, False)])
 
 
+def test_more_dataset_classes_than_head_is_contract_error(dataset):
+    # the dataset has 3 object classes; a 3-way head scores only 2 of them
+    cfg = ModelConfig(channels=8, heads=2, points=2, enc_layers=1, dec_layers=1,
+                      n_classes=3, cam_hidden=(4, 4), lidar_hidden=(4, 4))
+    det = Detector(cfg, dataset.spec, np.random.default_rng(1))
+    with pytest.raises(ContractError):
+        evaluate_conditions(det, dataset, scene_indices=[0])
+
+
 def test_report_check_raises_on_inconsistent_summary():
     report = MetricsReport(map_lc=0.3, map_l=0.2, map_c=0.1, summary_map=0.5, ap_table={})
     with pytest.raises(ContractError):
@@ -150,3 +162,60 @@ class TestAveragePrecision:
         assert average_precision([], {0: [], 1: []}, 1.0) == 1.0
         assert average_precision([], {}, 1.0) == 1.0
         assert average_precision([(0, 0.9, 0.0, 0.0)], {0: []}, 1.0) == 0.0
+
+
+ORACLE_RADII = (0.0, 0.5, 1.0, 2.0, 4.0)
+
+
+def random_class_case(rng, n_scenes):
+    """Ground truths for some scenes (a scene may have none or be absent) and
+    predictions with tied scores, some exactly on a ground truth, some in a
+    scene with no ground truths."""
+    gts = {s: [tuple(rng.uniform(-5, 5, 2)) for _ in range(rng.integers(0, 4))]
+           for s in range(n_scenes) if rng.random() < 0.8}
+    preds = []
+    for s in range(n_scenes + 1):
+        for _ in range(rng.integers(0, 5)):
+            x, y = rng.uniform(-5, 5, 2)
+            if gts.get(s) and rng.random() < 0.6:
+                x, y = gts[s][rng.integers(len(gts[s]))]
+                if rng.random() < 0.5:
+                    x, y = x + rng.normal(0, 0.8), y + rng.normal(0, 0.8)
+            preds.append((s, float(rng.choice([0.2, 0.5, 0.9])), float(x), float(y)))
+    return preds, gts
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_average_precision_matches_loop_oracle(seed):
+    preds, gts = random_class_case(np.random.default_rng(seed), n_scenes=4)
+    for r in ORACLE_RADII:
+        assert average_precision(preds, gts, r) == average_precision_naive(preds, gts, r)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_mean_ap_matches_loop_oracle(seed):
+    # classes 0 and 1 have ground truths; class 2 has none, only predictions
+    # in some seeds
+    rng = np.random.default_rng(1000 + seed)
+    preds_by_scene = {s: [] for s in range(4)}
+    gts_by_scene = {s: [] for s in range(3)}
+    for c in (0, 1, 2):
+        preds, gts = random_class_case(rng, n_scenes=3)
+        if c == 2:
+            gts = {}
+            preds = preds[: rng.integers(0, 2) * len(preds)]
+        for s, centers in gts.items():
+            gts_by_scene[s] += [GroundTruthBox(x, y, 2.0, 4.0, 0.0, c) for x, y in centers]
+        for s, score, x, y in preds:
+            logits = np.zeros(4)
+            logits[c] = np.log(3.0 * score / (1.0 - score))  # softmax puts `score` on c
+            preds_by_scene[s].append(BoxPrediction(x, y, 2.0, 4.0, 0.0, logits))
+    m, table = mean_ap(preds_by_scene, gts_by_scene, [0, 1, 2], ORACLE_RADII)
+    for c in (0, 1, 2):
+        cls_preds = [(s, p.score, p.cx, p.cy) for s, ps in preds_by_scene.items()
+                     for p in ps if p.class_id == c]
+        cls_gts = {s: [(g.cx, g.cy) for g in gs if g.class_id == c]
+                   for s, gs in gts_by_scene.items()}
+        for r in ORACLE_RADII:
+            assert table[(c, r)] == average_precision_naive(cls_preds, cls_gts, r)
+    assert m == pytest.approx(sum(table.values()) / len(table), rel=1e-15)

@@ -8,7 +8,6 @@ from bevkit.errors import ContractError
 from bevkit.fusion import (
     FusionWeights,
     MDConfig,
-    ModalityMask,
     fuse_avg,
     fuse_cnw,
     fuse_concat,
@@ -19,8 +18,6 @@ from bevkit.rng import seeded_rng
 from bevkit.tensor import Tensor, backward
 
 from helpers import check_grads
-
-BOTH = ModalityMask(True, True)
 
 
 def weights(n=6, cam=None, lidar=None):
@@ -35,31 +32,22 @@ def weights(n=6, cam=None, lidar=None):
 class TestNormalizeWeights:
     def test_equal_raw_gives_half(self):
         w = weights(4, cam=[1.5, -2, 0, 7], lidar=[1.5, -2, 0, 7])
-        a_cam, a_lidar = normalize_weights(w, BOTH)
+        a_cam, a_lidar = normalize_weights(w)
         assert np.array_equal(a_cam.data, np.full(4, 0.5))
         assert np.array_equal(a_lidar.data, np.full(4, 0.5))
-
-    def test_lidar_only_full_weight(self):
-        a_cam, a_lidar = normalize_weights(weights(3), ModalityMask(False, True))
-        assert np.array_equal(a_cam.data, np.zeros(3))
-        assert np.array_equal(a_lidar.data, np.ones(3))
 
     def test_scalar_softmax_oracle(self):
         # frozen from the 50-digit evaluation of exp(x)/(exp(1)+exp(2))
         w = weights(1, cam=[1.0], lidar=[2.0])
-        a_cam, a_lidar = normalize_weights(w, BOTH)
+        a_cam, a_lidar = normalize_weights(w)
         assert abs(a_cam.data[0] - 0.2689414213699951) < 1e-5
         assert abs(a_lidar.data[0] - 0.7310585786300049) < 1e-5
 
     def test_sum_to_one(self):
         rng = np.random.default_rng(0)
         w = weights(16, cam=rng.standard_normal(16) * 3, lidar=rng.standard_normal(16) * 3)
-        a_cam, a_lidar = normalize_weights(w, BOTH)
+        a_cam, a_lidar = normalize_weights(w)
         assert np.all(np.abs(a_cam.data + a_lidar.data - 1.0) < 1e-9)
-
-    def test_empty_mask_contract_error(self):
-        with pytest.raises(ContractError):
-            normalize_weights(weights(2), ModalityMask(False, False))
 
 
 class TestFuseCNW:
@@ -72,10 +60,13 @@ class TestFuseCNW:
         assert np.array_equal(out.data, avg.data)
 
     def test_single_modality_identity_bitexact(self):
+        # a lone modality gets full weight whatever the raw weights are
         rng = np.random.default_rng(2)
+        w = weights(6, cam=rng.standard_normal(6), lidar=rng.standard_normal(6))
         cam = Tensor(rng.standard_normal((3, 4, 6)))
-        out = fuse_cnw(cam, None, weights(6))
-        assert out is cam
+        lidar = Tensor(rng.standard_normal((3, 4, 6)))
+        assert fuse_cnw(cam, None, w) is cam
+        assert fuse_cnw(None, lidar, w) is lidar
 
     def test_saturated_weight_is_exclusive(self):
         rng = np.random.default_rng(3)

@@ -5,7 +5,6 @@ import pytest
 
 from bevkit.errors import ContractError
 from bevkit.geometry import (
-    AffineBEVProjector,
     BEVGridSpec,
     CameraModel,
     build_reference_grid,
@@ -140,14 +139,6 @@ class TestLidarProjection:
         rc = project_to_lidar(build_reference_grid(spec), (3, 3))
         for z in range(1, 4):
             assert np.array_equal(rc[z], rc[0])
-
-    def test_affine_projector_matches(self):
-        spec = BEVGridSpec(h=4, w=4, d=2)
-        grid = build_reference_grid(spec)
-        uv, vis = AffineBEVProjector((4, 4)).project(grid)
-        rc = project_to_lidar(grid, (4, 4))
-        assert np.array_equal(uv[..., ::-1], rc)
-        assert vis.all()
 
 
 def test_feature_scaled_camera_consistency():

