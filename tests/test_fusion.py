@@ -36,6 +36,15 @@ class TestNormalizeWeights:
         assert np.array_equal(a_cam.data, np.full(4, 0.5))
         assert np.array_equal(a_lidar.data, np.full(4, 0.5))
 
+    def test_lidar_only_full_weight(self):
+        # LiDAR alone passes through unscaled; a saturated LiDAR raw weight
+        # drives the normalized weights to the same (0, 1) split
+        lidar = Tensor(np.random.default_rng(7).standard_normal((2, 2, 3)))
+        assert np.array_equal(fuse_cnw(None, lidar, weights(3)).data, lidar.data)
+        a_cam, a_lidar = normalize_weights(weights(3, cam=[0.0] * 3, lidar=[50.0] * 3))
+        assert np.all(a_cam.data < 1e-20)
+        assert np.all(np.abs(a_lidar.data - 1.0) < 1e-15)
+
     def test_scalar_softmax_oracle(self):
         # frozen from the 50-digit evaluation of exp(x)/(exp(1)+exp(2))
         w = weights(1, cam=[1.0], lidar=[2.0])
