@@ -46,6 +46,22 @@ class ModelConfig:
             raise ConfigError(f"fusion must be cnw|avg|concat, got {self.fusion!r}")
         if self.query_mode not in ("shared", "separate"):
             raise ConfigError(f"query_mode must be shared|separate, got {self.query_mode!r}")
+        if self.enc_layers < 1 or self.dec_layers < 1:
+            # with no encoder layer the fused map is the BEV queries whatever the
+            # sensors see; with no decoder layer the boxes ignore the fused map
+            raise ConfigError(f"need at least one layer: enc_layers={self.enc_layers}, "
+                              f"dec_layers={self.dec_layers}")
+        if self.heads < 1 or self.points < 1:
+            raise ConfigError(f"bad attention sizes: heads={self.heads}, points={self.points}")
+        if min(*self.cam_hidden, *self.lidar_hidden) < 1:
+            raise ConfigError(f"hidden widths must be positive: cam_hidden={self.cam_hidden}, "
+                              f"lidar_hidden={self.lidar_hidden}")
+        for name in ("lambda_cls", "lambda_box", "background_weight"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                # a negative weight rewards error; a non-finite one makes the loss or
+                # the matching costs non-finite
+                raise ConfigError(f"{name} must be finite and non-negative, got {value}")
         n_enc = self.encoder_channels
         if self.fusion == "concat" and self.channels % 2:
             raise ConfigError(f"concat fusion needs even channels, got {self.channels}")

@@ -1,12 +1,20 @@
-"""Backward passes as they were before the single-pass rewrite, kept as
-bit-exact oracles for the production ops.
+"""Backward passes kept as oracles for the production ops.
 
-deform_attend's vjp here runs three separate CSR products (samples, row
-slopes, column slopes) and scatters with np.add.at; take_rows and
+Both deform_attend references build their own bilinear corner tables with a
+loop over the four corners, and scatter with np.add.at; take_rows and
 scatter_rows scatter with np.add.at. Forward passes equal the production
 ones, so any difference a test sees comes from backward. Like production,
 deform_attend reads values [B,H,W,M*D] as the table [B*H*W*M, D], head m of
 cell c being row c*M + m.
+
+- deform_attend_reference gets the attention and offset grads from the dots
+  of every point's four corner rows with the output grad, as production
+  does, but gathers the whole call at once. Production must match it bit
+  for bit, whatever its block size.
+- deform_attend_jet_reference is the backward the corner dots replaced: three
+  separate CSR products (samples, row slopes, column slopes), each dotted
+  with the output grad. It sums in another order, so it checks the corner-dot
+  arithmetic to rounding.
 """
 
 from __future__ import annotations
@@ -17,25 +25,39 @@ from scipy import sparse
 import bevkit.tensor as T
 from bevkit.tensor import Tensor
 
-
-def slopes_reference(plan, pts):
-    """d(weights)/d(row) and d(weights)/d(col), flat like plan.weights."""
-    dwr = np.empty((plan.p, 4))
-    dwc = np.empty((plan.p, 4))
-    for k, ((_, rin, wr, sr), (_, cin, wc, sc)) in enumerate(T._corners(plan.shape_hw, pts)):
-        inside = rin & cin
-        dwr[:, k] = sr * wc * inside
-        dwc[:, k] = wr * sc * inside
-    return dwr.reshape(-1), dwc.reshape(-1)
+CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def plan_matrix(plan, data):
-    """[P, cells] CSR with row p holding data over point p's four corners."""
-    indptr = np.arange(0, 4 * plan.p + 1, 4)
-    return sparse.csr_matrix((data, plan.indices, indptr), shape=(plan.p, plan.n_rows))
+def corner_tables(shape_hw, base, pts, stride):
+    """Per point [N] and corner, in the order of CORNERS, as [N,4] arrays: the
+    row of the value table, the in-range mask, the bilinear weight and its
+    derivatives in row and in column (all three zero outside the map); and
+    the row and column fractions [N]."""
+    h, w = shape_hw
+    r0f, c0f = np.floor(pts[:, 0]), np.floor(pts[:, 1])
+    fr, fc = pts[:, 0] - r0f, pts[:, 1] - c0f
+    r0, c0 = r0f.astype(np.intp), c0f.astype(np.intp)
+    n = pts.shape[0]
+    idx = np.empty((n, 4), dtype=np.intp)
+    inside = np.empty((n, 4), dtype=bool)
+    wgt, dwr, dwc = np.empty((n, 4)), np.empty((n, 4)), np.empty((n, 4))
+    for corner, (i, j) in enumerate(CORNERS):
+        r, c = r0 + i, c0 + j
+        ok = (r >= 0) & (r < h) & (c >= 0) & (c < w)
+        wr = fr if i else 1.0 - fr
+        wc = fc if j else 1.0 - fc
+        idx[:, corner] = base + (np.clip(r, 0, h - 1) * w + np.clip(c, 0, w - 1)) * stride
+        inside[:, corner] = ok
+        wgt[:, corner] = wr * wc * ok
+        dwr[:, corner] = (1.0 if i else -1.0) * wc * ok
+        dwc[:, corner] = wr * (1.0 if j else -1.0) * ok
+    return idx, inside, wgt, dwr, dwc, fr, fc
 
 
-def deform_attend_reference(feats, map_idx, base_pts, offsets, attn, qry_idx):
+def _attend(feats, map_idx, base_pts, offsets, attn, qry_idx, grads):
+    """deform_attend's forward. Its vjp gets the attention grads [P*M*K] and
+    the offset grads before the attention weight [P*M*K, 2] from
+    grads(corner tables, value table [B*H*W*M, D], output grad [P*M, D])."""
     b, h, w, ch = feats.shape
     t, m, k, _ = offsets.shape
     ch //= m  # per-head width D
@@ -44,17 +66,17 @@ def deform_attend_reference(feats, map_idx, base_pts, offsets, attn, qry_idx):
     if p == 0:
         return T._make(np.zeros((0, m, ch)), "deform_attend", (feats, offsets, attn),
                        lambda g: None)
-    offp = offsets.data[qry_idx]
     attnp = attn.data[qry_idx]
-    pts = (base_pts[:, None, None, :] + offp).reshape(p * m * k, 2)
+    pts = (base_pts[:, None, None, :] + offsets.data[qry_idx]).reshape(p * m * k, 2)
     # point (p, m, k) reads rows (map_idx[p]*H*W + cell)*M + m
     head_base = (np.asarray(map_idx, dtype=np.intp)[:, None] * (h * w * m)
                  + np.arange(m)[None, :]).repeat(k, axis=1).reshape(-1)
-    plan = T._BilinearPlan((h, w), head_base, pts, b * h * w * m, m)
+    tables = corner_tables((h, w), head_base, pts, m)
+    idx, wgt = tables[0], tables[2]
     flat = feats.data.reshape(b * h * w * m, ch)
-    data_attn = (plan.weights.reshape(p * m * k, 4) * attnp.reshape(p * m * k, 1)).reshape(-1)
-    indptr_pm = np.arange(0, 4 * k * (p * m) + 1, 4 * k, dtype=np.intp)
-    s_attn = sparse.csr_matrix((data_attn, plan.indices, indptr_pm),
+    data_attn = (wgt * attnp.reshape(p * m * k, 1)).reshape(-1)
+    indptr_pm = np.arange(0, 4 * k * (p * m) + 1, 4 * k)
+    s_attn = sparse.csr_matrix((data_attn, idx.reshape(-1), indptr_pm),
                                shape=(p * m, b * h * w * m))
     out = (s_attn @ flat).reshape(p, m, ch)
 
@@ -62,25 +84,58 @@ def deform_attend_reference(feats, map_idx, base_pts, offsets, attn, qry_idx):
         g2 = g.reshape(p * m, ch)
         if feats.requires_grad:
             T._accum(feats, (s_attn.T @ g2).reshape(feats.shape), own=True)
-        g3 = g2.reshape(p * m, 1, ch)
+        if not (attn.requires_grad or offsets.requires_grad):
+            return
+        dattn, dpts = grads(tables, flat, g2)
         if attn.requires_grad:
-            samples = (plan_matrix(plan, plan.weights) @ flat).reshape(p * m, k, ch)
-            dattn = np.einsum("xkc,xoc->xk", samples, g3).reshape(p, m, k)
             if attn.grad is None:
                 attn.grad = np.zeros_like(attn.data)
-            np.add.at(attn.grad, qry_idx, dattn)
+            np.add.at(attn.grad, qry_idx, dattn.reshape(p, m, k))
         if offsets.requires_grad:
-            dwdr, dwdc = slopes_reference(plan, pts)
-            sr = plan_matrix(plan, dwdr) @ flat
-            sc = plan_matrix(plan, dwdc) @ flat
-            dr = np.einsum("xkc,xoc->xk", sr.reshape(p * m, k, ch), g3).reshape(p, m, k)
-            dc = np.einsum("xkc,xoc->xk", sc.reshape(p * m, k, ch), g3).reshape(p, m, k)
-            dpts = np.stack([dr * attnp, dc * attnp], axis=-1)
             if offsets.grad is None:
                 offsets.grad = np.zeros_like(offsets.data)
-            np.add.at(offsets.grad, qry_idx, dpts)
+            np.add.at(offsets.grad, qry_idx, dpts.reshape(p, m, k, 2) * attnp[..., None])
 
     return T._make(out, "deform_attend", (feats, offsets, attn), vjp)
+
+
+def corner_dot_grads(tables, flat, g2):
+    """Attention grads [N] and pre-attention offset grads [N,2] from the dot
+    of each point's four corner rows with g, all points at once."""
+    idx, inside, wgt, _, _, fr, fc = tables
+    pm, ch = g2.shape
+    corners = flat[idx.reshape(-1)].reshape(pm, -1, ch)
+    h = np.einsum("rjc,rc->rj", corners, g2).reshape(-1, 4) * inside
+    h00, h01, h10, h11 = h.T
+    dattn = wgt[:, 0] * h00 + wgt[:, 1] * h01 + wgt[:, 2] * h10 + wgt[:, 3] * h11
+    d_row = (1.0 - fc) * (h10 - h00) + fc * (h11 - h01)
+    d_col = (1.0 - fr) * (h01 - h00) + fr * (h11 - h10)
+    return dattn, np.stack([d_row, d_col], axis=-1)
+
+
+def jet_grads(tables, flat, g2):
+    """The same grads from three separate CSR products over the corner
+    weights and their slopes, each sample dotted with g."""
+    idx, _, wgt, dwr, dwc, _, _ = tables
+    pm, ch = g2.shape
+    n = idx.shape[0]
+    indptr = np.arange(0, 4 * n + 1, 4)
+
+    def dot(data):
+        mat = sparse.csr_matrix((data.reshape(-1), idx.reshape(-1), indptr),
+                                shape=(n, flat.shape[0]))
+        return np.einsum("xkc,xoc->xk", (mat @ flat).reshape(pm, -1, ch),
+                         g2.reshape(pm, 1, ch)).reshape(-1)
+
+    return dot(wgt), np.stack([dot(dwr), dot(dwc)], axis=-1)
+
+
+def deform_attend_reference(feats, map_idx, base_pts, offsets, attn, qry_idx):
+    return _attend(feats, map_idx, base_pts, offsets, attn, qry_idx, corner_dot_grads)
+
+
+def deform_attend_jet_reference(feats, map_idx, base_pts, offsets, attn, qry_idx):
+    return _attend(feats, map_idx, base_pts, offsets, attn, qry_idx, jet_grads)
 
 
 def take_rows_reference(a: Tensor, idx) -> Tensor:
@@ -104,10 +159,11 @@ def scatter_rows_reference(rows: Tensor, idx, n_out: int) -> Tensor:
     return T._make(data, "scatter_rows", (rows,), vjp)
 
 
-def install(monkeypatch):
-    """Route every scatter on the model's backward path through the references."""
+def install(monkeypatch, attend=deform_attend_reference):
+    """Route every scatter on the model's backward path through the references,
+    deform_attend through attend."""
     import bevkit.attention as attention
 
-    monkeypatch.setattr(T, "deform_attend", deform_attend_reference)
+    monkeypatch.setattr(T, "deform_attend", attend)
     monkeypatch.setattr(T, "take_rows", take_rows_reference)
     monkeypatch.setattr(attention, "_scatter_rows", scatter_rows_reference)

@@ -1,6 +1,7 @@
-"""The single-pass deform_attend backward and the run-wise row scatter,
+"""The corner-dot deform_attend backward and the run-wise row scatter,
 checked bit for bit against the backward_reference oracles, at op level and
-through a full Detector.loss."""
+through a full Detector.loss, and to rounding against the three-product
+backward the corner dots replaced."""
 
 import itertools
 
@@ -84,8 +85,8 @@ def test_border_case_samples_off_map():
 
 
 def test_plan_index_arrays_are_int32_and_shared(monkeypatch):
-    """Every CSR matrix deform_attend builds, in forward and in backward,
-    keeps the int32 index arrays it is given instead of copying them."""
+    """deform_attend builds one CSR matrix, in forward and none in backward,
+    and it keeps the int32 index arrays it is given instead of copying them."""
     from scipy import sparse
 
     built = []
@@ -97,13 +98,82 @@ def test_plan_index_arrays_are_int32_and_shared(monkeypatch):
         return m
 
     monkeypatch.setattr(sparse, "csr_matrix", spy)
-    arrays = attend_case(np.random.default_rng(70), "sources")
-    attend_grads(T.deform_attend, arrays, (True, True, True))
-    assert len(built) == 2  # the attention-scaled weights, and the jet
+    feats, map_idx, base, offsets, attn, qry_idx = attend_case(np.random.default_rng(70),
+                                                                "sources")
+    leaves = [Tensor(a, requires_grad=True) for a in (feats, offsets, attn)]
+    out = T.deform_attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx)
+    assert len(built) == 1  # the attention-scaled weights
+    out.node.vjp(np.ones(out.shape))
+    assert len(built) == 1 and all(x.grad is not None for x in leaves)
     for indices, indptr, m in built:
         assert indices.dtype == np.int32 and indptr.dtype == np.int32
         # scipy slices indices to nnz (a view), so share, not identity, shows no copy
         assert np.shares_memory(m.indices, indices) and m.indptr is indptr
+
+
+@pytest.mark.parametrize("requires", REQUIRES)
+@pytest.mark.parametrize("record", [True, False])
+def test_plan_keeps_backward_tables_only_for_offset_or_attention_grads(requires, record,
+                                                                       monkeypatch):
+    plans = []
+
+    class Spy(T._BilinearPlan):
+        __slots__ = ()
+
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            plans.append(self)
+
+    monkeypatch.setattr(T, "_BilinearPlan", Spy)
+    feats, map_idx, base, offsets, attn, qry_idx = attend_case(np.random.default_rng(40),
+                                                                "sources")
+    leaves = [Tensor(a, requires_grad=r) for a, r in zip((feats, offsets, attn), requires)]
+    if record:
+        T.deform_attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx)
+    else:
+        with T.no_grad():
+            T.deform_attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx)
+    plan, = plans
+    kept = record and (requires[1] or requires[2])
+    assert (plan.rows is not None, plan.cols is not None) == (kept, kept)
+
+
+@pytest.mark.parametrize("case", ["sources", "border", "unordered", "empty"])
+@pytest.mark.parametrize("block", [1, 3, "over"])
+def test_backward_blocks_change_no_bits(case, block, monkeypatch):
+    """One (pair, head) row per block, three (so the last block is partial),
+    or one block over the whole call: the same bits as the unblocked reference."""
+    arrays = attend_case(np.random.default_rng(40), case)
+    if block == "over":
+        block = arrays[5].size * arrays[3].shape[1] + 1  # P*M + 1
+    monkeypatch.setattr(T, "_BWD_BLOCK", block)
+    out, grads = attend_grads(T.deform_attend, arrays, (True, True, True))
+    want_out, want = attend_grads(ref.deform_attend_reference, arrays, (True, True, True))
+    assert np.array_equal(out, want_out)
+    for a, b in zip(grads, want):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert np.array_equal(a, b)
+
+
+JET_RTOL = 1e-12  # of each grad's max-abs; only the summation order differs
+
+
+def assert_close_to_jet(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= JET_RTOL * np.abs(want).max(initial=0.0)
+
+
+@pytest.mark.parametrize("case", ["sources", "border", "unordered"])
+def test_deform_attend_matches_jet_reference(case):
+    arrays = attend_case(np.random.default_rng(40), case)
+    out, (dfeats, doff, dattn) = attend_grads(T.deform_attend, arrays, (True, True, True))
+    want_out, (wfeats, woff, wattn) = attend_grads(ref.deform_attend_jet_reference, arrays,
+                                                   (True, True, True))
+    # forward and the value grad take the same products in both
+    assert np.array_equal(out, want_out) and np.array_equal(dfeats, wfeats)
+    assert_close_to_jet(doff, woff)
+    assert_close_to_jet(dattn, wattn)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -156,8 +226,10 @@ MODEL_CONFIGS = [
 ]
 
 
-@pytest.mark.parametrize("kw", MODEL_CONFIGS, ids=lambda kw: "-".join(map(str, kw.values())))
-def test_detector_loss_grads_match_reference(scenes, kw, monkeypatch):
+def compare_detector_loss_grads(scenes, kw, install, same):
+    """Each loss and every parameter grad of a small Detector over both scenes
+    and all three sensor masks, with production ops and then with install()
+    in place; same(got, want) checks each pair."""
     spec, samples = scenes
     cfg = ModelConfig(channels=8, heads=2, points=2, enc_layers=2, dec_layers=1,
                       cam_hidden=(4, 4), lidar_hidden=(4, 4), **kw)
@@ -179,13 +251,30 @@ def test_detector_loss_grads_match_reference(scenes, kw, monkeypatch):
         return bits
 
     got = run()
-    ref.install(monkeypatch)
+    install()
     want = run()
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert (a is None) == (b is None)
         if a is not None:
-            assert np.array_equal(a, b)
+            same(a, b)
+
+
+@pytest.mark.parametrize("kw", MODEL_CONFIGS, ids=lambda kw: "-".join(map(str, kw.values())))
+def test_detector_loss_grads_match_reference(scenes, kw, monkeypatch):
+    def equal(a, b):
+        assert np.array_equal(a, b)
+
+    compare_detector_loss_grads(scenes, kw, lambda: ref.install(monkeypatch), equal)
+
+
+@pytest.mark.parametrize("kw", MODEL_CONFIGS, ids=lambda kw: "-".join(map(str, kw.values())))
+def test_detector_loss_grads_match_jet_reference(scenes, kw, monkeypatch):
+    """Every parameter grad of a full Detector.loss, under every sensor mask,
+    within rounding of the three-product backward."""
+    compare_detector_loss_grads(
+        scenes, kw, lambda: ref.install(monkeypatch, ref.deform_attend_jet_reference),
+        assert_close_to_jet)
 
 
 @settings(max_examples=200, deadline=None)

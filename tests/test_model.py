@@ -37,6 +37,36 @@ def test_encoder_width_below_three_is_config_error(kw):
         ModelConfig(**kw).validate()
 
 
+@pytest.mark.parametrize("kw", [
+    dict(enc_layers=0),  # the fused map would be the BEV queries, whatever the sensors see
+    dict(enc_layers=-1),
+    dict(dec_layers=0),  # the boxes would never read the fused map
+    dict(heads=0),  # ZeroDivisionError without the check
+    dict(heads=-2),  # ValueError (negative dimensions) without the check
+    dict(points=0),  # ContractError from DeformAttnParams without the check
+    dict(cam_hidden=(8, 0)),  # OverflowError in the backbone without the check
+    dict(lidar_hidden=(0, 16)),
+    dict(lambda_cls=-0.5),
+    dict(lambda_box=-1.0),  # gives a negative loss
+    dict(background_weight=-0.1),
+    dict(lambda_cls=float("nan")),  # hungarian_match's ContractError without the check
+    dict(lambda_box=float("inf")),
+    dict(background_weight=float("nan")),  # a NaN loss without the check
+], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+def test_degenerate_fields_are_config_error(kw):
+    with pytest.raises(ConfigError):
+        ModelConfig(**kw).validate()
+    with pytest.raises(ConfigError):
+        Detector(ModelConfig(**kw), BEVGridSpec(h=4, w=4, d=1), np.random.default_rng(0))
+
+
+def test_smallest_sizes_and_zero_weights_are_accepted():
+    cfg = ModelConfig(channels=4, heads=1, points=1, enc_layers=1, dec_layers=1,
+                      cam_hidden=(1, 1), lidar_hidden=(1, 1), lambda_cls=0.0, lambda_box=0.0,
+                      background_weight=0.0)
+    assert cfg.validate() is cfg
+
+
 def test_encoder_width_three_is_accepted():
     assert ModelConfig(fusion="concat", channels=6, heads=3).validate().encoder_channels == 3
 

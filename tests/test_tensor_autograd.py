@@ -172,6 +172,16 @@ class TestElementwise:
     def test_relu(self):
         assert np.array_equal(T.relu(Tensor([-1.0, 2.0])).data, [0.0, 2.0])
 
+    def test_relu_signed_zero_and_nan(self):
+        x = Tensor([-0.0, 0.0, np.nan, -np.inf, np.inf, -3.5, 1e-300], requires_grad=True)
+        out = T.relu(x)
+        # -0.0 comes out +0.0; NaN propagates instead of becoming 0
+        assert np.array_equal(out.data, [0.0, 0.0, np.nan, 0.0, np.inf, 0.0, 1e-300],
+                              equal_nan=True)
+        assert not np.signbit(out.data).any()
+        backward(T.tsum(out * Tensor(np.arange(1.0, 8.0))))
+        assert np.array_equal(x.grad, [0.0, 0.0, 0.0, 0.0, 5.0, 0.0, 7.0])
+
     def test_layernorm_constant_vector_gives_shift(self):
         shift = np.array([0.3, -0.7, 1.1])
         out = T.layer_normalize(Tensor([5.0, 5.0, 5.0]), Tensor(np.ones(3)), Tensor(shift))
