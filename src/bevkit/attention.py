@@ -181,7 +181,7 @@ def _scatter_rows(rows: Tensor, idx: np.ndarray, n_out: int) -> Tensor:
     T._add_rows(data, idx, rows.data)
 
     def vjp(g):
-        T._accum(rows, g[idx])
+        T._accum(rows, g[idx], own=True)  # the gather is a fresh array
 
     return T._make(data, "scatter_rows", (rows,), vjp)
 

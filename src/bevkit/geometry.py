@@ -33,6 +33,8 @@ class BEVGridSpec:
         z_min, z_max = self.z_range
         if min(self.h, self.w, self.d) < 1:
             raise ContractError(f"grid dims must be >= 1, got {(self.h, self.w, self.d)}")
+        if not np.all(np.isfinite([*self.extent, *self.z_range])):
+            raise ContractError(f"non-finite extent {self.extent} / z_range {self.z_range}")
         if not (x_max > x_min and y_max > y_min and z_max > z_min):
             raise ContractError(f"degenerate extent {self.extent} / z_range {self.z_range}")
         return self
@@ -80,9 +82,16 @@ class CameraModel:
     image_w: int
 
     def validate(self):
+        if not np.all(np.isfinite([self.fx, self.fy, self.cx, self.cy])):
+            raise ContractError(f"non-finite intrinsics {(self.fx, self.fy, self.cx, self.cy)}")
         if self.fx <= 0 or self.fy <= 0:
             raise ContractError(f"focal lengths must be positive, got {(self.fx, self.fy)}")
-        r = np.asarray(self.world_to_cam)[:3, :3]
+        if self.image_h < 1 or self.image_w < 1:
+            raise ContractError(f"image size must be >= 1, got {(self.image_h, self.image_w)}")
+        w2c = np.asarray(self.world_to_cam, dtype=np.float64)
+        if w2c.shape != (4, 4) or not np.all(np.isfinite(w2c)):
+            raise ContractError(f"world_to_cam must be a finite 4x4 matrix, got {w2c.tolist()}")
+        r = w2c[:3, :3]
         if not np.allclose(r @ r.T, np.eye(3), atol=1e-9) or abs(np.linalg.det(r) - 1.0) > 1e-9:
             raise ContractError("world_to_cam upper-left 3x3 is not a rotation")
         return self

@@ -1,9 +1,13 @@
 """Reverse-mode autodiff over dense float64 numpy buffers.
 
-The graph is a tape rebuilt on every forward pass: each op wires its output
-Tensor to a node holding the parent tensors and a backward closure.
-``backward()`` walks the tape in reverse topological order and accumulates
-gradients additively, so using a tensor twice doubles its gradient.
+Each forward pass records a fresh graph: each op wires its output Tensor to a
+node holding the parent tensors and a backward closure. ``backward()`` walks
+the graph once, in reverse topological order, accumulating gradients
+additively, so using a tensor twice doubles its gradient. The walk consumes
+the graph: as soon as a node's closure has run, the node and its tensor's
+gradient are dropped, so only leaf tensors (Parameters among them) keep a
+``grad``. Backpropagating through a consumed graph again raises
+ContractError.
 
 Everything is float64 and deterministic. Elementwise ops follow numpy
 broadcasting (gradients are summed back over broadcast axes); every other op
@@ -49,6 +53,10 @@ class _Node:
         self.vjp = vjp
 
 
+# the node of every tensor whose graph backward has consumed
+_CONSUMED = _Node("consumed", (), None)
+
+
 class Tensor:
     """Dense float64 array with an optional autodiff graph node.
 
@@ -86,6 +94,7 @@ class Tensor:
         self.grad = None
 
     def backward(self):
+        """Backpropagate from this scalar and consume its graph (see ``backward``)."""
         backward(self)
 
     def __repr__(self):
@@ -196,15 +205,22 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def backward(loss: Tensor):
-    """Populate ``grad`` on every requires_grad tensor reachable from loss.
+    """Populate ``grad`` on every requires_grad leaf reachable from loss, and
+    consume the graph on the way.
 
     Gradients add into any existing ``grad`` buffers (call ``zero_grad``
-    between steps). The loss must hold a single scalar.
+    between steps). The loss must hold a single scalar. Once a node's vjp has
+    run, the node (its closure and everything the closure captured) and its
+    tensor's grad are dropped, so afterwards only leaves keep a ``grad`` and
+    holding ``loss`` or any intermediate pins none of the graph. A second
+    backward through any part of a consumed graph, from the same loss or
+    from a new graph built on one of its intermediates, raises ContractError
+    before any grad changes.
     """
     if loss.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
     # iterative topo sort: creation order is not stored, so DFS from the loss
-    topo: list[Tensor] = []
+    topo: list[Tensor | None] = []
     visited: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
     while stack:
@@ -215,15 +231,23 @@ def backward(loss: Tensor):
         if id(t) in visited:
             continue
         visited.add(id(t))
+        if t.node is _CONSUMED:
+            raise ContractError(f"graph already consumed by backward (reached {t!r})")
         stack.append((t, True))
         if t.node is not None:
             for p in t.node.parents:
                 if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
     _accum(loss, np.ones_like(loss.data))
-    for t in reversed(topo):
-        if t.node is not None and t.grad is not None:
+    for i in range(len(topo) - 1, -1, -1):
+        t = topo[i]
+        topo[i] = None
+        if t.node is None:
+            continue  # a leaf keeps its grad
+        if t.grad is not None:
             t.node.vjp(t.grad)
+        t.node = _CONSUMED
+        t.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +277,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
     def vjp(g):
         _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(-g, b.shape))
+        _accum(b, _unbroadcast(-g, b.shape), own=True)
 
     return _make(data, "sub", (a, b), vjp)
 
@@ -274,7 +298,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def neg(a: Tensor) -> Tensor:
     def vjp(g):
-        _accum(a, -g)
+        _accum(a, -g, own=True)
 
     return _make(-a.data, "neg", (a,), vjp)
 
@@ -316,7 +340,7 @@ def absval(a: Tensor) -> Tensor:
     data = np.abs(a.data)
 
     def vjp(g):
-        _accum(a, g * np.sign(a.data))
+        _accum(a, g * np.sign(a.data), own=True)
 
     return _make(data, "abs", (a,), vjp)
 

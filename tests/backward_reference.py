@@ -15,6 +15,10 @@ cell c being row c*M + m.
   separate CSR products (samples, row slopes, column slopes), each dotted
   with the output grad. It sums in another order, so it checks the corner-dot
   arithmetic to rounding.
+
+retaining_backward is the graph walk as it was before backward consumed the
+graph: the same vjps in the same order, with every node and every grad kept.
+Production backward must give every leaf the same grad bits.
 """
 
 from __future__ import annotations
@@ -167,3 +171,26 @@ def install(monkeypatch, attend=deform_attend_reference):
     monkeypatch.setattr(T, "deform_attend", attend)
     monkeypatch.setattr(T, "take_rows", take_rows_reference)
     monkeypatch.setattr(attention, "_scatter_rows", scatter_rows_reference)
+
+
+def retaining_backward(loss: Tensor):
+    """Reverse topological walk from a scalar loss that keeps the graph: every
+    node stays wired and every tensor keeps its grad."""
+    topo, visited, stack = [], set(), [(loss, False)]
+    while stack:
+        t, processed = stack.pop()
+        if processed:
+            topo.append(t)
+            continue
+        if id(t) in visited:
+            continue
+        visited.add(id(t))
+        stack.append((t, True))
+        if t.node is not None:
+            for p in t.node.parents:
+                if p.requires_grad and id(p) not in visited:
+                    stack.append((p, False))
+    T._accum(loss, np.ones_like(loss.data))
+    for t in reversed(topo):
+        if t.node is not None and t.grad is not None:
+            t.node.vjp(t.grad)

@@ -233,3 +233,21 @@ class TestManifestReader:
         node[path[-1]] = value
         with pytest.raises(DataError):
             SceneDataset(self.copy_with_manifest(tiny_dataset, tmp_path, json.dumps(manifest)))
+
+    @pytest.mark.parametrize("path,value", [
+        (("cameras", 0, "fx"), float("nan")),
+        (("cameras", 0, "fy"), float("inf")),
+        (("cameras", 0, "cx"), float("inf")),
+        (("cameras", 0, "cy"), float("nan")),
+        (("cameras", 0, "world_to_cam", 1, 3), float("inf")),
+        (("cameras", 0, "world_to_cam", 0, 3), float("nan")),
+        (("cameras", 0, "image_h"), 0),
+        (("cameras", 0, "image_w"), -4),
+        (("grid", "extent", 1), float("inf")),
+        (("grid", "z_range", 1), float("inf")),
+    ])
+    def test_non_finite_or_empty_camera_or_grid_is_data_error(self, tiny_dataset, tmp_path,
+                                                              path, value):
+        """json writes and reads NaN and Infinity; the camera and grid
+        validators must turn them, and empty images, away."""
+        self.test_wrongly_typed_field_is_data_error(tiny_dataset, tmp_path, path, value)

@@ -1,7 +1,9 @@
 """The corner-dot deform_attend backward and the run-wise row scatter,
 checked bit for bit against the backward_reference oracles, at op level and
 through a full Detector.loss, and to rounding against the three-product
-backward the corner dots replaced."""
+backward the corner dots replaced. Through a full Detector.loss, the
+graph-consuming backward is also checked bit for bit against a walk that
+keeps the graph."""
 
 import itertools
 
@@ -245,7 +247,7 @@ def compare_detector_loss_grads(scenes, kw, install, same):
                 for prm in det.parameters():
                     prm.tensor.zero_grad()
                 loss = det.loss(sample, mask)
-                backward(loss)
+                T.backward(loss)
                 bits.append(loss.data)
                 bits += [prm.tensor.grad for prm in det.parameters()]
         return bits
@@ -260,12 +262,13 @@ def compare_detector_loss_grads(scenes, kw, install, same):
             same(a, b)
 
 
+def assert_equal_bits(a, b):
+    assert np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("kw", MODEL_CONFIGS, ids=lambda kw: "-".join(map(str, kw.values())))
 def test_detector_loss_grads_match_reference(scenes, kw, monkeypatch):
-    def equal(a, b):
-        assert np.array_equal(a, b)
-
-    compare_detector_loss_grads(scenes, kw, lambda: ref.install(monkeypatch), equal)
+    compare_detector_loss_grads(scenes, kw, lambda: ref.install(monkeypatch), assert_equal_bits)
 
 
 @pytest.mark.parametrize("kw", MODEL_CONFIGS, ids=lambda kw: "-".join(map(str, kw.values())))
@@ -275,6 +278,16 @@ def test_detector_loss_grads_match_jet_reference(scenes, kw, monkeypatch):
     compare_detector_loss_grads(
         scenes, kw, lambda: ref.install(monkeypatch, ref.deform_attend_jet_reference),
         assert_close_to_jet)
+
+
+@pytest.mark.parametrize("kw", MODEL_CONFIGS, ids=lambda kw: "-".join(map(str, kw.values())))
+def test_detector_loss_grads_match_retaining_walk(scenes, kw, monkeypatch):
+    """Consuming the graph changes no grad: every parameter grad of a full
+    Detector.loss, under every sensor mask, equals bit for bit the grad of a
+    walk that keeps every node and grad."""
+    compare_detector_loss_grads(
+        scenes, kw, lambda: monkeypatch.setattr(T, "backward", ref.retaining_backward),
+        assert_equal_bits)
 
 
 @settings(max_examples=200, deadline=None)

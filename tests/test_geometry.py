@@ -1,5 +1,7 @@
 """Reference grid construction and projection tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,15 @@ from bevkit.geometry import (
     project_to_camera,
     project_to_lidar,
 )
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+def translated(t):
+    m = np.eye(4)
+    m[:3, 3] = t
+    return m
 
 
 def identity_camera(image_h=10, image_w=12, fx=5.0, fy=5.0, cx=0.0, cy=0.0):
@@ -51,6 +62,17 @@ class TestReferenceGrid:
             BEVGridSpec(h=0, w=2, d=1).validate()
         with pytest.raises(ContractError):
             BEVGridSpec(extent=(1, -1, 0, 1)).validate()
+
+    @pytest.mark.parametrize("field,value", [
+        ("extent", (-16.0, INF, -16.0, 16.0)),
+        ("extent", (-16.0, 16.0, -INF, 16.0)),
+        ("z_range", (-1.0, INF)),
+    ])
+    def test_non_finite_spec(self, field, value):
+        spec = BEVGridSpec(h=2, w=2, d=1)
+        spec.validate()
+        with pytest.raises(ContractError):
+            dataclasses.replace(spec, **{field: value}).validate()
 
 
 class TestCameraProjection:
@@ -115,6 +137,21 @@ class TestCameraProjection:
         bad[0, 0] = 2.0
         with pytest.raises(ContractError):
             CameraModel(fx=1, fy=1, cx=0, cy=0, world_to_cam=bad, image_h=4, image_w=4).validate()
+
+    @pytest.mark.parametrize("field,value", [
+        ("fx", NAN),
+        ("fy", INF),
+        ("cx", INF),
+        ("cy", NAN),
+        ("world_to_cam", translated([0.0, INF, 0.0])),
+        ("world_to_cam", translated([NAN, 0.0, 0.0])),
+        ("image_h", 0),
+        ("image_w", -1),
+    ])
+    def test_non_finite_or_empty_camera(self, field, value):
+        cam = identity_camera().validate()
+        with pytest.raises(ContractError):
+            dataclasses.replace(cam, **{field: value}).validate()
 
 
 class TestLidarProjection:

@@ -1,0 +1,139 @@
+"""backward consumes the graph it walks: once a node's vjp has run, the node,
+its closure and its tensor's grad are released, leaves keep their grads, and
+a second walk through any part of a consumed graph raises ContractError."""
+
+import gc
+import tracemalloc
+import weakref
+
+import numpy as np
+import pytest
+
+import bevkit.tensor as T
+from bevkit.dataset import generate_dataset
+from bevkit.errors import ContractError
+from bevkit.fusion import ModalityMask
+from bevkit.geometry import BEVGridSpec
+from bevkit.model import Detector, ModelConfig
+from bevkit.synthscene import SceneParams
+from bevkit.tensor import Tensor, backward
+
+BOTH = ModalityMask(True, True)
+
+
+@pytest.fixture(scope="module")
+def setup(tmp_path_factory):
+    spec = BEVGridSpec(h=8, w=8, d=2)
+    ds = generate_dataset(tmp_path_factory.mktemp("tape"), 1, 3, SceneParams(), spec,
+                          lidar_shape=(8, 8), image_h=12, image_w=16, fx=6.0)
+    cfg = ModelConfig(channels=8, heads=2, points=2, enc_layers=2, dec_layers=1,
+                      cam_hidden=(4, 4), lidar_hidden=(4, 4))
+    det = Detector(cfg, spec, np.random.default_rng(5))
+    return det, ds.load(0)
+
+
+def fresh_loss(setup):
+    det, sample = setup
+    for prm in det.parameters():
+        prm.tensor.zero_grad()
+    return det.loss(sample, BOTH)
+
+
+def graph(loss, constants=False):
+    """Every tensor reachable from loss that requires grad, and with
+    constants=True every constant too."""
+    seen, stack, out = {id(loss)}, [loss], []
+    while stack:
+        t = stack.pop()
+        out.append(t)
+        for p in t.node.parents if t.node is not None else ():
+            if (constants or p.requires_grad) and id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return out
+
+
+def deform_attend_refs(loss):
+    """Weak references to the arrays each deform_attend closure captured for
+    its own use: the scaled corner matrix and the gathered attention."""
+    refs = []
+    for t in graph(loss):
+        if t.node is not None and t.node.op == "deform_attend":
+            vjp = t.node.vjp
+            cells = dict(zip(vjp.__code__.co_freevars, vjp.__closure__))
+            refs += [weakref.ref(cells[name].cell_contents) for name in ("s_attn", "attnp")]
+    return refs
+
+
+def test_closures_die_while_loss_is_held(setup):
+    loss = fresh_loss(setup)
+    refs = deform_attend_refs(loss)
+    assert refs and all(r() is not None for r in refs)
+    gc.disable()  # reference counting alone must release them
+    try:
+        backward(loss)
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+    assert loss.node is T._CONSUMED and np.isfinite(loss.item())
+
+
+def test_only_leaves_keep_grads(setup):
+    loss = fresh_loss(setup)
+    tensors = graph(loss)
+    inner = [t for t in tensors if t.node is not None]
+    leaves = [t for t in tensors if t.node is None]
+    assert inner and leaves
+    backward(loss)
+    assert all(t.grad is None and t.node is T._CONSUMED for t in inner)
+    assert all(t.grad is not None and t.node is None for t in leaves)
+
+
+def test_backward_peak_is_a_fraction_of_the_tape(setup):
+    """Without release, every intermediate grad is live at the end of the
+    walk and the peak rise exceeds the tape's own bytes."""
+    tracemalloc.start()
+    try:
+        loss = fresh_loss(setup)
+        tape = sum(t.data.nbytes for t in graph(loss, constants=True))
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < tape / 2
+
+
+def test_second_backward_raises_before_any_grad_changes(setup):
+    det, _ = setup
+    loss = fresh_loss(setup)
+    backward(loss)
+    grads = [prm.tensor.grad.copy() for prm in det.parameters()]
+    with pytest.raises(ContractError, match="consumed"):
+        backward(loss)
+    with pytest.raises(ContractError, match="consumed"):
+        loss.backward()
+    for prm, g in zip(det.parameters(), grads):
+        assert np.array_equal(prm.tensor.grad, g)
+
+
+def test_graph_through_a_consumed_intermediate_raises():
+    x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    y = T.mul(x, x)
+    backward(T.tsum(y))
+    assert np.array_equal(x.grad, 2.0 * x.data)
+    fresh = Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(ContractError, match="consumed"):
+        backward(T.tsum(T.mul(y, fresh)))
+    assert fresh.grad is None and np.array_equal(x.grad, 2.0 * x.data)
+    # a detached copy starts a graph of its own
+    backward(T.tsum(T.mul(y.detach(), fresh)))
+    assert np.array_equal(fresh.grad, y.data)
+
+
+def test_leaf_loss_keeps_its_grad():
+    loss = Tensor(np.array(2.0), requires_grad=True)
+    backward(loss)
+    backward(loss)
+    assert loss.grad == 2.0 and loss.node is None

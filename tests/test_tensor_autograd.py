@@ -470,6 +470,39 @@ def test_constant_never_accumulates():
     assert c.grad is None and np.array_equal(x.grad, [1.0, 2.0])
 
 
+def _scatter_rows_op(a):
+    from bevkit.attention import _scatter_rows
+
+    return _scatter_rows(a, np.array([2, 0, 2, 1]), 3), lambda g: g[[2, 0, 2, 1]]
+
+
+# op on a [4,3] parent -> (output, the parent's expected grad for output grad g)
+OWNING_VJPS = {
+    "scatter_rows": _scatter_rows_op,
+    "neg": lambda a: (T.neg(a), lambda g: -g),
+    "sub_second": lambda a: (T.sub(Tensor(np.ones((4, 3))), a), lambda g: -g),
+    "sub_second_broadcast": lambda a: (T.sub(Tensor(np.ones((2, 4, 3))), a),
+                                       lambda g: -g.sum(axis=0)),
+    "abs": lambda a: (T.absval(a), lambda g: g * np.sign(a.data)),
+}
+
+
+@pytest.mark.parametrize("name", OWNING_VJPS)
+def test_owned_vjp_grad_shares_no_memory_with_output_grad(name):
+    """The vjps that hand _accum a fresh array give the parent a grad of its
+    own, equal to the expected bits, however the output grad is reused."""
+    rng = np.random.default_rng(11)
+    a = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    out, expected = OWNING_VJPS[name](a)
+    g = rng.standard_normal(out.shape)
+    out.node.vjp(g)
+    assert np.array_equal(a.grad, expected(g))
+    assert not np.shares_memory(a.grad, g)
+    want = a.grad.copy()
+    g[:] = 0.0
+    assert np.array_equal(a.grad, want)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_deform_attend_no_grad_matches_grad_mode(seed):
     rng = np.random.default_rng(seed + 700)
