@@ -165,6 +165,7 @@ def deform_attn_multi(queries: Tensor, sources: Sequence, params: DeformAttnPara
         value_w = T.concat_lastaxis([w.tensor for w in params.value_w])  # [Vd, M*N/M]
         cells = T.reshape(T.stack_first(maps), (len(maps) * hf * wf, vd))
         values = T.reshape(T.matmul(cells, value_w), (len(maps), hf, wf, width))
+        del cells  # unless the tape holds it, freed before sampling
         attended = T.deform_attend(values, np.concatenate(pair_map), np.concatenate(pair_ref),
                                    off, attn, qry_idx)
         if np.any(mults != 1.0):

@@ -392,7 +392,8 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     if bias.shape != (weight.shape[1],):
         raise ShapeError(f"linear: bias {bias.shape} incompatible with weight {weight.shape}")
     x2 = x.data.reshape(-1, i_in)
-    out2 = x2 @ weight.data + bias.data
+    out2 = x2 @ weight.data
+    out2 += bias.data  # in place: no second [rows, O] array
     data = out2.reshape(*x.shape[:-1], weight.shape[1])
 
     def vjp(g):
@@ -482,9 +483,9 @@ def softmax_lastaxis(x: Tensor) -> Tensor:
     """Numerically stabilized softmax along the last axis."""
     if not np.all(np.isfinite(x.data)):
         raise NumericError("softmax_lastaxis: non-finite input")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=-1, keepdims=True)
+    data = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(data, out=data)
+    data /= data.sum(axis=-1, keepdims=True)
 
     def vjp(g):
         dot = (g * data).sum(axis=-1, keepdims=True)
@@ -516,11 +517,12 @@ def layer_normalize(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -
             f"layer_normalize: gain {gain.shape} / shift {shift.shape} must be ({c},)"
         )
     mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xhat = x.data - mu  # centred here, scaled in place below
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    data = xhat * gain.data + shift.data
+    xhat *= inv
+    data = xhat * gain.data
+    data += shift.data
 
     def vjp(g):
         lead = tuple(range(g.ndim - 1))
@@ -545,90 +547,127 @@ def layer_normalize(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -
 # sampling and convolution
 
 
-# (pair, head) rows per corner gather in deform_attend's backward: 1024 rows
-# of K=4 points x 4 corners x 16 channels is a 2 MiB gather
-_BWD_BLOCK = 1024
+# sample points per block of deform_attend: forward builds its corner tables
+# (and, with no backward to follow, takes their product), and backward gathers
+# its corner rows and forms its point grads, one block at a time, so no
+# per-point temporary is longer than a block. 4096 points of K=4 are 1024
+# (pair, head) rows, whose corner gather at 16 channels is 2 MiB; 8192 built
+# the camera tables 6-8% faster, but gathered 4-14% slower and raised train
+# peak RSS by 3 MB
+_BLOCK = 4096
 
 
-def _neighbours(x: np.ndarray, n: int):
+def _neighbours(x: np.ndarray, n: int, keep):
     """The lower and upper grid neighbours of coordinates x along an axis of
-    length n, each as (clipped index, in-range mask, bilinear factor). The
-    upper factor is the fraction x - floor(x)."""
-    x0f = np.floor(x)
-    f = x - x0f
-    x0 = x0f.astype(np.intp)
-    x1 = x0 + 1
-    return ((np.clip(x0, 0, n - 1), (x0 >= 0) & (x0 < n), 1.0 - f),
-            (np.clip(x1, 0, n - 1), (x1 >= 0) & (x1 < n), f))
+    length n: their indices clipped into [0, n), as floats, and their
+    bilinear factors 1 - f and f (f = x - floor(x)), each zeroed where its
+    neighbour is outside the axis. keep is None or the (lower in-range mask,
+    upper in-range mask, f) arrays, shaped like x, to write into.
+
+    The indices are clipped in float with fmax/fmin, which pass over NaN, so
+    a cast of them never sees a value outside [0, n), whatever x holds.
+    """
+    in0, in1, f = keep if keep is not None else (None, None, None)
+    x0 = np.floor(x)
+    f = np.subtract(x, x0, out=f)
+    lo = np.fmax(x0, 0.0)
+    np.fmin(lo, n - 1.0, out=lo)
+    in0 = np.equal(lo, x0, out=in0)
+    x0 += 1.0
+    hi = np.fmax(x0, 0.0)
+    np.fmin(hi, n - 1.0, out=hi)
+    in1 = np.equal(hi, x0, out=in1)
+    w0 = np.subtract(1.0, f)
+    w0 *= in0
+    return lo, hi, w0, f * in1
 
 
 class _BilinearPlan:
-    """Bilinear corner tables for a fixed set of sample points.
+    """Bilinear corner tables of R rows of K sample points, built block by
+    block straight into the arrays a CSR matrix keeps.
 
-    Forward builds only what sampling needs: the four corner cells of each
-    point and their bilinear weights (zero where a corner falls outside its
-    map), flat in point order and, per point, in corner order (0,0), (0,1),
-    (1,0), (1,1). A CSR matrix over them samples with one sparse-dense
-    matmul, which is an order of magnitude faster than fancy-index gathers
-    plus scatters at the sizes the encoders use. ``indices`` are built as
-    int32, the index type scipy computes with, so a CSR matrix over them
-    shares them instead of copying them on construction.
+    Point (r, k) lies at (rows[r, k], cols[r, k]) of an H x W map; its corner
+    at (row, col) is row ``row_base[r] + (row*W + col) * stride`` of the flat
+    value table, so a table that interleaves ``stride`` rows per cell (one
+    per head) is addressed by per-row ``row_base`` offsets. Forward builds,
+    per point and in corner order (0,0), (0,1), (1,0), (1,1), the corner's
+    table row (``indices``, int32, the index type scipy computes with, so a
+    CSR matrix over them shares them instead of copying) and its bilinear
+    weight times the point's attention weight (``data``); a corner outside
+    the map gets weight zero. Each block of ``_BLOCK`` points computes per
+    axis one floor, the fraction, the clipped neighbours and their masked
+    factors, and writes each corner's column of both tables with ``out=``.
 
-    With ``grads`` set, the plan keeps for backward, per axis, the fractions
-    and the in-range masks of the lower and upper neighbour, and
-    ``point_grads`` turns the four corner dots of each point (see
-    ``deform_attend``) into the grads of its sample in its weight, row and
-    column.
-
-    A corner at (row, col) of an H x W map is row ``base + (row*W + col) *
-    stride`` of the flat value table, so a table that interleaves ``stride``
-    rows per cell (one per head) is addressed by per-point ``base`` offsets.
+    With ``grads`` set (a recorded call that needs attention or offset
+    grads), forward also keeps for backward the unscaled corner weights
+    [R,K,4] and, per axis, the lower and upper in-range masks and the
+    fraction [R,K]; ``point_grads`` turns a block's corner dots (see
+    ``deform_attend``) into its points' grads. Without it, only ``indices``
+    and ``data`` are built.
     """
 
-    __slots__ = ("indices", "weights", "n_rows", "rows", "cols")
+    __slots__ = ("indices", "data", "weights", "rows", "cols")
 
-    def __init__(self, shape_hw, base, pts: np.ndarray, n_rows: int, stride: int,
-                 grads: bool):
+    def __init__(self, shape_hw, row_base: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                 attn: np.ndarray, n_rows: int, stride: int, grads: bool):
         h, w = shape_hw
-        p = pts.shape[0]
-        # int32 unless a row index or the 4P row pointers would overflow it
-        dtype = np.int32 if max(4 * p, n_rows) <= np.iinfo(np.int32).max else np.intp
-        rows, cols = _neighbours(pts[:, 0], h), _neighbours(pts[:, 1], w)
-        idx = np.empty((p, 4), dtype=dtype)
-        wgt = np.empty((p, 4))
-        for k, ((ri, rin, wr), (ci, cin, wc)) in enumerate(itertools.product(rows, cols)):
-            idx[:, k] = base + (ri * w + ci) * stride
-            wgt[:, k] = wr * wc * (rin & cin)
+        r, k = rows.shape
+        # int32 unless a row index or the 4RK row pointers would overflow it
+        dtype = np.int32 if max(4 * r * k, n_rows) <= np.iinfo(np.int32).max else np.intp
+        idx = np.empty((r, k, 4), dtype=dtype)
+        data = np.empty((r, k, 4))
+        base = row_base.astype(dtype)[:, None]
+        # for backward only: holding tables through a forward that no backward
+        # follows raised peak RSS by 2.3 MB (3%) in no_grad evaluation
+        self.weights = np.empty((r, k, 4)) if grads else None
+        self.rows, self.cols = [(np.empty((r, k), bool), np.empty((r, k), bool), np.empty((r, k)))
+                                for _ in range(2)] if grads else (None, None)
+        step = max(1, _BLOCK // k)
+        for lo in range(0, r, step):
+            s = slice(lo, lo + step)
+            keep_r = [a[s] for a in self.rows] if grads else None
+            keep_c = [a[s] for a in self.cols] if grads else None
+            r0, r1, wr0, wr1 = _neighbours(rows[s], h, keep_r)
+            c0, c1, wc0, wc1 = _neighbours(cols[s], w, keep_c)
+            # table row = (base + row * W*stride) + col * stride, in integers
+            row_part = [ri.astype(dtype) * (w * stride) + base[s] for ri in (r0, r1)]
+            col_part = [ci.astype(dtype) * stride for ci in (c0, c1)]
+            corners = itertools.product(zip(row_part, (wr0, wr1)), zip(col_part, (wc0, wc1)))
+            for corner, ((ri, wr), (ci, wc)) in enumerate(corners):
+                np.add(ri, ci, out=idx[s, :, corner])
+                # (wr*rin)*(wc*cin) is wr*wc*(rin&cin) bit for bit: the masks
+                # are 0/1 and the factors non-negative
+                wgt = np.multiply(wr, wc, out=self.weights[s, :, corner] if grads else None)
+                np.multiply(wgt, attn[s], out=data[s, :, corner])
         self.indices = idx.reshape(-1)
-        self.weights = wgt.reshape(-1)
-        self.n_rows = n_rows
-        # for backward, per axis: the lower and upper in-range masks and the
-        # fraction. Holding them through the rest of a forward that no backward
-        # follows raised peak RSS by 2.3 MB (3%) in no_grad evaluation.
-        self.rows = (rows[0][1], rows[1][1], rows[1][2]) if grads else None
-        self.cols = (cols[0][1], cols[1][1], cols[1][2]) if grads else None
+        self.data = data.reshape(-1)
 
-    def point_grads(self, h: np.ndarray):
-        """Grads of each point's sample in its attention weight, row and
-        column, as [P, 3].
+    def point_grads(self, s: slice, h: np.ndarray, attn: np.ndarray, d_attn, d_off):
+        """Grads of the points of rows s: into d_attn [R,K] (if not None) the
+        grad of each point's sample in its attention weight, and into d_off
+        [R,K,2] (if not None) the grads in its row and column times its
+        attention weight attn [R,K].
 
-        h [P, 4] holds, per point and corner, the corner's row of the value
-        table dotted with the output grad. Corners outside the map read
-        as zero, so their dots are zeroed first. The weight grad sums w*h over
-        the corners in corner order; the row grad is (1-fc)(h10-h00) +
-        fc(h11-h01) and the column grad (1-fr)(h01-h00) + fr(h11-h10).
+        h [rows, K, 4] holds, per point and corner, the corner's row of the
+        value table dotted with the output grad. Corners outside the map
+        read as zero, so their dots are zeroed first. The weight grad sums
+        w*h over the corners in corner order; the row grad is
+        (1-fc)(h10-h00) + fc(h11-h01) and the column grad
+        (1-fr)(h01-h00) + fr(h11-h10).
         """
-        rin0, rin1, fr = self.rows
-        cin0, cin1, fc = self.cols
-        h00 = h[:, 0] * (rin0 & cin0)
-        h01 = h[:, 1] * (rin0 & cin1)
-        h10 = h[:, 2] * (rin1 & cin0)
-        h11 = h[:, 3] * (rin1 & cin1)
-        w = self.weights.reshape(-1, 4)
-        d_attn = w[:, 0] * h00 + w[:, 1] * h01 + w[:, 2] * h10 + w[:, 3] * h11
-        d_row = (1.0 - fc) * (h10 - h00) + fc * (h11 - h01)
-        d_col = (1.0 - fr) * (h01 - h00) + fr * (h11 - h10)
-        return np.stack([d_attn, d_row, d_col], axis=-1)
+        rin0, rin1, fr = (a[s] for a in self.rows)
+        cin0, cin1, fc = (a[s] for a in self.cols)
+        h00 = h[..., 0] * (rin0 & cin0)
+        h01 = h[..., 1] * (rin0 & cin1)
+        h10 = h[..., 2] * (rin1 & cin0)
+        h11 = h[..., 3] * (rin1 & cin1)
+        if d_attn is not None:
+            w = self.weights[s]
+            d_attn[s] = w[..., 0] * h00 + w[..., 1] * h01 + w[..., 2] * h10 + w[..., 3] * h11
+        if d_off is not None:
+            a = attn[s]
+            np.multiply((1.0 - fc) * (h10 - h00) + fc * (h11 - h01), a, out=d_off[s, :, 0])
+            np.multiply((1.0 - fr) * (h01 - h00) + fr * (h11 - h10), a, out=d_off[s, :, 1])
 
 
 def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
@@ -646,16 +685,24 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
     Corners outside a map read as zero, so a sample decays linearly to zero
     within one cell of the border and is zero beyond.
 
-    Forward builds the bilinear plan and the [P*M, B*H*W*M] matrix of
-    attention-scaled corner weights, and nothing else. Backward reuses that
-    matrix for the value grad. For the attention and offset grads it
-    gathers, per (pair, head) row, the 4K corner rows of the value table
-    and dots each with that row's output grad g, as Deformable DETR's
-    MSDeformAttn backward does; ``_BilinearPlan.point_grads`` turns the four
-    dots of each point into its three grads. The gather runs over blocks of
-    ``_BWD_BLOCK`` rows, which bounds its memory and changes no bits, since
-    each dot reads one row's corners and grad only. Both grads are then
-    summed over the pairs of a query in pair order (see ``_add_rows``).
+    Forward gathers the sample rows and columns as two [P, M*K] arrays and
+    builds the [P*M, B*H*W*M] CSR matrix of attention-scaled corner weights
+    block by block (see ``_BilinearPlan``); when only feats needs a grad,
+    that matrix is all it keeps. When no backward can follow (under
+    ``no_grad``, or when no input needs a grad), nothing needs to outlive
+    the call: forward builds the matrix rows of the pairs of one block of
+    at most ``_BLOCK`` points at a time and multiplies them out before
+    building the next, which changes no bits, since each output row reads
+    only its own row of the matrix.
+    Backward reuses the matrix for the value grad. For the attention and
+    offset grads it gathers, per (pair, head) row, the 4K corner rows of the
+    value table and dots each with that row's output grad g, as Deformable
+    DETR's MSDeformAttn backward does, and ``_BilinearPlan.point_grads``
+    turns each block's dots into its points' grads. Backward runs over
+    blocks of ``_BLOCK`` points, which bounds its memory and changes no
+    bits, since each dot reads one row's corners and grad only. Both grads
+    are then summed over the pairs of a query in pair order (see
+    ``_add_rows``).
 
     offsets must be [T,M,K,2] and attn [T,M,K]; map_idx, base_pts [P,2] and
     qry_idx must agree on P, with map_idx in [0,B) and qry_idx in [0,T).
@@ -685,21 +732,42 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
         def vjp_empty(g):
             pass
         return _make(np.zeros((0, m, hd)), "deform_attend", (feats, offsets, attn), vjp_empty)
-    offp = offsets.data[qry_idx]  # [P,M,K,2]
-    attnp = attn.data[qry_idx]  # [P,M,K]
-    pts = (base_pts[:, None, None, :] + offp).reshape(p * m * k, 2)
-    # row of corner (0,0) of map map_idx in head m's block, per point [P,M,K]
-    row_base = map_idx[:, None, None] * (h * w * m) + np.arange(m)[None, :, None]
-    grads = _grad_enabled.get() and (offsets.requires_grad or attn.requires_grad)
-    plan = _BilinearPlan((h, w), np.broadcast_to(row_base, (p, m, k)).reshape(-1), pts,
-                         b * h * w * m, stride=m, grads=grads)
-    flat = feats.data.reshape(b * h * w * m, hd)
-
     from scipy import sparse
 
-    data_attn = (plan.weights.reshape(p * m * k, 4) * attnp.reshape(p * m * k, 1)).reshape(-1)
-    indptr_pm = np.arange(0, 4 * k * (p * m) + 1, 4 * k, dtype=plan.indices.dtype)
-    s_attn = sparse.csr_matrix((data_attn, plan.indices, indptr_pm), shape=(p * m, b * h * w * m))
+    flat = feats.data.reshape(b * h * w * m, hd)
+    # per axis the offsets [T, M*K], contiguous, and the attention weights
+    offs = [np.ascontiguousarray(offsets.data[..., axis]).reshape(t, m * k) for axis in (0, 1)]
+    attn_tk = attn.data.reshape(t, m * k)
+
+    def attention_matrix(ps, grads):
+        """The [rows, B*H*W*M] CSR matrix of the attention-scaled corner
+        weights of pairs ps, its plan and its attention weights [rows, K]."""
+        q = qry_idx[ps]
+        rows = q.size * m
+        # sample rows and columns [pairs, M*K]: offset plus base point, as (rows, K)
+        coords = []
+        for axis, o in enumerate(offs):
+            x = o[q]
+            x += base_pts[ps, axis, None]
+            coords.append(x.reshape(rows, k))
+        attnp = attn_tk[q].reshape(rows, k)
+        # row of corner (0,0) of map map_idx in head m's block, per (pair, head)
+        row_base = (map_idx[ps, None] * (h * w * m) + np.arange(m)).reshape(-1)
+        plan = _BilinearPlan((h, w), row_base, *coords, attnp, b * h * w * m, m, grads)
+        indptr = np.arange(0, 4 * k * rows + 1, 4 * k, dtype=plan.indices.dtype)
+        s_attn = sparse.csr_matrix((plan.data, plan.indices, indptr), shape=(rows, flat.shape[0]))
+        return s_attn, plan, attnp
+
+    if not (_grad_enabled.get()
+            and (feats.requires_grad or offsets.requires_grad or attn.requires_grad)):
+        # no backward follows, so no table needs to outlive its block's product
+        out = np.empty((p * m, hd))
+        step = max(1, _BLOCK // (m * k))
+        for lo in range(0, p, step):
+            out[lo * m:(lo + step) * m] = attention_matrix(slice(lo, lo + step), False)[0] @ flat
+        return Tensor(out.reshape(p, m, hd))
+    grads = offsets.requires_grad or attn.requires_grad
+    s_attn, plan, attnp = attention_matrix(slice(None), grads)
     out = (s_attn @ flat).reshape(p, m, hd)
 
     def vjp(g):
@@ -708,19 +776,19 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
             _accum(feats, (s_attn.T @ g2).reshape(feats.shape), own=True)
         if not grads:
             return
-        dots = np.empty((p * m, 4 * k))
-        for lo in range(0, p * m, _BWD_BLOCK):
-            hi = min(lo + _BWD_BLOCK, p * m)
+        d_attn = np.empty((p * m, k)) if attn.requires_grad else None
+        d_off = np.empty((p * m, k, 2)) if offsets.requires_grad else None
+        step = max(1, _BLOCK // k)
+        for lo in range(0, p * m, step):
+            hi = min(lo + step, p * m)
             # np.take, not fancy indexing: half the time on a camera call
             corners = np.take(flat, plan.indices[4 * k * lo:4 * k * hi], axis=0)
-            np.einsum("rjc,rc->rj", corners.reshape(hi - lo, 4 * k, hd), g2[lo:hi],
-                      out=dots[lo:hi])
-        # d/d(attn), and d/d(row), d/d(col) before the attention weight
-        d = plan.point_grads(dots.reshape(-1, 4)).reshape(p, m, k, 3)
-        if attn.requires_grad:
-            _add_rows(_grad_buffer(attn), qry_idx, d[..., 0])
-        if offsets.requires_grad:
-            _add_rows(_grad_buffer(offsets), qry_idx, d[..., 1:] * attnp[..., None])
+            dots = np.einsum("rjc,rc->rj", corners.reshape(hi - lo, 4 * k, hd), g2[lo:hi])
+            plan.point_grads(slice(lo, hi), dots.reshape(hi - lo, k, 4), attnp, d_attn, d_off)
+        if d_attn is not None:
+            _add_rows(_grad_buffer(attn), qry_idx, d_attn.reshape(p, m, k))
+        if d_off is not None:
+            _add_rows(_grad_buffer(offsets), qry_idx, d_off.reshape(p, m, k, 2))
 
     return _make(out, "deform_attend", (feats, offsets, attn), vjp)
 

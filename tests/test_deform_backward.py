@@ -3,9 +3,13 @@ checked bit for bit against the backward_reference oracles, at op level and
 through a full Detector.loss, and to rounding against the three-product
 backward the corner dots replaced. Through a full Detector.loss, the
 graph-consuming backward is also checked bit for bit against a walk that
-keeps the graph."""
+keeps the graph. The corner tables forward builds block by block are checked
+against the reference's whole-call tables, at every block size and at offsets
+far outside any index range."""
 
 import itertools
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -113,20 +117,25 @@ def test_plan_index_arrays_are_int32_and_shared(monkeypatch):
         assert np.shares_memory(m.indices, indices) and m.indptr is indptr
 
 
-@pytest.mark.parametrize("requires", REQUIRES)
-@pytest.mark.parametrize("record", [True, False])
-def test_plan_keeps_backward_tables_only_for_offset_or_attention_grads(requires, record,
-                                                                       monkeypatch):
-    plans = []
+@pytest.fixture
+def plans(monkeypatch):
+    """Every _BilinearPlan that deform_attend builds during the test."""
+    built = []
 
     class Spy(T._BilinearPlan):
         __slots__ = ()
 
         def __init__(self, *args, **kw):
             super().__init__(*args, **kw)
-            plans.append(self)
+            built.append(self)
 
     monkeypatch.setattr(T, "_BilinearPlan", Spy)
+    return built
+
+
+@pytest.mark.parametrize("requires", REQUIRES)
+@pytest.mark.parametrize("record", [True, False])
+def test_plan_keeps_backward_tables_only_for_offset_or_attention_grads(requires, record, plans):
     feats, map_idx, base, offsets, attn, qry_idx = attend_case(np.random.default_rng(40),
                                                                 "sources")
     leaves = [Tensor(a, requires_grad=r) for a, r in zip((feats, offsets, attn), requires)]
@@ -138,17 +147,30 @@ def test_plan_keeps_backward_tables_only_for_offset_or_attention_grads(requires,
     plan, = plans
     kept = record and (requires[1] or requires[2])
     assert (plan.rows is not None, plan.cols is not None) == (kept, kept)
+    # nor the unscaled corner weights: under no_grad only indices and data exist
+    assert (plan.weights is not None) == kept
+    assert plan.indices.size == plan.data.size == 4 * qry_idx.size * np.prod(offsets.shape[1:3])
+
+
+BLOCKS = [1, 3, 7, "over"]
+
+
+def set_block(monkeypatch, arrays, block):
+    """Set deform_attend's block, in points; "over" is one block over the call."""
+    if block == "over":
+        _, _, _, offsets, _, qry_idx = arrays
+        block = qry_idx.size * offsets.shape[1] * offsets.shape[2] + 1  # P*M*K + 1
+    monkeypatch.setattr(T, "_BLOCK", block)
 
 
 @pytest.mark.parametrize("case", ["sources", "border", "unordered", "empty"])
-@pytest.mark.parametrize("block", [1, 3, "over"])
+@pytest.mark.parametrize("block", BLOCKS)
 def test_backward_blocks_change_no_bits(case, block, monkeypatch):
-    """One (pair, head) row per block, three (so the last block is partial),
-    or one block over the whole call: the same bits as the unblocked reference."""
+    """Blocks of 1 and 3 points (one (pair, head) row of K=3), 7 points (two
+    rows, so the last block is partial), or one block over the whole call: the
+    same bits as the unblocked reference."""
     arrays = attend_case(np.random.default_rng(40), case)
-    if block == "over":
-        block = arrays[5].size * arrays[3].shape[1] + 1  # P*M + 1
-    monkeypatch.setattr(T, "_BWD_BLOCK", block)
+    set_block(monkeypatch, arrays, block)
     out, grads = attend_grads(T.deform_attend, arrays, (True, True, True))
     want_out, want = attend_grads(ref.deform_attend_reference, arrays, (True, True, True))
     assert np.array_equal(out, want_out)
@@ -156,6 +178,109 @@ def test_backward_blocks_change_no_bits(case, block, monkeypatch):
         assert (a is None) == (b is None)
         if a is not None:
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("case", ["sources", "border", "unordered"])
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("record", [True, False])
+def test_forward_blocks_change_no_bits(case, block, record, plans, monkeypatch):
+    """Forward builds its tables block by block: at every block size the
+    output equals the reference's bit for bit, and the plan's tables equal
+    the reference's whole-call corner tables (indices, attention-scaled
+    weights and, when kept for backward, the weights, masks and fractions).
+    Under no_grad each block of pairs gets its own plan, taken in order."""
+    arrays = attend_case(np.random.default_rng(40), case)
+    set_block(monkeypatch, arrays, block)
+    feats, map_idx, base, offsets, attn, qry_idx = arrays
+    leaves = [Tensor(a, requires_grad=True) for a in (feats, offsets, attn)]
+    if record:
+        out = T.deform_attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx)
+    else:
+        with T.no_grad():
+            out = T.deform_attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx)
+    want, _ = attend_grads(ref.deform_attend_reference, arrays, (False, False, False))
+    assert np.array_equal(out.data, want)
+
+    b, h, w, ch = feats.shape
+    _, m, k, _ = offsets.shape
+    p = qry_idx.size
+    if record:
+        plan, = plans
+    else:
+        step = max(1, T._BLOCK // (m * k))  # pairs per block
+        assert len(plans) == -(-p // step)
+        assert all(x.indices.size <= 4 * max(T._BLOCK, m * k) for x in plans)
+        plan = types.SimpleNamespace(indices=np.concatenate([x.indices for x in plans]),
+                                     data=np.concatenate([x.data for x in plans]))
+    pts = (base[:, None, None, :] + offsets[qry_idx]).reshape(p * m * k, 2)
+    head_base = (map_idx[:, None] * (h * w * m) + np.arange(m)).repeat(k, axis=1).reshape(-1)
+    idx, inside, wgt, _, _, fr, fc = ref.corner_tables((h, w), head_base, pts, m)
+    assert plan.indices.dtype == np.int32 and np.array_equal(plan.indices, idx.reshape(-1))
+    assert np.array_equal(plan.data, (wgt * attn[qry_idx].reshape(-1, 1)).reshape(-1))
+    if record:
+        assert np.array_equal(plan.weights.reshape(-1, 4), wgt)
+        (rin0, rin1, plan_fr), (cin0, cin1, plan_fc) = plan.rows, plan.cols
+        assert np.array_equal(plan_fr.reshape(-1), fr) and np.array_equal(plan_fc.reshape(-1), fc)
+        masks = [rin0 & cin0, rin0 & cin1, rin1 & cin0, rin1 & cin1]
+        assert np.array_equal(np.stack([x.reshape(-1) for x in masks], axis=-1), inside)
+
+
+EXTREME = [1e12, -1e12, 2.0**31 + 0.5, -(2.0**31 + 0.5), 2.0**32 + 1.25, -(2.0**32 + 1.25)]
+
+
+def extreme_case():
+    """Head 0 samples at offsets far beyond any int32 or uint32 range, every
+    combination of them once; head 1 samples at the base points, which lie
+    exactly on every border and corner of a 5 x 4 map, one cell beyond, and
+    in between."""
+    rng = np.random.default_rng(43)
+    b, h, w, ch, t, m, k = 3, 5, 4, 6, 12, 2, 3
+    feats = rng.standard_normal((b, h, w, ch))
+    attn = rng.dirichlet(np.ones(k), (t, m))
+    offsets = np.zeros((t, m, k, 2))
+    offsets[:, 0] = np.array(list(itertools.product(EXTREME, EXTREME))).reshape(t, k, 2)
+    borders = [-1.0, 0.0, 0.5, 3.0, 3.5, 4.0, 5.0]  # rows of 5, and 3.0 and 4.0 cols of 4
+    base = np.array(list(itertools.product(borders, borders)))
+    qry_idx = np.arange(base.shape[0]) % t
+    map_idx = np.arange(base.shape[0]) % b
+    return feats, map_idx, base, offsets, attn, qry_idx
+
+
+@pytest.mark.parametrize("block", [1, "over"])
+def test_extreme_offsets_cast_nothing_out_of_range(block, monkeypatch):
+    """Outputs and all three grads equal the reference's for offsets of
+    +-1e12, +-(2**31 + 0.5) and +-(2**32 + 1.25) and points on every border,
+    with every warning an error: no float outside an index range reaches a
+    cast to int32 or intp."""
+    arrays = extreme_case()
+    set_block(monkeypatch, arrays, block)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, grads = attend_grads(T.deform_attend, arrays, (True, True, True))
+        want_out, want = attend_grads(ref.deform_attend_reference, arrays, (True, True, True))
+    assert np.all(np.isfinite(out)) and np.any(out != 0.0)
+    assert np.array_equal(out, want_out)
+    for a, b in zip(grads, want):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_offsets_keep_indices_in_range(bad, plans):
+    """A non-finite offset makes its samples non-finite, but every corner index
+    still lies inside the value table. A NaN warns nowhere, as no cast sees
+    it; an infinity's fraction is inf - inf, which numpy warns about."""
+    feats, map_idx, base, offsets, attn, qry_idx = attend_case(np.random.default_rng(44),
+                                                                "sources")
+    offsets = offsets.copy()
+    offsets[0, 0, 0, 0] = offsets[1, 1, 2, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error" if np.isnan(bad) else "ignore")
+        out = T.deform_attend(Tensor(feats), map_idx, base, Tensor(offsets), Tensor(attn),
+                              qry_idx)
+    plan, = plans
+    n_rows = feats.size // feats.shape[-1] * offsets.shape[1]
+    assert plan.indices.min() >= 0 and plan.indices.max() < n_rows
+    assert not np.all(np.isfinite(out.data))
 
 
 JET_RTOL = 1e-12  # of each grad's max-abs; only the summation order differs

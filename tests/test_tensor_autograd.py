@@ -503,6 +503,56 @@ def test_owned_vjp_grad_shares_no_memory_with_output_grad(name):
     assert np.array_equal(a.grad, want)
 
 
+def mixed_magnitudes(rng, *shape):
+    """Normal draws scaled over 1e-300..1e150, with exact zeros and -0.0."""
+    x = rnd(rng, *shape) * 10.0 ** rng.choice([-300.0, -150.0, -8.0, 0.0, 8.0, 150.0], shape)
+    x.reshape(-1)[::7] = 0.0
+    x.reshape(-1)[3::7] = -0.0
+    return x
+
+
+def linear_expr(x, w, b):
+    return x @ w + b
+
+
+def softmax_expr(x):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def layer_norm_expr(x, gain, shift, eps=1e-5):
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    return xhat * gain + shift
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("op", ["linear", "softmax", "layer_norm"])
+def test_in_place_forward_ops_equal_their_expressions(op, seed):
+    """linear adds its bias, softmax divides and layer_normalize scales and
+    shifts in place: byte for byte the out-of-place expressions they replace,
+    on inputs from 1e-300 to 1e150 with zeros and -0.0 among them."""
+    rng = np.random.default_rng(seed + 900)
+    x = mixed_magnitudes(rng, 5, 9)
+    with np.errstate(all="ignore"):
+        if op == "linear":
+            w, b = mixed_magnitudes(rng, 9, 4), mixed_magnitudes(rng, 4)
+            got = T.linear(Tensor(x), Tensor(w), Tensor(b)).data
+            want = linear_expr(x, w, b)
+        elif op == "softmax":
+            got = T.softmax_lastaxis(Tensor(x)).data
+            want = softmax_expr(x)
+        else:
+            gain, shift = mixed_magnitudes(rng, 9), mixed_magnitudes(rng, 9)
+            got = T.layer_normalize(Tensor(x), Tensor(gain), Tensor(shift)).data
+            want = layer_norm_expr(x, gain, shift)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_deform_attend_no_grad_matches_grad_mode(seed):
     rng = np.random.default_rng(seed + 700)
