@@ -19,7 +19,11 @@ One evaluation aggregates many (source map, reference set) pairs at once:
 offsets and weights depend only on the query, so they are computed once and
 shared across sources, and invalid (source, query) pairs contribute exactly
 zero. Sources that share one feature-map Tensor, such as the D pillar levels
-of a camera view, share one projected map.
+of a camera view, share one projected map. ``tensor.deform_attend`` returns
+one attended row per visible (source, query) pair; ``_scatter_rows`` sums
+them per query with one sparse product. When the pairs are the queries in
+order, as in self-attention and LiDAR cross-attention (one map, no
+visibility mask), there is nothing to sum and the rows are used as they are.
 
 Value and output projections carry no bias; this keeps "sum over sources of
 per-source attention outputs" exactly equal to "output projection of the
@@ -123,7 +127,15 @@ def deform_attn_multi(queries: Tensor, sources: Sequence, params: DeformAttnPara
     computed once from the queries; invalid (source, query) pairs are skipped,
     which equals the masked dense sum bit for bit because their contribution
     is exactly zero. Each distinct map Tensor is value-projected once, however
-    many sources list it.
+    many sources list it; a lone map is projected in place, without a stacked
+    copy.
+
+    The attended rows, one per visible (source, query) pair, are summed per
+    query by ``_scatter_rows``. When pair p is query p for every p (a single
+    source without a visibility mask), the rows are the per-query sums
+    already and no sum is taken: the scatter would only add each row to
+    +0.0, and deform_attend's rows, sparse products that start at +0.0
+    themselves, hold no -0.0 for that to change.
     """
     if not sources:
         raise ContractError("deform_attn_multi: no sources")
@@ -159,27 +171,47 @@ def deform_attn_multi(queries: Tensor, sources: Sequence, params: DeformAttnPara
     n_pairs = qry_idx.size
 
     width = params.channels  # M blocks of N/M, one per head
-    accum = Tensor(np.zeros((t, width)))
-    if n_pairs:
-        hf, wf, vd = shape0
-        value_w = T.concat_lastaxis([w.tensor for w in params.value_w])  # [Vd, M*N/M]
+    if not n_pairs:
+        return T.matmul(Tensor(np.zeros((t, width))), params.out_w.tensor)
+    hf, wf, vd = shape0
+    value_w = T.concat_lastaxis([w.tensor for w in params.value_w])  # [Vd, M*N/M]
+    if len(maps) == 1:
+        cells = T.reshape(maps[0], (hf * wf, vd))  # a view: no copy of a lone map
+    else:
         cells = T.reshape(T.stack_first(maps), (len(maps) * hf * wf, vd))
-        values = T.reshape(T.matmul(cells, value_w), (len(maps), hf, wf, width))
-        del cells  # unless the tape holds it, freed before sampling
-        attended = T.deform_attend(values, np.concatenate(pair_map), np.concatenate(pair_ref),
-                                   off, attn, qry_idx)
-        if np.any(mults != 1.0):
-            attended = T.mul(attended, Tensor(mults[:, None, None]))
-        accum = _scatter_rows(T.reshape(attended, (n_pairs, width)), qry_idx, t)
+    values = T.reshape(T.matmul(cells, value_w), (len(maps), hf, wf, width))
+    del cells  # unless the tape holds it, freed before sampling
+    attended = T.deform_attend(values, np.concatenate(pair_map), np.concatenate(pair_ref),
+                               off, attn, qry_idx)
+    if np.any(mults != 1.0):
+        attended = T.mul(attended, Tensor(mults[:, None, None]))
+    rows = T.reshape(attended, (n_pairs, width))
+    if n_pairs == t and np.array_equal(qry_idx, np.arange(t)):
+        accum = rows  # pair p is query p: nothing to sum
+    else:
+        accum = _scatter_rows(rows, qry_idx, t)
     return T.matmul(accum, params.out_w.tensor)
 
 
 def _scatter_rows(rows: Tensor, idx: np.ndarray, n_out: int) -> Tensor:
     """Sum rows [P,C] into an output [n_out,C] at integer indices, in row
-    order. In deform_attn_multi idx holds one strictly increasing run per
-    source, which ``T._add_rows`` adds with one vectorized ``+=`` each."""
-    data = np.zeros((n_out, rows.shape[1]))
-    T._add_rows(data, idx, rows.data)
+    order: output row q is the sum of rows[p] over the p with idx[p] == q, in
+    increasing p, and zero where no p has it.
+
+    The sum is one product with the [n_out, P] matrix of ones whose column p
+    holds its one 1 at row idx[p], stored by columns (CSC), so building it
+    needs no sort. scipy's product starts every output row at +0.0 and walks
+    the columns in order, adding row p into output row idx[p]; 1.0 * x is
+    exact, so the bits are those of adding the rows one pair at a time. The
+    vjp is the gather g[idx].
+    """
+    from scipy import sparse
+
+    p = idx.size
+    dtype = np.int32 if max(p, n_out) <= np.iinfo(np.int32).max else np.intp
+    ones = sparse.csc_matrix((np.ones(p), idx.astype(dtype), np.arange(p + 1, dtype=dtype)),
+                             shape=(n_out, p))
+    data = ones @ rows.data
 
     def vjp(g):
         T._accum(rows, g[idx], own=True)  # the gather is a fresh array

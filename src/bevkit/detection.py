@@ -10,7 +10,7 @@ seam. Matching runs on detached values; gradients flow only through the loss.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -33,14 +33,20 @@ class BoxPrediction:
         e = np.exp(self.class_logits - self.class_logits.max())
         return e / e.sum()
 
+    def class_and_score(self) -> Tuple[int, float]:
+        """(class_id, score) from one softmax of the class logits."""
+        probs = self.class_probs()[:-1]
+        j = int(probs.argmax())
+        return j, float(probs[j])
+
     @property
     def score(self) -> float:
         """Max non-background class probability."""
-        return float(self.class_probs()[:-1].max())
+        return self.class_and_score()[1]
 
     @property
     def class_id(self) -> int:
-        return int(self.class_probs()[:-1].argmax())
+        return self.class_and_score()[0]
 
 
 @dataclass

@@ -74,24 +74,17 @@ def average_precision(preds: Sequence[Tuple[int, float, float, float]],
     return float(ap)
 
 
-def collect_class(preds_by_scene: Dict[int, Sequence[BoxPrediction]],
-                  gts_by_scene: Dict[int, Sequence], class_id: int):
-    preds = []
-    for scene, ps in preds_by_scene.items():
-        for p in ps:
-            if p.class_id == class_id:
-                preds.append((scene, p.score, p.cx, p.cy))
-    gts = {scene: [(g.cx, g.cy) for g in gs if g.class_id == class_id]
-           for scene, gs in gts_by_scene.items()}
-    return preds, gts
-
-
-def mean_ap(preds_by_scene, gts_by_scene, classes: Sequence[int],
-            radii: Sequence[float] = RADII):
-    """mAP plus the per-(class, radius) AP table."""
+def mean_ap(preds_by_scene: Dict[int, Sequence[BoxPrediction]], gts_by_scene,
+            classes: Sequence[int], radii: Sequence[float] = RADII):
+    """mAP plus the per-(class, radius) AP table. Each prediction's class and
+    score come from one softmax per call, not one per class."""
+    scored = [(scene, *p.class_and_score(), p.cx, p.cy)
+              for scene, ps in preds_by_scene.items() for p in ps]
     table = {}
     for c in classes:
-        preds, gts = collect_class(preds_by_scene, gts_by_scene, c)
+        preds = [(scene, score, x, y) for scene, cid, score, x, y in scored if cid == c]
+        gts = {scene: [(g.cx, g.cy) for g in gs if g.class_id == c]
+               for scene, gs in gts_by_scene.items()}
         for r in radii:
             table[(c, r)] = average_precision(preds, gts, r)
     return float(np.mean(list(table.values()))), table

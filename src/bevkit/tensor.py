@@ -304,11 +304,12 @@ def neg(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0.0
     data = np.maximum(a.data, 0.0)  # a tenth of np.where's time; NaN stays NaN
 
     def vjp(g):
-        _accum(a, g * mask, own=True)
+        # data > 0 is a > 0 for every a, NaN, +-0 and +-inf included, so no
+        # mask of a is kept from forward
+        _accum(a, g * (data > 0.0), own=True)
 
     return _make(data, "relu", (a,), vjp)
 
@@ -479,17 +480,50 @@ def take_rows(a: Tensor, idx) -> Tensor:
 # normalization
 
 
+# a last axis shorter than this is reduced slice by slice, which takes a
+# third of the time of numpy's reduction over a [1024,2,4] array; numpy sums
+# fewer than 8 elements left to right from +0.0, and pairwise from 8 up
+_SHORT_AXIS = 8
+
+
+def _max_lastaxis(x: np.ndarray) -> np.ndarray:
+    """The maximum over the last axis, by slices when it is short; max is
+    exact, so any order gives the same value."""
+    k = x.shape[-1]
+    if not 0 < k < _SHORT_AXIS:
+        return x.max(axis=-1)
+    out = x[..., 0].copy()
+    for i in range(1, k):
+        np.maximum(out, x[..., i], out=out)
+    return out
+
+
+def _sum_lastaxis(x: np.ndarray) -> np.ndarray:
+    """x.sum(axis=-1) bit for bit. A short axis is summed slice by slice in
+    numpy's order for it: left to right, starting from +0.0."""
+    k = x.shape[-1]
+    if not 0 < k < _SHORT_AXIS:
+        return x.sum(axis=-1)
+    out = x[..., 0] + 0.0  # as numpy's start: a -0.0 first term gives +0.0
+    for i in range(1, k):
+        out += x[..., i]
+    return out
+
+
 def softmax_lastaxis(x: Tensor) -> Tensor:
     """Numerically stabilized softmax along the last axis."""
     if not np.all(np.isfinite(x.data)):
         raise NumericError("softmax_lastaxis: non-finite input")
-    data = x.data - x.data.max(axis=-1, keepdims=True)
+    data = x.data - _max_lastaxis(x.data)[..., None]
     np.exp(data, out=data)
-    data /= data.sum(axis=-1, keepdims=True)
+    data /= _sum_lastaxis(data)[..., None]
 
     def vjp(g):
-        dot = (g * data).sum(axis=-1, keepdims=True)
-        _accum(x, (g - dot) * data, own=True)
+        gx = g * data
+        dot = _sum_lastaxis(gx)
+        np.subtract(g, dot[..., None], out=gx)
+        gx *= data
+        _accum(x, gx, own=True)
 
     return _make(data, "softmax", (x,), vjp)
 

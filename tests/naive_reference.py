@@ -109,3 +109,49 @@ def average_precision_naive(preds, gts, radius: float) -> float:
             ap += (recall[k] - prev) * max(precision[k:])
             prev = recall[k]
     return ap
+
+
+def softmax_naive(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, one row at a time: the maximum by
+    comparisons, exp of each shifted element, then a left-to-right sum from
+    0.0 that every element is divided by."""
+    x = np.asarray(x, dtype=np.float64)
+    k = x.shape[-1]
+    rows = x.reshape(-1, k)
+    out = np.empty_like(rows)
+    for r, row in enumerate(rows):
+        top = row[0]
+        for v in row[1:]:
+            if v > top:
+                top = v
+        e = [np.exp(v - top) for v in row]
+        total = 0.0
+        for v in e:
+            total += v
+        for j in range(k):
+            out[r, j] = e[j] / total
+    return out.reshape(x.shape)
+
+
+def softmax_vjp_naive(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Softmax backward from the output y and its grad g, one row at a time:
+    dot = left-to-right sum from 0.0 of g*y, then (g - dot) * y per element."""
+    k = y.shape[-1]
+    ys, gs = y.reshape(-1, k), g.reshape(-1, k)
+    out = np.empty_like(ys)
+    for r in range(ys.shape[0]):
+        dot = 0.0
+        for j in range(k):
+            dot += gs[r, j] * ys[r, j]
+        for j in range(k):
+            out[r, j] = (gs[r, j] - dot) * ys[r, j]
+    return out.reshape(y.shape)
+
+
+def scatter_rows_naive(rows: np.ndarray, idx, n_out: int) -> np.ndarray:
+    """Per-pair loop: out[idx[p], c] += rows[p, c] for p in order, from zeros."""
+    out = np.zeros((n_out, rows.shape[1]))
+    for p, q in enumerate(idx):
+        for c in range(rows.shape[1]):
+            out[q, c] += rows[p, c]
+    return out

@@ -16,7 +16,7 @@ from bevkit.errors import ShapeError
 from bevkit.tensor import Tensor, backward
 
 from helpers import check_grads
-from naive_reference import bilinear_scalar, deform_attn_naive
+from naive_reference import bilinear_scalar, deform_attn_naive, scatter_rows_naive
 
 
 def make_params(rng, heads=2, points=2, channels=4, value_dim=4, randomize=True):
@@ -263,6 +263,85 @@ class TestScatterRows:
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
 
+    @staticmethod
+    def loop_case(name, rng):
+        """(rows [P,3], idx, n_out) for one kind of index set."""
+        if name == "unordered_repeats":
+            idx = rng.integers(0, 7, 40)
+        elif name == "queries_without_pairs":
+            idx = rng.choice([0, 3, 5], 25)  # rows 1, 2, 4, 6 and 7 get nothing
+        elif name == "no_pairs":
+            idx = np.zeros(0, dtype=np.intp)
+        else:  # negative_zero
+            idx = np.array([4, 1, 4, 2, 1, 0, 2])
+        n_out = 8
+        rows = rng.standard_normal((idx.size, 3))
+        if name == "negative_zero":
+            rows[[0, 2]] = -0.0  # query 4: only -0.0 rows
+            rows[1, 0] = -0.0  # query 1: -0.0 then a finite value, per channel
+            rows[3] = -0.0
+            rows[6] = 0.0  # query 2: -0.0 then +0.0
+        return Tensor(rows, requires_grad=True), idx, n_out
+
+    @pytest.mark.parametrize(
+        "name", ["unordered_repeats", "queries_without_pairs", "no_pairs", "negative_zero"])
+    def test_matches_per_pair_loop(self, name):
+        rows, idx, n_out = self.loop_case(name, np.random.default_rng(330))
+        out = attention._scatter_rows(rows, idx, n_out)
+        assert out.data.tobytes() == scatter_rows_naive(rows.data, idx, n_out).tobytes()
+        g = np.random.default_rng(331).standard_normal((n_out, 3))
+        g[1] = -0.0
+        out.node.vjp(g)
+        want = np.zeros(rows.shape)
+        for p, q in enumerate(idx):
+            want[p] = g[q]
+        assert rows.grad.tobytes() == want.tobytes()
+
+
+def summed_through_scatter(queries, feat, refs, mult, p):
+    """deform_attn_multi over one unmasked source of multiplicity mult, with
+    its map stacked and its rows summed per query by _scatter_rows."""
+    t = queries.shape[0]
+    hf, wf, vd = feat.shape
+    off, attn = attention._query_offsets_weights(queries, p)
+    value_w = T.concat_lastaxis([w.tensor for w in p.value_w])
+    cells = T.reshape(T.stack_first([feat]), (hf * wf, vd))
+    values = T.reshape(T.matmul(cells, value_w), (1, hf, wf, p.channels))
+    rows = T.deform_attend(values, np.zeros(t, dtype=np.intp), refs, off, attn, np.arange(t))
+    if mult != 1:
+        rows = T.mul(rows, Tensor(np.full((t, 1, 1), float(mult))))
+    rows = T.reshape(rows, (t, p.channels))
+    return T.matmul(attention._scatter_rows(rows, np.arange(t), t), p.out_w.tensor)
+
+
+@pytest.mark.parametrize("mult", [1, 4])
+@pytest.mark.parametrize("seed", range(3))
+def test_lone_source_skips_the_sum_bitexact(seed, mult):
+    """One source without a visibility mask has one pair per query, in
+    order: deform_attn_multi takes no sum and stacks no map, and its output
+    and grads equal the stacked, scattered path's bit for bit, -0.0 values
+    and references off the map included."""
+    rng = np.random.default_rng(seed + 340)
+    p = make_params(rng)
+    t = 7
+    feat0 = rng.standard_normal((5, 5, 4))
+    feat0[1] = -0.0
+    refs = rng.uniform(-2, 6, (t, 2))
+    q0 = rng.standard_normal((t, 4))
+
+    def run(fn):
+        queries = Tensor(q0, requires_grad=True)
+        feat = Tensor(feat0, requires_grad=True)
+        for prm in p.parameters():
+            prm.tensor.zero_grad()
+        out = fn(queries, feat)
+        backward(T.tsum(T.mul(out, out)))
+        return [out.data, queries.grad, feat.grad] + [prm.tensor.grad for prm in p.parameters()]
+
+    got = run(lambda q, f: deform_attn_multi(q, [(f, refs, None, mult)], p))
+    want = run(lambda q, f: summed_through_scatter(q, f, refs, mult, p))
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
 
 class TestEncoderLayer:
     def make_layer(self, rng, channels=4, value_dim=4):
@@ -366,3 +445,19 @@ class TestEncoderLayer:
             return T.tsum(T.sigmoid(out))
 
         check_grads(build, leaves)
+
+
+def test_one_pair_per_query_out_of_order_is_still_summed():
+    """Two sources with complementary masks give one pair per query, but not
+    in query order: the rows still go through the per-query sum."""
+    rng = np.random.default_rng(350)
+    p = make_params(rng)
+    t = 6
+    feats = [Tensor(rng.standard_normal((5, 5, 4))) for _ in range(2)]
+    late = np.arange(t) >= 2
+    sources = [(feats[0], rng.uniform(0, 4, (t, 2)), late),
+               (feats[1], rng.uniform(0, 4, (t, 2)), ~late)]
+    queries = rng.standard_normal((t, 4))
+    want = sum(run_naive(queries, refs, f.data, p, vis) for f, refs, vis in sources)
+    got = deform_attn_multi(Tensor(queries), sources, p)
+    np.testing.assert_allclose(got.data, want, rtol=1e-12, atol=1e-14)

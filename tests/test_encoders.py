@@ -258,3 +258,72 @@ def test_fd_gradient_through_lidar_encoder():
         return T.tsum(T.sigmoid(out))
 
     check_grads(build, leaves)
+
+
+def tape_ops(out):
+    """Op label -> count over every node recorded on the way to out."""
+    counts, seen, stack = {}, set(), [out]
+    while stack:
+        t = stack.pop()
+        if id(t) in seen or t.node is None:
+            continue
+        seen.add(id(t))
+        counts[t.node.op] = counts.get(t.node.op, 0) + 1
+        stack.extend(t.node.parents)
+    return counts
+
+
+class TestTapeStructure:
+    """The ops a default-config encoder layer records: the per-query sum over
+    sources is one scatter_rows node where there are many sources (camera
+    cross-attention), and nothing where the pairs are the queries
+    (self-attention, LiDAR cross-attention), whose lone map is not stacked."""
+
+    @pytest.fixture(scope="class")
+    def layer_inputs(self):
+        from bevkit.model import Detector, ModelConfig
+        from bevkit.synthscene import default_rig
+
+        rng = np.random.default_rng(0)
+        det = Detector(ModelConfig(), BEVGridSpec(), rng)
+        cams = [cam.scaled(det.cam_backbone.stride) for cam in default_rig()]
+        projections = [project_to_camera(det.queries.refs, cam) for cam in cams]
+        n = det.cfg.encoder_channels
+        cam_feats = [Tensor(rng.standard_normal((cam.image_h, cam.image_w, n)),
+                            requires_grad=True) for cam in cams]
+        lidar_feat = Tensor(rng.standard_normal((32, 32, n)), requires_grad=True)
+        return det, {
+            "camera": (det.cam_layers[0], camera_sources(projections, cam_feats)),
+            "lidar": (det.lidar_layers[0], [lidar_source(det.queries, lidar_feat)]),
+        }
+
+    @pytest.mark.parametrize("modality", ["camera", "lidar"])
+    def test_encoder_layer_ops(self, layer_inputs, modality):
+        from bevkit.attention import encoder_layer
+
+        det, inputs = layer_inputs
+        layer, sources = inputs[modality]
+        spec = det.spec
+        out = encoder_layer(det.queries.tokens(modality), (spec.h, spec.w),
+                            det.queries.self_refs(), sources, layer)
+        ops = tape_ops(out)
+        assert ops["deform_attend"] == 2
+        if modality == "camera":
+            assert len(sources) > 1
+            assert ops.get("scatter_rows") == 1
+            assert ops.get("stack") == 1  # the views' maps, projected in one matmul
+        else:
+            assert "scatter_rows" not in ops and "stack" not in ops
+
+    def test_self_attention_ops(self, layer_inputs):
+        from bevkit.attention import deform_attn_multi
+
+        det, _ = layer_inputs
+        spec = det.spec
+        tokens = det.queries.tokens("camera")
+        token_map = T.reshape(tokens, (spec.h, spec.w, det.cfg.encoder_channels))
+        out = deform_attn_multi(tokens, [(token_map, det.queries.self_refs(), None)],
+                                det.cam_layers[0].self_attn)
+        ops = tape_ops(out)
+        assert ops["deform_attend"] == 1
+        assert "scatter_rows" not in ops and "stack" not in ops

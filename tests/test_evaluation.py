@@ -219,3 +219,22 @@ def test_mean_ap_matches_loop_oracle(seed):
         for r in ORACLE_RADII:
             assert table[(c, r)] == average_precision_naive(cls_preds, cls_gts, r)
     assert m == pytest.approx(sum(table.values()) / len(table), rel=1e-15)
+
+
+def test_mean_ap_takes_one_class_softmax_per_prediction(monkeypatch):
+    """mean_ap scores every prediction once, however many classes and radii
+    it tables, and class_and_score agrees with class_id and score."""
+    rng = np.random.default_rng(77)
+    preds_by_scene = {s: [BoxPrediction(*rng.uniform(-4, 4, 2), 2.0, 4.0, 0.0,
+                                        rng.standard_normal(4)) for _ in range(5)]
+                      for s in range(3)}
+    gts_by_scene = {s: [GroundTruthBox(*rng.uniform(-4, 4, 2), 2.0, 4.0, 0.0, c)
+                        for c in (0, 1, 2)] for s in range(3)}
+    for ps in preds_by_scene.values():
+        for p in ps:
+            assert p.class_and_score() == (p.class_id, p.score)
+    calls = []
+    softmax = BoxPrediction.class_probs
+    monkeypatch.setattr(BoxPrediction, "class_probs", lambda p: calls.append(p) or softmax(p))
+    mean_ap(preds_by_scene, gts_by_scene, [0, 1, 2])
+    assert len(calls) == 15

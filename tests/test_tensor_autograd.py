@@ -13,7 +13,7 @@ from bevkit.optim import Adam
 from bevkit.tensor import Parameter, Tensor, backward
 
 from helpers import check_grads
-from naive_reference import bilinear_scalar
+from naive_reference import bilinear_scalar, softmax_naive, softmax_vjp_naive
 
 SEEDS = list(range(20))
 
@@ -551,6 +551,79 @@ def test_in_place_forward_ops_equal_their_expressions(op, seed):
             got = T.layer_normalize(Tensor(x), Tensor(gain), Tensor(shift)).data
             want = layer_norm_expr(x, gain, shift)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def softmax_inputs(rng, k):
+    """[6,3,k] logits over 1e-300..1e150 with ties, zeros and -0.0: a row of
+    equal values, a repeated maximum, a row of -0.0 and a row mixing the
+    signed zeros."""
+    x = mixed_magnitudes(rng, 6, 3, k)
+    x[0, 0] = 2.5
+    x[0, 1, ::2] = x[0, 1].max()
+    x[1, 0] = -0.0
+    x[1, 1] = 0.0
+    x[1, 2, ::2] = -0.0
+    return x
+
+
+def softmax_grads(rng, k):
+    """Output grads over 1e-300..1e150, a row of -0.0 and a row of zeros among them."""
+    g = mixed_magnitudes(rng, 6, 3, k)
+    g[2, 0] = -0.0
+    g[2, 1] = 0.0
+    return g
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("k", range(1, 8))
+def test_short_axis_softmax_matches_loop_oracle(k, seed):
+    """Below 8 elements softmax reduces its last axis slice by slice: its
+    output and its vjp equal, byte for byte, a per-row loop that takes the
+    maximum, exps, and sums left to right from 0.0."""
+    rng = np.random.default_rng(seed + 40 * k + 1100)
+    x = Tensor(softmax_inputs(rng, k), requires_grad=True)
+    y = T.softmax_lastaxis(x)
+    assert y.data.tobytes() == softmax_naive(x.data).tobytes()
+    g = softmax_grads(rng, k)
+    y.node.vjp(g)
+    assert x.grad.tobytes() == softmax_vjp_naive(y.data, g).tobytes()
+
+
+@pytest.mark.parametrize("k", [8, 9, 33])
+def test_long_axis_softmax_keeps_numpy_reductions(k):
+    """From 8 elements up numpy sums pairwise, so softmax and its vjp keep
+    numpy's reductions: byte for byte the plain expressions."""
+    rng = np.random.default_rng(1200 + k)
+    x = Tensor(softmax_inputs(rng, k), requires_grad=True)
+    y = T.softmax_lastaxis(x)
+    assert y.data.tobytes() == softmax_expr(x.data).tobytes()
+    g = softmax_grads(rng, k)
+    y.node.vjp(g)
+    want = (g - (g * y.data).sum(axis=-1, keepdims=True)) * y.data
+    assert x.grad.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("k", [1, 4, 7, 8, 9])
+def test_softmax_nonfinite_raises_on_either_path(k, bad):
+    x = np.zeros((3, 2, k))
+    x[1, 1, k - 1] = bad
+    with pytest.raises(NumericError):
+        T.softmax_lastaxis(Tensor(x))
+
+
+def test_relu_vjp_keeps_no_mask():
+    """relu's vjp reads its mask off its own output: grads equal g * (a > 0)
+    byte for byte on NaN, +-0, +-inf and finite values, and the closure holds
+    no boolean array."""
+    a = np.array([np.nan, -0.0, 0.0, np.inf, -np.inf, -2.0, 3.0, 1e-300, -1e-300])
+    x = Tensor(a, requires_grad=True)
+    out = T.relu(x)
+    held = [c.cell_contents for c in out.node.vjp.__closure__]
+    assert not any(isinstance(v, np.ndarray) and v.dtype == bool for v in held)
+    g = np.array([1.5, -0.0, 2.0, -3.0, 4.0, 5.0, -0.0, 7.0, 8.0])
+    out.node.vjp(g)
+    assert x.grad.tobytes() == (g * (a > 0.0)).tobytes()
 
 
 @pytest.mark.parametrize("seed", range(4))
