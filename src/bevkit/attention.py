@@ -19,10 +19,11 @@ One evaluation aggregates many (source map, reference set) pairs at once:
 offsets and weights depend only on the query, so they are computed once and
 shared across sources, and invalid (source, query) pairs contribute exactly
 zero. Sources that share one feature-map Tensor, such as the D pillar levels
-of a camera view, share one projected map. ``tensor.deform_attend`` returns
-one attended row per visible (source, query) pair; ``_scatter_rows`` sums
-them per query with one sparse product. When the pairs are the queries in
-order, as in self-attention and LiDAR cross-attention (one map, no
+of a camera view, share one projected map. ``tensor.deform_attend`` attends
+one row per visible (source, query) pair, scales it by the source's
+multiplicity, and sums the rows per query with one sparse product, all in one
+tape op, so no pair row outlives the forward pass. When the pairs are the
+queries in order, as in self-attention and LiDAR cross-attention (one map, no
 visibility mask), there is nothing to sum and the rows are used as they are.
 
 Value and output projections carry no bias; this keeps "sum over sources of
@@ -130,12 +131,10 @@ def deform_attn_multi(queries: Tensor, sources: Sequence, params: DeformAttnPara
     many sources list it; a lone map is projected in place, without a stacked
     copy.
 
-    The attended rows, one per visible (source, query) pair, are summed per
-    query by ``_scatter_rows``. When pair p is query p for every p (a single
-    source without a visibility mask), the rows are the per-query sums
-    already and no sum is taken: the scatter would only add each row to
-    +0.0, and deform_attend's rows, sparse products that start at +0.0
-    themselves, hold no -0.0 for that to change.
+    The attended rows, one per visible (source, query) pair, are weighted
+    by their source's multiplicity and summed per query inside
+    ``tensor.deform_attend``; a sum of one pair per query in query order is
+    no sum at all, and is skipped there.
     """
     if not sources:
         raise ContractError("deform_attn_multi: no sources")
@@ -168,10 +167,9 @@ def deform_attn_multi(queries: Tensor, sources: Sequence, params: DeformAttnPara
         pair_mult.append(np.full(qidx.shape, float(mult)))
     qry_idx = np.concatenate(pair_query)
     mults = np.concatenate(pair_mult)
-    n_pairs = qry_idx.size
 
     width = params.channels  # M blocks of N/M, one per head
-    if not n_pairs:
+    if not qry_idx.size:
         return T.matmul(Tensor(np.zeros((t, width))), params.out_w.tensor)
     hf, wf, vd = shape0
     value_w = T.concat_lastaxis([w.tensor for w in params.value_w])  # [Vd, M*N/M]
@@ -181,42 +179,10 @@ def deform_attn_multi(queries: Tensor, sources: Sequence, params: DeformAttnPara
         cells = T.reshape(T.stack_first(maps), (len(maps) * hf * wf, vd))
     values = T.reshape(T.matmul(cells, value_w), (len(maps), hf, wf, width))
     del cells  # unless the tape holds it, freed before sampling
+    weight = mults if np.any(mults != 1.0) else None
     attended = T.deform_attend(values, np.concatenate(pair_map), np.concatenate(pair_ref),
-                               off, attn, qry_idx)
-    if np.any(mults != 1.0):
-        attended = T.mul(attended, Tensor(mults[:, None, None]))
-    rows = T.reshape(attended, (n_pairs, width))
-    if n_pairs == t and np.array_equal(qry_idx, np.arange(t)):
-        accum = rows  # pair p is query p: nothing to sum
-    else:
-        accum = _scatter_rows(rows, qry_idx, t)
-    return T.matmul(accum, params.out_w.tensor)
-
-
-def _scatter_rows(rows: Tensor, idx: np.ndarray, n_out: int) -> Tensor:
-    """Sum rows [P,C] into an output [n_out,C] at integer indices, in row
-    order: output row q is the sum of rows[p] over the p with idx[p] == q, in
-    increasing p, and zero where no p has it.
-
-    The sum is one product with the [n_out, P] matrix of ones whose column p
-    holds its one 1 at row idx[p], stored by columns (CSC), so building it
-    needs no sort. scipy's product starts every output row at +0.0 and walks
-    the columns in order, adding row p into output row idx[p]; 1.0 * x is
-    exact, so the bits are those of adding the rows one pair at a time. The
-    vjp is the gather g[idx].
-    """
-    from scipy import sparse
-
-    p = idx.size
-    dtype = np.int32 if max(p, n_out) <= np.iinfo(np.int32).max else np.intp
-    ones = sparse.csc_matrix((np.ones(p), idx.astype(dtype), np.arange(p + 1, dtype=dtype)),
-                             shape=(n_out, p))
-    data = ones @ rows.data
-
-    def vjp(g):
-        T._accum(rows, g[idx], own=True)  # the gather is a fresh array
-
-    return T._make(data, "scatter_rows", (rows,), vjp)
+                               off, attn, qry_idx, weight)
+    return T.matmul(T.reshape(attended, (t, width)), params.out_w.tensor)
 
 
 def cross_attend(x: Tensor, sources: Sequence, params: DeformAttnParams,
@@ -254,13 +220,13 @@ def encoder_layer(tokens: Tensor, grid_hw, self_refs: np.ndarray,
     token_map = T.reshape(tokens, (h, w, n))
     sa = deform_attn_multi(tokens, [(token_map, self_refs, None)], params.self_attn)
     g1, b1 = params.norms[0]
-    x1 = T.layer_normalize(T.add(tokens, sa), g1.tensor, b1.tensor)
+    x1 = T.residual_layer_norm(tokens, sa, g1.tensor, b1.tensor)
 
     ca = cross_attend(x1, sources, params.cross_attn, normalize_by_hits)
     g2, b2 = params.norms[1]
-    x2 = T.layer_normalize(T.add(x1, ca), g2.tensor, b2.tensor)
+    x2 = T.residual_layer_norm(x1, ca, g2.tensor, b2.tensor)
 
-    ff = T.linear(T.relu(T.linear(x2, params.ffn_w1.tensor, params.ffn_b1.tensor)),
-                  params.ffn_w2.tensor, params.ffn_b2.tensor)
+    ff = T.ffn(x2, params.ffn_w1.tensor, params.ffn_b1.tensor,
+               params.ffn_w2.tensor, params.ffn_b2.tensor)
     g3, b3 = params.norms[2]
-    return T.layer_normalize(T.add(x2, ff), g3.tensor, b3.tensor)
+    return T.residual_layer_norm(x2, ff, g3.tensor, b3.tensor)

@@ -128,13 +128,13 @@ def decode_raw(fused_tokens: Tensor, params: DecoderParams):
         attn = T.softmax_lastaxis(scores)
         gathered = T.matmul(attn, v)
         out = T.linear(gathered, layer["wo"].tensor, layer["bo"].tensor)
-        x = T.layer_normalize(T.add(x, out), layer["n1_gain"].tensor, layer["n1_shift"].tensor)
-        ff = T.linear(T.relu(T.linear(x, layer["ffn_w1"].tensor, layer["ffn_b1"].tensor)),
-                      layer["ffn_w2"].tensor, layer["ffn_b2"].tensor)
-        x = T.layer_normalize(T.add(x, ff), layer["n2_gain"].tensor, layer["n2_shift"].tensor)
+        x = T.residual_layer_norm(x, out, layer["n1_gain"].tensor, layer["n1_shift"].tensor)
+        ff = T.ffn(x, layer["ffn_w1"].tensor, layer["ffn_b1"].tensor,
+                   layer["ffn_w2"].tensor, layer["ffn_b2"].tensor)
+        x = T.residual_layer_norm(x, ff, layer["n2_gain"].tensor, layer["n2_shift"].tensor)
     logits = T.linear(x, params.cls_w.tensor, params.cls_b.tensor)
-    box_raw = T.linear(T.relu(T.linear(x, params.box_w1.tensor, params.box_b1.tensor)),
-                       params.box_w2.tensor, params.box_b2.tensor)
+    box_raw = T.ffn(x, params.box_w1.tensor, params.box_b1.tensor,
+                    params.box_w2.tensor, params.box_b2.tensor)
     return logits, box_raw
 
 

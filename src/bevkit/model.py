@@ -66,7 +66,7 @@ class ModelConfig:
         if self.fusion == "concat" and self.channels % 2:
             raise ConfigError(f"concat fusion needs even channels, got {self.channels}")
         if n_enc < 3:
-            # layer_normalize over 2 channels outputs +-gain whatever its input,
+            # a layer norm over 2 channels outputs +-gain whatever its input,
             # so almost no gradient would reach the encoders and backbones
             raise ConfigError(f"encoder width {n_enc} is below 3 (fusion={self.fusion!r})")
         if n_enc % self.heads:

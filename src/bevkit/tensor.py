@@ -9,6 +9,19 @@ gradient are dropped, so only leaf tensors (Parameters among them) keep a
 ``grad``. Backpropagating through a consumed graph again raises
 ContractError.
 
+A node keeps its output's parents, and its closure keeps what its vjp
+reads; every parent Tensor's data stays alive with it until the walk has
+passed. So a chain of ops whose intermediates no vjp reads is one op here,
+and the intermediate never becomes a Tensor: ``residual_layer_norm`` (a
+residual add, then a layer norm) keeps the normalized sum and the inverse
+deviations, not the sum; ``ffn`` (linear, relu, linear) keeps the post-relu
+hidden, not the pre-activation; ``deform_attend`` weights and sums its
+(source, query) pair rows per query and keeps no pair row; ``conv2d_3x3``
+keeps its padded input and rebuilds each tap's slice in backward. Each runs
+the expressions of the composition it replaces in the same order, so outputs
+and grads keep their bits. A vjp computes no grad for a parent that does not
+require one.
+
 Everything is float64 and deterministic. Elementwise ops follow numpy
 broadcasting (gradients are summed back over broadcast axes); every other op
 demands exact shapes and raises ShapeError otherwise.
@@ -276,8 +289,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"sub: shapes {a.shape} and {b.shape} do not broadcast")
 
     def vjp(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(-g, b.shape), own=True)
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g, b.shape), own=True)
 
     return _make(data, "sub", (a, b), vjp)
 
@@ -290,8 +305,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast")
 
     def vjp(g):
-        _accum(a, _unbroadcast(g * b.data, a.shape), own=True)
-        _accum(b, _unbroadcast(g * a.data, b.shape), own=True)
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.shape), own=True)
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.shape), own=True)
 
     return _make(data, "mul", (a, b), vjp)
 
@@ -369,8 +386,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data @ b.data
 
     def vjp(g):
-        _accum(a, g @ b.data.T, own=True)
-        _accum(b, a.data.T @ g, own=True)
+        if a.requires_grad:
+            _accum(a, g @ b.data.T, own=True)
+        if b.requires_grad:
+            _accum(b, a.data.T @ g, own=True)
 
     return _make(data, "matmul", (a, b), vjp)
 
@@ -404,6 +423,43 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         _accum(bias, g2.sum(axis=0), own=True)
 
     return _make(data, "linear", (x, weight, bias), vjp)
+
+
+def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """Two-layer relu MLP, linear(relu(linear(x, w1, b1)), w2, b2): x[...,I]
+    -> [...,O] through a hidden width w1.shape[1].
+
+    One tape op for the composition, with the same expressions in the same
+    order, so the same bits. Relu runs in place on the hidden buffer, and
+    backward keeps only x's [rows, I] view and the post-relu hidden h, not
+    the pre-activation: relu's grad mask is h > 0, as in ``relu``'s vjp.
+    """
+    i_in = x.shape[-1] if x.data.ndim else 0
+    if (w1.data.ndim != 2 or w2.data.ndim != 2 or w1.shape[0] != i_in
+            or w2.shape[0] != w1.shape[1] or b1.shape != (w1.shape[1],)
+            or b2.shape != (w2.shape[1],)):
+        raise ShapeError(f"ffn: input {x.shape} incompatible with w1 {w1.shape}, b1 {b1.shape}, "
+                         f"w2 {w2.shape}, b2 {b2.shape}")
+    x2 = x.data.reshape(-1, i_in)
+    h = x2 @ w1.data
+    h += b1.data
+    np.maximum(h, 0.0, out=h)  # relu in place; NaN stays NaN
+    out2 = h @ w2.data
+    out2 += b2.data
+    data = out2.reshape(*x.shape[:-1], w2.shape[1])
+
+    def vjp(g):
+        g2 = g.reshape(-1, w2.shape[1])
+        gh = g2 @ w2.data.T
+        _accum(w2, h.T @ g2, own=True)
+        _accum(b2, g2.sum(axis=0), own=True)
+        gh *= h > 0.0
+        if x.requires_grad:
+            _accum(x, (gh @ w1.data.T).reshape(x.shape), own=True)
+        _accum(w1, x2.T @ gh, own=True)
+        _accum(b1, gh.sum(axis=0), own=True)
+
+    return _make(data, "ffn", (x, w1, b1, w2, b2), vjp)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -543,15 +599,26 @@ def log_softmax_lastaxis(x: Tensor) -> Tensor:
     return _make(data, "log_softmax", (x,), vjp)
 
 
-def layer_normalize(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then gain*xhat + shift."""
+def residual_layer_norm(x: Tensor, y: Tensor, gain: Tensor, shift: Tensor,
+                        eps: float = 1e-5) -> Tensor:
+    """Post-norm residual: the sum x + y normalized over its last axis to zero
+    mean and unit variance, then gain*xhat + shift.
+
+    One tape op for the composition of an add and a layer norm, with the
+    same expressions in the same order, so the same bits. The sum is formed
+    in a scratch buffer that is centred and scaled in place; only xhat and
+    the per-row inverse deviation are kept for backward, not the sum. x and
+    y get the same grad: x adopts it, y gets a copy.
+    """
+    if x.shape != y.shape:
+        raise ShapeError(f"residual_layer_norm: x {x.shape} and y {y.shape} differ")
     c = x.shape[-1]
     if gain.shape != (c,) or shift.shape != (c,):
         raise ShapeError(
-            f"layer_normalize: gain {gain.shape} / shift {shift.shape} must be ({c},)"
+            f"residual_layer_norm: gain {gain.shape} / shift {shift.shape} must be ({c},)"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xhat = x.data - mu  # centred here, scaled in place below
+    xhat = x.data + y.data  # the sum, centred and then scaled in place
+    xhat -= xhat.mean(axis=-1, keepdims=True)
     var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
@@ -563,18 +630,15 @@ def layer_normalize(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -
         _accum(gain, (g * xhat).sum(axis=lead), own=True)
         _accum(shift, g.sum(axis=lead), own=True)
         gx = g * gain.data
-        _accum(
-            x,
-            inv
-            * (
-                gx
-                - gx.mean(axis=-1, keepdims=True)
-                - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-            ),
-            own=True,
+        gs = inv * (
+            gx
+            - gx.mean(axis=-1, keepdims=True)
+            - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
         )
+        _accum(y, gs)
+        _accum(x, gs, own=True)
 
-    return _make(data, "layer_norm", (x, gain, shift), vjp)
+    return _make(data, "residual_layer_norm", (x, y, gain, shift), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -704,20 +768,54 @@ class _BilinearPlan:
             np.multiply((1.0 - fr) * (h01 - h00) + fr * (h11 - h10), a, out=d_off[s, :, 1])
 
 
+def _sum_pairs(rows: np.ndarray, qry_idx: np.ndarray, n_out: int) -> np.ndarray:
+    """Rows [P,C] summed into [n_out,C] by query, in pair order: output row q
+    is the sum of rows[p] over the p with qry_idx[p] == q, in increasing p,
+    and zero where no p has it.
+
+    The sum is one product with the [n_out, P] matrix of ones whose column p
+    holds its one 1 at row qry_idx[p], stored by columns (CSC), so building
+    it needs no sort. scipy's product starts every output row at +0.0 and
+    walks the columns in order, adding row p into output row qry_idx[p];
+    1.0 * x is exact, so the bits are those of adding the rows one pair at a
+    time.
+    """
+    from scipy import sparse
+
+    p = qry_idx.size
+    dtype = np.int32 if max(p, n_out) <= np.iinfo(np.int32).max else np.intp
+    ones = sparse.csc_matrix((np.ones(p), qry_idx.astype(dtype), np.arange(p + 1, dtype=dtype)),
+                             shape=(n_out, p))
+    return ones @ rows
+
+
 def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
-                  attn: Tensor, qry_idx) -> Tensor:
-    """Fused deformable-attention gather over per-head value maps.
+                  attn: Tensor, qry_idx, pair_weight=None) -> Tensor:
+    """Fused deformable-attention gather over per-head value maps, summed per
+    query.
 
     feats [B,H,W,M*D] holds B value maps whose channels are M blocks of D,
     one block per head. For each of P (source, query) pairs with base point
     base_pts[p] on map map_idx[p], head m samples its own block at base +
-    offsets[qry_idx[p], m, k], combines its K points with attn[qry_idx[p],
-    m, k], and the result is [P, M, D]. Read as the table
+    offsets[qry_idx[p], m, k] and combines its K points with attn[qry_idx[p],
+    m, k]; the pair's [M, D] row is scaled by pair_weight[p] (when given),
+    and the rows of the pairs of each query are summed, in pair order, into
+    the output [T, M, D]. A query without pairs gets zeros. Read as the table
     ``feats.reshape(B*H*W*M, D)``, head m's corners are the rows
     ``cell*M + m``, so every head's samples come from one sparse matmul,
     without the [P,M,K,D] intermediates of sampling every point first.
     Corners outside a map read as zero, so a sample decays linearly to zero
     within one cell of the border and is zero beyond.
+
+    The pair weight is a row multiply of the pair rows, as a ``mul`` by a
+    [P,1,1] constant would do; it is not folded into the sparse matrix, which
+    would round differently. The per-query sum is the CSC product of
+    ``_sum_pairs``. When pair p is query p for every p, the pair rows are the
+    per-query sums already and no sum is taken: it would only add each row to
+    +0.0, and the rows, sparse products that start at +0.0 themselves, hold
+    no -0.0 for that to change. Backward gathers the output grad's row of
+    each pair's query (g[qry_idx]) and scales it by the pair weight, the
+    vjps of the sum and the multiply; no pair row is kept for it.
 
     Forward gathers the sample rows and columns as two [P, M*K] arrays and
     builds the [P*M, B*H*W*M] CSR matrix of attention-scaled corner weights
@@ -738,8 +836,9 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
     are then summed over the pairs of a query in pair order (see
     ``_add_rows``).
 
-    offsets must be [T,M,K,2] and attn [T,M,K]; map_idx, base_pts [P,2] and
-    qry_idx must agree on P, with map_idx in [0,B) and qry_idx in [0,T).
+    offsets must be [T,M,K,2] and attn [T,M,K]; map_idx, base_pts [P,2],
+    qry_idx and pair_weight (None or [P]) must agree on P, with map_idx in
+    [0,B) and qry_idx in [0,T).
     """
     if feats.data.ndim != 4:
         raise ShapeError(f"deform_attend: expected [B,H,W,M*D], got {feats.shape}")
@@ -760,14 +859,19 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
     if qry_idx.shape != (p,) or map_idx.shape != (p,) or base_pts.shape != (p, 2):
         raise ShapeError(f"deform_attend: map_idx {map_idx.shape}, base_pts {base_pts.shape} "
                          f"and qry_idx {qry_idx.shape} must be [P], [P,2] and [P]")
+    if pair_weight is not None:
+        pair_weight = np.asarray(pair_weight, dtype=np.float64)
+        if pair_weight.shape != (p,):
+            raise ShapeError(f"deform_attend: pair_weight {pair_weight.shape} is not [{p}]")
     if p and (map_idx.min() < 0 or map_idx.max() >= b or qry_idx.min() < 0 or qry_idx.max() >= t):
         raise ShapeError(f"deform_attend: map_idx outside [0,{b}) or qry_idx outside [0,{t})")
     if p == 0:
         def vjp_empty(g):
             pass
-        return _make(np.zeros((0, m, hd)), "deform_attend", (feats, offsets, attn), vjp_empty)
+        return _make(np.zeros((t, m, hd)), "deform_attend", (feats, offsets, attn), vjp_empty)
     from scipy import sparse
 
+    in_order = p == t and np.array_equal(qry_idx, np.arange(t))
     flat = feats.data.reshape(b * h * w * m, hd)
     # per axis the offsets [T, M*K], contiguous, and the attention weights
     offs = [np.ascontiguousarray(offsets.data[..., axis]).reshape(t, m * k) for axis in (0, 1)]
@@ -792,20 +896,34 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
         s_attn = sparse.csr_matrix((plan.data, plan.indices, indptr), shape=(rows, flat.shape[0]))
         return s_attn, plan, attnp
 
+    def per_query(pairs):
+        """The pair rows [P*M, D], a fresh array, weighted and summed per query."""
+        rows = pairs.reshape(p, m * hd)
+        if pair_weight is not None:
+            rows *= pair_weight[:, None]
+        if not in_order:
+            rows = _sum_pairs(rows, qry_idx, t)
+        return rows.reshape(t, m, hd)
+
     if not (_grad_enabled.get()
             and (feats.requires_grad or offsets.requires_grad or attn.requires_grad)):
         # no backward follows, so no table needs to outlive its block's product
-        out = np.empty((p * m, hd))
+        pairs = np.empty((p * m, hd))
         step = max(1, _BLOCK // (m * k))
         for lo in range(0, p, step):
-            out[lo * m:(lo + step) * m] = attention_matrix(slice(lo, lo + step), False)[0] @ flat
-        return Tensor(out.reshape(p, m, hd))
+            pairs[lo * m:(lo + step) * m] = attention_matrix(slice(lo, lo + step), False)[0] @ flat
+        return Tensor(per_query(pairs))
     grads = offsets.requires_grad or attn.requires_grad
     s_attn, plan, attnp = attention_matrix(slice(None), grads)
-    out = (s_attn @ flat).reshape(p, m, hd)
+    out = per_query(s_attn @ flat)
 
     def vjp(g):
-        g2 = g.reshape(p * m, hd)
+        g2 = g.reshape(t, m * hd)
+        if not in_order:
+            g2 = g2[qry_idx]  # the sum's vjp: each pair reads its query's row
+        if pair_weight is not None:
+            g2 = g2 * pair_weight[:, None]
+        g2 = g2.reshape(p * m, hd)
         if feats.requires_grad:
             _accum(feats, (s_attn.T @ g2).reshape(feats.shape), own=True)
         if not grads:
@@ -839,26 +957,30 @@ def conv2d_3x3(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"conv2d_3x3: bias {bias.shape} != ({co},)")
     xp = np.zeros((h + 2, w + 2, ci))
     xp[1:-1, 1:-1] = x.data
+
+    def tap(di, dj):
+        """The [H*W, Ci] input slice that kernel tap (di, dj) multiplies."""
+        return xp[di : di + h, dj : dj + w].reshape(h * w, ci)
+
     out2 = np.tile(bias.data, (h * w, 1))
-    slices = []
     for di in range(3):
         for dj in range(3):
-            sl = xp[di : di + h, dj : dj + w].reshape(h * w, ci)
-            slices.append(sl)
-            out2 += sl @ kernel.data[di, dj]
+            out2 += tap(di, dj) @ kernel.data[di, dj]
 
     def vjp(g):
         g2 = g.reshape(h * w, co)
         if kernel.requires_grad:
-            if kernel.grad is None:
-                kernel.grad = np.zeros_like(kernel.data)
-            for k, (di, dj) in enumerate((i, j) for i in range(3) for j in range(3)):
-                kernel.grad[di, dj] += slices[k].T @ g2
-        _accum(bias, g2.sum(axis=0))
+            # each tap's slice is rebuilt here: backward keeps only xp
+            kgrad = _grad_buffer(kernel)
+            for di in range(3):
+                for dj in range(3):
+                    kgrad[di, dj] += tap(di, dj).T @ g2
+        _accum(bias, g2.sum(axis=0), own=True)
         if x.requires_grad:
             gxp = np.zeros_like(xp)
-            for k, (di, dj) in enumerate((i, j) for i in range(3) for j in range(3)):
-                gxp[di : di + h, dj : dj + w] += (g2 @ kernel.data[di, dj].T).reshape(h, w, ci)
+            for di in range(3):
+                for dj in range(3):
+                    gxp[di : di + h, dj : dj + w] += (g2 @ kernel.data[di, dj].T).reshape(h, w, ci)
             _accum(x, gxp[1:-1, 1:-1])
 
     return _make(out2.reshape(h, w, co), "conv3x3", (x, kernel, bias), vjp)

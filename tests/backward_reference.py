@@ -1,11 +1,13 @@
 """Backward passes kept as oracles for the production ops.
 
 Both deform_attend references build their own bilinear corner tables with a
-loop over the four corners, and scatter with np.add.at; take_rows and
-scatter_rows scatter with np.add.at. Forward passes equal the production
-ones, so any difference a test sees comes from backward. Like production,
-deform_attend reads values [B,H,W,M*D] as the table [B*H*W*M, D], head m of
-cell c being row c*M + m.
+loop over the four corners, and scatter with np.add.at; take_rows scatters
+with np.add.at. Forward passes equal the production ones, so any difference
+a test sees comes from backward. Like production, deform_attend reads values
+[B,H,W,M*D] as the table [B*H*W*M, D], head m of cell c being row c*M + m,
+scales each pair's attended row by its pair weight and sums the rows per
+query; the references always sum, with np.add.at from zeros, where
+production skips a sum of the queries in order.
 
 - deform_attend_reference gets the attention and offset grads from the dots
   of every point's four corner rows with the output grad, as production
@@ -15,6 +17,10 @@ cell c being row c*M + m.
   separate CSR products (samples, row slopes, column slopes), each dotted
   with the output grad. It sums in another order, so it checks the corner-dot
   arithmetic to rounding.
+
+layer_normalize_reference is the layer norm op that residual_layer_norm
+replaced, an add being its input; ffn's unfused form needs no oracle, as
+linear and relu are production ops.
 
 retaining_backward is the graph walk as it was before backward consumed the
 graph: the same vjps in the same order, with every node and every grad kept.
@@ -58,18 +64,13 @@ def corner_tables(shape_hw, base, pts, stride):
     return idx, inside, wgt, dwr, dwc, fr, fc
 
 
-def _attend(feats, map_idx, base_pts, offsets, attn, qry_idx, grads):
-    """deform_attend's forward. Its vjp gets the attention grads [P*M*K] and
-    the offset grads before the attention weight [P*M*K, 2] from
-    grads(corner tables, value table [B*H*W*M, D], output grad [P*M, D])."""
+def pair_rows(feats, map_idx, base_pts, offsets, attn, qry_idx):
+    """The attended row [P, M, D] of every pair, before any weight or sum,
+    and the sparse matrix and corner tables that produced them."""
     b, h, w, ch = feats.shape
     t, m, k, _ = offsets.shape
     ch //= m  # per-head width D
-    qry_idx = np.asarray(qry_idx, dtype=np.intp)
     p = qry_idx.size
-    if p == 0:
-        return T._make(np.zeros((0, m, ch)), "deform_attend", (feats, offsets, attn),
-                       lambda g: None)
     attnp = attn.data[qry_idx]
     pts = (base_pts[:, None, None, :] + offsets.data[qry_idx]).reshape(p * m * k, 2)
     # point (p, m, k) reads rows (map_idx[p]*H*W + cell)*M + m
@@ -82,10 +83,34 @@ def _attend(feats, map_idx, base_pts, offsets, attn, qry_idx, grads):
     indptr_pm = np.arange(0, 4 * k * (p * m) + 1, 4 * k)
     s_attn = sparse.csr_matrix((data_attn, idx.reshape(-1), indptr_pm),
                                shape=(p * m, b * h * w * m))
-    out = (s_attn @ flat).reshape(p, m, ch)
+    return (s_attn @ flat).reshape(p, m, ch), s_attn, tables
+
+
+def _attend(feats, map_idx, base_pts, offsets, attn, qry_idx, pair_weight, grads):
+    """deform_attend's forward. Its vjp gets the attention grads [P*M*K] and
+    the offset grads before the attention weight [P*M*K, 2] from
+    grads(corner tables, value table [B*H*W*M, D], output grad [P*M, D])."""
+    b, h, w, ch = feats.shape
+    t, m, k, _ = offsets.shape
+    ch //= m  # per-head width D
+    qry_idx = np.asarray(qry_idx, dtype=np.intp)
+    p = qry_idx.size
+    if p == 0:
+        return T._make(np.zeros((t, m, ch)), "deform_attend", (feats, offsets, attn),
+                       lambda g: None)
+    rows, s_attn, tables = pair_rows(feats, map_idx, base_pts, offsets, attn, qry_idx)
+    if pair_weight is not None:
+        rows = rows * np.asarray(pair_weight)[:, None, None]
+    out = np.zeros((t, m, ch))
+    np.add.at(out, qry_idx, rows)
+    attnp = attn.data[qry_idx]
+    flat = feats.data.reshape(b * h * w * m, ch)
 
     def vjp(g):
-        g2 = g.reshape(p * m, ch)
+        gp = g[qry_idx]
+        if pair_weight is not None:
+            gp = gp * np.asarray(pair_weight)[:, None, None]
+        g2 = gp.reshape(p * m, ch)
         if feats.requires_grad:
             T._accum(feats, (s_attn.T @ g2).reshape(feats.shape), own=True)
         if not (attn.requires_grad or offsets.requires_grad):
@@ -134,12 +159,14 @@ def jet_grads(tables, flat, g2):
     return dot(wgt), np.stack([dot(dwr), dot(dwc)], axis=-1)
 
 
-def deform_attend_reference(feats, map_idx, base_pts, offsets, attn, qry_idx):
-    return _attend(feats, map_idx, base_pts, offsets, attn, qry_idx, corner_dot_grads)
+def deform_attend_reference(feats, map_idx, base_pts, offsets, attn, qry_idx, pair_weight=None):
+    return _attend(feats, map_idx, base_pts, offsets, attn, qry_idx, pair_weight,
+                   corner_dot_grads)
 
 
-def deform_attend_jet_reference(feats, map_idx, base_pts, offsets, attn, qry_idx):
-    return _attend(feats, map_idx, base_pts, offsets, attn, qry_idx, jet_grads)
+def deform_attend_jet_reference(feats, map_idx, base_pts, offsets, attn, qry_idx,
+                                pair_weight=None):
+    return _attend(feats, map_idx, base_pts, offsets, attn, qry_idx, pair_weight, jet_grads)
 
 
 def take_rows_reference(a: Tensor, idx) -> Tensor:
@@ -153,24 +180,53 @@ def take_rows_reference(a: Tensor, idx) -> Tensor:
     return T._make(a.data[idx], "take_rows", (a,), vjp)
 
 
-def scatter_rows_reference(rows: Tensor, idx, n_out: int) -> Tensor:
-    data = np.zeros((n_out, rows.shape[1]))
-    np.add.at(data, idx, rows.data)
+def layer_normalize_reference(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then gain*xhat + shift."""
+    mu = x.data.mean(axis=-1, keepdims=True)
+    xhat = x.data - mu  # centred here, scaled in place below
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat *= inv
+    data = xhat * gain.data
+    data += shift.data
 
     def vjp(g):
-        T._accum(rows, g[idx])
+        lead = tuple(range(g.ndim - 1))
+        T._accum(gain, (g * xhat).sum(axis=lead), own=True)
+        T._accum(shift, g.sum(axis=lead), own=True)
+        gx = g * gain.data
+        T._accum(
+            x,
+            inv
+            * (
+                gx
+                - gx.mean(axis=-1, keepdims=True)
+                - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+            ),
+            own=True,
+        )
 
-    return T._make(data, "scatter_rows", (rows,), vjp)
+    return T._make(data, "layer_norm", (x, gain, shift), vjp)
+
+
+def residual_layer_norm_reference(x, y, gain, shift, eps=1e-5):
+    """The composition residual_layer_norm replaced: an add, then a layer norm."""
+    return layer_normalize_reference(T.add(x, y), gain, shift, eps)
+
+
+def ffn_reference(x, w1, b1, w2, b2):
+    """The composition ffn replaced: linear, relu, linear."""
+    return T.linear(T.relu(T.linear(x, w1, b1)), w2, b2)
 
 
 def install(monkeypatch, attend=deform_attend_reference):
-    """Route every scatter on the model's backward path through the references,
-    deform_attend through attend."""
-    import bevkit.attention as attention
-
+    """Route every scatter on the model's backward path through the
+    references, deform_attend through attend, and the fused layer norm and
+    FFN through the compositions they replaced."""
     monkeypatch.setattr(T, "deform_attend", attend)
     monkeypatch.setattr(T, "take_rows", take_rows_reference)
-    monkeypatch.setattr(attention, "_scatter_rows", scatter_rows_reference)
+    monkeypatch.setattr(T, "residual_layer_norm", residual_layer_norm_reference)
+    monkeypatch.setattr(T, "ffn", ffn_reference)
 
 
 def retaining_backward(loss: Tensor):

@@ -15,6 +15,7 @@ from bevkit.attention import (
 from bevkit.errors import ShapeError
 from bevkit.tensor import Tensor, backward
 
+import backward_reference as ref
 from helpers import check_grads
 from naive_reference import bilinear_scalar, deform_attn_naive, scatter_rows_naive
 
@@ -198,18 +199,17 @@ class TestValueProjectionBeforeSampling:
         np.testing.assert_allclose(got.data, want, rtol=1e-12)
 
 
-def scatter_rows_add_at(rows, idx, n_out):
-    """Reference _scatter_rows: one np.add.at over every pair."""
-    data = np.zeros((n_out, rows.shape[1]))
-    np.add.at(data, idx, rows.data)
-
-    def vjp(g):
-        T._accum(rows, g[idx])
-
-    return T._make(data, "scatter_rows", (rows,), vjp)
+def sum_pairs_add_at(rows, idx, n_out):
+    """Reference per-query sum: one np.add.at over every pair."""
+    out = np.zeros((n_out, rows.shape[1]))
+    np.add.at(out, idx, rows)
+    return out
 
 
 class TestScatterRows:
+    """The per-query sum of deform_attend's pair rows, ``T._sum_pairs``, and
+    its vjp, the gather of each pair's query row of the output grad."""
+
     @staticmethod
     def source_indices(rng, t, n_sources):
         """Concatenated per-source query indices as deform_attn_multi builds
@@ -224,16 +224,16 @@ class TestScatterRows:
         rng = np.random.default_rng(seed + 300)
         t = 9
         idx = self.source_indices(rng, t, 4)
-        rows = Tensor(rng.standard_normal((idx.size, 6)))
-        out = attention._scatter_rows(rows, idx, t)
-        assert np.array_equal(out.data, scatter_rows_add_at(rows, idx, t).data)
+        rows = rng.standard_normal((idx.size, 6))
+        out = T._sum_pairs(rows, idx, t)
+        assert np.array_equal(out, sum_pairs_add_at(rows, idx, t))
 
     def test_unordered_repeats_match_add_at(self):
         rng = np.random.default_rng(310)
         idx = rng.integers(0, 5, 40)
-        rows = Tensor(rng.standard_normal((40, 3)))
-        out = attention._scatter_rows(rows, idx, 5)
-        assert np.array_equal(out.data, scatter_rows_add_at(rows, idx, 5).data)
+        rows = rng.standard_normal((40, 3))
+        out = T._sum_pairs(rows, idx, 5)
+        assert np.array_equal(out, sum_pairs_add_at(rows, idx, 5))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_deform_attn_multi_bitexact_vs_add_at(self, seed, monkeypatch):
@@ -258,7 +258,7 @@ class TestScatterRows:
             return [out.data, queries.grad] + [f.grad for f in feats]
 
         got = run()
-        monkeypatch.setattr(attention, "_scatter_rows", scatter_rows_add_at)
+        monkeypatch.setattr(T, "_sum_pairs", sum_pairs_add_at)
         want = run()
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
@@ -281,46 +281,61 @@ class TestScatterRows:
             rows[1, 0] = -0.0  # query 1: -0.0 then a finite value, per channel
             rows[3] = -0.0
             rows[6] = 0.0  # query 2: -0.0 then +0.0
-        return Tensor(rows, requires_grad=True), idx, n_out
+        return rows, idx, n_out
 
     @pytest.mark.parametrize(
         "name", ["unordered_repeats", "queries_without_pairs", "no_pairs", "negative_zero"])
     def test_matches_per_pair_loop(self, name):
+        """The sum equals a per-pair loop byte for byte; and through
+        deform_attend over the same index set, with a -0.0 row in the output
+        grad, every grad equals the reference's, which gathers g[idx] and
+        scatters with np.add.at."""
         rows, idx, n_out = self.loop_case(name, np.random.default_rng(330))
-        out = attention._scatter_rows(rows, idx, n_out)
-        assert out.data.tobytes() == scatter_rows_naive(rows.data, idx, n_out).tobytes()
-        g = np.random.default_rng(331).standard_normal((n_out, 3))
+        out = T._sum_pairs(rows, idx, n_out)
+        assert out.tobytes() == scatter_rows_naive(rows, idx, n_out).tobytes()
+
+        rng = np.random.default_rng(331)
+        m, k = 2, 2
+        arrays = (rng.standard_normal((2, 4, 5, m * 3)), rng.uniform(-1.5, 1.5, (n_out, m, k, 2)),
+                  rng.dirichlet(np.ones(k), (n_out, m)))
+        map_idx = rng.integers(0, 2, idx.size)
+        base = rng.uniform(-1, 4, (idx.size, 2))
+        g = rng.standard_normal((n_out, m, 3))
         g[1] = -0.0
-        out.node.vjp(g)
-        want = np.zeros(rows.shape)
-        for p, q in enumerate(idx):
-            want[p] = g[q]
-        assert rows.grad.tobytes() == want.tobytes()
+        grads = []
+        for attend in (T.deform_attend, ref.deform_attend_reference):
+            leaves = [Tensor(a, requires_grad=True) for a in arrays]
+            got = attend(leaves[0], map_idx, base, leaves[1], leaves[2], idx)
+            if got.node is not None:
+                got.node.vjp(g)
+            grads.append([got.data] + [x.grad for x in leaves])
+        for a, b in zip(*grads):
+            assert (a is None) == (b is None) and (a is None or a.tobytes() == b.tobytes())
 
 
 def summed_through_scatter(queries, feat, refs, mult, p):
     """deform_attn_multi over one unmasked source of multiplicity mult, with
-    its map stacked and its rows summed per query by _scatter_rows."""
+    its map stacked and its rows weighted and summed per query by the
+    reference deform_attend, which always takes the sum."""
     t = queries.shape[0]
     hf, wf, vd = feat.shape
     off, attn = attention._query_offsets_weights(queries, p)
     value_w = T.concat_lastaxis([w.tensor for w in p.value_w])
     cells = T.reshape(T.stack_first([feat]), (hf * wf, vd))
     values = T.reshape(T.matmul(cells, value_w), (1, hf, wf, p.channels))
-    rows = T.deform_attend(values, np.zeros(t, dtype=np.intp), refs, off, attn, np.arange(t))
-    if mult != 1:
-        rows = T.mul(rows, Tensor(np.full((t, 1, 1), float(mult))))
-    rows = T.reshape(rows, (t, p.channels))
-    return T.matmul(attention._scatter_rows(rows, np.arange(t), t), p.out_w.tensor)
+    weight = np.full(t, float(mult)) if mult != 1 else None
+    summed = ref.deform_attend_reference(values, np.zeros(t, dtype=np.intp), refs, off, attn,
+                                         np.arange(t), weight)
+    return T.matmul(T.reshape(summed, (t, p.channels)), p.out_w.tensor)
 
 
 @pytest.mark.parametrize("mult", [1, 4])
 @pytest.mark.parametrize("seed", range(3))
 def test_lone_source_skips_the_sum_bitexact(seed, mult):
     """One source without a visibility mask has one pair per query, in
-    order: deform_attn_multi takes no sum and stacks no map, and its output
-    and grads equal the stacked, scattered path's bit for bit, -0.0 values
-    and references off the map included."""
+    order: deform_attend takes no sum and deform_attn_multi stacks no map,
+    and the output and grads equal the stacked, summed path's bit for bit,
+    -0.0 values and references off the map included."""
     rng = np.random.default_rng(seed + 340)
     p = make_params(rng)
     t = 7

@@ -1,9 +1,11 @@
 """The corner-dot deform_attend backward and the run-wise row scatter,
 checked bit for bit against the backward_reference oracles, at op level and
 through a full Detector.loss, and to rounding against the three-product
-backward the corner dots replaced. Through a full Detector.loss, the
-graph-consuming backward is also checked bit for bit against a walk that
-keeps the graph. The corner tables forward builds block by block are checked
+backward the corner dots replaced. Through a full Detector.loss the
+references also stand in for the fused residual_layer_norm and ffn with
+the add, layer norm, linear and relu ops they replaced, and the
+graph-consuming backward is checked bit for bit against a walk that keeps
+the graph. The corner tables forward builds block by block are checked
 against the reference's whole-call tables, at every block size and at offsets
 far outside any index range."""
 
@@ -77,7 +79,7 @@ def test_deform_attend_matches_reference(case, requires):
     want_out, want = attend_grads(ref.deform_attend_reference, arrays, requires)
     assert np.array_equal(out, want_out)
     for r, a, b in zip(requires, grads, want):
-        assert (a is None) == (b is None) == (not r or out.size == 0)
+        assert (a is None) == (b is None) == (not r or arrays[5].size == 0)
         if a is not None:
             assert np.array_equal(a, b)
 

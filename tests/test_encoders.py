@@ -193,9 +193,9 @@ def test_camera_cross_attention_samples_each_view_map_once(monkeypatch):
     calls = []
     attend = T.deform_attend
 
-    def spy(feats, map_idx, base_pts, offsets, attn, qry_idx):
+    def spy(feats, map_idx, base_pts, offsets, attn, qry_idx, pair_weight=None):
         calls.append((feats.shape[0], len(qry_idx)))
-        return attend(feats, map_idx, base_pts, offsets, attn, qry_idx)
+        return attend(feats, map_idx, base_pts, offsets, attn, qry_idx, pair_weight)
 
     monkeypatch.setattr(T, "deform_attend", spy)
     encode_camera_bev(queries, views, feats, layers)
@@ -274,10 +274,13 @@ def tape_ops(out):
 
 
 class TestTapeStructure:
-    """The ops a default-config encoder layer records: the per-query sum over
-    sources is one scatter_rows node where there are many sources (camera
-    cross-attention), and nothing where the pairs are the queries
-    (self-attention, LiDAR cross-attention), whose lone map is not stacked."""
+    """The ops a default-config encoder layer records: deform_attend sums its
+    pairs per query itself, so no scatter_rows or mul node follows it, and
+    the residual adds, layer norms and the FFN's relu are fused into
+    residual_layer_norm and ffn nodes. A lone map (self-attention, LiDAR
+    cross-attention) is not stacked."""
+
+    UNFUSED = ("add", "layer_norm", "relu", "mul", "scatter_rows")
 
     @pytest.fixture(scope="class")
     def layer_inputs(self):
@@ -308,12 +311,13 @@ class TestTapeStructure:
                             det.queries.self_refs(), sources, layer)
         ops = tape_ops(out)
         assert ops["deform_attend"] == 2
+        assert ops["residual_layer_norm"] == 3 and ops["ffn"] == 1
+        assert not set(self.UNFUSED) & set(ops)
         if modality == "camera":
             assert len(sources) > 1
-            assert ops.get("scatter_rows") == 1
             assert ops.get("stack") == 1  # the views' maps, projected in one matmul
         else:
-            assert "scatter_rows" not in ops and "stack" not in ops
+            assert "stack" not in ops
 
     def test_self_attention_ops(self, layer_inputs):
         from bevkit.attention import deform_attn_multi

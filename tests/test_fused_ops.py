@@ -1,0 +1,225 @@
+"""The fused tape ops against the compositions they replaced, byte for byte:
+residual_layer_norm against an add and a layer norm, ffn against linear,
+relu and linear, and deform_attend's pair weight and per-query sum against
+a per-pair loop. Each fused op keeps fewer arrays for backward than its
+composition; none may change an output or a grad bit."""
+
+import numpy as np
+import pytest
+
+import backward_reference as ref
+import bevkit.tensor as T
+from bevkit.errors import ShapeError
+from bevkit.tensor import Tensor, backward
+from naive_reference import scatter_rows_naive
+
+
+def signed(rng, *shape):
+    """Normal draws with exact zeros and -0.0 among them."""
+    x = rng.standard_normal(shape)
+    x.reshape(-1)[::5] = -0.0
+    x.reshape(-1)[2::7] = 0.0
+    return x
+
+
+def run(build, arrays, requires, g):
+    """build(leaves) -> output; backpropagate sum(output * g) through the whole
+    graph and return the output and every leaf's grad (None if it got none)."""
+    leaves = [Tensor(a, requires_grad=r) for a, r in zip(arrays, requires)]
+    out = build(leaves)
+    backward(T.tsum(T.mul(out, Tensor(g))))
+    return [out.data] + [x.grad for x in leaves]
+
+
+def assert_same_bytes(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+LN_REQUIRES = [(True, True, True, True), (True, False, True, False), (False, True, False, True)]
+
+
+@pytest.mark.parametrize("requires", LN_REQUIRES)
+@pytest.mark.parametrize("seed", range(8))
+def test_residual_layer_norm_matches_add_then_layer_norm(seed, requires):
+    rng = np.random.default_rng(seed + 1500)
+    lead = tuple(int(n) for n in rng.integers(1, 5, rng.integers(1, 4)))
+    c = int(rng.integers(3, 10))
+    arrays = [signed(rng, *lead, c) * 10.0 ** rng.integers(-3, 4), signed(rng, *lead, c),
+              signed(rng, c), signed(rng, c)]
+    g = signed(rng, *lead, c)
+    got = run(lambda ts: T.residual_layer_norm(*ts), arrays, requires, g)
+    want = run(lambda ts: ref.residual_layer_norm_reference(*ts), arrays, requires, g)
+    assert_same_bytes(got, want)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_residual_layer_norm_of_x_plus_x(seed):
+    """x is y: the grad it gets is the op's grad twice, as add's vjp gave it."""
+    rng = np.random.default_rng(seed + 1520)
+    arrays = [signed(rng, 6, 5), signed(rng, 5), signed(rng, 5)]
+    g = signed(rng, 6, 5)
+
+    def fused(ts):
+        return T.residual_layer_norm(ts[0], ts[0], ts[1], ts[2])
+
+    def composed(ts):
+        return ref.residual_layer_norm_reference(ts[0], ts[0], ts[1], ts[2])
+
+    got = run(fused, arrays, (True, True, True), g)
+    want = run(composed, arrays, (True, True, True), g)
+    assert_same_bytes(got, want)
+
+
+@pytest.mark.parametrize("x_first", [True, False])
+def test_residual_layer_norm_grads_stay_apart(x_first):
+    """x adopts the op's grad and y copies it, so a later grad into x never
+    shows in y's: x also feeds a second term, whose vjp runs before or after
+    the op's."""
+    rng = np.random.default_rng(1530)
+    arrays = [signed(rng, 4, 5), signed(rng, 4, 5), signed(rng, 5), signed(rng, 5)]
+    g, c = signed(rng, 4, 5), signed(rng, 4, 5)
+
+    def grads(norm):
+        x, y, gain, shift = (Tensor(a, requires_grad=True) for a in arrays)
+        terms = [T.tsum(T.mul(x, Tensor(c))), T.tsum(T.mul(norm(x, y, gain, shift), Tensor(g)))]
+        backward(T.add(*(terms if x_first else terms[::-1])))
+        return x.grad, y.grad
+
+    (gx, gy), want = grads(T.residual_layer_norm), grads(ref.residual_layer_norm_reference)
+    assert not np.shares_memory(gx, gy)
+    assert_same_bytes([gx, gy], list(want))
+
+
+def test_residual_layer_norm_rejects_mismatched_shapes():
+    x = Tensor(np.zeros((3, 4)))
+    with pytest.raises(ShapeError):
+        T.residual_layer_norm(x, Tensor(np.zeros((1, 4))), Tensor(np.ones(4)), Tensor(np.zeros(4)))
+    with pytest.raises(ShapeError):
+        T.residual_layer_norm(x, x, Tensor(np.ones(3)), Tensor(np.zeros(4)))
+
+
+FFN_REQUIRES = [(True,) * 5, (False, True, True, True, True), (True, False, False, True, False)]
+
+
+def ffn_arrays(rng):
+    """x [...,I] with a dead row (every hidden unit of row 0 at or below
+    zero, one of them exactly zero) and -0.0 entries, and the four weights."""
+    lead = tuple(int(n) for n in rng.integers(1, 5, rng.integers(1, 3)))
+    i, hid, o = (int(n) for n in rng.integers(1, 7, 3))
+    x = signed(rng, *lead, i)
+    w1, b1 = signed(rng, i, hid), rng.standard_normal(hid)
+    x.reshape(-1, i)[0] = 0.0
+    b1[:] = -np.abs(b1)
+    b1[0] = 0.0
+    return [x, w1, b1, signed(rng, hid, o), signed(rng, o)]
+
+
+@pytest.mark.parametrize("requires", FFN_REQUIRES)
+@pytest.mark.parametrize("seed", range(8))
+def test_ffn_matches_linear_relu_linear(seed, requires):
+    rng = np.random.default_rng(seed + 1600)
+    arrays = ffn_arrays(rng)
+    pre = arrays[0].reshape(-1, arrays[1].shape[0]) @ arrays[1] + arrays[2]
+    assert np.all(pre[0] <= 0.0)  # the dead row
+    g = signed(rng, *arrays[0].shape[:-1], arrays[3].shape[1])
+    got = run(lambda ts: T.ffn(*ts), arrays, requires, g)
+    want = run(lambda ts: ref.ffn_reference(*ts), arrays, requires, g)
+    assert_same_bytes(got, want)
+
+
+def test_ffn_keeps_no_pre_activation():
+    """Backward holds x's [rows, I] view and the post-relu hidden only."""
+    rng = np.random.default_rng(1650)
+    x = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+    w1, b1 = Tensor(rng.standard_normal((3, 8))), Tensor(rng.standard_normal(8))
+    out = T.ffn(x, w1, b1, Tensor(rng.standard_normal((8, 2))), Tensor(np.zeros(2)))
+    held = [c.cell_contents for c in out.node.vjp.__closure__]
+    arrays = [v for v in held if isinstance(v, np.ndarray)]
+    hidden = np.maximum(x.data @ w1.data + b1.data, 0.0)
+    assert len(arrays) == 2
+    assert any(np.shares_memory(a, x.data) for a in arrays)
+    assert any(a.shape == hidden.shape and a.tobytes() == hidden.tobytes() for a in arrays)
+
+
+def test_ffn_rejects_mismatched_shapes():
+    x = Tensor(np.zeros((3, 4)))
+    w1, b1, w2, b2 = (Tensor(np.zeros(s)) for s in [(4, 6), (6,), (6, 2), (2,)])
+    for args in [(x, w1, Tensor(np.zeros(5)), w2, b2), (x, w1, b1, Tensor(np.zeros((5, 2))), b2),
+                 (x, w1, b1, w2, Tensor(np.zeros(3))), (Tensor(np.zeros((3, 5))), w1, b1, w2, b2)]:
+        with pytest.raises(ShapeError):
+            T.ffn(*args)
+
+
+def weighted_case(rng, name):
+    """(feats, map_idx, base, offsets, attn, qry_idx, weight) for T = 7 queries."""
+    b, h, w, m, k, t = 3, 5, 4, 2, 3, 7
+    feats = signed(rng, b, h, w, m * 2)
+    offsets = rng.uniform(-1.5, 1.5, (t, m, k, 2))
+    attn = rng.dirichlet(np.ones(k), (t, m))
+    if name == "unordered_repeats":
+        qry_idx = rng.integers(0, t, 20)
+    elif name == "queries_without_pairs":
+        qry_idx = rng.choice([0, 3, 5], 12)  # queries 1, 2, 4 and 6 get nothing
+    else:  # in_order: pair p is query p, no sum taken
+        qry_idx = np.arange(t)
+    p = qry_idx.size
+    weight = rng.integers(1, 5, p).astype(np.float64) * rng.choice([1.0, 0.37], p)
+    return feats, rng.integers(0, b, p), rng.uniform(-1, 5, (p, 2)), offsets, attn, qry_idx, weight
+
+
+@pytest.mark.parametrize("name", ["unordered_repeats", "queries_without_pairs", "in_order"])
+@pytest.mark.parametrize("seed", range(3))
+def test_deform_attend_pair_weight_matches_per_pair_loop(seed, name):
+    """Each pair's attended row times its weight, summed per query by a
+    per-pair loop from zeros, is the output byte for byte; every grad equals
+    the reference's (g[qry_idx] times the weight, np.add.at scatters) byte
+    for byte."""
+    rng = np.random.default_rng(seed + 1700)
+    feats, map_idx, base, offsets, attn, qry_idx, weight = weighted_case(rng, name)
+    t, m = offsets.shape[:2]
+    rows, _, _ = ref.pair_rows(Tensor(feats), map_idx, base, Tensor(offsets), Tensor(attn),
+                               qry_idx)
+    p, d = qry_idx.size, feats.shape[-1] // m
+    want_out = scatter_rows_naive(rows.reshape(p, m * d) * weight[:, None], qry_idx, t)
+    g = signed(rng, t, m, d)
+    grads = []
+    for attend in (T.deform_attend, ref.deform_attend_reference):
+        leaves = [Tensor(a, requires_grad=True) for a in (feats, offsets, attn)]
+        out = attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx, weight)
+        out.node.vjp(g)
+        grads.append([out.data] + [x.grad for x in leaves])
+    assert grads[0][0].tobytes() == want_out.reshape(t, m, d).tobytes()
+    assert_same_bytes(grads[0], grads[1])
+
+
+@pytest.mark.parametrize("name", ["unordered_repeats", "in_order"])
+def test_deform_attend_pair_weight_under_no_grad(name):
+    rng = np.random.default_rng(1750)
+    feats, map_idx, base, offsets, attn, qry_idx, weight = weighted_case(rng, name)
+    args = (Tensor(feats, requires_grad=True), map_idx, base, Tensor(offsets), Tensor(attn),
+            qry_idx, weight)
+    recorded = T.deform_attend(*args)
+    with T.no_grad():
+        plain = T.deform_attend(*args)
+    assert plain.node is None and recorded.data.tobytes() == plain.data.tobytes()
+
+
+def test_conv_keeps_only_the_padded_input():
+    """conv2d_3x3's backward rebuilds each tap's slice from the padded input
+    instead of holding nine [H*W, Ci] copies."""
+    rng = np.random.default_rng(1800)
+    x = Tensor(rng.standard_normal((4, 5, 3)), requires_grad=True)
+    out = T.conv2d_3x3(x, Tensor(rng.standard_normal((3, 3, 3, 2)), requires_grad=True),
+                       Tensor(np.zeros(2)))
+    held = []
+    for cell in out.node.vjp.__closure__:
+        v = cell.cell_contents
+        if callable(v) and getattr(v, "__closure__", None):  # the tap helper
+            held += [c.cell_contents for c in v.__closure__]
+        held.append(v)
+    arrays = {id(v): v for v in held if isinstance(v, np.ndarray)}
+    assert [a.shape for a in arrays.values()] == [(6, 7, 3)]

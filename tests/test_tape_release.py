@@ -137,3 +137,75 @@ def test_leaf_loss_keeps_its_grad():
     backward(loss)
     backward(loss)
     assert loss.grad == 2.0 and loss.node is None
+
+
+# ---------------------------------------------------------------------------
+# what a default-config train step records
+
+
+@pytest.fixture(scope="module")
+def default_setup(tmp_path_factory):
+    """The default ModelConfig on the default 32 x 32 x 4 grid, and one scene
+    (seed 0) seen by the default 4-camera rig."""
+    spec = BEVGridSpec()
+    ds = generate_dataset(tmp_path_factory.mktemp("default"), 1, 0, SceneParams(), spec)
+    det = Detector(ModelConfig(), spec, np.random.default_rng(0))
+    return det, ds.load(0)
+
+
+# Data bytes of every tensor reachable from the both-sensor loss of
+# default_setup, nodes and leaves, measured at 49,719,496 with each residual
+# add and layer norm in one residual_layer_norm node, each relu MLP in one
+# ffn node and each per-query sum inside deform_attend. The bound is that
+# value plus 2%: a change that puts intermediates back on the tape fails it.
+TAPE_BYTES_BOUND = 50_713_886
+
+
+def test_default_tape_bytes_stay_bounded(default_setup):
+    det, sample = default_setup
+    loss = det.loss(sample, BOTH)
+    assert sum(t.data.nbytes for t in graph(loss, constants=True)) <= TAPE_BYTES_BOUND
+
+
+def reachable(roots, stop=frozenset()):
+    """Every tensor reachable from roots through graph nodes, not passing
+    through the ids in stop."""
+    seen, stack, out = set(stop), list(roots), []
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        out.append(t)
+        stack.extend(t.node.parents if t.node is not None else ())
+    return out
+
+
+def test_default_encoder_layers_record_no_unfused_ops(default_setup, monkeypatch):
+    """Every encoder layer of both sensors records its residual adds and
+    norms as residual_layer_norm nodes, its FFN as one ffn node, and its
+    attention sums inside deform_attend: no add, layer_norm, relu, mul or
+    scatter_rows node."""
+    import bevkit.encoders as encoders
+
+    det, sample = default_setup
+    real = encoders.encoder_layer
+    layer_ops = []
+
+    def spy(tokens, grid_hw, self_refs, sources, params, normalize_by_hits=False):
+        before = {id(t) for t in reachable([tokens] + [src[0] for src in sources])}
+        out = real(tokens, grid_hw, self_refs, sources, params, normalize_by_hits)
+        ops = {}
+        for t in reachable([out], before):
+            if t.node is not None:
+                ops[t.node.op] = ops.get(t.node.op, 0) + 1
+        layer_ops.append(ops)
+        return out
+
+    monkeypatch.setattr(encoders, "encoder_layer", spy)
+    det.loss(sample, BOTH)
+    assert len(layer_ops) == 2 * det.cfg.enc_layers
+    for ops in layer_ops:
+        assert ops["deform_attend"] == 2
+        assert ops["residual_layer_norm"] == 3 and ops["ffn"] == 1
+        assert not {"add", "layer_norm", "relu", "mul", "scatter_rows"} & set(ops)

@@ -184,7 +184,8 @@ class TestElementwise:
 
     def test_layernorm_constant_vector_gives_shift(self):
         shift = np.array([0.3, -0.7, 1.1])
-        out = T.layer_normalize(Tensor([5.0, 5.0, 5.0]), Tensor(np.ones(3)), Tensor(shift))
+        out = T.residual_layer_norm(Tensor([2.0, 4.5, 5.0]), Tensor([3.0, 0.5, 0.0]),
+                                    Tensor(np.ones(3)), Tensor(shift))
         assert np.all(np.abs(out.data - shift) < 1e-3)
 
     def test_concat_lastaxis(self):
@@ -277,8 +278,18 @@ def test_fd_linear(seed):
 def test_fd_layernorm(seed):
     rng = np.random.default_rng(seed + 300)
     c = int(rng.integers(2, 6))
-    arrays = [rnd(rng, 4, c), rnd(rng, c), rnd(rng, c)]
-    check_grads(lambda ts: T.tsum(T.sigmoid(T.layer_normalize(*ts))), arrays)
+    x, gain, shift = rnd(rng, 4, c), rnd(rng, c), rnd(rng, c)
+    # the residual at zero: the sum is x, and both addends' grads are checked
+    arrays = [x, np.zeros_like(x), gain, shift]
+    check_grads(lambda ts: T.tsum(T.sigmoid(T.residual_layer_norm(*ts))), arrays)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fd_ffn(seed):
+    rng = np.random.default_rng(seed + 350)
+    i, hid, o = (int(n) for n in rng.integers(1, 5, 3))
+    arrays = [rnd(rng, 3, i), rnd(rng, i, hid), rnd(rng, hid), rnd(rng, hid, o), rnd(rng, o)]
+    check_grads(lambda ts: T.tsum(T.sigmoid(T.ffn(*ts))), arrays)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -470,15 +481,27 @@ def test_constant_never_accumulates():
     assert c.grad is None and np.array_equal(x.grad, [1.0, 2.0])
 
 
-def _scatter_rows_op(a):
-    from bevkit.attention import _scatter_rows
+def _residual_layer_norm_op(a):
+    """residual_layer_norm with a as x: x adopts the grad that y copies."""
+    y = np.arange(12.0).reshape(4, 3)
+    gain = np.array([0.5, -1.5, 2.0])
+    out = T.residual_layer_norm(a, Tensor(y), Tensor(gain), Tensor(np.zeros(3)))
 
-    return _scatter_rows(a, np.array([2, 0, 2, 1]), 3), lambda g: g[[2, 0, 2, 1]]
+    def expected(g):
+        s = a.data + y
+        xc = s - s.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
+        xhat = xc * inv
+        gx = g * gain
+        return inv * (gx - gx.mean(axis=-1, keepdims=True)
+                      - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+
+    return out, expected
 
 
 # op on a [4,3] parent -> (output, the parent's expected grad for output grad g)
 OWNING_VJPS = {
-    "scatter_rows": _scatter_rows_op,
+    "residual_layer_norm": _residual_layer_norm_op,
     "neg": lambda a: (T.neg(a), lambda g: -g),
     "sub_second": lambda a: (T.sub(Tensor(np.ones((4, 3))), a), lambda g: -g),
     "sub_second_broadcast": lambda a: (T.sub(Tensor(np.ones((2, 4, 3))), a),
@@ -533,8 +556,8 @@ def layer_norm_expr(x, gain, shift, eps=1e-5):
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("op", ["linear", "softmax", "layer_norm"])
 def test_in_place_forward_ops_equal_their_expressions(op, seed):
-    """linear adds its bias, softmax divides and layer_normalize scales and
-    shifts in place: byte for byte the out-of-place expressions they replace,
+    """linear adds its bias, softmax divides and residual_layer_norm centres,
+    scales and shifts in place: byte for byte the out-of-place expressions they replace,
     on inputs from 1e-300 to 1e150 with zeros and -0.0 among them."""
     rng = np.random.default_rng(seed + 900)
     x = mixed_magnitudes(rng, 5, 9)
@@ -547,9 +570,10 @@ def test_in_place_forward_ops_equal_their_expressions(op, seed):
             got = T.softmax_lastaxis(Tensor(x)).data
             want = softmax_expr(x)
         else:
-            gain, shift = mixed_magnitudes(rng, 9), mixed_magnitudes(rng, 9)
-            got = T.layer_normalize(Tensor(x), Tensor(gain), Tensor(shift)).data
-            want = layer_norm_expr(x, gain, shift)
+            y, gain, shift = (mixed_magnitudes(rng, 5, 9), mixed_magnitudes(rng, 9),
+                              mixed_magnitudes(rng, 9))
+            got = T.residual_layer_norm(Tensor(x), Tensor(y), Tensor(gain), Tensor(shift)).data
+            want = layer_norm_expr(x + y, gain, shift)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -656,7 +680,14 @@ class TestDeformAttendShapes:
         return args
 
     def test_valid_arguments_pass(self):
-        assert T.deform_attend(**self.args()).shape == (3, 2, 3)
+        # one [M, D] row per query: 4 queries, 2 heads of 3 channels
+        assert T.deform_attend(**self.args()).shape == (4, 2, 3)
+        assert T.deform_attend(**self.args(pair_weight=np.ones(3))).shape == (4, 2, 3)
+
+    @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1)])
+    def test_pair_weight_not_p(self, shape):
+        with pytest.raises(ShapeError):
+            T.deform_attend(**self.args(pair_weight=np.ones(shape)))
 
     @pytest.mark.parametrize("shape", [(4, 2, 3), (4, 2, 3, 1), (4, 2, 3, 2, 1)])
     def test_offsets_not_tmk2(self, shape):
