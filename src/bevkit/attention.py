@@ -4,31 +4,23 @@ Each query predicts, per head, K sampling offsets around its reference point
 and K softmax-normalized weights. Head m samples its value map at the K
 points and weights the samples; heads are concatenated and output-projected.
 
-The value projection happens before sampling. ``deform_attn_multi`` projects
-each distinct feature map [H,W,value_dim] once, with all M heads' value
-weights side by side in one matmul, to a value map [H,W,M*N/M] whose
-channels are M blocks, one per head; ``tensor.deform_attend`` then samples
-head m from block m only. Bilinear sampling, attention weighting and the sum
-over sources are linear, and the value projection is linear and bias-free,
-so projecting before sampling equals projecting the sampled values (as
-Deformable DETR's formula reads) in real arithmetic. In float64 the two
-orders round differently, by about 1e-15 relative. Projecting first makes
-every sparse product N/M wide instead of value_dim wide.
+Which (map, query, reference point, weight) pairs a block samples is one
+``Pairs`` value. It depends only on the grid and the sensor geometry, so it
+is built once (``encoders.camera_pairs`` per camera rig,
+``BEVQuerySet.self_pairs`` per grid) and every layer reuses it. Offsets and
+weights depend only on the query, so all of its pairs share them.
 
-One evaluation aggregates many (source map, reference set) pairs at once:
-offsets and weights depend only on the query, so they are computed once and
-shared across sources, and invalid (source, query) pairs contribute exactly
-zero. Sources that share one feature-map Tensor, such as the D pillar levels
-of a camera view, share one projected map. ``tensor.deform_attend`` attends
-one row per visible (source, query) pair, scales it by the source's
-multiplicity, and sums the rows per query with one sparse product, all in one
-tape op, so no pair row outlives the forward pass. When the pairs are the
-queries in order, as in self-attention and LiDAR cross-attention (one map, no
-visibility mask), there is nothing to sum and the rows are used as they are.
-
-Value and output projections carry no bias; this keeps "sum over sources of
-per-source attention outputs" exactly equal to "output projection of the
-summed per-head features", which is how the batched path evaluates it.
+``deform_attn_multi`` projects its maps [H,W,value_dim] before sampling, in
+one matmul with all M heads' value weights side by side, to value maps whose
+channels are M blocks of N/M, one per head; ``tensor.deform_attend`` samples
+head m from block m only, weights each pair's row and sums the rows per
+query in one tape op. Sampling, weighting and the sum are linear and the
+value projection is linear and bias-free, so this equals projecting the
+sampled values (Deformable DETR's order) in real arithmetic; in float64 the
+two round differently, by about 1e-15 relative, and every sparse product is
+N/M wide instead of value_dim. The output projection is bias-free too, so
+"sum over pairs of per-pair outputs" equals "output projection of the summed
+per-head features", which is how it is evaluated.
 """
 
 from __future__ import annotations
@@ -40,6 +32,41 @@ import numpy as np
 from . import tensor as T
 from .errors import ContractError, ShapeError
 from .tensor import Parameter, Tensor
+
+
+class Pairs:
+    """The (map, query, reference point, weight) pairs one attention block
+    samples: pair p has query qry_idx[p] sample map map_idx[p] around the
+    (row, col) point base_pts[p], its row scaled by weight[p] (None: by 1).
+    A query's pairs are summed in pair order, which fixes the float sum.
+    hits[q] is query q's weighted pair count; it holds integers, exact in any
+    order. The arrays are checked once, here.
+    """
+
+    def __init__(self, map_idx, base_pts, qry_idx, n_maps: int, n_queries: int,
+                 weight=None):
+        self.map_idx = np.asarray(map_idx, dtype=np.intp)
+        self.base_pts = np.asarray(base_pts, dtype=np.float64)
+        self.qry_idx = np.asarray(qry_idx, dtype=np.intp)
+        self.weight = None if weight is None else np.asarray(weight, dtype=np.float64)
+        self.n_maps, self.n_queries = n_maps, n_queries
+        p = self.qry_idx.size
+        shapes = (self.map_idx.shape, self.base_pts.shape, self.qry_idx.shape,
+                  (p,) if weight is None else self.weight.shape)
+        if shapes != ((p,), (p, 2), (p,), (p,)):
+            raise ShapeError(f"Pairs: map_idx, base_pts, qry_idx and weight are {shapes}, "
+                             f"not [P], [P,2], [P] and [P]")
+        if p and not (0 <= self.map_idx.min() and self.map_idx.max() < n_maps
+                      and 0 <= self.qry_idx.min() and self.qry_idx.max() < n_queries):
+            raise ContractError(f"Pairs: map_idx outside [0,{n_maps}) or qry_idx outside "
+                                f"[0,{n_queries})")
+        self.hits = np.bincount(self.qry_idx, self.weight, n_queries).astype(np.float64)
+
+    @classmethod
+    def one_map(cls, base_pts, weight=None) -> "Pairs":
+        """Query q samples one map around base_pts[q]: T pairs in query order."""
+        t = len(base_pts)
+        return cls(np.zeros(t, dtype=np.intp), base_pts, np.arange(t), 1, t, weight)
 
 
 class DeformAttnParams:
@@ -119,96 +146,49 @@ def _query_offsets_weights(queries: Tensor, params: DeformAttnParams):
     return off, attn
 
 
-def deform_attn_multi(queries: Tensor, sources: Sequence, params: DeformAttnParams) -> Tensor:
-    """Sum of deformable attention over many (feature map, refs, valid) sources.
-
-    sources: list of (feat Tensor [Hf,Wf,Vd], ref_pts [T,2], valid [T] bool)
-    tuples, optionally with a fourth integer multiplicity (the source counted
-    that many times). All maps must share one shape. Offsets/weights are
-    computed once from the queries; invalid (source, query) pairs are skipped,
-    which equals the masked dense sum bit for bit because their contribution
-    is exactly zero. Each distinct map Tensor is value-projected once, however
-    many sources list it; a lone map is projected in place, without a stacked
-    copy.
-
-    The attended rows, one per visible (source, query) pair, are weighted
-    by their source's multiplicity and summed per query inside
-    ``tensor.deform_attend``; a sum of one pair per query in query order is
-    no sum at all, and is skipped there.
+def deform_attn_multi(queries: Tensor, maps: Sequence[Tensor], pairs: Pairs,
+                      params: DeformAttnParams) -> Tensor:
+    """Deformable attention of queries [T,N] over maps [H,W,value_dim], summed
+    per query over its pairs; a query without pairs gets zeros. The maps are
+    value-projected together, a lone map in place without a stacked copy.
+    ContractError for no maps or a map count not the pairs'; ShapeError for
+    maps of differing shape or width, or T not the pairs' query count.
     """
-    if not sources:
-        raise ContractError("deform_attn_multi: no sources")
-    sources = [s if len(s) == 4 else (*s, 1) for s in sources]
+    if not maps or len(maps) != pairs.n_maps:
+        raise ContractError(f"deform_attn_multi: {len(maps)} maps for pairs over {pairs.n_maps}")
     t = queries.shape[0]
-    shape0 = sources[0][0].shape
-    for f, _, _, _ in sources:
-        if f.shape != shape0:
-            raise ShapeError(f"deform_attn_multi: map shapes differ: {f.shape} vs {shape0}")
-    if len(shape0) != 3 or shape0[2] != params.value_dim:
-        raise ShapeError(
-            f"deform_attn_multi: maps must be [H,W,{params.value_dim}], got {shape0}"
-        )
+    if t != pairs.n_queries:
+        raise ShapeError(f"deform_attn_multi: {t} queries for pairs over {pairs.n_queries}")
+    shape0 = maps[0].shape
+    if any(f.shape != shape0 for f in maps) or len(shape0) != 3 or shape0[2] != params.value_dim:
+        raise ShapeError(f"deform_attn_multi: maps must share one shape [H,W,{params.value_dim}], "
+                         f"got {[f.shape for f in maps]}")
     off, attn = _query_offsets_weights(queries, params)
 
-    maps = []
-    slot_of = {}  # id of a map Tensor -> its index in maps
-    pair_map, pair_query, pair_ref, pair_mult = [], [], [], []
-    for f, ref, vis, mult in sources:
-        ref = np.asarray(ref)
-        if ref.shape != (t, 2):
-            raise ShapeError(f"deform_attn_multi: ref_pts must be [{t},2], got {ref.shape}")
-        slot = slot_of.setdefault(id(f), len(maps))
-        if slot == len(maps):
-            maps.append(f)
-        qidx = np.nonzero(np.asarray(vis))[0] if vis is not None else np.arange(t)
-        pair_map.append(np.full(qidx.shape, slot, dtype=np.intp))
-        pair_query.append(qidx)
-        pair_ref.append(ref[qidx])
-        pair_mult.append(np.full(qidx.shape, float(mult)))
-    qry_idx = np.concatenate(pair_query)
-    mults = np.concatenate(pair_mult)
-
-    width = params.channels  # M blocks of N/M, one per head
-    if not qry_idx.size:
-        return T.matmul(Tensor(np.zeros((t, width))), params.out_w.tensor)
     hf, wf, vd = shape0
+    width = params.channels  # M blocks of N/M, one per head
     value_w = T.concat_lastaxis([w.tensor for w in params.value_w])  # [Vd, M*N/M]
     if len(maps) == 1:
         cells = T.reshape(maps[0], (hf * wf, vd))  # a view: no copy of a lone map
     else:
-        cells = T.reshape(T.stack_first(maps), (len(maps) * hf * wf, vd))
+        cells = T.reshape(T.stack_first(list(maps)), (len(maps) * hf * wf, vd))
     values = T.reshape(T.matmul(cells, value_w), (len(maps), hf, wf, width))
     del cells  # unless the tape holds it, freed before sampling
-    weight = mults if np.any(mults != 1.0) else None
-    attended = T.deform_attend(values, np.concatenate(pair_map), np.concatenate(pair_ref),
-                               off, attn, qry_idx, weight)
+    attended = T.deform_attend(values, pairs.map_idx, pairs.base_pts, off, attn,
+                               pairs.qry_idx, pairs.weight)
     return T.matmul(T.reshape(attended, (t, width)), params.out_w.tensor)
 
 
-def cross_attend(x: Tensor, sources: Sequence, params: DeformAttnParams,
-                 normalize_by_hits: bool = False) -> Tensor:
-    """Cross-attention term of an encoder layer: deform_attn_multi over the
-    sources, divided per query by its number of visible sources (counting
-    multiplicity, at least 1) when normalize_by_hits is set."""
-    out = deform_attn_multi(x, sources, params)
-    if not normalize_by_hits:
-        return out
-    hits = np.zeros(x.shape[0])
-    for src in sources:
-        vis = src[2]
-        mult = src[3] if len(src) == 4 else 1
-        hits += (np.asarray(vis, dtype=np.float64) if vis is not None else 1.0) * mult
-    return T.mul(out, Tensor(1.0 / np.maximum(hits, 1.0)[:, None]))
-
-
-def encoder_layer(tokens: Tensor, grid_hw, self_refs: np.ndarray,
-                  sources: Sequence, params: EncoderLayerParams,
+def encoder_layer(tokens: Tensor, grid_hw, self_pairs: Pairs, maps: Sequence[Tensor],
+                  pairs: Pairs, params: EncoderLayerParams,
                   normalize_by_hits: bool = False) -> Tensor:
     """One encoder layer over (H*W) BEV tokens.
 
-    tokens: [T,N]; grid_hw: (H, W) with T = H*W; self_refs: [T,2] of each
-    token's own cell (row, col); sources: cross-attention inputs as for
-    deform_attn_multi. Post-norm residual order: self-attn, cross-attn, ffn.
+    tokens: [T,N]; grid_hw: (H, W) with T = H*W; self_pairs: the pairs of
+    self-attention over the token map; maps and pairs: the cross-attention
+    inputs of ``deform_attn_multi``. With normalize_by_hits the cross term of
+    each query is divided by its hit count (at least 1). Post-norm residual
+    order: self-attn, cross-attn, ffn.
     """
     h, w = grid_hw
     t, n = tokens.shape
@@ -218,11 +198,13 @@ def encoder_layer(tokens: Tensor, grid_hw, self_refs: np.ndarray,
         raise ShapeError(f"encoder_layer: token width {n} != layer width {params.channels}")
 
     token_map = T.reshape(tokens, (h, w, n))
-    sa = deform_attn_multi(tokens, [(token_map, self_refs, None)], params.self_attn)
+    sa = deform_attn_multi(tokens, [token_map], self_pairs, params.self_attn)
     g1, b1 = params.norms[0]
     x1 = T.residual_layer_norm(tokens, sa, g1.tensor, b1.tensor)
 
-    ca = cross_attend(x1, sources, params.cross_attn, normalize_by_hits)
+    ca = deform_attn_multi(x1, maps, pairs, params.cross_attn)
+    if normalize_by_hits:
+        ca = T.mul(ca, Tensor(1.0 / np.maximum(pairs.hits, 1.0)[:, None]))
     g2, b2 = params.norms[1]
     x2 = T.residual_layer_norm(x1, ca, g2.tensor, b2.tensor)
 

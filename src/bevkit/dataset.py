@@ -6,8 +6,8 @@ record per scene under ``scenes/``. Each record is the manifest-declared
 fields in order; every field is written as little-endian unsigned 64-bit
 ``ndim`` then each dimension, then the raw little-endian payload. Bytes are a
 pure function of (seed, params): per-scene rng streams are derived from
-(seed, kind, scene_id), so records can be produced in any order or in
-parallel without changing a single byte.
+(seed, kind, scene_id), so records can be produced in any order without
+changing a single byte.
 """
 
 from __future__ import annotations
@@ -15,13 +15,14 @@ from __future__ import annotations
 import io
 import json
 import math
+import numbers
 import struct
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, DataError
+from .errors import ConfigError, ContractError, DataError
 from .geometry import BEVGridSpec, CameraModel
 from .rng import seeded_rng
 from .synthscene import (
@@ -84,21 +85,23 @@ def _check_fields(d, template: dict, what: str):
             got = np.asarray(d[key])
         except ValueError:  # ragged nesting
             got = np.asarray(None)
-        # one aspect range per class, for any number of classes
-        count_free = key == "aspect_ranges" and got.ndim == 2 and got.shape[0] >= 1
         if (got.dtype.kind not in ("i" if want.dtype.kind == "i" else "if")
-                or (got.shape != want.shape and not (count_free and got.shape[1:] == (2,)))):
+                or got.shape != want.shape):
             raise DataError(f"manifest {what}.{key} must be shaped and typed like {like!r}, "
                             f"got {d[key]!r}")
 
 
-def _params_from_json(d: dict) -> SceneParams:
-    _check_fields(d, asdict(SceneParams()), "scene_params")
-    d = dict(d)
-    for key in ("n_boxes", "area_range", "height_range", "appearance_range"):
-        d[key] = tuple(d[key])
-    d["aspect_ranges"] = tuple(tuple(x) for x in d["aspect_ranges"])
-    return SceneParams(**d)
+def _params_from_json(d) -> SceneParams:
+    """The manifest's scene parameters, to be validated; DataError unless d
+    has exactly SceneParams' keys."""
+    if not isinstance(d, dict) or d.keys() != asdict(SceneParams()).keys():
+        raise DataError(f"manifest scene_params must have the keys of SceneParams, got {d!r}")
+    return SceneParams(**{key: _tuples(value) for key, value in d.items()})
+
+
+def _tuples(value):
+    """JSON lists as tuples, at every depth."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
 def render_scene_record(seed: int, scene_id: int, params: SceneParams,
@@ -127,7 +130,13 @@ def render_scene_record(seed: int, scene_id: int, params: SceneParams,
 
 def generate_dataset(root, n_scenes: int, seed: int, params: SceneParams,
                      spec: BEVGridSpec, lidar_shape=(32, 32), image_h: int = 48,
-                     image_w: int = 64, fx: float = 24.0, jobs: int = 1) -> "SceneDataset":
+                     image_w: int = 64, fx: float = 24.0) -> "SceneDataset":
+    """Render n_scenes scenes into the directory root and open it. The scene
+    parameters and n_scenes are checked (ConfigError) before anything is
+    written."""
+    params.validate()
+    if isinstance(n_scenes, bool) or not isinstance(n_scenes, numbers.Integral) or n_scenes < 0:
+        raise ConfigError(f"n_scenes must be a non-negative integer, got {n_scenes!r}")
     root = Path(root)
     (root / "scenes").mkdir(parents=True, exist_ok=True)
     rig = default_rig(image_h=image_h, image_w=image_w, fx=fx)
@@ -145,20 +154,9 @@ def generate_dataset(root, n_scenes: int, seed: int, params: SceneParams,
     with open(root / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
 
-    def write_record(i, payload):
+    for i in range(n_scenes):
         with open(root / "scenes" / f"scene_{i:06d}.bin", "wb") as f:
-            f.write(payload)
-
-    if jobs > 1:
-        from multiprocessing import Pool
-
-        with Pool(jobs) as pool:
-            args = [(seed, i, params, spec, rig, lidar_shape) for i in range(n_scenes)]
-            for i, payload in enumerate(pool.starmap(render_scene_record, args, chunksize=16)):
-                write_record(i, payload)
-    else:
-        for i in range(n_scenes):
-            write_record(i, render_scene_record(seed, i, params, spec, rig, lidar_shape))
+            f.write(render_scene_record(seed, i, params, spec, rig, lidar_shape))
     return SceneDataset(root)
 
 
@@ -195,13 +193,13 @@ class SceneDataset:
         self.manifest = manifest
         self.n_scenes = manifest["n_scenes"]
         self.lidar_shape = tuple(manifest["lidar_shape"])
-        self.params = _params_from_json(manifest.get("scene_params"))
         try:
+            self.params = _params_from_json(manifest.get("scene_params")).validate()
             self.spec = BEVGridSpec(h=grid["h"], w=grid["w"], d=grid["d"],
                                     extent=tuple(grid["extent"]),
                                     z_range=tuple(grid["z_range"])).validate()
             self.cams = [CameraModel.from_json(c).validate() for c in cameras]
-        except ContractError as e:
+        except (ConfigError, ContractError) as e:
             raise DataError(f"{manifest_path}: {e}") from None
 
     def __len__(self):

@@ -1,13 +1,11 @@
 """Per-modality BEV feature construction from shared queries.
 
-Both sensors run one encoder body, ``encode_bev``. The only thing that
-differs is where each BEV pillar's D reference points land on the sensor's
-feature map, and this module turns that geometry into cross-attention
-sources. A camera view comes as the (uv, visible) arrays of
-``geometry.project_to_camera``, D sources per view. The LiDAR map comes from
-``geometry.project_to_lidar``, which drops z, so its D levels are one source
-with multiplicity D. Cross-attention sums over every visible (source, level)
-pair.
+Both sensors run one encoder body, ``encode_bev``. They differ only in where
+each BEV pillar's D reference points land on their feature maps, and this
+module turns that geometry into cross-attention ``Pairs``: one pair per
+visible (view, level, query) for the cameras (``camera_pairs``, from
+``geometry.project_to_camera``), and one pair of weight D per query for the
+LiDAR map, whose projection drops z (``lidar_pairs``).
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from typing import List, Sequence
 import numpy as np
 
 from . import tensor as T
-from .attention import EncoderLayerParams, encoder_layer
+from .attention import EncoderLayerParams, Pairs, encoder_layer
 from .errors import ContractError
 from .geometry import BEVGridSpec, build_reference_grid, project_to_lidar
 from .tensor import Parameter, Tensor
@@ -39,6 +37,9 @@ class BEVQuerySet:
         self.channels = channels
         self.mode = mode
         self.refs = build_reference_grid(spec)
+        r, c = np.meshgrid(np.arange(spec.h), np.arange(spec.w), indexing="ij")
+        # self-attention: each token samples the token map around its own cell
+        self.self_pairs = Pairs.one_map(np.stack([r.reshape(-1), c.reshape(-1)], axis=1))
         shape = (spec.h, spec.w, channels)
         scale = 1.0 / np.sqrt(channels)
         if mode == "shared":
@@ -63,63 +64,56 @@ class BEVQuerySet:
             seen[p.name] = p
         return [seen[k] for k in sorted(seen)]
 
-    def self_refs(self) -> np.ndarray:
-        h, w = self.spec.h, self.spec.w
-        r, c = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-        return np.stack([r.reshape(-1), c.reshape(-1)], axis=1).astype(np.float64)
+
+def camera_pairs(projections: Sequence, n_queries: int) -> Pairs:
+    """Cross-attention pairs of V camera views on their V maps, one per
+    visible (view, pillar level, query): views outer, then levels, then
+    queries ascending. projections[v] is view v's (uv [D,H,W,2], visible
+    [D,H,W]) from ``project_to_camera``, H*W = n_queries; uv is (u, v), a
+    base point (row, col)."""
+    if not projections:
+        raise ContractError("camera_pairs: no camera views")
+    shape = (len(projections), -1, n_queries)  # [V, D, T]
+    view, level, qry = np.nonzero(np.stack([vis for _, vis in projections]).reshape(shape))
+    rc = np.stack([uv for uv, _ in projections]).reshape(*shape, 2)[view, level, qry, ::-1]
+    return Pairs(view, np.ascontiguousarray(rc), qry, len(projections), n_queries)
 
 
-def camera_sources(projections: Sequence, feats: Sequence[Tensor]):
-    """Cross-attention sources of V camera views, one per (view, pillar level).
-
-    projections[v] is view v's (uv [D,H,W,2], visible [D,H,W]) as
-    ``project_to_camera`` returns them; uv is (u, v) and a source's
-    references are (row, col). Order is views outer, levels inner, which
-    fixes the float summation order for reproducibility.
-    """
-    if len(projections) != len(feats):
-        raise ContractError(f"{len(projections)} projections vs {len(feats)} feature maps")
-    sources = []
-    for (uv, vis), feat in zip(projections, feats):
-        rc = np.ascontiguousarray(uv[..., ::-1])
-        for z in range(uv.shape[0]):
-            sources.append((feat, rc[z].reshape(-1, 2), vis[z].reshape(-1), 1))
-    return sources
+def lidar_pairs(refs, map_hw) -> Pairs:
+    """Cross-attention pairs of the LiDAR map [H_L,W_L]: it drops z, so the D
+    pillar levels of a query are one pair of weight D."""
+    rc = project_to_lidar(refs, map_hw)
+    depth, t = rc.shape[0], rc[0].size // 2
+    return Pairs.one_map(rc[0].reshape(t, 2), None if depth == 1 else np.full(t, float(depth)))
 
 
-def encode_bev(queries: BEVQuerySet, modality: str, sources: Sequence,
+def encode_bev(queries: BEVQuerySet, modality: str, maps: Sequence[Tensor], pairs: Pairs,
                layers: Sequence[EncoderLayerParams],
                normalize_by_hits: bool = False) -> Tensor:
     """BEV feature map [H,W,N] of one modality: its queries cross-attend to
-    the (map, refs [H*W,2], visible, multiplicity) sources in every layer."""
-    if len(sources) == 0:
-        raise ContractError(f"encode_bev: {modality} needs at least one source")
+    the maps through the pairs in every layer."""
     spec = queries.spec
-    self_refs = queries.self_refs()
     x = queries.tokens(modality)
     for lp in layers:
-        x = encoder_layer(x, (spec.h, spec.w), self_refs, sources, lp,
+        x = encoder_layer(x, (spec.h, spec.w), queries.self_pairs, maps, pairs, lp,
                           normalize_by_hits=normalize_by_hits)
     return T.reshape(x, (spec.h, spec.w, queries.channels))
 
 
-def encode_camera_bev(queries: BEVQuerySet, projections: Sequence, feats: Sequence[Tensor],
+def encode_camera_bev(queries: BEVQuerySet, feats: Sequence[Tensor], pairs: Pairs,
                       layers: Sequence[EncoderLayerParams],
                       normalize_by_hits: bool = False) -> Tensor:
-    """Camera-branch BEV map over V views x D levels; one (uv, visible) pair
-    from ``project_to_camera`` and one feature map per view."""
-    return encode_bev(queries, "camera", camera_sources(projections, feats), layers,
-                      normalize_by_hits)
+    """Camera-branch BEV map over V views: one feature map per view and the
+    ``camera_pairs`` of the rig."""
+    return encode_bev(queries, "camera", feats, pairs, layers, normalize_by_hits)
 
 
 def encode_lidar_bev(queries: BEVQuerySet, feat_l: Tensor,
                      layers: Sequence[EncoderLayerParams],
                      normalize_by_hits: bool = False) -> Tensor:
-    """LiDAR-branch BEV map: the same encoder over one source. The LiDAR map
-    drops z, so the D pillar levels are one source with multiplicity D."""
-    rc = project_to_lidar(queries.refs, feat_l.shape[:2])
-    source = (feat_l, rc[0].reshape(-1, 2), None, rc.shape[0])
-    return encode_bev(queries, "lidar", [source], layers, normalize_by_hits)
+    """LiDAR-branch BEV map: the same encoder over the one LiDAR map."""
+    return encode_bev(queries, "lidar", [feat_l], lidar_pairs(queries.refs, feat_l.shape[:2]),
+                      layers, normalize_by_hits)
 
 
 def make_encoder_layers(prefix: str, n_layers: int, heads: int, points: int,

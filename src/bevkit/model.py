@@ -8,15 +8,17 @@ discarding the features, since nothing downstream reads them.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from . import tensor as T
 from .detection import BoxPrediction, DecoderParams, decode, decode_raw, set_loss
-from .encoders import BEVQuerySet, encode_camera_bev, encode_lidar_bev, make_encoder_layers
-from .errors import ConfigError, ContractError
+from .encoders import (BEVQuerySet, camera_pairs, encode_camera_bev, encode_lidar_bev,
+                       make_encoder_layers)
+from .errors import ConfigError, ContractError, check_field_kinds
 from .fusion import FusionWeights, ModalityMask, fuse
 from .geometry import BEVGridSpec, CameraModel, project_to_camera
 from .synthscene import ConvBackbone, RenderedSample
@@ -42,6 +44,7 @@ class ModelConfig:
     lidar_hidden: Tuple[int, int] = (12, 16)
 
     def validate(self):
+        check_field_kinds(self)
         if self.fusion not in ("cnw", "avg", "concat"):
             raise ConfigError(f"fusion must be cnw|avg|concat, got {self.fusion!r}")
         if self.query_mode not in ("shared", "separate"):
@@ -98,8 +101,8 @@ class Detector:
         self.fusion_weights = FusionWeights(n_enc) if cfg.fusion == "cnw" else None
         self.decoder = DecoderParams(cfg.n_obj, cfg.channels, cfg.n_classes,
                                      cfg.dec_layers, rng)
-        self._bound_cams: Optional[list] = None
-        self._projections: list = []
+        self._bound_cams: tuple = ()
+        self._cam_pairs = None
 
     # -- parameters and state ------------------------------------------------
 
@@ -131,13 +134,15 @@ class Detector:
     # -- forward -------------------------------------------------------------
 
     def _bind(self, cams: List[CameraModel]):
-        """Cache each view's (uv, visible) on its feature map for this rig."""
-        if self._bound_cams is cams:
+        """Cache the camera pairs of this rig's views on their feature maps.
+        A rig is its camera objects (immutable), not the list holding them,
+        so a list changed in place is a new rig."""
+        if len(cams) == len(self._bound_cams) and all(map(operator.is_, cams, self._bound_cams)):
             return
         stride = self.cam_backbone.stride
-        self._projections = [project_to_camera(self.queries.refs, cam.scaled(stride))
-                             for cam in cams]
-        self._bound_cams = cams
+        self._cam_pairs = camera_pairs([project_to_camera(self.queries.refs, cam.scaled(stride))
+                                        for cam in cams], self.spec.h * self.spec.w)
+        self._bound_cams = tuple(cams)
 
     def encode(self, sample: RenderedSample, mask: ModalityMask):
         """Per-modality BEV features under the given availability mask."""
@@ -146,7 +151,7 @@ class Detector:
         if mask.use_cam:
             self._bind(sample.cams)
             feats = self.cam_backbone.forward(sample.camera_images)
-            cam_bev = encode_camera_bev(self.queries, self._projections, feats,
+            cam_bev = encode_camera_bev(self.queries, feats, self._cam_pairs,
                                         self.cam_layers,
                                         normalize_by_hits=self.cfg.normalize_by_hits)
         if mask.use_lidar:

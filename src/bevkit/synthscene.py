@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .detection import GroundTruthBox
-from .errors import GenerationError
+from .errors import ConfigError, GenerationError, check_field_kinds
 from .geometry import BEVGridSpec, CameraModel, make_camera
 from .tensor import Parameter, Tensor
 
@@ -63,6 +63,29 @@ class SceneParams:
     @property
     def n_classes(self) -> int:
         return len(self.aspect_ranges)
+
+    def validate(self):
+        """ConfigError unless every field has its default's kind, n_boxes is
+        0 <= lo <= hi, every range is finite with lo <= hi, areas and aspects
+        are positive (a box's sides are square roots of their product and
+        quotient), distances and noise levels finite and non-negative, and
+        the dropout range positive."""
+        check_field_kinds(self)
+        if not 0 <= self.n_boxes[0] <= self.n_boxes[1]:
+            raise ConfigError(f"n_boxes must be 0 <= lo <= hi, got {self.n_boxes}")
+        for r in (self.area_range, self.height_range, self.appearance_range, *self.aspect_ranges):
+            if not (np.all(np.isfinite(r)) and r[0] <= r[1]):
+                raise ConfigError(f"ranges must be finite (lo, hi) with lo <= hi, got {r}")
+        if min(self.area_range[0], *(lo for lo, _ in self.aspect_ranges)) <= 0:
+            raise ConfigError(f"areas and aspects must be positive: {self}")
+        for name in ("min_center_dist", "margin", "sigma_cam", "sigma_lidar",
+                     "lidar_drop_full_range"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and non-negative, got {value}")
+        if self.lidar_drop_full_range == 0:
+            raise ConfigError("lidar_drop_full_range must be positive")
+        return self
 
 
 def sample_scene(rng: np.random.Generator, params: SceneParams, spec: BEVGridSpec,

@@ -16,7 +16,7 @@ and the intermediate never becomes a Tensor: ``residual_layer_norm`` (a
 residual add, then a layer norm) keeps the normalized sum and the inverse
 deviations, not the sum; ``ffn`` (linear, relu, linear) keeps the post-relu
 hidden, not the pre-activation; ``deform_attend`` weights and sums its
-(source, query) pair rows per query and keeps no pair row; ``conv2d_3x3``
+(map, query) pair rows per query and keeps no pair row; ``conv2d_3x3``
 keeps its padded input and rebuilds each tap's slice in backward. Each runs
 the expressions of the composition it replaces in the same order, so outputs
 and grads keep their bits. A vjp computes no grad for a parent that does not
@@ -795,7 +795,7 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
     query.
 
     feats [B,H,W,M*D] holds B value maps whose channels are M blocks of D,
-    one block per head. For each of P (source, query) pairs with base point
+    one block per head. For each of P (map, query) pairs with base point
     base_pts[p] on map map_idx[p], head m samples its own block at base +
     offsets[qry_idx[p], m, k] and combines its K points with attn[qry_idx[p],
     m, k]; the pair's [M, D] row is scaled by pair_weight[p] (when given),

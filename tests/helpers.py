@@ -59,3 +59,30 @@ def check_grads(build_loss, arrays, requires=None, h=1e-5, tol=1e-4):
             worst = max(worst, e)
             assert e < tol, f"grad mismatch on input {k}: analytic {a}, numeric {n}"
     return worst
+
+
+def source_pairs(sources, n_maps, n_queries):
+    """Pairs of sources (map index, refs [T,2], visible [T] bool or None,
+    weight): each source's visible queries in ascending order, one source
+    after the other, each pair weighted by its source's weight; no weights
+    when every weight is 1."""
+    from bevkit.attention import Pairs
+
+    map_idx, base, qry, weight = [], [], [], []
+    for m, refs, visible, w in sources:
+        q = np.arange(n_queries) if visible is None else np.nonzero(visible)[0]
+        map_idx.append(np.full(q.size, m))
+        base.append(np.asarray(refs)[q])
+        qry.append(q)
+        weight.append(np.full(q.size, float(w)))
+    weight = np.concatenate(weight)
+    return Pairs(np.concatenate(map_idx), np.concatenate(base), np.concatenate(qry), n_maps,
+                 n_queries, weight if np.any(weight != 1.0) else None)
+
+
+def grid_pairs(h, w):
+    """Self-attention pairs of an h x w token grid: each token at its own cell."""
+    from bevkit.attention import Pairs
+
+    r, c = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    return Pairs.one_map(np.stack([r.reshape(-1), c.reshape(-1)], axis=1).astype(np.float64))

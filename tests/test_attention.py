@@ -1,4 +1,5 @@
-"""deform_attn_multi vs the naive loop oracle, plus encoder layer tests."""
+"""deform_attn_multi vs the naive loop oracle, the Pairs contract, plus
+encoder layer tests."""
 
 import numpy as np
 import pytest
@@ -8,15 +9,15 @@ import bevkit.attention as attention
 from bevkit.attention import (
     DeformAttnParams,
     EncoderLayerParams,
-    cross_attend,
+    Pairs,
     deform_attn_multi,
     encoder_layer,
 )
-from bevkit.errors import ShapeError
+from bevkit.errors import ContractError, ShapeError
 from bevkit.tensor import Tensor, backward
 
 import backward_reference as ref
-from helpers import check_grads
+from helpers import check_grads, grid_pairs, source_pairs
 from naive_reference import bilinear_scalar, deform_attn_naive, scatter_rows_naive
 
 
@@ -42,8 +43,8 @@ def run_naive(queries, refs, feat, p, valid=None):
 
 
 def single(queries, refs, feat, p, valid=None):
-    """deform_attn_multi over one source."""
-    return deform_attn_multi(queries, [(feat, refs, valid)], p)
+    """deform_attn_multi over one map, one pair per valid query."""
+    return deform_attn_multi(queries, [feat], source_pairs([(0, refs, valid, 1)], 1, len(refs)), p)
 
 
 class TestDeformAttn:
@@ -120,15 +121,16 @@ class TestDeformAttn:
         rng = np.random.default_rng(seed + 60)
         p = make_params(rng)
         queries = rng.standard_normal((4, 4))
-        sources = []
+        maps, sources = [], []
         singles = np.zeros((4, 4))
-        for _ in range(3):
+        for i in range(3):
             feat = rng.standard_normal((5, 5, 4))
             refs = rng.uniform(-1, 5, (4, 2))
             valid = rng.random(4) > 0.3
-            sources.append((Tensor(feat), refs, valid))
+            maps.append(Tensor(feat))
+            sources.append((i, refs, valid, 1))
             singles += run_naive(queries, refs, feat, p, valid)
-        multi = deform_attn_multi(Tensor(queries), sources, p)
+        multi = deform_attn_multi(Tensor(queries), maps, source_pairs(sources, 3, 4), p)
         assert np.max(np.abs(multi.data - singles)) < 1e-10
 
     def test_duplicated_source_doubles(self):
@@ -138,8 +140,8 @@ class TestDeformAttn:
         feat = Tensor(rng.standard_normal((5, 5, 4)))
         refs = rng.uniform(0, 4, (4, 2))
         valid = np.ones(4, dtype=bool)
-        one = deform_attn_multi(queries, [(feat, refs, valid)], p)
-        two = deform_attn_multi(queries, [(feat, refs, valid)] * 2, p)
+        one = deform_attn_multi(queries, [feat], source_pairs([(0, refs, valid, 1)], 1, 4), p)
+        two = deform_attn_multi(queries, [feat], source_pairs([(0, refs, valid, 1)] * 2, 1, 4), p)
         assert np.array_equal(two.data, 2.0 * one.data)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -168,7 +170,7 @@ class TestDeformAttn:
 
 
 class TestValueProjectionBeforeSampling:
-    """deform_attn_multi projects each distinct map before sampling; the
+    """deform_attn_multi projects each map before sampling; the
     naive oracle samples first and projects after. Both orders are equal in
     real arithmetic and round differently, so they agree to 1e-12."""
 
@@ -184,18 +186,18 @@ class TestValueProjectionBeforeSampling:
         queries = rng.standard_normal((t, 8))
         shared = rng.standard_normal((5, 6, 5))
         other = rng.standard_normal((5, 6, 5))
-        shared_t = Tensor(shared)
-        # one Tensor listed as three sources with different refs and visibilities
+        # one map sampled by three sources with different refs and visibilities
         sources = [
-            (shared_t, rng.uniform(-1, 6, (t, 2)), rng.random(t) > 0.3),
-            (Tensor(other), rng.uniform(-1, 6, (t, 2)), rng.random(t) > 0.4),
-            (shared_t, rng.uniform(-1, 6, (t, 2)), None, 3),
-            (shared_t, rng.uniform(-1, 6, (t, 2)), rng.random(t) > 0.6),
+            (0, rng.uniform(-1, 6, (t, 2)), rng.random(t) > 0.3, 1),
+            (1, rng.uniform(-1, 6, (t, 2)), rng.random(t) > 0.4, 1),
+            (0, rng.uniform(-1, 6, (t, 2)), None, 3),
+            (0, rng.uniform(-1, 6, (t, 2)), rng.random(t) > 0.6, 1),
         ]
         want = np.zeros((t, 8))
-        for feat, (_, refs, valid, *mult) in zip([shared, other, shared, shared], sources):
-            want += (mult[0] if mult else 1) * run_naive(queries, refs, feat, p, valid)
-        got = deform_attn_multi(Tensor(queries), sources, p)
+        for m, refs, valid, weight in sources:
+            want += weight * run_naive(queries, refs, [shared, other][m], p, valid)
+        got = deform_attn_multi(Tensor(queries), [Tensor(shared), Tensor(other)],
+                                source_pairs(sources, 2, t), p)
         np.testing.assert_allclose(got.data, want, rtol=1e-12)
 
 
@@ -212,7 +214,7 @@ class TestScatterRows:
 
     @staticmethod
     def source_indices(rng, t, n_sources):
-        """Concatenated per-source query indices as deform_attn_multi builds
+        """Concatenated per-source query indices as camera_pairs builds
         them: each strictly increasing, sets overlapping, one source empty."""
         parts = [np.nonzero(rng.random(t) > 0.4)[0] for _ in range(n_sources)]
         parts[1] = np.zeros(0, dtype=np.intp)
@@ -241,19 +243,19 @@ class TestScatterRows:
         p = make_params(rng)
         t = 6
         feats = [Tensor(rng.standard_normal((5, 5, 4)), requires_grad=True) for _ in range(3)]
-        sources = [
-            (feats[0], rng.uniform(-1, 5, (t, 2)), rng.random(t) > 0.3, 4),
-            (feats[1], rng.uniform(-1, 5, (t, 2)), np.zeros(t, dtype=bool)),
-            (feats[2], rng.uniform(-1, 5, (t, 2)), rng.random(t) > 0.5),
-            (feats[0], rng.uniform(-1, 5, (t, 2)), None),
-        ]
+        pairs = source_pairs([
+            (0, rng.uniform(-1, 5, (t, 2)), rng.random(t) > 0.3, 4),
+            (1, rng.uniform(-1, 5, (t, 2)), np.zeros(t, dtype=bool), 1),
+            (2, rng.uniform(-1, 5, (t, 2)), rng.random(t) > 0.5, 1),
+            (0, rng.uniform(-1, 5, (t, 2)), None, 1),
+        ], 3, t)
         q0 = rng.standard_normal((t, 4))
 
         def run():
             queries = Tensor(q0, requires_grad=True)
             for f in feats:
                 f.zero_grad()
-            out = deform_attn_multi(queries, sources, p)
+            out = deform_attn_multi(queries, feats, pairs, p)
             backward(T.tsum(T.mul(out, out)))
             return [out.data, queries.grad] + [f.grad for f in feats]
 
@@ -314,9 +316,9 @@ class TestScatterRows:
 
 
 def summed_through_scatter(queries, feat, refs, mult, p):
-    """deform_attn_multi over one unmasked source of multiplicity mult, with
-    its map stacked and its rows weighted and summed per query by the
-    reference deform_attend, which always takes the sum."""
+    """deform_attn_multi over one map with one pair per query, in order, of
+    weight mult, with the map stacked and its rows weighted and summed per
+    query by the reference deform_attend, which always takes the sum."""
     t = queries.shape[0]
     hf, wf, vd = feat.shape
     off, attn = attention._query_offsets_weights(queries, p)
@@ -332,8 +334,8 @@ def summed_through_scatter(queries, feat, refs, mult, p):
 @pytest.mark.parametrize("mult", [1, 4])
 @pytest.mark.parametrize("seed", range(3))
 def test_lone_source_skips_the_sum_bitexact(seed, mult):
-    """One source without a visibility mask has one pair per query, in
-    order: deform_attend takes no sum and deform_attn_multi stacks no map,
+    """One map with one pair per query, in order (Pairs.one_map): deform_attend
+    takes no sum and deform_attn_multi stacks no map,
     and the output and grads equal the stacked, summed path's bit for bit,
     -0.0 values and references off the map included."""
     rng = np.random.default_rng(seed + 340)
@@ -353,7 +355,8 @@ def test_lone_source_skips_the_sum_bitexact(seed, mult):
         backward(T.tsum(T.mul(out, out)))
         return [out.data, queries.grad, feat.grad] + [prm.tensor.grad for prm in p.parameters()]
 
-    got = run(lambda q, f: deform_attn_multi(q, [(f, refs, None, mult)], p))
+    weight = None if mult == 1 else np.full(t, float(mult))
+    got = run(lambda q, f: deform_attn_multi(q, [f], Pairs.one_map(refs, weight), p))
     want = run(lambda q, f: summed_through_scatter(q, f, refs, mult, p))
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
@@ -363,17 +366,13 @@ class TestEncoderLayer:
         return EncoderLayerParams("layer", heads=2, points=2, channels=channels,
                                   value_dim=value_dim, rng=rng)
 
-    def grid_refs(self, h, w):
-        r, c = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-        return np.stack([r.reshape(-1), c.reshape(-1)], axis=1).astype(np.float64)
-
     def test_shape_preserved(self):
         rng = np.random.default_rng(10)
         lp = self.make_layer(rng)
         tokens = Tensor(rng.standard_normal((6, 4)))
-        refs = self.grid_refs(2, 3)
-        src = (Tensor(rng.standard_normal((4, 4, 4))), rng.uniform(0, 3, (6, 2)), np.ones(6, bool))
-        out = encoder_layer(tokens, (2, 3), refs, [src], lp)
+        pairs = source_pairs([(0, rng.uniform(0, 3, (6, 2)), np.ones(6, bool), 1)], 1, 6)
+        out = encoder_layer(tokens, (2, 3), grid_pairs(2, 3),
+                            [Tensor(rng.standard_normal((4, 4, 4)))], pairs, lp)
         assert out.shape == (6, 4)
 
     def test_residual_identity_path(self):
@@ -384,9 +383,9 @@ class TestEncoderLayer:
         lp.cross_attn.out_w.tensor.data[:] = 0.0
         lp.ffn_w2.tensor.data[:] = 0.0
         tokens = rng.standard_normal((6, 4))
-        refs = self.grid_refs(2, 3)
-        src = (Tensor(rng.standard_normal((4, 4, 4))), rng.uniform(0, 3, (6, 2)), np.ones(6, bool))
-        out = encoder_layer(Tensor(tokens), (2, 3), refs, [src], lp)
+        pairs = source_pairs([(0, rng.uniform(0, 3, (6, 2)), np.ones(6, bool), 1)], 1, 6)
+        out = encoder_layer(Tensor(tokens), (2, 3), grid_pairs(2, 3),
+                            [Tensor(rng.standard_normal((4, 4, 4)))], pairs, lp)
 
         def ln(x):
             mu = x.mean(-1, keepdims=True)
@@ -400,34 +399,46 @@ class TestEncoderLayer:
         lp = self.make_layer(rng)
         tokens = Tensor(rng.standard_normal((6, 4)))
         feat = Tensor(rng.standard_normal((4, 4, 4)))
-        cross_refs = rng.uniform(0, 3, (6, 2))
-        valid = np.ones(6, bool)
-        one = cross_attend(tokens, [(feat, cross_refs, valid)], lp.cross_attn)
-        two = cross_attend(tokens, [(feat, cross_refs, valid)] * 2, lp.cross_attn)
+        source = (0, rng.uniform(0, 3, (6, 2)), np.ones(6, bool), 1)
+        one = deform_attn_multi(tokens, [feat], source_pairs([source], 1, 6), lp.cross_attn)
+        two = deform_attn_multi(tokens, [feat], source_pairs([source] * 2, 1, 6), lp.cross_attn)
         assert np.array_equal(two.data, 2.0 * one.data)
 
     def test_source_count_mismatch_raises(self):
         rng = np.random.default_rng(13)
         lp = self.make_layer(rng)
         tokens = Tensor(rng.standard_normal((6, 4)))
-        with pytest.raises(Exception):
-            encoder_layer(tokens, (2, 4), self.grid_refs(2, 3), [], lp)
+        feat = Tensor(rng.standard_normal((4, 4, 4)))
+        pairs = Pairs.one_map(rng.uniform(0, 3, (6, 2)))
+        with pytest.raises(ContractError):  # 6 tokens on a 2x4 grid
+            encoder_layer(tokens, (2, 4), grid_pairs(2, 3), [feat], pairs, lp)
+        with pytest.raises(ContractError):  # no maps for pairs over one
+            encoder_layer(tokens, (2, 3), grid_pairs(2, 3), [], pairs, lp)
+        with pytest.raises(ContractError):  # two maps for pairs over one
+            encoder_layer(tokens, (2, 3), grid_pairs(2, 3), [feat, feat], pairs, lp)
 
-    def test_normalize_by_hits_flag(self):
+    def test_normalize_by_hits_flag(self, monkeypatch):
+        """With normalize_by_hits the cross term of each query is divided by
+        its hit count: 2 here, so exactly halved."""
         rng = np.random.default_rng(14)
         lp = self.make_layer(rng)
         tokens = Tensor(rng.standard_normal((4, 4)))
-        refs = self.grid_refs(2, 2)
         feat = Tensor(rng.standard_normal((4, 4, 4)))
-        cross_refs = rng.uniform(0, 3, (4, 2))
-        valid = np.ones(4, bool)
-        sources = [(feat, cross_refs, valid)] * 2
-        raw = cross_attend(tokens, sources, lp.cross_attn)
-        nrm = cross_attend(tokens, sources, lp.cross_attn, normalize_by_hits=True)
-        assert np.allclose(nrm.data, raw.data / 2.0)
-        # and the layer passes the flag on
-        plain = encoder_layer(tokens, (2, 2), refs, sources, lp)
-        halved = encoder_layer(tokens, (2, 2), refs, sources, lp, normalize_by_hits=True)
+        pairs = source_pairs([(0, rng.uniform(0, 3, (4, 2)), np.ones(4, bool), 1)] * 2, 1, 4)
+        assert np.array_equal(pairs.hits, np.full(4, 2.0))
+        residuals = []  # the y of every residual_layer_norm(x, y, ...)
+        real = T.residual_layer_norm
+
+        def spy(x, y, *args, **kwargs):
+            residuals.append(y.data)
+            return real(x, y, *args, **kwargs)
+
+        monkeypatch.setattr(T, "residual_layer_norm", spy)
+        plain = encoder_layer(tokens, (2, 2), grid_pairs(2, 2), [feat], pairs, lp)
+        halved = encoder_layer(tokens, (2, 2), grid_pairs(2, 2), [feat], pairs, lp,
+                               normalize_by_hits=True)
+        assert np.array_equal(residuals[0], residuals[3])  # self-attention term
+        assert np.array_equal(residuals[4], 0.5 * residuals[1])  # cross-attention term
         assert not np.allclose(plain.data, halved.data)
 
     def test_fd_through_full_layer(self):
@@ -442,9 +453,8 @@ class TestEncoderLayer:
             attn.weight_b.tensor.data[:] = rng.uniform(-0.5, 0.5, attn.weight_b.tensor.shape)
         tokens0 = rng.standard_normal((4, 4)) * 0.5
         feat0 = rng.standard_normal((3, 3, 4))
-        refs = self.grid_refs(2, 2)
         cross_refs = rng.integers(0, 2, (4, 2)) + rng.uniform(0.25, 0.75, (4, 2))
-        valid = np.ones(4, bool)
+        pairs = source_pairs([(0, cross_refs, np.ones(4, bool), 1)], 1, 4)
 
         names = []
         for prm in lp.parameters():
@@ -456,23 +466,92 @@ class TestEncoderLayer:
             tokens, feat = ts[0], ts[1]
             for prm, t in zip(names, ts[2:]):
                 prm.tensor = t
-            out = encoder_layer(tokens, (2, 2), refs, [(feat, cross_refs, valid)], lp)
+            out = encoder_layer(tokens, (2, 2), grid_pairs(2, 2), [feat], pairs, lp)
             return T.tsum(T.sigmoid(out))
 
         check_grads(build, leaves)
 
 
 def test_one_pair_per_query_out_of_order_is_still_summed():
-    """Two sources with complementary masks give one pair per query, but not
-    in query order: the rows still go through the per-query sum."""
+    """Two maps with complementary masks give one pair per query, but not in
+    query order: the rows still go through the per-query sum."""
     rng = np.random.default_rng(350)
     p = make_params(rng)
     t = 6
     feats = [Tensor(rng.standard_normal((5, 5, 4))) for _ in range(2)]
     late = np.arange(t) >= 2
-    sources = [(feats[0], rng.uniform(0, 4, (t, 2)), late),
-               (feats[1], rng.uniform(0, 4, (t, 2)), ~late)]
+    sources = [(0, rng.uniform(0, 4, (t, 2)), late, 1),
+               (1, rng.uniform(0, 4, (t, 2)), ~late, 1)]
     queries = rng.standard_normal((t, 4))
-    want = sum(run_naive(queries, refs, f.data, p, vis) for f, refs, vis in sources)
-    got = deform_attn_multi(Tensor(queries), sources, p)
+    want = sum(run_naive(queries, refs, feats[m].data, p, vis) for m, refs, vis, _ in sources)
+    got = deform_attn_multi(Tensor(queries), feats, source_pairs(sources, 2, t), p)
     np.testing.assert_allclose(got.data, want, rtol=1e-12, atol=1e-14)
+
+
+class TestPairsContract:
+    """Pairs checks its arrays once, at construction, and deform_attn_multi
+    checks that the maps and queries it is given are the ones the pairs
+    index."""
+
+    def arrays(self, **change):
+        arrays = dict(map_idx=[0, 1, 1], base_pts=np.zeros((3, 2)), qry_idx=[2, 0, 2],
+                      n_maps=2, n_queries=3, weight=None)
+        arrays.update(change)
+        return arrays
+
+    def test_fields_and_hits(self):
+        pairs = Pairs(**self.arrays(weight=[1.0, 4.0, 2.0]))
+        assert pairs.map_idx.dtype == pairs.qry_idx.dtype == np.intp
+        assert (pairs.n_maps, pairs.n_queries) == (2, 3)
+        assert pairs.hits.dtype == np.float64
+        assert np.array_equal(pairs.hits, [4.0, 0.0, 3.0])
+        assert np.array_equal(Pairs(**self.arrays()).hits, [1.0, 0.0, 2.0])
+
+    def test_one_map_is_the_queries_in_order(self):
+        refs = np.arange(8.0).reshape(4, 2)
+        pairs = Pairs.one_map(refs, np.full(4, 3.0))
+        assert np.array_equal(pairs.map_idx, np.zeros(4)) and pairs.n_maps == 1
+        assert np.array_equal(pairs.qry_idx, np.arange(4)) and pairs.n_queries == 4
+        assert np.array_equal(pairs.base_pts, refs)
+        assert np.array_equal(pairs.hits, np.full(4, 3.0))
+
+    def test_no_pairs(self):
+        pairs = Pairs(**self.arrays(map_idx=[], base_pts=np.zeros((0, 2)), qry_idx=[]))
+        assert np.array_equal(pairs.hits, np.zeros(3))
+
+    @pytest.mark.parametrize("change", [
+        dict(map_idx=[0, 1]),
+        dict(qry_idx=[[2, 0, 2]]),
+        dict(base_pts=np.zeros((3, 3))),
+        dict(base_pts=np.zeros((2, 2))),
+        dict(weight=[1.0, 1.0]),
+        dict(weight=np.ones((3, 1))),
+    ], ids=["map_idx", "qry_idx_2d", "base_pts_3", "base_pts_short", "weight", "weight_2d"])
+    def test_lengths_must_agree(self, change):
+        with pytest.raises(ShapeError):
+            Pairs(**self.arrays(**change))
+
+    @pytest.mark.parametrize("change", [
+        dict(map_idx=[0, 2, 1]),
+        dict(map_idx=[0, -1, 1]),
+        dict(qry_idx=[2, 3, 0]),
+        dict(qry_idx=[-1, 0, 0]),
+    ], ids=["map_high", "map_negative", "query_high", "query_negative"])
+    def test_indices_must_be_in_range(self, change):
+        with pytest.raises(ContractError):
+            Pairs(**self.arrays(**change))
+
+    def test_deform_attn_multi_checks_its_maps_and_queries(self):
+        rng = np.random.default_rng(360)
+        p = make_params(rng)
+        pairs = Pairs(**self.arrays(base_pts=rng.uniform(0, 3, (3, 2))))
+        feat = Tensor(rng.standard_normal((4, 4, 4)))
+        queries = Tensor(rng.standard_normal((3, 4)))
+        assert deform_attn_multi(queries, [feat, feat], pairs, p).shape == (3, 4)
+        for maps in ([], [feat], [feat] * 3):
+            with pytest.raises(ContractError):
+                deform_attn_multi(queries, maps, pairs, p)
+        with pytest.raises(ShapeError):
+            deform_attn_multi(Tensor(rng.standard_normal((4, 4))), [feat, feat], pairs, p)
+        with pytest.raises(ShapeError):
+            deform_attn_multi(queries, [feat, Tensor(rng.standard_normal((4, 5, 4)))], pairs, p)

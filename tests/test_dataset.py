@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from bevkit.checkpoint import load_checkpoint, save_checkpoint
-from bevkit.dataset import SceneDataset, _FIELDS, _read_array, _write_array, generate_dataset
-from bevkit.errors import ContractError, DataError
+from bevkit.dataset import (SceneDataset, _FIELDS, _read_array, _write_array, generate_dataset,
+                            render_scene_record)
+from bevkit.errors import ConfigError, ContractError, DataError
 from bevkit.geometry import BEVGridSpec
-from bevkit.synthscene import SceneParams, sample_scene
+from bevkit.synthscene import SceneParams, default_rig, sample_scene
 
 SPEC = BEVGridSpec(h=8, w=8, d=2)
 TINY = dict(lidar_shape=(4, 4), image_h=2, image_w=4, fx=1.0)
@@ -43,12 +44,62 @@ class TestSampleScene:
             assert np.all(d[np.triu_indices(len(c), 1)] >= params.min_center_dist)
 
 
-def test_generate_dataset_bytes_do_not_depend_on_jobs(tmp_path):
-    one = generate_dataset(tmp_path / "one", 3, 7, SceneParams(), SPEC, jobs=1, **TINY)
-    two = generate_dataset(tmp_path / "two", 3, 7, SceneParams(), SPEC, jobs=2, **TINY)
-    files = dataset_files(one.root)
+def test_records_rendered_out_of_order_are_the_files_bytes(tmp_path):
+    """A record's bytes depend on (seed, scene id, parameters) only, so
+    rendering the records in any order gives the files' bytes."""
+    ds = generate_dataset(tmp_path / "ds", 3, 7, SceneParams(), SPEC, **TINY)
+    files = dataset_files(ds.root)
     assert sorted(files) == ["manifest.json"] + [f"scenes/scene_{i:06d}.bin" for i in range(3)]
-    assert files == dataset_files(two.root)
+    assert ds.params == SceneParams()  # the manifest's lists read back as tuples
+    rig = default_rig(image_h=TINY["image_h"], image_w=TINY["image_w"], fx=TINY["fx"])
+    for i in (2, 0, 1):
+        record = render_scene_record(7, i, SceneParams(), SPEC, rig, TINY["lidar_shape"])
+        assert record == files[f"scenes/scene_{i:06d}.bin"]
+
+
+BAD_SCENE_PARAMS = [
+    dict(area_range=(-1.0, 1.0)),  # NaN box sizes without the check
+    dict(area_range=(0.0, 1.0)),
+    dict(aspect_ranges=((3.2, 4.8), (-1.0, 2.0))),
+    dict(n_boxes=(3, 1)),  # ValueError from the rng without the check
+    dict(n_boxes=(-1, 2)),
+    dict(n_boxes=(1.0, 2)),
+    dict(n_boxes=(1, 2, 3)),
+    dict(aspect_ranges=()),  # ValueError from the rng without the check
+    dict(aspect_ranges=((3.2,),)),
+    dict(height_range=(1.8, 1.2)),
+    dict(appearance_range=(0.2, float("inf"))),
+    dict(margin=-1.0),
+    dict(min_center_dist=float("nan")),
+    dict(sigma_cam=-0.1),
+    dict(sigma_lidar="0.05"),
+    dict(lidar_drop_full_range=0.0),
+    dict(lidar_drop_full_range=True),
+]
+
+
+@pytest.mark.parametrize("kw", BAD_SCENE_PARAMS,
+                         ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+def test_bad_scene_params_are_config_error_before_anything_is_written(kw, tmp_path):
+    with pytest.raises(ConfigError):
+        SceneParams(**kw).validate()
+    with pytest.raises(ConfigError):
+        generate_dataset(tmp_path / "ds", 2, 0, SceneParams(**kw), SPEC, **TINY)
+    assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("n_scenes", [-1, 1.5, True, "2"])
+def test_bad_n_scenes_is_config_error_before_anything_is_written(n_scenes, tmp_path):
+    with pytest.raises(ConfigError):
+        generate_dataset(tmp_path / "ds", n_scenes, 0, SceneParams(), SPEC, **TINY)
+    assert not (tmp_path / "ds").exists()
+
+
+def test_scene_params_validate_accepts_edge_values():
+    params = SceneParams(n_boxes=(0, 0), aspect_ranges=[(1, 1)], margin=0, sigma_cam=0.0,
+                         sigma_lidar=0, height_range=(0.0, 0.0), appearance_range=(-1, -1))
+    assert params.validate() is params
+    assert SceneParams().validate() == SceneParams()
 
 
 @pytest.fixture(scope="module")
@@ -224,6 +275,10 @@ class TestManifestReader:
         (("scene_params", "aspect_ranges"), []),
         (("scene_params", "unknown"), 1.0),
         (("record_fields", 0, "dtype"), "<f4"),
+        (("scene_params", "area_range"), [-1.0, 1.0]),
+        (("scene_params", "n_boxes"), [3, 1]),
+        (("scene_params", "sigma_cam"), float("nan")),
+        (("scene_params", "lidar_drop_full_range"), 0),
     ])
     def test_wrongly_typed_field_is_data_error(self, tiny_dataset, tmp_path, path, value):
         manifest = self.manifest(tiny_dataset)

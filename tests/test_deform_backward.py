@@ -28,6 +28,8 @@ from bevkit.model import Detector, ModelConfig
 from bevkit.synthscene import SceneParams
 from bevkit.tensor import Tensor, backward
 
+from helpers import source_pairs
+
 REQUIRES = list(itertools.product((False, True), repeat=3))
 
 
@@ -307,7 +309,8 @@ def test_deform_attend_matches_jet_reference(case):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_deform_attn_multi_matches_reference(seed, monkeypatch):
-    """Several sources, one counted 4 times, one empty, queries seen by many."""
+    """Several sources, one of weight 4, one empty, one map sampled by two,
+    queries seen by many."""
     rng = np.random.default_rng(seed + 80)
     p = DeformAttnParams("t", 2, 2, 4, 4, rng)
     p.offset_w.tensor.data[:] = rng.uniform(-0.5, 0.5, p.offset_w.tensor.shape)
@@ -315,19 +318,19 @@ def test_deform_attn_multi_matches_reference(seed, monkeypatch):
     p.weight_w.tensor.data[:] = rng.uniform(-1, 1, p.weight_w.tensor.shape)
     t = 6
     feats = [Tensor(rng.standard_normal((5, 5, 4)), requires_grad=True) for _ in range(3)]
-    sources = [
-        (feats[0], rng.uniform(-1, 5, (t, 2)), rng.random(t) > 0.3, 4),
-        (feats[1], rng.uniform(-1, 5, (t, 2)), np.zeros(t, dtype=bool)),
-        (feats[2], rng.uniform(-1, 5, (t, 2)), rng.random(t) > 0.5),
-        (feats[0], rng.uniform(-1, 5, (t, 2)), None),
-    ]
+    pairs = source_pairs([
+        (0, rng.uniform(-1, 5, (t, 2)), rng.random(t) > 0.3, 4),
+        (1, rng.uniform(-1, 5, (t, 2)), np.zeros(t, dtype=bool), 1),
+        (2, rng.uniform(-1, 5, (t, 2)), rng.random(t) > 0.5, 1),
+        (0, rng.uniform(-1, 5, (t, 2)), None, 1),
+    ], 3, t)
     q0 = rng.standard_normal((t, 4))
 
     def run():
         queries = Tensor(q0, requires_grad=True)
         for x in feats + [q.tensor for q in p.parameters()]:
             x.zero_grad()
-        out = deform_attn_multi(queries, sources, p)
+        out = deform_attn_multi(queries, feats, pairs, p)
         backward(T.tsum(T.mul(out, out)))
         return ([out.data, queries.grad] + [f.grad for f in feats]
                 + [q.tensor.grad for q in p.parameters()])

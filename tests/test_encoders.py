@@ -4,21 +4,25 @@ import numpy as np
 import pytest
 
 import bevkit.tensor as T
-from bevkit.attention import cross_attend
+from bevkit.attention import deform_attn_multi
 from bevkit.encoders import (
     BEVQuerySet,
-    camera_sources,
+    camera_pairs,
     encode_bev,
     encode_camera_bev,
     encode_lidar_bev,
+    lidar_pairs,
     make_encoder_layers,
 )
 from bevkit.errors import ContractError, ShapeError
-from bevkit.geometry import BEVGridSpec, make_camera, project_to_camera, project_to_lidar
+from bevkit.geometry import (BEVGridSpec, build_reference_grid, make_camera, project_to_camera,
+                             project_to_lidar)
 from bevkit.optim import Adam
+from bevkit.synthscene import default_rig
 from bevkit.tensor import Tensor, backward
 
 from helpers import check_grads
+from naive_reference import camera_pairs_naive
 
 
 def small_spec(h=4, w=4, d=2):
@@ -40,15 +44,9 @@ def front_camera(queries, yaw=0.0):
     return project_to_camera(queries.refs, cam)
 
 
-def lidar_source(queries, feat):
-    """The LiDAR branch's one source: D identical levels, multiplicity D."""
-    rc = project_to_lidar(queries.refs, feat.shape[:2])
-    return (feat, rc[0].reshape(-1, 2), None, rc.shape[0])
-
-
 def lidar_as_camera(queries, shape):
     """project_to_lidar's coordinates as a camera view: (u, v), all visible,
-    so the camera path makes D explicit sources from them."""
+    so the camera path makes D explicit pairs per query from them."""
     rc = project_to_lidar(queries.refs, shape)
     return rc[..., ::-1], np.ones(rc.shape[:-1], dtype=bool)
 
@@ -57,7 +55,8 @@ class TestUniformity:
     def test_lidar_source_through_camera_modality_matches_lidar_bitexact(self):
         rng, spec, queries, layers = make_setup(seed=1)
         feat = Tensor(rng.standard_normal((spec.h, spec.w, 4)))
-        via_camera = encode_bev(queries, "camera", [lidar_source(queries, feat)], layers)
+        via_camera = encode_bev(queries, "camera", [feat], lidar_pairs(queries.refs, (4, 4)),
+                                layers)
         via_lidar = encode_lidar_bev(queries, feat, layers)
         assert np.array_equal(via_camera.data, via_lidar.data)
 
@@ -66,74 +65,109 @@ class TestUniformity:
     @pytest.mark.parametrize("seed", range(5))
     def test_explicit_levels_equal_multiplicity_source_bitexact(self, d, normalize_by_hits,
                                                                 seed):
-        # D identical levels as D sources of multiplicity 1 (camera path) sum
-        # to the same bits as one source of multiplicity D (LiDAR path)
+        # D identical levels as D pairs of weight 1 per query (camera path) sum
+        # to the same bits as one pair of weight D (LiDAR path)
         rng, spec, queries, layers = make_setup(seed=20 + seed, d=d)
         for lp in layers:  # move sample points off the cell lattice
             for attn in (lp.self_attn, lp.cross_attn):
                 for prm in attn.parameters():
                     prm.tensor.data[:] += 0.3 * rng.standard_normal(prm.tensor.shape)
         feat = Tensor(rng.standard_normal((7, 9, 4)))  # resolution differs from grid
-        levels = encode_camera_bev(queries, [lidar_as_camera(queries, (7, 9))], [feat], layers,
-                                   normalize_by_hits)
+        pairs = camera_pairs([lidar_as_camera(queries, (7, 9))], spec.h * spec.w)
+        levels = encode_camera_bev(queries, [feat], pairs, layers, normalize_by_hits)
         one = encode_lidar_bev(queries, feat, layers, normalize_by_hits)
         assert np.array_equal(levels.data, one.data)
 
-    def test_camera_sources_order_and_flip(self):
+    def test_camera_pairs_order_and_flip(self):
         rng, spec, queries, layers = make_setup(seed=2, d=2)
         views = [front_camera(queries, yaw) for yaw in (0.0, 0.5, 1.0)]
-        feats = [Tensor(rng.standard_normal((6, 8, 4))) for _ in views]
-        sources = camera_sources(views, feats)
         t = spec.h * spec.w
-        assert len(sources) == len(views) * spec.d
-        for i, (feat, rc, vis, mult) in enumerate(sources):
-            v, z = divmod(i, spec.d)  # views outer, levels inner
-            uv, visible = views[v]
-            assert feat is feats[v] and mult == 1
-            assert np.array_equal(rc, uv[z, ..., ::-1].reshape(t, 2))
-            assert np.array_equal(vis, visible[z].reshape(t))
+        pairs = camera_pairs(views, t)
+        assert_pairs_equal_oracle(pairs, views, t)
+        assert len(np.unique(pairs.map_idx)) == len(views)
+        feats = [Tensor(rng.standard_normal((6, 8, 4))) for _ in views]
         with pytest.raises(ContractError):
-            camera_sources(views, feats[:2])
+            encode_camera_bev(queries, feats[:2], pairs, layers)
 
     def test_output_shapes(self):
         rng, spec, queries, layers = make_setup(seed=2)
         cam_feat = Tensor(rng.standard_normal((6, 8, 4)))
         lidar_feat = Tensor(rng.standard_normal((7, 9, 4)))  # resolution differs from grid
-        out_c = encode_camera_bev(queries, [front_camera(queries)], [cam_feat], layers)
+        pairs = camera_pairs([front_camera(queries)], spec.h * spec.w)
+        out_c = encode_camera_bev(queries, [cam_feat], pairs, layers)
         out_l = encode_lidar_bev(queries, lidar_feat, layers)
         assert out_c.shape == (spec.h, spec.w, 4)
         assert out_l.shape == (spec.h, spec.w, 4)
 
     def test_no_views_is_contract_error(self):
-        _, _, queries, layers = make_setup(seed=3)
+        _, spec, queries, layers = make_setup(seed=3)
         with pytest.raises(ContractError):
-            encode_camera_bev(queries, [], [], layers)
+            camera_pairs([], spec.h * spec.w)
+        pairs = camera_pairs([front_camera(queries)], spec.h * spec.w)
+        with pytest.raises(ContractError):
+            encode_camera_bev(queries, [], pairs, layers)
 
     def test_camera_maps_of_different_width_raise(self):
         rng, spec, queries, layers = make_setup(seed=3)
         proj = lidar_as_camera(queries, (spec.h, spec.w))
         feats = [Tensor(rng.standard_normal((spec.h, spec.w, c))) for c in (4, 5)]
         with pytest.raises(ShapeError):
-            encode_camera_bev(queries, [proj, proj], feats, layers)
+            encode_camera_bev(queries, feats, camera_pairs([proj, proj], spec.h * spec.w), layers)
 
     def test_entry_points_are_encode_bev(self):
         rng, spec, queries, layers = make_setup(seed=3, mode="separate")
-        cam = front_camera(queries)
+        pairs = camera_pairs([front_camera(queries)], spec.h * spec.w)
         feat = Tensor(rng.standard_normal((6, 8, 4)))
-        assert np.array_equal(encode_camera_bev(queries, [cam], [feat], layers).data,
-                              encode_bev(queries, "camera", camera_sources([cam], [feat]),
-                                         layers).data)
+        assert np.array_equal(encode_camera_bev(queries, [feat], pairs, layers).data,
+                              encode_bev(queries, "camera", [feat], pairs, layers).data)
         lidar_feat = Tensor(rng.standard_normal((7, 9, 4)))
         assert np.array_equal(encode_lidar_bev(queries, lidar_feat, layers).data,
-                              encode_bev(queries, "lidar", [lidar_source(queries, lidar_feat)],
-                                         layers).data)
+                              encode_bev(queries, "lidar", [lidar_feat],
+                                         lidar_pairs(queries.refs, (7, 9)), layers).data)
+
+    def test_lidar_pairs_are_one_per_query_of_weight_d(self):
+        _, spec, queries, _ = make_setup(seed=3, d=3)
+        pairs = lidar_pairs(queries.refs, (7, 9))
+        rc = project_to_lidar(queries.refs, (7, 9))
+        t = spec.h * spec.w
+        assert np.array_equal(pairs.qry_idx, np.arange(t)) and pairs.n_maps == 1
+        assert pairs.base_pts.tobytes() == rc[0].reshape(t, 2).tobytes()
+        assert np.array_equal(pairs.weight, np.full(t, 3.0))
+        assert np.array_equal(pairs.hits, np.full(t, 3.0))
+        _, _, queries, _ = make_setup(seed=3, d=1)
+        assert lidar_pairs(queries.refs, (7, 9)).weight is None
 
 
-def cross_term(queries, sources, layers, normalize_by_hits=False):
-    """The first layer's cross-attention term over the sources, from the
-    LiDAR query tokens."""
-    return cross_attend(queries.tokens("lidar"), sources, layers[0].cross_attn,
-                        normalize_by_hits).data
+def assert_pairs_equal_oracle(pairs, projections, t):
+    """camera_pairs equals the per-(view, level, query) loop field for field."""
+    map_idx, base, qry, hits = camera_pairs_naive(projections, t)
+    for got, want in [(pairs.map_idx, map_idx), (pairs.base_pts, base), (pairs.qry_idx, qry),
+                      (pairs.hits, hits)]:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert pairs.weight is None
+    assert (pairs.n_maps, pairs.n_queries) == (len(projections), t)
+
+
+@pytest.mark.parametrize("rig", ["default", "empty_view"])
+def test_camera_pairs_of_the_default_rig_match_the_loop_oracle(rig):
+    """On the detector's grid and rig (at the camera backbone's stride 2),
+    and with one view that sees nothing, which then owns no pair."""
+    spec = BEVGridSpec()
+    cams = [cam.scaled(2) for cam in default_rig()]
+    if rig == "empty_view":
+        cams[1] = make_camera([100.0, 0, 1.6], 0.0, 0.0, fx=12, fy=12, image_h=24, image_w=32)
+    projections = [project_to_camera(build_reference_grid(spec), cam) for cam in cams]
+    pairs = camera_pairs(projections, spec.h * spec.w)
+    assert_pairs_equal_oracle(pairs, projections, spec.h * spec.w)
+    assert (1 in pairs.map_idx) == (rig == "default")
+    assert pairs.qry_idx.size > 1000
+
+
+def cross_term(queries, maps, pairs, layers):
+    """The first layer's cross-attention term over the pairs, from the LiDAR
+    query tokens."""
+    return deform_attn_multi(queries.tokens("lidar"), maps, pairs, layers[0].cross_attn).data
 
 
 class TestCrossAttentionStructure:
@@ -146,7 +180,8 @@ class TestCrossAttentionStructure:
         lp.cross_attn.value_w[1].tensor.data[:] = np.eye(4)[:, 2:]
         lp.cross_attn.out_w.tensor.data[:] = np.eye(4)
         feat = rng.standard_normal((spec.h, spec.w, 4))
-        cross = cross_term(queries, [lidar_source(queries, Tensor(feat))], layers)
+        cross = cross_term(queries, [Tensor(feat)], lidar_pairs(queries.refs, feat.shape[:2]),
+                           layers)
         assert np.allclose(cross, feat.reshape(-1, 4), atol=1e-12)
 
     def test_two_views_double_one_view(self):
@@ -154,8 +189,9 @@ class TestCrossAttentionStructure:
         rng, spec, queries, layers = make_setup(seed=5, n_layers=1)
         proj = lidar_as_camera(queries, (spec.h, spec.w))
         feat = Tensor(rng.standard_normal((spec.h, spec.w, 4)))
-        one = cross_term(queries, camera_sources([proj], [feat]), layers)
-        two = cross_term(queries, camera_sources([proj, proj], [feat, feat]), layers)
+        t = spec.h * spec.w
+        one = cross_term(queries, [feat], camera_pairs([proj], t), layers)
+        two = cross_term(queries, [feat, feat], camera_pairs([proj, proj], t), layers)
         assert np.array_equal(two, 2.0 * one)
 
     def test_fully_invisible_cell_contributes_zero(self):
@@ -163,28 +199,30 @@ class TestCrossAttentionStructure:
         # camera looking away from the whole grid -> nothing visible
         cam = make_camera([100.0, 0, 1.6], 0.0, 0.0, fx=3, fy=3, image_h=6, image_w=8)
         feat = Tensor(rng.standard_normal((6, 8, 4)))
-        sources = camera_sources([project_to_camera(queries.refs, cam)], [feat])
-        assert np.array_equal(cross_term(queries, sources, layers),
+        pairs = camera_pairs([project_to_camera(queries.refs, cam)], spec.h * spec.w)
+        assert pairs.qry_idx.size == 0
+        assert np.array_equal(cross_term(queries, [feat], pairs, layers),
                               np.zeros((spec.h * spec.w, 4)))
 
     def test_normalize_by_hits_default_off(self):
         rng, spec, queries, layers = make_setup(seed=7, n_layers=1)
         proj = lidar_as_camera(queries, (spec.h, spec.w))
         feat = Tensor(rng.standard_normal((spec.h, spec.w, 4)))
-        sources = camera_sources([proj, proj], [feat, feat])
-        raw = cross_term(queries, sources, layers)
-        nrm = cross_term(queries, sources, layers, normalize_by_hits=True)
-        # D=2 levels x 2 views = 4 hits per cell
-        assert np.allclose(nrm, raw / 4.0)
-        assert np.array_equal(encode_camera_bev(queries, [proj], [feat], layers).data,
-                              encode_camera_bev(queries, [proj], [feat], layers,
+        t = spec.h * spec.w
+        # D=2 levels x 2 views = 4 hits per cell, which normalize_by_hits divides by
+        assert np.array_equal(camera_pairs([proj, proj], t).hits, np.full(t, 4.0))
+        pairs = camera_pairs([proj], t)
+        assert np.array_equal(encode_camera_bev(queries, [feat], pairs, layers).data,
+                              encode_camera_bev(queries, [feat], pairs, layers,
                                                 normalize_by_hits=False).data)
+        assert not np.array_equal(encode_camera_bev(queries, [feat], pairs, layers).data,
+                                  encode_camera_bev(queries, [feat], pairs, layers,
+                                                    normalize_by_hits=True).data)
 
 
 def test_camera_cross_attention_samples_each_view_map_once(monkeypatch):
-    """V views x D pillar levels are V*D sources but V distinct maps: the
-    cross-attention deform_attend gets a stack of V projected maps, and
-    still one pair per visible (view, level, cell)."""
+    """V views x D pillar levels: the cross-attention deform_attend gets a
+    stack of V projected maps, and one pair per visible (view, level, cell)."""
     rng, spec, queries, layers = make_setup(seed=9, d=4)
     views = [front_camera(queries, np.deg2rad(90.0 * i)) for i in range(4)]
     feats = [Tensor(rng.standard_normal((6, 8, 4))) for _ in views]
@@ -198,7 +236,7 @@ def test_camera_cross_attention_samples_each_view_map_once(monkeypatch):
         return attend(feats, map_idx, base_pts, offsets, attn, qry_idx, pair_weight)
 
     monkeypatch.setattr(T, "deform_attend", spy)
-    encode_camera_bev(queries, views, feats, layers)
+    encode_camera_bev(queries, feats, camera_pairs(views, spec.h * spec.w), layers)
     # per layer: self-attention over the token map, then cross-attention
     t = spec.h * spec.w
     assert calls == [(1, t), (len(views), visible)] * len(layers)
@@ -220,7 +258,7 @@ class TestQuerySharing:
         cam = front_camera(queries)
         feat = Tensor(rng.standard_normal((6, 8, 4)))
         before = queries.tokens("lidar").data.copy()
-        out = encode_camera_bev(queries, [cam], [feat], layers)
+        out = encode_camera_bev(queries, [feat], camera_pairs([cam], spec.h * spec.w), layers)
         backward(T.tsum(T.sigmoid(out)))
         Adam(queries.parameters(), lr=1e-2).step()
         after = queries.tokens("lidar").data
@@ -231,7 +269,7 @@ class TestQuerySharing:
         cam = front_camera(queries)
         feat = Tensor(rng.standard_normal((6, 8, 4)))
         before = queries.tokens("lidar").data.copy()
-        out = encode_camera_bev(queries, [cam], [feat], layers)
+        out = encode_camera_bev(queries, [feat], camera_pairs([cam], spec.h * spec.w), layers)
         backward(T.tsum(T.sigmoid(out)))
         Adam(queries.parameters(), lr=1e-2).step()
         assert np.array_equal(before, queries.tokens("lidar").data)
@@ -296,8 +334,10 @@ class TestTapeStructure:
                             requires_grad=True) for cam in cams]
         lidar_feat = Tensor(rng.standard_normal((32, 32, n)), requires_grad=True)
         return det, {
-            "camera": (det.cam_layers[0], camera_sources(projections, cam_feats)),
-            "lidar": (det.lidar_layers[0], [lidar_source(det.queries, lidar_feat)]),
+            "camera": (det.cam_layers[0], cam_feats,
+                       camera_pairs(projections, det.spec.h * det.spec.w)),
+            "lidar": (det.lidar_layers[0], [lidar_feat],
+                      lidar_pairs(det.queries.refs, (32, 32))),
         }
 
     @pytest.mark.parametrize("modality", ["camera", "lidar"])
@@ -305,28 +345,26 @@ class TestTapeStructure:
         from bevkit.attention import encoder_layer
 
         det, inputs = layer_inputs
-        layer, sources = inputs[modality]
+        layer, maps, pairs = inputs[modality]
         spec = det.spec
         out = encoder_layer(det.queries.tokens(modality), (spec.h, spec.w),
-                            det.queries.self_refs(), sources, layer)
+                            det.queries.self_pairs, maps, pairs, layer)
         ops = tape_ops(out)
         assert ops["deform_attend"] == 2
         assert ops["residual_layer_norm"] == 3 and ops["ffn"] == 1
         assert not set(self.UNFUSED) & set(ops)
         if modality == "camera":
-            assert len(sources) > 1
+            assert len(maps) > 1
             assert ops.get("stack") == 1  # the views' maps, projected in one matmul
         else:
             assert "stack" not in ops
 
     def test_self_attention_ops(self, layer_inputs):
-        from bevkit.attention import deform_attn_multi
-
         det, _ = layer_inputs
         spec = det.spec
         tokens = det.queries.tokens("camera")
         token_map = T.reshape(tokens, (spec.h, spec.w, det.cfg.encoder_channels))
-        out = deform_attn_multi(tokens, [(token_map, det.queries.self_refs(), None)],
+        out = deform_attn_multi(tokens, [token_map], det.queries.self_pairs,
                                 det.cam_layers[0].self_attn)
         ops = tape_ops(out)
         assert ops["deform_attend"] == 1

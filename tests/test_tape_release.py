@@ -192,9 +192,9 @@ def test_default_encoder_layers_record_no_unfused_ops(default_setup, monkeypatch
     real = encoders.encoder_layer
     layer_ops = []
 
-    def spy(tokens, grid_hw, self_refs, sources, params, normalize_by_hits=False):
-        before = {id(t) for t in reachable([tokens] + [src[0] for src in sources])}
-        out = real(tokens, grid_hw, self_refs, sources, params, normalize_by_hits)
+    def spy(tokens, grid_hw, self_pairs, maps, pairs, params, normalize_by_hits=False):
+        before = {id(t) for t in reachable([tokens] + list(maps))}
+        out = real(tokens, grid_hw, self_pairs, maps, pairs, params, normalize_by_hits)
         ops = {}
         for t in reachable([out], before):
             if t.node is not None:
