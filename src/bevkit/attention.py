@@ -10,9 +10,11 @@ is built once (``encoders.camera_pairs`` per camera rig,
 ``BEVQuerySet.self_pairs`` per grid) and every layer reuses it. Offsets and
 weights depend only on the query, so all of its pairs share them.
 
-``deform_attn_multi`` projects its maps [H,W,value_dim] before sampling, in
-one matmul with all M heads' value weights side by side, to value maps whose
-channels are M blocks of N/M, one per head; ``tensor.deform_attend`` samples
+``deform_attn_multi`` takes its B maps as one tensor [B,H,W,value_dim] (the
+camera backbone's V views, the one LiDAR map, or the token map [1,H,W,N] of
+self-attention) and projects them before sampling, in one matmul with the
+block's value weight [value_dim, N], to value maps [B,H,W,N] whose channels
+are M blocks of N/M, one per head; ``tensor.deform_attend`` samples
 head m from block m only, weights each pair's row and sums the rows per
 query in one tape op. Sampling, weighting and the sum are linear and the
 value projection is linear and bias-free, so this equals projecting the
@@ -25,7 +27,7 @@ per-head features", which is how it is evaluated.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
@@ -72,8 +74,8 @@ class Pairs:
 class DeformAttnParams:
     """Projection weights for one deformable attention block.
 
-    heads * (channels/heads) value projections of width value_dim -> N/M,
-    offset projection N -> M*K*2, weight projection N -> M*K, output
+    value projection value_dim -> N whose columns are M blocks of N/M, one
+    per head, offset projection N -> M*K*2, weight projection N -> M*K, output
     projection N -> N. Offset and weight projections start at zero so the
     block begins as uniform attention at the reference points.
     """
@@ -95,15 +97,13 @@ class DeformAttnParams:
         self.offset_b = Parameter(f"{prefix}.offset.bias", np.zeros(heads * points * 2))
         self.weight_w = Parameter(f"{prefix}.weight.weight", np.zeros((channels, heads * points)))
         self.weight_b = Parameter(f"{prefix}.weight.bias", np.zeros(heads * points))
-        self.value_w = [
-            Parameter(f"{prefix}.value{m}.weight", rng.uniform(-sv, sv, (value_dim, head_dim)))
-            for m in range(heads)
-        ]
+        self.value_w = Parameter(f"{prefix}.value.weight", np.concatenate(
+            [rng.uniform(-sv, sv, (value_dim, head_dim)) for _ in range(heads)], axis=1))
         self.out_w = Parameter(f"{prefix}.out.weight", rng.uniform(-s, s, (channels, channels)))
 
     def parameters(self) -> List[Parameter]:
         return [self.offset_w, self.offset_b, self.weight_w, self.weight_b,
-                *self.value_w, self.out_w]
+                self.value_w, self.out_w]
 
 
 class EncoderLayerParams:
@@ -146,40 +146,29 @@ def _query_offsets_weights(queries: Tensor, params: DeformAttnParams):
     return off, attn
 
 
-def deform_attn_multi(queries: Tensor, maps: Sequence[Tensor], pairs: Pairs,
+def deform_attn_multi(queries: Tensor, maps: Tensor, pairs: Pairs,
                       params: DeformAttnParams) -> Tensor:
-    """Deformable attention of queries [T,N] over maps [H,W,value_dim], summed
-    per query over its pairs; a query without pairs gets zeros. The maps are
-    value-projected together, a lone map in place without a stacked copy.
-    ContractError for no maps or a map count not the pairs'; ShapeError for
-    maps of differing shape or width, or T not the pairs' query count.
+    """Deformable attention of queries [T,N] over B maps [B,H,W,value_dim],
+    summed per query over its pairs; a query without pairs gets zeros.
+    ContractError unless B is the pairs' map count; ShapeError for T not the
+    pairs' query count or maps of another rank or width.
     """
-    if not maps or len(maps) != pairs.n_maps:
-        raise ContractError(f"deform_attn_multi: {len(maps)} maps for pairs over {pairs.n_maps}")
+    if maps.shape[:1] != (pairs.n_maps,):
+        raise ContractError(f"deform_attn_multi: maps {maps.shape} for pairs over "
+                            f"{pairs.n_maps} maps")
     t = queries.shape[0]
     if t != pairs.n_queries:
         raise ShapeError(f"deform_attn_multi: {t} queries for pairs over {pairs.n_queries}")
-    shape0 = maps[0].shape
-    if any(f.shape != shape0 for f in maps) or len(shape0) != 3 or shape0[2] != params.value_dim:
-        raise ShapeError(f"deform_attn_multi: maps must share one shape [H,W,{params.value_dim}], "
-                         f"got {[f.shape for f in maps]}")
     off, attn = _query_offsets_weights(queries, params)
-
-    hf, wf, vd = shape0
-    width = params.channels  # M blocks of N/M, one per head
-    value_w = T.concat_lastaxis([w.tensor for w in params.value_w])  # [Vd, M*N/M]
-    if len(maps) == 1:
-        cells = T.reshape(maps[0], (hf * wf, vd))  # a view: no copy of a lone map
-    else:
-        cells = T.reshape(T.stack_first(list(maps)), (len(maps) * hf * wf, vd))
-    values = T.reshape(T.matmul(cells, value_w), (len(maps), hf, wf, width))
-    del cells  # unless the tape holds it, freed before sampling
+    cells = T.reshape(maps, (-1, maps.shape[-1]))  # a view: no copy of the maps
+    values = T.reshape(T.matmul(cells, params.value_w.tensor),
+                       (*maps.shape[:-1], params.channels))
     attended = T.deform_attend(values, pairs.map_idx, pairs.base_pts, off, attn,
                                pairs.qry_idx, pairs.weight)
-    return T.matmul(T.reshape(attended, (t, width)), params.out_w.tensor)
+    return T.matmul(T.reshape(attended, (t, params.channels)), params.out_w.tensor)
 
 
-def encoder_layer(tokens: Tensor, grid_hw, self_pairs: Pairs, maps: Sequence[Tensor],
+def encoder_layer(tokens: Tensor, grid_hw, self_pairs: Pairs, maps: Tensor,
                   pairs: Pairs, params: EncoderLayerParams,
                   normalize_by_hits: bool = False) -> Tensor:
     """One encoder layer over (H*W) BEV tokens.
@@ -197,8 +186,7 @@ def encoder_layer(tokens: Tensor, grid_hw, self_pairs: Pairs, maps: Sequence[Ten
     if n != params.channels:
         raise ShapeError(f"encoder_layer: token width {n} != layer width {params.channels}")
 
-    token_map = T.reshape(tokens, (h, w, n))
-    sa = deform_attn_multi(tokens, [token_map], self_pairs, params.self_attn)
+    sa = deform_attn_multi(tokens, T.reshape(tokens, (1, h, w, n)), self_pairs, params.self_attn)
     g1, b1 = params.norms[0]
     x1 = T.residual_layer_norm(tokens, sa, g1.tensor, b1.tensor)
 

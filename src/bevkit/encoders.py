@@ -87,11 +87,11 @@ def lidar_pairs(refs, map_hw) -> Pairs:
     return Pairs.one_map(rc[0].reshape(t, 2), None if depth == 1 else np.full(t, float(depth)))
 
 
-def encode_bev(queries: BEVQuerySet, modality: str, maps: Sequence[Tensor], pairs: Pairs,
+def encode_bev(queries: BEVQuerySet, modality: str, maps: Tensor, pairs: Pairs,
                layers: Sequence[EncoderLayerParams],
                normalize_by_hits: bool = False) -> Tensor:
     """BEV feature map [H,W,N] of one modality: its queries cross-attend to
-    the maps through the pairs in every layer."""
+    the maps [B,H_f,W_f,N] through the pairs in every layer."""
     spec = queries.spec
     x = queries.tokens(modality)
     for lp in layers:
@@ -100,19 +100,20 @@ def encode_bev(queries: BEVQuerySet, modality: str, maps: Sequence[Tensor], pair
     return T.reshape(x, (spec.h, spec.w, queries.channels))
 
 
-def encode_camera_bev(queries: BEVQuerySet, feats: Sequence[Tensor], pairs: Pairs,
+def encode_camera_bev(queries: BEVQuerySet, feats: Tensor, pairs: Pairs,
                       layers: Sequence[EncoderLayerParams],
                       normalize_by_hits: bool = False) -> Tensor:
-    """Camera-branch BEV map over V views: one feature map per view and the
-    ``camera_pairs`` of the rig."""
+    """Camera-branch BEV map over V views: the views' feature maps
+    [V,H_f,W_f,N] and the ``camera_pairs`` of the rig."""
     return encode_bev(queries, "camera", feats, pairs, layers, normalize_by_hits)
 
 
 def encode_lidar_bev(queries: BEVQuerySet, feat_l: Tensor,
                      layers: Sequence[EncoderLayerParams],
                      normalize_by_hits: bool = False) -> Tensor:
-    """LiDAR-branch BEV map: the same encoder over the one LiDAR map."""
-    return encode_bev(queries, "lidar", [feat_l], lidar_pairs(queries.refs, feat_l.shape[:2]),
+    """LiDAR-branch BEV map: the same encoder over the one LiDAR map
+    [1,H_L,W_L,N]."""
+    return encode_bev(queries, "lidar", feat_l, lidar_pairs(queries.refs, feat_l.shape[1:3]),
                       layers, normalize_by_hits)
 
 

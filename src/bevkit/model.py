@@ -122,13 +122,18 @@ class Detector:
         return {p.name: p.tensor.data for p in self.parameters()}
 
     def load_arrays(self, arrays: Dict[str, np.ndarray]):
-        for p in self.parameters():
+        """Copy the named arrays into the parameters. Every name and shape is
+        checked before any parameter is written, so a ConfigError leaves the
+        detector as it was."""
+        params = self.parameters()
+        for p in params:
             if p.name not in arrays:
                 raise ConfigError(f"checkpoint is missing parameter {p.name}")
             if tuple(arrays[p.name].shape) != p.tensor.shape:
                 raise ConfigError(
                     f"checkpoint shape {arrays[p.name].shape} != {p.tensor.shape} for {p.name}"
                 )
+        for p in params:
             p.tensor.data[:] = arrays[p.name]
 
     # -- forward -------------------------------------------------------------
@@ -155,7 +160,7 @@ class Detector:
                                         self.cam_layers,
                                         normalize_by_hits=self.cfg.normalize_by_hits)
         if mask.use_lidar:
-            feat_l, = self.lidar_backbone.forward(sample.lidar_grid[None])
+            feat_l = self.lidar_backbone.forward(sample.lidar_grid[None])
             lidar_bev = encode_lidar_bev(self.queries, feat_l, self.lidar_layers,
                                          normalize_by_hits=self.cfg.normalize_by_hits)
         return cam_bev, lidar_bev

@@ -240,7 +240,9 @@ def render_lidar(scene: Scene, spec: BEVGridSpec, lidar_shape: Tuple[int, int],
 
 
 class ConvBackbone:
-    """conv3x3 -> relu -> [2x2 avg pool] -> conv3x3 -> relu -> 1x1 linear.
+    """conv3x3 -> relu -> [2x2 avg pool] -> conv3x3 -> relu -> 1x1 linear,
+    over a batch of same-shape maps [B,H,W,in_channels] at once, giving
+    [B,H/stride,W/stride,out_channels].
 
     ``stride`` is how many input pixels one output cell spans along each
     axis: 2 with the pool, 1 without.
@@ -261,17 +263,13 @@ class ConvBackbone:
         self.pw = Parameter(f"{prefix}.proj.weight", rng.uniform(-s3, s3, (h2, out_channels)))
         self.pb = Parameter(f"{prefix}.proj.bias", np.zeros(out_channels))
 
-    def forward(self, maps) -> List[Tensor]:
-        """Feature map [H/stride, W/stride, out_channels] of each map in a
-        stack [B,H,W,in_channels]."""
-        outs = []
-        for i in range(len(maps)):
-            x = T.relu(T.conv2d_3x3(Tensor(maps[i]), self.k1.tensor, self.b1.tensor))
-            if self.pool:
-                x = T.avgpool2x2(x)
-            x = T.relu(T.conv2d_3x3(x, self.k2.tensor, self.b2.tensor))
-            outs.append(T.linear(x, self.pw.tensor, self.pb.tensor))
-        return outs
+    def forward(self, maps) -> Tensor:
+        """Feature maps [B,H/stride,W/stride,out_channels] of maps [B,H,W,in_channels]."""
+        x = T.relu(T.conv2d_3x3(Tensor(maps), self.k1.tensor, self.b1.tensor))
+        if self.pool:
+            x = T.avgpool2x2(x)
+        x = T.relu(T.conv2d_3x3(x, self.k2.tensor, self.b2.tensor))
+        return T.linear(x, self.pw.tensor, self.pb.tensor)
 
     def parameters(self) -> List[Parameter]:
         return [self.k1, self.b1, self.k2, self.b2, self.pw, self.pb]

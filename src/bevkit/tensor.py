@@ -17,10 +17,13 @@ residual add, then a layer norm) keeps the normalized sum and the inverse
 deviations, not the sum; ``ffn`` (linear, relu, linear) keeps the post-relu
 hidden, not the pre-activation; ``deform_attend`` weights and sums its
 (map, query) pair rows per query and keeps no pair row; ``conv2d_3x3``
-keeps its padded input and rebuilds each tap's slice in backward. Each runs
-the expressions of the composition it replaces in the same order, so outputs
-and grads keep their bits. A vjp computes no grad for a parent that does not
-require one.
+keeps its padded input [B,H+2,W+2,Ci] and rebuilds each tap's slice in
+backward. Each runs the expressions of the composition it replaces in the
+same order, so outputs and grads keep their bits. A vjp computes no grad for
+a parent that does not require one.
+
+Image and feature maps travel as one [B,H,W,C] tensor of B same-shape maps:
+``conv2d_3x3``, ``avgpool2x2`` and ``deform_attend`` take that rank only.
 
 Everything is float64 and deterministic. Elementwise ops follow numpy
 broadcasting (gradients are summed back over broadcast axes); every other op
@@ -463,7 +466,10 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    data = a.data.reshape(shape)
+    try:
+        data = a.data.reshape(shape)
+    except ValueError:
+        raise ShapeError(f"reshape: cannot reshape {a.shape} to {shape}") from None
 
     def vjp(g):
         _accum(a, g.reshape(a.shape))
@@ -502,20 +508,6 @@ def split_lastaxis(a: Tensor, sizes: Sequence[int]) -> tuple:
         outs.append(_make(np.ascontiguousarray(a.data[sl]), "split", (a,), vjp))
         lo += n
     return tuple(outs)
-
-
-def stack_first(parts: Sequence[Tensor]) -> Tensor:
-    """Stack same-shape tensors along a new leading axis."""
-    parts = [_wrap(p) for p in parts]
-    if any(p.shape != parts[0].shape for p in parts):
-        raise ShapeError(f"stack_first: shapes differ: {[p.shape for p in parts]}")
-    data = np.stack([p.data for p in parts], axis=0)
-
-    def vjp(g):
-        for i, p in enumerate(parts):
-            _accum(p, g[i])
-
-    return _make(data, "stack", tuple(parts), vjp)
 
 
 def take_rows(a: Tensor, idx) -> Tensor:
@@ -946,29 +938,33 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
 
 
 def conv2d_3x3(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
-    """Same-size 3x3 convolution with zero padding: x[H,W,Ci] -> [H,W,Co]."""
-    if x.data.ndim != 3 or kernel.data.ndim != 4 or kernel.shape[:2] != (3, 3):
-        raise ShapeError(f"conv2d_3x3: x {x.shape}, kernel {kernel.shape}")
-    h, w, ci = x.shape
+    """Same-size 3x3 convolution with zero padding of each of B maps:
+    x[B,H,W,Ci] -> [B,H,W,Co]. Every tap is one product over all B*H*W
+    cells, so a cell's output does not depend on the other maps."""
+    if x.data.ndim != 4 or kernel.data.ndim != 4 or kernel.shape[:2] != (3, 3):
+        raise ShapeError(f"conv2d_3x3: x {x.shape} is not [B,H,W,Ci] or kernel {kernel.shape} "
+                         f"is not [3,3,Ci,Co]")
+    b, h, w, ci = x.shape
     if kernel.shape[2] != ci:
         raise ShapeError(f"conv2d_3x3: input channels {ci} != kernel channels {kernel.shape[2]}")
     co = kernel.shape[3]
     if bias.shape != (co,):
         raise ShapeError(f"conv2d_3x3: bias {bias.shape} != ({co},)")
-    xp = np.zeros((h + 2, w + 2, ci))
-    xp[1:-1, 1:-1] = x.data
+    n = b * h * w
+    xp = np.zeros((b, h + 2, w + 2, ci))
+    xp[:, 1:-1, 1:-1] = x.data
 
     def tap(di, dj):
-        """The [H*W, Ci] input slice that kernel tap (di, dj) multiplies."""
-        return xp[di : di + h, dj : dj + w].reshape(h * w, ci)
+        """The [B*H*W, Ci] input slice that kernel tap (di, dj) multiplies."""
+        return xp[:, di : di + h, dj : dj + w].reshape(n, ci)
 
-    out2 = np.tile(bias.data, (h * w, 1))
+    out2 = np.tile(bias.data, (n, 1))
     for di in range(3):
         for dj in range(3):
             out2 += tap(di, dj) @ kernel.data[di, dj]
 
     def vjp(g):
-        g2 = g.reshape(h * w, co)
+        g2 = g.reshape(n, co)
         if kernel.requires_grad:
             # each tap's slice is rebuilt here: backward keeps only xp
             kgrad = _grad_buffer(kernel)
@@ -980,22 +976,23 @@ def conv2d_3x3(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
             gxp = np.zeros_like(xp)
             for di in range(3):
                 for dj in range(3):
-                    gxp[di : di + h, dj : dj + w] += (g2 @ kernel.data[di, dj].T).reshape(h, w, ci)
-            _accum(x, gxp[1:-1, 1:-1])
+                    gxp[:, di : di + h, dj : dj + w] += (g2 @ kernel.data[di, dj].T).reshape(
+                        b, h, w, ci)
+            _accum(x, gxp[:, 1:-1, 1:-1])
 
-    return _make(out2.reshape(h, w, co), "conv3x3", (x, kernel, bias), vjp)
+    return _make(out2.reshape(b, h, w, co), "conv3x3", (x, kernel, bias), vjp)
 
 
 def avgpool2x2(x: Tensor) -> Tensor:
-    """2x2 average pooling with stride 2; H and W must be even."""
-    h, w, c = x.shape
-    if h % 2 or w % 2:
-        raise ShapeError(f"avgpool2x2: H,W must be even, got {x.shape}")
-    data = x.data.reshape(h // 2, 2, w // 2, 2, c).mean(axis=(1, 3))
+    """2x2 average pooling with stride 2 of each of B maps: x[B,H,W,C] ->
+    [B,H/2,W/2,C]; H and W must be even."""
+    if x.data.ndim != 4 or x.shape[1] % 2 or x.shape[2] % 2:
+        raise ShapeError(f"avgpool2x2: expected [B,H,W,C] with H,W even, got {x.shape}")
+    b, h, w, c = x.shape
+    data = x.data.reshape(b, h // 2, 2, w // 2, 2, c).mean(axis=(2, 4))
 
     def vjp(g):
-        gx = np.broadcast_to(g[:, None, :, None, :] * 0.25, (h // 2, 2, w // 2, 2, c))
-        _accum(x, gx.reshape(h, w, c))
+        gx = np.broadcast_to(g[:, :, None, :, None, :] * 0.25, (b, h // 2, 2, w // 2, 2, c))
+        _accum(x, gx.reshape(b, h, w, c))
 
     return _make(data, "avgpool", (x,), vjp)
-

@@ -37,21 +37,22 @@ def run_naive(queries, refs, feat, p, valid=None):
         queries, refs, feat,
         p.offset_w.tensor.data, p.offset_b.tensor.data,
         p.weight_w.tensor.data, p.weight_b.tensor.data,
-        [w.tensor.data for w in p.value_w], p.out_w.tensor.data,
+        np.hsplit(p.value_w.tensor.data, p.heads), p.out_w.tensor.data,
         valid=valid,
     )
 
 
 def single(queries, refs, feat, p, valid=None):
-    """deform_attn_multi over one map, one pair per valid query."""
-    return deform_attn_multi(queries, [feat], source_pairs([(0, refs, valid, 1)], 1, len(refs)), p)
+    """deform_attn_multi over one map feat [H,W,C], one pair per valid query."""
+    return deform_attn_multi(queries, T.reshape(feat, (1, *feat.shape)),
+                             source_pairs([(0, refs, valid, 1)], 1, len(refs)), p)
 
 
 class TestDeformAttn:
     def test_degenerate_is_plain_sampling(self):
         rng = np.random.default_rng(0)
         p = DeformAttnParams("t", heads=1, points=1, channels=3, value_dim=3, rng=rng)
-        p.value_w[0].tensor.data[:] = np.eye(3)
+        p.value_w.tensor.data[:] = np.eye(3)
         p.out_w.tensor.data[:] = np.eye(3)
         feat = rng.standard_normal((5, 5, 3))
         refs = rng.uniform(0, 4, (7, 2))
@@ -127,43 +128,49 @@ class TestDeformAttn:
             feat = rng.standard_normal((5, 5, 4))
             refs = rng.uniform(-1, 5, (4, 2))
             valid = rng.random(4) > 0.3
-            maps.append(Tensor(feat))
+            maps.append(feat)
             sources.append((i, refs, valid, 1))
             singles += run_naive(queries, refs, feat, p, valid)
-        multi = deform_attn_multi(Tensor(queries), maps, source_pairs(sources, 3, 4), p)
+        multi = deform_attn_multi(Tensor(queries), Tensor(np.stack(maps)),
+                                  source_pairs(sources, 3, 4), p)
         assert np.max(np.abs(multi.data - singles)) < 1e-10
 
     def test_duplicated_source_doubles(self):
         rng = np.random.default_rng(7)
         p = make_params(rng)
         queries = Tensor(rng.standard_normal((4, 4)))
-        feat = Tensor(rng.standard_normal((5, 5, 4)))
+        feat = Tensor(rng.standard_normal((1, 5, 5, 4)))
         refs = rng.uniform(0, 4, (4, 2))
         valid = np.ones(4, dtype=bool)
-        one = deform_attn_multi(queries, [feat], source_pairs([(0, refs, valid, 1)], 1, 4), p)
-        two = deform_attn_multi(queries, [feat], source_pairs([(0, refs, valid, 1)] * 2, 1, 4), p)
+        one = deform_attn_multi(queries, feat, source_pairs([(0, refs, valid, 1)], 1, 4), p)
+        two = deform_attn_multi(queries, feat, source_pairs([(0, refs, valid, 1)] * 2, 1, 4), p)
         assert np.array_equal(two.data, 2.0 * one.data)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_fd_gradients(self, seed):
+        """Over two maps [2,H,W,C]: each query samples both, one with a
+        visibility mask."""
         rng = np.random.default_rng(seed + 80)
         p = make_params(rng, heads=2, points=2, channels=4, value_dim=4)
-        feat0 = rng.standard_normal((4, 4, 4))
+        feat0 = rng.standard_normal((2, 4, 4, 4))
         queries0 = rng.standard_normal((3, 4)) * 0.3
-        refs = rng.integers(0, 3, (3, 2)) + rng.uniform(0.25, 0.75, (3, 2))
+        pairs = source_pairs(
+            [(0, rng.integers(0, 3, (3, 2)) + rng.uniform(0.25, 0.75, (3, 2)), None, 1),
+             (1, rng.integers(0, 3, (3, 2)) + rng.uniform(0.25, 0.75, (3, 2)),
+              np.array([True, False, True]), 1)], 2, 3)
 
         leaves = [queries0, feat0,
                   p.offset_w.tensor.data.copy(), p.weight_w.tensor.data.copy(),
-                  p.value_w[0].tensor.data.copy(), p.out_w.tensor.data.copy()]
+                  p.value_w.tensor.data.copy(), p.out_w.tensor.data.copy()]
 
         def build(ts):
-            q, f, ow, ww, vw0, outw = ts
+            q, f, ow, ww, vw, outw = ts
             p.offset_w.tensor = ow
             p.weight_w.tensor = ww
-            p.value_w[0].tensor = vw0
+            p.value_w.tensor = vw
             p.out_w.tensor = outw
             p.offset_b.tensor = Tensor(p.offset_b.tensor.data)
-            out = single(q, refs, f, p)
+            out = deform_attn_multi(q, f, pairs, p)
             return T.tsum(T.sigmoid(out))
 
         check_grads(build, leaves)
@@ -179,9 +186,10 @@ class TestValueProjectionBeforeSampling:
     def test_matches_sample_then_project(self, heads, seed):
         rng = np.random.default_rng(seed + 500)
         p = make_params(rng, heads=heads, points=3, channels=8, value_dim=5)
-        for w in p.value_w:  # distinct per head, and away from the init draw
-            w.tensor.data[:] = rng.standard_normal(w.tensor.shape)
-        assert not np.allclose(p.value_w[0].tensor.data, p.value_w[1].tensor.data)
+        # distinct per head, and away from the init draw
+        p.value_w.tensor.data[:] = rng.standard_normal(p.value_w.tensor.shape)
+        head0, head1 = np.hsplit(p.value_w.tensor.data, heads)[:2]
+        assert not np.allclose(head0, head1)
         t = 7
         queries = rng.standard_normal((t, 8))
         shared = rng.standard_normal((5, 6, 5))
@@ -196,7 +204,7 @@ class TestValueProjectionBeforeSampling:
         want = np.zeros((t, 8))
         for m, refs, valid, weight in sources:
             want += weight * run_naive(queries, refs, [shared, other][m], p, valid)
-        got = deform_attn_multi(Tensor(queries), [Tensor(shared), Tensor(other)],
+        got = deform_attn_multi(Tensor(queries), Tensor(np.stack([shared, other])),
                                 source_pairs(sources, 2, t), p)
         np.testing.assert_allclose(got.data, want, rtol=1e-12)
 
@@ -242,7 +250,7 @@ class TestScatterRows:
         rng = np.random.default_rng(seed + 320)
         p = make_params(rng)
         t = 6
-        feats = [Tensor(rng.standard_normal((5, 5, 4)), requires_grad=True) for _ in range(3)]
+        feats = Tensor(rng.standard_normal((3, 5, 5, 4)), requires_grad=True)
         pairs = source_pairs([
             (0, rng.uniform(-1, 5, (t, 2)), rng.random(t) > 0.3, 4),
             (1, rng.uniform(-1, 5, (t, 2)), np.zeros(t, dtype=bool), 1),
@@ -253,11 +261,10 @@ class TestScatterRows:
 
         def run():
             queries = Tensor(q0, requires_grad=True)
-            for f in feats:
-                f.zero_grad()
+            feats.zero_grad()
             out = deform_attn_multi(queries, feats, pairs, p)
             backward(T.tsum(T.mul(out, out)))
-            return [out.data, queries.grad] + [f.grad for f in feats]
+            return [out.data, queries.grad, feats.grad]
 
         got = run()
         monkeypatch.setattr(T, "_sum_pairs", sum_pairs_add_at)
@@ -316,15 +323,14 @@ class TestScatterRows:
 
 
 def summed_through_scatter(queries, feat, refs, mult, p):
-    """deform_attn_multi over one map with one pair per query, in order, of
-    weight mult, with the map stacked and its rows weighted and summed per
-    query by the reference deform_attend, which always takes the sum."""
+    """deform_attn_multi over one map [1,H,W,C] with one pair per query, in
+    order, of weight mult, with its rows weighted and summed per query by the
+    reference deform_attend, which always takes the sum."""
     t = queries.shape[0]
-    hf, wf, vd = feat.shape
+    _, hf, wf, vd = feat.shape
     off, attn = attention._query_offsets_weights(queries, p)
-    value_w = T.concat_lastaxis([w.tensor for w in p.value_w])
-    cells = T.reshape(T.stack_first([feat]), (hf * wf, vd))
-    values = T.reshape(T.matmul(cells, value_w), (1, hf, wf, p.channels))
+    cells = T.reshape(feat, (hf * wf, vd))
+    values = T.reshape(T.matmul(cells, p.value_w.tensor), (1, hf, wf, p.channels))
     weight = np.full(t, float(mult)) if mult != 1 else None
     summed = ref.deform_attend_reference(values, np.zeros(t, dtype=np.intp), refs, off, attn,
                                          np.arange(t), weight)
@@ -335,14 +341,13 @@ def summed_through_scatter(queries, feat, refs, mult, p):
 @pytest.mark.parametrize("seed", range(3))
 def test_lone_source_skips_the_sum_bitexact(seed, mult):
     """One map with one pair per query, in order (Pairs.one_map): deform_attend
-    takes no sum and deform_attn_multi stacks no map,
-    and the output and grads equal the stacked, summed path's bit for bit,
+    takes no sum, and the output and grads equal the stacked, summed path's bit for bit,
     -0.0 values and references off the map included."""
     rng = np.random.default_rng(seed + 340)
     p = make_params(rng)
     t = 7
-    feat0 = rng.standard_normal((5, 5, 4))
-    feat0[1] = -0.0
+    feat0 = rng.standard_normal((1, 5, 5, 4))
+    feat0[0, 1] = -0.0
     refs = rng.uniform(-2, 6, (t, 2))
     q0 = rng.standard_normal((t, 4))
 
@@ -356,7 +361,7 @@ def test_lone_source_skips_the_sum_bitexact(seed, mult):
         return [out.data, queries.grad, feat.grad] + [prm.tensor.grad for prm in p.parameters()]
 
     weight = None if mult == 1 else np.full(t, float(mult))
-    got = run(lambda q, f: deform_attn_multi(q, [f], Pairs.one_map(refs, weight), p))
+    got = run(lambda q, f: deform_attn_multi(q, f, Pairs.one_map(refs, weight), p))
     want = run(lambda q, f: summed_through_scatter(q, f, refs, mult, p))
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
@@ -372,7 +377,7 @@ class TestEncoderLayer:
         tokens = Tensor(rng.standard_normal((6, 4)))
         pairs = source_pairs([(0, rng.uniform(0, 3, (6, 2)), np.ones(6, bool), 1)], 1, 6)
         out = encoder_layer(tokens, (2, 3), grid_pairs(2, 3),
-                            [Tensor(rng.standard_normal((4, 4, 4)))], pairs, lp)
+                            Tensor(rng.standard_normal((1, 4, 4, 4))), pairs, lp)
         assert out.shape == (6, 4)
 
     def test_residual_identity_path(self):
@@ -385,7 +390,7 @@ class TestEncoderLayer:
         tokens = rng.standard_normal((6, 4))
         pairs = source_pairs([(0, rng.uniform(0, 3, (6, 2)), np.ones(6, bool), 1)], 1, 6)
         out = encoder_layer(Tensor(tokens), (2, 3), grid_pairs(2, 3),
-                            [Tensor(rng.standard_normal((4, 4, 4)))], pairs, lp)
+                            Tensor(rng.standard_normal((1, 4, 4, 4))), pairs, lp)
 
         def ln(x):
             mu = x.mean(-1, keepdims=True)
@@ -398,24 +403,24 @@ class TestEncoderLayer:
         rng = np.random.default_rng(12)
         lp = self.make_layer(rng)
         tokens = Tensor(rng.standard_normal((6, 4)))
-        feat = Tensor(rng.standard_normal((4, 4, 4)))
+        feat = Tensor(rng.standard_normal((1, 4, 4, 4)))
         source = (0, rng.uniform(0, 3, (6, 2)), np.ones(6, bool), 1)
-        one = deform_attn_multi(tokens, [feat], source_pairs([source], 1, 6), lp.cross_attn)
-        two = deform_attn_multi(tokens, [feat], source_pairs([source] * 2, 1, 6), lp.cross_attn)
+        one = deform_attn_multi(tokens, feat, source_pairs([source], 1, 6), lp.cross_attn)
+        two = deform_attn_multi(tokens, feat, source_pairs([source] * 2, 1, 6), lp.cross_attn)
         assert np.array_equal(two.data, 2.0 * one.data)
 
     def test_source_count_mismatch_raises(self):
         rng = np.random.default_rng(13)
         lp = self.make_layer(rng)
         tokens = Tensor(rng.standard_normal((6, 4)))
-        feat = Tensor(rng.standard_normal((4, 4, 4)))
+        maps = rng.standard_normal((2, 4, 4, 4))
         pairs = Pairs.one_map(rng.uniform(0, 3, (6, 2)))
         with pytest.raises(ContractError):  # 6 tokens on a 2x4 grid
-            encoder_layer(tokens, (2, 4), grid_pairs(2, 3), [feat], pairs, lp)
+            encoder_layer(tokens, (2, 4), grid_pairs(2, 3), Tensor(maps[:1]), pairs, lp)
         with pytest.raises(ContractError):  # no maps for pairs over one
-            encoder_layer(tokens, (2, 3), grid_pairs(2, 3), [], pairs, lp)
+            encoder_layer(tokens, (2, 3), grid_pairs(2, 3), Tensor(maps[:0]), pairs, lp)
         with pytest.raises(ContractError):  # two maps for pairs over one
-            encoder_layer(tokens, (2, 3), grid_pairs(2, 3), [feat, feat], pairs, lp)
+            encoder_layer(tokens, (2, 3), grid_pairs(2, 3), Tensor(maps), pairs, lp)
 
     def test_normalize_by_hits_flag(self, monkeypatch):
         """With normalize_by_hits the cross term of each query is divided by
@@ -423,7 +428,7 @@ class TestEncoderLayer:
         rng = np.random.default_rng(14)
         lp = self.make_layer(rng)
         tokens = Tensor(rng.standard_normal((4, 4)))
-        feat = Tensor(rng.standard_normal((4, 4, 4)))
+        feat = Tensor(rng.standard_normal((1, 4, 4, 4)))
         pairs = source_pairs([(0, rng.uniform(0, 3, (4, 2)), np.ones(4, bool), 1)] * 2, 1, 4)
         assert np.array_equal(pairs.hits, np.full(4, 2.0))
         residuals = []  # the y of every residual_layer_norm(x, y, ...)
@@ -434,8 +439,8 @@ class TestEncoderLayer:
             return real(x, y, *args, **kwargs)
 
         monkeypatch.setattr(T, "residual_layer_norm", spy)
-        plain = encoder_layer(tokens, (2, 2), grid_pairs(2, 2), [feat], pairs, lp)
-        halved = encoder_layer(tokens, (2, 2), grid_pairs(2, 2), [feat], pairs, lp,
+        plain = encoder_layer(tokens, (2, 2), grid_pairs(2, 2), feat, pairs, lp)
+        halved = encoder_layer(tokens, (2, 2), grid_pairs(2, 2), feat, pairs, lp,
                                normalize_by_hits=True)
         assert np.array_equal(residuals[0], residuals[3])  # self-attention term
         assert np.array_equal(residuals[4], 0.5 * residuals[1])  # cross-attention term
@@ -452,9 +457,10 @@ class TestEncoderLayer:
             attn.weight_w.tensor.data[:] = rng.uniform(-0.5, 0.5, attn.weight_w.tensor.shape)
             attn.weight_b.tensor.data[:] = rng.uniform(-0.5, 0.5, attn.weight_b.tensor.shape)
         tokens0 = rng.standard_normal((4, 4)) * 0.5
-        feat0 = rng.standard_normal((3, 3, 4))
-        cross_refs = rng.integers(0, 2, (4, 2)) + rng.uniform(0.25, 0.75, (4, 2))
-        pairs = source_pairs([(0, cross_refs, np.ones(4, bool), 1)], 1, 4)
+        feat0 = rng.standard_normal((2, 3, 3, 4))  # two maps, each query on both
+        pairs = source_pairs(
+            [(m, rng.integers(0, 2, (4, 2)) + rng.uniform(0.25, 0.75, (4, 2)), None, 1)
+             for m in (0, 1)], 2, 4)
 
         names = []
         for prm in lp.parameters():
@@ -466,7 +472,7 @@ class TestEncoderLayer:
             tokens, feat = ts[0], ts[1]
             for prm, t in zip(names, ts[2:]):
                 prm.tensor = t
-            out = encoder_layer(tokens, (2, 2), grid_pairs(2, 2), [feat], pairs, lp)
+            out = encoder_layer(tokens, (2, 2), grid_pairs(2, 2), feat, pairs, lp)
             return T.tsum(T.sigmoid(out))
 
         check_grads(build, leaves)
@@ -478,12 +484,12 @@ def test_one_pair_per_query_out_of_order_is_still_summed():
     rng = np.random.default_rng(350)
     p = make_params(rng)
     t = 6
-    feats = [Tensor(rng.standard_normal((5, 5, 4))) for _ in range(2)]
+    feats = Tensor(rng.standard_normal((2, 5, 5, 4)))
     late = np.arange(t) >= 2
     sources = [(0, rng.uniform(0, 4, (t, 2)), late, 1),
                (1, rng.uniform(0, 4, (t, 2)), ~late, 1)]
     queries = rng.standard_normal((t, 4))
-    want = sum(run_naive(queries, refs, feats[m].data, p, vis) for m, refs, vis, _ in sources)
+    want = sum(run_naive(queries, refs, feats.data[m], p, vis) for m, refs, vis, _ in sources)
     got = deform_attn_multi(Tensor(queries), feats, source_pairs(sources, 2, t), p)
     np.testing.assert_allclose(got.data, want, rtol=1e-12, atol=1e-14)
 
@@ -545,13 +551,15 @@ class TestPairsContract:
         rng = np.random.default_rng(360)
         p = make_params(rng)
         pairs = Pairs(**self.arrays(base_pts=rng.uniform(0, 3, (3, 2))))
-        feat = Tensor(rng.standard_normal((4, 4, 4)))
+        feats = rng.standard_normal((3, 4, 4, 4))
         queries = Tensor(rng.standard_normal((3, 4)))
-        assert deform_attn_multi(queries, [feat, feat], pairs, p).shape == (3, 4)
-        for maps in ([], [feat], [feat] * 3):
-            with pytest.raises(ContractError):
-                deform_attn_multi(queries, maps, pairs, p)
+        assert deform_attn_multi(queries, Tensor(feats[:2]), pairs, p).shape == (3, 4)
+        for maps in (feats[:0], feats[:1], feats, feats[0, 0, 0, 0]):
+            with pytest.raises(ContractError):  # not two maps, or no map axis at all
+                deform_attn_multi(queries, Tensor(maps), pairs, p)
         with pytest.raises(ShapeError):
-            deform_attn_multi(Tensor(rng.standard_normal((4, 4))), [feat, feat], pairs, p)
-        with pytest.raises(ShapeError):
-            deform_attn_multi(queries, [feat, Tensor(rng.standard_normal((4, 5, 4)))], pairs, p)
+            deform_attn_multi(Tensor(rng.standard_normal((4, 4))), Tensor(feats[:2]), pairs, p)
+        with pytest.raises(ShapeError):  # maps of another width than the value weight's
+            deform_attn_multi(queries, Tensor(rng.standard_normal((2, 4, 4, 5))), pairs, p)
+        with pytest.raises(ShapeError):  # two maps [2,H,C] without a width axis
+            deform_attn_multi(queries, Tensor(feats[:2, 0]), pairs, p)

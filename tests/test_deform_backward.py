@@ -317,7 +317,7 @@ def test_deform_attn_multi_matches_reference(seed, monkeypatch):
     p.offset_b.tensor.data[:] = rng.uniform(-0.5, 0.5, p.offset_b.tensor.shape)
     p.weight_w.tensor.data[:] = rng.uniform(-1, 1, p.weight_w.tensor.shape)
     t = 6
-    feats = [Tensor(rng.standard_normal((5, 5, 4)), requires_grad=True) for _ in range(3)]
+    feats = Tensor(rng.standard_normal((3, 5, 5, 4)), requires_grad=True)
     pairs = source_pairs([
         (0, rng.uniform(-1, 5, (t, 2)), rng.random(t) > 0.3, 4),
         (1, rng.uniform(-1, 5, (t, 2)), np.zeros(t, dtype=bool), 1),
@@ -328,12 +328,11 @@ def test_deform_attn_multi_matches_reference(seed, monkeypatch):
 
     def run():
         queries = Tensor(q0, requires_grad=True)
-        for x in feats + [q.tensor for q in p.parameters()]:
+        for x in [feats] + [q.tensor for q in p.parameters()]:
             x.zero_grad()
         out = deform_attn_multi(queries, feats, pairs, p)
         backward(T.tsum(T.mul(out, out)))
-        return ([out.data, queries.grad] + [f.grad for f in feats]
-                + [q.tensor.grad for q in p.parameters()])
+        return [out.data, queries.grad, feats.grad] + [q.tensor.grad for q in p.parameters()]
 
     got = run()
     ref.install(monkeypatch)

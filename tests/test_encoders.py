@@ -54,8 +54,8 @@ def lidar_as_camera(queries, shape):
 class TestUniformity:
     def test_lidar_source_through_camera_modality_matches_lidar_bitexact(self):
         rng, spec, queries, layers = make_setup(seed=1)
-        feat = Tensor(rng.standard_normal((spec.h, spec.w, 4)))
-        via_camera = encode_bev(queries, "camera", [feat], lidar_pairs(queries.refs, (4, 4)),
+        feat = Tensor(rng.standard_normal((1, spec.h, spec.w, 4)))
+        via_camera = encode_bev(queries, "camera", feat, lidar_pairs(queries.refs, (4, 4)),
                                 layers)
         via_lidar = encode_lidar_bev(queries, feat, layers)
         assert np.array_equal(via_camera.data, via_lidar.data)
@@ -72,9 +72,9 @@ class TestUniformity:
             for attn in (lp.self_attn, lp.cross_attn):
                 for prm in attn.parameters():
                     prm.tensor.data[:] += 0.3 * rng.standard_normal(prm.tensor.shape)
-        feat = Tensor(rng.standard_normal((7, 9, 4)))  # resolution differs from grid
+        feat = Tensor(rng.standard_normal((1, 7, 9, 4)))  # resolution differs from grid
         pairs = camera_pairs([lidar_as_camera(queries, (7, 9))], spec.h * spec.w)
-        levels = encode_camera_bev(queries, [feat], pairs, layers, normalize_by_hits)
+        levels = encode_camera_bev(queries, feat, pairs, layers, normalize_by_hits)
         one = encode_lidar_bev(queries, feat, layers, normalize_by_hits)
         assert np.array_equal(levels.data, one.data)
 
@@ -85,16 +85,16 @@ class TestUniformity:
         pairs = camera_pairs(views, t)
         assert_pairs_equal_oracle(pairs, views, t)
         assert len(np.unique(pairs.map_idx)) == len(views)
-        feats = [Tensor(rng.standard_normal((6, 8, 4))) for _ in views]
+        feats = rng.standard_normal((len(views), 6, 8, 4))
         with pytest.raises(ContractError):
-            encode_camera_bev(queries, feats[:2], pairs, layers)
+            encode_camera_bev(queries, Tensor(feats[:2]), pairs, layers)
 
     def test_output_shapes(self):
         rng, spec, queries, layers = make_setup(seed=2)
-        cam_feat = Tensor(rng.standard_normal((6, 8, 4)))
-        lidar_feat = Tensor(rng.standard_normal((7, 9, 4)))  # resolution differs from grid
+        cam_feat = Tensor(rng.standard_normal((1, 6, 8, 4)))
+        lidar_feat = Tensor(rng.standard_normal((1, 7, 9, 4)))  # resolution differs from grid
         pairs = camera_pairs([front_camera(queries)], spec.h * spec.w)
-        out_c = encode_camera_bev(queries, [cam_feat], pairs, layers)
+        out_c = encode_camera_bev(queries, cam_feat, pairs, layers)
         out_l = encode_lidar_bev(queries, lidar_feat, layers)
         assert out_c.shape == (spec.h, spec.w, 4)
         assert out_l.shape == (spec.h, spec.w, 4)
@@ -105,24 +105,25 @@ class TestUniformity:
             camera_pairs([], spec.h * spec.w)
         pairs = camera_pairs([front_camera(queries)], spec.h * spec.w)
         with pytest.raises(ContractError):
-            encode_camera_bev(queries, [], pairs, layers)
+            encode_camera_bev(queries, Tensor(np.zeros((0, 6, 8, 4))), pairs, layers)
 
     def test_camera_maps_of_different_width_raise(self):
+        """Maps 5 wide for encoder layers whose value weights read 4."""
         rng, spec, queries, layers = make_setup(seed=3)
         proj = lidar_as_camera(queries, (spec.h, spec.w))
-        feats = [Tensor(rng.standard_normal((spec.h, spec.w, c))) for c in (4, 5)]
+        feats = Tensor(rng.standard_normal((2, spec.h, spec.w, 5)))
         with pytest.raises(ShapeError):
             encode_camera_bev(queries, feats, camera_pairs([proj, proj], spec.h * spec.w), layers)
 
     def test_entry_points_are_encode_bev(self):
         rng, spec, queries, layers = make_setup(seed=3, mode="separate")
         pairs = camera_pairs([front_camera(queries)], spec.h * spec.w)
-        feat = Tensor(rng.standard_normal((6, 8, 4)))
-        assert np.array_equal(encode_camera_bev(queries, [feat], pairs, layers).data,
-                              encode_bev(queries, "camera", [feat], pairs, layers).data)
-        lidar_feat = Tensor(rng.standard_normal((7, 9, 4)))
+        feat = Tensor(rng.standard_normal((1, 6, 8, 4)))
+        assert np.array_equal(encode_camera_bev(queries, feat, pairs, layers).data,
+                              encode_bev(queries, "camera", feat, pairs, layers).data)
+        lidar_feat = Tensor(rng.standard_normal((1, 7, 9, 4)))
         assert np.array_equal(encode_lidar_bev(queries, lidar_feat, layers).data,
-                              encode_bev(queries, "lidar", [lidar_feat],
+                              encode_bev(queries, "lidar", lidar_feat,
                                          lidar_pairs(queries.refs, (7, 9)), layers).data)
 
     def test_lidar_pairs_are_one_per_query_of_weight_d(self):
@@ -176,11 +177,10 @@ class TestCrossAttentionStructure:
         # grid-matched map -> the cross term is exactly the map
         rng, spec, queries, layers = make_setup(seed=4, n_layers=1, d=1)
         lp = layers[0]
-        lp.cross_attn.value_w[0].tensor.data[:] = np.eye(4)[:, :2]
-        lp.cross_attn.value_w[1].tensor.data[:] = np.eye(4)[:, 2:]
+        lp.cross_attn.value_w.tensor.data[:] = np.eye(4)
         lp.cross_attn.out_w.tensor.data[:] = np.eye(4)
-        feat = rng.standard_normal((spec.h, spec.w, 4))
-        cross = cross_term(queries, [Tensor(feat)], lidar_pairs(queries.refs, feat.shape[:2]),
+        feat = rng.standard_normal((1, spec.h, spec.w, 4))
+        cross = cross_term(queries, Tensor(feat), lidar_pairs(queries.refs, feat.shape[1:3]),
                            layers)
         assert np.allclose(cross, feat.reshape(-1, 4), atol=1e-12)
 
@@ -188,44 +188,46 @@ class TestCrossAttentionStructure:
         # a cell visible in two identical views gets exactly twice the cross term
         rng, spec, queries, layers = make_setup(seed=5, n_layers=1)
         proj = lidar_as_camera(queries, (spec.h, spec.w))
-        feat = Tensor(rng.standard_normal((spec.h, spec.w, 4)))
+        feat = rng.standard_normal((spec.h, spec.w, 4))
         t = spec.h * spec.w
-        one = cross_term(queries, [feat], camera_pairs([proj], t), layers)
-        two = cross_term(queries, [feat, feat], camera_pairs([proj, proj], t), layers)
+        one = cross_term(queries, Tensor(feat[None]), camera_pairs([proj], t), layers)
+        two = cross_term(queries, Tensor(np.stack([feat, feat])), camera_pairs([proj, proj], t),
+                         layers)
         assert np.array_equal(two, 2.0 * one)
 
     def test_fully_invisible_cell_contributes_zero(self):
         rng, spec, queries, layers = make_setup(seed=6, n_layers=1)
         # camera looking away from the whole grid -> nothing visible
         cam = make_camera([100.0, 0, 1.6], 0.0, 0.0, fx=3, fy=3, image_h=6, image_w=8)
-        feat = Tensor(rng.standard_normal((6, 8, 4)))
+        feat = Tensor(rng.standard_normal((1, 6, 8, 4)))
         pairs = camera_pairs([project_to_camera(queries.refs, cam)], spec.h * spec.w)
         assert pairs.qry_idx.size == 0
-        assert np.array_equal(cross_term(queries, [feat], pairs, layers),
+        assert np.array_equal(cross_term(queries, feat, pairs, layers),
                               np.zeros((spec.h * spec.w, 4)))
 
     def test_normalize_by_hits_default_off(self):
         rng, spec, queries, layers = make_setup(seed=7, n_layers=1)
         proj = lidar_as_camera(queries, (spec.h, spec.w))
-        feat = Tensor(rng.standard_normal((spec.h, spec.w, 4)))
+        feat = Tensor(rng.standard_normal((1, spec.h, spec.w, 4)))
         t = spec.h * spec.w
         # D=2 levels x 2 views = 4 hits per cell, which normalize_by_hits divides by
         assert np.array_equal(camera_pairs([proj, proj], t).hits, np.full(t, 4.0))
         pairs = camera_pairs([proj], t)
-        assert np.array_equal(encode_camera_bev(queries, [feat], pairs, layers).data,
-                              encode_camera_bev(queries, [feat], pairs, layers,
+        assert np.array_equal(encode_camera_bev(queries, feat, pairs, layers).data,
+                              encode_camera_bev(queries, feat, pairs, layers,
                                                 normalize_by_hits=False).data)
-        assert not np.array_equal(encode_camera_bev(queries, [feat], pairs, layers).data,
-                                  encode_camera_bev(queries, [feat], pairs, layers,
+        assert not np.array_equal(encode_camera_bev(queries, feat, pairs, layers).data,
+                                  encode_camera_bev(queries, feat, pairs, layers,
                                                     normalize_by_hits=True).data)
 
 
 def test_camera_cross_attention_samples_each_view_map_once(monkeypatch):
-    """V views x D pillar levels: the cross-attention deform_attend gets a
-    stack of V projected maps, and one pair per visible (view, level, cell)."""
+    """V views x D pillar levels: the cross-attention deform_attend gets the
+    V projected maps as one [V,H,W,C] tensor, and one pair per visible
+    (view, level, cell)."""
     rng, spec, queries, layers = make_setup(seed=9, d=4)
     views = [front_camera(queries, np.deg2rad(90.0 * i)) for i in range(4)]
-    feats = [Tensor(rng.standard_normal((6, 8, 4))) for _ in views]
+    feats = Tensor(rng.standard_normal((len(views), 6, 8, 4)))
     visible = sum(int(np.count_nonzero(vis)) for _, vis in views)
     assert visible > 0
     calls = []
@@ -256,9 +258,9 @@ class TestQuerySharing:
     def test_camera_step_changes_lidar_tokens_in_shared_mode(self):
         rng, spec, queries, layers = make_setup(seed=8, mode="shared", n_layers=1)
         cam = front_camera(queries)
-        feat = Tensor(rng.standard_normal((6, 8, 4)))
+        feat = Tensor(rng.standard_normal((1, 6, 8, 4)))
         before = queries.tokens("lidar").data.copy()
-        out = encode_camera_bev(queries, [feat], camera_pairs([cam], spec.h * spec.w), layers)
+        out = encode_camera_bev(queries, feat, camera_pairs([cam], spec.h * spec.w), layers)
         backward(T.tsum(T.sigmoid(out)))
         Adam(queries.parameters(), lr=1e-2).step()
         after = queries.tokens("lidar").data
@@ -267,9 +269,9 @@ class TestQuerySharing:
     def test_separate_mode_lidar_tokens_untouched_by_camera_loss(self):
         rng, spec, queries, layers = make_setup(seed=9, mode="separate", n_layers=1)
         cam = front_camera(queries)
-        feat = Tensor(rng.standard_normal((6, 8, 4)))
+        feat = Tensor(rng.standard_normal((1, 6, 8, 4)))
         before = queries.tokens("lidar").data.copy()
-        out = encode_camera_bev(queries, [feat], camera_pairs([cam], spec.h * spec.w), layers)
+        out = encode_camera_bev(queries, feat, camera_pairs([cam], spec.h * spec.w), layers)
         backward(T.tsum(T.sigmoid(out)))
         Adam(queries.parameters(), lr=1e-2).step()
         assert np.array_equal(before, queries.tokens("lidar").data)
@@ -283,7 +285,7 @@ def test_fd_gradient_through_lidar_encoder():
         attn.offset_b.tensor.data[:] = rng.uniform(0.05, 0.25, attn.offset_b.tensor.shape)
         attn.weight_w.tensor.data[:] = rng.uniform(-0.5, 0.5, attn.weight_w.tensor.shape)
 
-    feat0 = rng.standard_normal((3, 3, 4))
+    feat0 = rng.standard_normal((1, 3, 3, 4))
     qparam = queries.query_param("lidar")
     leaves = [feat0, qparam.tensor.data.copy()] + [p.tensor.data.copy() for p in lp.parameters()]
 
@@ -315,10 +317,11 @@ class TestTapeStructure:
     """The ops a default-config encoder layer records: deform_attend sums its
     pairs per query itself, so no scatter_rows or mul node follows it, and
     the residual adds, layer norms and the FFN's relu are fused into
-    residual_layer_norm and ffn nodes. A lone map (self-attention, LiDAR
-    cross-attention) is not stacked."""
+    residual_layer_norm and ffn nodes. The maps come as one [B,H,W,C] tensor
+    and each block's value weight as one parameter, so no stack or concat
+    node is recorded either."""
 
-    UNFUSED = ("add", "layer_norm", "relu", "mul", "scatter_rows")
+    UNFUSED = ("add", "layer_norm", "relu", "mul", "scatter_rows", "stack", "concat")
 
     @pytest.fixture(scope="class")
     def layer_inputs(self):
@@ -330,13 +333,13 @@ class TestTapeStructure:
         cams = [cam.scaled(det.cam_backbone.stride) for cam in default_rig()]
         projections = [project_to_camera(det.queries.refs, cam) for cam in cams]
         n = det.cfg.encoder_channels
-        cam_feats = [Tensor(rng.standard_normal((cam.image_h, cam.image_w, n)),
-                            requires_grad=True) for cam in cams]
-        lidar_feat = Tensor(rng.standard_normal((32, 32, n)), requires_grad=True)
+        cam_feats = Tensor(rng.standard_normal((len(cams), cams[0].image_h, cams[0].image_w, n)),
+                           requires_grad=True)
+        lidar_feat = Tensor(rng.standard_normal((1, 32, 32, n)), requires_grad=True)
         return det, {
             "camera": (det.cam_layers[0], cam_feats,
                        camera_pairs(projections, det.spec.h * det.spec.w)),
-            "lidar": (det.lidar_layers[0], [lidar_feat],
+            "lidar": (det.lidar_layers[0], lidar_feat,
                       lidar_pairs(det.queries.refs, (32, 32))),
         }
 
@@ -353,19 +356,16 @@ class TestTapeStructure:
         assert ops["deform_attend"] == 2
         assert ops["residual_layer_norm"] == 3 and ops["ffn"] == 1
         assert not set(self.UNFUSED) & set(ops)
-        if modality == "camera":
-            assert len(maps) > 1
-            assert ops.get("stack") == 1  # the views' maps, projected in one matmul
-        else:
-            assert "stack" not in ops
+        assert maps.shape[0] == (4 if modality == "camera" else 1)
+        assert ops["matmul"] == 4  # each block's value and output projections
 
     def test_self_attention_ops(self, layer_inputs):
         det, _ = layer_inputs
         spec = det.spec
         tokens = det.queries.tokens("camera")
-        token_map = T.reshape(tokens, (spec.h, spec.w, det.cfg.encoder_channels))
-        out = deform_attn_multi(tokens, [token_map], det.queries.self_pairs,
+        token_map = T.reshape(tokens, (1, spec.h, spec.w, det.cfg.encoder_channels))
+        out = deform_attn_multi(tokens, token_map, det.queries.self_pairs,
                                 det.cam_layers[0].self_attn)
         ops = tape_ops(out)
         assert ops["deform_attend"] == 1
-        assert "scatter_rows" not in ops and "stack" not in ops
+        assert not {"scatter_rows", "stack", "concat"} & set(ops)

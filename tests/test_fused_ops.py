@@ -210,9 +210,9 @@ def test_deform_attend_pair_weight_under_no_grad(name):
 
 def test_conv_keeps_only_the_padded_input():
     """conv2d_3x3's backward rebuilds each tap's slice from the padded input
-    instead of holding nine [H*W, Ci] copies."""
+    instead of holding nine [B*H*W, Ci] copies."""
     rng = np.random.default_rng(1800)
-    x = Tensor(rng.standard_normal((4, 5, 3)), requires_grad=True)
+    x = Tensor(rng.standard_normal((2, 4, 5, 3)), requires_grad=True)
     out = T.conv2d_3x3(x, Tensor(rng.standard_normal((3, 3, 3, 2)), requires_grad=True),
                        Tensor(np.zeros(2)))
     held = []
@@ -222,4 +222,4 @@ def test_conv_keeps_only_the_padded_input():
             held += [c.cell_contents for c in v.__closure__]
         held.append(v)
     arrays = {id(v): v for v in held if isinstance(v, np.ndarray)}
-    assert [a.shape for a in arrays.values()] == [(6, 7, 3)]
+    assert [a.shape for a in arrays.values()] == [(2, 6, 7, 3)]

@@ -14,16 +14,65 @@ from bevkit.synthscene import default_rig
 # Detector(ModelConfig(), BEVGridSpec(), default_rng(0)).param_arrays(), in
 # order. Parameter names, shapes and the order of random draws all feed it, so
 # a change to any of them breaks every existing checkpoint and shows here.
-DEFAULT_INIT_SHA256 = "8b7ece11f59f7b96c572083f984bd7d7d0ea240d59127fe1de544a7c94bf455b"
+DEFAULT_INIT_SHA256 = "509e77c195dfa108f1694cd4e3b207706b12497494cf4b98fe4a72dd8688cace"
+# the same digest of the layout with one value weight per head,
+# "{block}.value{m}.weight" [value_dim, N/M], in place of each block's one
+# "{block}.value.weight" [value_dim, N]
+PER_HEAD_VALUE_INIT_SHA256 = "8b7ece11f59f7b96c572083f984bd7d7d0ea240d59127fe1de544a7c94bf455b"
 
 
-def test_default_init_is_unchanged():
-    arrays = Detector(ModelConfig(), BEVGridSpec(), np.random.default_rng(0)).param_arrays()
+def init_digest(arrays):
     h = hashlib.sha256()
     for name, a in arrays.items():
         h.update(name.encode() + b"\0" + a.astype("<f8").tobytes())
-    assert len(arrays) == 198
-    assert h.hexdigest() == DEFAULT_INIT_SHA256
+    return h.hexdigest()
+
+
+def per_head_value_arrays(arrays, heads):
+    """arrays with each block's value weight split into its heads' blocks of
+    columns, named and ordered as one parameter per head."""
+    out = {}
+    for name, a in arrays.items():
+        if name.endswith(".value.weight"):
+            for m, block in enumerate(np.hsplit(a, heads)):
+                out[f"{name[:-len('.value.weight')]}.value{m}.weight"] = block
+        else:
+            out[name] = a
+    return out
+
+
+def test_default_init_is_unchanged():
+    """The value weight of each attention block is its heads' weights side by
+    side: the same draws as one weight per head, concatenated along axis 1."""
+    cfg = ModelConfig()
+    arrays = Detector(cfg, BEVGridSpec(), np.random.default_rng(0)).param_arrays()
+    assert len(arrays) == 186
+    assert init_digest(arrays) == DEFAULT_INIT_SHA256
+    per_head = per_head_value_arrays(arrays, cfg.heads)
+    assert len(per_head) == 186 + 12  # 2 blocks x 3 layers x 2 sensors, 2 heads each
+    assert init_digest(per_head) == PER_HEAD_VALUE_INIT_SHA256
+
+
+def test_load_arrays_checks_every_name_before_writing():
+    """A checkpoint of the per-head value layout has every name but the value
+    weights, and one with the last parameter's shape wrong has every name:
+    load_arrays raises ConfigError for both and writes no parameter."""
+    spec = BEVGridSpec(h=8, w=8, d=2)
+    cfg = ModelConfig(channels=8, heads=2, points=2, enc_layers=1, dec_layers=1,
+                      cam_hidden=(4, 4), lidar_hidden=(4, 4))
+    det = Detector(cfg, spec, np.random.default_rng(0))
+    before = {name: a.tobytes() for name, a in det.param_arrays().items()}
+    other = Detector(cfg, spec, np.random.default_rng(1)).param_arrays()
+    old_layout = per_head_value_arrays(other, cfg.heads)
+    assert list(old_layout).index("backbone.camera.conv1.kernel") == 0  # written first
+    with pytest.raises(ConfigError, match="value.weight"):
+        det.load_arrays(old_layout)
+    last = list(other)[-1]
+    with pytest.raises(ConfigError, match=last):  # the last parameter, of a wrong shape
+        det.load_arrays(dict(other, **{last: np.zeros((1, 1))}))
+    assert {name: a.tobytes() for name, a in det.param_arrays().items()} == before
+    det.load_arrays(other)
+    assert all(np.array_equal(a, other[name]) for name, a in det.param_arrays().items())
 
 
 @pytest.mark.parametrize("kw", [
@@ -101,12 +150,28 @@ def test_backbone_stride_matches_camera_scaling():
     rig = default_rig(image_h=12, image_w=16, fx=6.0)
     images = np.random.default_rng(1).standard_normal((len(rig), 12, 16, 3))
     feats = det.cam_backbone.forward(images)
-    assert len(feats) == len(rig)
-    for cam, feat in zip(rig, feats):
+    for cam in rig:
         scaled = cam.scaled(det.cam_backbone.stride)
-        assert feat.shape == (scaled.image_h, scaled.image_w, 8)
-    lidar, = det.lidar_backbone.forward(np.zeros((1, 10, 6, 2)))
-    assert lidar.shape == (10, 6, 8)
+        assert feats.shape == (len(rig), scaled.image_h, scaled.image_w, 8)
+    lidar = det.lidar_backbone.forward(np.zeros((1, 10, 6, 2)))
+    assert lidar.shape == (1, 10, 6, 8)
+
+
+@pytest.mark.parametrize("modality", ["camera", "lidar"])
+def test_backbone_batch_equals_per_map_forwards(modality):
+    """The default detector's backbones on the default [4,48,64,3] camera
+    images (and two [32,32,2] LiDAR grids) give each map's features byte for
+    byte as a forward of that map alone: the convs take one product per tap
+    over the whole batch, row for row the per-map products."""
+    det = Detector(ModelConfig(), BEVGridSpec(), np.random.default_rng(0))
+    rng = np.random.default_rng(2)
+    if modality == "camera":
+        backbone, maps = det.cam_backbone, rng.uniform(0, 1, (4, 48, 64, 3))
+    else:
+        backbone, maps = det.lidar_backbone, rng.uniform(0, 1, (2, 32, 32, 2))
+    batch = backbone.forward(maps).data
+    for i in range(len(maps)):
+        assert batch[i].tobytes() == backbone.forward(maps[i : i + 1]).data[0].tobytes()
 
 
 def test_camera_pairs_are_built_once_per_rig(monkeypatch):

@@ -133,39 +133,85 @@ class TestBilinear:
 class TestConv:
     def test_identity_kernel(self):
         rng = np.random.default_rng(1)
-        x = rng.standard_normal((5, 6, 1))
+        x = rng.standard_normal((2, 5, 6, 1))
         k = np.zeros((3, 3, 1, 1))
         k[1, 1, 0, 0] = 1.0
         out = T.conv2d_3x3(Tensor(x), Tensor(k), Tensor([0.0]))
         assert np.allclose(out.data, x)
 
     def test_ones_kernel_interior(self):
-        x = np.full((5, 5, 1), 2.0)
+        x = np.full((1, 5, 5, 1), 2.0)
         k = np.ones((3, 3, 1, 1))
         out = T.conv2d_3x3(Tensor(x), Tensor(k), Tensor([0.0]))
-        assert np.allclose(out.data[2, 2, 0], 18.0)  # 9 cells * 2
+        assert np.allclose(out.data[0, 2, 2, 0], 18.0)  # 9 cells * 2
 
     def test_against_loop_oracle(self):
+        # two maps: no tap reaches across from one map into the next
         rng = np.random.default_rng(2)
-        x = rng.standard_normal((4, 4, 2))
+        x = rng.standard_normal((2, 4, 4, 2))
         k = rng.standard_normal((3, 3, 2, 3))
         b = rng.standard_normal(3)
         out = T.conv2d_3x3(Tensor(x), Tensor(k), Tensor(b)).data
-        ref = np.zeros((4, 4, 3))
-        for i in range(4):
-            for j in range(4):
-                for di in range(3):
-                    for dj in range(3):
-                        si, sj = i + di - 1, j + dj - 1
-                        if 0 <= si < 4 and 0 <= sj < 4:
-                            for ci in range(2):
-                                ref[i, j] += x[si, sj, ci] * k[di, dj, ci]
-                ref[i, j] += b
+        ref = np.zeros((2, 4, 4, 3))
+        for n in range(2):
+            for i in range(4):
+                for j in range(4):
+                    for di in range(3):
+                        for dj in range(3):
+                            si, sj = i + di - 1, j + dj - 1
+                            if 0 <= si < 4 and 0 <= sj < 4:
+                                for ci in range(2):
+                                    ref[n, i, j] += x[n, si, sj, ci] * k[di, dj, ci]
+                    ref[n, i, j] += b
         assert np.allclose(out, ref, atol=1e-6)
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
-            T.conv2d_3x3(Tensor(np.zeros((4, 4, 2))), Tensor(np.zeros((3, 3, 3, 1))), Tensor([0.0]))
+            T.conv2d_3x3(Tensor(np.zeros((1, 4, 4, 2))), Tensor(np.zeros((3, 3, 3, 1))),
+                         Tensor([0.0]))
+
+    @pytest.mark.parametrize("shape", [(4, 4, 2), (1, 1, 4, 4, 2), (2,)])
+    def test_input_rank_not_four(self, shape):
+        with pytest.raises(ShapeError):
+            T.conv2d_3x3(Tensor(np.zeros(shape)), Tensor(np.zeros((3, 3, 2, 1))), Tensor([0.0]))
+
+
+@pytest.mark.parametrize("shape", [(4, 6, 2), (1, 1, 4, 6, 2), (2, 5, 6, 2), (2, 4, 3, 2)],
+                         ids=["rank3", "rank5", "odd_h", "odd_w"])
+def test_avgpool_shape_errors(shape):
+    with pytest.raises(ShapeError):
+        T.avgpool2x2(Tensor(np.zeros(shape)))
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 4), (-1, 5), (-1, -1)])
+def test_reshape_to_another_size_is_shape_error(shape):
+    with pytest.raises(ShapeError):
+        T.reshape(Tensor(np.zeros((2, 3))), shape)
+
+
+@pytest.mark.parametrize("op", ["conv", "avgpool"])
+def test_batch_equals_per_map_calls(op):
+    """Over B=3 maps, forward equals B one-map calls byte for byte, and so
+    does the input grad; the kernel and bias grads, which one product now sums
+    over all B maps' cells, agree to 1e-12 relative with the per-map sums."""
+    rng = np.random.default_rng(1300)
+    x = rnd(rng, 3, 6, 4, 2)
+    params = [rnd(rng, 3, 3, 2, 5), rnd(rng, 5)] if op == "conv" else []
+    g = rnd(rng, *((3, 6, 4, 5) if op == "conv" else (3, 3, 2, 2)))
+
+    def run(x, g):
+        leaves = [Tensor(a, requires_grad=True) for a in [x, *params]]
+        out = T.conv2d_3x3(*leaves) if op == "conv" else T.avgpool2x2(leaves[0])
+        backward(T.tsum(T.mul(out, Tensor(g))))
+        return out.data, [t.grad for t in leaves]
+
+    out, grads = run(x, g)
+    per_map = [run(x[i : i + 1], g[i : i + 1]) for i in range(3)]
+    assert out.tobytes() == np.concatenate([o for o, _ in per_map]).tobytes()
+    assert grads[0].tobytes() == np.concatenate([gs[0] for _, gs in per_map]).tobytes()
+    for i, got in enumerate(grads[1:], start=1):
+        want = sum(gs[i] for _, gs in per_map)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestElementwise:
@@ -331,7 +377,7 @@ def test_fd_deform_attend(seed):
 def test_fd_conv(seed):
     rng = np.random.default_rng(seed + 500)
     ci, co = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-    arrays = [rnd(rng, 4, 5, ci), rnd(rng, 3, 3, ci, co), rnd(rng, co)]
+    arrays = [rnd(rng, 2, 4, 5, ci), rnd(rng, 3, 3, ci, co), rnd(rng, co)]
     check_grads(lambda ts: T.tsum(T.sigmoid(T.conv2d_3x3(*ts))), arrays)
 
 
@@ -355,7 +401,7 @@ def test_fd_misc_ops(seed):
 
     def build(ts):
         t = T.take_rows(ts[0], [0, 2, 2])
-        s = T.stack_first([t, t])
+        s = T.concat_lastaxis([t, t])
         y = T.mul(T.sigmoid(s), T.exp(s))
         return T.tsum(T.reshape(y, (-1,)))
 
@@ -365,7 +411,7 @@ def test_fd_misc_ops(seed):
 @pytest.mark.parametrize("seed", SEEDS[:10])
 def test_fd_avgpool(seed):
     rng = np.random.default_rng(seed + 800)
-    a = rnd(rng, 4, 6, 2)
+    a = rnd(rng, 2, 4, 6, 2)
     check_grads(lambda ts: T.tsum(T.sigmoid(T.avgpool2x2(ts[0]))), [a])
 
 
