@@ -138,16 +138,15 @@ def decode_raw(fused_tokens: Tensor, params: DecoderParams):
     return logits, box_raw
 
 
-def decode_boxes(box_raw: Tensor, spec: BEVGridSpec):
-    """Differentiable box fields from raw head output.
+def decode_boxes(box_raw: Tensor):
+    """Differentiable box fields from the raw head output [n,6], taken as
+    three [n,2] blocks: sigmoid of the first, exp of the second, and the
+    third as it is.
 
     Returns (center_norm [n,2] in [0,1], sizes [n,2] meters, sincos [n,2]).
     """
-    dx, dy, lw, ll, s_raw, c_raw = T.split_lastaxis(box_raw, [1, 1, 1, 1, 1, 1])
-    center_norm = T.concat_lastaxis([T.sigmoid(dx), T.sigmoid(dy)])
-    sizes = T.concat_lastaxis([T.exp(lw), T.exp(ll)])
-    sincos = T.concat_lastaxis([s_raw, c_raw])
-    return center_norm, sizes, sincos
+    center_raw, size_raw, sincos = T.split_lastaxis(box_raw, [2, 2, 2])
+    return T.sigmoid(center_raw), T.exp(size_raw), sincos
 
 
 def decode(fused: Tensor, params: DecoderParams, spec: BEVGridSpec) -> List[BoxPrediction]:
@@ -155,7 +154,7 @@ def decode(fused: Tensor, params: DecoderParams, spec: BEVGridSpec) -> List[BoxP
     h, w, n = fused.shape
     tokens = T.reshape(fused, (h * w, n))
     logits, box_raw = decode_raw(tokens, params)
-    center_norm, sizes, sincos = decode_boxes(box_raw, spec)
+    center_norm, sizes, sincos = decode_boxes(box_raw)
     x_min, x_max, y_min, y_max = spec.extent
     cx = x_min + center_norm.data[:, 0] * (x_max - x_min)
     cy = y_min + center_norm.data[:, 1] * (y_max - y_min)
@@ -315,7 +314,7 @@ def set_loss(logits: Tensor, box_raw: Tensor, gts: Sequence[GroundTruthBox],
     per scene. Empty gt list reduces to pure background classification."""
     n_obj, n_classes = logits.shape
     bg = n_classes - 1
-    center_norm, sizes, sincos = decode_boxes(box_raw, spec)
+    center_norm, sizes, sincos = decode_boxes(box_raw)
     boxes6 = T.concat_lastaxis([center_norm, sizes, sincos])
 
     targets_cls = np.full(n_obj, bg, dtype=np.intp)

@@ -1,11 +1,13 @@
-"""Fusing per-modality BEV maps: averaging, concatenation, and channel
-normalized weights (a learnable per-channel softmax between the modalities).
+"""Fusing per-modality BEV maps with one ``fuse(mode, cam, lidar, w)``:
+averaging, concatenation, or channel normalized weights (a learnable
+per-channel softmax between the modalities).
 
 With both inputs present, CNW fuses F_cam * w + F_lidar * (1-w) with w the
 per-channel two-way softmax of the raw weight vectors; equal raw weights make
 it exact averaging. With one input present the normalized weight collapses to
 one, so cnw and avg return that input unchanged. Concatenation zero-fills the
-missing modality's block instead.
+missing modality's block instead. Every mode checks its inputs the same way:
+at least one map, and equal shapes when both are present.
 """
 
 from __future__ import annotations
@@ -90,53 +92,26 @@ def normalize_weights(w: FusionWeights):
     return T.reshape(cam_col, (n,)), T.reshape(lidar_col, (n,))
 
 
-def fuse_cnw(cam: Optional[Tensor], lidar: Optional[Tensor], w: FusionWeights) -> Tensor:
-    """Channel-normalized-weight fusion of [H,W,N] maps (either may be None)."""
-    _check_pair(cam, lidar, same_channels=True)
-    if cam is None:
-        return lidar
-    if lidar is None:
-        return cam
-    a_cam, a_lidar = normalize_weights(w)
-    return T.add(T.mul(cam, a_cam), T.mul(lidar, a_lidar))
-
-
-def fuse_avg(cam: Optional[Tensor], lidar: Optional[Tensor]) -> Tensor:
-    """Mean over the available maps; identity for a single input."""
-    _check_pair(cam, lidar, same_channels=True)
-    if cam is None:
-        return lidar
-    if lidar is None:
-        return cam
-    return T.mul(T.add(cam, lidar), Tensor(0.5))
-
-
-def fuse_concat(cam: Optional[Tensor], lidar: Optional[Tensor]) -> Tensor:
-    """[cam || lidar] along channels; a missing modality's block is zeros."""
-    _check_pair(cam, lidar, same_channels=False)
-    present = cam if cam is not None else lidar
-    if cam is None:
-        cam = Tensor(np.zeros(present.shape))
-    if lidar is None:
-        lidar = Tensor(np.zeros(present.shape))
-    if cam.shape != lidar.shape:
-        raise ShapeError(f"fuse_concat: block shapes differ: {cam.shape} vs {lidar.shape}")
-    return T.concat_lastaxis([cam, lidar])
-
-
 def fuse(mode: str, cam: Optional[Tensor], lidar: Optional[Tensor],
          w: Optional[FusionWeights]) -> Tensor:
-    if mode == "cnw":
-        return fuse_cnw(cam, lidar, w)
-    if mode == "avg":
-        return fuse_avg(cam, lidar)
-    if mode == "concat":
-        return fuse_concat(cam, lidar)
-    raise ContractError(f"unknown fusion mode {mode!r}")
-
-
-def _check_pair(cam, lidar, same_channels: bool):
+    """Fuse same-shape maps (either may be None) by mode: "cnw" weighs them
+    per channel by ``normalize_weights(w)``, "avg" takes their mean, and
+    "concat" joins them [cam || lidar] along channels. cnw and avg return a
+    lone map as it is; concat zero-fills the missing one's block."""
+    if mode not in ("cnw", "avg", "concat"):
+        raise ContractError(f"unknown fusion mode {mode!r}")
     if cam is None and lidar is None:
         raise ContractError("fusion needs at least one modality")
-    if cam is not None and lidar is not None and same_channels and cam.shape != lidar.shape:
+    if cam is not None and lidar is not None and cam.shape != lidar.shape:
         raise ShapeError(f"fusion inputs disagree: {cam.shape} vs {lidar.shape}")
+    present = cam if cam is not None else lidar
+    if mode == "concat":
+        zeros = Tensor(np.zeros(present.shape))
+        return T.concat_lastaxis([cam if cam is not None else zeros,
+                                  lidar if lidar is not None else zeros])
+    if cam is None or lidar is None:
+        return present
+    if mode == "avg":
+        return T.mul(T.add(cam, lidar), Tensor(0.5))
+    a_cam, a_lidar = normalize_weights(w)
+    return T.add(T.mul(cam, a_cam), T.mul(lidar, a_lidar))

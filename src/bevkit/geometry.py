@@ -70,8 +70,9 @@ def build_reference_grid(spec: BEVGridSpec) -> ReferenceGrid:
 
 @dataclass(frozen=True)
 class CameraModel:
-    """Pinhole camera: intrinsics (zero skew), rigid world-to-camera transform,
-    and the size in cells of the feature map its projections index into."""
+    """Pinhole camera: focal lengths and principal point (zero skew), rigid
+    world-to-camera transform, and the size in cells of the feature map its
+    projections index into."""
 
     fx: float
     fy: float
@@ -83,7 +84,7 @@ class CameraModel:
 
     def validate(self):
         if not np.all(np.isfinite([self.fx, self.fy, self.cx, self.cy])):
-            raise ContractError(f"non-finite intrinsics {(self.fx, self.fy, self.cx, self.cy)}")
+            raise ContractError(f"non-finite fx, fy, cx, cy {(self.fx, self.fy, self.cx, self.cy)}")
         if self.fx <= 0 or self.fy <= 0:
             raise ContractError(f"focal lengths must be positive, got {(self.fx, self.fy)}")
         if self.image_h < 1 or self.image_w < 1:
@@ -95,10 +96,6 @@ class CameraModel:
         if not np.allclose(r @ r.T, np.eye(3), atol=1e-9) or abs(np.linalg.det(r) - 1.0) > 1e-9:
             raise ContractError("world_to_cam upper-left 3x3 is not a rotation")
         return self
-
-    @property
-    def intrinsics(self) -> np.ndarray:
-        return np.array([[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]])
 
     def scaled(self, factor: float) -> "CameraModel":
         """Camera for a feature map `factor` times smaller than the image.

@@ -194,20 +194,6 @@ def _accum_slice(t: Tensor, sl, g: np.ndarray):
     _grad_buffer(t)[sl] += g
 
 
-def _add_rows(dst: np.ndarray, idx: np.ndarray, src: np.ndarray):
-    """dst[idx[i]] += src[i] for every i, in the order of i.
-
-    idx may repeat and be unordered. It is split into runs of strictly
-    increasing (hence unique) entries, and each run is added with one
-    fancy-index ``+=``. Every row of dst thus receives its contributions in
-    the order of i, which gives the same bits as numpy's unbuffered
-    ``ufunc.at`` scatter with ``np.add`` at one vectorized add per run.
-    """
-    bounds = [0, *(np.flatnonzero(idx[1:] <= idx[:-1]) + 1), idx.size]
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        dst[idx[lo:hi]] += src[lo:hi]
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum gradient over axes that numpy broadcasting expanded."""
     if g.shape == shape:
@@ -511,15 +497,15 @@ def split_lastaxis(a: Tensor, sizes: Sequence[int]) -> tuple:
 
 
 def take_rows(a: Tensor, idx) -> Tensor:
-    """Select rows of a 2-D tensor by integer index (rows may repeat)."""
+    """Select rows of a 2-D tensor by integer index (rows may repeat). The
+    grad sums g's rows into a's rows by index with ``_sum_pairs``."""
     if a.data.ndim != 2:
         raise ShapeError(f"take_rows: expected 2-D, got {a.shape}")
     idx = np.asarray(idx, dtype=np.intp)
     data = a.data[idx]
 
     def vjp(g):
-        if a.requires_grad:
-            _add_rows(_grad_buffer(a), idx, g)
+        _accum(a, _sum_pairs(g, idx, a.shape[0]), own=True)
 
     return _make(data, "take_rows", (a,), vjp)
 
@@ -761,16 +747,16 @@ class _BilinearPlan:
 
 
 def _sum_pairs(rows: np.ndarray, qry_idx: np.ndarray, n_out: int) -> np.ndarray:
-    """Rows [P,C] summed into [n_out,C] by query, in pair order: output row q
-    is the sum of rows[p] over the p with qry_idx[p] == q, in increasing p,
-    and zero where no p has it.
+    """Rows [P,C] summed into a fresh [n_out,C] by query, in pair order:
+    output row q is the sum of rows[p] over the p with qry_idx[p] == q, in
+    increasing p, and zero where no p has it.
 
     The sum is one product with the [n_out, P] matrix of ones whose column p
     holds its one 1 at row qry_idx[p], stored by columns (CSC), so building
     it needs no sort. scipy's product starts every output row at +0.0 and
     walks the columns in order, adding row p into output row qry_idx[p];
     1.0 * x is exact, so the bits are those of adding the rows one pair at a
-    time.
+    time: those of ``np.add.at`` into zeros.
     """
     from scipy import sparse
 
@@ -825,8 +811,8 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
     turns each block's dots into its points' grads. Backward runs over
     blocks of ``_BLOCK`` points, which bounds its memory and changes no
     bits, since each dot reads one row's corners and grad only. Both grads
-    are then summed over the pairs of a query in pair order (see
-    ``_add_rows``).
+    are then summed over the pairs of a query in pair order by
+    ``_sum_pairs``, the sum forward takes.
 
     offsets must be [T,M,K,2] and attn [T,M,K]; map_idx, base_pts [P,2],
     qry_idx and pair_weight (None or [P]) must agree on P, with map_idx in
@@ -930,9 +916,10 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
             dots = np.einsum("rjc,rc->rj", corners.reshape(hi - lo, 4 * k, hd), g2[lo:hi])
             plan.point_grads(slice(lo, hi), dots.reshape(hi - lo, k, 4), attnp, d_attn, d_off)
         if d_attn is not None:
-            _add_rows(_grad_buffer(attn), qry_idx, d_attn.reshape(p, m, k))
+            _accum(attn, _sum_pairs(d_attn.reshape(p, m * k), qry_idx, t).reshape(attn.shape))
         if d_off is not None:
-            _add_rows(_grad_buffer(offsets), qry_idx, d_off.reshape(p, m, k, 2))
+            _accum(offsets, _sum_pairs(d_off.reshape(p, m * k * 2), qry_idx, t)
+                   .reshape(offsets.shape))
 
     return _make(out, "deform_attend", (feats, offsets, attn), vjp)
 

@@ -110,5 +110,6 @@ def test_traced_step_and_predict_measure_everything(tmp_path):
     seen = {s[0] for s in tracer.spans}
     for name in ("tensor.backward", "tensor.deform_attend.bwd", "tensor.conv3x3",
                  "tensor.conv3x3.bwd", "encoders.camera", "encoders.lidar",
-                 "synthscene.backbone.camera", "synthscene.backbone.lidar", "optim.adam_step"):
+                 "synthscene.backbone.camera", "synthscene.backbone.lidar", "optim.adam_step",
+                 "fusion.fuse", "detection.decode", "detection.set_loss", "detection.match"):
         assert name in seen, name

@@ -426,14 +426,21 @@ def test_detector_loss_grads_match_retaining_walk(scenes, kw, monkeypatch):
     trailing=st.sampled_from([(), (3,), (2, 2)]),
     seed=st.integers(0, 2**16),
 )
-def test_add_rows_equals_add_at(n_dst, idx, trailing, seed):
+def test_row_sums_equal_add_at_from_zeros(n_dst, idx, trailing, seed):
+    """_sum_pairs, and take_rows' grad through it, give the bytes of
+    np.add.at into zeros for unordered, repeated and empty indices."""
     rng = np.random.default_rng(seed)
     idx = np.array([i % n_dst for i in idx], dtype=np.intp)
     # magnitudes over 16 decades, so any change of summation order shows
     scale = 10.0 ** rng.integers(-8, 8, idx.size)
     src = rng.standard_normal((idx.size, *trailing)) * scale.reshape(-1, *[1] * len(trailing))
-    dst = rng.standard_normal((n_dst, *trailing))
-    want = dst.copy()
+    want = np.zeros((n_dst, *trailing))
     np.add.at(want, idx, src)
-    T._add_rows(dst, idx, src)
-    assert np.array_equal(dst, want)
+    # both take [P,C] rows, as deform_attend's backward flattens its grads
+    width = int(np.prod(trailing))
+    src, want = src.reshape(idx.size, width), want.reshape(n_dst, width)
+    assert T._sum_pairs(src, idx, n_dst).tobytes() == want.tobytes()
+
+    a = Tensor(rng.standard_normal((n_dst, width)), requires_grad=True)
+    T.backward(T.tsum(T.mul(T.take_rows(a, idx), Tensor(src))))
+    assert a.grad.tobytes() == want.tobytes()

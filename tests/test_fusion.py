@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 import bevkit.tensor as T
-from bevkit.errors import ContractError
+from bevkit.errors import ContractError, ShapeError
 from bevkit.fusion import (
     FusionWeights,
     MDConfig,
-    fuse_avg,
-    fuse_cnw,
-    fuse_concat,
+    fuse,
     normalize_weights,
     sample_modality_mask,
 )
@@ -40,7 +38,7 @@ class TestNormalizeWeights:
         # LiDAR alone passes through unscaled; a saturated LiDAR raw weight
         # drives the normalized weights to the same (0, 1) split
         lidar = Tensor(np.random.default_rng(7).standard_normal((2, 2, 3)))
-        assert np.array_equal(fuse_cnw(None, lidar, weights(3)).data, lidar.data)
+        assert np.array_equal(fuse("cnw", None, lidar, weights(3)).data, lidar.data)
         a_cam, a_lidar = normalize_weights(weights(3, cam=[0.0] * 3, lidar=[50.0] * 3))
         assert np.all(a_cam.data < 1e-20)
         assert np.all(np.abs(a_lidar.data - 1.0) < 1e-15)
@@ -64,8 +62,8 @@ class TestFuseCNW:
         rng = np.random.default_rng(1)
         cam = Tensor(rng.standard_normal((3, 4, 6)))
         lidar = Tensor(rng.standard_normal((3, 4, 6)))
-        out = fuse_cnw(cam, lidar, weights(6))
-        avg = fuse_avg(cam, lidar)
+        out = fuse("cnw", cam, lidar, weights(6))
+        avg = fuse("avg", cam, lidar, None)
         assert np.array_equal(out.data, avg.data)
 
     def test_single_modality_identity_bitexact(self):
@@ -74,22 +72,22 @@ class TestFuseCNW:
         w = weights(6, cam=rng.standard_normal(6), lidar=rng.standard_normal(6))
         cam = Tensor(rng.standard_normal((3, 4, 6)))
         lidar = Tensor(rng.standard_normal((3, 4, 6)))
-        assert fuse_cnw(cam, None, w) is cam
-        assert fuse_cnw(None, lidar, w) is lidar
+        assert fuse("cnw", cam, None, w) is cam
+        assert fuse("cnw", None, lidar, w) is lidar
 
     def test_saturated_weight_is_exclusive(self):
         rng = np.random.default_rng(3)
         cam = Tensor(rng.standard_normal((2, 2, 3)))
         lidar = Tensor(rng.standard_normal((2, 2, 3)))
         w = weights(3, cam=[50.0, 0, 0], lidar=[0.0, 0, 0])
-        out = fuse_cnw(cam, lidar, w)
+        out = fuse("cnw", cam, lidar, w)
         assert np.max(np.abs(out.data[..., 0] - cam.data[..., 0])) < 1e-6
 
     def test_same_input_is_fixed_point(self):
         rng = np.random.default_rng(4)
         x = Tensor(rng.standard_normal((2, 3, 4)))
         w = weights(4, cam=rng.standard_normal(4), lidar=rng.standard_normal(4))
-        out = fuse_cnw(x, x, w)
+        out = fuse("cnw", x, x, w)
         assert np.allclose(out.data, x.data, atol=1e-12)
 
     def test_per_channel_convexity(self):
@@ -97,7 +95,7 @@ class TestFuseCNW:
         cam = Tensor(rng.standard_normal((4, 4, 8)))
         lidar = Tensor(rng.standard_normal((4, 4, 8)))
         w = weights(8, cam=rng.standard_normal(8) * 2, lidar=rng.standard_normal(8) * 2)
-        out = fuse_cnw(cam, lidar, w).data
+        out = fuse("cnw", cam, lidar, w).data
         lo = np.minimum(cam.data, lidar.data)
         hi = np.maximum(cam.data, lidar.data)
         assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
@@ -112,50 +110,64 @@ class TestFuseCNW:
         def build(ts):
             w.a_cam.tensor = ts[2]
             w.a_lidar.tensor = ts[3]
-            return T.tsum(T.sigmoid(fuse_cnw(ts[0], ts[1], w)))
+            return T.tsum(T.sigmoid(fuse("cnw", ts[0], ts[1], w)))
 
         check_grads(build, leaves)
 
     def test_both_absent_contract_error(self):
         with pytest.raises(ContractError):
-            fuse_cnw(None, None, weights(3))
+            fuse("cnw", None, None, weights(3))
 
 
 class TestFuseAvg:
     def test_elementwise_mean(self):
         cam = Tensor(np.full((2, 2, 2), 1.0))
         lidar = Tensor(np.full((2, 2, 2), 3.0))
-        assert np.array_equal(fuse_avg(cam, lidar).data, np.full((2, 2, 2), 2.0))
+        assert np.array_equal(fuse("avg", cam, lidar, None).data, np.full((2, 2, 2), 2.0))
 
     def test_single_identity(self):
         lidar = Tensor(np.arange(8.0).reshape(2, 2, 2))
-        assert fuse_avg(None, lidar) is lidar
+        assert fuse("avg", None, lidar, None) is lidar
 
     def test_avg_of_same_is_same(self):
         rng = np.random.default_rng(7)
         x = Tensor(rng.standard_normal((3, 3, 2)))
-        assert np.array_equal(fuse_avg(x, x).data, x.data)
+        assert np.array_equal(fuse("avg", x, x, None).data, x.data)
 
 
 class TestFuseConcat:
     def test_order_cam_then_lidar(self):
         cam = Tensor(np.ones((2, 2, 3)))
         lidar = Tensor(np.full((2, 2, 3), 2.0))
-        out = fuse_concat(cam, lidar)
+        out = fuse("concat", cam, lidar, None)
         assert out.shape == (2, 2, 6)
         assert np.all(out.data[..., :3] == 1.0) and np.all(out.data[..., 3:] == 2.0)
 
     def test_missing_cam_block_exactly_zero(self):
         lidar = Tensor(np.full((2, 2, 3), 2.0))
-        out = fuse_concat(None, lidar)
+        out = fuse("concat", None, lidar, None)
         assert np.array_equal(out.data[..., :3], np.zeros((2, 2, 3)))
         assert np.array_equal(out.data[..., 3:], lidar.data)
 
     def test_channel_count_constant(self):
         x = Tensor(np.ones((2, 2, 4)))
-        assert fuse_concat(x, x).shape[-1] == 8
-        assert fuse_concat(x, None).shape[-1] == 8
-        assert fuse_concat(None, x).shape[-1] == 8
+        assert fuse("concat", x, x, None).shape[-1] == 8
+        assert fuse("concat", x, None, None).shape[-1] == 8
+        assert fuse("concat", None, x, None).shape[-1] == 8
+
+
+@pytest.mark.parametrize("mode", ["cnw", "avg", "concat"])
+def test_every_mode_checks_its_inputs(mode):
+    """No map is a ContractError and unequal shapes a ShapeError, whatever
+    the mode; an unknown mode is a ContractError."""
+    w = weights(3)
+    with pytest.raises(ContractError):
+        fuse(mode, None, None, w)
+    with pytest.raises(ShapeError):
+        fuse(mode, Tensor(np.ones((2, 2, 3))), Tensor(np.ones((2, 3, 3))), w)
+    x = Tensor(np.ones((2, 2, 3)))
+    with pytest.raises(ContractError):
+        fuse(mode + "x", x, x, w)
 
 
 class TestModalityDropout:

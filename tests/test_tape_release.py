@@ -170,12 +170,13 @@ def test_default_tape_bytes_stay_bounded(default_setup):
 
 
 def test_default_tape_stacks_no_maps_and_concatenates_no_weights(default_setup):
-    """The both-sensor tape holds no stack node, and its 5 concat nodes are
-    the decoder's and fusion's own, none an attention block's value weight."""
+    """The both-sensor tape holds no stack node, and its 2 concat nodes are
+    set_loss's boxes6 and the CNW weights', none an attention block's value
+    weight or a box field."""
     det, sample = default_setup
     ops = [t.node.op for t in graph(det.loss(sample, BOTH)) if t.node is not None]
     assert "stack" not in ops
-    assert ops.count("concat") == 5
+    assert ops.count("concat") == 2
 
 
 def reachable(roots, stop=frozenset()):
