@@ -27,7 +27,7 @@ per-head features", which is how it is evaluated.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -135,6 +135,17 @@ class EncoderLayerParams:
         return ps
 
 
+class Sampling(NamedTuple):
+    """Where and how much a block's queries sample: offsets [T,M,K,2],
+    softmaxed weights [T,M,K] and, when a caller keeps them for one set of
+    pairs and maps' shape (``with_blocks``), ``deform_attend``'s no-grad
+    block matrices; None: built per call."""
+
+    offsets: Tensor
+    attn: Tensor
+    blocks: Optional[tuple] = None
+
+
 def _query_offsets_weights(queries: Tensor, params: DeformAttnParams):
     """Per-query sampling offsets [T,M,K,2] and softmaxed weights [T,M,K]."""
     t = queries.shape[0]
@@ -146,51 +157,68 @@ def _query_offsets_weights(queries: Tensor, params: DeformAttnParams):
     return off, attn
 
 
+def _check_maps(maps_shape, pairs: Pairs):
+    if maps_shape[:1] != (pairs.n_maps,):
+        raise ContractError(f"deform_attn_multi: maps {maps_shape} for pairs over "
+                            f"{pairs.n_maps} maps")
+
+
+def with_blocks(sampling: Sampling, maps_shape, pairs: Pairs) -> Sampling:
+    """sampling with the block matrices of its points on maps of maps_shape
+    [B,H,W,C] built in (``tensor.attend_blocks``), for a caller that samples
+    many maps of that shape at those points under no_grad."""
+    _check_maps(maps_shape, pairs)
+    return sampling._replace(blocks=T.attend_blocks(
+        maps_shape[:3], pairs.map_idx, pairs.base_pts, sampling.offsets, sampling.attn,
+        pairs.qry_idx))
+
+
 def deform_attn_multi(queries: Tensor, maps: Tensor, pairs: Pairs,
-                      params: DeformAttnParams) -> Tensor:
+                      params: DeformAttnParams, sampling: Optional[Sampling] = None) -> Tensor:
     """Deformable attention of queries [T,N] over B maps [B,H,W,value_dim],
     summed per query over its pairs; a query without pairs gets zeros.
+    sampling is the queries' own (``_query_offsets_weights``) when a caller
+    has it already, and is computed from them otherwise.
     ContractError unless B is the pairs' map count; ShapeError for T not the
     pairs' query count or maps of another rank or width.
     """
-    if maps.shape[:1] != (pairs.n_maps,):
-        raise ContractError(f"deform_attn_multi: maps {maps.shape} for pairs over "
-                            f"{pairs.n_maps} maps")
+    _check_maps(maps.shape, pairs)
     t = queries.shape[0]
     if t != pairs.n_queries:
         raise ShapeError(f"deform_attn_multi: {t} queries for pairs over {pairs.n_queries}")
-    off, attn = _query_offsets_weights(queries, params)
+    off, attn, blocks = sampling or Sampling(*_query_offsets_weights(queries, params))
     cells = T.reshape(maps, (-1, maps.shape[-1]))  # a view: no copy of the maps
     values = T.reshape(T.matmul(cells, params.value_w.tensor),
                        (*maps.shape[:-1], params.channels))
     attended = T.deform_attend(values, pairs.map_idx, pairs.base_pts, off, attn,
-                               pairs.qry_idx, pairs.weight)
+                               pairs.qry_idx, pairs.weight, blocks)
     return T.matmul(T.reshape(attended, (t, params.channels)), params.out_w.tensor)
 
 
-def encoder_layer(tokens: Tensor, grid_hw, self_pairs: Pairs, maps: Tensor,
-                  pairs: Pairs, params: EncoderLayerParams,
-                  normalize_by_hits: bool = False) -> Tensor:
-    """One encoder layer over (H*W) BEV tokens.
-
-    tokens: [T,N]; grid_hw: (H, W) with T = H*W; self_pairs: the pairs of
-    self-attention over the token map; maps and pairs: the cross-attention
-    inputs of ``deform_attn_multi``. With normalize_by_hits the cross term of
-    each query is divided by its hit count (at least 1). Post-norm residual
-    order: self-attn, cross-attn, ffn.
-    """
+def query_half(tokens: Tensor, grid_hw, self_pairs: Pairs,
+               params: EncoderLayerParams) -> Tuple[Tensor, Sampling]:
+    """The part of an encoder layer that reads its tokens [T,N] and nothing
+    else: self-attention over the token map, the first post-norm residual,
+    and where the result x1 samples in cross-attention. Returns (x1, its
+    cross-attention ``Sampling``)."""
     h, w = grid_hw
     t, n = tokens.shape
     if t != h * w:
         raise ContractError(f"encoder_layer: {t} tokens != grid {h}x{w}")
     if n != params.channels:
         raise ShapeError(f"encoder_layer: token width {n} != layer width {params.channels}")
-
     sa = deform_attn_multi(tokens, T.reshape(tokens, (1, h, w, n)), self_pairs, params.self_attn)
     g1, b1 = params.norms[0]
     x1 = T.residual_layer_norm(tokens, sa, g1.tensor, b1.tensor)
+    return x1, Sampling(*_query_offsets_weights(x1, params.cross_attn))
 
-    ca = deform_attn_multi(x1, maps, pairs, params.cross_attn)
+
+def map_half(x1: Tensor, sampling: Sampling, maps: Tensor, pairs: Pairs,
+             params: EncoderLayerParams, normalize_by_hits: bool = False) -> Tensor:
+    """The rest of an encoder layer, from ``query_half``'s (x1, sampling):
+    cross-attention over the maps, its post-norm residual, the FFN and the
+    last post-norm residual."""
+    ca = deform_attn_multi(x1, maps, pairs, params.cross_attn, sampling)
     if normalize_by_hits:
         ca = T.mul(ca, Tensor(1.0 / np.maximum(pairs.hits, 1.0)[:, None]))
     g2, b2 = params.norms[1]
@@ -200,3 +228,19 @@ def encoder_layer(tokens: Tensor, grid_hw, self_pairs: Pairs, maps: Tensor,
                params.ffn_w2.tensor, params.ffn_b2.tensor)
     g3, b3 = params.norms[2]
     return T.residual_layer_norm(x2, ff, g3.tensor, b3.tensor)
+
+
+def encoder_layer(tokens: Tensor, grid_hw, self_pairs: Pairs, maps: Tensor,
+                  pairs: Pairs, params: EncoderLayerParams,
+                  normalize_by_hits: bool = False) -> Tensor:
+    """One encoder layer over (H*W) BEV tokens: ``map_half`` of
+    ``query_half``.
+
+    tokens: [T,N]; grid_hw: (H, W) with T = H*W; self_pairs: the pairs of
+    self-attention over the token map; maps and pairs: the cross-attention
+    inputs of ``deform_attn_multi``. With normalize_by_hits the cross term of
+    each query is divided by its hit count (at least 1). Post-norm residual
+    order: self-attn, cross-attn, ffn.
+    """
+    return map_half(*query_half(tokens, grid_hw, self_pairs, params), maps, pairs, params,
+                    normalize_by_hits)

@@ -7,7 +7,8 @@ per-channel two-way softmax of the raw weight vectors; equal raw weights make
 it exact averaging. With one input present the normalized weight collapses to
 one, so cnw and avg return that input unchanged. Concatenation zero-fills the
 missing modality's block instead. Every mode checks its inputs the same way:
-at least one map, and equal shapes when both are present.
+at least one map, and equal shapes when both are present; cnw also needs its
+weights when both are.
 """
 
 from __future__ import annotations
@@ -113,5 +114,7 @@ def fuse(mode: str, cam: Optional[Tensor], lidar: Optional[Tensor],
         return present
     if mode == "avg":
         return T.mul(T.add(cam, lidar), Tensor(0.5))
+    if w is None:
+        raise ContractError("cnw fusion of both maps needs the fusion weights, got None")
     a_cam, a_lidar = normalize_weights(w)
     return T.add(T.mul(cam, a_cam), T.mul(lidar, a_lidar))

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import tensor as T
 from .detection import BoxPrediction, DecoderParams, decode, decode_raw, set_loss
-from .encoders import (BEVQuerySet, camera_pairs, encode_camera_bev, encode_lidar_bev,
-                       make_encoder_layers)
+from .encoders import (BEVQuerySet, QueryHalfCache, camera_pairs, encode_camera_bev,
+                       encode_lidar_bev, lidar_pairs, make_encoder_layers)
 from .errors import ConfigError, ContractError, check_field_kinds
 from .fusion import FusionWeights, ModalityMask, fuse
 from .geometry import BEVGridSpec, CameraModel, project_to_camera
@@ -86,6 +86,21 @@ class ModelConfig:
 
 
 class Detector:
+    """The detector's parameters, and what it derives from them and from the
+    sensor geometry once instead of per scene.
+
+    It keeps the camera pairs of the last rig it saw (``_bind``), the LiDAR
+    pairs of the grid on the last LiDAR map shape (``_bind_lidar``), and a
+    ``QueryHalfCache``: per modality, the first encoder layer's query-only
+    work (x1, the cross-attention offsets and weights, and the block matrices
+    ``deform_attend`` multiplies out) under ``no_grad``. A cache entry is
+    reused only while every array it was derived from holds the bytes it
+    held when the entry was built, so ``Adam.step``, ``load_arrays`` or any
+    in-place write to those parameters makes the next predict rebuild it; a
+    recorded forward (``loss``) never reads or fills it. Everything cached
+    lives and dies with the detector.
+    """
+
     def __init__(self, cfg: ModelConfig, spec: BEVGridSpec, rng: np.random.Generator):
         self.cfg = cfg.validate()
         self.spec = spec.validate()
@@ -103,6 +118,9 @@ class Detector:
                                      cfg.dec_layers, rng)
         self._bound_cams: tuple = ()
         self._cam_pairs = None
+        self._lidar_hw: tuple = ()
+        self._lidar_pairs = None
+        self._query_halves = QueryHalfCache()
 
     # -- parameters and state ------------------------------------------------
 
@@ -149,6 +167,13 @@ class Detector:
                                         for cam in cams], self.spec.h * self.spec.w)
         self._bound_cams = tuple(cams)
 
+    def _bind_lidar(self, map_hw):
+        """Cache the LiDAR pairs of the grid on a LiDAR map of this shape."""
+        map_hw = tuple(map_hw)
+        if map_hw != self._lidar_hw:
+            self._lidar_pairs = lidar_pairs(self.queries.refs, map_hw)
+            self._lidar_hw = map_hw
+
     def encode(self, sample: RenderedSample, mask: ModalityMask):
         """Per-modality BEV features under the given availability mask."""
         mask.validate()
@@ -156,13 +181,14 @@ class Detector:
         if mask.use_cam:
             self._bind(sample.cams)
             feats = self.cam_backbone.forward(sample.camera_images)
-            cam_bev = encode_camera_bev(self.queries, feats, self._cam_pairs,
-                                        self.cam_layers,
-                                        normalize_by_hits=self.cfg.normalize_by_hits)
+            cam_bev = encode_camera_bev(self.queries, feats, self._cam_pairs, self.cam_layers,
+                                        self.cfg.normalize_by_hits, self._query_halves)
         if mask.use_lidar:
             feat_l = self.lidar_backbone.forward(sample.lidar_grid[None])
-            lidar_bev = encode_lidar_bev(self.queries, feat_l, self.lidar_layers,
-                                         normalize_by_hits=self.cfg.normalize_by_hits)
+            self._bind_lidar(feat_l.shape[1:3])
+            lidar_bev = encode_lidar_bev(self.queries, feat_l, self._lidar_pairs,
+                                         self.lidar_layers, self.cfg.normalize_by_hits,
+                                         self._query_halves)
         return cam_bev, lidar_bev
 
     def fused_maps(self, sample: RenderedSample, masks: Sequence[ModalityMask]) -> List[Tensor]:

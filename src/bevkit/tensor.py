@@ -58,6 +58,12 @@ class no_grad:
         return False
 
 
+def grad_enabled() -> bool:
+    """Whether ops record the tape in the current thread or task: True
+    outside ``no_grad``."""
+    return _grad_enabled.get()
+
+
 class _Node:
     """Graph node: op label, parent tensors, and the vjp closure."""
 
@@ -767,8 +773,108 @@ def _sum_pairs(rows: np.ndarray, qry_idx: np.ndarray, n_out: int) -> np.ndarray:
     return ones @ rows
 
 
+def _block_pairs(m: int, k: int) -> int:
+    """Pairs per block of at most ``_BLOCK`` points of M heads of K points."""
+    return max(1, _BLOCK // (m * k))
+
+
+class _PairPoints:
+    """The sample points of deform_attend's P pairs on B maps [H, W] of M
+    heads: per axis the offsets [T, M*K], contiguous, and the attention
+    weights [T, M*K]. ``matrix`` builds the attention-scaled corner weights of
+    a range of pairs, ``blocks`` those of every block of pairs in turn."""
+
+    __slots__ = ("shape", "map_idx", "base_pts", "qry_idx", "m", "k", "offs", "attn")
+
+    def __init__(self, maps_bhw, map_idx, base_pts, offsets: np.ndarray, attn: np.ndarray,
+                 qry_idx):
+        t, self.m, self.k, _ = offsets.shape
+        self.shape = tuple(maps_bhw)
+        self.map_idx, self.base_pts, self.qry_idx = map_idx, base_pts, qry_idx
+        self.offs = [np.ascontiguousarray(offsets[..., axis]).reshape(t, self.m * self.k)
+                     for axis in (0, 1)]
+        self.attn = attn.reshape(t, self.m * self.k)
+
+    def matrix(self, ps, grads):
+        """The [rows, B*H*W*M] CSR matrix of the attention-scaled corner
+        weights of pairs ps, its plan and its attention weights [rows, K]."""
+        from scipy import sparse
+
+        b, h, w = self.shape
+        m, k = self.m, self.k
+        q = self.qry_idx[ps]
+        rows = q.size * m
+        # sample rows and columns [pairs, M*K]: offset plus base point, as (rows, K)
+        coords = []
+        for axis, o in enumerate(self.offs):
+            x = o[q]
+            x += self.base_pts[ps, axis, None]
+            coords.append(x.reshape(rows, k))
+        attnp = self.attn[q].reshape(rows, k)
+        # row of corner (0,0) of map map_idx in head m's block, per (pair, head)
+        row_base = (self.map_idx[ps, None] * (h * w * m) + np.arange(m)).reshape(-1)
+        n_cols = b * h * w * m
+        plan = _BilinearPlan((h, w), row_base, *coords, attnp, n_cols, m, grads)
+        indptr = np.arange(0, 4 * k * rows + 1, 4 * k, dtype=plan.indices.dtype)
+        s_attn = sparse.csr_matrix((plan.data, plan.indices, indptr), shape=(rows, n_cols))
+        return s_attn, plan, attnp
+
+    def blocks(self):
+        """The matrices of the pairs of one block at a time, in pair order:
+        each is built only when the one before it has been taken."""
+        step = _block_pairs(self.m, self.k)
+        for lo in range(0, self.qry_idx.size, step):
+            yield self.matrix(slice(lo, lo + step), False)[0]
+
+
+def _check_points(b: int, offsets: Tensor, attn: Tensor, map_idx, base_pts, qry_idx,
+                  pair_weight, op: str):
+    """map_idx, base_pts, qry_idx and pair_weight as arrays, once they and
+    offsets and attn are what deform_attend's docstring asks for on B maps
+    (ShapeError otherwise)."""
+    if offsets.data.ndim != 4 or offsets.shape[3] != 2:
+        raise ShapeError(f"{op}: offsets must be [T,M,K,2], got {offsets.shape}")
+    if attn.shape != offsets.shape[:3]:
+        raise ShapeError(f"{op}: attn {attn.shape} is not offsets' [T,M,K] "
+                         f"{offsets.shape[:3]}")
+    t = offsets.shape[0]
+    map_idx = np.asarray(map_idx, dtype=np.intp)
+    qry_idx = np.asarray(qry_idx, dtype=np.intp)
+    base_pts = np.asarray(base_pts)
+    p = qry_idx.size
+    if qry_idx.shape != (p,) or map_idx.shape != (p,) or base_pts.shape != (p, 2):
+        raise ShapeError(f"{op}: map_idx {map_idx.shape}, base_pts {base_pts.shape} "
+                         f"and qry_idx {qry_idx.shape} must be [P], [P,2] and [P]")
+    if pair_weight is not None:
+        pair_weight = np.asarray(pair_weight, dtype=np.float64)
+        if pair_weight.shape != (p,):
+            raise ShapeError(f"{op}: pair_weight {pair_weight.shape} is not [{p}]")
+    if p and (map_idx.min() < 0 or map_idx.max() >= b or qry_idx.min() < 0 or qry_idx.max() >= t):
+        raise ShapeError(f"{op}: map_idx outside [0,{b}) or qry_idx outside [0,{t})")
+    return map_idx, base_pts, qry_idx, pair_weight
+
+
+def attend_blocks(maps_bhw, map_idx, base_pts, offsets: Tensor, attn: Tensor,
+                  qry_idx) -> tuple:
+    """The block matrices that ``deform_attend`` multiplies out when no
+    backward follows, for the same points on B maps of H x W (maps_bhw is
+    (B, H, W)), as a tuple; the other arguments are deform_attend's. They depend on
+    the points and the maps' shape only, so a caller that samples many maps
+    of one shape at the same points builds them once and hands them to each
+    call. Their arrays are read-only.
+    """
+    map_idx, base_pts, qry_idx, _ = _check_points(maps_bhw[0], offsets, attn, map_idx,
+                                                  base_pts, qry_idx, None, "attend_blocks")
+    blocks = tuple(_PairPoints(maps_bhw, map_idx, base_pts, offsets.data, attn.data,
+                               qry_idx).blocks())
+    for mat in blocks:
+        for a in (mat.data, mat.indices, mat.indptr):
+            a.flags.writeable = False
+    return blocks
+
+
 def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
-                  attn: Tensor, qry_idx, pair_weight=None) -> Tensor:
+                  attn: Tensor, qry_idx, pair_weight=None, blocks=None) -> Tensor:
     """Fused deformable-attention gather over per-head value maps, summed per
     query.
 
@@ -803,7 +909,11 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
     the call: forward builds the matrix rows of the pairs of one block of
     at most ``_BLOCK`` points at a time and multiplies them out before
     building the next, which changes no bits, since each output row reads
-    only its own row of the matrix.
+    only its own row of the matrix. That loop takes the block matrices as
+    given when blocks holds them (``attend_blocks`` of the same points and
+    maps' shape, kept by a caller that samples other maps of that shape at
+    the same points) and builds them otherwise; with a backward to follow,
+    blocks is not read.
     Backward reuses the matrix for the value grad. For the attention and
     offset grads it gathers, per (pair, head) row, the 4K corner rows of the
     value table and dots each with that row's output grad g, as Deformable
@@ -820,59 +930,21 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
     """
     if feats.data.ndim != 4:
         raise ShapeError(f"deform_attend: expected [B,H,W,M*D], got {feats.shape}")
-    if offsets.data.ndim != 4 or offsets.shape[3] != 2:
-        raise ShapeError(f"deform_attend: offsets must be [T,M,K,2], got {offsets.shape}")
-    if attn.shape != offsets.shape[:3]:
-        raise ShapeError(f"deform_attend: attn {attn.shape} is not offsets' [T,M,K] "
-                         f"{offsets.shape[:3]}")
     b, h, w, ch = feats.shape
+    map_idx, base_pts, qry_idx, pair_weight = _check_points(
+        b, offsets, attn, map_idx, base_pts, qry_idx, pair_weight, "deform_attend")
     t, m, k, _ = offsets.shape
     if ch % m:
         raise ShapeError(f"deform_attend: {ch} value channels do not split into {m} heads")
     hd = ch // m  # per-head width D
-    map_idx = np.asarray(map_idx, dtype=np.intp)
-    qry_idx = np.asarray(qry_idx, dtype=np.intp)
-    base_pts = np.asarray(base_pts)
     p = qry_idx.size
-    if qry_idx.shape != (p,) or map_idx.shape != (p,) or base_pts.shape != (p, 2):
-        raise ShapeError(f"deform_attend: map_idx {map_idx.shape}, base_pts {base_pts.shape} "
-                         f"and qry_idx {qry_idx.shape} must be [P], [P,2] and [P]")
-    if pair_weight is not None:
-        pair_weight = np.asarray(pair_weight, dtype=np.float64)
-        if pair_weight.shape != (p,):
-            raise ShapeError(f"deform_attend: pair_weight {pair_weight.shape} is not [{p}]")
-    if p and (map_idx.min() < 0 or map_idx.max() >= b or qry_idx.min() < 0 or qry_idx.max() >= t):
-        raise ShapeError(f"deform_attend: map_idx outside [0,{b}) or qry_idx outside [0,{t})")
     if p == 0:
         def vjp_empty(g):
             pass
         return _make(np.zeros((t, m, hd)), "deform_attend", (feats, offsets, attn), vjp_empty)
-    from scipy import sparse
 
     in_order = p == t and np.array_equal(qry_idx, np.arange(t))
     flat = feats.data.reshape(b * h * w * m, hd)
-    # per axis the offsets [T, M*K], contiguous, and the attention weights
-    offs = [np.ascontiguousarray(offsets.data[..., axis]).reshape(t, m * k) for axis in (0, 1)]
-    attn_tk = attn.data.reshape(t, m * k)
-
-    def attention_matrix(ps, grads):
-        """The [rows, B*H*W*M] CSR matrix of the attention-scaled corner
-        weights of pairs ps, its plan and its attention weights [rows, K]."""
-        q = qry_idx[ps]
-        rows = q.size * m
-        # sample rows and columns [pairs, M*K]: offset plus base point, as (rows, K)
-        coords = []
-        for axis, o in enumerate(offs):
-            x = o[q]
-            x += base_pts[ps, axis, None]
-            coords.append(x.reshape(rows, k))
-        attnp = attn_tk[q].reshape(rows, k)
-        # row of corner (0,0) of map map_idx in head m's block, per (pair, head)
-        row_base = (map_idx[ps, None] * (h * w * m) + np.arange(m)).reshape(-1)
-        plan = _BilinearPlan((h, w), row_base, *coords, attnp, b * h * w * m, m, grads)
-        indptr = np.arange(0, 4 * k * rows + 1, 4 * k, dtype=plan.indices.dtype)
-        s_attn = sparse.csr_matrix((plan.data, plan.indices, indptr), shape=(rows, flat.shape[0]))
-        return s_attn, plan, attnp
 
     def per_query(pairs):
         """The pair rows [P*M, D], a fresh array, weighted and summed per query."""
@@ -886,13 +958,22 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
     if not (_grad_enabled.get()
             and (feats.requires_grad or offsets.requires_grad or attn.requires_grad)):
         # no backward follows, so no table needs to outlive its block's product
+        step = _block_pairs(m, k)
+        starts = range(0, p, step)
+        if blocks is None:
+            blocks = _PairPoints((b, h, w), map_idx, base_pts, offsets.data, attn.data,
+                                 qry_idx).blocks()
+        elif [mat.shape for mat in blocks] != [(min(step, p - lo) * m, flat.shape[0])
+                                               for lo in starts]:
+            raise ContractError(f"deform_attend: blocks {[mat.shape for mat in blocks]} are "
+                                f"not those of {p} pairs on maps {feats.shape}")
         pairs = np.empty((p * m, hd))
-        step = max(1, _BLOCK // (m * k))
-        for lo in range(0, p, step):
-            pairs[lo * m:(lo + step) * m] = attention_matrix(slice(lo, lo + step), False)[0] @ flat
+        for lo, mat in zip(starts, blocks):
+            pairs[lo * m:(lo + step) * m] = mat @ flat
         return Tensor(per_query(pairs))
     grads = offsets.requires_grad or attn.requires_grad
-    s_attn, plan, attnp = attention_matrix(slice(None), grads)
+    s_attn, plan, attnp = _PairPoints((b, h, w), map_idx, base_pts, offsets.data, attn.data,
+                                      qry_idx).matrix(slice(None), grads)
     out = per_query(s_attn @ flat)
 
     def vjp(g):

@@ -159,13 +159,18 @@ def jet_grads(tables, flat, g2):
     return dot(wgt), np.stack([dot(dwr), dot(dwc)], axis=-1)
 
 
-def deform_attend_reference(feats, map_idx, base_pts, offsets, attn, qry_idx, pair_weight=None):
+# blocks, deform_attend's no-grad block matrices kept by a caller, only spare
+# building them, so the references take them and build their own
+
+
+def deform_attend_reference(feats, map_idx, base_pts, offsets, attn, qry_idx, pair_weight=None,
+                            blocks=None):
     return _attend(feats, map_idx, base_pts, offsets, attn, qry_idx, pair_weight,
                    corner_dot_grads)
 
 
 def deform_attend_jet_reference(feats, map_idx, base_pts, offsets, attn, qry_idx,
-                                pair_weight=None):
+                                pair_weight=None, blocks=None):
     return _attend(feats, map_idx, base_pts, offsets, attn, qry_idx, pair_weight, jet_grads)
 
 

@@ -57,7 +57,7 @@ class TestUniformity:
         feat = Tensor(rng.standard_normal((1, spec.h, spec.w, 4)))
         via_camera = encode_bev(queries, "camera", feat, lidar_pairs(queries.refs, (4, 4)),
                                 layers)
-        via_lidar = encode_lidar_bev(queries, feat, layers)
+        via_lidar = encode_lidar_bev(queries, feat, lidar_pairs(queries.refs, (4, 4)), layers)
         assert np.array_equal(via_camera.data, via_lidar.data)
 
     @pytest.mark.parametrize("d", [2, 4])
@@ -75,7 +75,8 @@ class TestUniformity:
         feat = Tensor(rng.standard_normal((1, 7, 9, 4)))  # resolution differs from grid
         pairs = camera_pairs([lidar_as_camera(queries, (7, 9))], spec.h * spec.w)
         levels = encode_camera_bev(queries, feat, pairs, layers, normalize_by_hits)
-        one = encode_lidar_bev(queries, feat, layers, normalize_by_hits)
+        one = encode_lidar_bev(queries, feat, lidar_pairs(queries.refs, (7, 9)), layers,
+                               normalize_by_hits)
         assert np.array_equal(levels.data, one.data)
 
     def test_camera_pairs_order_and_flip(self):
@@ -95,7 +96,7 @@ class TestUniformity:
         lidar_feat = Tensor(rng.standard_normal((1, 7, 9, 4)))  # resolution differs from grid
         pairs = camera_pairs([front_camera(queries)], spec.h * spec.w)
         out_c = encode_camera_bev(queries, cam_feat, pairs, layers)
-        out_l = encode_lidar_bev(queries, lidar_feat, layers)
+        out_l = encode_lidar_bev(queries, lidar_feat, lidar_pairs(queries.refs, (7, 9)), layers)
         assert out_c.shape == (spec.h, spec.w, 4)
         assert out_l.shape == (spec.h, spec.w, 4)
 
@@ -122,9 +123,9 @@ class TestUniformity:
         assert np.array_equal(encode_camera_bev(queries, feat, pairs, layers).data,
                               encode_bev(queries, "camera", feat, pairs, layers).data)
         lidar_feat = Tensor(rng.standard_normal((1, 7, 9, 4)))
-        assert np.array_equal(encode_lidar_bev(queries, lidar_feat, layers).data,
-                              encode_bev(queries, "lidar", lidar_feat,
-                                         lidar_pairs(queries.refs, (7, 9)), layers).data)
+        lidar = lidar_pairs(queries.refs, (7, 9))
+        assert np.array_equal(encode_lidar_bev(queries, lidar_feat, lidar, layers).data,
+                              encode_bev(queries, "lidar", lidar_feat, lidar, layers).data)
 
     def test_lidar_pairs_are_one_per_query_of_weight_d(self):
         _, spec, queries, _ = make_setup(seed=3, d=3)
@@ -233,9 +234,9 @@ def test_camera_cross_attention_samples_each_view_map_once(monkeypatch):
     calls = []
     attend = T.deform_attend
 
-    def spy(feats, map_idx, base_pts, offsets, attn, qry_idx, pair_weight=None):
+    def spy(feats, map_idx, base_pts, offsets, attn, qry_idx, pair_weight=None, blocks=None):
         calls.append((feats.shape[0], len(qry_idx)))
-        return attend(feats, map_idx, base_pts, offsets, attn, qry_idx, pair_weight)
+        return attend(feats, map_idx, base_pts, offsets, attn, qry_idx, pair_weight, blocks)
 
     monkeypatch.setattr(T, "deform_attend", spy)
     encode_camera_bev(queries, feats, camera_pairs(views, spec.h * spec.w), layers)
@@ -294,7 +295,7 @@ def test_fd_gradient_through_lidar_encoder():
         qparam.tensor = ts[1]
         for prm, t in zip(lp.parameters(), ts[2:]):
             prm.tensor = t
-        out = encode_lidar_bev(queries, feat, layers)
+        out = encode_lidar_bev(queries, feat, lidar_pairs(queries.refs, feat.shape[1:3]), layers)
         return T.tsum(T.sigmoid(out))
 
     check_grads(build, leaves)
@@ -369,3 +370,21 @@ class TestTapeStructure:
         ops = tape_ops(out)
         assert ops["deform_attend"] == 1
         assert not {"scatter_rows", "stack", "concat"} & set(ops)
+
+
+def test_query_half_cache_keys_on_the_maps_shape():
+    """The same LiDAR pairs on maps of two shapes: the kept block matrices
+    address one shape's cells, so a map of the other shape gets new ones,
+    and each encode equals an encode without a cache."""
+    from bevkit.encoders import QueryHalfCache
+
+    rng, spec, queries, layers = make_setup(seed=12)
+    pairs = lidar_pairs(queries.refs, (4, 4))
+    cache = QueryHalfCache()
+    for hw in [(4, 4), (5, 6), (4, 4)]:
+        feat = Tensor(rng.standard_normal((1, *hw, 4)))
+        with T.no_grad():
+            got = encode_lidar_bev(queries, feat, pairs, layers, cache=cache)
+            want = encode_lidar_bev(queries, feat, pairs, layers)
+        assert got.data.tobytes() == want.data.tobytes()
+        assert len(cache) == 1

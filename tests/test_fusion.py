@@ -170,6 +170,15 @@ def test_every_mode_checks_its_inputs(mode):
         fuse(mode + "x", x, x, w)
 
 
+def test_cnw_of_both_maps_without_weights_is_contract_error():
+    """cnw weighs two maps by w, so it names the missing weights rather than
+    failing inside normalize_weights (AttributeError); a lone map needs none."""
+    x = Tensor(np.ones((2, 2, 3)))
+    with pytest.raises(ContractError, match="fusion weights"):
+        fuse("cnw", x, x, None)
+    assert fuse("cnw", x, None, None) is x and fuse("cnw", None, x, None) is x
+
+
 class TestModalityDropout:
     def test_frequencies(self):
         rng = seeded_rng(123, "md")

@@ -5,10 +5,12 @@ import hashlib
 import numpy as np
 import pytest
 
+import bevkit.tensor as T
 from bevkit.errors import ConfigError
+from bevkit.fusion import ModalityMask
 from bevkit.geometry import BEVGridSpec
 from bevkit.model import Detector, ModelConfig
-from bevkit.synthscene import default_rig
+from bevkit.synthscene import RenderedSample, default_rig
 
 # sha256 over (name, NUL, little-endian float64 bytes) of every array of
 # Detector(ModelConfig(), BEVGridSpec(), default_rng(0)).param_arrays(), in
@@ -236,3 +238,256 @@ def test_a_rig_changed_in_place_gets_new_camera_pairs():
     after = repr(det.predict(sample, camera))
     fresh = repr(Detector(cfg, spec, np.random.default_rng(0)).predict(sample, camera))
     assert after == fresh and after != before
+
+
+# -- the first encoder layer's query half, kept per detector ----------------
+
+BOTH, CAMERA, LIDAR = (ModalityMask(True, True), ModalityMask(True, False),
+                       ModalityMask(False, True))
+MASKS = (BOTH, CAMERA, LIDAR)
+CACHE_SPEC = BEVGridSpec(h=8, w=8, d=2)
+CACHE_KW = dict(channels=8, heads=2, points=2, enc_layers=2, dec_layers=1,
+                cam_hidden=(4, 4), lidar_hidden=(4, 4))
+
+
+def noisy_detector(seed=0, **kw):
+    """A small detector whose every weight is moved off its initial value, so
+    the zero-initialized offset and weight projections matter too."""
+    det = Detector(ModelConfig(**CACHE_KW, **kw), CACHE_SPEC, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    det.load_arrays({name: a + 0.2 * rng.standard_normal(a.shape)
+                     for name, a in det.param_arrays().items()})
+    return det
+
+
+def fresh_copy(det):
+    """A detector that has never encoded anything, with det's config and weights."""
+    other = Detector(det.cfg, det.spec, np.random.default_rng(99))
+    other.load_arrays(det.param_arrays())
+    return other
+
+
+def cache_rig():
+    return default_rig(image_h=12, image_w=16, fx=6.0)
+
+
+def cache_scene(rng, cams, lidar_hw=(8, 8)):
+    return RenderedSample(0, rng.standard_normal((len(cams), 12, 16, 3)),
+                          rng.standard_normal((*lidar_hw, 2)), [], cams)
+
+
+def outputs(det, sample):
+    """The bytes of the fused map and of every predicted box under each mask,
+    all under no_grad."""
+    with T.no_grad():
+        fused = [f.data.tobytes() for f in det.fused_maps(sample, MASKS)]
+    boxes = [[np.array([b.cx, b.cy, b.w, b.l, b.yaw]).tobytes() + b.class_logits.tobytes()
+              for b in det.predict(sample, mask)] for mask in MASKS]
+    return fused, boxes
+
+
+def entries(det):
+    """modality -> the kept (x1, sampling) of the detector's cache."""
+    return {modality: entry.half for modality, entry in det._query_halves._entries.items()}
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """One item per query half the cache builds."""
+    import bevkit.encoders as encoders
+
+    built = []
+    real = encoders.query_half
+
+    def spy(*args):
+        built.append(args[0].shape)
+        return real(*args)
+
+    monkeypatch.setattr(encoders, "query_half", spy)
+    return built
+
+
+@pytest.mark.parametrize("kw", [dict(), dict(fusion="concat", query_mode="separate",
+                                             normalize_by_hits=True)],
+                         ids=["cnw-shared", "concat-separate-hits"])
+def test_cached_query_half_gives_the_bytes_of_a_fresh_detector(kw):
+    """Scenes encoded with the kept query half give, under every mask, the
+    bytes of a detector that builds it for that scene, and the fused maps of
+    a recorded forward, which never reads the cache."""
+    det = noisy_detector(**kw)
+    rng = np.random.default_rng(3)
+    scenes = [cache_scene(rng, cache_rig()) for _ in range(3)]
+    outputs(det, scenes[0])
+    for sample in scenes:
+        got = outputs(det, sample)
+        assert got == outputs(fresh_copy(det), sample)
+        assert got[0] == [f.data.tobytes() for f in det.fused_maps(sample, MASKS)]
+
+
+def test_repeated_encodes_reuse_one_entry_per_modality(builds):
+    """The query half is built once per modality and then handed out for
+    every later scene, mask and call; a rebuild replaces its modality's
+    entry instead of adding one."""
+    built = builds
+    det = noisy_detector()
+    rng = np.random.default_rng(4)
+    det.predict(cache_scene(rng, cache_rig()), CAMERA)
+    assert len(built) == 1 and set(entries(det)) == {"camera"}
+    kept = entries(det)["camera"]
+    for _ in range(3):  # new camera objects, equal ones: pairs of the same bytes
+        sample = cache_scene(rng, cache_rig())
+        det.predict_many(sample, MASKS)
+        det.predict(sample, BOTH)
+    assert len(built) == 2 and set(entries(det)) == {"camera", "lidar"}
+    assert entries(det)["camera"] is kept
+    det.queries.query_param("camera").data[0, 0, 0] += 1.0  # shared: both modalities rebuild
+    det.predict(sample, BOTH)
+    assert len(built) == 4 and len(det._query_halves) == 2
+    assert entries(det)["camera"] is not kept
+
+
+def test_kept_arrays_are_read_only():
+    """Every array the cache hands out is read-only, so an op that wrote into
+    one in place would raise instead of changing later scenes."""
+    det = noisy_detector()
+    det.predict(cache_scene(np.random.default_rng(5), cache_rig()), BOTH)
+    kept = entries(det)
+    assert set(kept) == {"camera", "lidar"}
+    for x1, sampling in kept.values():
+        assert sampling.blocks
+        arrays = [x1.data, sampling.offsets.data, sampling.attn.data]
+        for mat in sampling.blocks:
+            arrays += [mat.data, mat.indices, mat.indptr]
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+
+def test_loss_after_predicts_records_and_grads_as_a_fresh_detector():
+    """A recorded forward neither reads nor fills the cache: after predicts,
+    Detector.loss records as many nodes and gives every parameter the grad
+    bytes of a detector that never predicted."""
+    from bevkit.tensor import backward
+
+    rng = np.random.default_rng(6)
+    scenes = [cache_scene(rng, cache_rig()) for _ in range(2)]
+    used = noisy_detector()
+    for sample in scenes:
+        used.predict_many(sample, MASKS)
+    fresh = fresh_copy(used)
+    results = []
+    for det in (used, fresh):
+        loss = det.loss(scenes[1], BOTH)
+        nodes = tape_nodes(loss)
+        backward(loss)
+        results.append((loss.data.tobytes(), nodes,
+                        {p.name: None if p.tensor.grad is None else p.tensor.grad.tobytes()
+                         for p in det.parameters()}))
+    assert results[0] == results[1]
+    assert len(fresh._query_halves) == 0 and len(used._query_halves) == 2
+
+
+def tape_nodes(out):
+    seen, stack = set(), [out]
+    while stack:
+        t = stack.pop()
+        if id(t) in seen or t.node is None:
+            continue
+        seen.add(id(t))
+        stack.extend(t.node.parents)
+    return len(seen)
+
+
+def layer0_sources():
+    """(modality, parameter name) of every parameter a kept query half is
+    derived from."""
+    det = Detector(ModelConfig(**CACHE_KW, query_mode="separate"), CACHE_SPEC,
+                   np.random.default_rng(0))
+    out = []
+    for modality, layer in (("camera", det.cam_layers[0]), ("lidar", det.lidar_layers[0])):
+        ca = layer.cross_attn
+        params = [det.queries.query_param(modality), *layer.self_attn.parameters(),
+                  *layer.norms[0], ca.offset_w, ca.offset_b, ca.weight_w, ca.weight_b]
+        out += [(modality, p.name) for p in params]
+    return out
+
+
+def adam_step(det, sample):
+    from bevkit.optim import Adam
+    from bevkit.tensor import backward
+
+    backward(det.loss(sample, BOTH))
+    Adam(det.parameters(), lr=1e-2).step()
+    return sample
+
+
+def load_other_weights(det, sample):
+    det.load_arrays(noisy_detector(seed=7).param_arrays())
+    return sample
+
+
+def new_rig(det, sample):
+    from bevkit.geometry import make_camera
+
+    cams = list(sample.cams)
+    cams[0] = make_camera([0.5, 0.5, 1.6], 0.7, 0.05, fx=6, fy=6, image_h=12, image_w=16)
+    return RenderedSample(0, sample.camera_images, sample.lidar_grid, [], cams)
+
+
+def new_lidar_shape(det, sample):
+    grid = np.random.default_rng(8).standard_normal((10, 6, 2))
+    return RenderedSample(0, sample.camera_images, grid, [], sample.cams)
+
+
+@pytest.mark.parametrize("change", [adam_step, load_other_weights, new_rig, new_lidar_shape],
+                         ids=lambda f: f.__name__)
+def test_a_change_of_weights_rig_or_map_shape_rebuilds(change):
+    """After an optimizer step, a checkpoint load, a new rig (new camera
+    objects that see otherwise) or a LiDAR map of another shape, every mask
+    gives the bytes of a fresh detector, which differ from the ones before."""
+    det = noisy_detector()
+    sample = cache_scene(np.random.default_rng(9), cache_rig())
+    before = outputs(det, sample)
+    sample = change(det, sample)
+    after = outputs(det, sample)
+    assert after == outputs(fresh_copy(det), sample)
+    assert after[0] != before[0]
+
+
+@pytest.mark.parametrize("source", layer0_sources(), ids=lambda s: s[1])
+def test_an_in_place_write_to_a_source_rebuilds(source):
+    """Writing into any parameter that the query half is derived from, in
+    place (no optimizer, no load), makes the next encode rebuild it: every
+    mask gives the bytes of a fresh detector, which differ from the ones
+    before."""
+    modality, name = source
+    det = noisy_detector(query_mode="separate")
+    sample = cache_scene(np.random.default_rng(10), cache_rig())
+    before = outputs(det, sample)
+    param, = [p for p in det.parameters() if p.name == name]
+    param.data.reshape(-1)[:3] += 0.5
+    after = outputs(det, sample)
+    assert after == outputs(fresh_copy(det), sample)
+    alone = MASKS.index(CAMERA if modality == "camera" else LIDAR)
+    assert after[0][alone] != before[0][alone]
+
+
+def test_shared_queries_written_between_modalities(builds):
+    """With shared queries, a modality rebuilt after a write snapshots the
+    bytes it was built from, not the other modality's older copy: after the
+    write is undone, its kept half (built from the written queries) is not
+    handed out, and once rebuilt it is kept again."""
+    built = builds
+    det = noisy_detector()
+    sample = cache_scene(np.random.default_rng(11), cache_rig())
+    det.predict(sample, BOTH)
+    query = det.queries.query_param("lidar").data
+    old = query.copy()
+    query += 0.5
+    det.predict(sample, LIDAR)  # the camera entry still holds the old queries
+    query[...] = old
+    assert outputs(det, sample) == outputs(fresh_copy(det), sample)
+    n = len(built)
+    det.predict(sample, BOTH)
+    assert len(built) == n
