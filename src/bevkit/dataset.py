@@ -206,6 +206,9 @@ class SceneDataset:
         return self.n_scenes
 
     def load(self, i: int) -> RenderedSample:
+        if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+            raise ContractError(f"scene index must be an integer, got {i!r}")
+        i = int(i)
         if not 0 <= i < self.n_scenes:
             raise DataError(f"scene index {i} out of range [0, {self.n_scenes})")
         path = self.root / "scenes" / f"scene_{i:06d}.bin"

@@ -59,8 +59,9 @@ class Adam:
         return out
 
     def load_state_arrays(self, arrays: Dict[str, np.ndarray]):
-        """Restore ``state_arrays()`` output. Every key and shape is checked
-        before any state changes; a missing key or a wrong shape is a
+        """Restore ``state_arrays()`` output. Every key, every shape and the
+        step are checked before any state changes; a missing key, a wrong
+        shape or a step that is not a finite non-negative integer is a
         ConfigError."""
         want = self.state_arrays()
         for key, cur in want.items():
@@ -69,7 +70,10 @@ class Adam:
             if np.shape(arrays[key]) != cur.shape:
                 raise ConfigError(
                     f"optimizer state shape {np.shape(arrays[key])} != {cur.shape} for {key}")
-        self.t = int(arrays["opt.step"][0])
+        step = float(arrays["opt.step"][0])
+        if not (np.isfinite(step) and step >= 0 and step == int(step)):
+            raise ConfigError(f"optimizer step must be a non-negative integer, got {step}")
+        self.t = int(step)
         for p in self.params:
             self.m[p.name] = arrays[f"opt.m.{p.name}"].copy()
             self.v[p.name] = arrays[f"opt.v.{p.name}"].copy()

@@ -629,14 +629,20 @@ def residual_layer_norm(x: Tensor, y: Tensor, gain: Tensor, shift: Tensor,
 # sampling and convolution
 
 
-# sample points per block of deform_attend: forward builds its corner tables
-# (and, with no backward to follow, takes their product), and backward gathers
-# its corner rows and forms its point grads, one block at a time, so no
-# per-point temporary is longer than a block. 4096 points of K=4 are 1024
-# (pair, head) rows, whose corner gather at 16 channels is 2 MiB; 8192 built
-# the camera tables 6-8% faster, but gathered 4-14% slower and raised train
-# peak RSS by 3 MB
+# sample points per block of deform_attend's forward: it builds its corner
+# tables (and, with no backward to follow, takes their product) one block at a
+# time, so no per-point temporary is longer than a block; 8192 built the
+# camera tables 6-8% faster, but raised train peak RSS by 3 MB
 _BLOCK = 4096
+
+# (pair, head) rows per corner gather of deform_attend's backward. Every
+# gather of a call writes into one buffer allocated once per call, so it stays
+# in cache from gather to gather: 128 rows of K=4 at 16 channels are 256 KiB.
+# 64 and 256 rows measured about as fast, 16 (per-gather overhead) and 1024 (a
+# 2 MiB buffer) slower. The gathers clip rather than check their indices:
+# numpy buffers an out= gather that checks them, which measured slower than
+# fresh arrays; the call checks its indices' range once instead
+_GATHER_ROWS = 128
 
 
 def _neighbours(x: np.ndarray, n: int, keep):
@@ -683,8 +689,8 @@ class _BilinearPlan:
     With ``grads`` set (a recorded call that needs attention or offset
     grads), forward also keeps for backward the unscaled corner weights
     [R,K,4] and, per axis, the lower and upper in-range masks and the
-    fraction [R,K]; ``point_grads`` turns a block's corner dots (see
-    ``deform_attend``) into its points' grads. Without it, only ``indices``
+    fraction [R,K]; ``point_grads`` turns the corner dots (see
+    ``deform_attend``) into the points' grads. Without it, only ``indices``
     and ``data`` are built.
     """
 
@@ -724,32 +730,34 @@ class _BilinearPlan:
         self.indices = idx.reshape(-1)
         self.data = data.reshape(-1)
 
-    def point_grads(self, s: slice, h: np.ndarray, attn: np.ndarray, d_attn, d_off):
-        """Grads of the points of rows s: into d_attn [R,K] (if not None) the
-        grad of each point's sample in its attention weight, and into d_off
-        [R,K,2] (if not None) the grads in its row and column times its
-        attention weight attn [R,K].
+    def point_grads(self, h: np.ndarray, attn: np.ndarray, want_attn: bool, want_off: bool):
+        """The grads of every point: [R,K] the grad of its sample in its
+        attention weight (if want_attn, else None), and [R,K,2] the grads in
+        its row and column times its attention weight attn [R,K] (if
+        want_off, else None).
 
-        h [rows, K, 4] holds, per point and corner, the corner's row of the
+        h [R, K, 4] holds, per point and corner, the corner's row of the
         value table dotted with the output grad. Corners outside the map
         read as zero, so their dots are zeroed first. The weight grad sums
         w*h over the corners in corner order; the row grad is
         (1-fc)(h10-h00) + fc(h11-h01) and the column grad
         (1-fr)(h01-h00) + fr(h11-h10).
         """
-        rin0, rin1, fr = (a[s] for a in self.rows)
-        cin0, cin1, fc = (a[s] for a in self.cols)
+        rin0, rin1, fr = self.rows
+        cin0, cin1, fc = self.cols
         h00 = h[..., 0] * (rin0 & cin0)
         h01 = h[..., 1] * (rin0 & cin1)
         h10 = h[..., 2] * (rin1 & cin0)
         h11 = h[..., 3] * (rin1 & cin1)
-        if d_attn is not None:
-            w = self.weights[s]
-            d_attn[s] = w[..., 0] * h00 + w[..., 1] * h01 + w[..., 2] * h10 + w[..., 3] * h11
-        if d_off is not None:
-            a = attn[s]
-            np.multiply((1.0 - fc) * (h10 - h00) + fc * (h11 - h01), a, out=d_off[s, :, 0])
-            np.multiply((1.0 - fr) * (h01 - h00) + fr * (h11 - h10), a, out=d_off[s, :, 1])
+        d_attn = d_off = None
+        if want_attn:
+            w = self.weights
+            d_attn = w[..., 0] * h00 + w[..., 1] * h01 + w[..., 2] * h10 + w[..., 3] * h11
+        if want_off:
+            d_off = np.empty(h.shape[:2] + (2,))
+            np.multiply((1.0 - fc) * (h10 - h00) + fc * (h11 - h01), attn, out=d_off[..., 0])
+            np.multiply((1.0 - fr) * (h01 - h00) + fr * (h11 - h10), attn, out=d_off[..., 1])
+        return d_attn, d_off
 
 
 def _sum_pairs(rows: np.ndarray, qry_idx: np.ndarray, n_out: int) -> np.ndarray:
@@ -807,10 +815,10 @@ class _PairPoints:
         # sample rows and columns [pairs, M*K]: offset plus base point, as (rows, K)
         coords = []
         for axis, o in enumerate(self.offs):
-            x = o[q]
+            x = np.take(o, q, axis=0)
             x += self.base_pts[ps, axis, None]
             coords.append(x.reshape(rows, k))
-        attnp = self.attn[q].reshape(rows, k)
+        attnp = np.take(self.attn, q, axis=0).reshape(rows, k)
         # row of corner (0,0) of map map_idx in head m's block, per (pair, head)
         row_base = (self.map_idx[ps, None] * (h * w * m) + np.arange(m)).reshape(-1)
         n_cols = b * h * w * m
@@ -917,12 +925,15 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
     Backward reuses the matrix for the value grad. For the attention and
     offset grads it gathers, per (pair, head) row, the 4K corner rows of the
     value table and dots each with that row's output grad g, as Deformable
-    DETR's MSDeformAttn backward does, and ``_BilinearPlan.point_grads``
-    turns each block's dots into its points' grads. Backward runs over
-    blocks of ``_BLOCK`` points, which bounds its memory and changes no
-    bits, since each dot reads one row's corners and grad only. Both grads
-    are then summed over the pairs of a query in pair order by
-    ``_sum_pairs``, the sum forward takes.
+    DETR's MSDeformAttn backward does. It gathers ``_GATHER_ROWS`` rows at a
+    time into one buffer allocated once per call, and writes their dots into
+    one [P*M, 4K] array, which changes no bits, since each dot reads one
+    row's corners and grad only; ``_BilinearPlan.point_grads`` then turns
+    all the dots into the points' grads at once. A corner index outside the
+    value table raises ContractError. Both grads are then summed over the
+    pairs of a query in pair order by ``_sum_pairs``, the sum forward takes;
+    when pair p is query p for every p, only that sum's +0.0 start is added,
+    which gives the same bits.
 
     offsets must be [T,M,K,2] and attn [T,M,K]; map_idx, base_pts [P,2],
     qry_idx and pair_weight (None or [P]) must agree on P, with map_idx in
@@ -976,10 +987,23 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
                                       qry_idx).matrix(slice(None), grads)
     out = per_query(s_attn @ flat)
 
+    def per_query_grad(d, shape):
+        """Point grads [P*M, ...] summed per query, as _sum_pairs sums them.
+        Pairs that are the queries in order need no sum, only its +0.0 start,
+        which turns a masked corner's -0.0 into +0.0."""
+        if in_order:
+            return d.reshape(shape) + 0.0
+        return _sum_pairs(d.reshape(p, -1), qry_idx, t).reshape(shape)
+
     def vjp(g):
+        # the corner gathers clip (see _GATHER_ROWS): check their indices once
+        if grads and (plan.indices.min() < 0 or plan.indices.max() >= flat.shape[0]):
+            raise ContractError(f"deform_attend: a corner index lies outside the "
+                                f"{flat.shape[0]}-row value table")
         g2 = g.reshape(t, m * hd)
         if not in_order:
-            g2 = g2[qry_idx]  # the sum's vjp: each pair reads its query's row
+            # the sum's vjp: each pair reads its query's row
+            g2 = np.take(g2, qry_idx, axis=0)
         if pair_weight is not None:
             g2 = g2 * pair_weight[:, None]
         g2 = g2.reshape(p * m, hd)
@@ -987,20 +1011,22 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
             _accum(feats, (s_attn.T @ g2).reshape(feats.shape), own=True)
         if not grads:
             return
-        d_attn = np.empty((p * m, k)) if attn.requires_grad else None
-        d_off = np.empty((p * m, k, 2)) if offsets.requires_grad else None
-        step = max(1, _BLOCK // k)
-        for lo in range(0, p * m, step):
-            hi = min(lo + step, p * m)
-            # np.take, not fancy indexing: half the time on a camera call
-            corners = np.take(flat, plan.indices[4 * k * lo:4 * k * hi], axis=0)
-            dots = np.einsum("rjc,rc->rj", corners.reshape(hi - lo, 4 * k, hd), g2[lo:hi])
-            plan.point_grads(slice(lo, hi), dots.reshape(hi - lo, k, 4), attnp, d_attn, d_off)
+        rows = p * m
+        step = min(_GATHER_ROWS, rows)
+        buf = np.empty((step * 4 * k, hd))
+        dots = np.empty((rows, 4 * k))
+        for lo in range(0, rows, step):
+            hi = min(lo + step, rows)
+            corners = np.take(flat, plan.indices[4 * k * lo:4 * k * hi], axis=0,
+                              out=buf[:4 * k * (hi - lo)], mode="clip")
+            np.einsum("rjc,rc->rj", corners.reshape(hi - lo, 4 * k, hd), g2[lo:hi],
+                      out=dots[lo:hi])
+        d_attn, d_off = plan.point_grads(dots.reshape(rows, k, 4), attnp, attn.requires_grad,
+                                         offsets.requires_grad)
         if d_attn is not None:
-            _accum(attn, _sum_pairs(d_attn.reshape(p, m * k), qry_idx, t).reshape(attn.shape))
+            _accum(attn, per_query_grad(d_attn, attn.shape), own=True)
         if d_off is not None:
-            _accum(offsets, _sum_pairs(d_off.reshape(p, m * k * 2), qry_idx, t)
-                   .reshape(offsets.shape))
+            _accum(offsets, per_query_grad(d_off, offsets.shape), own=True)
 
     return _make(out, "deform_attend", (feats, offsets, attn), vjp)
 

@@ -107,6 +107,27 @@ def tiny_dataset(tmp_path_factory):
     return generate_dataset(tmp_path_factory.mktemp("tiny"), 1, 3, SceneParams(), SPEC, **TINY)
 
 
+@pytest.fixture(scope="module")
+def two_scenes(tmp_path_factory):
+    return generate_dataset(tmp_path_factory.mktemp("two"), 2, 3, SceneParams(), SPEC, **TINY)
+
+
+@pytest.mark.parametrize("index", [1.5, True, False, "1", None])
+def test_load_of_a_non_integer_index_is_contract_error(two_scenes, index):
+    # a bool is an int to Python, and would load scene 0 or 1
+    with pytest.raises(ContractError, match="integer"):
+        two_scenes.load(index)
+
+
+def test_load_takes_numpy_integers(two_scenes):
+    got, want = two_scenes.load(np.int64(1)), two_scenes.load(1)
+    assert type(got.scene_id) is int and got.scene_id == 1
+    assert got.camera_images.tobytes() == want.camera_images.tobytes()
+    assert got.gts == want.gts
+    with pytest.raises(DataError):
+        two_scenes.load(np.int32(2))
+
+
 def corrupt_copy(ds, tmp_path, payload):
     root = tmp_path / "corrupt"
     shutil.copytree(ds.root, root)

@@ -7,7 +7,8 @@ the add, layer norm, linear and relu ops they replaced, and the
 graph-consuming backward is checked bit for bit against a walk that keeps
 the graph. The corner tables forward builds block by block are checked
 against the reference's whole-call tables, at every block size and at offsets
-far outside any index range."""
+far outside any index range; backward's corner gathers, through one buffer
+per call, byte for byte at every gather size."""
 
 import itertools
 import types
@@ -22,6 +23,7 @@ import backward_reference as ref
 import bevkit.tensor as T
 from bevkit.attention import DeformAttnParams, deform_attn_multi
 from bevkit.dataset import generate_dataset
+from bevkit.errors import ContractError
 from bevkit.evaluation import CONDITIONS
 from bevkit.geometry import BEVGridSpec
 from bevkit.model import Detector, ModelConfig
@@ -167,21 +169,113 @@ def set_block(monkeypatch, arrays, block):
     monkeypatch.setattr(T, "_BLOCK", block)
 
 
+GATHERS = [1, 5, "over"]
+
+
+def set_gather(monkeypatch, arrays, gather):
+    """Set the (pair, head) rows of each corner gather of deform_attend's
+    backward; "over" is one gather over the call."""
+    if gather == "over":
+        _, _, _, offsets, _, qry_idx = arrays
+        gather = qry_idx.size * offsets.shape[1] + 1  # P*M + 1
+    monkeypatch.setattr(T, "_GATHER_ROWS", gather)
+
+
 @pytest.mark.parametrize("case", ["sources", "border", "unordered", "empty"])
-@pytest.mark.parametrize("block", BLOCKS)
-def test_backward_blocks_change_no_bits(case, block, monkeypatch):
-    """Blocks of 1 and 3 points (one (pair, head) row of K=3), 7 points (two
-    rows, so the last block is partial), or one block over the whole call: the
-    same bits as the unblocked reference."""
+@pytest.mark.parametrize("gather", GATHERS)
+def test_backward_blocks_change_no_bits(case, gather, monkeypatch):
+    """Corner gathers of one (pair, head) row, of 5 rows (the last gather
+    partial: the cases have 42, 18 and 24 rows), or one gather over the whole
+    call: the bytes of the unblocked reference."""
     arrays = attend_case(np.random.default_rng(40), case)
-    set_block(monkeypatch, arrays, block)
+    rows = arrays[5].size * arrays[3].shape[1]
+    assert gather != 5 or rows % 5 or not rows
+    set_gather(monkeypatch, arrays, gather)
     out, grads = attend_grads(T.deform_attend, arrays, (True, True, True))
     want_out, want = attend_grads(ref.deform_attend_reference, arrays, (True, True, True))
-    assert np.array_equal(out, want_out)
+    assert out.tobytes() == want_out.tobytes()
     for a, b in zip(grads, want):
         assert (a is None) == (b is None)
         if a is not None:
-            assert np.array_equal(a, b)
+            assert a.tobytes() == b.tobytes()
+
+
+def in_order_case():
+    """Pairs that are the queries in order (qry_idx = arange(T)) on positive
+    values; every point of query 2 lies far off the maps, and query 3's
+    first head samples at the border, so some of its corners are off."""
+    rng = np.random.default_rng(45)
+    b, h, w, ch, t, m, k = 2, 5, 4, 6, 5, 2, 3
+    feats = rng.uniform(0.5, 1.5, (b, h, w, ch))
+    offsets = rng.uniform(-1.5, 1.5, (t, m, k, 2))
+    offsets[2] = 40.0
+    offsets[3, 0] = 0.0
+    attn = rng.dirichlet(np.ones(k), (t, m))
+    base = rng.uniform(0.0, 3.0, (t, 2))
+    base[3] = (h - 1, w - 0.5)
+    return feats, np.arange(t) % b, base, offsets, attn, np.arange(t)
+
+
+@pytest.mark.parametrize("gather", GATHERS)
+def test_in_order_grads_have_the_reference_bytes(gather, monkeypatch):
+    """On positive values a negative output grad makes the dots of masked
+    corners -0.0, and so the attention grad of a point with no corner on the
+    map. Pairs that are the queries in order take no sum, yet their grads
+    have the bytes of the reference's sum from +0.0: +0.0 there."""
+    arrays = in_order_case()
+    set_gather(monkeypatch, arrays, gather)
+    feats, map_idx, base, offsets, attn, qry_idx = arrays
+    g = -np.random.default_rng(46).uniform(0.5, 1.5, (qry_idx.size, 2, 3))
+    grads = []
+    for fn in (T.deform_attend, ref.deform_attend_reference):
+        leaves = [Tensor(a, requires_grad=True) for a in (feats, offsets, attn)]
+        fn(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx).node.vjp(g)
+        grads.append([x.grad for x in leaves])
+    (_, d_off, d_attn), (_, want_off, want_attn) = grads
+    assert np.all(want_attn[2] == 0.0) and not np.any(np.signbit(want_attn[2]))
+    assert d_attn.tobytes() == want_attn.tobytes()
+    assert d_off.tobytes() == want_off.tobytes()
+
+
+def test_backward_gathers_into_one_buffer_per_call(monkeypatch):
+    """Every corner gather of a call writes into the same buffer, not into a
+    fresh array."""
+    arrays = attend_case(np.random.default_rng(40), "sources")
+    set_gather(monkeypatch, arrays, 5)
+    feats, map_idx, base, offsets, attn, qry_idx = arrays
+    leaves = [Tensor(a, requires_grad=True) for a in (feats, offsets, attn)]
+    out = T.deform_attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx)
+    outs = []
+    take = np.take
+
+    def spy(a, indices, axis=None, out=None, mode="raise"):
+        if np.shares_memory(a, leaves[0].data):
+            outs.append(out)
+        return take(a, indices, axis=axis, out=out, mode=mode)
+
+    monkeypatch.setattr(np, "take", spy)
+    out.node.vjp(np.ones(out.shape))
+    assert len(outs) == -(-qry_idx.size * offsets.shape[1] // 5)
+    assert all(o is not None and o.base is not None and o.base is outs[0].base for o in outs)
+
+
+@pytest.mark.parametrize("bad", ["negative", "past_end"])
+def test_backward_refuses_a_corner_index_outside_the_table(bad, plans):
+    """The gathers clip, so backward checks the indices of its plan first:
+    one planted outside the value table raises ContractError instead of being
+    clipped to a row inside it. feats needs no grad here, so the transposed
+    product would not read the planted index either, should the check go."""
+    feats, map_idx, base, offsets, attn, qry_idx = attend_case(np.random.default_rng(40),
+                                                                "sources")
+    leaves = [Tensor(feats), Tensor(offsets, requires_grad=True),
+              Tensor(attn, requires_grad=True)]
+    out = T.deform_attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx)
+    plan, = plans
+    n_rows = feats.size // feats.shape[-1] * offsets.shape[1]  # B*H*W*M
+    plan.indices[7] = -1 if bad == "negative" else n_rows
+    with pytest.raises(ContractError, match="outside"):
+        out.node.vjp(np.ones(out.shape))
+    assert leaves[1].grad is None and leaves[2].grad is None
 
 
 @pytest.mark.parametrize("case", ["sources", "border", "unordered"])

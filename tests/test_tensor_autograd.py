@@ -488,6 +488,26 @@ class TestAdam:
         for key, arr in before.items():
             assert np.array_equal(after[key], arr)
 
+    @pytest.mark.parametrize("step", [np.nan, np.inf, -np.inf, -1.0, 2.5])
+    def test_bad_step_is_config_error_and_changes_nothing(self, step):
+        """A step that is not a finite non-negative integer is refused before
+        t, m or v change: from -1 the next step would divide by zero, and 2.5
+        names no step."""
+        opt = self.stepped()
+        before = {k: v.copy() for k, v in opt.state_arrays().items()}
+        arrays = {k: np.full_like(v, 7.0) for k, v in before.items()}
+        arrays["opt.step"] = np.array([step])
+        with pytest.raises(ConfigError, match="step"):
+            opt.load_state_arrays(arrays)
+        assert opt.t == 2
+        for key, arr in before.items():
+            assert opt.state_arrays()[key].tobytes() == arr.tobytes()
+
+    def test_zero_step_loads(self):
+        opt = self.stepped()
+        opt.load_state_arrays(self.stepped(0).state_arrays())
+        assert opt.t == 0
+
 
 class TestCheckpoint:
     def test_bit_exact_roundtrip(self, tmp_path):
