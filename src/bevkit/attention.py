@@ -138,8 +138,8 @@ class EncoderLayerParams:
 class Sampling(NamedTuple):
     """Where and how much a block's queries sample: offsets [T,M,K,2],
     softmaxed weights [T,M,K] and, when a caller keeps them for one set of
-    pairs and maps' shape (``with_blocks``), ``deform_attend``'s no-grad
-    block matrices; None: built per call."""
+    pairs and maps' shape (``tensor.attend_blocks``), ``deform_attend``'s
+    no-grad block matrices; None: built per call."""
 
     offsets: Tensor
     attn: Tensor
@@ -157,22 +157,6 @@ def _query_offsets_weights(queries: Tensor, params: DeformAttnParams):
     return off, attn
 
 
-def _check_maps(maps_shape, pairs: Pairs):
-    if maps_shape[:1] != (pairs.n_maps,):
-        raise ContractError(f"deform_attn_multi: maps {maps_shape} for pairs over "
-                            f"{pairs.n_maps} maps")
-
-
-def with_blocks(sampling: Sampling, maps_shape, pairs: Pairs) -> Sampling:
-    """sampling with the block matrices of its points on maps of maps_shape
-    [B,H,W,C] built in (``tensor.attend_blocks``), for a caller that samples
-    many maps of that shape at those points under no_grad."""
-    _check_maps(maps_shape, pairs)
-    return sampling._replace(blocks=T.attend_blocks(
-        maps_shape[:3], pairs.map_idx, pairs.base_pts, sampling.offsets, sampling.attn,
-        pairs.qry_idx))
-
-
 def deform_attn_multi(queries: Tensor, maps: Tensor, pairs: Pairs,
                       params: DeformAttnParams, sampling: Optional[Sampling] = None) -> Tensor:
     """Deformable attention of queries [T,N] over B maps [B,H,W,value_dim],
@@ -182,7 +166,9 @@ def deform_attn_multi(queries: Tensor, maps: Tensor, pairs: Pairs,
     ContractError unless B is the pairs' map count; ShapeError for T not the
     pairs' query count or maps of another rank or width.
     """
-    _check_maps(maps.shape, pairs)
+    if maps.shape[:1] != (pairs.n_maps,):
+        raise ContractError(f"deform_attn_multi: maps {maps.shape} for pairs over "
+                            f"{pairs.n_maps} maps")
     t = queries.shape[0]
     if t != pairs.n_queries:
         raise ShapeError(f"deform_attn_multi: {t} queries for pairs over {pairs.n_queries}")

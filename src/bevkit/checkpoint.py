@@ -56,9 +56,13 @@ def save_checkpoint(path, arrays: Dict[str, np.ndarray]):
 
 def load_checkpoint(path) -> Dict[str, np.ndarray]:
     """Arrays of a checkpoint file. A file that is truncated, has bytes past
-    its last array, or has a malformed manifest raises DataError."""
-    with open(path, "rb") as f:
-        raw = f.read()
+    its last array, or has a malformed manifest raises DataError, and so
+    does a path that is missing or a directory."""
+    try:
+        with open(path, "rb") as f:
+            raw = f.read()
+    except (FileNotFoundError, IsADirectoryError) as e:
+        raise DataError(f"{path}: no checkpoint file ({e.strerror})") from None
     sep = raw.find(b"\n\n")
     if sep < 0:
         raise DataError(f"{path}: not a checkpoint file (no manifest terminator)")

@@ -7,24 +7,23 @@ visible (view, level, query) for the cameras (``camera_pairs``, from
 ``geometry.project_to_camera``), and one pair of weight D per query for the
 LiDAR map, whose projection drops z (``lidar_pairs``).
 
-At inference the first layer's query half (``attention.query_half``: its
-self-attention over the BEV queries, its first norm and where cross-attention
-samples) depends on parameters alone, and given the pairs and the maps' shape
-so do ``deform_attend``'s block matrices. A ``QueryHalfCache``, owned by the
-``Detector``, keeps them per modality between encodes, for as long as every
-array they were derived from holds the bytes it held when they were built.
-With the tape recording, ``encode_bev`` neither reads nor fills the cache.
+Each layer is ``attention.encoder_layer``, ``map_half`` of ``query_half``.
+At inference the first layer's query half (its self-attention over the BEV
+queries, its first norm and where cross-attention samples) depends on
+parameters alone, and given the pairs and the maps' shape so do
+``deform_attend``'s block matrices. A caller that keeps them (the
+``Detector``, in its memo) hands them to ``encode_bev`` as ``first_half``;
+this module keeps no state.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import tensor as T
-from .attention import (EncoderLayerParams, Pairs, Sampling, encoder_layer, map_half, query_half,
-                        with_blocks)
+from .attention import EncoderLayerParams, Pairs, Sampling, encoder_layer, map_half
 from .errors import ContractError
 from .geometry import BEVGridSpec, build_reference_grid, project_to_lidar
 from .tensor import Parameter, Tensor
@@ -96,110 +95,22 @@ def lidar_pairs(refs, map_hw) -> Pairs:
     return Pairs.one_map(rc[0].reshape(t, 2), None if depth == 1 else np.full(t, float(depth)))
 
 
-def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
-    """Same dtype, shape and bytes: unlike ==, a NaN equals itself and -0.0
-    differs from 0.0, so equal arrays give equal outputs bit for bit."""
-    return (a.dtype == b.dtype and a.shape == b.shape
-            and np.array_equal(np.ascontiguousarray(a).view(np.uint8),
-                               np.ascontiguousarray(b).view(np.uint8)))
-
-
-class _Entry(NamedTuple):
-    """One modality's kept query half, its maps' shape, the arrays it was
-    derived from and their copies."""
-
-    maps_shape: tuple
-    sources: List[np.ndarray]
-    copies: List[np.ndarray]
-    half: Tuple[Tensor, Sampling]
-
-
-class QueryHalfCache:
-    """The first encoder layer's query half of each modality, kept between
-    no-grad encodes.
-
-    An entry holds ``query_half``'s x1 and cross-attention ``Sampling`` with
-    its block matrices for the cross-attention pairs on maps of one shape
-    (``with_blocks``), and a copy of every array they were derived from: the
-    modality's query parameter, the layer's self-attention parameters and
-    first norm, its cross-attention offset and weight projections, and the
-    self-attention and cross-attention pairs. ``query_half`` returns the entry
-    while each of those arrays has the bytes of its copy and the maps' shape
-    is the entry's; otherwise it builds a new one in its place. So an
-    optimizer step, a checkpoint load, an in-place write or a new rig or map
-    shape makes the next encode rebuild, and nothing needs to tell the cache.
-    There is one entry per modality, and the arrays it hands out are
-    read-only. A source that two entries read with the same bytes, such as
-    shared queries, is copied once.
-    """
-
-    def __init__(self):
-        self._entries: Dict[str, _Entry] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @staticmethod
-    def _sources(queries: BEVQuerySet, modality: str, pairs: Pairs,
-                 layer: EncoderLayerParams) -> List[np.ndarray]:
-        ca = layer.cross_attn
-        params = [queries.query_param(modality), *layer.self_attn.parameters(),
-                  *layer.norms[0], ca.offset_w, ca.offset_b, ca.weight_w, ca.weight_b]
-        arrays = [p.data for p in params]
-        for prs in (queries.self_pairs, pairs):
-            arrays += [prs.map_idx, prs.base_pts, prs.qry_idx]
-            if prs.weight is not None:
-                arrays.append(prs.weight)
-        return arrays
-
-    def query_half(self, queries: BEVQuerySet, modality: str, maps_shape, pairs: Pairs,
-                   layer: EncoderLayerParams) -> Tuple[Tensor, Sampling]:
-        """(x1, sampling) of ``query_half`` on the modality's BEV queries
-        through the layer, with the block matrices of the pairs on maps of
-        maps_shape: the kept entry when nothing it was derived from changed,
-        a new one otherwise. Call it under no_grad."""
-        sources = self._sources(queries, modality, pairs, layer)
-        entry = self._entries.get(modality)
-        if (entry is not None and entry.maps_shape == tuple(maps_shape)
-                and len(entry.copies) == len(sources)
-                and all(map(_same_bytes, sources, entry.copies))):
-            return entry.half
-        self._entries.pop(modality, None)
-        # the other entry holds its sources, so their ids name live arrays
-        kept = {id(a): c for other in self._entries.values()
-                for a, c in zip(other.sources, other.copies)}
-        copies = []
-        for a in sources:
-            c = kept.get(id(a))
-            copies.append(c if c is not None and _same_bytes(a, c) else a.copy())
-        spec = queries.spec
-        x1, sampling = query_half(queries.tokens(modality), (spec.h, spec.w), queries.self_pairs,
-                                  layer)
-        sampling = with_blocks(sampling, maps_shape, pairs)
-        for t in (x1, sampling.offsets, sampling.attn):
-            t.data.flags.writeable = False
-        self._entries[modality] = _Entry(tuple(maps_shape), sources, copies, (x1, sampling))
-        return x1, sampling
-
-
 def encode_bev(queries: BEVQuerySet, modality: str, maps: Tensor, pairs: Pairs,
                layers: Sequence[EncoderLayerParams], normalize_by_hits: bool = False,
-               cache: Optional[QueryHalfCache] = None) -> Tensor:
+               first_half: Optional[Tuple[Tensor, Sampling]] = None) -> Tensor:
     """BEV feature map [H,W,N] of one modality: its queries cross-attend to
     the maps [B,H_f,W_f,N] through the pairs in every layer.
 
     Each layer is an ``encoder_layer``, ``map_half`` of ``query_half``.
-    With a cache and the tape off (``no_grad``), the first layer runs only
-    its map half, on the query half the cache holds
-    (``QueryHalfCache.query_half``, which rebuilds it only when an array it
-    was derived from has changed); with the tape recording, the cache is
-    neither read nor written, so a train step records every op."""
+    first_half, when given, is the first layer's (x1, sampling) of
+    ``query_half`` on these queries, kept by the caller, and the first layer
+    runs only its map half on it. It records no tape, so pass it only under
+    ``no_grad``."""
     spec = queries.spec
     x = queries.tokens(modality)
     for i, lp in enumerate(layers):
-        if i == 0 and cache is not None and not T.grad_enabled():
-            x = map_half(*cache.query_half(queries, modality, maps.shape, pairs, lp), maps,
-                         pairs, lp, normalize_by_hits)
+        if i == 0 and first_half is not None:
+            x = map_half(*first_half, maps, pairs, lp, normalize_by_hits)
         else:
             x = encoder_layer(x, (spec.h, spec.w), queries.self_pairs, maps, pairs, lp,
                               normalize_by_hits)
@@ -208,18 +119,18 @@ def encode_bev(queries: BEVQuerySet, modality: str, maps: Tensor, pairs: Pairs,
 
 def encode_camera_bev(queries: BEVQuerySet, feats: Tensor, pairs: Pairs,
                       layers: Sequence[EncoderLayerParams], normalize_by_hits: bool = False,
-                      cache: Optional[QueryHalfCache] = None) -> Tensor:
+                      first_half: Optional[Tuple[Tensor, Sampling]] = None) -> Tensor:
     """Camera-branch BEV map over V views: the views' feature maps
     [V,H_f,W_f,N] and the ``camera_pairs`` of the rig."""
-    return encode_bev(queries, "camera", feats, pairs, layers, normalize_by_hits, cache)
+    return encode_bev(queries, "camera", feats, pairs, layers, normalize_by_hits, first_half)
 
 
 def encode_lidar_bev(queries: BEVQuerySet, feat_l: Tensor, pairs: Pairs,
                      layers: Sequence[EncoderLayerParams], normalize_by_hits: bool = False,
-                     cache: Optional[QueryHalfCache] = None) -> Tensor:
+                     first_half: Optional[Tuple[Tensor, Sampling]] = None) -> Tensor:
     """LiDAR-branch BEV map: the same encoder over the one LiDAR map
     [1,H_L,W_L,N] and the ``lidar_pairs`` of the grid on it."""
-    return encode_bev(queries, "lidar", feat_l, pairs, layers, normalize_by_hits, cache)
+    return encode_bev(queries, "lidar", feat_l, pairs, layers, normalize_by_hits, first_half)
 
 
 def make_encoder_layers(prefix: str, n_layers: int, heads: int, points: int,

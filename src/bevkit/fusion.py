@@ -19,7 +19,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, ShapeError
+from .errors import ContractError, ShapeError, check_field_kinds
 from .tensor import Parameter, Tensor
 
 
@@ -64,6 +64,7 @@ class MDConfig:
     p_l: float = 0.5
 
     def validate(self):
+        check_field_kinds(self)
         if not (0.0 <= self.p_md <= 1.0 and 0.0 <= self.p_l <= 1.0):
             raise ContractError(f"probabilities out of range: p_md={self.p_md}, p_l={self.p_l}")
         return self

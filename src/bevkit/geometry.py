@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, check_field_kinds
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,7 @@ class BEVGridSpec:
     z_range: Tuple[float, float] = (-1.0, 3.0)
 
     def validate(self):
+        check_field_kinds(self)
         x_min, x_max, y_min, y_max = self.extent
         z_min, z_max = self.z_range
         if min(self.h, self.w, self.d) < 1:

@@ -8,21 +8,29 @@ discarding the features, since nothing downstream reads them.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import tensor as T
+from .attention import EncoderLayerParams, Pairs, Sampling, query_half
 from .detection import BoxPrediction, DecoderParams, decode, decode_raw, set_loss
-from .encoders import (BEVQuerySet, QueryHalfCache, camera_pairs, encode_camera_bev,
-                       encode_lidar_bev, lidar_pairs, make_encoder_layers)
+from .encoders import (BEVQuerySet, camera_pairs, encode_camera_bev, encode_lidar_bev,
+                       lidar_pairs, make_encoder_layers)
 from .errors import ConfigError, ContractError, check_field_kinds
 from .fusion import FusionWeights, ModalityMask, fuse
 from .geometry import BEVGridSpec, CameraModel, project_to_camera
 from .synthscene import ConvBackbone, RenderedSample
 from .tensor import Parameter, Tensor
+
+
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    """Same dtype, shape and bytes: unlike ==, a NaN equals itself and -0.0
+    differs from 0.0, so equal arrays give equal outputs bit for bit."""
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.array_equal(np.ascontiguousarray(a).view(np.uint8),
+                               np.ascontiguousarray(b).view(np.uint8)))
 
 
 @dataclass(frozen=True)
@@ -89,16 +97,16 @@ class Detector:
     """The detector's parameters, and what it derives from them and from the
     sensor geometry once instead of per scene.
 
-    It keeps the camera pairs of the last rig it saw (``_bind``), the LiDAR
-    pairs of the grid on the last LiDAR map shape (``_bind_lidar``), and a
-    ``QueryHalfCache``: per modality, the first encoder layer's query-only
-    work (x1, the cross-attention offsets and weights, and the block matrices
-    ``deform_attend`` multiplies out) under ``no_grad``. A cache entry is
-    reused only while every array it was derived from holds the bytes it
-    held when the entry was built, so ``Adam.step``, ``load_arrays`` or any
-    in-place write to those parameters makes the next predict rebuild it; a
-    recorded forward (``loss``) never reads or fills it. Everything cached
-    lives and dies with the detector.
+    Everything derived lives in one memo, ``_derive``: a kept value is
+    reused while every array it was derived from has the bytes it had when
+    the value was built, and is rebuilt otherwise. It holds the camera pairs
+    (derived from the rig's values), the LiDAR pairs (from the LiDAR map's
+    shape) and, under ``no_grad`` only, each modality's first-layer query
+    half with its block matrices (from the parameters it reads, its pairs
+    and the maps' shape). So a new or moved camera, ``Adam.step``,
+    ``load_arrays`` or any in-place write makes the next encode rebuild what
+    it changed, and nothing needs to tell the memo. A recorded forward
+    (``loss``) never reads or fills the query halves.
     """
 
     def __init__(self, cfg: ModelConfig, spec: BEVGridSpec, rng: np.random.Generator):
@@ -116,11 +124,7 @@ class Detector:
         self.fusion_weights = FusionWeights(n_enc) if cfg.fusion == "cnw" else None
         self.decoder = DecoderParams(cfg.n_obj, cfg.channels, cfg.n_classes,
                                      cfg.dec_layers, rng)
-        self._bound_cams: tuple = ()
-        self._cam_pairs = None
-        self._lidar_hw: tuple = ()
-        self._lidar_pairs = None
-        self._query_halves = QueryHalfCache()
+        self._memo: Dict[object, tuple] = {}
 
     # -- parameters and state ------------------------------------------------
 
@@ -156,39 +160,90 @@ class Detector:
 
     # -- forward -------------------------------------------------------------
 
-    def _bind(self, cams: List[CameraModel]):
-        """Cache the camera pairs of this rig's views on their feature maps.
-        A rig is its camera objects (immutable), not the list holding them,
-        so a list changed in place is a new rig."""
-        if len(cams) == len(self._bound_cams) and all(map(operator.is_, cams, self._bound_cams)):
-            return
-        stride = self.cam_backbone.stride
-        self._cam_pairs = camera_pairs([project_to_camera(self.queries.refs, cam.scaled(stride))
-                                        for cam in cams], self.spec.h * self.spec.w)
-        self._bound_cams = tuple(cams)
+    def _derive(self, key, sources: List[np.ndarray], build):
+        """build()'s value, kept under key while every array of sources has
+        the bytes of the copy taken when the value was built. A source that
+        another entry holds with the same bytes shares that entry's copy."""
+        entry = self._memo.get(key)
+        if (entry is not None and len(entry[1]) == len(sources)
+                and all(map(_same_bytes, sources, entry[1]))):
+            return entry[2]
+        self._memo.pop(key, None)
+        # the other entries hold their sources, so their ids name live arrays
+        kept = {id(a): c for other in self._memo.values() for a, c in zip(other[0], other[1])}
+        copies = []
+        for a in sources:
+            c = kept.get(id(a))
+            copies.append(c if c is not None and _same_bytes(a, c) else a.copy())
+        value = build()
+        self._memo[key] = (sources, copies, value)
+        return value
 
-    def _bind_lidar(self, map_hw):
-        """Cache the LiDAR pairs of the grid on a LiDAR map of this shape."""
-        map_hw = tuple(map_hw)
-        if map_hw != self._lidar_hw:
-            self._lidar_pairs = lidar_pairs(self.queries.refs, map_hw)
-            self._lidar_hw = map_hw
+    def _rig_pairs(self, cams: Sequence[CameraModel]) -> Pairs:
+        """The camera pairs of this rig's views on their feature maps, derived
+        from each camera's fx, fy, cx, cy, image size and world_to_cam."""
+        rig = np.array([[cam.fx, cam.fy, cam.cx, cam.cy, cam.image_h, cam.image_w,
+                         *np.ravel(cam.world_to_cam)] for cam in cams], dtype=np.float64)
+        stride = self.cam_backbone.stride
+        return self._derive("camera_pairs", [rig], lambda: camera_pairs(
+            [project_to_camera(self.queries.refs, cam.scaled(stride)) for cam in cams],
+            self.spec.h * self.spec.w))
+
+    def _lidar_map_pairs(self, map_hw) -> Pairs:
+        """The LiDAR pairs of the grid on a LiDAR map of this shape."""
+        return self._derive("lidar_pairs", [np.array(map_hw)],
+                            lambda: lidar_pairs(self.queries.refs, map_hw))
+
+    def _first_half(self, modality: str, maps_shape, pairs: Pairs,
+                    layer: EncoderLayerParams) -> Optional[Tuple[Tensor, Sampling]]:
+        """The first encoder layer's ``query_half`` of the modality's BEV
+        queries, with the block matrices of the pairs on maps of maps_shape;
+        its arrays are read-only. None while the tape records, so that a
+        recorded forward runs every op."""
+        if T.grad_enabled():
+            return None
+        ca = layer.cross_attn
+        params = [self.queries.query_param(modality), *layer.self_attn.parameters(),
+                  *layer.norms[0], ca.offset_w, ca.offset_b, ca.weight_w, ca.weight_b]
+        sources = [p.data for p in params]
+        for prs in (self.queries.self_pairs, pairs):
+            sources += [prs.map_idx, prs.base_pts, prs.qry_idx]
+            if prs.weight is not None:
+                sources.append(prs.weight)
+        sources.append(np.array(maps_shape))
+
+        def build():
+            x1, sampling = query_half(self.queries.tokens(modality), (self.spec.h, self.spec.w),
+                                      self.queries.self_pairs, layer)
+            sampling = sampling._replace(blocks=T.attend_blocks(
+                maps_shape[:3], pairs.map_idx, pairs.base_pts, sampling.offsets, sampling.attn,
+                pairs.qry_idx))
+            for t in (x1, sampling.offsets, sampling.attn):
+                t.data.flags.writeable = False
+            return x1, sampling
+
+        return self._derive(("first_half", modality), sources, build)
 
     def encode(self, sample: RenderedSample, mask: ModalityMask):
-        """Per-modality BEV features under the given availability mask."""
+        """Per-modality BEV features under the given availability mask. Under
+        no_grad the first encoder layer's query half comes from the memo."""
         mask.validate()
         cam_bev = lidar_bev = None
         if mask.use_cam:
-            self._bind(sample.cams)
+            if len(sample.camera_images) != len(sample.cams):
+                raise ContractError(f"{len(sample.camera_images)} camera images for "
+                                    f"{len(sample.cams)} cameras")
+            pairs = self._rig_pairs(sample.cams)
             feats = self.cam_backbone.forward(sample.camera_images)
-            cam_bev = encode_camera_bev(self.queries, feats, self._cam_pairs, self.cam_layers,
-                                        self.cfg.normalize_by_hits, self._query_halves)
+            half = self._first_half("camera", feats.shape, pairs, self.cam_layers[0])
+            cam_bev = encode_camera_bev(self.queries, feats, pairs, self.cam_layers,
+                                        self.cfg.normalize_by_hits, half)
         if mask.use_lidar:
             feat_l = self.lidar_backbone.forward(sample.lidar_grid[None])
-            self._bind_lidar(feat_l.shape[1:3])
-            lidar_bev = encode_lidar_bev(self.queries, feat_l, self._lidar_pairs,
-                                         self.lidar_layers, self.cfg.normalize_by_hits,
-                                         self._query_halves)
+            pairs = self._lidar_map_pairs(feat_l.shape[1:3])
+            half = self._first_half("lidar", feat_l.shape, pairs, self.lidar_layers[0])
+            lidar_bev = encode_lidar_bev(self.queries, feat_l, pairs, self.lidar_layers,
+                                         self.cfg.normalize_by_hits, half)
         return cam_bev, lidar_bev
 
     def fused_maps(self, sample: RenderedSample, masks: Sequence[ModalityMask]) -> List[Tensor]:

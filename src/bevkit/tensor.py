@@ -996,8 +996,9 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
         return _sum_pairs(d.reshape(p, -1), qry_idx, t).reshape(shape)
 
     def vjp(g):
-        # the corner gathers clip (see _GATHER_ROWS): check their indices once
-        if grads and (plan.indices.min() < 0 or plan.indices.max() >= flat.shape[0]):
+        # the corner gathers clip (see _GATHER_ROWS): check their indices once,
+        # both ends in one pass, since a negative index viewed as unsigned is huge
+        if grads and plan.indices.view(f"u{plan.indices.itemsize}").max() >= flat.shape[0]:
             raise ContractError(f"deform_attend: a corner index lies outside the "
                                 f"{flat.shape[0]}-row value table")
         g2 = g.reshape(t, m * hd)

@@ -195,6 +195,12 @@ class TestCheckpointReader:
             with pytest.raises(DataError):
                 load_checkpoint(path)
 
+    def test_missing_path_or_directory_is_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="no checkpoint file"):
+            load_checkpoint(tmp_path / "missing.ckpt")
+        with pytest.raises(DataError, match="no checkpoint file"):
+            load_checkpoint(tmp_path)
+
     def test_trailing_byte_is_data_error(self, tmp_path):
         path, raw = self.saved(tmp_path)
         path.write_bytes(raw + b"\0")

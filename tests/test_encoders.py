@@ -371,20 +371,3 @@ class TestTapeStructure:
         assert ops["deform_attend"] == 1
         assert not {"scatter_rows", "stack", "concat"} & set(ops)
 
-
-def test_query_half_cache_keys_on_the_maps_shape():
-    """The same LiDAR pairs on maps of two shapes: the kept block matrices
-    address one shape's cells, so a map of the other shape gets new ones,
-    and each encode equals an encode without a cache."""
-    from bevkit.encoders import QueryHalfCache
-
-    rng, spec, queries, layers = make_setup(seed=12)
-    pairs = lidar_pairs(queries.refs, (4, 4))
-    cache = QueryHalfCache()
-    for hw in [(4, 4), (5, 6), (4, 4)]:
-        feat = Tensor(rng.standard_normal((1, *hw, 4)))
-        with T.no_grad():
-            got = encode_lidar_bev(queries, feat, pairs, layers, cache=cache)
-            want = encode_lidar_bev(queries, feat, pairs, layers)
-        assert got.data.tobytes() == want.data.tobytes()
-        assert len(cache) == 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import bevkit.tensor as T
-from bevkit.errors import ContractError, ShapeError
+from bevkit.errors import ConfigError, ContractError, ShapeError
 from bevkit.fusion import (
     FusionWeights,
     MDConfig,
@@ -212,3 +212,16 @@ class TestModalityDropout:
     def test_invalid_probability(self):
         with pytest.raises(ContractError):
             MDConfig(1.5, 0.5).validate()
+
+    @pytest.mark.parametrize("kw", [dict(p_md="0.5"), dict(p_md=True), dict(p_l=None),
+                                    dict(p_l=False)],
+                             ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()))
+    def test_wrongly_kinded_probability_is_config_error(self, kw):
+        with pytest.raises(ConfigError):
+            MDConfig(**kw).validate()
+        with pytest.raises(ConfigError):
+            sample_modality_mask(MDConfig(**kw), seeded_rng(0, "md"))
+
+    def test_integer_and_numpy_probabilities_are_accepted(self):
+        cfg = MDConfig(p_md=1, p_l=np.float64(0.25))
+        assert cfg.validate() is cfg

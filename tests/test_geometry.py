@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from bevkit.errors import ContractError
+from bevkit.errors import ConfigError, ContractError
 from bevkit.geometry import (
     BEVGridSpec,
     CameraModel,
@@ -73,6 +73,29 @@ class TestReferenceGrid:
         spec.validate()
         with pytest.raises(ContractError):
             dataclasses.replace(spec, **{field: value}).validate()
+
+    @pytest.mark.parametrize("kw", [
+        dict(h=2.5),  # TypeError in the detector without the check
+        dict(w="3"),  # TypeError in validate without the check
+        dict(d=True),
+        dict(extent=(-16.0, 16.0)),  # a bare ValueError (unpacking) without the check
+        dict(extent=(-16.0, 16.0, -16.0, "16")),
+        dict(z_range=(-1.0, 3.0, 5.0)),
+        dict(z_range=3.0),
+    ], ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()))
+    def test_wrongly_kinded_spec_is_config_error(self, kw):
+        from bevkit.model import Detector, ModelConfig
+
+        with pytest.raises(ConfigError):
+            BEVGridSpec(**kw).validate()
+        with pytest.raises(ConfigError):
+            Detector(ModelConfig(), BEVGridSpec(**kw), np.random.default_rng(0))
+
+    def test_numpy_sizes_and_integer_extents_are_accepted(self):
+        spec = BEVGridSpec(h=np.int64(4), w=np.int32(3), d=2, extent=(-8, 8, -6, 6),
+                           z_range=[np.int64(-1), 3])
+        assert spec.validate() is spec
+        assert build_reference_grid(spec).shape == (2, 4, 3, 4)
 
 
 class TestCameraProjection:

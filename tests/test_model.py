@@ -1,12 +1,13 @@
 """ModelConfig validation, the detector's initial weights and its backbones."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
 import bevkit.tensor as T
-from bevkit.errors import ConfigError
+from bevkit.errors import ConfigError, ContractError
 from bevkit.fusion import ModalityMask
 from bevkit.geometry import BEVGridSpec
 from bevkit.model import Detector, ModelConfig
@@ -178,7 +179,8 @@ def test_backbone_batch_equals_per_map_forwards(modality):
 
 def test_camera_pairs_are_built_once_per_rig(monkeypatch):
     """The detector builds the camera pairs of a rig on its first camera
-    encode and reuses them for every later scene on that rig."""
+    encode and reuses them for every later scene on a rig of the same values,
+    whichever camera objects and list hold them."""
     import bevkit.model as model
     from bevkit.fusion import ModalityMask
     from bevkit.synthscene import RenderedSample
@@ -212,7 +214,10 @@ def test_camera_pairs_are_built_once_per_rig(monkeypatch):
     assert repr(det.predict(first, both)) == repr(boxes)
     det.predict(sample(list(rig)), both)  # the same cameras in another list
     assert built == [len(rig)]
-    rig[0] = rig[0].scaled(1)  # an equal camera, but another object: another rig
+    rig[0] = dataclasses.replace(rig[0], world_to_cam=rig[0].world_to_cam.copy())
+    det.predict(first, both)  # equal cameras, new objects: the same rig
+    assert built == [len(rig)]
+    rig[0] = dataclasses.replace(rig[0], fx=rig[0].fx * 1.5)  # other values: another rig
     det.predict(first, both)
     assert built == [len(rig)] * 2
 
@@ -240,7 +245,35 @@ def test_a_rig_changed_in_place_gets_new_camera_pairs():
     assert after == fresh and after != before
 
 
-# -- the first encoder layer's query half, kept per detector ----------------
+def test_a_camera_moved_in_place_gets_new_camera_pairs():
+    """Writing a camera's pose in place, in the same camera object, changes
+    what the camera branch sees: every mask gives the bytes of a fresh
+    detector, which differ from the ones before. Pairs keyed by the camera
+    objects would keep the old view."""
+    det = noisy_detector()
+    rig = cache_rig()
+    sample = cache_scene(np.random.default_rng(12), rig)
+    before = outputs(det, sample)
+    rig[0].world_to_cam[:3, 3] += [0.5, -0.25, 0.0]
+    after = outputs(det, sample)
+    assert after == outputs(fresh_copy(det), sample)
+    assert after[0][MASKS.index(CAMERA)] != before[0][MASKS.index(CAMERA)]
+
+
+@pytest.mark.parametrize("n_images", [3, 5])
+@pytest.mark.parametrize("grad", [True, False], ids=["tape", "no_grad"])
+def test_camera_images_of_another_count_than_the_rig_are_contract_error(n_images, grad):
+    det = noisy_detector()
+    rig = cache_rig()
+    sample = RenderedSample(0, np.zeros((n_images, 12, 16, 3)), np.zeros((8, 8, 2)), [], rig)
+    with pytest.raises(ContractError, match=f"{n_images} camera images for 4 cameras"):
+        if grad:
+            det.loss(sample, CAMERA)
+        else:
+            det.predict(sample, CAMERA)
+
+
+# -- the first encoder layer's query half, kept in the detector's memo ------
 
 BOTH, CAMERA, LIDAR = (ModalityMask(True, True), ModalityMask(True, False),
                        ModalityMask(False, True))
@@ -287,23 +320,23 @@ def outputs(det, sample):
 
 
 def entries(det):
-    """modality -> the kept (x1, sampling) of the detector's cache."""
-    return {modality: entry.half for modality, entry in det._query_halves._entries.items()}
+    """modality -> the kept (x1, sampling) of the detector's memo."""
+    return {key[1]: value for key, (*_, value) in det._memo.items() if key[0] == "first_half"}
 
 
 @pytest.fixture
 def builds(monkeypatch):
-    """One item per query half the cache builds."""
-    import bevkit.encoders as encoders
+    """One item per query half the detector builds."""
+    import bevkit.model as model
 
     built = []
-    real = encoders.query_half
+    real = model.query_half
 
     def spy(*args):
         built.append(args[0].shape)
         return real(*args)
 
-    monkeypatch.setattr(encoders, "query_half", spy)
+    monkeypatch.setattr(model, "query_half", spy)
     return built
 
 
@@ -313,7 +346,7 @@ def builds(monkeypatch):
 def test_cached_query_half_gives_the_bytes_of_a_fresh_detector(kw):
     """Scenes encoded with the kept query half give, under every mask, the
     bytes of a detector that builds it for that scene, and the fused maps of
-    a recorded forward, which never reads the cache."""
+    a recorded forward, which never reads the kept half."""
     det = noisy_detector(**kw)
     rng = np.random.default_rng(3)
     scenes = [cache_scene(rng, cache_rig()) for _ in range(3)]
@@ -342,12 +375,12 @@ def test_repeated_encodes_reuse_one_entry_per_modality(builds):
     assert entries(det)["camera"] is kept
     det.queries.query_param("camera").data[0, 0, 0] += 1.0  # shared: both modalities rebuild
     det.predict(sample, BOTH)
-    assert len(built) == 4 and len(det._query_halves) == 2
+    assert len(built) == 4 and len(entries(det)) == 2
     assert entries(det)["camera"] is not kept
 
 
 def test_kept_arrays_are_read_only():
-    """Every array the cache hands out is read-only, so an op that wrote into
+    """Every array of a kept query half is read-only, so an op that wrote into
     one in place would raise instead of changing later scenes."""
     det = noisy_detector()
     det.predict(cache_scene(np.random.default_rng(5), cache_rig()), BOTH)
@@ -365,7 +398,7 @@ def test_kept_arrays_are_read_only():
 
 
 def test_loss_after_predicts_records_and_grads_as_a_fresh_detector():
-    """A recorded forward neither reads nor fills the cache: after predicts,
+    """A recorded forward neither reads nor fills the kept query halves: after predicts,
     Detector.loss records as many nodes and gives every parameter the grad
     bytes of a detector that never predicted."""
     from bevkit.tensor import backward
@@ -385,7 +418,7 @@ def test_loss_after_predicts_records_and_grads_as_a_fresh_detector():
                         {p.name: None if p.tensor.grad is None else p.tensor.grad.tobytes()
                          for p in det.parameters()}))
     assert results[0] == results[1]
-    assert len(fresh._query_halves) == 0 and len(used._query_halves) == 2
+    assert len(entries(fresh)) == 0 and len(entries(used)) == 2
 
 
 def tape_nodes(out):
@@ -491,3 +524,24 @@ def test_shared_queries_written_between_modalities(builds):
     n = len(built)
     det.predict(sample, BOTH)
     assert len(built) == n
+
+
+def test_first_half_keys_on_the_maps_shape(builds):
+    """The same LiDAR pairs on maps of two shapes: the kept block matrices
+    address one shape's cells, so a map of the other shape gets new ones, and
+    each encode equals an encode without a kept half."""
+    from bevkit.encoders import encode_lidar_bev, lidar_pairs
+    from bevkit.tensor import Tensor
+
+    det = noisy_detector()
+    pairs = lidar_pairs(det.queries.refs, (4, 4))
+    rng = np.random.default_rng(13)
+    for hw in [(4, 4), (5, 6), (4, 4)]:
+        feat = Tensor(rng.standard_normal((1, *hw, det.cfg.encoder_channels)))
+        with T.no_grad():
+            half = det._first_half("lidar", feat.shape, pairs, det.lidar_layers[0])
+            got = encode_lidar_bev(det.queries, feat, pairs, det.lidar_layers, first_half=half)
+            want = encode_lidar_bev(det.queries, feat, pairs, det.lidar_layers)
+        assert got.data.tobytes() == want.data.tobytes()
+        assert set(entries(det)) == {"lidar"}
+    assert len(builds) == 3
