@@ -42,15 +42,15 @@ class Pairs:
     (row, col) point base_pts[p], its row scaled by weight[p] (None: by 1).
     A query's pairs are summed in pair order, which fixes the float sum.
     hits[q] is query q's weighted pair count; it holds integers, exact in any
-    order. The arrays are checked once, here.
+    order. The arrays are read-only copies, checked once, here.
     """
 
     def __init__(self, map_idx, base_pts, qry_idx, n_maps: int, n_queries: int,
                  weight=None):
-        self.map_idx = np.asarray(map_idx, dtype=np.intp)
-        self.base_pts = np.asarray(base_pts, dtype=np.float64)
-        self.qry_idx = np.asarray(qry_idx, dtype=np.intp)
-        self.weight = None if weight is None else np.asarray(weight, dtype=np.float64)
+        self.map_idx = np.array(map_idx, dtype=np.intp)
+        self.base_pts = np.array(base_pts, dtype=np.float64)
+        self.qry_idx = np.array(qry_idx, dtype=np.intp)
+        self.weight = None if weight is None else np.array(weight, dtype=np.float64)
         self.n_maps, self.n_queries = n_maps, n_queries
         p = self.qry_idx.size
         shapes = (self.map_idx.shape, self.base_pts.shape, self.qry_idx.shape,
@@ -63,6 +63,9 @@ class Pairs:
             raise ContractError(f"Pairs: map_idx outside [0,{n_maps}) or qry_idx outside "
                                 f"[0,{n_queries})")
         self.hits = np.bincount(self.qry_idx, self.weight, n_queries).astype(np.float64)
+        for a in (self.map_idx, self.base_pts, self.qry_idx, self.weight, self.hits):
+            if a is not None:
+                a.flags.writeable = False
 
     @classmethod
     def one_map(cls, base_pts, weight=None) -> "Pairs":

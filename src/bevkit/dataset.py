@@ -15,14 +15,13 @@ from __future__ import annotations
 import io
 import json
 import math
-import numbers
 import struct
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DataError
+from .errors import ConfigError, ContractError, DataError, of_kind
 from .geometry import BEVGridSpec, CameraModel
 from .rng import seeded_rng
 from .synthscene import (
@@ -132,11 +131,16 @@ def generate_dataset(root, n_scenes: int, seed: int, params: SceneParams,
                      spec: BEVGridSpec, lidar_shape=(32, 32), image_h: int = 48,
                      image_w: int = 64, fx: float = 24.0) -> "SceneDataset":
     """Render n_scenes scenes into the directory root and open it. The scene
-    parameters and n_scenes are checked (ConfigError) before anything is
-    written."""
+    parameters, n_scenes, seed and lidar_shape are checked (ConfigError)
+    before anything is written."""
     params.validate()
-    if isinstance(n_scenes, bool) or not isinstance(n_scenes, numbers.Integral) or n_scenes < 0:
+    if not of_kind(n_scenes, 0) or n_scenes < 0:
         raise ConfigError(f"n_scenes must be a non-negative integer, got {n_scenes!r}")
+    if not of_kind(seed, 0):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    if not of_kind(lidar_shape, (0, 0)) or min(lidar_shape) < 1:
+        raise ConfigError(f"lidar_shape must be two positive integers, got {lidar_shape!r}")
+    n_scenes, seed, lidar_shape = int(n_scenes), int(seed), tuple(map(int, lidar_shape))
     root = Path(root)
     (root / "scenes").mkdir(parents=True, exist_ok=True)
     rig = default_rig(image_h=image_h, image_w=image_w, fx=fx)
@@ -155,8 +159,8 @@ def generate_dataset(root, n_scenes: int, seed: int, params: SceneParams,
         json.dump(manifest, f, indent=1, sort_keys=True)
 
     for i in range(n_scenes):
-        with open(root / "scenes" / f"scene_{i:06d}.bin", "wb") as f:
-            f.write(render_scene_record(seed, i, params, spec, rig, lidar_shape))
+        record = render_scene_record(seed, i, params, spec, rig, lidar_shape)
+        (root / "scenes" / f"scene_{i:06d}.bin").write_bytes(record)
     return SceneDataset(root)
 
 
@@ -181,6 +185,8 @@ class SceneDataset:
                       {"n_scenes": 0, "lidar_shape": [0, 0]}, "top level")
         if manifest["n_scenes"] < 0:
             raise DataError(f"{manifest_path}: negative n_scenes {manifest['n_scenes']}")
+        if min(manifest["lidar_shape"]) < 1:
+            raise DataError(f"{manifest_path}: lidar_shape {manifest['lidar_shape']} below 1")
         if manifest.get("record_fields") != [{"name": n, "dtype": d} for n, d in _FIELDS]:
             raise DataError(f"{manifest_path}: record_fields are not {_FIELDS}")
         grid, cameras = manifest.get("grid"), manifest.get("cameras")
@@ -206,7 +212,7 @@ class SceneDataset:
         return self.n_scenes
 
     def load(self, i: int) -> RenderedSample:
-        if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+        if not of_kind(i, 0):
             raise ContractError(f"scene index must be an integer, got {i!r}")
         i = int(i)
         if not 0 <= i < self.n_scenes:

@@ -37,15 +37,16 @@ def check_field_kinds(cfg):
     kind: bool, integer, real (neither a bool) or str; for a tuple default, a
     tuple or list item by item, and for one of tuples, one or more items."""
     for f in dataclasses.fields(cfg):
-        if not _of_kind(getattr(cfg, f.name), f.default):
+        if not of_kind(getattr(cfg, f.name), f.default):
             raise ConfigError(f"{f.name} must be like {f.default!r}, got {getattr(cfg, f.name)!r}")
 
 
-def _of_kind(value, like) -> bool:
+def of_kind(value, like) -> bool:
+    """Whether value is of like's kind, as check_field_kinds reads it."""
     if not isinstance(like, tuple):
         return (isinstance(value, bool) == isinstance(like, bool)
                 and isinstance(value, _KINDS[type(like)]))
     if like and isinstance(like[0], tuple) and isinstance(value, (tuple, list)):
         like = like[:1] * max(len(value), 1)  # one or more items like the first
     return (isinstance(value, (tuple, list)) and len(value) == len(like)
-            and all(map(_of_kind, value, like)))
+            and all(map(of_kind, value, like)))

@@ -25,12 +25,11 @@ from .synthscene import ConvBackbone, RenderedSample
 from .tensor import Parameter, Tensor
 
 
-def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
-    """Same dtype, shape and bytes: unlike ==, a NaN equals itself and -0.0
-    differs from 0.0, so equal arrays give equal outputs bit for bit."""
-    return (a.dtype == b.dtype and a.shape == b.shape
-            and np.array_equal(np.ascontiguousarray(a).view(np.uint8),
-                               np.ascontiguousarray(b).view(np.uint8)))
+def _array_key(a: np.ndarray) -> tuple:
+    """a as a memo key: its dtype, shape and bytes. Unlike ==, a NaN equals
+    itself and -0.0 differs from 0.0, so equal keys give equal outputs bit
+    for bit."""
+    return a.dtype.str, a.shape, a.tobytes()
 
 
 @dataclass(frozen=True)
@@ -97,16 +96,16 @@ class Detector:
     """The detector's parameters, and what it derives from them and from the
     sensor geometry once instead of per scene.
 
-    Everything derived lives in one memo, ``_derive``: a kept value is
-    reused while every array it was derived from has the bytes it had when
-    the value was built, and is rebuilt otherwise. It holds the camera pairs
-    (derived from the rig's values), the LiDAR pairs (from the LiDAR map's
-    shape) and, under ``no_grad`` only, each modality's first-layer query
-    half with its block matrices (from the parameters it reads, its pairs
-    and the maps' shape). So a new or moved camera, ``Adam.step``,
-    ``load_arrays`` or any in-place write makes the next encode rebuild what
-    it changed, and nothing needs to tell the memo. A recorded forward
-    (``loss``) never reads or fills the query halves.
+    Everything derived lives in one memo, ``_derive``: each entry is a value
+    and the key it was built under, a tuple compared with ``==`` in which an
+    array stands as its dtype, shape and bytes. It holds the camera pairs
+    (keyed by the rig's values), the LiDAR pairs (by the LiDAR map's shape)
+    and, under ``no_grad`` only, each modality's first-layer query half with
+    its block matrices (by its read-only ``Pairs`` object, the maps' shape
+    and the bytes of the parameters it reads). So a new or moved camera,
+    ``Adam.step``, ``load_arrays`` or any in-place write makes the next
+    encode rebuild what it changed, and nothing needs to tell the memo. A
+    recorded forward (``loss``) never reads or fills the query halves.
     """
 
     def __init__(self, cfg: ModelConfig, spec: BEVGridSpec, rng: np.random.Generator):
@@ -160,23 +159,14 @@ class Detector:
 
     # -- forward -------------------------------------------------------------
 
-    def _derive(self, key, sources: List[np.ndarray], build):
-        """build()'s value, kept under key while every array of sources has
-        the bytes of the copy taken when the value was built. A source that
-        another entry holds with the same bytes shares that entry's copy."""
-        entry = self._memo.get(key)
-        if (entry is not None and len(entry[1]) == len(sources)
-                and all(map(_same_bytes, sources, entry[1]))):
-            return entry[2]
-        self._memo.pop(key, None)
-        # the other entries hold their sources, so their ids name live arrays
-        kept = {id(a): c for other in self._memo.values() for a, c in zip(other[0], other[1])}
-        copies = []
-        for a in sources:
-            c = kept.get(id(a))
-            copies.append(c if c is not None and _same_bytes(a, c) else a.copy())
+    def _derive(self, name, key: tuple, build):
+        """build()'s value, kept under name while key equals the key it was
+        built under."""
+        entry = self._memo.get(name)
+        if entry is not None and entry[0] == key:
+            return entry[1]
         value = build()
-        self._memo[key] = (sources, copies, value)
+        self._memo[name] = (key, value)
         return value
 
     def _rig_pairs(self, cams: Sequence[CameraModel]) -> Pairs:
@@ -185,14 +175,9 @@ class Detector:
         rig = np.array([[cam.fx, cam.fy, cam.cx, cam.cy, cam.image_h, cam.image_w,
                          *np.ravel(cam.world_to_cam)] for cam in cams], dtype=np.float64)
         stride = self.cam_backbone.stride
-        return self._derive("camera_pairs", [rig], lambda: camera_pairs(
+        return self._derive("camera_pairs", _array_key(rig), lambda: camera_pairs(
             [project_to_camera(self.queries.refs, cam.scaled(stride)) for cam in cams],
             self.spec.h * self.spec.w))
-
-    def _lidar_map_pairs(self, map_hw) -> Pairs:
-        """The LiDAR pairs of the grid on a LiDAR map of this shape."""
-        return self._derive("lidar_pairs", [np.array(map_hw)],
-                            lambda: lidar_pairs(self.queries.refs, map_hw))
 
     def _first_half(self, modality: str, maps_shape, pairs: Pairs,
                     layer: EncoderLayerParams) -> Optional[Tuple[Tensor, Sampling]]:
@@ -205,12 +190,7 @@ class Detector:
         ca = layer.cross_attn
         params = [self.queries.query_param(modality), *layer.self_attn.parameters(),
                   *layer.norms[0], ca.offset_w, ca.offset_b, ca.weight_w, ca.weight_b]
-        sources = [p.data for p in params]
-        for prs in (self.queries.self_pairs, pairs):
-            sources += [prs.map_idx, prs.base_pts, prs.qry_idx]
-            if prs.weight is not None:
-                sources.append(prs.weight)
-        sources.append(np.array(maps_shape))
+        key = (pairs, tuple(maps_shape), *(_array_key(p.data) for p in params))
 
         def build():
             x1, sampling = query_half(self.queries.tokens(modality), (self.spec.h, self.spec.w),
@@ -222,7 +202,7 @@ class Detector:
                 t.data.flags.writeable = False
             return x1, sampling
 
-        return self._derive(("first_half", modality), sources, build)
+        return self._derive(("first_half", modality), key, build)
 
     def encode(self, sample: RenderedSample, mask: ModalityMask):
         """Per-modality BEV features under the given availability mask. Under
@@ -240,7 +220,8 @@ class Detector:
                                         self.cfg.normalize_by_hits, half)
         if mask.use_lidar:
             feat_l = self.lidar_backbone.forward(sample.lidar_grid[None])
-            pairs = self._lidar_map_pairs(feat_l.shape[1:3])
+            hw = feat_l.shape[1:3]
+            pairs = self._derive("lidar_pairs", hw, lambda: lidar_pairs(self.queries.refs, hw))
             half = self._first_half("lidar", feat_l.shape, pairs, self.lidar_layers[0])
             lidar_bev = encode_lidar_bev(self.queries, feat_l, pairs, self.lidar_layers,
                                          self.cfg.normalize_by_hits, half)

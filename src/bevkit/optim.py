@@ -6,7 +6,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, of_kind
 from .tensor import Parameter
 
 
@@ -21,6 +21,11 @@ class Adam:
         names = [p.name for p in self.params]
         if len(set(names)) != len(names):
             raise ContractError("duplicate parameter names")
+        # a beta of 1 divides by zero, and eps 0 divides 0 by 0 where a grad is 0
+        if not (all(of_kind(x, 0.0) for x in (lr, beta1, beta2, eps))
+                and 0 < lr < np.inf and 0 < eps < np.inf and 0 <= beta1 < 1 and 0 <= beta2 < 1):
+            raise ConfigError(f"Adam needs finite lr > 0 and eps > 0 and betas in [0, 1), got "
+                              f"lr={lr!r}, beta1={beta1!r}, beta2={beta2!r}, eps={eps!r}")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2

@@ -513,6 +513,21 @@ class TestPairsContract:
         assert np.array_equal(pairs.hits, [4.0, 0.0, 3.0])
         assert np.array_equal(Pairs(**self.arrays()).hits, [1.0, 0.0, 2.0])
 
+    def test_arrays_are_read_only_copies(self):
+        """A Pairs owns read-only copies of its arrays, so nothing can change
+        it after it is built, and the caller's arrays stay writeable."""
+        given = self.arrays(map_idx=np.array([0, 1, 1]), qry_idx=np.array([2, 0, 2]),
+                            weight=np.array([1.0, 4.0, 2.0]))
+        pairs = Pairs(**given)
+        for name in ("map_idx", "base_pts", "qry_idx", "weight"):
+            own, theirs = getattr(pairs, name), given[name]
+            assert not own.flags.writeable and not np.shares_memory(own, theirs)
+            with pytest.raises(ValueError, match="read-only"):
+                own[0] = 0
+            assert theirs.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            pairs.hits[0] = 0
+
     def test_one_map_is_the_queries_in_order(self):
         refs = np.arange(8.0).reshape(4, 2)
         pairs = Pairs.one_map(refs, np.full(4, 3.0))

@@ -95,6 +95,39 @@ def test_bad_n_scenes_is_config_error_before_anything_is_written(n_scenes, tmp_p
     assert not (tmp_path / "ds").exists()
 
 
+@pytest.mark.parametrize("kw", [
+    dict(seed="x"),
+    dict(seed=1.0),
+    dict(seed=True),
+    dict(seed=None),
+    dict(lidar_shape=(2.5, 3)),
+    dict(lidar_shape=(-1, 8)),
+    dict(lidar_shape=(0, 8)),
+    dict(lidar_shape=(8, 0)),
+    dict(lidar_shape=(4,)),
+    dict(lidar_shape=(4, 4, 4)),
+    dict(lidar_shape=(True, 4)),
+    dict(lidar_shape="44"),
+    dict(lidar_shape=4),
+], ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()))
+def test_bad_seed_or_lidar_shape_is_config_error_before_anything_is_written(kw, tmp_path):
+    """A seed that is not an integer, or a LiDAR shape that is not two
+    positive integers, is refused before the manifest or any record exists
+    (a zero side would write a dataset of empty LiDAR maps)."""
+    args = {**TINY, "seed": 0, **kw}
+    seed = args.pop("seed")
+    with pytest.raises(ConfigError):
+        generate_dataset(tmp_path / "ds", 2, seed, SceneParams(), SPEC, **args)
+    assert not (tmp_path / "ds").exists()
+
+
+def test_numpy_integers_write_the_bytes_of_python_ints(tmp_path):
+    want = generate_dataset(tmp_path / "int", 1, 3, SceneParams(), SPEC, **TINY)
+    got = generate_dataset(tmp_path / "numpy", np.int64(1), np.int64(3), SceneParams(), SPEC,
+                           **{**TINY, "lidar_shape": (np.int64(4), np.int32(4))})
+    assert dataset_files(got.root) == dataset_files(want.root)
+
+
 def test_scene_params_validate_accepts_edge_values():
     params = SceneParams(n_boxes=(0, 0), aspect_ranges=[(1, 1)], margin=0, sigma_cam=0.0,
                          sigma_lidar=0, height_range=(0.0, 0.0), appearance_range=(-1, -1))
@@ -283,6 +316,8 @@ class TestManifestReader:
         (("n_scenes",), -1),
         (("lidar_shape",), [4]),
         (("lidar_shape",), [4, "4"]),
+        (("lidar_shape",), [0, 4]),
+        (("lidar_shape",), [4, -1]),
         (("grid",), [8, 8, 2]),
         (("grid", "h"), 8.5),
         (("grid", "h"), 0),

@@ -321,7 +321,7 @@ def outputs(det, sample):
 
 def entries(det):
     """modality -> the kept (x1, sampling) of the detector's memo."""
-    return {key[1]: value for key, (*_, value) in det._memo.items() if key[0] == "first_half"}
+    return {name[1]: value for name, (_, value) in det._memo.items() if name[0] == "first_half"}
 
 
 @pytest.fixture
@@ -524,6 +524,19 @@ def test_shared_queries_written_between_modalities(builds):
     n = len(built)
     det.predict(sample, BOTH)
     assert len(built) == n
+
+
+def test_array_keys_compare_dtype_shape_and_bytes():
+    """Two arrays give equal memo keys only with the same dtype, shape and
+    bytes: a NaN equals itself, and -0.0 differs from 0.0."""
+    from bevkit.model import _array_key
+
+    a = np.arange(6.0).reshape(2, 3)
+    assert _array_key(a) == _array_key(a.copy()) == _array_key(np.asfortranarray(a))
+    assert _array_key(np.full(2, np.nan)) == _array_key(np.full(2, np.nan))
+    for other in (a.reshape(3, 2), a.reshape(6), a.view(np.int64), a + 1.0):
+        assert _array_key(other) != _array_key(a)
+    assert _array_key(np.array([-0.0])) != _array_key(np.array([0.0]))
 
 
 def test_first_half_keys_on_the_maps_shape(builds):

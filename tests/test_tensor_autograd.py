@@ -503,6 +503,19 @@ class TestAdam:
         for key, arr in before.items():
             assert opt.state_arrays()[key].tobytes() == arr.tobytes()
 
+    @pytest.mark.parametrize("kw", [
+        dict(lr=np.nan), dict(lr=np.inf), dict(lr=0.0), dict(lr=-1e-3), dict(lr="0.1"),
+        dict(beta1=1.0), dict(beta1=-0.1), dict(beta1=np.nan),
+        dict(beta2=1.0), dict(beta2=1.5), dict(beta2=np.nan),
+        dict(eps=0.0), dict(eps=-1e-8), dict(eps=np.inf), dict(eps=np.nan),
+    ], ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()))
+    def test_bad_hyperparameter_is_config_error(self, kw):
+        """Each of these would turn parameters to NaN or move them the wrong
+        way: lr NaN, a beta of 1 (its bias correction divides by zero) or eps
+        0 on a parameter with no grad (0/0)."""
+        with pytest.raises(ConfigError):
+            Adam([Parameter("x", np.array([1.0]))], **kw)
+
     def test_zero_step_loads(self):
         opt = self.stepped()
         opt.load_state_arrays(self.stepped(0).state_arrays())
