@@ -131,8 +131,8 @@ def generate_dataset(root, n_scenes: int, seed: int, params: SceneParams,
                      spec: BEVGridSpec, lidar_shape=(32, 32), image_h: int = 48,
                      image_w: int = 64, fx: float = 24.0) -> "SceneDataset":
     """Render n_scenes scenes into the directory root and open it. The scene
-    parameters, n_scenes, seed and lidar_shape are checked (ConfigError)
-    before anything is written."""
+    parameters, n_scenes, seed, lidar_shape, image size and fx are checked
+    (ConfigError) before anything is written."""
     params.validate()
     if not of_kind(n_scenes, 0) or n_scenes < 0:
         raise ConfigError(f"n_scenes must be a non-negative integer, got {n_scenes!r}")
@@ -140,7 +140,13 @@ def generate_dataset(root, n_scenes: int, seed: int, params: SceneParams,
         raise ConfigError(f"seed must be an integer, got {seed!r}")
     if not of_kind(lidar_shape, (0, 0)) or min(lidar_shape) < 1:
         raise ConfigError(f"lidar_shape must be two positive integers, got {lidar_shape!r}")
+    if not of_kind((image_h, image_w), (0, 0)) or min(image_h, image_w) < 1:
+        raise ConfigError(f"image_h and image_w must be positive integers, "
+                          f"got {(image_h, image_w)!r}")
+    if not (of_kind(fx, 0.0) and math.isfinite(fx) and fx > 0):
+        raise ConfigError(f"fx must be finite and positive, got {fx!r}")
     n_scenes, seed, lidar_shape = int(n_scenes), int(seed), tuple(map(int, lidar_shape))
+    image_h, image_w, fx = int(image_h), int(image_w), float(fx)
     root = Path(root)
     (root / "scenes").mkdir(parents=True, exist_ok=True)
     rig = default_rig(image_h=image_h, image_w=image_w, fx=fx)
@@ -207,6 +213,11 @@ class SceneDataset:
             self.cams = [CameraModel.from_json(c).validate() for c in cameras]
         except (ConfigError, ContractError) as e:
             raise DataError(f"{manifest_path}: {e}") from None
+        image_sizes = {(c.image_h, c.image_w) for c in self.cams}
+        if len(image_sizes) != 1:
+            raise DataError(f"{manifest_path}: cameras must share one image size, "
+                            f"got {sorted(image_sizes)}")
+        self._images_shape = (len(self.cams), *image_sizes.pop(), 3)
 
     def __len__(self):
         return self.n_scenes
@@ -229,19 +240,27 @@ class SceneDataset:
                                                              spec_field["dtype"])
         if offset != len(raw):
             raise DataError(f"{path}: {len(raw) - offset} bytes past the last field")
+        if arrays["camera_images"].shape != self._images_shape:
+            raise DataError(f"{path}: camera_images shaped {arrays['camera_images'].shape}, "
+                            f"not {list(self._images_shape)}")
+        if arrays["lidar_grid"].shape != (*self.lidar_shape, 2):
+            raise DataError(f"{path}: lidar_grid shaped {arrays['lidar_grid'].shape}, "
+                            f"not {[*self.lidar_shape, 2]}")
         n = arrays["gt_yaws"].size
         box_shapes = [arrays[name].shape for name, _ in _FIELDS[2:]]
         if box_shapes != [(n, 2), (n, 2), (n,), (n,), (n,), (n,)]:
             raise DataError(f"{path}: box fields disagree on the box count: {box_shapes}")
         boxes = []
-        for j in range(arrays["gt_centers"].shape[0]):
-            boxes.append(SceneBox(
-                cx=float(arrays["gt_centers"][j, 0]), cy=float(arrays["gt_centers"][j, 1]),
-                w=float(arrays["gt_sizes"][j, 0]), l=float(arrays["gt_sizes"][j, 1]),
-                yaw=float(arrays["gt_yaws"][j]), class_id=int(arrays["gt_classes"][j]),
-                height=float(arrays["gt_heights"][j]),
-                appearance=float(arrays["gt_appearance"][j]),
-            ))
+        n_classes = self.params.n_classes
+        rows = zip(*(arrays[name].tolist() for name, _ in _FIELDS[2:]))
+        for j, ((cx, cy), (w, l), yaw, height, class_id, appearance) in enumerate(rows):
+            box = SceneBox(cx=cx, cy=cy, w=w, l=l, yaw=yaw, class_id=class_id, height=height,
+                           appearance=appearance)
+            if not (0 <= class_id < n_classes
+                    and all(map(math.isfinite, (cx, cy, w, l, yaw, height, appearance)))):
+                raise DataError(f"{path}: box {j} has a class id outside [0, {n_classes}) "
+                                f"or a non-finite field: {box}")
+            boxes.append(box)
         return RenderedSample(
             scene_id=i,
             camera_images=arrays["camera_images"],

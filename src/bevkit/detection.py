@@ -237,7 +237,9 @@ def hungarian_match(cost: np.ndarray) -> List[int]:
 
     cost is [n_obj, n_gt]; returns assign[j] = prediction index for gt j.
     Among cost-minimal assignments the lexicographically smallest index tuple
-    wins, matching an exhaustive search that scans permutations in order.
+    wins, two totals counting as equal within 1e-9 * (1 + |total|) of the
+    optimum: gts are fixed in order, each to the smallest free prediction
+    that leaves an assignment of the rest within that tolerance.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:

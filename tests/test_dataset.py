@@ -109,11 +109,24 @@ def test_bad_n_scenes_is_config_error_before_anything_is_written(n_scenes, tmp_p
     dict(lidar_shape=(True, 4)),
     dict(lidar_shape="44"),
     dict(lidar_shape=4),
+    dict(image_h=0),
+    dict(image_h=-2),
+    dict(image_h=2.5),
+    dict(image_h=True),
+    dict(image_w="4"),
+    dict(image_w=None),
+    dict(fx=float("nan")),
+    dict(fx=float("inf")),
+    dict(fx=-1.0),
+    dict(fx=0.0),
+    dict(fx="1"),
+    dict(fx=True),
 ], ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()))
 def test_bad_seed_or_lidar_shape_is_config_error_before_anything_is_written(kw, tmp_path):
-    """A seed that is not an integer, or a LiDAR shape that is not two
-    positive integers, is refused before the manifest or any record exists
-    (a zero side would write a dataset of empty LiDAR maps)."""
+    """A seed that is not an integer, a LiDAR shape or image size that is
+    not two positive integers, or an fx that is not finite and positive, is
+    refused before the manifest or any record exists (a zero side would
+    write a dataset of empty LiDAR maps)."""
     args = {**TINY, "seed": 0, **kw}
     seed = args.pop("seed")
     with pytest.raises(ConfigError):
@@ -124,7 +137,8 @@ def test_bad_seed_or_lidar_shape_is_config_error_before_anything_is_written(kw, 
 def test_numpy_integers_write_the_bytes_of_python_ints(tmp_path):
     want = generate_dataset(tmp_path / "int", 1, 3, SceneParams(), SPEC, **TINY)
     got = generate_dataset(tmp_path / "numpy", np.int64(1), np.int64(3), SceneParams(), SPEC,
-                           **{**TINY, "lidar_shape": (np.int64(4), np.int32(4))})
+                           **{**TINY, "lidar_shape": (np.int64(4), np.int32(4)),
+                              "image_h": np.int64(2), "image_w": np.int32(4), "fx": np.float32(1)})
     assert dataset_files(got.root) == dataset_files(want.root)
 
 
@@ -161,6 +175,15 @@ def test_load_takes_numpy_integers(two_scenes):
         two_scenes.load(np.int32(2))
 
 
+def put(index, value):
+    """Edit that returns a copy of an array with value at flat index."""
+    def edit(a):
+        a = a.copy()
+        a.flat[index] = value
+        return a
+    return edit
+
+
 def corrupt_copy(ds, tmp_path, payload):
     root = tmp_path / "corrupt"
     shutil.copytree(ds.root, root)
@@ -194,14 +217,48 @@ class TestSceneRecordReader:
         with pytest.raises(DataError):
             ds.load(0)
 
-    def test_box_count_mismatch_is_data_error(self, tiny_dataset, tmp_path):
-        # rewrite the record with one yaw fewer than there are boxes
-        raw = memoryview(self.record(tiny_dataset))
+    def rewritten(self, ds, tmp_path, field, edit):
+        """Copy of ds whose first record holds edit(array) in place of field."""
+        raw = memoryview(self.record(ds))
         buf, offset = io.BytesIO(), 0
         for name, dtype in _FIELDS:
             arr, offset = _read_array("record", raw, offset, dtype)
-            _write_array(buf, arr[:-1] if name == "gt_yaws" else arr, dtype)
-        ds = corrupt_copy(tiny_dataset, tmp_path, buf.getvalue())
+            _write_array(buf, edit(arr) if name == field else arr, dtype)
+        return corrupt_copy(ds, tmp_path, buf.getvalue())
+
+    def test_box_count_mismatch_is_data_error(self, tiny_dataset, tmp_path):
+        # one yaw fewer than there are boxes
+        ds = self.rewritten(tiny_dataset, tmp_path, "gt_yaws", lambda a: a[:-1])
+        with pytest.raises(DataError):
+            ds.load(0)
+
+    @pytest.mark.parametrize("field,edit", [
+        ("gt_classes", put(0, 3)),  # SceneParams() has 3 classes
+        ("gt_classes", put(0, 9)),
+        ("gt_classes", put(0, -1)),
+        ("gt_centers", put(0, np.nan)),
+        ("gt_centers", put(1, np.inf)),
+        ("gt_sizes", put(0, np.nan)),
+        ("gt_sizes", put(1, -np.inf)),
+        ("gt_yaws", put(0, np.nan)),
+        ("gt_heights", put(0, np.inf)),
+        ("gt_appearance", put(0, np.nan)),
+        ("lidar_grid", lambda a: np.zeros((5, 5, 2))),
+        ("lidar_grid", lambda a: a.ravel()),
+        ("lidar_grid", lambda a: a[..., :1]),
+        ("camera_images", lambda a: a[:3]),
+        ("camera_images", lambda a: a.reshape(4, -1)),
+        ("camera_images", lambda a: a[..., :2]),
+        ("camera_images", lambda a: a.transpose(0, 2, 1, 3)),
+    ], ids=["class3", "class9", "class-1", "cx-nan", "cy-inf", "w-nan", "l-inf", "yaw-nan",
+            "height-inf", "appearance-nan", "lidar-5x5", "lidar-1d", "lidar-1-channel",
+            "3-images", "images-2d", "images-2-channels", "images-h-w-swapped"])
+    def test_malformed_contents_are_data_error(self, tiny_dataset, tmp_path, field, edit):
+        """A record of the manifest's fields whose images or LiDAR grid are not
+        shaped for the manifest's cameras and LiDAR shape, or whose boxes have
+        a class id outside the scene parameters' classes or a non-finite
+        field, is refused."""
+        ds = self.rewritten(tiny_dataset, tmp_path, field, edit)
         with pytest.raises(DataError):
             ds.load(0)
 
@@ -324,6 +381,8 @@ class TestManifestReader:
         (("grid", "extent"), [-16.0, 16.0, -16.0]),
         (("grid", "z_range"), [3.0, -1.0]),
         (("cameras",), {}),
+        (("cameras",), []),
+        (("cameras", 1, "image_w"), 5),
         (("cameras", 0), "camera"),
         (("cameras", 0, "fx"), "24"),
         (("cameras", 0, "fx"), -1.0),

@@ -55,11 +55,16 @@ class TestHungarian:
         with pytest.raises(ContractError):
             hungarian_match(np.array([[np.inf], [0.0]]))
 
-    @pytest.mark.parametrize("seed", range(40))
-    def test_matches_brute_force(self, seed):
+    # (seed, max n_gt, max n_obj): small square-ish problems, then up to 20
+    # predictions, the default head's count, for at most 3 ground truths
+    BRUTE_FORCE = [(seed, 6, 7) for seed in range(40)] + [(seed, 3, 20) for seed in range(40, 52)]
+
+    @pytest.mark.parametrize("seed,max_gt,max_obj", BRUTE_FORCE,
+                             ids=[str(seed) for seed, _, _ in BRUTE_FORCE])
+    def test_matches_brute_force(self, seed, max_gt, max_obj):
         rng = np.random.default_rng(seed)
-        n_gt = int(rng.integers(1, 7))
-        n_obj = int(rng.integers(n_gt, 8))
+        n_gt = int(rng.integers(1, max_gt + 1))
+        n_obj = int(rng.integers(n_gt, max_obj + 1))
         cost = rng.uniform(0, 10, (n_obj, n_gt))
         assign = hungarian_match(cost)
         ref_assign, ref_total = hungarian_brute_force(cost)
@@ -75,6 +80,13 @@ class TestHungarian:
         n_obj = int(rng.integers(n_gt, 8))
         cost = rng.integers(0, 3, (n_obj, n_gt)).astype(float)
         assert hungarian_match(cost) == hungarian_brute_force(cost)[0]
+
+    def test_totals_within_tolerance_tie_to_the_smaller_tuple(self):
+        """(0, 1) costs 2 and (1, 0) costs 2 - eps. Within 1e-9 * (1 + 2)
+        the two tie and (0, 1) wins; beyond it (1, 0) is the optimum."""
+        for eps, want in ((1e-12, [0, 1]), (2e-9, [0, 1]), (4e-9, [1, 0]), (1e-6, [1, 0])):
+            cost = np.array([[1.0, 1.0], [1.0 - eps, 1.0]])
+            assert hungarian_match(cost) == want, eps
 
 
 class TestDecode:
