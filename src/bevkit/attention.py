@@ -4,25 +4,28 @@ Each query predicts, per head, K sampling offsets around its reference point
 and K softmax-normalized weights. Head m samples its value map at the K
 points and weights the samples; heads are concatenated and output-projected.
 
-Which (map, query, reference point, weight) pairs a block samples is one
-``Pairs`` value. It depends only on the grid and the sensor geometry, so it
-is built once (``encoders.camera_pairs`` per camera rig,
-``BEVQuerySet.self_pairs`` per grid) and every layer reuses it. Offsets and
-weights depend only on the query, so all of its pairs share them.
+Which (map, query, reference point) pairs a block samples, and how much
+each query's sum over its pairs counts (its scale), is one ``Pairs`` value.
+It depends only on the grid and the sensor geometry, so it is built once
+(``encoders.camera_pairs`` per camera rig, ``BEVQuerySet.self_pairs`` per
+grid) and every layer reuses it. Offsets and weights depend only on the
+query, so all of its pairs share them.
 
 ``deform_attn_multi`` takes its B maps as one tensor [B,H,W,value_dim] (the
 camera backbone's V views, the one LiDAR map, or the token map [1,H,W,N] of
 self-attention) and projects them before sampling, in one matmul with the
 block's value weight [value_dim, N], to value maps [B,H,W,N] whose channels
 are M blocks of N/M, one per head; ``tensor.deform_attend`` samples
-head m from block m only, weights each pair's row and sums the rows per
-query in one tape op. Sampling, weighting and the sum are linear and the
+head m from block m only, sums the rows per query and scales each query's
+sum in one tape op. Sampling, the sum and the scale are linear and the
 value projection is linear and bias-free, so this equals projecting the
 sampled values (Deformable DETR's order) in real arithmetic; in float64 the
 two round differently, by about 1e-15 relative, and every sparse product is
 N/M wide instead of value_dim. The output projection is bias-free too, so
-"sum over pairs of per-pair outputs" equals "output projection of the summed
-per-head features", which is how it is evaluated.
+"sum over pairs of per-pair outputs" equals "output projection of the scaled
+per-head sums", which is how it is evaluated: a query's scale applies before
+the output projection, as BEVFormer's spatial cross-attention divides by
+the hit count.
 """
 
 from __future__ import annotations
@@ -37,41 +40,39 @@ from .tensor import Parameter, Tensor
 
 
 class Pairs:
-    """The (map, query, reference point, weight) pairs one attention block
-    samples: pair p has query qry_idx[p] sample map map_idx[p] around the
-    (row, col) point base_pts[p], its row scaled by weight[p] (None: by 1).
-    A query's pairs are summed in pair order, which fixes the float sum.
-    hits[q] is query q's weighted pair count; it holds integers, exact in any
-    order. The arrays are read-only copies, checked once, here.
+    """The (map, query, reference point) pairs one attention block samples:
+    pair p has query qry_idx[p] sample map map_idx[p] around the (row, col)
+    point base_pts[p]. A query's pairs are summed in pair order, which fixes
+    the float sum, and the sum is then multiplied by scale[q] (None: by 1).
+    The arrays are read-only copies, checked once, here.
     """
 
     def __init__(self, map_idx, base_pts, qry_idx, n_maps: int, n_queries: int,
-                 weight=None):
+                 scale=None):
         self.map_idx = np.array(map_idx, dtype=np.intp)
         self.base_pts = np.array(base_pts, dtype=np.float64)
         self.qry_idx = np.array(qry_idx, dtype=np.intp)
-        self.weight = None if weight is None else np.array(weight, dtype=np.float64)
+        self.scale = None if scale is None else np.array(scale, dtype=np.float64)
         self.n_maps, self.n_queries = n_maps, n_queries
         p = self.qry_idx.size
         shapes = (self.map_idx.shape, self.base_pts.shape, self.qry_idx.shape,
-                  (p,) if weight is None else self.weight.shape)
-        if shapes != ((p,), (p, 2), (p,), (p,)):
-            raise ShapeError(f"Pairs: map_idx, base_pts, qry_idx and weight are {shapes}, "
-                             f"not [P], [P,2], [P] and [P]")
+                  (n_queries,) if scale is None else self.scale.shape)
+        if shapes != ((p,), (p, 2), (p,), (n_queries,)):
+            raise ShapeError(f"Pairs: map_idx, base_pts, qry_idx and scale are {shapes}, "
+                             f"not [P], [P,2], [P] and [T]")
         if p and not (0 <= self.map_idx.min() and self.map_idx.max() < n_maps
                       and 0 <= self.qry_idx.min() and self.qry_idx.max() < n_queries):
             raise ContractError(f"Pairs: map_idx outside [0,{n_maps}) or qry_idx outside "
                                 f"[0,{n_queries})")
-        self.hits = np.bincount(self.qry_idx, self.weight, n_queries).astype(np.float64)
-        for a in (self.map_idx, self.base_pts, self.qry_idx, self.weight, self.hits):
+        for a in (self.map_idx, self.base_pts, self.qry_idx, self.scale):
             if a is not None:
                 a.flags.writeable = False
 
     @classmethod
-    def one_map(cls, base_pts, weight=None) -> "Pairs":
+    def one_map(cls, base_pts, scale=None) -> "Pairs":
         """Query q samples one map around base_pts[q]: T pairs in query order."""
         t = len(base_pts)
-        return cls(np.zeros(t, dtype=np.intp), base_pts, np.arange(t), 1, t, weight)
+        return cls(np.zeros(t, dtype=np.intp), base_pts, np.arange(t), 1, t, scale)
 
 
 class DeformAttnParams:
@@ -163,7 +164,8 @@ def _query_offsets_weights(queries: Tensor, params: DeformAttnParams):
 def deform_attn_multi(queries: Tensor, maps: Tensor, pairs: Pairs,
                       params: DeformAttnParams, sampling: Optional[Sampling] = None) -> Tensor:
     """Deformable attention of queries [T,N] over B maps [B,H,W,value_dim],
-    summed per query over its pairs; a query without pairs gets zeros.
+    summed per query over its pairs and scaled by the pairs' scale before
+    the output projection; a query without pairs gets zeros.
     sampling is the queries' own (``_query_offsets_weights``) when a caller
     has it already, and is computed from them otherwise.
     ContractError unless B is the pairs' map count; ShapeError for T not the
@@ -180,7 +182,7 @@ def deform_attn_multi(queries: Tensor, maps: Tensor, pairs: Pairs,
     values = T.reshape(T.matmul(cells, params.value_w.tensor),
                        (*maps.shape[:-1], params.channels))
     attended = T.deform_attend(values, pairs.map_idx, pairs.base_pts, off, attn,
-                               pairs.qry_idx, pairs.weight, blocks)
+                               pairs.qry_idx, pairs.scale, blocks)
     return T.matmul(T.reshape(attended, (t, params.channels)), params.out_w.tensor)
 
 
@@ -203,13 +205,11 @@ def query_half(tokens: Tensor, grid_hw, self_pairs: Pairs,
 
 
 def map_half(x1: Tensor, sampling: Sampling, maps: Tensor, pairs: Pairs,
-             params: EncoderLayerParams, normalize_by_hits: bool = False) -> Tensor:
+             params: EncoderLayerParams) -> Tensor:
     """The rest of an encoder layer, from ``query_half``'s (x1, sampling):
     cross-attention over the maps, its post-norm residual, the FFN and the
     last post-norm residual."""
     ca = deform_attn_multi(x1, maps, pairs, params.cross_attn, sampling)
-    if normalize_by_hits:
-        ca = T.mul(ca, Tensor(1.0 / np.maximum(pairs.hits, 1.0)[:, None]))
     g2, b2 = params.norms[1]
     x2 = T.residual_layer_norm(x1, ca, g2.tensor, b2.tensor)
 
@@ -220,16 +220,13 @@ def map_half(x1: Tensor, sampling: Sampling, maps: Tensor, pairs: Pairs,
 
 
 def encoder_layer(tokens: Tensor, grid_hw, self_pairs: Pairs, maps: Tensor,
-                  pairs: Pairs, params: EncoderLayerParams,
-                  normalize_by_hits: bool = False) -> Tensor:
+                  pairs: Pairs, params: EncoderLayerParams) -> Tensor:
     """One encoder layer over (H*W) BEV tokens: ``map_half`` of
     ``query_half``.
 
     tokens: [T,N]; grid_hw: (H, W) with T = H*W; self_pairs: the pairs of
     self-attention over the token map; maps and pairs: the cross-attention
-    inputs of ``deform_attn_multi``. With normalize_by_hits the cross term of
-    each query is divided by its hit count (at least 1). Post-norm residual
-    order: self-attn, cross-attn, ffn.
+    inputs of ``deform_attn_multi``. Post-norm residual order: self-attn,
+    cross-attn, ffn.
     """
-    return map_half(*query_half(tokens, grid_hw, self_pairs, params), maps, pairs, params,
-                    normalize_by_hits)
+    return map_half(*query_half(tokens, grid_hw, self_pairs, params), maps, pairs, params)

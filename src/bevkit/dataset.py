@@ -15,6 +15,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import struct
 from dataclasses import asdict
 from pathlib import Path
@@ -55,8 +56,8 @@ def _write_array(f, arr: np.ndarray, dtype: str):
 
 
 def _read_array(path, buf: memoryview, offset: int, dtype: str):
-    """(array, offset past it) of the field at offset in the record read from
-    path; DataError where the record ends inside the field."""
+    """(view of buf, offset past it) of the field at offset in the record
+    read from path; DataError where the record ends inside the field."""
     if offset + 8 > len(buf):
         raise DataError(f"{path}: record truncated inside a field header")
     (ndim,) = struct.unpack_from("<Q", buf, offset)
@@ -69,7 +70,7 @@ def _read_array(path, buf: memoryview, offset: int, dtype: str):
     if offset + count * np.dtype(dtype).itemsize > len(buf):
         raise DataError(f"{path}: record truncated inside a field of shape {shape}")
     arr = np.frombuffer(buf, dtype=dtype, count=count, offset=offset).reshape(shape)
-    return arr.copy(), offset + arr.nbytes
+    return arr, offset + arr.nbytes
 
 
 def _check_fields(d, template: dict, what: str):
@@ -130,9 +131,9 @@ def render_scene_record(seed: int, scene_id: int, params: SceneParams,
 def generate_dataset(root, n_scenes: int, seed: int, params: SceneParams,
                      spec: BEVGridSpec, lidar_shape=(32, 32), image_h: int = 48,
                      image_w: int = 64, fx: float = 24.0) -> "SceneDataset":
-    """Render n_scenes scenes into the directory root and open it. The scene
-    parameters, n_scenes, seed, lidar_shape, image size and fx are checked
-    (ConfigError) before anything is written."""
+    """Render n_scenes scenes into root, a new or empty directory, and open
+    it. root, the scene parameters, n_scenes, seed, lidar_shape, image size
+    and fx are checked (ConfigError) before anything is written."""
     params.validate()
     if not of_kind(n_scenes, 0) or n_scenes < 0:
         raise ConfigError(f"n_scenes must be a non-negative integer, got {n_scenes!r}")
@@ -145,9 +146,11 @@ def generate_dataset(root, n_scenes: int, seed: int, params: SceneParams,
                           f"got {(image_h, image_w)!r}")
     if not (of_kind(fx, 0.0) and math.isfinite(fx) and fx > 0):
         raise ConfigError(f"fx must be finite and positive, got {fx!r}")
+    root = Path(root)
+    if root.exists() and not (root.is_dir() and next(root.iterdir(), None) is None):
+        raise ConfigError(f"{root} exists and is not an empty directory")
     n_scenes, seed, lidar_shape = int(n_scenes), int(seed), tuple(map(int, lidar_shape))
     image_h, image_w, fx = int(image_h), int(image_w), float(fx)
-    root = Path(root)
     (root / "scenes").mkdir(parents=True, exist_ok=True)
     rig = default_rig(image_h=image_h, image_w=image_w, fx=fx)
     manifest = {
@@ -230,7 +233,10 @@ class SceneDataset:
             raise DataError(f"scene index {i} out of range [0, {self.n_scenes})")
         path = self.root / "scenes" / f"scene_{i:06d}.bin"
         try:
-            raw = memoryview(path.read_bytes())
+            with open(path, "rb") as f:
+                # the fields are views of it; np.empty skips bytearray's zero fill
+                raw = np.empty(os.fstat(f.fileno()).st_size, dtype=np.uint8)
+                raw = memoryview(raw)[:f.readinto(raw)]
         except FileNotFoundError:
             raise DataError(f"missing scene record {path}")
         arrays = {}

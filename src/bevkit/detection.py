@@ -39,15 +39,6 @@ class BoxPrediction:
         j = int(probs.argmax())
         return j, float(probs[j])
 
-    @property
-    def score(self) -> float:
-        """Max non-background class probability."""
-        return self.class_and_score()[1]
-
-    @property
-    def class_id(self) -> int:
-        return self.class_and_score()[0]
-
 
 @dataclass
 class GroundTruthBox:

@@ -4,8 +4,10 @@ Both sensors run one encoder body, ``encode_bev``. They differ only in where
 each BEV pillar's D reference points land on their feature maps, and this
 module turns that geometry into cross-attention ``Pairs``: one pair per
 visible (view, level, query) for the cameras (``camera_pairs``, from
-``geometry.project_to_camera``), and one pair of weight D per query for the
-LiDAR map, whose projection drops z (``lidar_pairs``).
+``geometry.project_to_camera``), and one pair per query, its sum scaled by
+D, for the LiDAR map, whose projection drops z (``lidar_pairs``). Each
+builder folds ``normalize_by_hits`` (BEVFormer's division by the hit count)
+into that per-query scale, so no encoder layer reads the flag.
 
 Each layer is ``attention.encoder_layer``, ``map_half`` of ``query_half``.
 At inference the first layer's query half (its self-attention over the BEV
@@ -73,30 +75,36 @@ class BEVQuerySet:
         return [seen[k] for k in sorted(seen)]
 
 
-def camera_pairs(projections: Sequence, n_queries: int) -> Pairs:
+def camera_pairs(projections: Sequence, n_queries: int,
+                 normalize_by_hits: bool = False) -> Pairs:
     """Cross-attention pairs of V camera views on their V maps, one per
     visible (view, pillar level, query): views outer, then levels, then
     queries ascending. projections[v] is view v's (uv [D,H,W,2], visible
     [D,H,W]) from ``project_to_camera``, H*W = n_queries; uv is (u, v), a
-    base point (row, col)."""
+    base point (row, col). With normalize_by_hits a query's sum is divided
+    by its pair count (at least 1)."""
     if not projections:
         raise ContractError("camera_pairs: no camera views")
     shape = (len(projections), -1, n_queries)  # [V, D, T]
     view, level, qry = np.nonzero(np.stack([vis for _, vis in projections]).reshape(shape))
     rc = np.stack([uv for uv, _ in projections]).reshape(*shape, 2)[view, level, qry, ::-1]
-    return Pairs(view, np.ascontiguousarray(rc), qry, len(projections), n_queries)
+    hits = np.bincount(qry, minlength=n_queries)
+    scale = 1.0 / np.maximum(hits, 1) if normalize_by_hits else None
+    return Pairs(view, np.ascontiguousarray(rc), qry, len(projections), n_queries, scale)
 
 
-def lidar_pairs(refs, map_hw) -> Pairs:
+def lidar_pairs(refs, map_hw, normalize_by_hits: bool = False) -> Pairs:
     """Cross-attention pairs of the LiDAR map [H_L,W_L]: it drops z, so the D
-    pillar levels of a query are one pair of weight D."""
+    pillar levels of a query are one pair whose sum is scaled by D, or by
+    D/D = 1 with normalize_by_hits."""
     rc = project_to_lidar(refs, map_hw)
     depth, t = rc.shape[0], rc[0].size // 2
-    return Pairs.one_map(rc[0].reshape(t, 2), None if depth == 1 else np.full(t, float(depth)))
+    scale = None if depth == 1 or normalize_by_hits else np.full(t, float(depth))
+    return Pairs.one_map(rc[0].reshape(t, 2), scale)
 
 
 def encode_bev(queries: BEVQuerySet, modality: str, maps: Tensor, pairs: Pairs,
-               layers: Sequence[EncoderLayerParams], normalize_by_hits: bool = False,
+               layers: Sequence[EncoderLayerParams],
                first_half: Optional[Tuple[Tensor, Sampling]] = None) -> Tensor:
     """BEV feature map [H,W,N] of one modality: its queries cross-attend to
     the maps [B,H_f,W_f,N] through the pairs in every layer.
@@ -110,27 +118,26 @@ def encode_bev(queries: BEVQuerySet, modality: str, maps: Tensor, pairs: Pairs,
     x = queries.tokens(modality)
     for i, lp in enumerate(layers):
         if i == 0 and first_half is not None:
-            x = map_half(*first_half, maps, pairs, lp, normalize_by_hits)
+            x = map_half(*first_half, maps, pairs, lp)
         else:
-            x = encoder_layer(x, (spec.h, spec.w), queries.self_pairs, maps, pairs, lp,
-                              normalize_by_hits)
+            x = encoder_layer(x, (spec.h, spec.w), queries.self_pairs, maps, pairs, lp)
     return T.reshape(x, (spec.h, spec.w, queries.channels))
 
 
 def encode_camera_bev(queries: BEVQuerySet, feats: Tensor, pairs: Pairs,
-                      layers: Sequence[EncoderLayerParams], normalize_by_hits: bool = False,
+                      layers: Sequence[EncoderLayerParams],
                       first_half: Optional[Tuple[Tensor, Sampling]] = None) -> Tensor:
     """Camera-branch BEV map over V views: the views' feature maps
     [V,H_f,W_f,N] and the ``camera_pairs`` of the rig."""
-    return encode_bev(queries, "camera", feats, pairs, layers, normalize_by_hits, first_half)
+    return encode_bev(queries, "camera", feats, pairs, layers, first_half)
 
 
 def encode_lidar_bev(queries: BEVQuerySet, feat_l: Tensor, pairs: Pairs,
-                     layers: Sequence[EncoderLayerParams], normalize_by_hits: bool = False,
+                     layers: Sequence[EncoderLayerParams],
                      first_half: Optional[Tuple[Tensor, Sampling]] = None) -> Tensor:
     """LiDAR-branch BEV map: the same encoder over the one LiDAR map
     [1,H_L,W_L,N] and the ``lidar_pairs`` of the grid on it."""
-    return encode_bev(queries, "lidar", feat_l, pairs, layers, normalize_by_hits, first_half)
+    return encode_bev(queries, "lidar", feat_l, pairs, layers, first_half)
 
 
 def make_encoder_layers(prefix: str, n_layers: int, heads: int, points: int,

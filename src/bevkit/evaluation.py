@@ -9,8 +9,6 @@ both-sensors, LiDAR-only, and camera-only input, all from one set of weights.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
@@ -118,20 +116,6 @@ class MetricsReport:
             "summary_map": self.summary_map, "ap_table": self.ap_table,
             "config": self.config,
         }
-
-    def write(self, json_path, csv_path):
-        with open(json_path, "w") as f:
-            json.dump(self.to_json(), f, indent=1, sort_keys=True)
-        cond_map = {"both": self.map_lc, "lidar": self.map_l, "camera": self.map_c}
-        with open(csv_path, "w", newline="") as f:
-            f.write(f"# config: {json.dumps(self.config, sort_keys=True)}\n")
-            w = csv.writer(f)
-            w.writerow(["condition", "class", "radius", "ap", "map", "summary"])
-            for cond in ("both", "lidar", "camera"):
-                for key, ap in sorted(self.ap_table[cond].items()):
-                    cls, radius = key.split("/")
-                    w.writerow([cond, cls, radius, f"{ap:.6f}",
-                                f"{cond_map[cond]:.6f}", f"{self.summary_map:.6f}"])
 
 
 def evaluate_conditions(model, dataset, config_echo: dict | None = None,

@@ -114,13 +114,6 @@ class CameraModel:
             image_w=int(self.image_w // factor),
         )
 
-    def unproject(self, u: float, v: float, depth: float) -> np.ndarray:
-        """World point whose projection is (u, v) at camera depth `depth`."""
-        x = (u - self.cx) / self.fx * depth
-        y = (v - self.cy) / self.fy * depth
-        cam = np.array([x, y, depth, 1.0])
-        return np.linalg.inv(self.world_to_cam) @ cam
-
     def to_json(self) -> dict:
         return {
             "fx": self.fx, "fy": self.fy, "cx": self.cx, "cy": self.cy,

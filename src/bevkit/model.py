@@ -102,7 +102,8 @@ class Detector:
     (keyed by the rig's values), the LiDAR pairs (by the LiDAR map's shape)
     and, under ``no_grad`` only, each modality's first-layer query half with
     its block matrices (by its read-only ``Pairs`` object, the maps' shape
-    and the bytes of the parameters it reads). So a new or moved camera,
+    and the bytes of the modality's queries and of the first layer's
+    parameters, a superset of what it reads). So a new or moved camera,
     ``Adam.step``, ``load_arrays`` or any in-place write makes the next
     encode rebuild what it changed, and nothing needs to tell the memo. A
     recorded forward (``loss``) never reads or fills the query halves.
@@ -177,7 +178,7 @@ class Detector:
         stride = self.cam_backbone.stride
         return self._derive("camera_pairs", _array_key(rig), lambda: camera_pairs(
             [project_to_camera(self.queries.refs, cam.scaled(stride)) for cam in cams],
-            self.spec.h * self.spec.w))
+            self.spec.h * self.spec.w, self.cfg.normalize_by_hits))
 
     def _first_half(self, modality: str, maps_shape, pairs: Pairs,
                     layer: EncoderLayerParams) -> Optional[Tuple[Tensor, Sampling]]:
@@ -187,9 +188,7 @@ class Detector:
         recorded forward runs every op."""
         if T.grad_enabled():
             return None
-        ca = layer.cross_attn
-        params = [self.queries.query_param(modality), *layer.self_attn.parameters(),
-                  *layer.norms[0], ca.offset_w, ca.offset_b, ca.weight_w, ca.weight_b]
+        params = [self.queries.query_param(modality), *layer.parameters()]
         key = (pairs, tuple(maps_shape), *(_array_key(p.data) for p in params))
 
         def build():
@@ -216,15 +215,14 @@ class Detector:
             pairs = self._rig_pairs(sample.cams)
             feats = self.cam_backbone.forward(sample.camera_images)
             half = self._first_half("camera", feats.shape, pairs, self.cam_layers[0])
-            cam_bev = encode_camera_bev(self.queries, feats, pairs, self.cam_layers,
-                                        self.cfg.normalize_by_hits, half)
+            cam_bev = encode_camera_bev(self.queries, feats, pairs, self.cam_layers, half)
         if mask.use_lidar:
             feat_l = self.lidar_backbone.forward(sample.lidar_grid[None])
             hw = feat_l.shape[1:3]
-            pairs = self._derive("lidar_pairs", hw, lambda: lidar_pairs(self.queries.refs, hw))
+            pairs = self._derive("lidar_pairs", hw, lambda: lidar_pairs(
+                self.queries.refs, hw, self.cfg.normalize_by_hits))
             half = self._first_half("lidar", feat_l.shape, pairs, self.lidar_layers[0])
-            lidar_bev = encode_lidar_bev(self.queries, feat_l, pairs, self.lidar_layers,
-                                         self.cfg.normalize_by_hits, half)
+            lidar_bev = encode_lidar_bev(self.queries, feat_l, pairs, self.lidar_layers, half)
         return cam_bev, lidar_bev
 
     def fused_maps(self, sample: RenderedSample, masks: Sequence[ModalityMask]) -> List[Tensor]:

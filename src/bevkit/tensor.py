@@ -15,8 +15,8 @@ passed. So a chain of ops whose intermediates no vjp reads is one op here,
 and the intermediate never becomes a Tensor: ``residual_layer_norm`` (a
 residual add, then a layer norm) keeps the normalized sum and the inverse
 deviations, not the sum; ``ffn`` (linear, relu, linear) keeps the post-relu
-hidden, not the pre-activation; ``deform_attend`` weights and sums its
-(map, query) pair rows per query and keeps no pair row; ``conv2d_3x3``
+hidden, not the pre-activation; ``deform_attend`` sums its (map, query)
+pair rows per query, scales each query's sum and keeps no pair row; ``conv2d_3x3``
 keeps its padded input [B,H+2,W+2,Ci] and rebuilds each tap's slice in
 backward. Each runs the expressions of the composition it replaces in the
 same order, so outputs and grads keep their bits. A vjp computes no grad for
@@ -109,9 +109,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self):
         self.grad = None
 
@@ -122,28 +119,6 @@ class Tensor:
     def __repr__(self):
         op = self.node.op if self.node is not None else "leaf"
         return f"Tensor(shape={self.shape}, op={op}, requires_grad={self.requires_grad})"
-
-    # operator sugar; scalars are wrapped as constants
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __neg__(self):
-        return neg(self)
 
 
 class Parameter:
@@ -836,8 +811,8 @@ class _PairPoints:
 
 
 def _check_points(b: int, offsets: Tensor, attn: Tensor, map_idx, base_pts, qry_idx,
-                  pair_weight, op: str):
-    """map_idx, base_pts, qry_idx and pair_weight as arrays, once they and
+                  scale, op: str):
+    """map_idx, base_pts, qry_idx and scale as arrays, once they and
     offsets and attn are what deform_attend's docstring asks for on B maps
     (ShapeError otherwise)."""
     if offsets.data.ndim != 4 or offsets.shape[3] != 2:
@@ -853,13 +828,13 @@ def _check_points(b: int, offsets: Tensor, attn: Tensor, map_idx, base_pts, qry_
     if qry_idx.shape != (p,) or map_idx.shape != (p,) or base_pts.shape != (p, 2):
         raise ShapeError(f"{op}: map_idx {map_idx.shape}, base_pts {base_pts.shape} "
                          f"and qry_idx {qry_idx.shape} must be [P], [P,2] and [P]")
-    if pair_weight is not None:
-        pair_weight = np.asarray(pair_weight, dtype=np.float64)
-        if pair_weight.shape != (p,):
-            raise ShapeError(f"{op}: pair_weight {pair_weight.shape} is not [{p}]")
+    if scale is not None:
+        scale = np.asarray(scale, dtype=np.float64)
+        if scale.shape != (t,):
+            raise ShapeError(f"{op}: scale {scale.shape} is not [{t}]")
     if p and (map_idx.min() < 0 or map_idx.max() >= b or qry_idx.min() < 0 or qry_idx.max() >= t):
         raise ShapeError(f"{op}: map_idx outside [0,{b}) or qry_idx outside [0,{t})")
-    return map_idx, base_pts, qry_idx, pair_weight
+    return map_idx, base_pts, qry_idx, scale
 
 
 def attend_blocks(maps_bhw, map_idx, base_pts, offsets: Tensor, attn: Tensor,
@@ -882,16 +857,16 @@ def attend_blocks(maps_bhw, map_idx, base_pts, offsets: Tensor, attn: Tensor,
 
 
 def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
-                  attn: Tensor, qry_idx, pair_weight=None, blocks=None) -> Tensor:
-    """Fused deformable-attention gather over per-head value maps, summed per
-    query.
+                  attn: Tensor, qry_idx, scale=None, blocks=None) -> Tensor:
+    """Fused deformable-attention gather over per-head value maps, summed and
+    scaled per query.
 
     feats [B,H,W,M*D] holds B value maps whose channels are M blocks of D,
     one block per head. For each of P (map, query) pairs with base point
     base_pts[p] on map map_idx[p], head m samples its own block at base +
     offsets[qry_idx[p], m, k] and combines its K points with attn[qry_idx[p],
-    m, k]; the pair's [M, D] row is scaled by pair_weight[p] (when given),
-    and the rows of the pairs of each query are summed, in pair order, into
+    m, k]; the [M, D] rows of the pairs of each query are summed, in pair
+    order, and the sum of query q is multiplied by scale[q] (when given), into
     the output [T, M, D]. A query without pairs gets zeros. Read as the table
     ``feats.reshape(B*H*W*M, D)``, head m's corners are the rows
     ``cell*M + m``, so every head's samples come from one sparse matmul,
@@ -899,15 +874,15 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
     Corners outside a map read as zero, so a sample decays linearly to zero
     within one cell of the border and is zero beyond.
 
-    The pair weight is a row multiply of the pair rows, as a ``mul`` by a
-    [P,1,1] constant would do; it is not folded into the sparse matrix, which
-    would round differently. The per-query sum is the CSC product of
-    ``_sum_pairs``. When pair p is query p for every p, the pair rows are the
-    per-query sums already and no sum is taken: it would only add each row to
-    +0.0, and the rows, sparse products that start at +0.0 themselves, hold
-    no -0.0 for that to change. Backward gathers the output grad's row of
-    each pair's query (g[qry_idx]) and scales it by the pair weight, the
-    vjps of the sum and the multiply; no pair row is kept for it.
+    The per-query sum is the CSC product of ``_sum_pairs``. When pair p is
+    query p for every p, the pair rows are the per-query sums already and no
+    sum is taken: it would only add each row to +0.0, and the rows, sparse
+    products that start at +0.0 themselves, hold no -0.0 for that to change.
+    The scale multiplies the summed rows in place, as a ``mul`` by a [T,1,1]
+    constant would do; it is not folded into the sparse matrix, which would
+    round differently. Backward scales the output grad by the same scale and
+    then gathers its row of each pair's query (g[qry_idx]), the vjps of the
+    multiply and the sum; no pair row is kept for it.
 
     Forward gathers the sample rows and columns as two [P, M*K] arrays and
     builds the [P*M, B*H*W*M] CSR matrix of attention-scaled corner weights
@@ -935,15 +910,15 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
     when pair p is query p for every p, only that sum's +0.0 start is added,
     which gives the same bits.
 
-    offsets must be [T,M,K,2] and attn [T,M,K]; map_idx, base_pts [P,2],
-    qry_idx and pair_weight (None or [P]) must agree on P, with map_idx in
-    [0,B) and qry_idx in [0,T).
+    offsets must be [T,M,K,2] and attn [T,M,K]; map_idx, base_pts [P,2] and
+    qry_idx must agree on P, with map_idx in [0,B) and qry_idx in [0,T);
+    scale is None or [T].
     """
     if feats.data.ndim != 4:
         raise ShapeError(f"deform_attend: expected [B,H,W,M*D], got {feats.shape}")
     b, h, w, ch = feats.shape
-    map_idx, base_pts, qry_idx, pair_weight = _check_points(
-        b, offsets, attn, map_idx, base_pts, qry_idx, pair_weight, "deform_attend")
+    map_idx, base_pts, qry_idx, scale = _check_points(
+        b, offsets, attn, map_idx, base_pts, qry_idx, scale, "deform_attend")
     t, m, k, _ = offsets.shape
     if ch % m:
         raise ShapeError(f"deform_attend: {ch} value channels do not split into {m} heads")
@@ -958,12 +933,12 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
     flat = feats.data.reshape(b * h * w * m, hd)
 
     def per_query(pairs):
-        """The pair rows [P*M, D], a fresh array, weighted and summed per query."""
+        """The pair rows [P*M, D], a fresh array, summed and scaled per query."""
         rows = pairs.reshape(p, m * hd)
-        if pair_weight is not None:
-            rows *= pair_weight[:, None]
         if not in_order:
             rows = _sum_pairs(rows, qry_idx, t)
+        if scale is not None:
+            rows *= scale[:, None]
         return rows.reshape(t, m, hd)
 
     if not (_grad_enabled.get()
@@ -1002,11 +977,11 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
             raise ContractError(f"deform_attend: a corner index lies outside the "
                                 f"{flat.shape[0]}-row value table")
         g2 = g.reshape(t, m * hd)
+        if scale is not None:
+            g2 = g2 * scale[:, None]
         if not in_order:
             # the sum's vjp: each pair reads its query's row
             g2 = np.take(g2, qry_idx, axis=0)
-        if pair_weight is not None:
-            g2 = g2 * pair_weight[:, None]
         g2 = g2.reshape(p * m, hd)
         if feats.requires_grad:
             _accum(feats, (s_attn.T @ g2).reshape(feats.shape), own=True)

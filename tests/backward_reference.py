@@ -5,9 +5,9 @@ loop over the four corners, and scatter with np.add.at; take_rows scatters
 with np.add.at. Forward passes equal the production ones, so any difference
 a test sees comes from backward. Like production, deform_attend reads values
 [B,H,W,M*D] as the table [B*H*W*M, D], head m of cell c being row c*M + m,
-scales each pair's attended row by its pair weight and sums the rows per
-query; the references always sum, with np.add.at from zeros, where
-production skips a sum of the queries in order.
+sums the pairs' attended rows per query and scales each query's sum; the
+references always sum, with np.add.at from zeros, where production skips a
+sum of the queries in order.
 
 - deform_attend_reference gets the attention and offset grads from the dots
   of every point's four corner rows with the output grad, as production
@@ -65,7 +65,7 @@ def corner_tables(shape_hw, base, pts, stride):
 
 
 def pair_rows(feats, map_idx, base_pts, offsets, attn, qry_idx):
-    """The attended row [P, M, D] of every pair, before any weight or sum,
+    """The attended row [P, M, D] of every pair, before the sum and scale,
     and the sparse matrix and corner tables that produced them."""
     b, h, w, ch = feats.shape
     t, m, k, _ = offsets.shape
@@ -86,7 +86,7 @@ def pair_rows(feats, map_idx, base_pts, offsets, attn, qry_idx):
     return (s_attn @ flat).reshape(p, m, ch), s_attn, tables
 
 
-def _attend(feats, map_idx, base_pts, offsets, attn, qry_idx, pair_weight, grads):
+def _attend(feats, map_idx, base_pts, offsets, attn, qry_idx, scale, grads):
     """deform_attend's forward. Its vjp gets the attention grads [P*M*K] and
     the offset grads before the attention weight [P*M*K, 2] from
     grads(corner tables, value table [B*H*W*M, D], output grad [P*M, D])."""
@@ -99,18 +99,17 @@ def _attend(feats, map_idx, base_pts, offsets, attn, qry_idx, pair_weight, grads
         return T._make(np.zeros((t, m, ch)), "deform_attend", (feats, offsets, attn),
                        lambda g: None)
     rows, s_attn, tables = pair_rows(feats, map_idx, base_pts, offsets, attn, qry_idx)
-    if pair_weight is not None:
-        rows = rows * np.asarray(pair_weight)[:, None, None]
     out = np.zeros((t, m, ch))
     np.add.at(out, qry_idx, rows)
+    if scale is not None:
+        out = out * np.asarray(scale)[:, None, None]
     attnp = attn.data[qry_idx]
     flat = feats.data.reshape(b * h * w * m, ch)
 
     def vjp(g):
-        gp = g[qry_idx]
-        if pair_weight is not None:
-            gp = gp * np.asarray(pair_weight)[:, None, None]
-        g2 = gp.reshape(p * m, ch)
+        if scale is not None:
+            g = g * np.asarray(scale)[:, None, None]
+        g2 = g[qry_idx].reshape(p * m, ch)
         if feats.requires_grad:
             T._accum(feats, (s_attn.T @ g2).reshape(feats.shape), own=True)
         if not (attn.requires_grad or offsets.requires_grad):
@@ -163,15 +162,14 @@ def jet_grads(tables, flat, g2):
 # building them, so the references take them and build their own
 
 
-def deform_attend_reference(feats, map_idx, base_pts, offsets, attn, qry_idx, pair_weight=None,
+def deform_attend_reference(feats, map_idx, base_pts, offsets, attn, qry_idx, scale=None,
                             blocks=None):
-    return _attend(feats, map_idx, base_pts, offsets, attn, qry_idx, pair_weight,
-                   corner_dot_grads)
+    return _attend(feats, map_idx, base_pts, offsets, attn, qry_idx, scale, corner_dot_grads)
 
 
 def deform_attend_jet_reference(feats, map_idx, base_pts, offsets, attn, qry_idx,
-                                pair_weight=None, blocks=None):
-    return _attend(feats, map_idx, base_pts, offsets, attn, qry_idx, pair_weight, jet_grads)
+                                scale=None, blocks=None):
+    return _attend(feats, map_idx, base_pts, offsets, attn, qry_idx, scale, jet_grads)
 
 
 def take_rows_reference(a: Tensor, idx) -> Tensor:

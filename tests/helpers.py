@@ -61,23 +61,20 @@ def check_grads(build_loss, arrays, requires=None, h=1e-5, tol=1e-4):
     return worst
 
 
-def source_pairs(sources, n_maps, n_queries):
-    """Pairs of sources (map index, refs [T,2], visible [T] bool or None,
-    weight): each source's visible queries in ascending order, one source
-    after the other, each pair weighted by its source's weight; no weights
-    when every weight is 1."""
+def source_pairs(sources, n_maps, n_queries, scale=None):
+    """Pairs of sources (map index, refs [T,2], visible [T] bool or None):
+    each source's visible queries in ascending order, one source after the
+    other, with the per-query scale [T] (None: 1)."""
     from bevkit.attention import Pairs
 
-    map_idx, base, qry, weight = [], [], [], []
-    for m, refs, visible, w in sources:
+    map_idx, base, qry = [], [], []
+    for m, refs, visible in sources:
         q = np.arange(n_queries) if visible is None else np.nonzero(visible)[0]
         map_idx.append(np.full(q.size, m))
         base.append(np.asarray(refs)[q])
         qry.append(q)
-        weight.append(np.full(q.size, float(w)))
-    weight = np.concatenate(weight)
     return Pairs(np.concatenate(map_idx), np.concatenate(base), np.concatenate(qry), n_maps,
-                 n_queries, weight if np.any(weight != 1.0) else None)
+                 n_queries, scale)
 
 
 def grid_pairs(h, w):

@@ -45,7 +45,7 @@ def run_naive(queries, refs, feat, p, valid=None):
 def single(queries, refs, feat, p, valid=None):
     """deform_attn_multi over one map feat [H,W,C], one pair per valid query."""
     return deform_attn_multi(queries, T.reshape(feat, (1, *feat.shape)),
-                             source_pairs([(0, refs, valid, 1)], 1, len(refs)), p)
+                             source_pairs([(0, refs, valid)], 1, len(refs)), p)
 
 
 class TestDeformAttn:
@@ -129,7 +129,7 @@ class TestDeformAttn:
             refs = rng.uniform(-1, 5, (4, 2))
             valid = rng.random(4) > 0.3
             maps.append(feat)
-            sources.append((i, refs, valid, 1))
+            sources.append((i, refs, valid))
             singles += run_naive(queries, refs, feat, p, valid)
         multi = deform_attn_multi(Tensor(queries), Tensor(np.stack(maps)),
                                   source_pairs(sources, 3, 4), p)
@@ -142,8 +142,8 @@ class TestDeformAttn:
         feat = Tensor(rng.standard_normal((1, 5, 5, 4)))
         refs = rng.uniform(0, 4, (4, 2))
         valid = np.ones(4, dtype=bool)
-        one = deform_attn_multi(queries, feat, source_pairs([(0, refs, valid, 1)], 1, 4), p)
-        two = deform_attn_multi(queries, feat, source_pairs([(0, refs, valid, 1)] * 2, 1, 4), p)
+        one = deform_attn_multi(queries, feat, source_pairs([(0, refs, valid)], 1, 4), p)
+        two = deform_attn_multi(queries, feat, source_pairs([(0, refs, valid)] * 2, 1, 4), p)
         assert np.array_equal(two.data, 2.0 * one.data)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -155,9 +155,9 @@ class TestDeformAttn:
         feat0 = rng.standard_normal((2, 4, 4, 4))
         queries0 = rng.standard_normal((3, 4)) * 0.3
         pairs = source_pairs(
-            [(0, rng.integers(0, 3, (3, 2)) + rng.uniform(0.25, 0.75, (3, 2)), None, 1),
+            [(0, rng.integers(0, 3, (3, 2)) + rng.uniform(0.25, 0.75, (3, 2)), None),
              (1, rng.integers(0, 3, (3, 2)) + rng.uniform(0.25, 0.75, (3, 2)),
-              np.array([True, False, True]), 1)], 2, 3)
+              np.array([True, False, True]))], 2, 3)
 
         leaves = [queries0, feat0,
                   p.offset_w.tensor.data.copy(), p.weight_w.tensor.data.copy(),
@@ -194,18 +194,21 @@ class TestValueProjectionBeforeSampling:
         queries = rng.standard_normal((t, 8))
         shared = rng.standard_normal((5, 6, 5))
         other = rng.standard_normal((5, 6, 5))
-        # one map sampled by three sources with different refs and visibilities
+        # one map sampled by three sources with different refs and visibilities,
+        # each query's sum scaled by its own scale
         sources = [
-            (0, rng.uniform(-1, 6, (t, 2)), rng.random(t) > 0.3, 1),
-            (1, rng.uniform(-1, 6, (t, 2)), rng.random(t) > 0.4, 1),
-            (0, rng.uniform(-1, 6, (t, 2)), None, 3),
-            (0, rng.uniform(-1, 6, (t, 2)), rng.random(t) > 0.6, 1),
+            (0, rng.uniform(-1, 6, (t, 2)), rng.random(t) > 0.3),
+            (1, rng.uniform(-1, 6, (t, 2)), rng.random(t) > 0.4),
+            (0, rng.uniform(-1, 6, (t, 2)), None),
+            (0, rng.uniform(-1, 6, (t, 2)), rng.random(t) > 0.6),
         ]
+        scale = rng.uniform(0.2, 3.0, t)
         want = np.zeros((t, 8))
-        for m, refs, valid, weight in sources:
-            want += weight * run_naive(queries, refs, [shared, other][m], p, valid)
+        for m, refs, valid in sources:
+            want += run_naive(queries, refs, [shared, other][m], p, valid)
         got = deform_attn_multi(Tensor(queries), Tensor(np.stack([shared, other])),
-                                source_pairs(sources, 2, t), p)
+                                source_pairs(sources, 2, t, scale), p)
+        want *= scale[:, None]
         np.testing.assert_allclose(got.data, want, rtol=1e-12)
 
 
@@ -252,11 +255,11 @@ class TestScatterRows:
         t = 6
         feats = Tensor(rng.standard_normal((3, 5, 5, 4)), requires_grad=True)
         pairs = source_pairs([
-            (0, rng.uniform(-1, 5, (t, 2)), rng.random(t) > 0.3, 4),
-            (1, rng.uniform(-1, 5, (t, 2)), np.zeros(t, dtype=bool), 1),
-            (2, rng.uniform(-1, 5, (t, 2)), rng.random(t) > 0.5, 1),
-            (0, rng.uniform(-1, 5, (t, 2)), None, 1),
-        ], 3, t)
+            (0, rng.uniform(-1, 5, (t, 2)), rng.random(t) > 0.3),
+            (1, rng.uniform(-1, 5, (t, 2)), np.zeros(t, dtype=bool)),
+            (2, rng.uniform(-1, 5, (t, 2)), rng.random(t) > 0.5),
+            (0, rng.uniform(-1, 5, (t, 2)), None),
+        ], 3, t, rng.uniform(0.5, 4.0, t))
         q0 = rng.standard_normal((t, 4))
 
         def run():
@@ -324,16 +327,16 @@ class TestScatterRows:
 
 def summed_through_scatter(queries, feat, refs, mult, p):
     """deform_attn_multi over one map [1,H,W,C] with one pair per query, in
-    order, of weight mult, with its rows weighted and summed per query by the
-    reference deform_attend, which always takes the sum."""
+    order, each query's sum scaled by mult, with its rows summed and scaled
+    per query by the reference deform_attend, which always takes the sum."""
     t = queries.shape[0]
     _, hf, wf, vd = feat.shape
     off, attn = attention._query_offsets_weights(queries, p)
     cells = T.reshape(feat, (hf * wf, vd))
     values = T.reshape(T.matmul(cells, p.value_w.tensor), (1, hf, wf, p.channels))
-    weight = np.full(t, float(mult)) if mult != 1 else None
+    scale = np.full(t, float(mult)) if mult != 1 else None
     summed = ref.deform_attend_reference(values, np.zeros(t, dtype=np.intp), refs, off, attn,
-                                         np.arange(t), weight)
+                                         np.arange(t), scale)
     return T.matmul(T.reshape(summed, (t, p.channels)), p.out_w.tensor)
 
 
@@ -360,8 +363,8 @@ def test_lone_source_skips_the_sum_bitexact(seed, mult):
         backward(T.tsum(T.mul(out, out)))
         return [out.data, queries.grad, feat.grad] + [prm.tensor.grad for prm in p.parameters()]
 
-    weight = None if mult == 1 else np.full(t, float(mult))
-    got = run(lambda q, f: deform_attn_multi(q, f, Pairs.one_map(refs, weight), p))
+    scale = None if mult == 1 else np.full(t, float(mult))
+    got = run(lambda q, f: deform_attn_multi(q, f, Pairs.one_map(refs, scale), p))
     want = run(lambda q, f: summed_through_scatter(q, f, refs, mult, p))
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
@@ -375,7 +378,7 @@ class TestEncoderLayer:
         rng = np.random.default_rng(10)
         lp = self.make_layer(rng)
         tokens = Tensor(rng.standard_normal((6, 4)))
-        pairs = source_pairs([(0, rng.uniform(0, 3, (6, 2)), np.ones(6, bool), 1)], 1, 6)
+        pairs = source_pairs([(0, rng.uniform(0, 3, (6, 2)), np.ones(6, bool))], 1, 6)
         out = encoder_layer(tokens, (2, 3), grid_pairs(2, 3),
                             Tensor(rng.standard_normal((1, 4, 4, 4))), pairs, lp)
         assert out.shape == (6, 4)
@@ -388,7 +391,7 @@ class TestEncoderLayer:
         lp.cross_attn.out_w.tensor.data[:] = 0.0
         lp.ffn_w2.tensor.data[:] = 0.0
         tokens = rng.standard_normal((6, 4))
-        pairs = source_pairs([(0, rng.uniform(0, 3, (6, 2)), np.ones(6, bool), 1)], 1, 6)
+        pairs = source_pairs([(0, rng.uniform(0, 3, (6, 2)), np.ones(6, bool))], 1, 6)
         out = encoder_layer(Tensor(tokens), (2, 3), grid_pairs(2, 3),
                             Tensor(rng.standard_normal((1, 4, 4, 4))), pairs, lp)
 
@@ -404,7 +407,7 @@ class TestEncoderLayer:
         lp = self.make_layer(rng)
         tokens = Tensor(rng.standard_normal((6, 4)))
         feat = Tensor(rng.standard_normal((1, 4, 4, 4)))
-        source = (0, rng.uniform(0, 3, (6, 2)), np.ones(6, bool), 1)
+        source = (0, rng.uniform(0, 3, (6, 2)), np.ones(6, bool))
         one = deform_attn_multi(tokens, feat, source_pairs([source], 1, 6), lp.cross_attn)
         two = deform_attn_multi(tokens, feat, source_pairs([source] * 2, 1, 6), lp.cross_attn)
         assert np.array_equal(two.data, 2.0 * one.data)
@@ -422,15 +425,15 @@ class TestEncoderLayer:
         with pytest.raises(ContractError):  # two maps for pairs over one
             encoder_layer(tokens, (2, 3), grid_pairs(2, 3), Tensor(maps), pairs, lp)
 
-    def test_normalize_by_hits_flag(self, monkeypatch):
-        """With normalize_by_hits the cross term of each query is divided by
-        its hit count: 2 here, so exactly halved."""
+    def test_pairs_scale_scales_the_cross_term(self, monkeypatch):
+        """The pairs' scale multiplies each query's cross term: by 1/2, the
+        inverse of its hit count, here, so exactly halved."""
         rng = np.random.default_rng(14)
         lp = self.make_layer(rng)
         tokens = Tensor(rng.standard_normal((4, 4)))
         feat = Tensor(rng.standard_normal((1, 4, 4, 4)))
-        pairs = source_pairs([(0, rng.uniform(0, 3, (4, 2)), np.ones(4, bool), 1)] * 2, 1, 4)
-        assert np.array_equal(pairs.hits, np.full(4, 2.0))
+        source = (0, rng.uniform(0, 3, (4, 2)), np.ones(4, bool))
+        pairs = source_pairs([source] * 2, 1, 4)
         residuals = []  # the y of every residual_layer_norm(x, y, ...)
         real = T.residual_layer_norm
 
@@ -440,8 +443,8 @@ class TestEncoderLayer:
 
         monkeypatch.setattr(T, "residual_layer_norm", spy)
         plain = encoder_layer(tokens, (2, 2), grid_pairs(2, 2), feat, pairs, lp)
-        halved = encoder_layer(tokens, (2, 2), grid_pairs(2, 2), feat, pairs, lp,
-                               normalize_by_hits=True)
+        halved = encoder_layer(tokens, (2, 2), grid_pairs(2, 2), feat,
+                               source_pairs([source] * 2, 1, 4, np.full(4, 0.5)), lp)
         assert np.array_equal(residuals[0], residuals[3])  # self-attention term
         assert np.array_equal(residuals[4], 0.5 * residuals[1])  # cross-attention term
         assert not np.allclose(plain.data, halved.data)
@@ -459,7 +462,7 @@ class TestEncoderLayer:
         tokens0 = rng.standard_normal((4, 4)) * 0.5
         feat0 = rng.standard_normal((2, 3, 3, 4))  # two maps, each query on both
         pairs = source_pairs(
-            [(m, rng.integers(0, 2, (4, 2)) + rng.uniform(0.25, 0.75, (4, 2)), None, 1)
+            [(m, rng.integers(0, 2, (4, 2)) + rng.uniform(0.25, 0.75, (4, 2)), None)
              for m in (0, 1)], 2, 4)
 
         names = []
@@ -486,10 +489,10 @@ def test_one_pair_per_query_out_of_order_is_still_summed():
     t = 6
     feats = Tensor(rng.standard_normal((2, 5, 5, 4)))
     late = np.arange(t) >= 2
-    sources = [(0, rng.uniform(0, 4, (t, 2)), late, 1),
-               (1, rng.uniform(0, 4, (t, 2)), ~late, 1)]
+    sources = [(0, rng.uniform(0, 4, (t, 2)), late),
+               (1, rng.uniform(0, 4, (t, 2)), ~late)]
     queries = rng.standard_normal((t, 4))
-    want = sum(run_naive(queries, refs, feats.data[m], p, vis) for m, refs, vis, _ in sources)
+    want = sum(run_naive(queries, refs, feats.data[m], p, vis) for m, refs, vis in sources)
     got = deform_attn_multi(Tensor(queries), feats, source_pairs(sources, 2, t), p)
     np.testing.assert_allclose(got.data, want, rtol=1e-12, atol=1e-14)
 
@@ -501,32 +504,30 @@ class TestPairsContract:
 
     def arrays(self, **change):
         arrays = dict(map_idx=[0, 1, 1], base_pts=np.zeros((3, 2)), qry_idx=[2, 0, 2],
-                      n_maps=2, n_queries=3, weight=None)
+                      n_maps=2, n_queries=3, scale=None)
         arrays.update(change)
         return arrays
 
-    def test_fields_and_hits(self):
-        pairs = Pairs(**self.arrays(weight=[1.0, 4.0, 2.0]))
+    def test_fields_and_scale(self):
+        pairs = Pairs(**self.arrays(scale=[1, 4, 2]))
         assert pairs.map_idx.dtype == pairs.qry_idx.dtype == np.intp
         assert (pairs.n_maps, pairs.n_queries) == (2, 3)
-        assert pairs.hits.dtype == np.float64
-        assert np.array_equal(pairs.hits, [4.0, 0.0, 3.0])
-        assert np.array_equal(Pairs(**self.arrays()).hits, [1.0, 0.0, 2.0])
+        assert pairs.scale.dtype == np.float64
+        assert np.array_equal(pairs.scale, [1.0, 4.0, 2.0])
+        assert Pairs(**self.arrays()).scale is None
 
     def test_arrays_are_read_only_copies(self):
         """A Pairs owns read-only copies of its arrays, so nothing can change
         it after it is built, and the caller's arrays stay writeable."""
         given = self.arrays(map_idx=np.array([0, 1, 1]), qry_idx=np.array([2, 0, 2]),
-                            weight=np.array([1.0, 4.0, 2.0]))
+                            scale=np.array([1.0, 4.0, 2.0]))
         pairs = Pairs(**given)
-        for name in ("map_idx", "base_pts", "qry_idx", "weight"):
+        for name in ("map_idx", "base_pts", "qry_idx", "scale"):
             own, theirs = getattr(pairs, name), given[name]
             assert not own.flags.writeable and not np.shares_memory(own, theirs)
             with pytest.raises(ValueError, match="read-only"):
                 own[0] = 0
             assert theirs.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            pairs.hits[0] = 0
 
     def test_one_map_is_the_queries_in_order(self):
         refs = np.arange(8.0).reshape(4, 2)
@@ -534,20 +535,25 @@ class TestPairsContract:
         assert np.array_equal(pairs.map_idx, np.zeros(4)) and pairs.n_maps == 1
         assert np.array_equal(pairs.qry_idx, np.arange(4)) and pairs.n_queries == 4
         assert np.array_equal(pairs.base_pts, refs)
-        assert np.array_equal(pairs.hits, np.full(4, 3.0))
+        assert np.array_equal(pairs.scale, np.full(4, 3.0))
 
     def test_no_pairs(self):
-        pairs = Pairs(**self.arrays(map_idx=[], base_pts=np.zeros((0, 2)), qry_idx=[]))
-        assert np.array_equal(pairs.hits, np.zeros(3))
+        """A scale is per query, so it has T entries when there are no pairs."""
+        pairs = Pairs(**self.arrays(map_idx=[], base_pts=np.zeros((0, 2)), qry_idx=[],
+                                    scale=np.ones(3)))
+        assert pairs.qry_idx.size == 0 and pairs.scale.shape == (3,)
 
     @pytest.mark.parametrize("change", [
         dict(map_idx=[0, 1]),
         dict(qry_idx=[[2, 0, 2]]),
         dict(base_pts=np.zeros((3, 3))),
         dict(base_pts=np.zeros((2, 2))),
-        dict(weight=[1.0, 1.0]),
-        dict(weight=np.ones((3, 1))),
-    ], ids=["map_idx", "qry_idx_2d", "base_pts_3", "base_pts_short", "weight", "weight_2d"])
+        dict(scale=[1.0, 1.0]),
+        dict(scale=np.ones((3, 1))),
+        dict(scale=np.ones(4), map_idx=[0, 1, 1, 0], base_pts=np.zeros((4, 2)),
+             qry_idx=[2, 0, 2, 1]),
+    ], ids=["map_idx", "qry_idx_2d", "base_pts_3", "base_pts_short", "scale", "scale_2d",
+            "scale_per_pair"])
     def test_lengths_must_agree(self, change):
         with pytest.raises(ShapeError):
             Pairs(**self.arrays(**change))

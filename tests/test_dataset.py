@@ -142,6 +142,42 @@ def test_numpy_integers_write_the_bytes_of_python_ints(tmp_path):
     assert dataset_files(got.root) == dataset_files(want.root)
 
 
+def test_generating_over_an_earlier_dataset_is_config_error(tmp_path):
+    """Generating 1 scene where 3 were generated would leave records 1 and 2
+    beside a manifest of 1, so the root is refused and left as it was."""
+    first = generate_dataset(tmp_path / "ds", 3, 0, SceneParams(), SPEC, **TINY)
+    before = dataset_files(first.root)
+    with pytest.raises(ConfigError, match="not an empty directory"):
+        generate_dataset(tmp_path / "ds", 1, 0, SceneParams(), SPEC, **TINY)
+    assert dataset_files(first.root) == before
+
+
+@pytest.mark.parametrize("occupant", ["file", "hidden_file", "empty_subdirectory"])
+def test_a_root_that_is_a_file_or_holds_anything_is_config_error(occupant, tmp_path):
+    root = tmp_path / "ds"
+    if occupant == "file":
+        root.write_bytes(b"x")
+    else:
+        root.mkdir()
+        if occupant == "hidden_file":
+            (root / ".keep").write_bytes(b"x")
+        else:
+            (root / "scenes").mkdir()
+    before = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*"))
+    with pytest.raises(ConfigError, match="not an empty directory"):
+        generate_dataset(root, 1, 0, SceneParams(), SPEC, **TINY)
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == before
+    if occupant == "file":
+        assert root.read_bytes() == b"x"
+
+
+def test_an_empty_directory_root_is_generated_into(tmp_path):
+    (tmp_path / "empty").mkdir()
+    got = generate_dataset(tmp_path / "empty", 2, 3, SceneParams(), SPEC, **TINY)
+    want = generate_dataset(tmp_path / "fresh", 2, 3, SceneParams(), SPEC, **TINY)
+    assert dataset_files(got.root) == dataset_files(want.root)
+
+
 def test_scene_params_validate_accepts_edge_values():
     params = SceneParams(n_boxes=(0, 0), aspect_ranges=[(1, 1)], margin=0, sigma_cam=0.0,
                          sigma_lidar=0, height_range=(0.0, 0.0), appearance_range=(-1, -1))
@@ -173,6 +209,22 @@ def test_load_takes_numpy_integers(two_scenes):
     assert got.gts == want.gts
     with pytest.raises(DataError):
         two_scenes.load(np.int32(2))
+
+
+def test_loaded_arrays_are_writable_aligned_and_owned_by_their_load(two_scenes):
+    """load's arrays are views of one buffer per load: writable and aligned,
+    and a write into one sample's arrays leaves a second load of the same
+    record as the file has it."""
+    sample = two_scenes.load(1)
+    images, lidar = sample.camera_images.tobytes(), sample.lidar_grid.tobytes()
+    for arr in (sample.camera_images, sample.lidar_grid):
+        assert arr.flags.writeable and arr.flags.aligned and arr.dtype == np.float64
+    sample.camera_images[...] = -1.0
+    sample.lidar_grid += 1.0
+    again = two_scenes.load(1)
+    assert again.camera_images.tobytes() == images
+    assert again.lidar_grid.tobytes() == lidar
+    assert again.gts == sample.gts
 
 
 def put(index, value):

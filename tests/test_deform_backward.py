@@ -403,8 +403,8 @@ def test_deform_attend_matches_jet_reference(case):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_deform_attn_multi_matches_reference(seed, monkeypatch):
-    """Several sources, one of weight 4, one empty, one map sampled by two,
-    queries seen by many."""
+    """Several sources, one empty, one map sampled by two, queries seen by
+    many, each query's sum scaled."""
     rng = np.random.default_rng(seed + 80)
     p = DeformAttnParams("t", 2, 2, 4, 4, rng)
     p.offset_w.tensor.data[:] = rng.uniform(-0.5, 0.5, p.offset_w.tensor.shape)
@@ -413,11 +413,11 @@ def test_deform_attn_multi_matches_reference(seed, monkeypatch):
     t = 6
     feats = Tensor(rng.standard_normal((3, 5, 5, 4)), requires_grad=True)
     pairs = source_pairs([
-        (0, rng.uniform(-1, 5, (t, 2)), rng.random(t) > 0.3, 4),
-        (1, rng.uniform(-1, 5, (t, 2)), np.zeros(t, dtype=bool), 1),
-        (2, rng.uniform(-1, 5, (t, 2)), rng.random(t) > 0.5, 1),
-        (0, rng.uniform(-1, 5, (t, 2)), None, 1),
-    ], 3, t)
+        (0, rng.uniform(-1, 5, (t, 2)), rng.random(t) > 0.3),
+        (1, rng.uniform(-1, 5, (t, 2)), np.zeros(t, dtype=bool)),
+        (2, rng.uniform(-1, 5, (t, 2)), rng.random(t) > 0.5),
+        (0, rng.uniform(-1, 5, (t, 2)), None),
+    ], 3, t, rng.integers(1, 5, t) * rng.choice([1.0, 0.37], t))
     q0 = rng.standard_normal((t, 4))
 
     def run():

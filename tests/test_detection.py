@@ -120,7 +120,7 @@ class TestDecode:
         for p in preds:
             assert p.w > 0 and p.l > 0
             assert -math.pi <= p.yaw <= math.pi
-            assert 0.0 <= p.score <= 1.0
+            assert 0.0 <= p.class_and_score()[1] <= 1.0
 
     def test_channel_mismatch(self):
         params = self.make_params()

@@ -65,18 +65,20 @@ class TestUniformity:
     @pytest.mark.parametrize("seed", range(5))
     def test_explicit_levels_equal_multiplicity_source_bitexact(self, d, normalize_by_hits,
                                                                 seed):
-        # D identical levels as D pairs of weight 1 per query (camera path) sum
-        # to the same bits as one pair of weight D (LiDAR path)
+        # D identical levels as D pairs per query (camera path) sum to the same
+        # bits as one pair scaled by D (LiDAR path); normalized, the camera sum
+        # times 1/D (exact for D a power of two) equals the LiDAR pair's row
         rng, spec, queries, layers = make_setup(seed=20 + seed, d=d)
         for lp in layers:  # move sample points off the cell lattice
             for attn in (lp.self_attn, lp.cross_attn):
                 for prm in attn.parameters():
                     prm.tensor.data[:] += 0.3 * rng.standard_normal(prm.tensor.shape)
         feat = Tensor(rng.standard_normal((1, 7, 9, 4)))  # resolution differs from grid
-        pairs = camera_pairs([lidar_as_camera(queries, (7, 9))], spec.h * spec.w)
-        levels = encode_camera_bev(queries, feat, pairs, layers, normalize_by_hits)
-        one = encode_lidar_bev(queries, feat, lidar_pairs(queries.refs, (7, 9)), layers,
-                               normalize_by_hits)
+        pairs = camera_pairs([lidar_as_camera(queries, (7, 9))], spec.h * spec.w,
+                             normalize_by_hits)
+        levels = encode_camera_bev(queries, feat, pairs, layers)
+        one = encode_lidar_bev(queries, feat,
+                               lidar_pairs(queries.refs, (7, 9), normalize_by_hits), layers)
         assert np.array_equal(levels.data, one.data)
 
     def test_camera_pairs_order_and_flip(self):
@@ -127,27 +129,32 @@ class TestUniformity:
         assert np.array_equal(encode_lidar_bev(queries, lidar_feat, lidar, layers).data,
                               encode_bev(queries, "lidar", lidar_feat, lidar, layers).data)
 
-    def test_lidar_pairs_are_one_per_query_of_weight_d(self):
+    def test_lidar_pairs_are_one_per_query_scaled_by_d(self):
         _, spec, queries, _ = make_setup(seed=3, d=3)
         pairs = lidar_pairs(queries.refs, (7, 9))
         rc = project_to_lidar(queries.refs, (7, 9))
         t = spec.h * spec.w
         assert np.array_equal(pairs.qry_idx, np.arange(t)) and pairs.n_maps == 1
         assert pairs.base_pts.tobytes() == rc[0].reshape(t, 2).tobytes()
-        assert np.array_equal(pairs.weight, np.full(t, 3.0))
-        assert np.array_equal(pairs.hits, np.full(t, 3.0))
+        assert np.array_equal(pairs.scale, np.full(t, 3.0))
+        # normalized, the sum is divided by its D hits: D/D = 1
+        assert lidar_pairs(queries.refs, (7, 9), normalize_by_hits=True).scale is None
         _, _, queries, _ = make_setup(seed=3, d=1)
-        assert lidar_pairs(queries.refs, (7, 9)).weight is None
+        assert lidar_pairs(queries.refs, (7, 9)).scale is None
 
 
 def assert_pairs_equal_oracle(pairs, projections, t):
-    """camera_pairs equals the per-(view, level, query) loop field for field."""
+    """camera_pairs equals the per-(view, level, query) loop field for field,
+    and with normalize_by_hits each query's scale is 1 over its loop count of
+    pairs (at least 1)."""
     map_idx, base, qry, hits = camera_pairs_naive(projections, t)
+    scale = 1.0 / np.maximum(hits, 1.0)
+    normalized = camera_pairs(projections, t, normalize_by_hits=True)
     for got, want in [(pairs.map_idx, map_idx), (pairs.base_pts, base), (pairs.qry_idx, qry),
-                      (pairs.hits, hits)]:
+                      (normalized.qry_idx, qry), (normalized.scale, scale)]:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-    assert pairs.weight is None
+    assert pairs.scale is None
     assert (pairs.n_maps, pairs.n_queries) == (len(projections), t)
 
 
@@ -212,14 +219,13 @@ class TestCrossAttentionStructure:
         feat = Tensor(rng.standard_normal((1, spec.h, spec.w, 4)))
         t = spec.h * spec.w
         # D=2 levels x 2 views = 4 hits per cell, which normalize_by_hits divides by
-        assert np.array_equal(camera_pairs([proj, proj], t).hits, np.full(t, 4.0))
-        pairs = camera_pairs([proj], t)
-        assert np.array_equal(encode_camera_bev(queries, feat, pairs, layers).data,
-                              encode_camera_bev(queries, feat, pairs, layers,
-                                                normalize_by_hits=False).data)
-        assert not np.array_equal(encode_camera_bev(queries, feat, pairs, layers).data,
-                                  encode_camera_bev(queries, feat, pairs, layers,
-                                                    normalize_by_hits=True).data)
+        assert np.array_equal(camera_pairs([proj, proj], t, normalize_by_hits=True).scale,
+                              np.full(t, 0.25))
+        plain = encode_camera_bev(queries, feat, camera_pairs([proj], t), layers).data
+        assert np.array_equal(plain, encode_camera_bev(
+            queries, feat, camera_pairs([proj], t, normalize_by_hits=False), layers).data)
+        assert not np.array_equal(plain, encode_camera_bev(
+            queries, feat, camera_pairs([proj], t, normalize_by_hits=True), layers).data)
 
 
 def test_camera_cross_attention_samples_each_view_map_once(monkeypatch):
@@ -234,9 +240,9 @@ def test_camera_cross_attention_samples_each_view_map_once(monkeypatch):
     calls = []
     attend = T.deform_attend
 
-    def spy(feats, map_idx, base_pts, offsets, attn, qry_idx, pair_weight=None, blocks=None):
+    def spy(feats, map_idx, base_pts, offsets, attn, qry_idx, scale=None, blocks=None):
         calls.append((feats.shape[0], len(qry_idx)))
-        return attend(feats, map_idx, base_pts, offsets, attn, qry_idx, pair_weight, blocks)
+        return attend(feats, map_idx, base_pts, offsets, attn, qry_idx, scale, blocks)
 
     monkeypatch.setattr(T, "deform_attend", spy)
     encode_camera_bev(queries, feats, camera_pairs(views, spec.h * spec.w), layers)

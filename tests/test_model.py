@@ -188,9 +188,9 @@ def test_camera_pairs_are_built_once_per_rig(monkeypatch):
     built = []
     real = model.camera_pairs
 
-    def spy(projections, n_queries):
+    def spy(projections, n_queries, normalize_by_hits):
         built.append(len(projections))
-        return real(projections, n_queries)
+        return real(projections, n_queries, normalize_by_hits)
 
     monkeypatch.setattr(model, "camera_pairs", spy)
     spec = BEVGridSpec(h=8, w=8, d=2)
@@ -434,14 +434,13 @@ def tape_nodes(out):
 
 def layer0_sources():
     """(modality, parameter name) of every parameter a kept query half is
-    derived from."""
+    keyed on: the modality's queries and every parameter of its first encoder
+    layer, a superset of what the query half reads."""
     det = Detector(ModelConfig(**CACHE_KW, query_mode="separate"), CACHE_SPEC,
                    np.random.default_rng(0))
     out = []
     for modality, layer in (("camera", det.cam_layers[0]), ("lidar", det.lidar_layers[0])):
-        ca = layer.cross_attn
-        params = [det.queries.query_param(modality), *layer.self_attn.parameters(),
-                  *layer.norms[0], ca.offset_w, ca.offset_b, ca.weight_w, ca.weight_b]
+        params = [det.queries.query_param(modality), *layer.parameters()]
         out += [(modality, p.name) for p in params]
     return out
 

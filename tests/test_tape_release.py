@@ -128,7 +128,7 @@ def test_graph_through_a_consumed_intermediate_raises():
         backward(T.tsum(T.mul(y, fresh)))
     assert fresh.grad is None and np.array_equal(x.grad, 2.0 * x.data)
     # a detached copy starts a graph of its own
-    backward(T.tsum(T.mul(y.detach(), fresh)))
+    backward(T.tsum(T.mul(Tensor(y.data), fresh)))
     assert np.array_equal(fresh.grad, y.data)
 
 
@@ -193,20 +193,24 @@ def reachable(roots, stop=frozenset()):
     return out
 
 
-def test_default_encoder_layers_record_no_unfused_ops(default_setup, monkeypatch):
+@pytest.mark.parametrize("normalize_by_hits", [False, True])
+def test_default_encoder_layers_record_no_unfused_ops(default_setup, monkeypatch,
+                                                      normalize_by_hits):
     """Every encoder layer of both sensors records its residual adds and
     norms as residual_layer_norm nodes, its FFN as one ffn node, and its
-    attention sums inside deform_attend: no add, layer_norm, relu, mul or
-    scatter_rows node."""
+    attention sums and scales inside deform_attend: no add, layer_norm, relu,
+    mul or scatter_rows node, with or without normalize_by_hits."""
     import bevkit.encoders as encoders
 
     det, sample = default_setup
+    if normalize_by_hits:
+        det = Detector(ModelConfig(normalize_by_hits=True), det.spec, np.random.default_rng(0))
     real = encoders.encoder_layer
     layer_ops = []
 
-    def spy(tokens, grid_hw, self_pairs, maps, pairs, params, normalize_by_hits=False):
+    def spy(tokens, grid_hw, self_pairs, maps, pairs, params):
         before = {id(t) for t in reachable([tokens, maps])}
-        out = real(tokens, grid_hw, self_pairs, maps, pairs, params, normalize_by_hits)
+        out = real(tokens, grid_hw, self_pairs, maps, pairs, params)
         ops = {}
         for t in reachable([out], before):
             if t.node is not None:

@@ -225,7 +225,7 @@ class TestElementwise:
         assert np.array_equal(out.data, [0.0, 0.0, np.nan, 0.0, np.inf, 0.0, 1e-300],
                               equal_nan=True)
         assert not np.signbit(out.data).any()
-        backward(T.tsum(out * Tensor(np.arange(1.0, 8.0))))
+        backward(T.tsum(T.mul(out, Tensor(np.arange(1.0, 8.0)))))
         assert np.array_equal(x.grad, [0.0, 0.0, 0.0, 0.0, 5.0, 0.0, 7.0])
 
     def test_layernorm_constant_vector_gives_shift(self):
@@ -761,12 +761,12 @@ class TestDeformAttendShapes:
     def test_valid_arguments_pass(self):
         # one [M, D] row per query: 4 queries, 2 heads of 3 channels
         assert T.deform_attend(**self.args()).shape == (4, 2, 3)
-        assert T.deform_attend(**self.args(pair_weight=np.ones(3))).shape == (4, 2, 3)
+        assert T.deform_attend(**self.args(scale=np.ones(4))).shape == (4, 2, 3)
 
-    @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1)])
-    def test_pair_weight_not_p(self, shape):
+    @pytest.mark.parametrize("shape", [(2,), (3,), (4, 1)])
+    def test_scale_not_t(self, shape):
         with pytest.raises(ShapeError):
-            T.deform_attend(**self.args(pair_weight=np.ones(shape)))
+            T.deform_attend(**self.args(scale=np.ones(shape)))
 
     @pytest.mark.parametrize("shape", [(4, 2, 3), (4, 2, 3, 1), (4, 2, 3, 2, 1)])
     def test_offsets_not_tmk2(self, shape):
