@@ -11,17 +11,17 @@ It depends only on the grid and the sensor geometry, so it is built once
 grid) and every layer reuses it. Offsets and weights depend only on the
 query, so all of its pairs share them.
 
-``deform_attn_multi`` takes its B maps as one tensor [B,H,W,value_dim] (the
-camera backbone's V views, the one LiDAR map, or the token map [1,H,W,N] of
+``deform_attn_multi`` takes its B maps as one tensor [B,H,W,N] (the camera
+backbone's V views, the one LiDAR map, or the token map [1,H,W,N] of
 self-attention) and projects them before sampling, in one matmul with the
-block's value weight [value_dim, N], to value maps [B,H,W,N] whose channels
-are M blocks of N/M, one per head; ``tensor.deform_attend`` samples
+block's value weight [N, N], to value maps [B,H,W,N] whose channels are M
+blocks of N/M, one per head; ``tensor.deform_attend`` samples
 head m from block m only, sums the rows per query and scales each query's
 sum in one tape op. Sampling, the sum and the scale are linear and the
 value projection is linear and bias-free, so this equals projecting the
 sampled values (Deformable DETR's order) in real arithmetic; in float64 the
 two round differently, by about 1e-15 relative, and every sparse product is
-N/M wide instead of value_dim. The output projection is bias-free too, so
+N/M wide instead of N. The output projection is bias-free too, so
 "sum over pairs of per-pair outputs" equals "output projection of the scaled
 per-head sums", which is how it is evaluated: a query's scale applies before
 the output projection, as BEVFormer's spatial cross-attention divides by
@@ -78,14 +78,14 @@ class Pairs:
 class DeformAttnParams:
     """Projection weights for one deformable attention block.
 
-    value projection value_dim -> N whose columns are M blocks of N/M, one
-    per head, offset projection N -> M*K*2, weight projection N -> M*K, output
+    value projection N -> N whose columns are M blocks of N/M, one per
+    head, offset projection N -> M*K*2, weight projection N -> M*K, output
     projection N -> N. Offset and weight projections start at zero so the
     block begins as uniform attention at the reference points.
     """
 
     def __init__(self, prefix: str, heads: int, points: int, channels: int,
-                 value_dim: int, rng: np.random.Generator):
+                 rng: np.random.Generator):
         if channels % heads:
             raise ContractError(f"channels {channels} not divisible by heads {heads}")
         if points < 1:
@@ -93,16 +93,14 @@ class DeformAttnParams:
         self.heads = heads
         self.points = points
         self.channels = channels
-        self.value_dim = value_dim
         head_dim = channels // heads
         s = 1.0 / np.sqrt(channels)
-        sv = 1.0 / np.sqrt(value_dim)
         self.offset_w = Parameter(f"{prefix}.offset.weight", np.zeros((channels, heads * points * 2)))
         self.offset_b = Parameter(f"{prefix}.offset.bias", np.zeros(heads * points * 2))
         self.weight_w = Parameter(f"{prefix}.weight.weight", np.zeros((channels, heads * points)))
         self.weight_b = Parameter(f"{prefix}.weight.bias", np.zeros(heads * points))
         self.value_w = Parameter(f"{prefix}.value.weight", np.concatenate(
-            [rng.uniform(-sv, sv, (value_dim, head_dim)) for _ in range(heads)], axis=1))
+            [rng.uniform(-s, s, (channels, head_dim)) for _ in range(heads)], axis=1))
         self.out_w = Parameter(f"{prefix}.out.weight", rng.uniform(-s, s, (channels, channels)))
 
     def parameters(self) -> List[Parameter]:
@@ -115,10 +113,10 @@ class EncoderLayerParams:
     post-norm gain/shift pairs of one encoder layer."""
 
     def __init__(self, prefix: str, heads: int, points: int, channels: int,
-                 value_dim: int, rng: np.random.Generator):
+                 rng: np.random.Generator):
         self.channels = channels
-        self.self_attn = DeformAttnParams(f"{prefix}.self_attn", heads, points, channels, channels, rng)
-        self.cross_attn = DeformAttnParams(f"{prefix}.cross_attn", heads, points, channels, value_dim, rng)
+        self.self_attn = DeformAttnParams(f"{prefix}.self_attn", heads, points, channels, rng)
+        self.cross_attn = DeformAttnParams(f"{prefix}.cross_attn", heads, points, channels, rng)
         hidden = 4 * channels
         s1 = 1.0 / np.sqrt(channels)
         s2 = 1.0 / np.sqrt(hidden)
@@ -163,7 +161,7 @@ def _query_offsets_weights(queries: Tensor, params: DeformAttnParams):
 
 def deform_attn_multi(queries: Tensor, maps: Tensor, pairs: Pairs,
                       params: DeformAttnParams, sampling: Optional[Sampling] = None) -> Tensor:
-    """Deformable attention of queries [T,N] over B maps [B,H,W,value_dim],
+    """Deformable attention of queries [T,N] over B maps [B,H,W,N],
     summed per query over its pairs and scaled by the pairs' scale before
     the output projection; a query without pairs gets zeros.
     sampling is the queries' own (``_query_offsets_weights``) when a caller
@@ -195,9 +193,9 @@ def query_half(tokens: Tensor, grid_hw, self_pairs: Pairs,
     h, w = grid_hw
     t, n = tokens.shape
     if t != h * w:
-        raise ContractError(f"encoder_layer: {t} tokens != grid {h}x{w}")
+        raise ContractError(f"query_half: {t} tokens != grid {h}x{w}")
     if n != params.channels:
-        raise ShapeError(f"encoder_layer: token width {n} != layer width {params.channels}")
+        raise ShapeError(f"query_half: token width {n} != layer width {params.channels}")
     sa = deform_attn_multi(tokens, T.reshape(tokens, (1, h, w, n)), self_pairs, params.self_attn)
     g1, b1 = params.norms[0]
     x1 = T.residual_layer_norm(tokens, sa, g1.tensor, b1.tensor)
@@ -218,15 +216,3 @@ def map_half(x1: Tensor, sampling: Sampling, maps: Tensor, pairs: Pairs,
     g3, b3 = params.norms[2]
     return T.residual_layer_norm(x2, ff, g3.tensor, b3.tensor)
 
-
-def encoder_layer(tokens: Tensor, grid_hw, self_pairs: Pairs, maps: Tensor,
-                  pairs: Pairs, params: EncoderLayerParams) -> Tensor:
-    """One encoder layer over (H*W) BEV tokens: ``map_half`` of
-    ``query_half``.
-
-    tokens: [T,N]; grid_hw: (H, W) with T = H*W; self_pairs: the pairs of
-    self-attention over the token map; maps and pairs: the cross-attention
-    inputs of ``deform_attn_multi``. Post-norm residual order: self-attn,
-    cross-attn, ffn.
-    """
-    return map_half(*query_half(tokens, grid_hw, self_pairs, params), maps, pairs, params)

@@ -300,8 +300,8 @@ def matching_cost(logits: np.ndarray, boxes6: np.ndarray, targets: np.ndarray,
 
 
 def set_loss(logits: Tensor, box_raw: Tensor, gts: Sequence[GroundTruthBox],
-             spec: BEVGridSpec, lambda_cls: float = 1.0, lambda_box: float = 2.0,
-             background_weight: float = 0.1) -> Tensor:
+             spec: BEVGridSpec, lambda_cls: float, lambda_box: float,
+             background_weight: float) -> Tensor:
     """Cross-entropy over all queries (matched -> gt class, rest -> background,
     background down-weighted) plus lambda_box * L1 on matched boxes, averaged
     per scene. Empty gt list reduces to pure background classification."""

@@ -9,7 +9,7 @@ D, for the LiDAR map, whose projection drops z (``lidar_pairs``). Each
 builder folds ``normalize_by_hits`` (BEVFormer's division by the hit count)
 into that per-query scale, so no encoder layer reads the flag.
 
-Each layer is ``attention.encoder_layer``, ``map_half`` of ``query_half``.
+Each layer is ``attention.map_half`` of ``attention.query_half``.
 At inference the first layer's query half (its self-attention over the BEV
 queries, its first norm and where cross-attention samples) depends on
 parameters alone, and given the pairs and the maps' shape so do
@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import tensor as T
-from .attention import EncoderLayerParams, Pairs, Sampling, encoder_layer, map_half
+from .attention import EncoderLayerParams, Pairs, Sampling, map_half, query_half
 from .errors import ContractError
 from .geometry import BEVGridSpec, build_reference_grid, project_to_lidar
 from .tensor import Parameter, Tensor
@@ -75,8 +75,7 @@ class BEVQuerySet:
         return [seen[k] for k in sorted(seen)]
 
 
-def camera_pairs(projections: Sequence, n_queries: int,
-                 normalize_by_hits: bool = False) -> Pairs:
+def camera_pairs(projections: Sequence, n_queries: int, normalize_by_hits: bool) -> Pairs:
     """Cross-attention pairs of V camera views on their V maps, one per
     visible (view, pillar level, query): views outer, then levels, then
     queries ascending. projections[v] is view v's (uv [D,H,W,2], visible
@@ -93,7 +92,7 @@ def camera_pairs(projections: Sequence, n_queries: int,
     return Pairs(view, np.ascontiguousarray(rc), qry, len(projections), n_queries, scale)
 
 
-def lidar_pairs(refs, map_hw, normalize_by_hits: bool = False) -> Pairs:
+def lidar_pairs(refs, map_hw, normalize_by_hits: bool) -> Pairs:
     """Cross-attention pairs of the LiDAR map [H_L,W_L]: it drops z, so the D
     pillar levels of a query are one pair whose sum is scaled by D, or by
     D/D = 1 with normalize_by_hits."""
@@ -109,18 +108,18 @@ def encode_bev(queries: BEVQuerySet, modality: str, maps: Tensor, pairs: Pairs,
     """BEV feature map [H,W,N] of one modality: its queries cross-attend to
     the maps [B,H_f,W_f,N] through the pairs in every layer.
 
-    Each layer is an ``encoder_layer``, ``map_half`` of ``query_half``.
-    first_half, when given, is the first layer's (x1, sampling) of
-    ``query_half`` on these queries, kept by the caller, and the first layer
-    runs only its map half on it. It records no tape, so pass it only under
+    Each layer runs ``map_half`` on its ``query_half``. first_half, when
+    given, is the first layer's ``query_half`` on these queries, kept by the
+    caller, and stands in for it. It records no tape, so pass it only under
     ``no_grad``."""
     spec = queries.spec
     x = queries.tokens(modality)
-    for i, lp in enumerate(layers):
-        if i == 0 and first_half is not None:
-            x = map_half(*first_half, maps, pairs, lp)
-        else:
-            x = encoder_layer(x, (spec.h, spec.w), queries.self_pairs, maps, pairs, lp)
+    half = first_half
+    for lp in layers:
+        if half is None:
+            half = query_half(x, (spec.h, spec.w), queries.self_pairs, lp)
+        x = map_half(*half, maps, pairs, lp)
+        half = None
     return T.reshape(x, (spec.h, spec.w, queries.channels))
 
 
@@ -141,6 +140,6 @@ def encode_lidar_bev(queries: BEVQuerySet, feat_l: Tensor, pairs: Pairs,
 
 
 def make_encoder_layers(prefix: str, n_layers: int, heads: int, points: int,
-                        channels: int, value_dim: int, rng) -> List[EncoderLayerParams]:
-    return [EncoderLayerParams(f"{prefix}.layer{i}", heads, points, channels, value_dim, rng)
+                        channels: int, rng) -> List[EncoderLayerParams]:
+    return [EncoderLayerParams(f"{prefix}.layer{i}", heads, points, channels, rng)
             for i in range(n_layers)]

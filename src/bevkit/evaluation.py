@@ -3,13 +3,13 @@
 AP uses greedy score-descending matching: a prediction matches the nearest
 still-unmatched ground truth of its class within the radius, and the PR curve
 is integrated with all-points interpolation. mAP averages AP over classes x
-radii {0.5, 1, 2, 4} m. The summary metric is the plain mean of mAP under
+``RADII`` {0.5, 1, 2, 4} m. The summary metric is the plain mean of mAP under
 both-sensors, LiDAR-only, and camera-only input, all from one set of weights.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -35,7 +35,7 @@ def average_precision(preds: Sequence[Tuple[int, float, float, float]],
     No ground truths and no predictions is defined as 1; no ground truths with
     any prediction is 0.
     """
-    if match_radius < 0:
+    if not match_radius >= 0:  # NaN too
         raise ContractError(f"match radius must be >= 0, got {match_radius}")
     npos = sum(len(v) for v in gts.values())
     if npos == 0:
@@ -73,9 +73,10 @@ def average_precision(preds: Sequence[Tuple[int, float, float, float]],
 
 
 def mean_ap(preds_by_scene: Dict[int, Sequence[BoxPrediction]], gts_by_scene,
-            classes: Sequence[int], radii: Sequence[float] = RADII):
-    """mAP plus the per-(class, radius) AP table. Each prediction's class and
-    score come from one softmax per call, not one per class."""
+            classes: Sequence[int]):
+    """mAP plus the per-(class, radius) AP table over ``RADII``. Each
+    prediction's class and score come from one softmax per call, not one per
+    class."""
     scored = [(scene, *p.class_and_score(), p.cx, p.cy)
               for scene, ps in preds_by_scene.items() for p in ps]
     table = {}
@@ -83,7 +84,7 @@ def mean_ap(preds_by_scene: Dict[int, Sequence[BoxPrediction]], gts_by_scene,
         preds = [(scene, score, x, y) for scene, cid, score, x, y in scored if cid == c]
         gts = {scene: [(g.cx, g.cy) for g in gs if g.class_id == c]
                for scene, gs in gts_by_scene.items()}
-        for r in radii:
+        for r in RADII:
             table[(c, r)] = average_precision(preds, gts, r)
     return float(np.mean(list(table.values()))), table
 
@@ -100,7 +101,6 @@ class MetricsReport:
     map_c: float
     summary_map: float
     ap_table: Dict[str, Dict[str, float]]  # condition -> "class/radius" -> AP
-    config: dict = field(default_factory=dict)
 
     def check(self):
         expected = summary_metric(self.map_lc, self.map_l, self.map_c)
@@ -114,13 +114,12 @@ class MetricsReport:
         return {
             "map_lc": self.map_lc, "map_l": self.map_l, "map_c": self.map_c,
             "summary_map": self.summary_map, "ap_table": self.ap_table,
-            "config": self.config,
         }
 
 
-def evaluate_conditions(model, dataset, config_echo: dict | None = None,
-                        scene_indices: Sequence[int] | None = None) -> MetricsReport:
-    """Score every condition (both / L / C) with one set of weights.
+def evaluate_conditions(model, dataset) -> MetricsReport:
+    """Score every condition (both / L / C) with one set of weights over
+    every scene of the dataset; ContractError for an empty dataset.
 
     Each scene is encoded once per modality; the encoded maps are then fused
     and decoded three times, once per condition (see Detector.predict_many).
@@ -132,12 +131,14 @@ def evaluate_conditions(model, dataset, config_echo: dict | None = None,
     if dataset.params.n_classes > model.cfg.n_classes - 1:
         raise ContractError(f"dataset has {dataset.params.n_classes} object classes, the "
                             f"model's head {model.cfg.n_classes - 1}")
-    indices = list(scene_indices) if scene_indices is not None else list(range(len(dataset)))
+    if len(dataset) == 0:
+        # with no ground truths and no predictions every AP, and so every mAP, is 1
+        raise ContractError("evaluate_conditions: the dataset has no scenes")
     classes = list(range(dataset.params.n_classes))
     masks = list(CONDITIONS.values())
     preds = {name: {} for name in CONDITIONS}
     gts = {}
-    for i in indices:
+    for i in range(len(dataset)):
         sample = dataset.load(i)
         gts[i] = sample.gts
         for name, scene_preds in zip(CONDITIONS, model.predict_many(sample, masks)):
@@ -152,6 +153,6 @@ def evaluate_conditions(model, dataset, config_echo: dict | None = None,
     report = MetricsReport(
         map_lc=maps["both"], map_l=maps["lidar"], map_c=maps["camera"],
         summary_map=summary_metric(maps["both"], maps["lidar"], maps["camera"]),
-        ap_table=tables, config=config_echo or {},
+        ap_table=tables,
     )
     return report.check()

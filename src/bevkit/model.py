@@ -118,9 +118,9 @@ class Detector:
                                            rng)
         self.queries = BEVQuerySet(spec, n_enc, cfg.query_mode, rng)
         self.cam_layers = make_encoder_layers("encoder.camera", cfg.enc_layers, cfg.heads,
-                                              cfg.points, n_enc, n_enc, rng)
+                                              cfg.points, n_enc, rng)
         self.lidar_layers = make_encoder_layers("encoder.lidar", cfg.enc_layers, cfg.heads,
-                                                cfg.points, n_enc, n_enc, rng)
+                                                cfg.points, n_enc, rng)
         self.fusion_weights = FusionWeights(n_enc) if cfg.fusion == "cnw" else None
         self.decoder = DecoderParams(cfg.n_obj, cfg.channels, cfg.n_classes,
                                      cfg.dec_layers, rng)
@@ -209,9 +209,11 @@ class Detector:
         mask.validate()
         cam_bev = lidar_bev = None
         if mask.use_cam:
-            if len(sample.camera_images) != len(sample.cams):
-                raise ContractError(f"{len(sample.camera_images)} camera images for "
-                                    f"{len(sample.cams)} cameras")
+            # the pairs index feature maps of the cameras' image size
+            shape = np.shape(sample.camera_images)
+            want = {(len(sample.cams), cam.image_h, cam.image_w, 3) for cam in sample.cams}
+            if want != {shape}:
+                raise ContractError(f"camera images {shape} for cameras {sorted(want)}")
             pairs = self._rig_pairs(sample.cams)
             feats = self.cam_backbone.forward(sample.camera_images)
             half = self._first_half("camera", feats.shape, pairs, self.cam_layers[0])
@@ -248,9 +250,8 @@ class Detector:
         fused, = self.fused_maps(sample, [mask])
         tokens = T.reshape(fused, (self.spec.h * self.spec.w, self.cfg.channels))
         logits, box_raw = decode_raw(tokens, self.decoder)
-        return set_loss(logits, box_raw, sample.gts, self.spec,
-                        lambda_cls=self.cfg.lambda_cls, lambda_box=self.cfg.lambda_box,
-                        background_weight=self.cfg.background_weight)
+        return set_loss(logits, box_raw, sample.gts, self.spec, self.cfg.lambda_cls,
+                        self.cfg.lambda_box, self.cfg.background_weight)
 
     def predict(self, sample: RenderedSample, mask: ModalityMask) -> List[BoxPrediction]:
         return self.predict_many(sample, [mask])[0]

@@ -127,12 +127,12 @@ def sample_scene(rng: np.random.Generator, params: SceneParams, spec: BEVGridSpe
     return Scene(scene_id=scene_id, boxes=boxes)
 
 
-def default_rig(image_h: int = 48, image_w: int = 64, fx: float = 24.0,
-                mount_height: float = 1.6, pitch_down_deg: float = 5.0) -> List[CameraModel]:
-    """Four cameras on the ego at yaw 0/90/180/270 degrees."""
+def default_rig(image_h: int = 48, image_w: int = 64, fx: float = 24.0) -> List[CameraModel]:
+    """Four cameras 1.6 m above the ego origin at yaw 0/90/180/270 degrees,
+    pitched 5 degrees down."""
     return [
-        make_camera([0.0, 0.0, mount_height], yaw=np.deg2rad(90.0 * i),
-                    pitch_down=np.deg2rad(pitch_down_deg), fx=fx, fy=fx,
+        make_camera([0.0, 0.0, 1.6], yaw=np.deg2rad(90.0 * i),
+                    pitch_down=np.deg2rad(5.0), fx=fx, fy=fx,
                     image_h=image_h, image_w=image_w)
         for i in range(4)
     ]
@@ -209,7 +209,7 @@ def _interior_mask(box: SceneBox, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 def render_lidar(scene: Scene, spec: BEVGridSpec, lidar_shape: Tuple[int, int],
                  rng: np.random.Generator, sigma_lidar: float,
-                 drop_full_range: float = 40.0) -> np.ndarray:
+                 drop_full_range: float) -> np.ndarray:
     """Occupancy + height grid with range-dependent cell dropout.
 
     Cells inside a footprint survive with probability 1 - min(0.8, r/range);

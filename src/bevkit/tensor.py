@@ -333,14 +333,11 @@ def absval(a: Tensor) -> Tensor:
     return _make(data, "abs", (a,), vjp)
 
 
-def tsum(a: Tensor, axis: int | None = None) -> Tensor:
-    data = a.data.sum(axis=axis)
+def tsum(a: Tensor) -> Tensor:
+    data = a.data.sum()
 
     def vjp(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.shape).copy(), own=True)
-        else:
-            _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.shape).copy(), own=True)
+        _accum(a, np.broadcast_to(g, a.shape).copy(), own=True)
 
     return _make(data, "sum", (a,), vjp)
 
@@ -558,10 +555,9 @@ def log_softmax_lastaxis(x: Tensor) -> Tensor:
     return _make(data, "log_softmax", (x,), vjp)
 
 
-def residual_layer_norm(x: Tensor, y: Tensor, gain: Tensor, shift: Tensor,
-                        eps: float = 1e-5) -> Tensor:
+def residual_layer_norm(x: Tensor, y: Tensor, gain: Tensor, shift: Tensor) -> Tensor:
     """Post-norm residual: the sum x + y normalized over its last axis to zero
-    mean and unit variance, then gain*xhat + shift.
+    mean and unit variance (eps 1e-5), then gain*xhat + shift.
 
     One tape op for the composition of an add and a layer norm, with the
     same expressions in the same order, so the same bits. The sum is formed
@@ -579,7 +575,7 @@ def residual_layer_norm(x: Tensor, y: Tensor, gain: Tensor, shift: Tensor,
     xhat = x.data + y.data  # the sum, centred and then scaled in place
     xhat -= xhat.mean(axis=-1, keepdims=True)
     var = (xhat * xhat).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat *= inv
     data = xhat * gain.data
     data += shift.data

@@ -83,3 +83,11 @@ def grid_pairs(h, w):
 
     r, c = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     return Pairs.one_map(np.stack([r.reshape(-1), c.reshape(-1)], axis=1).astype(np.float64))
+
+
+def encoder_layer(tokens, grid_hw, self_pairs, maps, pairs, params):
+    """One encoder layer over (H*W) tokens, as ``encoders.encode_bev`` runs
+    it: ``map_half`` of ``query_half``."""
+    from bevkit.attention import map_half, query_half
+
+    return map_half(*query_half(tokens, grid_hw, self_pairs, params), maps, pairs, params)

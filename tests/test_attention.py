@@ -11,18 +11,17 @@ from bevkit.attention import (
     EncoderLayerParams,
     Pairs,
     deform_attn_multi,
-    encoder_layer,
 )
 from bevkit.errors import ContractError, ShapeError
 from bevkit.tensor import Tensor, backward
 
 import backward_reference as ref
-from helpers import check_grads, grid_pairs, source_pairs
+from helpers import check_grads, encoder_layer, grid_pairs, source_pairs
 from naive_reference import bilinear_scalar, deform_attn_naive, scatter_rows_naive
 
 
-def make_params(rng, heads=2, points=2, channels=4, value_dim=4, randomize=True):
-    p = DeformAttnParams("t", heads, points, channels, value_dim, rng)
+def make_params(rng, heads=2, points=2, channels=4, randomize=True):
+    p = DeformAttnParams("t", heads, points, channels, rng)
     if randomize:
         # exercise nontrivial offsets and weights
         p.offset_w.tensor.data[:] = rng.uniform(-0.5, 0.5, p.offset_w.tensor.shape)
@@ -51,7 +50,7 @@ def single(queries, refs, feat, p, valid=None):
 class TestDeformAttn:
     def test_degenerate_is_plain_sampling(self):
         rng = np.random.default_rng(0)
-        p = DeformAttnParams("t", heads=1, points=1, channels=3, value_dim=3, rng=rng)
+        p = DeformAttnParams("t", heads=1, points=1, channels=3, rng=rng)
         p.value_w.tensor.data[:] = np.eye(3)
         p.out_w.tensor.data[:] = np.eye(3)
         feat = rng.standard_normal((5, 5, 3))
@@ -151,7 +150,7 @@ class TestDeformAttn:
         """Over two maps [2,H,W,C]: each query samples both, one with a
         visibility mask."""
         rng = np.random.default_rng(seed + 80)
-        p = make_params(rng, heads=2, points=2, channels=4, value_dim=4)
+        p = make_params(rng, heads=2, points=2, channels=4)
         feat0 = rng.standard_normal((2, 4, 4, 4))
         queries0 = rng.standard_normal((3, 4)) * 0.3
         pairs = source_pairs(
@@ -185,15 +184,15 @@ class TestValueProjectionBeforeSampling:
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_sample_then_project(self, heads, seed):
         rng = np.random.default_rng(seed + 500)
-        p = make_params(rng, heads=heads, points=3, channels=8, value_dim=5)
+        p = make_params(rng, heads=heads, points=3, channels=8)
         # distinct per head, and away from the init draw
         p.value_w.tensor.data[:] = rng.standard_normal(p.value_w.tensor.shape)
         head0, head1 = np.hsplit(p.value_w.tensor.data, heads)[:2]
         assert not np.allclose(head0, head1)
         t = 7
         queries = rng.standard_normal((t, 8))
-        shared = rng.standard_normal((5, 6, 5))
-        other = rng.standard_normal((5, 6, 5))
+        shared = rng.standard_normal((5, 6, 8))
+        other = rng.standard_normal((5, 6, 8))
         # one map sampled by three sources with different refs and visibilities,
         # each query's sum scaled by its own scale
         sources = [
@@ -370,9 +369,8 @@ def test_lone_source_skips_the_sum_bitexact(seed, mult):
         assert a.tobytes() == b.tobytes()
 
 class TestEncoderLayer:
-    def make_layer(self, rng, channels=4, value_dim=4):
-        return EncoderLayerParams("layer", heads=2, points=2, channels=channels,
-                                  value_dim=value_dim, rng=rng)
+    def make_layer(self, rng):
+        return EncoderLayerParams("layer", heads=2, points=2, channels=4, rng=rng)
 
     def test_shape_preserved(self):
         rng = np.random.default_rng(10)

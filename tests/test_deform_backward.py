@@ -406,7 +406,7 @@ def test_deform_attn_multi_matches_reference(seed, monkeypatch):
     """Several sources, one empty, one map sampled by two, queries seen by
     many, each query's sum scaled."""
     rng = np.random.default_rng(seed + 80)
-    p = DeformAttnParams("t", 2, 2, 4, 4, rng)
+    p = DeformAttnParams("t", 2, 2, 4, rng)
     p.offset_w.tensor.data[:] = rng.uniform(-0.5, 0.5, p.offset_w.tensor.shape)
     p.offset_b.tensor.data[:] = rng.uniform(-0.5, 0.5, p.offset_b.tensor.shape)
     p.weight_w.tensor.data[:] = rng.uniform(-1, 1, p.weight_w.tensor.shape)

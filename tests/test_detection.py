@@ -24,6 +24,7 @@ from helpers import check_grads
 from naive_reference import hungarian_brute_force
 
 SPEC = BEVGridSpec(h=4, w=4, d=2, extent=(-8, 8, -8, 8), z_range=(-0.5, 1.5))
+WEIGHTS = (1.0, 2.0, 0.1)  # lambda_cls, lambda_box, background_weight, as in ModelConfig
 
 
 class TestHungarian:
@@ -147,12 +148,12 @@ class TestSetLoss:
             box_raw[j, 5] = math.cos(g.yaw)
             logits[j] = -20.0
             logits[j, g.class_id] = 20.0
-        loss = set_loss(Tensor(logits), Tensor(box_raw), gts, SPEC)
+        loss = set_loss(Tensor(logits), Tensor(box_raw), gts, SPEC, *WEIGHTS)
         assert loss.item() < 0.01
 
     def test_empty_gt_is_background_ce(self):
         logits = np.zeros((3, 4))
-        loss = set_loss(Tensor(logits), Tensor(np.zeros((3, 6))), [], SPEC)
+        loss = set_loss(Tensor(logits), Tensor(np.zeros((3, 6))), [], SPEC, *WEIGHTS)
         # uniform logits: -log(1/4) on every query, weights cancel in the mean
         assert abs(loss.item() - math.log(4.0)) < 1e-12
 
@@ -171,7 +172,7 @@ class TestSetLoss:
             [-0.6, 0.3, 0.0, 0.3, 0.4, 0.8],
             [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
         ])
-        loss = set_loss(Tensor(logits), Tensor(box_raw), gts, SPEC).item()
+        loss = set_loss(Tensor(logits), Tensor(box_raw), gts, SPEC, *WEIGHTS).item()
 
         # --- oracle: plain python/numpy, no package code ---
         def soft(v):
@@ -224,9 +225,10 @@ class TestSetLoss:
                GroundTruthBox(-2.0, 4.0, 1.0, 2.0, -0.4, class_id)]
         logits = np.zeros((4, 4))
         with pytest.raises(ContractError):
-            set_loss(Tensor(logits), Tensor(np.zeros((4, 6))), gts, SPEC)
+            set_loss(Tensor(logits), Tensor(np.zeros((4, 6))), gts, SPEC, *WEIGHTS)
         gts[1].class_id = 2
-        assert np.isfinite(set_loss(Tensor(logits), Tensor(np.zeros((4, 6))), gts, SPEC).item())
+        loss = set_loss(Tensor(logits), Tensor(np.zeros((4, 6))), gts, SPEC, *WEIGHTS)
+        assert np.isfinite(loss.item())
 
     def test_nonnegative_and_gt_permutation_invariant(self):
         rng = np.random.default_rng(5)
@@ -235,8 +237,8 @@ class TestSetLoss:
                GroundTruthBox(5.0, -5.0, 1.5, 1.5, 1.2, 2)]
         logits = rng.standard_normal((6, 4))
         box_raw = rng.standard_normal((6, 6))
-        a = set_loss(Tensor(logits), Tensor(box_raw), gts, SPEC).item()
-        b = set_loss(Tensor(logits), Tensor(box_raw), gts[::-1], SPEC).item()
+        a = set_loss(Tensor(logits), Tensor(box_raw), gts, SPEC, *WEIGHTS).item()
+        b = set_loss(Tensor(logits), Tensor(box_raw), gts[::-1], SPEC, *WEIGHTS).item()
         assert a >= 0.0
         assert abs(a - b) < 1e-12
 
@@ -253,6 +255,6 @@ class TestSetLoss:
                 p.tensor = t
             tokens = T.reshape(ts[0], (4, 4))
             logits, box_raw = decode_raw(tokens, params)
-            return set_loss(logits, box_raw, gts, SPEC)
+            return set_loss(logits, box_raw, gts, SPEC, *WEIGHTS)
 
         check_grads(build, leaves)

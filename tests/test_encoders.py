@@ -21,7 +21,7 @@ from bevkit.optim import Adam
 from bevkit.synthscene import default_rig
 from bevkit.tensor import Tensor, backward
 
-from helpers import check_grads
+from helpers import check_grads, encoder_layer
 from naive_reference import camera_pairs_naive
 
 
@@ -33,8 +33,8 @@ def make_setup(seed=0, channels=4, mode="shared", n_layers=2, h=4, w=4, d=2):
     rng = np.random.default_rng(seed)
     spec = small_spec(h, w, d)
     queries = BEVQuerySet(spec, channels, mode, rng)
-    layers = make_encoder_layers("enc", n_layers, heads=2, points=2,
-                                 channels=channels, value_dim=channels, rng=rng)
+    layers = make_encoder_layers("enc", n_layers, heads=2, points=2, channels=channels,
+                                 rng=rng)
     return rng, spec, queries, layers
 
 
@@ -55,9 +55,9 @@ class TestUniformity:
     def test_lidar_source_through_camera_modality_matches_lidar_bitexact(self):
         rng, spec, queries, layers = make_setup(seed=1)
         feat = Tensor(rng.standard_normal((1, spec.h, spec.w, 4)))
-        via_camera = encode_bev(queries, "camera", feat, lidar_pairs(queries.refs, (4, 4)),
-                                layers)
-        via_lidar = encode_lidar_bev(queries, feat, lidar_pairs(queries.refs, (4, 4)), layers)
+        pairs = lidar_pairs(queries.refs, (4, 4), False)
+        via_camera = encode_bev(queries, "camera", feat, pairs, layers)
+        via_lidar = encode_lidar_bev(queries, feat, pairs, layers)
         assert np.array_equal(via_camera.data, via_lidar.data)
 
     @pytest.mark.parametrize("d", [2, 4])
@@ -85,7 +85,7 @@ class TestUniformity:
         rng, spec, queries, layers = make_setup(seed=2, d=2)
         views = [front_camera(queries, yaw) for yaw in (0.0, 0.5, 1.0)]
         t = spec.h * spec.w
-        pairs = camera_pairs(views, t)
+        pairs = camera_pairs(views, t, False)
         assert_pairs_equal_oracle(pairs, views, t)
         assert len(np.unique(pairs.map_idx)) == len(views)
         feats = rng.standard_normal((len(views), 6, 8, 4))
@@ -96,17 +96,18 @@ class TestUniformity:
         rng, spec, queries, layers = make_setup(seed=2)
         cam_feat = Tensor(rng.standard_normal((1, 6, 8, 4)))
         lidar_feat = Tensor(rng.standard_normal((1, 7, 9, 4)))  # resolution differs from grid
-        pairs = camera_pairs([front_camera(queries)], spec.h * spec.w)
+        pairs = camera_pairs([front_camera(queries)], spec.h * spec.w, False)
         out_c = encode_camera_bev(queries, cam_feat, pairs, layers)
-        out_l = encode_lidar_bev(queries, lidar_feat, lidar_pairs(queries.refs, (7, 9)), layers)
+        out_l = encode_lidar_bev(queries, lidar_feat, lidar_pairs(queries.refs, (7, 9), False),
+                                 layers)
         assert out_c.shape == (spec.h, spec.w, 4)
         assert out_l.shape == (spec.h, spec.w, 4)
 
     def test_no_views_is_contract_error(self):
         _, spec, queries, layers = make_setup(seed=3)
         with pytest.raises(ContractError):
-            camera_pairs([], spec.h * spec.w)
-        pairs = camera_pairs([front_camera(queries)], spec.h * spec.w)
+            camera_pairs([], spec.h * spec.w, False)
+        pairs = camera_pairs([front_camera(queries)], spec.h * spec.w, False)
         with pytest.raises(ContractError):
             encode_camera_bev(queries, Tensor(np.zeros((0, 6, 8, 4))), pairs, layers)
 
@@ -116,31 +117,32 @@ class TestUniformity:
         proj = lidar_as_camera(queries, (spec.h, spec.w))
         feats = Tensor(rng.standard_normal((2, spec.h, spec.w, 5)))
         with pytest.raises(ShapeError):
-            encode_camera_bev(queries, feats, camera_pairs([proj, proj], spec.h * spec.w), layers)
+            encode_camera_bev(queries, feats, camera_pairs([proj, proj], spec.h * spec.w, False),
+                              layers)
 
     def test_entry_points_are_encode_bev(self):
         rng, spec, queries, layers = make_setup(seed=3, mode="separate")
-        pairs = camera_pairs([front_camera(queries)], spec.h * spec.w)
+        pairs = camera_pairs([front_camera(queries)], spec.h * spec.w, False)
         feat = Tensor(rng.standard_normal((1, 6, 8, 4)))
         assert np.array_equal(encode_camera_bev(queries, feat, pairs, layers).data,
                               encode_bev(queries, "camera", feat, pairs, layers).data)
         lidar_feat = Tensor(rng.standard_normal((1, 7, 9, 4)))
-        lidar = lidar_pairs(queries.refs, (7, 9))
+        lidar = lidar_pairs(queries.refs, (7, 9), False)
         assert np.array_equal(encode_lidar_bev(queries, lidar_feat, lidar, layers).data,
                               encode_bev(queries, "lidar", lidar_feat, lidar, layers).data)
 
     def test_lidar_pairs_are_one_per_query_scaled_by_d(self):
         _, spec, queries, _ = make_setup(seed=3, d=3)
-        pairs = lidar_pairs(queries.refs, (7, 9))
+        pairs = lidar_pairs(queries.refs, (7, 9), False)
         rc = project_to_lidar(queries.refs, (7, 9))
         t = spec.h * spec.w
         assert np.array_equal(pairs.qry_idx, np.arange(t)) and pairs.n_maps == 1
         assert pairs.base_pts.tobytes() == rc[0].reshape(t, 2).tobytes()
         assert np.array_equal(pairs.scale, np.full(t, 3.0))
         # normalized, the sum is divided by its D hits: D/D = 1
-        assert lidar_pairs(queries.refs, (7, 9), normalize_by_hits=True).scale is None
+        assert lidar_pairs(queries.refs, (7, 9), True).scale is None
         _, _, queries, _ = make_setup(seed=3, d=1)
-        assert lidar_pairs(queries.refs, (7, 9)).scale is None
+        assert lidar_pairs(queries.refs, (7, 9), False).scale is None
 
 
 def assert_pairs_equal_oracle(pairs, projections, t):
@@ -149,7 +151,7 @@ def assert_pairs_equal_oracle(pairs, projections, t):
     pairs (at least 1)."""
     map_idx, base, qry, hits = camera_pairs_naive(projections, t)
     scale = 1.0 / np.maximum(hits, 1.0)
-    normalized = camera_pairs(projections, t, normalize_by_hits=True)
+    normalized = camera_pairs(projections, t, True)
     for got, want in [(pairs.map_idx, map_idx), (pairs.base_pts, base), (pairs.qry_idx, qry),
                       (normalized.qry_idx, qry), (normalized.scale, scale)]:
         assert got.dtype == want.dtype and got.shape == want.shape
@@ -167,7 +169,7 @@ def test_camera_pairs_of_the_default_rig_match_the_loop_oracle(rig):
     if rig == "empty_view":
         cams[1] = make_camera([100.0, 0, 1.6], 0.0, 0.0, fx=12, fy=12, image_h=24, image_w=32)
     projections = [project_to_camera(build_reference_grid(spec), cam) for cam in cams]
-    pairs = camera_pairs(projections, spec.h * spec.w)
+    pairs = camera_pairs(projections, spec.h * spec.w, False)
     assert_pairs_equal_oracle(pairs, projections, spec.h * spec.w)
     assert (1 in pairs.map_idx) == (rig == "default")
     assert pairs.qry_idx.size > 1000
@@ -188,8 +190,8 @@ class TestCrossAttentionStructure:
         lp.cross_attn.value_w.tensor.data[:] = np.eye(4)
         lp.cross_attn.out_w.tensor.data[:] = np.eye(4)
         feat = rng.standard_normal((1, spec.h, spec.w, 4))
-        cross = cross_term(queries, Tensor(feat), lidar_pairs(queries.refs, feat.shape[1:3]),
-                           layers)
+        cross = cross_term(queries, Tensor(feat),
+                           lidar_pairs(queries.refs, feat.shape[1:3], False), layers)
         assert np.allclose(cross, feat.reshape(-1, 4), atol=1e-12)
 
     def test_two_views_double_one_view(self):
@@ -198,9 +200,9 @@ class TestCrossAttentionStructure:
         proj = lidar_as_camera(queries, (spec.h, spec.w))
         feat = rng.standard_normal((spec.h, spec.w, 4))
         t = spec.h * spec.w
-        one = cross_term(queries, Tensor(feat[None]), camera_pairs([proj], t), layers)
-        two = cross_term(queries, Tensor(np.stack([feat, feat])), camera_pairs([proj, proj], t),
-                         layers)
+        one = cross_term(queries, Tensor(feat[None]), camera_pairs([proj], t, False), layers)
+        two = cross_term(queries, Tensor(np.stack([feat, feat])),
+                         camera_pairs([proj, proj], t, False), layers)
         assert np.array_equal(two, 2.0 * one)
 
     def test_fully_invisible_cell_contributes_zero(self):
@@ -208,24 +210,21 @@ class TestCrossAttentionStructure:
         # camera looking away from the whole grid -> nothing visible
         cam = make_camera([100.0, 0, 1.6], 0.0, 0.0, fx=3, fy=3, image_h=6, image_w=8)
         feat = Tensor(rng.standard_normal((1, 6, 8, 4)))
-        pairs = camera_pairs([project_to_camera(queries.refs, cam)], spec.h * spec.w)
+        pairs = camera_pairs([project_to_camera(queries.refs, cam)], spec.h * spec.w, False)
         assert pairs.qry_idx.size == 0
         assert np.array_equal(cross_term(queries, feat, pairs, layers),
                               np.zeros((spec.h * spec.w, 4)))
 
-    def test_normalize_by_hits_default_off(self):
+    def test_normalize_by_hits_divides_by_the_hit_count(self):
         rng, spec, queries, layers = make_setup(seed=7, n_layers=1)
         proj = lidar_as_camera(queries, (spec.h, spec.w))
         feat = Tensor(rng.standard_normal((1, spec.h, spec.w, 4)))
         t = spec.h * spec.w
         # D=2 levels x 2 views = 4 hits per cell, which normalize_by_hits divides by
-        assert np.array_equal(camera_pairs([proj, proj], t, normalize_by_hits=True).scale,
-                              np.full(t, 0.25))
-        plain = encode_camera_bev(queries, feat, camera_pairs([proj], t), layers).data
-        assert np.array_equal(plain, encode_camera_bev(
-            queries, feat, camera_pairs([proj], t, normalize_by_hits=False), layers).data)
+        assert np.array_equal(camera_pairs([proj, proj], t, True).scale, np.full(t, 0.25))
+        plain = encode_camera_bev(queries, feat, camera_pairs([proj], t, False), layers).data
         assert not np.array_equal(plain, encode_camera_bev(
-            queries, feat, camera_pairs([proj], t, normalize_by_hits=True), layers).data)
+            queries, feat, camera_pairs([proj], t, True), layers).data)
 
 
 def test_camera_cross_attention_samples_each_view_map_once(monkeypatch):
@@ -245,7 +244,7 @@ def test_camera_cross_attention_samples_each_view_map_once(monkeypatch):
         return attend(feats, map_idx, base_pts, offsets, attn, qry_idx, scale, blocks)
 
     monkeypatch.setattr(T, "deform_attend", spy)
-    encode_camera_bev(queries, feats, camera_pairs(views, spec.h * spec.w), layers)
+    encode_camera_bev(queries, feats, camera_pairs(views, spec.h * spec.w, False), layers)
     # per layer: self-attention over the token map, then cross-attention
     t = spec.h * spec.w
     assert calls == [(1, t), (len(views), visible)] * len(layers)
@@ -267,7 +266,7 @@ class TestQuerySharing:
         cam = front_camera(queries)
         feat = Tensor(rng.standard_normal((1, 6, 8, 4)))
         before = queries.tokens("lidar").data.copy()
-        out = encode_camera_bev(queries, feat, camera_pairs([cam], spec.h * spec.w), layers)
+        out = encode_camera_bev(queries, feat, camera_pairs([cam], spec.h * spec.w, False), layers)
         backward(T.tsum(T.sigmoid(out)))
         Adam(queries.parameters(), lr=1e-2).step()
         after = queries.tokens("lidar").data
@@ -278,7 +277,7 @@ class TestQuerySharing:
         cam = front_camera(queries)
         feat = Tensor(rng.standard_normal((1, 6, 8, 4)))
         before = queries.tokens("lidar").data.copy()
-        out = encode_camera_bev(queries, feat, camera_pairs([cam], spec.h * spec.w), layers)
+        out = encode_camera_bev(queries, feat, camera_pairs([cam], spec.h * spec.w, False), layers)
         backward(T.tsum(T.sigmoid(out)))
         Adam(queries.parameters(), lr=1e-2).step()
         assert np.array_equal(before, queries.tokens("lidar").data)
@@ -301,7 +300,8 @@ def test_fd_gradient_through_lidar_encoder():
         qparam.tensor = ts[1]
         for prm, t in zip(lp.parameters(), ts[2:]):
             prm.tensor = t
-        out = encode_lidar_bev(queries, feat, lidar_pairs(queries.refs, feat.shape[1:3]), layers)
+        out = encode_lidar_bev(queries, feat, lidar_pairs(queries.refs, feat.shape[1:3], False),
+                               layers)
         return T.tsum(T.sigmoid(out))
 
     check_grads(build, leaves)
@@ -345,15 +345,13 @@ class TestTapeStructure:
         lidar_feat = Tensor(rng.standard_normal((1, 32, 32, n)), requires_grad=True)
         return det, {
             "camera": (det.cam_layers[0], cam_feats,
-                       camera_pairs(projections, det.spec.h * det.spec.w)),
+                       camera_pairs(projections, det.spec.h * det.spec.w, False)),
             "lidar": (det.lidar_layers[0], lidar_feat,
-                      lidar_pairs(det.queries.refs, (32, 32))),
+                      lidar_pairs(det.queries.refs, (32, 32), False)),
         }
 
     @pytest.mark.parametrize("modality", ["camera", "lidar"])
     def test_encoder_layer_ops(self, layer_inputs, modality):
-        from bevkit.attention import encoder_layer
-
         det, inputs = layer_inputs
         layer, maps, pairs = inputs[modality]
         spec = det.spec

@@ -10,6 +10,7 @@ from bevkit.detection import BoxPrediction, GroundTruthBox
 from bevkit.errors import ContractError
 from bevkit.evaluation import (
     CONDITIONS,
+    RADII,
     MetricsReport,
     average_precision,
     evaluate_conditions,
@@ -107,8 +108,8 @@ def test_each_modality_encoded_once_per_scene(dataset, monkeypatch):
                         counting("camera", model_mod.encode_camera_bev))
     monkeypatch.setattr(model_mod, "encode_lidar_bev",
                         counting("lidar", model_mod.encode_lidar_bev))
-    evaluate_conditions(det, dataset, scene_indices=[0, 1, 2])
-    assert calls == {"camera": 3, "lidar": 3}
+    evaluate_conditions(det, dataset)
+    assert calls == {"camera": len(dataset), "lidar": len(dataset)}
 
 
 def test_predict_many_rejects_bad_masks(dataset):
@@ -126,7 +127,17 @@ def test_more_dataset_classes_than_head_is_contract_error(dataset):
                       n_classes=3, cam_hidden=(4, 4), lidar_hidden=(4, 4))
     det = Detector(cfg, dataset.spec, np.random.default_rng(1))
     with pytest.raises(ContractError):
-        evaluate_conditions(det, dataset, scene_indices=[0])
+        evaluate_conditions(det, dataset)
+
+
+def test_empty_dataset_is_contract_error(tmp_path):
+    """With no scenes, every class has no ground truths and no predictions,
+    whose AP is 1: the report would read mAP 1 under every condition."""
+    spec = BEVGridSpec(h=8, w=8, d=2)
+    empty = generate_dataset(tmp_path / "empty", 0, 0, SceneParams(), spec, lidar_shape=(8, 8),
+                             image_h=12, image_w=16, fx=6.0)
+    with pytest.raises(ContractError, match="no scenes"):
+        evaluate_conditions(tiny_detector(spec, "cnw", "shared"), empty)
 
 
 def test_report_check_raises_on_inconsistent_summary():
@@ -157,6 +168,11 @@ class TestAveragePrecision:
         # index order: FP, TP, TP -> precision 1/2 then 2/3 at recall 0.5, 1.0;
         # the envelope lifts the first step to 2/3
         assert average_precision(preds, gts, 0.5) == pytest.approx(2.0 / 3.0, rel=1e-15)
+
+    @pytest.mark.parametrize("radius", [-0.5, float("nan")])
+    def test_negative_or_nan_radius_is_contract_error(self, radius):
+        with pytest.raises(ContractError, match="match radius"):
+            average_precision([(0, 0.9, 0.0, 0.0)], {0: [(0.0, 0.0)]}, radius)
 
     def test_no_ground_truths(self):
         assert average_precision([], {0: [], 1: []}, 1.0) == 1.0
@@ -218,7 +234,7 @@ def test_mean_ap_matches_loop_oracle(seed):
             logits = np.zeros(4)
             logits[c] = np.log(3.0 * score / (1.0 - score))  # softmax puts `score` on c
             preds_by_scene[s].append(BoxPrediction(x, y, 2.0, 4.0, 0.0, logits))
-    m, table = mean_ap(preds_by_scene, gts_by_scene, [0, 1, 2], ORACLE_RADII)
+    m, table = mean_ap(preds_by_scene, gts_by_scene, [0, 1, 2])
     scored = {s: [(*class_and_score_of(p.class_logits), p) for p in ps]
               for s, ps in preds_by_scene.items()}
     for c in (0, 1, 2):
@@ -226,7 +242,7 @@ def test_mean_ap_matches_loop_oracle(seed):
                      for j, score, p in ps if j == c]
         cls_gts = {s: [(g.cx, g.cy) for g in gs if g.class_id == c]
                    for s, gs in gts_by_scene.items()}
-        for r in ORACLE_RADII:
+        for r in RADII:
             assert table[(c, r)] == average_precision_naive(cls_preds, cls_gts, r)
     assert m == pytest.approx(sum(table.values()) / len(table), rel=1e-15)
 

@@ -14,6 +14,7 @@ from bevkit.geometry import (
     project_to_camera,
     project_to_lidar,
 )
+from bevkit.synthscene import default_rig
 
 
 INF, NAN = float("inf"), float("nan")
@@ -161,6 +162,20 @@ class TestCameraProjection:
             u2 = cam.fx * pc[0] / pc[2] + cam.cx
             v2 = cam.fy * pc[1] / pc[2] + cam.cy
             assert abs(u2 - u) < 1e-9 and abs(v2 - v) < 1e-9
+
+    def test_default_rig_geometry(self):
+        """Four cameras 1.6 m above the ego origin, looking along yaw
+        0/90/180/270 degrees, each pitched 5 degrees down."""
+        rig = default_rig()
+        assert len(rig) == 4
+        for i, cam in enumerate(rig):
+            rot, t = cam.world_to_cam[:3, :3], cam.world_to_cam[:3, 3]
+            assert np.allclose(-rot.T @ t, [0.0, 0.0, 1.6], rtol=0, atol=1e-12)
+            axis = rot[2]  # the optical axis, camera +z, in world coordinates
+            yaw = np.deg2rad(90.0 * i)
+            assert np.allclose(axis[:2] / np.hypot(*axis[:2]), [np.cos(yaw), np.sin(yaw)],
+                               rtol=0, atol=1e-12)
+            assert np.rad2deg(np.arcsin(-axis[2])) == pytest.approx(5.0, rel=0, abs=1e-9)
 
     def test_rotation_validation(self):
         bad = np.eye(4)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from bevkit.synthscene import RenderedSample, default_rig
 # a change to any of them breaks every existing checkpoint and shows here.
 DEFAULT_INIT_SHA256 = "509e77c195dfa108f1694cd4e3b207706b12497494cf4b98fe4a72dd8688cace"
 # the same digest of the layout with one value weight per head,
-# "{block}.value{m}.weight" [value_dim, N/M], in place of each block's one
-# "{block}.value.weight" [value_dim, N]
+# "{block}.value{m}.weight" [N, N/M], in place of each block's one
+# "{block}.value.weight" [N, N]
 PER_HEAD_VALUE_INIT_SHA256 = "8b7ece11f59f7b96c572083f984bd7d7d0ea240d59127fe1de544a7c94bf455b"
 
 
@@ -260,13 +261,21 @@ def test_a_camera_moved_in_place_gets_new_camera_pairs():
     assert after[0][MASKS.index(CAMERA)] != before[0][MASKS.index(CAMERA)]
 
 
-@pytest.mark.parametrize("n_images", [3, 5])
+@pytest.mark.parametrize("shape", [(3, 12, 16, 3), (5, 12, 16, 3), (4, 6, 8, 3),
+                                   (4, 24, 16, 3), (4, 12, 32, 3), (4, 12, 16, 1)],
+                         ids=lambda shape: (str(shape[0]) if shape[1:] == (12, 16, 3)
+                                            else "x".join(map(str, shape))))
 @pytest.mark.parametrize("grad", [True, False], ids=["tape", "no_grad"])
-def test_camera_images_of_another_count_than_the_rig_are_contract_error(n_images, grad):
+def test_camera_images_of_another_count_than_the_rig_are_contract_error(shape, grad):
+    """Camera images other than [V, image_h, image_w, 3] for the rig's 4
+    cameras of 12x16 raise ContractError before the backbone runs: the pairs
+    address feature maps of the cameras' size."""
     det = noisy_detector()
+    det.cam_backbone.forward = None  # a call raises TypeError, not ContractError
     rig = cache_rig()
-    sample = RenderedSample(0, np.zeros((n_images, 12, 16, 3)), np.zeros((8, 8, 2)), [], rig)
-    with pytest.raises(ContractError, match=f"{n_images} camera images for 4 cameras"):
+    sample = RenderedSample(0, np.zeros(shape), np.zeros((8, 8, 2)), [], rig)
+    with pytest.raises(ContractError, match=re.escape(f"camera images {shape} for cameras "
+                                                      f"[(4, 12, 16, 3)]")):
         if grad:
             det.loss(sample, CAMERA)
         else:
@@ -546,7 +555,7 @@ def test_first_half_keys_on_the_maps_shape(builds):
     from bevkit.tensor import Tensor
 
     det = noisy_detector()
-    pairs = lidar_pairs(det.queries.refs, (4, 4))
+    pairs = lidar_pairs(det.queries.refs, (4, 4), False)
     rng = np.random.default_rng(13)
     for hw in [(4, 4), (5, 6), (4, 4)]:
         feat = Tensor(rng.standard_normal((1, *hw, det.cfg.encoder_channels)))

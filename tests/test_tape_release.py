@@ -205,12 +205,16 @@ def test_default_encoder_layers_record_no_unfused_ops(default_setup, monkeypatch
     det, sample = default_setup
     if normalize_by_hits:
         det = Detector(ModelConfig(normalize_by_hits=True), det.spec, np.random.default_rng(0))
-    real = encoders.encoder_layer
-    layer_ops = []
+    real_query, real_map = encoders.query_half, encoders.map_half
+    layer_tokens, layer_ops = [], []
 
-    def spy(tokens, grid_hw, self_pairs, maps, pairs, params):
-        before = {id(t) for t in reachable([tokens, maps])}
-        out = real(tokens, grid_hw, self_pairs, maps, pairs, params)
+    def query_spy(tokens, *args):
+        layer_tokens.append(tokens)
+        return real_query(tokens, *args)
+
+    def map_spy(x1, sampling, maps, pairs, params):
+        before = {id(t) for t in reachable([layer_tokens[-1], maps])}
+        out = real_map(x1, sampling, maps, pairs, params)
         ops = {}
         for t in reachable([out], before):
             if t.node is not None:
@@ -218,9 +222,10 @@ def test_default_encoder_layers_record_no_unfused_ops(default_setup, monkeypatch
         layer_ops.append(ops)
         return out
 
-    monkeypatch.setattr(encoders, "encoder_layer", spy)
+    monkeypatch.setattr(encoders, "query_half", query_spy)
+    monkeypatch.setattr(encoders, "map_half", map_spy)
     det.loss(sample, BOTH)
-    assert len(layer_ops) == 2 * det.cfg.enc_layers
+    assert len(layer_ops) == len(layer_tokens) == 2 * det.cfg.enc_layers
     for ops in layer_ops:
         assert ops["deform_attend"] == 2
         assert ops["residual_layer_norm"] == 3 and ops["ffn"] == 1

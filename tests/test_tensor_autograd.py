@@ -297,7 +297,9 @@ FD_CASES = {
     "abs": lambda ts: T.tsum(T.absval(ts[0])),
     # a mean as the package takes one: a sum scaled by 1/n
     "mean": lambda ts: T.mul(T.tsum(T.mul(ts[0], ts[0])), Tensor(1.0 / ts[0].data.size)),
-    "sum_axis": lambda ts: T.tsum(T.sigmoid(T.tsum(ts[0], axis=0))),
+    # a sum over axis 0 as the package takes one: a ones row times the rows
+    "sum_axis": lambda ts: T.tsum(T.sigmoid(T.matmul(
+        Tensor(np.ones((1, ts[0].shape[0]))), T.reshape(ts[0], (ts[0].shape[0], -1))))),
     "softmax": lambda ts: T.tsum(T.mul(T.softmax_lastaxis(ts[0]), ts[1])),
     "log_softmax": lambda ts: T.tsum(T.mul(T.log_softmax_lastaxis(ts[0]), ts[1])),
 }
