@@ -22,6 +22,12 @@ backward. Each runs the expressions of the composition it replaces in the
 same order, so outputs and grads keep their bits. A vjp computes no grad for
 a parent that does not require one.
 
+What a vjp can rebuild bit for bit from little is rebuilt rather than kept:
+a ``deform_attend`` that needs attention or offset grads keeps of its corner
+tables only the int32 corner indices and, per axis, the in-range masks and
+the fraction, and backward rebuilds the corner weights, the attention-scaled
+values and their sparse matrix with forward's expressions.
+
 Image and feature maps travel as one [B,H,W,C] tensor of B same-shape maps:
 ``conv2d_3x3``, ``avgpool2x2`` and ``deform_attend`` take that rank only.
 
@@ -107,6 +113,9 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
+        """The value of a one-element tensor (ShapeError for any other size)."""
+        if self.size != 1:
+            raise ShapeError(f"item: needs one element, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
     def zero_grad(self):
@@ -436,13 +445,21 @@ def reshape(a: Tensor, shape) -> Tensor:
         raise ShapeError(f"reshape: cannot reshape {a.shape} to {shape}") from None
 
     def vjp(g):
-        _accum(a, g.reshape(a.shape))
+        # g is the output's grad, which backward drops once this returns, so a
+        # first grad adopts its view instead of a copy
+        if a.requires_grad and a.grad is None:
+            a.grad = g.reshape(a.shape)
+        else:
+            _accum(a, g.reshape(a.shape))
 
     return _make(data, "reshape", (a,), vjp)
 
 
 def concat_lastaxis(parts: Sequence[Tensor]) -> Tensor:
     parts = [_wrap(p) for p in parts]
+    if not parts or any(p.data.ndim == 0 for p in parts):
+        raise ShapeError(f"concat_lastaxis: needs one or more parts of rank 1 or more, got "
+                         f"{[p.shape for p in parts]}")
     lead = parts[0].shape[:-1]
     if any(p.shape[:-1] != lead for p in parts):
         raise ShapeError(f"concat_lastaxis: leading shapes differ: {[p.shape for p in parts]}")
@@ -475,11 +492,19 @@ def split_lastaxis(a: Tensor, sizes: Sequence[int]) -> tuple:
 
 
 def take_rows(a: Tensor, idx) -> Tensor:
-    """Select rows of a 2-D tensor by integer index (rows may repeat). The
-    grad sums g's rows into a's rows by index with ``_sum_pairs``."""
+    """Select rows of a 2-D tensor by a 1-D array of integer indices in
+    [0, rows) (rows may repeat; ShapeError otherwise, as a negative index
+    would count from the end in forward but not in backward). The grad sums
+    g's rows into a's rows by index with ``_sum_pairs``."""
     if a.data.ndim != 2:
         raise ShapeError(f"take_rows: expected 2-D, got {a.shape}")
-    idx = np.asarray(idx, dtype=np.intp)
+    arr = np.asarray(idx)
+    n = a.shape[0]
+    if arr.ndim != 1 or (arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0
+                                       or arr.max() >= n)):
+        raise ShapeError(f"take_rows: indices must be a 1-D array of integers in [0,{n}), "
+                         f"got {arr.dtype} {arr.shape}")
+    idx = arr.astype(np.intp)
     data = a.data[idx]
 
     def vjp(g):
@@ -522,8 +547,15 @@ def _sum_lastaxis(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_last_axis(x: Tensor, op: str):
+    """ShapeError unless x has a last axis with one or more elements."""
+    if x.data.ndim == 0 or x.shape[-1] == 0:
+        raise ShapeError(f"{op}: needs a last axis of one or more elements, got {x.shape}")
+
+
 def softmax_lastaxis(x: Tensor) -> Tensor:
     """Numerically stabilized softmax along the last axis."""
+    _check_last_axis(x, "softmax_lastaxis")
     if not np.all(np.isfinite(x.data)):
         raise NumericError("softmax_lastaxis: non-finite input")
     data = x.data - _max_lastaxis(x.data)[..., None]
@@ -541,6 +573,7 @@ def softmax_lastaxis(x: Tensor) -> Tensor:
 
 
 def log_softmax_lastaxis(x: Tensor) -> Tensor:
+    _check_last_axis(x, "log_softmax_lastaxis")
     if not np.all(np.isfinite(x.data)):
         raise NumericError("log_softmax_lastaxis: non-finite input")
     m = x.data.max(axis=-1, keepdims=True)
@@ -636,9 +669,36 @@ def _neighbours(x: np.ndarray, n: int, keep):
     hi = np.fmax(x0, 0.0)
     np.fmin(hi, n - 1.0, out=hi)
     in1 = np.equal(hi, x0, out=in1)
+    return (lo, hi) + _factors(in0, in1, f)
+
+
+def _factors(in0: np.ndarray, in1: np.ndarray, f: np.ndarray) -> tuple:
+    """The bilinear factors (1 - f) * in0 and f * in1 of the lower and upper
+    neighbours along an axis, from their in-range masks and the fraction f:
+    each is zero where its neighbour is outside the axis."""
     w0 = np.subtract(1.0, f)
     w0 *= in0
-    return lo, hi, w0, f * in1
+    return w0, f * in1
+
+
+def _corner_values(weights, attn: np.ndarray) -> np.ndarray:
+    """The attention-scaled corner weights [R*K*4] of a plan, in the order of
+    its indices: each of the four corner weights [R,K] times the points'
+    attention weights attn [R,K]."""
+    data = np.empty(attn.shape + (4,))
+    for corner, wgt in enumerate(weights):
+        np.multiply(wgt, attn, out=data[..., corner])
+    return data.reshape(-1)
+
+
+def _corner_matrix(data: np.ndarray, indices: np.ndarray, k: int, n_cols: int):
+    """The [R, n_cols] CSR matrix whose row r holds the 4K values
+    data[4Kr : 4K(r+1)] at the columns indices[4Kr : 4K(r+1)]. scipy keeps
+    both arrays as they are: int32 indices are shared, not copied."""
+    from scipy import sparse
+
+    indptr = np.arange(0, indices.size + 1, 4 * k, dtype=indices.dtype)
+    return sparse.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, n_cols))
 
 
 class _BilinearPlan:
@@ -658,14 +718,16 @@ class _BilinearPlan:
     factors, and writes each corner's column of both tables with ``out=``.
 
     With ``grads`` set (a recorded call that needs attention or offset
-    grads), forward also keeps for backward the unscaled corner weights
-    [R,K,4] and, per axis, the lower and upper in-range masks and the
-    fraction [R,K]; ``point_grads`` turns the corner dots (see
-    ``deform_attend``) into the points' grads. Without it, only ``indices``
-    and ``data`` are built.
+    grads), forward also keeps per axis the lower and upper in-range masks
+    and the fraction [R,K] (``rows``, ``cols``), and these with ``indices``
+    are all that backward reads: ``corner_weights`` rebuilds the unscaled
+    corner weights from them, and ``_corner_values`` the attention-scaled
+    ones, with forward's expressions in forward's order, so with forward's
+    bits; ``point_grads`` turns the corner dots (see ``deform_attend``) into
+    the points' grads. Without it, only ``indices`` and ``data`` are built.
     """
 
-    __slots__ = ("indices", "data", "weights", "rows", "cols")
+    __slots__ = ("indices", "data", "rows", "cols")
 
     def __init__(self, shape_hw, row_base: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                  attn: np.ndarray, n_rows: int, stride: int, grads: bool):
@@ -678,7 +740,6 @@ class _BilinearPlan:
         base = row_base.astype(dtype)[:, None]
         # for backward only: holding tables through a forward that no backward
         # follows raised peak RSS by 2.3 MB (3%) in no_grad evaluation
-        self.weights = np.empty((r, k, 4)) if grads else None
         self.rows, self.cols = [(np.empty((r, k), bool), np.empty((r, k), bool), np.empty((r, k)))
                                 for _ in range(2)] if grads else (None, None)
         step = max(1, _BLOCK // k)
@@ -696,16 +757,22 @@ class _BilinearPlan:
                 np.add(ri, ci, out=idx[s, :, corner])
                 # (wr*rin)*(wc*cin) is wr*wc*(rin&cin) bit for bit: the masks
                 # are 0/1 and the factors non-negative
-                wgt = np.multiply(wr, wc, out=self.weights[s, :, corner] if grads else None)
-                np.multiply(wgt, attn[s], out=data[s, :, corner])
+                np.multiply(wr * wc, attn[s], out=data[s, :, corner])
         self.indices = idx.reshape(-1)
         self.data = data.reshape(-1)
 
-    def point_grads(self, h: np.ndarray, attn: np.ndarray, want_attn: bool, want_off: bool):
+    def corner_weights(self) -> list:
+        """The unscaled weights [R,K] of the corners (0,0), (0,1), (1,0) and
+        (1,1), each the product of its row and column factors, rebuilt from
+        the kept masks and fractions as forward built them."""
+        (wr0, wr1), (wc0, wc1) = _factors(*self.rows), _factors(*self.cols)
+        return [wr * wc for wr, wc in itertools.product((wr0, wr1), (wc0, wc1))]
+
+    def point_grads(self, h: np.ndarray, weights, attn: np.ndarray, want_off: bool):
         """The grads of every point: [R,K] the grad of its sample in its
-        attention weight (if want_attn, else None), and [R,K,2] the grads in
-        its row and column times its attention weight attn [R,K] (if
-        want_off, else None).
+        attention weight (if the corner weights ``weights`` are given, else
+        None), and [R,K,2] the grads in its row and column times its
+        attention weight attn [R,K] (if want_off, else None).
 
         h [R, K, 4] holds, per point and corner, the corner's row of the
         value table dotted with the output grad. Corners outside the map
@@ -721,9 +788,9 @@ class _BilinearPlan:
         h10 = h[..., 2] * (rin1 & cin0)
         h11 = h[..., 3] * (rin1 & cin1)
         d_attn = d_off = None
-        if want_attn:
-            w = self.weights
-            d_attn = w[..., 0] * h00 + w[..., 1] * h01 + w[..., 2] * h10 + w[..., 3] * h11
+        if weights is not None:
+            w00, w01, w10, w11 = weights
+            d_attn = w00 * h00 + w01 * h01 + w10 * h10 + w11 * h11
         if want_off:
             d_off = np.empty(h.shape[:2] + (2,))
             np.multiply((1.0 - fc) * (h10 - h00) + fc * (h11 - h01), attn, out=d_off[..., 0])
@@ -776,9 +843,7 @@ class _PairPoints:
 
     def matrix(self, ps, grads):
         """The [rows, B*H*W*M] CSR matrix of the attention-scaled corner
-        weights of pairs ps, its plan and its attention weights [rows, K]."""
-        from scipy import sparse
-
+        weights of pairs ps, and its plan."""
         b, h, w = self.shape
         m, k = self.m, self.k
         q = self.qry_idx[ps]
@@ -794,9 +859,7 @@ class _PairPoints:
         row_base = (self.map_idx[ps, None] * (h * w * m) + np.arange(m)).reshape(-1)
         n_cols = b * h * w * m
         plan = _BilinearPlan((h, w), row_base, *coords, attnp, n_cols, m, grads)
-        indptr = np.arange(0, 4 * k * rows + 1, 4 * k, dtype=plan.indices.dtype)
-        s_attn = sparse.csr_matrix((plan.data, plan.indices, indptr), shape=(rows, n_cols))
-        return s_attn, plan, attnp
+        return _corner_matrix(plan.data, plan.indices, k, n_cols), plan
 
     def blocks(self):
         """The matrices of the pairs of one block at a time, in pair order:
@@ -811,8 +874,9 @@ def _check_points(b: int, offsets: Tensor, attn: Tensor, map_idx, base_pts, qry_
     """map_idx, base_pts, qry_idx and scale as arrays, once they and
     offsets and attn are what deform_attend's docstring asks for on B maps
     (ShapeError otherwise)."""
-    if offsets.data.ndim != 4 or offsets.shape[3] != 2:
-        raise ShapeError(f"{op}: offsets must be [T,M,K,2], got {offsets.shape}")
+    if offsets.data.ndim != 4 or offsets.shape[3] != 2 or 0 in offsets.shape[1:3]:
+        raise ShapeError(f"{op}: offsets must be [T,M,K,2] with M and K positive, got "
+                         f"{offsets.shape}")
     if attn.shape != offsets.shape[:3]:
         raise ShapeError(f"{op}: attn {attn.shape} is not offsets' [T,M,K] "
                          f"{offsets.shape[:3]}")
@@ -883,24 +947,30 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
     Forward gathers the sample rows and columns as two [P, M*K] arrays and
     builds the [P*M, B*H*W*M] CSR matrix of attention-scaled corner weights
     block by block (see ``_BilinearPlan``); when only feats needs a grad,
-    that matrix is all it keeps. When no backward can follow (under
-    ``no_grad``, or when no input needs a grad), nothing needs to outlive
-    the call: forward builds the matrix rows of the pairs of one block of
-    at most ``_BLOCK`` points at a time and multiplies them out before
-    building the next, which changes no bits, since each output row reads
-    only its own row of the matrix. That loop takes the block matrices as
-    given when blocks holds them (``attend_blocks`` of the same points and
-    maps' shape, kept by a caller that samples other maps of that shape at
-    the same points) and builds them otherwise; with a backward to follow,
-    blocks is not read.
-    Backward reuses the matrix for the value grad. For the attention and
-    offset grads it gathers, per (pair, head) row, the 4K corner rows of the
-    value table and dots each with that row's output grad g, as Deformable
-    DETR's MSDeformAttn backward does. It gathers ``_GATHER_ROWS`` rows at a
-    time into one buffer allocated once per call, and writes their dots into
-    one [P*M, 4K] array, which changes no bits, since each dot reads one
-    row's corners and grad only; ``_BilinearPlan.point_grads`` then turns
-    all the dots into the points' grads at once. A corner index outside the
+    that matrix is all it keeps. When attn or offsets need a grad, it keeps
+    of the plan only the int32 corner indices and, per axis, the in-range
+    masks and the fraction: not the corner weights, the matrix's values or
+    the pairs' attention weights, which backward rebuilds with forward's
+    expressions, taking the pairs' rows of attn's data. When no backward can
+    follow (under ``no_grad``, or when no input needs a grad), nothing needs
+    to outlive the call: forward builds the matrix rows of the pairs of one
+    block of at most ``_BLOCK`` points at a time and multiplies them out
+    before building the next, which changes no bits, since each output row
+    reads only its own row of the matrix. That loop takes the block matrices
+    as given when blocks holds them (``attend_blocks`` of the same points
+    and maps' shape, kept by a caller that samples other maps of that shape
+    at the same points) and builds them otherwise; with a backward to
+    follow, blocks is not read.
+    Backward takes the value grad with the transposed matrix: forward's, or
+    one it builds over forward's indices from the rebuilt values and frees
+    before the gathers that follow. For the attention and offset grads it
+    gathers, per (pair, head) row, the 4K corner rows of the value table and
+    dots each with that row's output grad g, as Deformable DETR's
+    MSDeformAttn backward does. It gathers ``_GATHER_ROWS`` rows at a time
+    into one buffer allocated once per call, and writes their dots into one
+    [P*M, 4K] array, which changes no bits, since each dot reads one row's
+    corners and grad only; ``_BilinearPlan.point_grads`` then turns all the
+    dots into the points' grads at once. A corner index outside the
     value table raises ContractError. Both grads are then summed over the
     pairs of a query in pair order by ``_sum_pairs``, the sum forward takes;
     when pair p is query p for every p, only that sum's +0.0 start is added,
@@ -954,9 +1024,13 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
             pairs[lo * m:(lo + step) * m] = mat @ flat
         return Tensor(per_query(pairs))
     grads = offsets.requires_grad or attn.requires_grad
-    s_attn, plan, attnp = _PairPoints((b, h, w), map_idx, base_pts, offsets.data, attn.data,
-                                      qry_idx).matrix(slice(None), grads)
+    s_attn, plan = _PairPoints((b, h, w), map_idx, base_pts, offsets.data, attn.data,
+                               qry_idx).matrix(slice(None), grads)
     out = per_query(s_attn @ flat)
+    if grads:
+        # backward rebuilds the matrix's values from the plan's masks and
+        # fractions, so neither outlives forward
+        s_attn = plan.data = None
 
     def per_query_grad(d, shape):
         """Point grads [P*M, ...] summed per query, as _sum_pairs sums them.
@@ -979,8 +1053,14 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
             # the sum's vjp: each pair reads its query's row
             g2 = np.take(g2, qry_idx, axis=0)
         g2 = g2.reshape(p * m, hd)
+        if grads:
+            attnp = np.take(attn.data, qry_idx, axis=0).reshape(p * m, k)
+            weights = plan.corner_weights()
         if feats.requires_grad:
-            _accum(feats, (s_attn.T @ g2).reshape(feats.shape), own=True)
+            mat = s_attn if not grads else _corner_matrix(
+                _corner_values(weights, attnp), plan.indices, k, flat.shape[0])
+            _accum(feats, (mat.T @ g2).reshape(feats.shape), own=True)
+            del mat  # frees rebuilt values before the gathers allocate
         if not grads:
             return
         rows = p * m
@@ -993,7 +1073,8 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
                               out=buf[:4 * k * (hi - lo)], mode="clip")
             np.einsum("rjc,rc->rj", corners.reshape(hi - lo, 4 * k, hd), g2[lo:hi],
                       out=dots[lo:hi])
-        d_attn, d_off = plan.point_grads(dots.reshape(rows, k, 4), attnp, attn.requires_grad,
+        d_attn, d_off = plan.point_grads(dots.reshape(rows, k, 4),
+                                         weights if attn.requires_grad else None, attnp,
                                          offsets.requires_grad)
         if d_attn is not None:
             _accum(attn, per_query_grad(d_attn, attn.shape), own=True)

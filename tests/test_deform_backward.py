@@ -96,9 +96,10 @@ def test_border_case_samples_off_map():
     assert np.any(pts < -1.0) and np.any(pts[..., 1] > 4.0)
 
 
-def test_plan_index_arrays_are_int32_and_shared(monkeypatch):
-    """deform_attend builds one CSR matrix, in forward and none in backward,
-    and it keeps the int32 index arrays it is given instead of copying them."""
+@pytest.fixture
+def matrices(monkeypatch):
+    """(values, indices, indptr, matrix) of every CSR matrix built during the
+    test."""
     from scipy import sparse
 
     built = []
@@ -106,21 +107,47 @@ def test_plan_index_arrays_are_int32_and_shared(monkeypatch):
 
     def spy(arg, **kw):
         m = csr_matrix(arg, **kw)
-        built.append((arg[1], arg[2], m))
+        built.append((*arg, m))
         return m
 
     monkeypatch.setattr(sparse, "csr_matrix", spy)
+    return built
+
+
+def test_plan_index_arrays_are_int32_and_shared(matrices, plans):
+    """With every grad wanted, deform_attend builds one CSR matrix in forward
+    and one in backward, over the same int32 index array, which neither
+    copies; backward's values, rebuilt from the plan's masks and fractions,
+    have the bytes of forward's and of the reference's attention-scaled
+    corner weights."""
     feats, map_idx, base, offsets, attn, qry_idx = attend_case(np.random.default_rng(70),
                                                                 "sources")
     leaves = [Tensor(a, requires_grad=True) for a in (feats, offsets, attn)]
     out = T.deform_attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx)
-    assert len(built) == 1  # the attention-scaled weights
+    assert len(matrices) == 1  # the attention-scaled weights
     out.node.vjp(np.ones(out.shape))
-    assert len(built) == 1 and all(x.grad is not None for x in leaves)
-    for indices, indptr, m in built:
+    assert len(matrices) == 2 and all(x.grad is not None for x in leaves)
+    plan, = plans
+    for values, indices, indptr, m in matrices:
+        assert indices is plan.indices
         assert indices.dtype == np.int32 and indptr.dtype == np.int32
         # scipy slices indices to nnz (a view), so share, not identity, shows no copy
         assert np.shares_memory(m.indices, indices) and m.indptr is indptr
+    _, s_attn, _ = ref.pair_rows(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx)
+    assert matrices[0][0].tobytes() == matrices[1][0].tobytes() == s_attn.data.tobytes()
+
+
+def test_feats_only_call_keeps_its_matrix_for_backward(matrices):
+    """When only feats needs a grad the plan keeps no masks, so backward
+    builds no matrix: it takes the value grad with forward's."""
+    feats, map_idx, base, offsets, attn, qry_idx = attend_case(np.random.default_rng(70),
+                                                                "sources")
+    x = Tensor(feats, requires_grad=True)
+    out = T.deform_attend(x, map_idx, base, Tensor(offsets), Tensor(attn), qry_idx)
+    out.node.vjp(np.ones(out.shape))
+    (_, _, _, m), = matrices
+    cells = dict(zip(out.node.vjp.__code__.co_freevars, out.node.vjp.__closure__))
+    assert cells["s_attn"].cell_contents is m and x.grad is not None
 
 
 @pytest.fixture
@@ -129,10 +156,12 @@ def plans(monkeypatch):
     built = []
 
     class Spy(T._BilinearPlan):
-        __slots__ = ()
+        """A plan that also holds on to the values forward built."""
+        __slots__ = ("forward_data",)
 
         def __init__(self, *args, **kw):
             super().__init__(*args, **kw)
+            self.forward_data = self.data
             built.append(self)
 
     monkeypatch.setattr(T, "_BilinearPlan", Spy)
@@ -142,20 +171,29 @@ def plans(monkeypatch):
 @pytest.mark.parametrize("requires", REQUIRES)
 @pytest.mark.parametrize("record", [True, False])
 def test_plan_keeps_backward_tables_only_for_offset_or_attention_grads(requires, record, plans):
+    """A plan holds its indices and values, and no corner weights. A recorded
+    call with attention or offset grads keeps the masks and fractions as
+    well, and forward drops the values once it has taken its product, with
+    the matrix over them: the closure keeps neither."""
     feats, map_idx, base, offsets, attn, qry_idx = attend_case(np.random.default_rng(40),
                                                                 "sources")
     leaves = [Tensor(a, requires_grad=r) for a, r in zip((feats, offsets, attn), requires)]
     if record:
-        T.deform_attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx)
+        out = T.deform_attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx)
     else:
         with T.no_grad():
-            T.deform_attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx)
+            out = T.deform_attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx)
     plan, = plans
+    assert not hasattr(plan, "weights")
     kept = record and (requires[1] or requires[2])
     assert (plan.rows is not None, plan.cols is not None) == (kept, kept)
-    # nor the unscaled corner weights: under no_grad only indices and data exist
-    assert (plan.weights is not None) == kept
-    assert plan.indices.size == plan.data.size == 4 * qry_idx.size * np.prod(offsets.shape[1:3])
+    assert (plan.data is None) == kept
+    n = 4 * qry_idx.size * np.prod(offsets.shape[1:3])
+    assert plan.indices.size == plan.forward_data.size == n
+    if out.node is not None:
+        cells = dict(zip(out.node.vjp.__code__.co_freevars, out.node.vjp.__closure__))
+        assert (cells["s_attn"].cell_contents is None) == kept
+        assert "attnp" not in cells
 
 
 BLOCKS = [1, 3, 7, "over"]
@@ -285,8 +323,9 @@ def test_forward_blocks_change_no_bits(case, block, record, plans, monkeypatch):
     """Forward builds its tables block by block: at every block size the
     output equals the reference's bit for bit, and the plan's tables equal
     the reference's whole-call corner tables (indices, attention-scaled
-    weights and, when kept for backward, the weights, masks and fractions).
-    Under no_grad each block of pairs gets its own plan, taken in order."""
+    weights and, when kept for backward, the masks and fractions, and the
+    weights rebuilt from them). Under no_grad each block of pairs gets its
+    own plan, taken in order."""
     arrays = attend_case(np.random.default_rng(40), case)
     set_block(monkeypatch, arrays, block)
     feats, map_idx, base, offsets, attn, qry_idx = arrays
@@ -309,14 +348,14 @@ def test_forward_blocks_change_no_bits(case, block, record, plans, monkeypatch):
         assert len(plans) == -(-p // step)
         assert all(x.indices.size <= 4 * max(T._BLOCK, m * k) for x in plans)
         plan = types.SimpleNamespace(indices=np.concatenate([x.indices for x in plans]),
-                                     data=np.concatenate([x.data for x in plans]))
+                                     forward_data=np.concatenate([x.data for x in plans]))
     pts = (base[:, None, None, :] + offsets[qry_idx]).reshape(p * m * k, 2)
     head_base = (map_idx[:, None] * (h * w * m) + np.arange(m)).repeat(k, axis=1).reshape(-1)
     idx, inside, wgt, _, _, fr, fc = ref.corner_tables((h, w), head_base, pts, m)
     assert plan.indices.dtype == np.int32 and np.array_equal(plan.indices, idx.reshape(-1))
-    assert np.array_equal(plan.data, (wgt * attn[qry_idx].reshape(-1, 1)).reshape(-1))
+    assert np.array_equal(plan.forward_data, (wgt * attn[qry_idx].reshape(-1, 1)).reshape(-1))
     if record:
-        assert np.array_equal(plan.weights.reshape(-1, 4), wgt)
+        assert np.stack(plan.corner_weights(), axis=-1).reshape(-1, 4).tobytes() == wgt.tobytes()
         (rin0, rin1, plan_fr), (cin0, cin1, plan_fc) = plan.rows, plan.cols
         assert np.array_equal(plan_fr.reshape(-1), fr) and np.array_equal(plan_fc.reshape(-1), fc)
         masks = [rin0 & cin0, rin0 & cin1, rin1 & cin0, rin1 & cin1]

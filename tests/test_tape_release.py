@@ -55,13 +55,18 @@ def graph(loss, constants=False):
 
 def deform_attend_refs(loss):
     """Weak references to the arrays each deform_attend closure captured for
-    its own use: the scaled corner matrix and the gathered attention."""
+    its own use: its plan's corner indices and per axis the in-range masks
+    and the fraction. The closure keeps no matrix, values, corner weights or
+    gathered attention: backward rebuilds them from these."""
     refs = []
     for t in graph(loss):
         if t.node is not None and t.node.op == "deform_attend":
             vjp = t.node.vjp
             cells = dict(zip(vjp.__code__.co_freevars, vjp.__closure__))
-            refs += [weakref.ref(cells[name].cell_contents) for name in ("s_attn", "attnp")]
+            plan = cells["plan"].cell_contents
+            assert cells["s_attn"].cell_contents is None and plan.data is None
+            assert "attnp" not in cells
+            refs += [weakref.ref(a) for a in (plan.indices, *plan.rows, *plan.cols)]
     return refs
 
 
@@ -167,6 +172,30 @@ def test_default_tape_bytes_stay_bounded(default_setup):
     det, sample = default_setup
     loss = det.loss(sample, BOTH)
     assert sum(t.data.nbytes for t in graph(loss, constants=True)) <= TAPE_BYTES_BOUND
+
+
+# Bytes that tracemalloc sees held after the both-sensor forward of
+# default_setup (its memo warm): tensors' data and everything closures keep,
+# which TAPE_BYTES_BOUND does not count. Measured at 47,010,590 with each
+# deform_attend keeping of its corner tables only the int32 indices, masks and
+# fractions (61,182,178 when it also kept the corner weights, the matrix's
+# values and the pairs' attention weights). The bound is that value plus 2%.
+HELD_BYTES_BOUND = 47_950_802
+
+
+def test_default_forward_holds_bounded_bytes(default_setup):
+    det, sample = default_setup
+    det.loss(sample, BOTH)  # fills the detector's memo, which outlives the step
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        loss = det.loss(sample, BOTH)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert loss.node is not None
+    assert held <= HELD_BYTES_BOUND
 
 
 def test_default_tape_stacks_no_maps_and_concatenates_no_weights(default_setup):

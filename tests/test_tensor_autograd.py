@@ -804,6 +804,15 @@ class TestDeformAttendShapes:
         with pytest.raises(ShapeError):
             T.deform_attend(**self.args(qry_idx=np.array(qry_idx)))
 
+    @pytest.mark.parametrize("shape", [(4, 0, 3), (4, 2, 0)])
+    def test_offsets_without_heads_or_points(self, shape):
+        args = self.args(offsets=Tensor(np.zeros(shape + (2,))), attn=Tensor(np.zeros(shape)))
+        with pytest.raises(ShapeError):
+            T.deform_attend(**args)
+        with pytest.raises(ShapeError):
+            T.attend_blocks((3, 5, 4), *[args[n] for n in ("map_idx", "base_pts", "offsets",
+                                                         "attn", "qry_idx")])
+
 
 def test_no_grad_in_a_thread_leaves_other_threads_recording():
     entered, release = threading.Event(), threading.Event()
@@ -858,3 +867,78 @@ def test_no_grad_threads_stress():
         sys.setswitchinterval(old)
     assert not any(th.is_alive() for th in threads)
     assert errors == []
+
+
+class TestDegenerateInputs:
+    """Tensor ops raise ShapeError, not numpy's errors, for inputs with
+    nothing to work on or indices outside their table, before recording
+    anything."""
+
+    @pytest.mark.parametrize("idx", [[-1, 0], [3], [0, -3], [0.0, 1.0], [True, False, True],
+                                     [[0, 1]]], ids=str)
+    def test_take_rows_refuses_indices_outside_the_rows(self, idx):
+        # a -1 once read row 2 in forward and handed backward's sum a row of
+        # -1, which wrote in front of its output buffer
+        a = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+        with pytest.raises(ShapeError, match="take_rows"):
+            T.take_rows(a, idx)
+        assert a.grad is None
+
+    def test_take_rows_takes_no_rows(self):
+        a = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+        assert T.take_rows(a, []).shape == (0, 2)
+
+    def test_concat_of_no_parts(self):
+        with pytest.raises(ShapeError, match="concat_lastaxis"):
+            T.concat_lastaxis([])
+
+    @pytest.mark.parametrize("op", [T.softmax_lastaxis, T.log_softmax_lastaxis])
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), ()])
+    def test_softmax_over_an_empty_last_axis(self, op, shape):
+        with pytest.raises(ShapeError, match="last axis"):
+            op(Tensor(np.zeros(shape), requires_grad=True))
+
+    @pytest.mark.parametrize("shape", [(0,), (2,), (1, 2)])
+    def test_item_of_other_than_one_element(self, shape):
+        with pytest.raises(ShapeError, match="item"):
+            Tensor(np.ones(shape)).item()
+
+    def test_item_of_one_element(self):
+        assert Tensor(np.full((1, 1), 2.5)).item() == 2.5
+
+
+def copying_reshape(a: Tensor, shape) -> Tensor:
+    """reshape whose vjp copies its grad into the parent, as it did before it
+    adopted the output grad's view."""
+    def vjp(g):
+        T._accum(a, g.reshape(a.shape))
+
+    return T._make(a.data.reshape(shape), "reshape", (a,), vjp)
+
+
+def test_reshape_grad_adopts_the_view_and_keeps_the_bits(monkeypatch):
+    """A parent's first grad from reshape is a view of the output grad, not a
+    copy; a tensor that two reshapes and one other op read gets the grad's
+    bytes that copying gives."""
+    rng = np.random.default_rng(900)
+    x0 = mixed_magnitudes(rng, 4, 6)
+    consts = [rnd(rng, 3, 8), rnd(rng, 24), rnd(rng, 4, 6)]
+
+    def run():
+        x = Tensor(x0, requires_grad=True)
+        reads = [T.reshape(x, (3, 8)), T.reshape(x, (24,)), T.sigmoid(x)]
+        terms = [T.tsum(T.mul(r, Tensor(c))) for r, c in zip(reads, consts)]
+        backward(T.add(T.add(terms[0], terms[1]), terms[2]))
+        return x.grad
+
+    got = run()
+    monkeypatch.setattr(T, "reshape", copying_reshape)
+    want = run()
+    assert got.tobytes() == want.tobytes()
+
+    monkeypatch.undo()
+    x = Tensor(x0, requires_grad=True)
+    out = T.reshape(x, (24,))
+    g = rnd(rng, 24)
+    out.node.vjp(g)
+    assert np.shares_memory(x.grad, g) and x.grad.tobytes() == g.tobytes()
