@@ -23,10 +23,10 @@ same order, so outputs and grads keep their bits. A vjp computes no grad for
 a parent that does not require one.
 
 What a vjp can rebuild bit for bit from little is rebuilt rather than kept:
-a ``deform_attend`` that needs attention or offset grads keeps of its corner
-tables only the int32 corner indices and, per axis, the in-range masks and
-the fraction, and backward rebuilds the corner weights, the attention-scaled
-values and their sparse matrix with forward's expressions.
+a recorded ``deform_attend`` keeps of its corner tables only the int32
+corner indices and, per axis, the in-range masks and the fraction, and
+backward rebuilds the corner weights, the attention-scaled values and their
+sparse matrix with forward's expressions.
 
 Image and feature maps travel as one [B,H,W,C] tensor of B same-shape maps:
 ``conv2d_3x3``, ``avgpool2x2`` and ``deform_attend`` take that rank only.
@@ -158,12 +158,16 @@ def _make(data, op: str, parents: tuple, vjp) -> Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray, own: bool = False):
-    """Add g into t.grad. own=True promises g is a fresh array the caller will
-    not reuse, letting the first accumulation take it without copying."""
+    """Add g into t.grad. own=True promises that nothing else reads or writes
+    g's memory once the caller returns: g is a fresh array, or a same-size
+    view of one, such as a reshape of the grad a vjp is given (see
+    ``backward``). The first accumulation then takes g without copying; a
+    view of part of a larger array is still copied."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        if own and isinstance(g, np.ndarray) and g.base is None and g.dtype == np.float64:
+        if (own and isinstance(g, np.ndarray) and g.dtype == np.float64
+                and (g.base is None or getattr(g.base, "size", None) == g.size)):
             t.grad = g
         else:
             t.grad = np.array(g, dtype=np.float64)
@@ -204,7 +208,10 @@ def backward(loss: Tensor):
     between steps). The loss must hold a single scalar. Once a node's vjp has
     run, the node (its closure and everything the closure captured) and its
     tensor's grad are dropped, so afterwards only leaves keep a ``grad`` and
-    holding ``loss`` or any intermediate pins none of the graph. A second
+    holding ``loss`` or any intermediate pins none of the graph. So the grad
+    a vjp is given is held by that tensor alone and dead once the vjp
+    returns: the vjp may hand it, or a same-size view of it, to a parent's
+    ``_accum`` with own=True. A second
     backward through any part of a consumed graph, from the same loss or
     from a new graph built on one of its intermediates, raises ContractError
     before any grad changes.
@@ -445,12 +452,8 @@ def reshape(a: Tensor, shape) -> Tensor:
         raise ShapeError(f"reshape: cannot reshape {a.shape} to {shape}") from None
 
     def vjp(g):
-        # g is the output's grad, which backward drops once this returns, so a
-        # first grad adopts its view instead of a copy
-        if a.requires_grad and a.grad is None:
-            a.grad = g.reshape(a.shape)
-        else:
-            _accum(a, g.reshape(a.shape))
+        # g is the output's grad, which backward drops once this returns
+        _accum(a, g.reshape(a.shape), own=True)
 
     return _make(data, "reshape", (a,), vjp)
 
@@ -717,8 +720,8 @@ class _BilinearPlan:
     axis one floor, the fraction, the clipped neighbours and their masked
     factors, and writes each corner's column of both tables with ``out=``.
 
-    With ``grads`` set (a recorded call that needs attention or offset
-    grads), forward also keeps per axis the lower and upper in-range masks
+    With ``record`` set (a call that a backward may follow), forward also
+    keeps per axis the lower and upper in-range masks
     and the fraction [R,K] (``rows``, ``cols``), and these with ``indices``
     are all that backward reads: ``corner_weights`` rebuilds the unscaled
     corner weights from them, and ``_corner_values`` the attention-scaled
@@ -730,7 +733,7 @@ class _BilinearPlan:
     __slots__ = ("indices", "data", "rows", "cols")
 
     def __init__(self, shape_hw, row_base: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                 attn: np.ndarray, n_rows: int, stride: int, grads: bool):
+                 attn: np.ndarray, n_rows: int, stride: int, record: bool):
         h, w = shape_hw
         r, k = rows.shape
         # int32 unless a row index or the 4RK row pointers would overflow it
@@ -741,12 +744,12 @@ class _BilinearPlan:
         # for backward only: holding tables through a forward that no backward
         # follows raised peak RSS by 2.3 MB (3%) in no_grad evaluation
         self.rows, self.cols = [(np.empty((r, k), bool), np.empty((r, k), bool), np.empty((r, k)))
-                                for _ in range(2)] if grads else (None, None)
+                                for _ in range(2)] if record else (None, None)
         step = max(1, _BLOCK // k)
         for lo in range(0, r, step):
             s = slice(lo, lo + step)
-            keep_r = [a[s] for a in self.rows] if grads else None
-            keep_c = [a[s] for a in self.cols] if grads else None
+            keep_r = [a[s] for a in self.rows] if record else None
+            keep_c = [a[s] for a in self.cols] if record else None
             r0, r1, wr0, wr1 = _neighbours(rows[s], h, keep_r)
             c0, c1, wc0, wc1 = _neighbours(cols[s], w, keep_c)
             # table row = (base + row * W*stride) + col * stride, in integers
@@ -841,7 +844,7 @@ class _PairPoints:
                      for axis in (0, 1)]
         self.attn = attn.reshape(t, self.m * self.k)
 
-    def matrix(self, ps, grads):
+    def matrix(self, ps, record):
         """The [rows, B*H*W*M] CSR matrix of the attention-scaled corner
         weights of pairs ps, and its plan."""
         b, h, w = self.shape
@@ -858,7 +861,7 @@ class _PairPoints:
         # row of corner (0,0) of map map_idx in head m's block, per (pair, head)
         row_base = (self.map_idx[ps, None] * (h * w * m) + np.arange(m)).reshape(-1)
         n_cols = b * h * w * m
-        plan = _BilinearPlan((h, w), row_base, *coords, attnp, n_cols, m, grads)
+        plan = _BilinearPlan((h, w), row_base, *coords, attnp, n_cols, m, record)
         return _corner_matrix(plan.data, plan.indices, k, n_cols), plan
 
     def blocks(self):
@@ -946,11 +949,10 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
 
     Forward gathers the sample rows and columns as two [P, M*K] arrays and
     builds the [P*M, B*H*W*M] CSR matrix of attention-scaled corner weights
-    block by block (see ``_BilinearPlan``); when only feats needs a grad,
-    that matrix is all it keeps. When attn or offsets need a grad, it keeps
-    of the plan only the int32 corner indices and, per axis, the in-range
-    masks and the fraction: not the corner weights, the matrix's values or
-    the pairs' attention weights, which backward rebuilds with forward's
+    block by block (see ``_BilinearPlan``). For backward it keeps of the
+    plan only the int32 corner indices and, per axis, the in-range masks and
+    the fraction: not the matrix, its values, the corner weights or the
+    pairs' attention weights, which backward rebuilds with forward's
     expressions, taking the pairs' rows of attn's data. When no backward can
     follow (under ``no_grad``, or when no input needs a grad), nothing needs
     to outlive the call: forward builds the matrix rows of the pairs of one
@@ -961,9 +963,9 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
     and maps' shape, kept by a caller that samples other maps of that shape
     at the same points) and builds them otherwise; with a backward to
     follow, blocks is not read.
-    Backward takes the value grad with the transposed matrix: forward's, or
-    one it builds over forward's indices from the rebuilt values and frees
-    before the gathers that follow. For the attention and offset grads it
+    Backward takes the value grad with the transposed matrix, which it
+    builds over forward's indices from the rebuilt values and frees before
+    the gathers that follow. For the attention and offset grads it
     gathers, per (pair, head) row, the 4K corner rows of the value table and
     dots each with that row's output grad g, as Deformable DETR's
     MSDeformAttn backward does. It gathers ``_GATHER_ROWS`` rows at a time
@@ -1023,14 +1025,14 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
         for lo, mat in zip(starts, blocks):
             pairs[lo * m:(lo + step) * m] = mat @ flat
         return Tensor(per_query(pairs))
-    grads = offsets.requires_grad or attn.requires_grad
     s_attn, plan = _PairPoints((b, h, w), map_idx, base_pts, offsets.data, attn.data,
-                               qry_idx).matrix(slice(None), grads)
+                               qry_idx).matrix(slice(None), True)
     out = per_query(s_attn @ flat)
-    if grads:
-        # backward rebuilds the matrix's values from the plan's masks and
-        # fractions, so neither outlives forward
-        s_attn = plan.data = None
+    # backward rebuilds the matrix and its values from the plan's masks and
+    # fractions, so neither outlives forward
+    del s_attn
+    plan.data = None
+    grads = offsets.requires_grad or attn.requires_grad
 
     def per_query_grad(d, shape):
         """Point grads [P*M, ...] summed per query, as _sum_pairs sums them.
@@ -1053,12 +1055,10 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
             # the sum's vjp: each pair reads its query's row
             g2 = np.take(g2, qry_idx, axis=0)
         g2 = g2.reshape(p * m, hd)
-        if grads:
-            attnp = np.take(attn.data, qry_idx, axis=0).reshape(p * m, k)
-            weights = plan.corner_weights()
+        attnp = np.take(attn.data, qry_idx, axis=0).reshape(p * m, k)
+        weights = plan.corner_weights()
         if feats.requires_grad:
-            mat = s_attn if not grads else _corner_matrix(
-                _corner_values(weights, attnp), plan.indices, k, flat.shape[0])
+            mat = _corner_matrix(_corner_values(weights, attnp), plan.indices, k, flat.shape[0])
             _accum(feats, (mat.T @ g2).reshape(feats.shape), own=True)
             del mat  # frees rebuilt values before the gathers allocate
         if not grads:

@@ -96,10 +96,12 @@ def test_border_case_samples_off_map():
     assert np.any(pts < -1.0) and np.any(pts[..., 1] > 4.0)
 
 
-@pytest.fixture
-def matrices(monkeypatch):
-    """(values, indices, indptr, matrix) of every CSR matrix built during the
-    test."""
+def test_plan_index_arrays_are_int32_and_shared(monkeypatch, plans):
+    """With every grad wanted, deform_attend builds one CSR matrix in forward
+    and one in backward, over the same int32 index array, which neither
+    copies; backward's values, rebuilt from the plan's masks and fractions,
+    have the bytes of forward's and of the reference's attention-scaled
+    corner weights."""
     from scipy import sparse
 
     built = []
@@ -111,43 +113,21 @@ def matrices(monkeypatch):
         return m
 
     monkeypatch.setattr(sparse, "csr_matrix", spy)
-    return built
-
-
-def test_plan_index_arrays_are_int32_and_shared(matrices, plans):
-    """With every grad wanted, deform_attend builds one CSR matrix in forward
-    and one in backward, over the same int32 index array, which neither
-    copies; backward's values, rebuilt from the plan's masks and fractions,
-    have the bytes of forward's and of the reference's attention-scaled
-    corner weights."""
     feats, map_idx, base, offsets, attn, qry_idx = attend_case(np.random.default_rng(70),
                                                                 "sources")
     leaves = [Tensor(a, requires_grad=True) for a in (feats, offsets, attn)]
     out = T.deform_attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx)
-    assert len(matrices) == 1  # the attention-scaled weights
+    assert len(built) == 1  # the attention-scaled weights
     out.node.vjp(np.ones(out.shape))
-    assert len(matrices) == 2 and all(x.grad is not None for x in leaves)
+    assert len(built) == 2 and all(x.grad is not None for x in leaves)
     plan, = plans
-    for values, indices, indptr, m in matrices:
+    for values, indices, indptr, m in built:
         assert indices is plan.indices
         assert indices.dtype == np.int32 and indptr.dtype == np.int32
         # scipy slices indices to nnz (a view), so share, not identity, shows no copy
         assert np.shares_memory(m.indices, indices) and m.indptr is indptr
     _, s_attn, _ = ref.pair_rows(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx)
-    assert matrices[0][0].tobytes() == matrices[1][0].tobytes() == s_attn.data.tobytes()
-
-
-def test_feats_only_call_keeps_its_matrix_for_backward(matrices):
-    """When only feats needs a grad the plan keeps no masks, so backward
-    builds no matrix: it takes the value grad with forward's."""
-    feats, map_idx, base, offsets, attn, qry_idx = attend_case(np.random.default_rng(70),
-                                                                "sources")
-    x = Tensor(feats, requires_grad=True)
-    out = T.deform_attend(x, map_idx, base, Tensor(offsets), Tensor(attn), qry_idx)
-    out.node.vjp(np.ones(out.shape))
-    (_, _, _, m), = matrices
-    cells = dict(zip(out.node.vjp.__code__.co_freevars, out.node.vjp.__closure__))
-    assert cells["s_attn"].cell_contents is m and x.grad is not None
+    assert built[0][0].tobytes() == built[1][0].tobytes() == s_attn.data.tobytes()
 
 
 @pytest.fixture
@@ -172,9 +152,9 @@ def plans(monkeypatch):
 @pytest.mark.parametrize("record", [True, False])
 def test_plan_keeps_backward_tables_only_for_offset_or_attention_grads(requires, record, plans):
     """A plan holds its indices and values, and no corner weights. A recorded
-    call with attention or offset grads keeps the masks and fractions as
-    well, and forward drops the values once it has taken its product, with
-    the matrix over them: the closure keeps neither."""
+    call keeps the masks and fractions as well, and forward drops the values
+    once it has taken its product, with the matrix over them: the closure
+    keeps neither."""
     feats, map_idx, base, offsets, attn, qry_idx = attend_case(np.random.default_rng(40),
                                                                 "sources")
     leaves = [Tensor(a, requires_grad=r) for a, r in zip((feats, offsets, attn), requires)]
@@ -185,15 +165,14 @@ def test_plan_keeps_backward_tables_only_for_offset_or_attention_grads(requires,
             out = T.deform_attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx)
     plan, = plans
     assert not hasattr(plan, "weights")
-    kept = record and (requires[1] or requires[2])
+    kept = record and any(requires)
     assert (plan.rows is not None, plan.cols is not None) == (kept, kept)
     assert (plan.data is None) == kept
     n = 4 * qry_idx.size * np.prod(offsets.shape[1:3])
     assert plan.indices.size == plan.forward_data.size == n
     if out.node is not None:
         cells = dict(zip(out.node.vjp.__code__.co_freevars, out.node.vjp.__closure__))
-        assert (cells["s_attn"].cell_contents is None) == kept
-        assert "attnp" not in cells
+        assert "s_attn" not in cells and "attnp" not in cells
 
 
 BLOCKS = [1, 3, 7, "over"]

@@ -64,8 +64,7 @@ def deform_attend_refs(loss):
             vjp = t.node.vjp
             cells = dict(zip(vjp.__code__.co_freevars, vjp.__closure__))
             plan = cells["plan"].cell_contents
-            assert cells["s_attn"].cell_contents is None and plan.data is None
-            assert "attnp" not in cells
+            assert plan.data is None and "s_attn" not in cells and "attnp" not in cells
             refs += [weakref.ref(a) for a in (plan.indices, *plan.rows, *plan.cols)]
     return refs
 

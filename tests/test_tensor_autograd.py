@@ -909,7 +909,7 @@ class TestDegenerateInputs:
 
 def copying_reshape(a: Tensor, shape) -> Tensor:
     """reshape whose vjp copies its grad into the parent, as it did before it
-    adopted the output grad's view."""
+    handed the output grad's view on."""
     def vjp(g):
         T._accum(a, g.reshape(a.shape))
 
@@ -942,3 +942,15 @@ def test_reshape_grad_adopts_the_view_and_keeps_the_bits(monkeypatch):
     g = rnd(rng, 24)
     out.node.vjp(g)
     assert np.shares_memory(x.grad, g) and x.grad.tobytes() == g.tobytes()
+
+
+def test_accum_copies_a_view_of_part_of_an_array():
+    """own=True adopts a whole-array view but copies a slice, whose base holds
+    memory the grad must not alias."""
+    base = np.arange(8.0)
+    t = Tensor(np.zeros(4), requires_grad=True)
+    T._accum(t, base[:4], own=True)
+    assert not np.shares_memory(t.grad, base)
+    u = Tensor(np.zeros((2, 4)), requires_grad=True)
+    T._accum(u, base.reshape(2, 4), own=True)
+    assert np.shares_memory(u.grad, base)
