@@ -8,7 +8,8 @@ Layout::
     <empty line>
     <raw '<f8' bytes, concatenated in manifest order>
 
-Round-trips are bit-exact. Entries are written sorted by name so identical
+Round-trips are bit-exact: ``save_checkpoint`` takes only arrays that a
+float64 payload holds exactly. Entries are written sorted by name so identical
 array dicts always serialize to identical bytes.
 """
 
@@ -29,19 +30,24 @@ _ENTRY = re.compile(r"(\S+) ([0-9]+(?:,[0-9]+)*) ([0-9]+)")  # name, dims, byte 
 
 def save_checkpoint(path, arrays: Dict[str, np.ndarray]):
     """Write arrays to path. A name that is empty, not ASCII or contains
-    whitespace raises ContractError before path is opened."""
+    whitespace raises ContractError before path is opened, and so does an
+    array that would not read back as it is: one of a dtype that float64
+    does not hold exactly (integers, bools, complex numbers, long doubles)
+    or of no dimensions."""
     names = sorted(arrays)
     for name in names:
         if not name or not name.isascii() or any(ch.isspace() for ch in name):
             raise ContractError(f"checkpoint names must be non-empty ASCII without "
                                 f"whitespace: {name!r}")
+        arr = np.asarray(arrays[name])
+        if arr.dtype.kind != "f" or not np.can_cast(arr.dtype, np.float64) or arr.ndim == 0:
+            raise ContractError(f"checkpoint array {name!r} is {arr.dtype} of shape {arr.shape}: "
+                                f"only real floats of one or more dimensions round-trip")
     lines = [_MAGIC, f"count {len(names)}"]
     blobs = []
     offset = 0
     for name in names:
         arr = np.ascontiguousarray(arrays[name], dtype="<f8")
-        if arr.ndim == 0:
-            arr = arr.reshape(1)
         dims = ",".join(str(d) for d in arr.shape)
         lines.append(f"{name} {dims} {offset}")
         blob = arr.tobytes()

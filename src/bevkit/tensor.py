@@ -13,20 +13,24 @@ A node keeps its output's parents, and its closure keeps what its vjp
 reads; every parent Tensor's data stays alive with it until the walk has
 passed. So a chain of ops whose intermediates no vjp reads is one op here,
 and the intermediate never becomes a Tensor: ``residual_layer_norm`` (a
-residual add, then a layer norm) keeps the normalized sum and the inverse
-deviations, not the sum; ``ffn`` (linear, relu, linear) keeps the post-relu
-hidden, not the pre-activation; ``deform_attend`` sums its (map, query)
-pair rows per query, scales each query's sum and keeps no pair row; ``conv2d_3x3``
-keeps its padded input [B,H+2,W+2,Ci] and rebuilds each tap's slice in
-backward. Each runs the expressions of the composition it replaces in the
-same order, so outputs and grads keep their bits. A vjp computes no grad for
-a parent that does not require one.
+residual add, then a layer norm), ``ffn`` (linear, relu, linear),
+``deform_attend``, which sums its (map, query) pair rows per query and
+scales each query's sum, and ``conv2d_3x3``. Each runs the expressions of
+the composition it replaces in the same order, so outputs and grads keep
+their bits. A vjp computes no grad for a parent that does not require one.
 
-What a vjp can rebuild bit for bit from little is rebuilt rather than kept:
-a recorded ``deform_attend`` keeps of its corner tables only the int32
-corner indices and, per axis, the in-range masks and the fraction, and
-backward rebuilds the corner weights, the attention-scaled values and their
-sparse matrix with forward's expressions.
+What a vjp can rebuild bit for bit in one cheap pass, from its parents'
+data and from little else, is rebuilt rather than kept:
+``residual_layer_norm`` keeps the per-row mean and inverse deviation and
+rebuilds the normalized sum from its two inputs; ``ffn`` keeps nothing but
+its input's view and rebuilds the post-relu hidden with one GEMM;
+``conv2d_3x3`` keeps nothing and rebuilds its zero-padded input, and each
+tap's slice from it; a recorded ``deform_attend`` keeps of its corner tables
+only corner (0,0)'s int32 index and, per axis, the in-range masks and the
+fraction of each sample point, and rebuilds the other corners' indices, the
+corner weights, the attention-scaled values and their sparse matrix. Each
+rebuild runs forward's expressions in forward's order, so it has forward's
+bits.
 
 Image and feature maps travel as one [B,H,W,C] tensor of B same-shape maps:
 ``conv2d_3x3``, ``avgpool2x2`` and ``deform_attend`` take that rank only.
@@ -215,6 +219,12 @@ def backward(loss: Tensor):
     backward through any part of a consumed graph, from the same loss or
     from a new graph built on one of its intermediates, raises ContractError
     before any grad changes.
+
+    Vjps read their parents' data, Parameters' among them, as forward left
+    it: ``matmul`` multiplies by the other operand's data, and the fused ops
+    rebuild what they did not keep from it. So no Tensor's data, and no
+    Parameter, may change between a forward and the backward of its graph:
+    take the optimizer step after backward.
     """
     if loss.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -408,14 +418,25 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return _make(data, "linear", (x, weight, bias), vjp)
 
 
+def _ffn_hidden(x2: np.ndarray, w1: np.ndarray, b1: np.ndarray) -> np.ndarray:
+    """relu(x2 @ w1 + b1) in one fresh buffer, the bias add and relu in
+    place: ffn's post-relu hidden [rows, hidden]."""
+    h = x2 @ w1
+    h += b1
+    np.maximum(h, 0.0, out=h)  # relu in place; NaN stays NaN
+    return h
+
+
 def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """Two-layer relu MLP, linear(relu(linear(x, w1, b1)), w2, b2): x[...,I]
     -> [...,O] through a hidden width w1.shape[1].
 
     One tape op for the composition, with the same expressions in the same
-    order, so the same bits. Relu runs in place on the hidden buffer, and
-    backward keeps only x's [rows, I] view and the post-relu hidden h, not
-    the pre-activation: relu's grad mask is h > 0, as in ``relu``'s vjp.
+    order, so the same bits. Relu runs in place on the hidden buffer.
+    Backward keeps only x's [rows, I] view: it rebuilds the post-relu hidden
+    h with forward's GEMM, bias add and relu, reads it for w2's grad and
+    relu's grad mask h > 0 (as in ``relu``'s vjp), and frees it before the
+    grads of the first layer.
     """
     i_in = x.shape[-1] if x.data.ndim else 0
     if (w1.data.ndim != 2 or w2.data.ndim != 2 or w1.shape[0] != i_in
@@ -424,19 +445,18 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         raise ShapeError(f"ffn: input {x.shape} incompatible with w1 {w1.shape}, b1 {b1.shape}, "
                          f"w2 {w2.shape}, b2 {b2.shape}")
     x2 = x.data.reshape(-1, i_in)
-    h = x2 @ w1.data
-    h += b1.data
-    np.maximum(h, 0.0, out=h)  # relu in place; NaN stays NaN
-    out2 = h @ w2.data
+    out2 = _ffn_hidden(x2, w1.data, b1.data) @ w2.data
     out2 += b2.data
     data = out2.reshape(*x.shape[:-1], w2.shape[1])
 
     def vjp(g):
         g2 = g.reshape(-1, w2.shape[1])
         gh = g2 @ w2.data.T
+        h = _ffn_hidden(x2, w1.data, b1.data)
         _accum(w2, h.T @ g2, own=True)
         _accum(b2, g2.sum(axis=0), own=True)
         gh *= h > 0.0
+        del h
         if x.requires_grad:
             _accum(x, (gh @ w1.data.T).reshape(x.shape), own=True)
         _accum(w1, x2.T @ gh, own=True)
@@ -478,9 +498,16 @@ def concat_lastaxis(parts: Sequence[Tensor]) -> Tensor:
 
 
 def split_lastaxis(a: Tensor, sizes: Sequence[int]) -> tuple:
-    """Split the last axis into consecutive blocks of the given sizes."""
-    if sum(sizes) != a.shape[-1]:
-        raise ShapeError(f"split_lastaxis: sizes {sizes} do not cover last axis of {a.shape}")
+    """Split the last axis into consecutive blocks of the given sizes, which
+    must be non-negative integers that sum to its length (ShapeError
+    otherwise)."""
+    sizes = list(sizes)
+    if (a.data.ndim == 0
+            or not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 0
+                       for n in sizes)
+            or sum(sizes) != a.shape[-1]):
+        raise ShapeError(f"split_lastaxis: sizes {sizes} are not non-negative integers that "
+                         f"sum to the last axis of {a.shape}")
     outs = []
     lo = 0
     for n in sizes:
@@ -591,15 +618,28 @@ def log_softmax_lastaxis(x: Tensor) -> Tensor:
     return _make(data, "log_softmax", (x,), vjp)
 
 
+def _normalized_sum(x: np.ndarray, y: np.ndarray, mean: np.ndarray,
+                    inv: np.ndarray) -> np.ndarray:
+    """(x + y - mean) * inv in one fresh buffer, in residual_layer_norm's
+    order: its xhat, rebuilt from its row mean and inverse deviation."""
+    xhat = x + y
+    xhat -= mean
+    xhat *= inv
+    return xhat
+
+
 def residual_layer_norm(x: Tensor, y: Tensor, gain: Tensor, shift: Tensor) -> Tensor:
     """Post-norm residual: the sum x + y normalized over its last axis to zero
     mean and unit variance (eps 1e-5), then gain*xhat + shift.
 
     One tape op for the composition of an add and a layer norm, with the
     same expressions in the same order, so the same bits. The sum is formed
-    in a scratch buffer that is centred and scaled in place; only xhat and
-    the per-row inverse deviation are kept for backward, not the sum. x and
-    y get the same grad: x adopts it, y gets a copy.
+    in a scratch buffer that is centred and scaled in place into xhat. Only
+    the per-row mean and inverse deviation ([..., 1] each) are kept for
+    backward: it rebuilds xhat from x and y, which stay on the tape as
+    parents anyway, with forward's three passes (add, subtract the mean,
+    scale), so with forward's bits. x and y get the same grad: x adopts it,
+    y gets a copy.
     """
     if x.shape != y.shape:
         raise ShapeError(f"residual_layer_norm: x {x.shape} and y {y.shape} differ")
@@ -609,7 +649,8 @@ def residual_layer_norm(x: Tensor, y: Tensor, gain: Tensor, shift: Tensor) -> Te
             f"residual_layer_norm: gain {gain.shape} / shift {shift.shape} must be ({c},)"
         )
     xhat = x.data + y.data  # the sum, centred and then scaled in place
-    xhat -= xhat.mean(axis=-1, keepdims=True)
+    mean = xhat.mean(axis=-1, keepdims=True)
+    xhat -= mean
     var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + 1e-5)
     xhat *= inv
@@ -617,6 +658,7 @@ def residual_layer_norm(x: Tensor, y: Tensor, gain: Tensor, shift: Tensor) -> Te
     data += shift.data
 
     def vjp(g):
+        xhat = _normalized_sum(x.data, y.data, mean, inv)
         lead = tuple(range(g.ndim - 1))
         _accum(gain, (g * xhat).sum(axis=lead), own=True)
         _accum(shift, g.sum(axis=lead), own=True)
@@ -721,16 +763,19 @@ class _BilinearPlan:
     factors, and writes each corner's column of both tables with ``out=``.
 
     With ``record`` set (a call that a backward may follow), forward also
-    keeps per axis the lower and upper in-range masks
-    and the fraction [R,K] (``rows``, ``cols``), and these with ``indices``
-    are all that backward reads: ``corner_weights`` rebuilds the unscaled
-    corner weights from them, and ``_corner_values`` the attention-scaled
-    ones, with forward's expressions in forward's order, so with forward's
-    bits; ``point_grads`` turns the corner dots (see ``deform_attend``) into
-    the points' grads. Without it, only ``indices`` and ``data`` are built.
+    keeps per axis the lower and upper in-range masks and the fraction [R,K]
+    (``rows``, ``cols``). Once forward has taken its product,
+    ``keep_for_backward`` drops the values and every index but corner
+    (0,0)'s, and these [R*K] indices with the masks and fractions are all
+    that backward reads: ``corner_indices`` rebuilds the four corners'
+    indices from them, ``corner_weights`` the unscaled corner weights, and
+    ``_corner_values`` the attention-scaled ones, with forward's expressions
+    in forward's order, so with forward's bits; ``point_grads`` turns the
+    corner dots (see ``deform_attend``) into the points' grads. Without it,
+    only ``indices`` and ``data`` are built.
     """
 
-    __slots__ = ("indices", "data", "rows", "cols")
+    __slots__ = ("indices", "data", "rows", "cols", "steps")
 
     def __init__(self, shape_hw, row_base: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                  attn: np.ndarray, n_rows: int, stride: int, record: bool):
@@ -763,6 +808,33 @@ class _BilinearPlan:
                 np.multiply(wr * wc, attn[s], out=data[s, :, corner])
         self.indices = idx.reshape(-1)
         self.data = data.reshape(-1)
+        self.steps = (w * stride, stride)  # table rows between row and column neighbours
+
+    def keep_for_backward(self):
+        """Drop what only forward reads: the values, and the indices of every
+        corner but (0,0), which ``corner_indices`` rebuilds."""
+        self.data = None
+        self.indices = self.indices[::4].copy()
+
+    def corner_indices(self) -> np.ndarray:
+        """The table rows [R*K*4] of every point's corners in forward's
+        order, rebuilt from the kept corner (0,0) rows and in-range masks:
+        corner (0,1) is (0,0)'s plus stride*(cin0 & cin1), (1,0) is (0,0)'s
+        plus W*stride*(rin0 & rin1), and (1,1) is (1,0)'s plus
+        stride*(cin0 & cin1). Along an axis the two neighbours' clipped
+        indices differ by one exactly where both lie inside it; elsewhere
+        both clip to the same border index, for a NaN coordinate too, and on
+        an axis of length 1 always."""
+        (rin0, rin1, _), (cin0, cin1, _) = self.rows, self.cols
+        idx00 = self.indices.reshape(rin0.shape)
+        row_step, col_step = self.steps
+        d_col = np.multiply(cin0 & cin1, col_step, dtype=idx00.dtype)
+        idx = np.empty(idx00.shape + (4,), dtype=idx00.dtype)
+        idx[..., 0] = idx00
+        np.add(idx00, d_col, out=idx[..., 1])
+        np.add(idx00, np.multiply(rin0 & rin1, row_step, dtype=idx00.dtype), out=idx[..., 2])
+        np.add(idx[..., 2], d_col, out=idx[..., 3])
+        return idx.reshape(-1)
 
     def corner_weights(self) -> list:
         """The unscaled weights [R,K] of the corners (0,0), (0,1), (1,0) and
@@ -950,10 +1022,11 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
     Forward gathers the sample rows and columns as two [P, M*K] arrays and
     builds the [P*M, B*H*W*M] CSR matrix of attention-scaled corner weights
     block by block (see ``_BilinearPlan``). For backward it keeps of the
-    plan only the int32 corner indices and, per axis, the in-range masks and
-    the fraction: not the matrix, its values, the corner weights or the
-    pairs' attention weights, which backward rebuilds with forward's
-    expressions, taking the pairs' rows of attn's data. When no backward can
+    plan only each point's int32 corner (0,0) index and, per axis, the
+    in-range masks and the fraction: not the matrix, its values, the other
+    three corners' indices, the corner weights or the pairs' attention
+    weights, which backward rebuilds with forward's expressions, taking the
+    pairs' rows of attn's data. When no backward can
     follow (under ``no_grad``, or when no input needs a grad), nothing needs
     to outlive the call: forward builds the matrix rows of the pairs of one
     block of at most ``_BLOCK`` points at a time and multiplies them out
@@ -964,10 +1037,10 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
     at the same points) and builds them otherwise; with a backward to
     follow, blocks is not read.
     Backward takes the value grad with the transposed matrix, which it
-    builds over forward's indices from the rebuilt values and frees before
-    the gathers that follow. For the attention and offset grads it
-    gathers, per (pair, head) row, the 4K corner rows of the value table and
-    dots each with that row's output grad g, as Deformable DETR's
+    builds over the rebuilt indices and values and frees before the gathers
+    that follow. For the attention and offset grads it gathers, over the
+    rebuilt indices, per (pair, head) row, the 4K corner rows of the value
+    table and dots each with that row's output grad g, as Deformable DETR's
     MSDeformAttn backward does. It gathers ``_GATHER_ROWS`` rows at a time
     into one buffer allocated once per call, and writes their dots into one
     [P*M, 4K] array, which changes no bits, since each dot reads one row's
@@ -1028,10 +1101,10 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
     s_attn, plan = _PairPoints((b, h, w), map_idx, base_pts, offsets.data, attn.data,
                                qry_idx).matrix(slice(None), True)
     out = per_query(s_attn @ flat)
-    # backward rebuilds the matrix and its values from the plan's masks and
-    # fractions, so neither outlives forward
+    # backward rebuilds the matrix, its values and three of each point's four
+    # corner indices from the plan's masks and fractions: none outlives forward
     del s_attn
-    plan.data = None
+    plan.keep_for_backward()
     grads = offsets.requires_grad or attn.requires_grad
 
     def per_query_grad(d, shape):
@@ -1043,9 +1116,10 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
         return _sum_pairs(d.reshape(p, -1), qry_idx, t).reshape(shape)
 
     def vjp(g):
+        indices = plan.corner_indices()
         # the corner gathers clip (see _GATHER_ROWS): check their indices once,
         # both ends in one pass, since a negative index viewed as unsigned is huge
-        if grads and plan.indices.view(f"u{plan.indices.itemsize}").max() >= flat.shape[0]:
+        if grads and indices.view(f"u{indices.itemsize}").max() >= flat.shape[0]:
             raise ContractError(f"deform_attend: a corner index lies outside the "
                                 f"{flat.shape[0]}-row value table")
         g2 = g.reshape(t, m * hd)
@@ -1058,7 +1132,7 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
         attnp = np.take(attn.data, qry_idx, axis=0).reshape(p * m, k)
         weights = plan.corner_weights()
         if feats.requires_grad:
-            mat = _corner_matrix(_corner_values(weights, attnp), plan.indices, k, flat.shape[0])
+            mat = _corner_matrix(_corner_values(weights, attnp), indices, k, flat.shape[0])
             _accum(feats, (mat.T @ g2).reshape(feats.shape), own=True)
             del mat  # frees rebuilt values before the gathers allocate
         if not grads:
@@ -1069,7 +1143,7 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
         dots = np.empty((rows, 4 * k))
         for lo in range(0, rows, step):
             hi = min(lo + step, rows)
-            corners = np.take(flat, plan.indices[4 * k * lo:4 * k * hi], axis=0,
+            corners = np.take(flat, indices[4 * k * lo:4 * k * hi], axis=0,
                               out=buf[:4 * k * (hi - lo)], mode="clip")
             np.einsum("rjc,rc->rj", corners.reshape(hi - lo, 4 * k, hd), g2[lo:hi],
                       out=dots[lo:hi])
@@ -1084,10 +1158,29 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
     return _make(out, "deform_attend", (feats, offsets, attn), vjp)
 
 
+def _pad1(x: np.ndarray) -> np.ndarray:
+    """x [B,H,W,C] zero-padded by one cell on each side of H and W."""
+    b, h, w, c = x.shape
+    xp = np.zeros((b, h + 2, w + 2, c))
+    xp[:, 1:-1, 1:-1] = x
+    return xp
+
+
+def _tap(xp: np.ndarray, di: int, dj: int) -> np.ndarray:
+    """The [B*H*W, C] slice of a padded input xp [B,H+2,W+2,C] that kernel
+    tap (di, dj) multiplies."""
+    _, hp, wp, c = xp.shape
+    return xp[:, di : di + hp - 2, dj : dj + wp - 2].reshape(-1, c)
+
+
 def conv2d_3x3(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """Same-size 3x3 convolution with zero padding of each of B maps:
     x[B,H,W,Ci] -> [B,H,W,Co]. Every tap is one product over all B*H*W
-    cells, so a cell's output does not depend on the other maps."""
+    cells, so a cell's output does not depend on the other maps.
+
+    The closure keeps nothing of its own: when the kernel needs a grad,
+    backward rebuilds the padded input from x's data with forward's one pad,
+    and each tap's slice from that."""
     if x.data.ndim != 4 or kernel.data.ndim != 4 or kernel.shape[:2] != (3, 3):
         raise ShapeError(f"conv2d_3x3: x {x.shape} is not [B,H,W,Ci] or kernel {kernel.shape} "
                          f"is not [3,3,Ci,Co]")
@@ -1098,29 +1191,24 @@ def conv2d_3x3(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     if bias.shape != (co,):
         raise ShapeError(f"conv2d_3x3: bias {bias.shape} != ({co},)")
     n = b * h * w
-    xp = np.zeros((b, h + 2, w + 2, ci))
-    xp[:, 1:-1, 1:-1] = x.data
-
-    def tap(di, dj):
-        """The [B*H*W, Ci] input slice that kernel tap (di, dj) multiplies."""
-        return xp[:, di : di + h, dj : dj + w].reshape(n, ci)
-
+    xp = _pad1(x.data)
     out2 = np.tile(bias.data, (n, 1))
     for di in range(3):
         for dj in range(3):
-            out2 += tap(di, dj) @ kernel.data[di, dj]
+            out2 += _tap(xp, di, dj) @ kernel.data[di, dj]
 
     def vjp(g):
         g2 = g.reshape(n, co)
         if kernel.requires_grad:
-            # each tap's slice is rebuilt here: backward keeps only xp
+            xp = _pad1(x.data)
             kgrad = _grad_buffer(kernel)
             for di in range(3):
                 for dj in range(3):
-                    kgrad[di, dj] += tap(di, dj).T @ g2
+                    kgrad[di, dj] += _tap(xp, di, dj).T @ g2
+            del xp
         _accum(bias, g2.sum(axis=0), own=True)
         if x.requires_grad:
-            gxp = np.zeros_like(xp)
+            gxp = np.zeros((b, h + 2, w + 2, ci))
             for di in range(3):
                 for dj in range(3):
                     gxp[:, di : di + h, dj : dj + w] += (g2 @ kernel.data[di, dj].T).reshape(

@@ -379,6 +379,30 @@ class TestCheckpointReader:
         assert path.read_bytes() == raw
 
 
+    @pytest.mark.parametrize("arr", [np.array([2**60 + 1]), np.array([True, False]),
+                                     np.array([1.0 + 2.0j]), np.array(3.0),
+                                     np.array([1.0], dtype=np.longdouble)],
+                             ids=["int64", "bool", "complex", "0-d", "longdouble"])
+    def test_array_that_would_not_round_trip_is_contract_error_before_writing(self, tmp_path,
+                                                                               arr):
+        """An int64 past 2**53, a bool, a complex number and a long double do
+        not survive the float64 payload, and a 0-d array would load back as
+        shape (1,): each raises ContractError and leaves the file as it was."""
+        path, raw = self.saved(tmp_path)
+        with pytest.raises(ContractError, match="round-trip"):
+            save_checkpoint(path, {**self.ARRAYS, "x": arr})
+        assert path.read_bytes() == raw
+
+    def test_float32_and_big_endian_arrays_read_back_as_their_values(self, tmp_path):
+        arrays = {"f4": np.array([0.1, -2.5], dtype=np.float32),
+                  "be": np.array([[np.pi]], dtype=">f8")}
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(path, arrays)
+        for k, v in load_checkpoint(path).items():
+            assert v.dtype == np.float64 and v.shape == arrays[k].shape
+            assert np.array_equal(v, arrays[k])
+
+
 class TestManifestReader:
     def copy_with_manifest(self, ds, tmp_path, text):
         root = tmp_path / "manifest"

@@ -7,8 +7,9 @@ the add, layer norm, linear and relu ops they replaced, and the
 graph-consuming backward is checked bit for bit against a walk that keeps
 the graph. The corner tables forward builds block by block are checked
 against the reference's whole-call tables, at every block size and at offsets
-far outside any index range; backward's corner gathers, through one buffer
-per call, byte for byte at every gather size."""
+far outside any index range, and the corner indices backward rebuilds
+from corner (0,0)'s against forward's; backward's corner gathers, through
+one buffer per call, byte for byte at every gather size."""
 
 import itertools
 import types
@@ -97,11 +98,12 @@ def test_border_case_samples_off_map():
 
 
 def test_plan_index_arrays_are_int32_and_shared(monkeypatch, plans):
-    """With every grad wanted, deform_attend builds one CSR matrix in forward
-    and one in backward, over the same int32 index array, which neither
-    copies; backward's values, rebuilt from the plan's masks and fractions,
-    have the bytes of forward's and of the reference's attention-scaled
-    corner weights."""
+    """With every grad wanted, deform_attend builds one CSR matrix in forward,
+    over the plan's int32 index array, and one in backward, over the int32
+    indices it rebuilds from the kept corner (0,0) indices; neither matrix
+    copies its indices. Backward's indices and values, rebuilt from the
+    plan's masks and fractions, have the bytes of forward's, and the values
+    those of the reference's attention-scaled corner weights."""
     from scipy import sparse
 
     built = []
@@ -121,13 +123,16 @@ def test_plan_index_arrays_are_int32_and_shared(monkeypatch, plans):
     out.node.vjp(np.ones(out.shape))
     assert len(built) == 2 and all(x.grad is not None for x in leaves)
     plan, = plans
+    (fwd_values, fwd_idx, _, _), (bwd_values, bwd_idx, _, _) = built
+    assert fwd_idx is plan.forward_indices
     for values, indices, indptr, m in built:
-        assert indices is plan.indices
         assert indices.dtype == np.int32 and indptr.dtype == np.int32
         # scipy slices indices to nnz (a view), so share, not identity, shows no copy
         assert np.shares_memory(m.indices, indices) and m.indptr is indptr
+    assert plan.indices.dtype == np.int32 and np.array_equal(plan.indices, fwd_idx[::4])
+    assert bwd_idx.tobytes() == fwd_idx.tobytes()
     _, s_attn, _ = ref.pair_rows(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx)
-    assert built[0][0].tobytes() == built[1][0].tobytes() == s_attn.data.tobytes()
+    assert fwd_values.tobytes() == bwd_values.tobytes() == s_attn.data.tobytes()
 
 
 @pytest.fixture
@@ -136,12 +141,12 @@ def plans(monkeypatch):
     built = []
 
     class Spy(T._BilinearPlan):
-        """A plan that also holds on to the values forward built."""
-        __slots__ = ("forward_data",)
+        """A plan that also holds on to the indices and values forward built."""
+        __slots__ = ("forward_indices", "forward_data")
 
         def __init__(self, *args, **kw):
             super().__init__(*args, **kw)
-            self.forward_data = self.data
+            self.forward_indices, self.forward_data = self.indices, self.data
             built.append(self)
 
     monkeypatch.setattr(T, "_BilinearPlan", Spy)
@@ -152,9 +157,9 @@ def plans(monkeypatch):
 @pytest.mark.parametrize("record", [True, False])
 def test_plan_keeps_backward_tables_only_for_offset_or_attention_grads(requires, record, plans):
     """A plan holds its indices and values, and no corner weights. A recorded
-    call keeps the masks and fractions as well, and forward drops the values
-    once it has taken its product, with the matrix over them: the closure
-    keeps neither."""
+    call keeps the masks and fractions as well, and once forward has taken
+    its product it drops the values, with the matrix over them, and keeps of
+    its indices a copy of corner (0,0)'s only: the closure keeps no matrix."""
     feats, map_idx, base, offsets, attn, qry_idx = attend_case(np.random.default_rng(40),
                                                                 "sources")
     leaves = [Tensor(a, requires_grad=r) for a, r in zip((feats, offsets, attn), requires)]
@@ -169,7 +174,9 @@ def test_plan_keeps_backward_tables_only_for_offset_or_attention_grads(requires,
     assert (plan.rows is not None, plan.cols is not None) == (kept, kept)
     assert (plan.data is None) == kept
     n = 4 * qry_idx.size * np.prod(offsets.shape[1:3])
-    assert plan.indices.size == plan.forward_data.size == n
+    assert plan.forward_indices.size == plan.forward_data.size == n
+    assert plan.indices.size == (n // 4 if kept else n)
+    assert np.shares_memory(plan.indices, plan.forward_indices) == (not kept)
     if out.node is not None:
         cells = dict(zip(out.node.vjp.__code__.co_freevars, out.node.vjp.__closure__))
         assert "s_attn" not in cells and "attnp" not in cells
@@ -303,8 +310,8 @@ def test_forward_blocks_change_no_bits(case, block, record, plans, monkeypatch):
     output equals the reference's bit for bit, and the plan's tables equal
     the reference's whole-call corner tables (indices, attention-scaled
     weights and, when kept for backward, the masks and fractions, and the
-    weights rebuilt from them). Under no_grad each block of pairs gets its
-    own plan, taken in order."""
+    indices and weights rebuilt from them). Under no_grad each block of
+    pairs gets its own plan, taken in order."""
     arrays = attend_case(np.random.default_rng(40), case)
     set_block(monkeypatch, arrays, block)
     feats, map_idx, base, offsets, attn, qry_idx = arrays
@@ -326,19 +333,50 @@ def test_forward_blocks_change_no_bits(case, block, record, plans, monkeypatch):
         step = max(1, T._BLOCK // (m * k))  # pairs per block
         assert len(plans) == -(-p // step)
         assert all(x.indices.size <= 4 * max(T._BLOCK, m * k) for x in plans)
-        plan = types.SimpleNamespace(indices=np.concatenate([x.indices for x in plans]),
-                                     forward_data=np.concatenate([x.data for x in plans]))
+        plan = types.SimpleNamespace(
+            forward_indices=np.concatenate([x.forward_indices for x in plans]),
+            forward_data=np.concatenate([x.forward_data for x in plans]))
     pts = (base[:, None, None, :] + offsets[qry_idx]).reshape(p * m * k, 2)
     head_base = (map_idx[:, None] * (h * w * m) + np.arange(m)).repeat(k, axis=1).reshape(-1)
     idx, inside, wgt, _, _, fr, fc = ref.corner_tables((h, w), head_base, pts, m)
-    assert plan.indices.dtype == np.int32 and np.array_equal(plan.indices, idx.reshape(-1))
+    assert plan.forward_indices.dtype == np.int32
+    assert np.array_equal(plan.forward_indices, idx.reshape(-1))
     assert np.array_equal(plan.forward_data, (wgt * attn[qry_idx].reshape(-1, 1)).reshape(-1))
     if record:
+        assert plan.corner_indices().tobytes() == plan.forward_indices.tobytes()
         assert np.stack(plan.corner_weights(), axis=-1).reshape(-1, 4).tobytes() == wgt.tobytes()
         (rin0, rin1, plan_fr), (cin0, cin1, plan_fc) = plan.rows, plan.cols
         assert np.array_equal(plan_fr.reshape(-1), fr) and np.array_equal(plan_fc.reshape(-1), fc)
         masks = [rin0 & cin0, rin0 & cin1, rin1 & cin0, rin1 & cin1]
         assert np.array_equal(np.stack([x.reshape(-1) for x in masks], axis=-1), inside)
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["int32", "intp"])
+@pytest.mark.parametrize("shape_hw", [(5, 4), (1, 4), (5, 1), (1, 1)])
+def test_rebuilt_corner_indices_equal_forwards(shape_hw, wide):
+    """The four corners' indices that a recorded plan rebuilds from corner
+    (0,0)'s and the masks have the bytes of those forward built: for points
+    inside the map, on each border, past each of the four borders, at a NaN
+    coordinate and on an axis of length 1, in an int32 plan and in an intp
+    plan whose table rows lie past int32's range."""
+    h, w = shape_hw
+    stride = 3
+    rows = [-4.5, -1.0, -0.5, 0.0, 0.25, h - 1.0, h - 0.5, h, h + 2.75, np.nan]
+    cols = [-4.5, -1.0, -0.5, 0.0, 0.25, w - 1.0, w - 0.5, w, w + 2.75, np.nan]
+    pts = np.array(list(itertools.product(rows, cols)))  # every row with every column
+    r, k = 20, 5
+    rng = np.random.default_rng(47)
+    row_base = rng.integers(0, stride, r) + (2**31 if wide else 0)
+    n_rows = int(row_base.max()) + h * w * stride
+    plan = T._BilinearPlan((h, w), row_base, pts[:, 0].reshape(r, k), pts[:, 1].reshape(r, k),
+                           rng.random((r, k)), n_rows, stride, True)
+    full = plan.indices
+    assert full.dtype == (np.intp if wide else np.int32)
+    assert (full.max() > np.iinfo(np.int32).max) == wide
+    plan.keep_for_backward()
+    assert plan.data is None and plan.indices.tobytes() == full[::4].tobytes()
+    rebuilt = plan.corner_indices()
+    assert rebuilt.dtype == full.dtype and rebuilt.tobytes() == full.tobytes()
 
 
 EXTREME = [1e12, -1e12, 2.0**31 + 0.5, -(2.0**31 + 0.5), 2.0**32 + 1.25, -(2.0**32 + 1.25)]

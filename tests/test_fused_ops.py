@@ -2,7 +2,8 @@
 residual_layer_norm against an add and a layer norm, ffn against linear,
 relu and linear, and deform_attend's pair weight and per-query sum against
 a per-pair loop. Each fused op keeps fewer arrays for backward than its
-composition; none may change an output or a grad bit."""
+composition, and what its vjp rebuilds instead has the bytes forward
+computed; none may change an output or a grad bit."""
 
 import numpy as np
 import pytest
@@ -37,6 +38,26 @@ def assert_same_bytes(got, want):
         assert (a is None) == (b is None)
         if a is not None:
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def closure_arrays(out):
+    """The numpy arrays that out's vjp closure holds."""
+    return [c.cell_contents for c in out.node.vjp.__closure__
+            if isinstance(c.cell_contents, np.ndarray)]
+
+
+def spy_calls(monkeypatch, name):
+    """Replace T.<name> with a wrapper that keeps a copy of each result."""
+    results = []
+    real = getattr(T, name)
+
+    def spy(*args):
+        out = real(*args)
+        results.append(out.copy())
+        return out
+
+    monkeypatch.setattr(T, name, spy)
+    return results
 
 
 LN_REQUIRES = [(True, True, True, True), (True, False, True, False), (False, True, False, True)]
@@ -94,6 +115,38 @@ def test_residual_layer_norm_grads_stay_apart(x_first):
     assert_same_bytes([gx, gy], list(want))
 
 
+def test_residual_layer_norm_keeps_only_row_statistics():
+    """Backward holds the per-row mean and inverse deviation [..., 1] only,
+    not the normalized sum, which it rebuilds from x and y."""
+    rng = np.random.default_rng(1540)
+    x, y = (Tensor(rng.standard_normal((2, 3, 5)), requires_grad=True) for _ in range(2))
+    out = T.residual_layer_norm(x, y, Tensor(np.ones(5)), Tensor(np.zeros(5)))
+    assert sorted(a.shape for a in closure_arrays(out)) == [(2, 3, 1), (2, 3, 1)]
+
+
+def test_residual_layer_norm_rebuilds_forwards_xhat(monkeypatch):
+    """The normalized sum backward rebuilds has the bytes of forward's, on
+    rows holding a NaN, +-0 only, +-inf and finite values. With gain 1 and
+    shift -0.0 the output is forward's normalized sum itself: x * 1.0 and
+    x + -0.0 are x for every x."""
+    rng = np.random.default_rng(1550)
+    x = signed(rng, 6, 5) * 1e3
+    y = signed(rng, 6, 5)
+    x[0, 2] = np.nan
+    x[1], y[1] = [0.0, -0.0, -0.0, 0.0, -0.0], [-0.0, -0.0, 0.0, 0.0, -0.0]
+    x[2, 1], y[2, 3] = np.inf, -np.inf
+    x[3, 4] = np.inf
+    x[4, 0] = -np.inf
+    rebuilt = spy_calls(monkeypatch, "_normalized_sum")
+    with np.errstate(invalid="ignore"):  # inf - inf in the rows that hold them
+        out = T.residual_layer_norm(Tensor(x, requires_grad=True), Tensor(y), Tensor(np.ones(5)),
+                                    Tensor(np.full(5, -0.0)))
+        out.node.vjp(np.ones(out.shape))
+    xhat, = rebuilt
+    assert np.isnan(xhat[0]).all() and np.signbit(xhat[1]).any() and np.isnan(xhat[2:5]).all()
+    assert xhat.tobytes() == out.data.tobytes()
+
+
 def test_residual_layer_norm_rejects_mismatched_shapes():
     x = Tensor(np.zeros((3, 4)))
     with pytest.raises(ShapeError):
@@ -131,18 +184,29 @@ def test_ffn_matches_linear_relu_linear(seed, requires):
     assert_same_bytes(got, want)
 
 
-def test_ffn_keeps_no_pre_activation():
-    """Backward holds x's [rows, I] view and the post-relu hidden only."""
+def test_ffn_keeps_only_the_input_view():
+    """Backward holds x's [rows, I] view only: no pre-activation and no
+    hidden, which it rebuilds."""
     rng = np.random.default_rng(1650)
     x = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
     w1, b1 = Tensor(rng.standard_normal((3, 8))), Tensor(rng.standard_normal(8))
     out = T.ffn(x, w1, b1, Tensor(rng.standard_normal((8, 2))), Tensor(np.zeros(2)))
-    held = [c.cell_contents for c in out.node.vjp.__closure__]
-    arrays = [v for v in held if isinstance(v, np.ndarray)]
-    hidden = np.maximum(x.data @ w1.data + b1.data, 0.0)
-    assert len(arrays) == 2
-    assert any(np.shares_memory(a, x.data) for a in arrays)
-    assert any(a.shape == hidden.shape and a.tobytes() == hidden.tobytes() for a in arrays)
+    arrays = closure_arrays(out)
+    assert len(arrays) == 1 and np.shares_memory(arrays[0], x.data)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_ffn_rebuilds_forwards_hidden(seed, monkeypatch):
+    """The post-relu hidden that backward rebuilds has the bytes of the one
+    forward multiplied out, a dead row and -0.0 entries included."""
+    arrays = ffn_arrays(np.random.default_rng(seed + 1660))
+    hidden = spy_calls(monkeypatch, "_ffn_hidden")
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    out = T.ffn(*leaves)
+    out.node.vjp(np.ones(out.shape))
+    fwd, bwd = hidden
+    assert np.all(fwd[0] == 0.0)  # the dead row
+    assert fwd.tobytes() == bwd.tobytes()
 
 
 def test_ffn_rejects_mismatched_shapes():
@@ -208,18 +272,27 @@ def test_deform_attend_scale_under_no_grad(name):
     assert plain.node is None and recorded.data.tobytes() == plain.data.tobytes()
 
 
-def test_conv_keeps_only_the_padded_input():
-    """conv2d_3x3's backward rebuilds each tap's slice from the padded input
-    instead of holding nine [B*H*W, Ci] copies."""
+def test_conv_keeps_no_array_of_its_own():
+    """conv2d_3x3's backward rebuilds the padded input, and each tap's slice
+    from it, instead of holding it or nine [B*H*W, Ci] copies."""
     rng = np.random.default_rng(1800)
     x = Tensor(rng.standard_normal((2, 4, 5, 3)), requires_grad=True)
     out = T.conv2d_3x3(x, Tensor(rng.standard_normal((3, 3, 3, 2)), requires_grad=True),
                        Tensor(np.zeros(2)))
-    held = []
-    for cell in out.node.vjp.__closure__:
-        v = cell.cell_contents
-        if callable(v) and getattr(v, "__closure__", None):  # the tap helper
-            held += [c.cell_contents for c in v.__closure__]
-        held.append(v)
-    arrays = {id(v): v for v in held if isinstance(v, np.ndarray)}
-    assert [a.shape for a in arrays.values()] == [(2, 6, 7, 3)]
+    assert closure_arrays(out) == []
+
+
+@pytest.mark.parametrize("kernel_grad", [True, False])
+@pytest.mark.parametrize("b", [1, 4])
+def test_conv_rebuilds_forwards_padded_input(b, kernel_grad, monkeypatch):
+    """The padded input backward rebuilds for the kernel's grad has the bytes
+    of forward's; with no kernel grad wanted, backward pads nothing."""
+    rng = np.random.default_rng(1810 + b)
+    x = Tensor(signed(rng, b, 4, 5, 3), requires_grad=True)
+    padded = spy_calls(monkeypatch, "_pad1")
+    out = T.conv2d_3x3(x, Tensor(signed(rng, 3, 3, 3, 2), requires_grad=kernel_grad),
+                       Tensor(signed(rng, 2)))
+    out.node.vjp(signed(rng, *out.shape))
+    assert len(padded) == (2 if kernel_grad else 1) and x.grad is not None
+    assert padded[0].shape == (b, 6, 7, 3)
+    assert padded[-1].tobytes() == padded[0].tobytes()

@@ -396,6 +396,24 @@ def test_fd_matmul_concat_split(seed):
     check_grads(build, [a, b])
 
 
+@pytest.mark.parametrize("sizes", [[3, -1], [2.5, -0.5], [1.0, 1.0], [1, 2], [], [True, 1]],
+                         ids=["negative", "fractional", "floats", "short_sum", "none", "bool"])
+def test_split_refuses_sizes_that_do_not_split_the_axis(sizes):
+    """Only non-negative integers that sum to the axis split it: a negative
+    size, which numpy's slices would read from the end, a fraction, a float
+    or a bool raises ShapeError."""
+    with pytest.raises(ShapeError, match="split_lastaxis"):
+        T.split_lastaxis(Tensor(np.zeros((2, 2)), requires_grad=True), sizes)
+
+
+def test_split_takes_numpy_integers_and_empty_blocks():
+    a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    left, mid, right = T.split_lastaxis(a, [np.int64(1), 0, 2])
+    assert mid.shape == (2, 0) and np.array_equal(right.data, [[1.0, 2.0], [4.0, 5.0]])
+    backward(T.tsum(T.add(T.tsum(left), T.tsum(right))))
+    assert np.array_equal(a.grad, np.ones((2, 3)))
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fd_misc_ops(seed):
     rng = np.random.default_rng(seed + 700)
