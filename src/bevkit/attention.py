@@ -44,14 +44,15 @@ class Pairs:
     pair p has query qry_idx[p] sample map map_idx[p] around the (row, col)
     point base_pts[p]. A query's pairs are summed in pair order, which fixes
     the float sum, and the sum is then multiplied by scale[q] (None: by 1).
-    The arrays are read-only copies, checked once, here.
+    The arrays are read-only copies, checked once, here; map_idx and
+    qry_idx must hold integers (ShapeError otherwise).
     """
 
     def __init__(self, map_idx, base_pts, qry_idx, n_maps: int, n_queries: int,
                  scale=None):
-        self.map_idx = np.array(map_idx, dtype=np.intp)
+        self.map_idx = np.array(T.index_array(map_idx, "Pairs: map_idx"), dtype=np.intp)
         self.base_pts = np.array(base_pts, dtype=np.float64)
-        self.qry_idx = np.array(qry_idx, dtype=np.intp)
+        self.qry_idx = np.array(T.index_array(qry_idx, "Pairs: qry_idx"), dtype=np.intp)
         self.scale = None if scale is None else np.array(scale, dtype=np.float64)
         self.n_maps, self.n_queries = n_maps, n_queries
         p = self.qry_idx.size

@@ -521,6 +521,16 @@ def split_lastaxis(a: Tensor, sizes: Sequence[int]) -> tuple:
     return tuple(outs)
 
 
+def index_array(x, what: str) -> np.ndarray:
+    """x as an array of an integer dtype, unless it is empty (ShapeError
+    otherwise): a cast to intp would truncate float indices and read bools
+    as 0 and 1. what names x in the error."""
+    a = np.asarray(x)
+    if a.size and a.dtype.kind not in "iu":
+        raise ShapeError(f"{what} must hold integers, got {a.dtype}")
+    return a
+
+
 def take_rows(a: Tensor, idx) -> Tensor:
     """Select rows of a 2-D tensor by a 1-D array of integer indices in
     [0, rows) (rows may repeat; ShapeError otherwise, as a negative index
@@ -528,10 +538,9 @@ def take_rows(a: Tensor, idx) -> Tensor:
     g's rows into a's rows by index with ``_sum_pairs``."""
     if a.data.ndim != 2:
         raise ShapeError(f"take_rows: expected 2-D, got {a.shape}")
-    arr = np.asarray(idx)
+    arr = index_array(idx, "take_rows: indices")
     n = a.shape[0]
-    if arr.ndim != 1 or (arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0
-                                       or arr.max() >= n)):
+    if arr.ndim != 1 or (arr.size and (arr.min() < 0 or arr.max() >= n)):
         raise ShapeError(f"take_rows: indices must be a 1-D array of integers in [0,{n}), "
                          f"got {arr.dtype} {arr.shape}")
     idx = arr.astype(np.intp)
@@ -678,10 +687,12 @@ def residual_layer_norm(x: Tensor, y: Tensor, gain: Tensor, shift: Tensor) -> Te
 # sampling and convolution
 
 
-# sample points per block of deform_attend's forward: it builds its corner
-# tables (and, with no backward to follow, takes their product) one block at a
-# time, so no per-point temporary is longer than a block; 8192 built the
-# camera tables 6-8% faster, but raised train peak RSS by 3 MB
+# sample points per block of deform_attend: forward builds its corner tables
+# (and, with no backward to follow, takes their product) one block at a time,
+# and backward rebuilds its corner weights and takes its corner dots and point
+# grads one block of _BLOCK // K (pair, head) rows at a time, so no per-point
+# temporary is longer than a block; 8192 built the camera tables 6-8% faster,
+# but raised train peak RSS by 3 MB
 _BLOCK = 4096
 
 # (pair, head) rows per corner gather of deform_attend's backward. Every
@@ -726,16 +737,6 @@ def _factors(in0: np.ndarray, in1: np.ndarray, f: np.ndarray) -> tuple:
     return w0, f * in1
 
 
-def _corner_values(weights, attn: np.ndarray) -> np.ndarray:
-    """The attention-scaled corner weights [R*K*4] of a plan, in the order of
-    its indices: each of the four corner weights [R,K] times the points'
-    attention weights attn [R,K]."""
-    data = np.empty(attn.shape + (4,))
-    for corner, wgt in enumerate(weights):
-        np.multiply(wgt, attn, out=data[..., corner])
-    return data.reshape(-1)
-
-
 def _corner_matrix(data: np.ndarray, indices: np.ndarray, k: int, n_cols: int):
     """The [R, n_cols] CSR matrix whose row r holds the 4K values
     data[4Kr : 4K(r+1)] at the columns indices[4Kr : 4K(r+1)]. scipy keeps
@@ -767,12 +768,15 @@ class _BilinearPlan:
     (``rows``, ``cols``). Once forward has taken its product,
     ``keep_for_backward`` drops the values and every index but corner
     (0,0)'s, and these [R*K] indices with the masks and fractions are all
-    that backward reads: ``corner_indices`` rebuilds the four corners'
-    indices from them, ``corner_weights`` the unscaled corner weights, and
-    ``_corner_values`` the attention-scaled ones, with forward's expressions
-    in forward's order, so with forward's bits; ``point_grads`` turns the
-    corner dots (see ``deform_attend``) into the points' grads. Without it,
-    only ``indices`` and ``data`` are built.
+    that backward reads. ``corner_indices`` rebuilds the four corners'
+    indices of the whole call from them, once per backward. Backward then
+    works one block of rows at a time: ``corner_weights`` rebuilds the
+    unscaled corner weights of a slice of rows, and ``point_grads`` turns
+    that slice's corner dots (see ``deform_attend``) into its points' grads,
+    each into arrays the caller hands it. Both use forward's expressions in
+    forward's order, and each point's arithmetic reads only its own row, so
+    the bits are forward's whatever the slice. Without ``record``, only
+    ``indices`` and ``data`` are built.
     """
 
     __slots__ = ("indices", "data", "rows", "cols", "steps")
@@ -836,41 +840,46 @@ class _BilinearPlan:
         np.add(idx[..., 2], d_col, out=idx[..., 3])
         return idx.reshape(-1)
 
-    def corner_weights(self) -> list:
-        """The unscaled weights [R,K] of the corners (0,0), (0,1), (1,0) and
-        (1,1), each the product of its row and column factors, rebuilt from
-        the kept masks and fractions as forward built them."""
-        (wr0, wr1), (wc0, wc1) = _factors(*self.rows), _factors(*self.cols)
-        return [wr * wc for wr, wc in itertools.product((wr0, wr1), (wc0, wc1))]
+    def corner_weights(self, s: slice, out: np.ndarray) -> np.ndarray:
+        """The unscaled weights of the corners (0,0), (0,1), (1,0) and (1,1)
+        of rows s, written into out [4, rows, K], each the product of its row
+        and column factors, rebuilt from the kept masks and fractions as
+        forward built them."""
+        (wr0, wr1), (wc0, wc1) = (_factors(*(a[s] for a in axis))
+                                  for axis in (self.rows, self.cols))
+        for o, (wr, wc) in zip(out, itertools.product((wr0, wr1), (wc0, wc1))):
+            np.multiply(wr, wc, out=o)
+        return out
 
-    def point_grads(self, h: np.ndarray, weights, attn: np.ndarray, want_off: bool):
-        """The grads of every point: [R,K] the grad of its sample in its
-        attention weight (if the corner weights ``weights`` are given, else
-        None), and [R,K,2] the grads in its row and column times its
-        attention weight attn [R,K] (if want_off, else None).
+    def point_grads(self, s: slice, h: np.ndarray, weights, attn: np.ndarray, d_attn, d_off):
+        """The grads of the points of rows s: into d_attn [rows, K] (unless
+        None) the grad of each sample in its attention weight, from the
+        corner weights ``weights``, and into d_off [rows, K, 2] (unless None)
+        the grads in its row and column times its attention weight attn
+        [rows, K].
 
-        h [R, K, 4] holds, per point and corner, the corner's row of the
+        h [rows, K, 4] holds, per point and corner, the corner's row of the
         value table dotted with the output grad. Corners outside the map
         read as zero, so their dots are zeroed first. The weight grad sums
         w*h over the corners in corner order; the row grad is
         (1-fc)(h10-h00) + fc(h11-h01) and the column grad
         (1-fr)(h01-h00) + fr(h11-h10).
         """
-        rin0, rin1, fr = self.rows
-        cin0, cin1, fc = self.cols
+        rin0, rin1, fr = (a[s] for a in self.rows)
+        cin0, cin1, fc = (a[s] for a in self.cols)
         h00 = h[..., 0] * (rin0 & cin0)
         h01 = h[..., 1] * (rin0 & cin1)
         h10 = h[..., 2] * (rin1 & cin0)
         h11 = h[..., 3] * (rin1 & cin1)
-        d_attn = d_off = None
-        if weights is not None:
+        if d_attn is not None:
             w00, w01, w10, w11 = weights
-            d_attn = w00 * h00 + w01 * h01 + w10 * h10 + w11 * h11
-        if want_off:
-            d_off = np.empty(h.shape[:2] + (2,))
+            np.multiply(w00, h00, out=d_attn)
+            d_attn += w01 * h01
+            d_attn += w10 * h10
+            d_attn += w11 * h11
+        if d_off is not None:
             np.multiply((1.0 - fc) * (h10 - h00) + fc * (h11 - h01), attn, out=d_off[..., 0])
             np.multiply((1.0 - fr) * (h01 - h00) + fr * (h11 - h10), attn, out=d_off[..., 1])
-        return d_attn, d_off
 
 
 def _sum_pairs(rows: np.ndarray, qry_idx: np.ndarray, n_out: int) -> np.ndarray:
@@ -956,8 +965,8 @@ def _check_points(b: int, offsets: Tensor, attn: Tensor, map_idx, base_pts, qry_
         raise ShapeError(f"{op}: attn {attn.shape} is not offsets' [T,M,K] "
                          f"{offsets.shape[:3]}")
     t = offsets.shape[0]
-    map_idx = np.asarray(map_idx, dtype=np.intp)
-    qry_idx = np.asarray(qry_idx, dtype=np.intp)
+    map_idx = index_array(map_idx, f"{op}: map_idx").astype(np.intp, copy=False)
+    qry_idx = index_array(qry_idx, f"{op}: qry_idx").astype(np.intp, copy=False)
     base_pts = np.asarray(base_pts)
     p = qry_idx.size
     if qry_idx.shape != (p,) or map_idx.shape != (p,) or base_pts.shape != (p, 2):
@@ -1036,24 +1045,31 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
     and maps' shape, kept by a caller that samples other maps of that shape
     at the same points) and builds them otherwise; with a backward to
     follow, blocks is not read.
-    Backward takes the value grad with the transposed matrix, which it
-    builds over the rebuilt indices and values and frees before the gathers
-    that follow. For the attention and offset grads it gathers, over the
-    rebuilt indices, per (pair, head) row, the 4K corner rows of the value
-    table and dots each with that row's output grad g, as Deformable DETR's
-    MSDeformAttn backward does. It gathers ``_GATHER_ROWS`` rows at a time
-    into one buffer allocated once per call, and writes their dots into one
-    [P*M, 4K] array, which changes no bits, since each dot reads one row's
-    corners and grad only; ``_BilinearPlan.point_grads`` then turns all the
-    dots into the points' grads at once. A corner index outside the
-    value table raises ContractError. Both grads are then summed over the
-    pairs of a query in pair order by ``_sum_pairs``, the sum forward takes;
-    when pair p is query p for every p, only that sum's +0.0 start is added,
-    which gives the same bits.
+    Backward rebuilds the corner indices of the whole call once, and
+    checks them: a corner index outside the value table raises
+    ContractError. It then works through the (pair, head) rows one block of
+    ``_BLOCK`` points (``_BLOCK // K`` rows) at a time. Per block it rebuilds
+    the rows' corner weights into one block-sized buffer, writes their
+    attention-scaled values into the call's value array, and, for the
+    attention and offset grads, gathers the 4K corner rows of the value
+    table of each row and dots each with that row's output grad g, as
+    Deformable DETR's MSDeformAttn backward does. The gathers take
+    ``_GATHER_ROWS`` rows at a time into one buffer allocated once per call
+    and write their dots into one block-sized buffer;
+    ``_BilinearPlan.point_grads`` turns them into the block's slices of the
+    call's attention and offset grads. Every point's arithmetic reads its
+    own row only, so the blocks change no bits. After the loop the
+    attention and offset grads are summed over the pairs of a query in pair
+    order by ``_sum_pairs``, the sum forward takes (when pair p is query p
+    for every p, only that sum's +0.0 start is added, which gives the same
+    bits), and the value grad is one product of the transposed CSR matrix
+    over the call's rebuilt indices and values, whose column order fixes
+    its sums. What spans the call is thus the rebuilt indices, the value
+    array and the pairs' rows of g, besides the grads themselves.
 
     offsets must be [T,M,K,2] and attn [T,M,K]; map_idx, base_pts [P,2] and
-    qry_idx must agree on P, with map_idx in [0,B) and qry_idx in [0,T);
-    scale is None or [T].
+    qry_idx must agree on P, with map_idx in [0,B) and qry_idx in [0,T), both
+    of an integer dtype unless P is 0; scale is None or [T].
     """
     if feats.data.ndim != 4:
         raise ShapeError(f"deform_attend: expected [B,H,W,M*D], got {feats.shape}")
@@ -1128,32 +1144,50 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
         if not in_order:
             # the sum's vjp: each pair reads its query's row
             g2 = np.take(g2, qry_idx, axis=0)
-        g2 = g2.reshape(p * m, hd)
-        attnp = np.take(attn.data, qry_idx, axis=0).reshape(p * m, k)
-        weights = plan.corner_weights()
-        if feats.requires_grad:
-            mat = _corner_matrix(_corner_values(weights, attnp), indices, k, flat.shape[0])
-            _accum(feats, (mat.T @ g2).reshape(feats.shape), own=True)
-            del mat  # frees rebuilt values before the gathers allocate
-        if not grads:
-            return
         rows = p * m
-        step = min(_GATHER_ROWS, rows)
-        buf = np.empty((step * 4 * k, hd))
-        dots = np.empty((rows, 4 * k))
-        for lo in range(0, rows, step):
-            hi = min(lo + step, rows)
-            corners = np.take(flat, indices[4 * k * lo:4 * k * hi], axis=0,
-                              out=buf[:4 * k * (hi - lo)], mode="clip")
-            np.einsum("rjc,rc->rj", corners.reshape(hi - lo, 4 * k, hd), g2[lo:hi],
-                      out=dots[lo:hi])
-        d_attn, d_off = plan.point_grads(dots.reshape(rows, k, 4),
-                                         weights if attn.requires_grad else None, attnp,
-                                         offsets.requires_grad)
+        g2 = g2.reshape(rows, hd)
+        block = min(max(1, _BLOCK // k), rows)  # (pair, head) rows per block
+        need_weights = feats.requires_grad or attn.requires_grad
+        weights = np.empty((4, block, k)) if need_weights else None
+        values = np.empty((rows, k, 4)) if feats.requires_grad else None
+        gather = min(_GATHER_ROWS, block)
+        buf = np.empty((gather * 4 * k, hd)) if grads else None
+        dots = np.empty((block, 4 * k)) if grads else None
+        d_attn = np.empty((rows, k)) if attn.requires_grad else None
+        d_off = np.empty((rows, k, 2)) if offsets.requires_grad else None
+        for lo in range(0, rows, block):
+            hi = min(lo + block, rows)
+            s = slice(lo, hi)
+            if in_order:
+                attnp = attn.data.reshape(rows, k)[s]
+            else:  # the attention weights of the pairs of rows lo..hi
+                first = lo // m
+                attnp = np.take(attn.data, qry_idx[first:-(-hi // m)], axis=0).reshape(-1, k)
+                attnp = attnp[lo - first * m:hi - first * m]
+            wgt = plan.corner_weights(s, weights[:, :hi - lo]) if need_weights else None
+            if values is not None:
+                for corner in range(4):
+                    np.multiply(wgt[corner], attnp, out=values[s, :, corner])
+            if not grads:
+                continue
+            for glo in range(lo, hi, gather):
+                ghi = min(glo + gather, hi)
+                corners = np.take(flat, indices[4 * k * glo:4 * k * ghi], axis=0,
+                                  out=buf[:4 * k * (ghi - glo)], mode="clip")
+                np.einsum("rjc,rc->rj", corners.reshape(ghi - glo, 4 * k, hd), g2[glo:ghi],
+                          out=dots[glo - lo:ghi - lo])
+            plan.point_grads(s, dots[:hi - lo].reshape(hi - lo, k, 4), wgt, attnp,
+                             None if d_attn is None else d_attn[s],
+                             None if d_off is None else d_off[s])
+        del weights, buf, dots
         if d_attn is not None:
             _accum(attn, per_query_grad(d_attn, attn.shape), own=True)
         if d_off is not None:
             _accum(offsets, per_query_grad(d_off, offsets.shape), own=True)
+        del d_attn, d_off  # freed before the value grad's product allocates
+        if values is not None:
+            mat = _corner_matrix(values.reshape(-1), indices, k, flat.shape[0])
+            _accum(feats, (mat.T @ g2).reshape(feats.shape), own=True)
 
     return _make(out, "deform_attend", (feats, offsets, attn), vjp)
 

@@ -566,6 +566,18 @@ class TestPairsContract:
         with pytest.raises(ContractError):
             Pairs(**self.arrays(**change))
 
+    @pytest.mark.parametrize("change", [
+        dict(qry_idx=[0.7, 1.2, 2.9]),
+        dict(qry_idx=np.array([2.0, 0.0, 2.0])),
+        dict(qry_idx=np.array([True, False, True])),
+        dict(map_idx=np.array([0.0, 1.0, 1.0])),
+        dict(map_idx=[False, True, True]),
+    ], ids=["qry_fractions", "qry_float", "qry_bool", "map_float", "map_bool"])
+    def test_indices_must_be_integers(self, change):
+        """A float index is not truncated and a bool one not read as 0 and 1."""
+        with pytest.raises(ShapeError, match="integers"):
+            Pairs(**self.arrays(**change))
+
     def test_deform_attn_multi_checks_its_maps_and_queries(self):
         rng = np.random.default_rng(360)
         p = make_params(rng)

@@ -8,8 +8,9 @@ graph-consuming backward is checked bit for bit against a walk that keeps
 the graph. The corner tables forward builds block by block are checked
 against the reference's whole-call tables, at every block size and at offsets
 far outside any index range, and the corner indices backward rebuilds
-from corner (0,0)'s against forward's; backward's corner gathers, through
-one buffer per call, byte for byte at every gather size."""
+from corner (0,0)'s against forward's; backward's blocks of (pair, head)
+rows and its corner gathers, through one buffer per call, byte for byte at
+every block and gather size."""
 
 import itertools
 import types
@@ -36,9 +37,11 @@ from helpers import source_pairs
 REQUIRES = list(itertools.product((False, True), repeat=3))
 
 
-def attend_case(rng, case):
-    """(feats [B,H,W,C], map_idx, base_pts, offsets, attn, qry_idx) arrays."""
-    b, h, w, ch, t, m, k = 3, 5, 4, 6, 7, 2, 3
+def attend_case(rng, case, m=2):
+    """(feats [B,H,W,C], map_idx, base_pts, offsets, attn, qry_idx) arrays,
+    with m heads of 3 channels."""
+    b, h, w, t, k = 3, 5, 4, 7, 3
+    ch = 3 * m
     feats = rng.standard_normal((b, h, w, ch))
     offsets = rng.uniform(-1.5, 1.5, (t, m, k, 2))
     attn = rng.dirichlet(np.ones(k), (t, m))
@@ -82,7 +85,7 @@ def test_deform_attend_matches_reference(case, requires):
     arrays = attend_case(np.random.default_rng(40), case)
     out, grads = attend_grads(T.deform_attend, arrays, requires)
     want_out, want = attend_grads(ref.deform_attend_reference, arrays, requires)
-    assert np.array_equal(out, want_out)
+    assert out.tobytes() == want_out.tobytes()
     for r, a, b in zip(requires, grads, want):
         assert (a is None) == (b is None) == (not r or arrays[5].size == 0)
         if a is not None:
@@ -205,21 +208,40 @@ def set_gather(monkeypatch, arrays, gather):
     monkeypatch.setattr(T, "_GATHER_ROWS", gather)
 
 
+BACKWARD_BLOCKS = ["1", "M-1", "R", "R+1"]
+
+
+def set_backward_block(monkeypatch, arrays, block):
+    """Set _BLOCK so that each block of deform_attend's backward holds
+    ``block`` (pair, head) rows: 1, M-1 (the block boundaries fall inside
+    pairs' heads), R = P*M (one block, ending with the call) or R+1."""
+    _, _, _, offsets, _, qry_idx = arrays
+    m, k = offsets.shape[1:3]
+    rows = qry_idx.size * m
+    n = {"1": 1, "M-1": m - 1, "R": rows, "R+1": rows + 1}[block]
+    monkeypatch.setattr(T, "_BLOCK", max(n, 1) * k)
+
+
 @pytest.mark.parametrize("case", ["sources", "border", "unordered", "empty"])
 @pytest.mark.parametrize("gather", GATHERS)
-def test_backward_blocks_change_no_bits(case, gather, monkeypatch):
-    """Corner gathers of one (pair, head) row, of 5 rows (the last gather
-    partial: the cases have 42, 18 and 24 rows), or one gather over the whole
-    call: the bytes of the unblocked reference."""
-    arrays = attend_case(np.random.default_rng(40), case)
+@pytest.mark.parametrize("block", BACKWARD_BLOCKS)
+@pytest.mark.parametrize("requires", REQUIRES)
+def test_backward_blocks_change_no_bits(case, gather, block, requires, monkeypatch):
+    """Backward blocks of 1, M-1, R and R+1 (pair, head) rows, each with
+    corner gathers of one row, of 5 rows (the last gather partial: with
+    M = 3 heads the cases have 63, 27 and 36 rows) or one gather over the
+    whole call, for every set of inputs that want a grad: the output and
+    grads equal the unblocked reference's bit for bit."""
+    arrays = attend_case(np.random.default_rng(40), case, m=3)
     rows = arrays[5].size * arrays[3].shape[1]
     assert gather != 5 or rows % 5 or not rows
     set_gather(monkeypatch, arrays, gather)
-    out, grads = attend_grads(T.deform_attend, arrays, (True, True, True))
-    want_out, want = attend_grads(ref.deform_attend_reference, arrays, (True, True, True))
+    set_backward_block(monkeypatch, arrays, block)
+    out, grads = attend_grads(T.deform_attend, arrays, requires)
+    want_out, want = attend_grads(ref.deform_attend_reference, arrays, requires)
     assert out.tobytes() == want_out.tobytes()
-    for a, b in zip(grads, want):
-        assert (a is None) == (b is None)
+    for r, a, b in zip(requires, grads, want):
+        assert (a is None) == (b is None) == (not r or rows == 0)
         if a is not None:
             assert a.tobytes() == b.tobytes()
 
@@ -344,7 +366,8 @@ def test_forward_blocks_change_no_bits(case, block, record, plans, monkeypatch):
     assert np.array_equal(plan.forward_data, (wgt * attn[qry_idx].reshape(-1, 1)).reshape(-1))
     if record:
         assert plan.corner_indices().tobytes() == plan.forward_indices.tobytes()
-        assert np.stack(plan.corner_weights(), axis=-1).reshape(-1, 4).tobytes() == wgt.tobytes()
+        weights = plan.corner_weights(slice(None), np.empty((4,) + plan.rows[0].shape))
+        assert np.stack(weights, axis=-1).reshape(-1, 4).tobytes() == wgt.tobytes()
         (rin0, rin1, plan_fr), (cin0, cin1, plan_fc) = plan.rows, plan.cols
         assert np.array_equal(plan_fr.reshape(-1), fr) and np.array_equal(plan_fc.reshape(-1), fc)
         masks = [rin0 & cin0, rin0 & cin1, rin1 & cin0, rin1 & cin1]

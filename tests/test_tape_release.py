@@ -186,12 +186,32 @@ def test_default_tape_bytes_stay_bounded(default_setup):
 HELD_BYTES_BOUND = 33_738_407
 
 # Peak bytes above those held after that forward while backward walks its
-# tape: the grads in flight and what the vjps rebuild. Measured at 5,627,436
-# (3,362,576 when forward kept what the vjps now rebuild, at 13.9 MB more
-# held through the step). The bound is that value plus 2%: a vjp that
-# rebuilds a whole-tape array, or keeps its rebuild past its own return,
-# fails it.
-BACKWARD_RISE_BOUND = 5_739_985
+# tape: the grads in flight and what the vjps rebuild. Measured at 1,842,272
+# with deform_attend's backward working one block of (pair, head) rows at a
+# time (5,627,436 when it built its corner weights, corner dots and point
+# grads for the whole call at once; 3,362,576 when forward kept what the vjps
+# now rebuild, at 13.9 MB more held through the step). The bound is that
+# value plus 2%: a vjp that rebuilds a whole-tape array, keeps its rebuild
+# past its own return, or builds a per-point table of a whole call that one
+# block's would do, fails it.
+BACKWARD_RISE_BOUND = 1_879_117
+
+
+def held_and_peak_rise(forward, walk):
+    """Bytes that tracemalloc sees held once forward() has returned, and the
+    peak rise above them while walk(what forward returned) runs."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        out = forward()
+        held = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        walk(out)
+        rise = tracemalloc.get_traced_memory()[1] - before - held
+    finally:
+        tracemalloc.stop()
+    return held, rise
 
 
 def held_and_backward_rise(default_setup):
@@ -199,21 +219,11 @@ def held_and_backward_rise(default_setup):
     peak rise above them while backward consumes its tape."""
     det, sample = default_setup
     det.loss(sample, BOTH)  # fills the detector's memo, which outlives the step
-    gc.collect()
-    tracemalloc.start()
     try:
-        before, _ = tracemalloc.get_traced_memory()
-        loss = det.loss(sample, BOTH)
-        held = tracemalloc.get_traced_memory()[0] - before
-        assert loss.node is not None
-        tracemalloc.reset_peak()
-        backward(loss)
-        rise = tracemalloc.get_traced_memory()[1] - before - held
+        return held_and_peak_rise(lambda: det.loss(sample, BOTH), backward)
     finally:
-        tracemalloc.stop()
         for prm in det.parameters():
             prm.tensor.zero_grad()
-    return held, rise
 
 
 def test_default_forward_holds_bounded_bytes(default_setup):
@@ -224,6 +234,39 @@ def test_default_forward_holds_bounded_bytes(default_setup):
 def test_default_backward_peak_rise_stays_bounded(default_setup):
     _, rise = held_and_backward_rise(default_setup)
     assert rise <= BACKWARD_RISE_BOUND
+
+
+def test_deform_attend_backward_rises_by_one_block_over_its_call_arrays():
+    """One recorded deform_attend of the default camera encoder's size (4
+    views of 24 x 32 cells, 2 heads of 16 channels, 4 points, 5008 pairs of
+    1024 queries): its backward's peak rise is the arrays that span the call
+    plus one block's worth. Those arrays are the rebuilt corner indices
+    (int32) and attention-scaled values that the value grad's CSR matrix
+    reads, each pair's row of the output grad, and the points' attention and
+    offset grads before their sum per query. One block's worth is the
+    gather buffer and eight [block rows, 4K] float arrays (corner weights,
+    corner dots and point-grad temporaries): a backward that builds any of
+    them for the whole call, about 1.3 MB each here, fails."""
+    rng = np.random.default_rng(12)
+    b, h, w, m, hd, t, k, p = 4, 24, 32, 2, 16, 1024, 4, 5008
+    leaves = [Tensor(rng.standard_normal((b, h, w, m * hd)), requires_grad=True),
+              Tensor(rng.uniform(-2.0, 2.0, (t, m, k, 2)), requires_grad=True),
+              Tensor(rng.dirichlet(np.ones(k), (t, m)), requires_grad=True)]
+    map_idx = np.sort(rng.integers(0, b, p))
+    qry_idx = rng.integers(0, t, p)
+    base = rng.uniform(-1.0, [h, w], (p, 2))
+    g = rng.standard_normal((t, m, hd))
+
+    def forward():
+        return T.deform_attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx)
+
+    forward()  # imports what the first call imports
+    _, rise = held_and_peak_rise(forward, lambda out: out.node.vjp(g))
+    rows = p * m
+    spans = rows * 4 * k * (4 + 8) + rows * hd * 8 + rows * k * (8 + 2 * 8)
+    block_rows = T._BLOCK // k
+    one_block = T._GATHER_ROWS * 4 * k * hd * 8 + 8 * block_rows * 4 * k * 8
+    assert rise <= spans + one_block
 
 
 def test_default_tape_stacks_no_maps_and_concatenates_no_weights(default_setup):

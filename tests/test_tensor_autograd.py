@@ -822,6 +822,34 @@ class TestDeformAttendShapes:
         with pytest.raises(ShapeError):
             T.deform_attend(**self.args(qry_idx=np.array(qry_idx)))
 
+    @pytest.mark.parametrize("entry", ["deform_attend", "attend_blocks"])
+    @pytest.mark.parametrize("change", [
+        dict(qry_idx=[0.7, 1.2, 2.9]),
+        dict(qry_idx=np.array([0.0, 3.0, 3.0])),
+        dict(qry_idx=np.array([True, False, True])),
+        dict(map_idx=np.array([0.0, 2.0, 1.0])),
+        dict(map_idx=np.array([False, True, True])),
+    ], ids=["qry_fractions", "qry_float", "qry_bool", "map_float", "map_bool"])
+    def test_pair_indices_must_be_integers(self, change, entry):
+        """A float index is not truncated and a bool one not read as 0 and 1."""
+        args = self.args(**change)
+        with pytest.raises(ShapeError, match="integers"):
+            if entry == "deform_attend":
+                T.deform_attend(**args)
+            else:
+                T.attend_blocks((3, 5, 4), *[args[n] for n in ("map_idx", "base_pts",
+                                                             "offsets", "attn", "qry_idx")])
+
+    @pytest.mark.parametrize("entry", ["deform_attend", "attend_blocks"])
+    def test_empty_pair_lists_pass(self, entry):
+        args = self.args(map_idx=[], base_pts=np.zeros((0, 2)), qry_idx=[])
+        if entry == "deform_attend":
+            out = T.deform_attend(**args)
+            assert out.shape == (4, 2, 3) and not np.any(out.data)
+        else:
+            assert T.attend_blocks((3, 5, 4), *[args[n] for n in (
+                "map_idx", "base_pts", "offsets", "attn", "qry_idx")]) == ()
+
     @pytest.mark.parametrize("shape", [(4, 0, 3), (4, 2, 0)])
     def test_offsets_without_heads_or_points(self, shape):
         args = self.args(offsets=Tensor(np.zeros(shape + (2,))), attn=Tensor(np.zeros(shape)))
