@@ -25,12 +25,12 @@ data and from little else, is rebuilt rather than kept:
 rebuilds the normalized sum from its two inputs; ``ffn`` keeps nothing but
 its input's view and rebuilds the post-relu hidden with one GEMM;
 ``conv2d_3x3`` keeps nothing and rebuilds its zero-padded input, and each
-tap's slice from it; a recorded ``deform_attend`` keeps of its corner tables
-only corner (0,0)'s int32 index and, per axis, the in-range masks and the
-fraction of each sample point, and rebuilds the other corners' indices, the
-corner weights, the attention-scaled values and their sparse matrix. Each
-rebuild runs forward's expressions in forward's order, so it has forward's
-bits.
+tap's slice from it; a recorded ``deform_attend`` keeps, per block of pairs,
+of its corner tables only corner (0,0)'s int32 index and, per axis, the
+in-range masks and the fraction of each sample point, and its backward walks
+the same blocks and rebuilds the other corners' indices, the corner weights,
+the attention-scaled values and their sparse matrix. Each rebuild runs
+forward's expressions in forward's order, so it has forward's bits.
 
 Image and feature maps travel as one [B,H,W,C] tensor of B same-shape maps:
 ``conv2d_3x3``, ``avgpool2x2`` and ``deform_attend`` take that rank only.
@@ -687,12 +687,11 @@ def residual_layer_norm(x: Tensor, y: Tensor, gain: Tensor, shift: Tensor) -> Te
 # sampling and convolution
 
 
-# sample points per block of deform_attend: forward builds its corner tables
-# (and, with no backward to follow, takes their product) one block at a time,
-# and backward rebuilds its corner weights and takes its corner dots and point
-# grads one block of _BLOCK // K (pair, head) rows at a time, so no per-point
-# temporary is longer than a block; 8192 built the camera tables 6-8% faster,
-# but raised train peak RSS by 3 MB
+# sample points per block of deform_attend, the one unit of its forward and
+# backward: a block holds _BLOCK // (M*K) pairs (one at least), forward builds
+# and multiplies out one block's corner tables at a time, and backward walks
+# the same blocks, so no per-point temporary is longer than a block; 8192
+# built the camera tables 6-8% faster, but raised train peak RSS by 3 MB
 _BLOCK = 4096
 
 # (pair, head) rows per corner gather of deform_attend's backward. Every
@@ -701,31 +700,36 @@ _BLOCK = 4096
 # 64 and 256 rows measured about as fast, 16 (per-gather overhead) and 1024 (a
 # 2 MiB buffer) slower. The gathers clip rather than check their indices:
 # numpy buffers an out= gather that checks them, which measured slower than
-# fresh arrays; the call checks its indices' range once instead
+# fresh arrays; the call checks its indices' range instead
 _GATHER_ROWS = 128
 
 
-def _neighbours(x: np.ndarray, n: int, keep):
+def _index_dtype(*sizes) -> type:
+    """int32, the index type scipy computes with, so that a sparse matrix
+    over an index array shares it instead of copying; intp when one of sizes
+    (the largest index, or the count of stored entries that the row or
+    column pointers reach) would overflow int32."""
+    return np.int32 if max(sizes) <= np.iinfo(np.int32).max else np.intp
+
+
+def _neighbours(x: np.ndarray, n: int):
     """The lower and upper grid neighbours of coordinates x along an axis of
-    length n: their indices clipped into [0, n), as floats, and their
-    bilinear factors 1 - f and f (f = x - floor(x)), each zeroed where its
-    neighbour is outside the axis. keep is None or the (lower in-range mask,
-    upper in-range mask, f) arrays, shaped like x, to write into.
+    length n: their indices clipped into [0, n), as floats, and the axis'
+    (lower in-range mask, upper in-range mask, fraction f = x - floor(x)),
+    each a fresh array shaped like x.
 
     The indices are clipped in float with fmax/fmin, which pass over NaN, so
     a cast of them never sees a value outside [0, n), whatever x holds.
     """
-    in0, in1, f = keep if keep is not None else (None, None, None)
     x0 = np.floor(x)
-    f = np.subtract(x, x0, out=f)
+    f = x - x0
     lo = np.fmax(x0, 0.0)
     np.fmin(lo, n - 1.0, out=lo)
-    in0 = np.equal(lo, x0, out=in0)
+    in0 = lo == x0
     x0 += 1.0
     hi = np.fmax(x0, 0.0)
     np.fmin(hi, n - 1.0, out=hi)
-    in1 = np.equal(hi, x0, out=in1)
-    return (lo, hi) + _factors(in0, in1, f)
+    return lo, hi, (in0, hi == x0, f)
 
 
 def _factors(in0: np.ndarray, in1: np.ndarray, f: np.ndarray) -> tuple:
@@ -735,6 +739,14 @@ def _factors(in0: np.ndarray, in1: np.ndarray, f: np.ndarray) -> tuple:
     w0 = np.subtract(1.0, f)
     w0 *= in0
     return w0, f * in1
+
+
+def _scale_corners(weights: np.ndarray, attn: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The corner weights [4, R, K] times the points' attention weights
+    [R, K], written into out [R, K, 4] in corner order."""
+    for corner in range(4):
+        np.multiply(weights[corner], attn, out=out[..., corner])
+    return out
 
 
 def _corner_matrix(data: np.ndarray, indices: np.ndarray, k: int, n_cols: int):
@@ -748,71 +760,50 @@ def _corner_matrix(data: np.ndarray, indices: np.ndarray, k: int, n_cols: int):
 
 
 class _BilinearPlan:
-    """Bilinear corner tables of R rows of K sample points, built block by
-    block straight into the arrays a CSR matrix keeps.
+    """Bilinear corner tables of R rows of K sample points: those of one
+    block of deform_attend's pairs, R = pairs * M.
 
     Point (r, k) lies at (rows[r, k], cols[r, k]) of an H x W map; its corner
     at (row, col) is row ``row_base[r] + (row*W + col) * stride`` of the flat
     value table, so a table that interleaves ``stride`` rows per cell (one
-    per head) is addressed by per-row ``row_base`` offsets. Forward builds,
-    per point and in corner order (0,0), (0,1), (1,0), (1,1), the corner's
-    table row (``indices``, int32, the index type scipy computes with, so a
-    CSR matrix over them shares them instead of copying) and its bilinear
-    weight times the point's attention weight (``data``); a corner outside
-    the map gets weight zero. Each block of ``_BLOCK`` points computes per
-    axis one floor, the fraction, the clipped neighbours and their masked
-    factors, and writes each corner's column of both tables with ``out=``.
+    per head) is addressed by per-row ``row_base`` offsets. The plan keeps
+    per axis the lower and upper in-range masks and the fraction [R,K]
+    (``rows``, ``cols``), and builds, per point and in corner order (0,0),
+    (0,1), (1,0), (1,1), the corner's table row (``indices``, of
+    ``_index_dtype``) and its bilinear weight times the point's attention
+    weight (``data``); a corner outside the map gets weight zero.
 
-    With ``record`` set (a call that a backward may follow), forward also
-    keeps per axis the lower and upper in-range masks and the fraction [R,K]
-    (``rows``, ``cols``). Once forward has taken its product,
-    ``keep_for_backward`` drops the values and every index but corner
-    (0,0)'s, and these [R*K] indices with the masks and fractions are all
-    that backward reads. ``corner_indices`` rebuilds the four corners'
-    indices of the whole call from them, once per backward. Backward then
-    works one block of rows at a time: ``corner_weights`` rebuilds the
-    unscaled corner weights of a slice of rows, and ``point_grads`` turns
-    that slice's corner dots (see ``deform_attend``) into its points' grads,
-    each into arrays the caller hands it. Both use forward's expressions in
-    forward's order, and each point's arithmetic reads only its own row, so
-    the bits are forward's whatever the slice. Without ``record``, only
-    ``indices`` and ``data`` are built.
+    A call that a backward may follow calls ``keep_for_backward`` once it
+    has taken the block's product: the plan drops the values and every index
+    but corner (0,0)'s, and these [R*K] indices with the masks and fractions
+    are all that backward reads. Backward rebuilds from them
+    ``corner_indices`` and ``corner_weights``, and ``point_grads`` turns the
+    block's corner dots (see ``deform_attend``) into its points' grads, each
+    into arrays the caller hands it. Forward builds its weights with
+    ``corner_weights`` too, and the rebuilds use forward's expressions in
+    forward's order, so they have forward's bits.
     """
 
     __slots__ = ("indices", "data", "rows", "cols", "steps")
 
     def __init__(self, shape_hw, row_base: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                 attn: np.ndarray, n_rows: int, stride: int, record: bool):
+                 attn: np.ndarray, n_rows: int, stride: int):
         h, w = shape_hw
         r, k = rows.shape
-        # int32 unless a row index or the 4RK row pointers would overflow it
-        dtype = np.int32 if max(4 * r * k, n_rows) <= np.iinfo(np.int32).max else np.intp
-        idx = np.empty((r, k, 4), dtype=dtype)
-        data = np.empty((r, k, 4))
-        base = row_base.astype(dtype)[:, None]
-        # for backward only: holding tables through a forward that no backward
-        # follows raised peak RSS by 2.3 MB (3%) in no_grad evaluation
-        self.rows, self.cols = [(np.empty((r, k), bool), np.empty((r, k), bool), np.empty((r, k)))
-                                for _ in range(2)] if record else (None, None)
-        step = max(1, _BLOCK // k)
-        for lo in range(0, r, step):
-            s = slice(lo, lo + step)
-            keep_r = [a[s] for a in self.rows] if record else None
-            keep_c = [a[s] for a in self.cols] if record else None
-            r0, r1, wr0, wr1 = _neighbours(rows[s], h, keep_r)
-            c0, c1, wc0, wc1 = _neighbours(cols[s], w, keep_c)
-            # table row = (base + row * W*stride) + col * stride, in integers
-            row_part = [ri.astype(dtype) * (w * stride) + base[s] for ri in (r0, r1)]
-            col_part = [ci.astype(dtype) * stride for ci in (c0, c1)]
-            corners = itertools.product(zip(row_part, (wr0, wr1)), zip(col_part, (wc0, wc1)))
-            for corner, ((ri, wr), (ci, wc)) in enumerate(corners):
-                np.add(ri, ci, out=idx[s, :, corner])
-                # (wr*rin)*(wc*cin) is wr*wc*(rin&cin) bit for bit: the masks
-                # are 0/1 and the factors non-negative
-                np.multiply(wr * wc, attn[s], out=data[s, :, corner])
-        self.indices = idx.reshape(-1)
-        self.data = data.reshape(-1)
+        dtype = _index_dtype(4 * r * k, n_rows)  # the 4RK row pointers and the table rows
+        r0, r1, self.rows = _neighbours(rows, h)
+        c0, c1, self.cols = _neighbours(cols, w)
         self.steps = (w * stride, stride)  # table rows between row and column neighbours
+        # table row = (base + row * W*stride) + col * stride, in integers
+        base = row_base.astype(dtype)[:, None]
+        row_part = [ri.astype(dtype) * (w * stride) + base for ri in (r0, r1)]
+        col_part = [ci.astype(dtype) * stride for ci in (c0, c1)]
+        idx = np.empty((r, k, 4), dtype=dtype)
+        for corner, (ri, ci) in enumerate(itertools.product(row_part, col_part)):
+            np.add(ri, ci, out=idx[..., corner])
+        self.indices = idx.reshape(-1)
+        weights = self.corner_weights(np.empty((4, r, k)))
+        self.data = _scale_corners(weights, attn, np.empty((r, k, 4))).reshape(-1)
 
     def keep_for_backward(self):
         """Drop what only forward reads: the values, and the indices of every
@@ -820,12 +811,12 @@ class _BilinearPlan:
         self.data = None
         self.indices = self.indices[::4].copy()
 
-    def corner_indices(self) -> np.ndarray:
+    def corner_indices(self, out: np.ndarray) -> np.ndarray:
         """The table rows [R*K*4] of every point's corners in forward's
-        order, rebuilt from the kept corner (0,0) rows and in-range masks:
-        corner (0,1) is (0,0)'s plus stride*(cin0 & cin1), (1,0) is (0,0)'s
-        plus W*stride*(rin0 & rin1), and (1,1) is (1,0)'s plus
-        stride*(cin0 & cin1). Along an axis the two neighbours' clipped
+        order, written into out, rebuilt from the kept corner (0,0) rows and
+        in-range masks: corner (0,1) is (0,0)'s plus stride*(cin0 & cin1),
+        (1,0) is (0,0)'s plus W*stride*(rin0 & rin1), and (1,1) is (1,0)'s
+        plus stride*(cin0 & cin1). Along an axis the two neighbours' clipped
         indices differ by one exactly where both lie inside it; elsewhere
         both clip to the same border index, for a NaN coordinate too, and on
         an axis of length 1 always."""
@@ -833,40 +824,39 @@ class _BilinearPlan:
         idx00 = self.indices.reshape(rin0.shape)
         row_step, col_step = self.steps
         d_col = np.multiply(cin0 & cin1, col_step, dtype=idx00.dtype)
-        idx = np.empty(idx00.shape + (4,), dtype=idx00.dtype)
+        idx = out.reshape(idx00.shape + (4,))
         idx[..., 0] = idx00
         np.add(idx00, d_col, out=idx[..., 1])
         np.add(idx00, np.multiply(rin0 & rin1, row_step, dtype=idx00.dtype), out=idx[..., 2])
         np.add(idx[..., 2], d_col, out=idx[..., 3])
-        return idx.reshape(-1)
+        return out
 
-    def corner_weights(self, s: slice, out: np.ndarray) -> np.ndarray:
-        """The unscaled weights of the corners (0,0), (0,1), (1,0) and (1,1)
-        of rows s, written into out [4, rows, K], each the product of its row
-        and column factors, rebuilt from the kept masks and fractions as
-        forward built them."""
-        (wr0, wr1), (wc0, wc1) = (_factors(*(a[s] for a in axis))
-                                  for axis in (self.rows, self.cols))
+    def corner_weights(self, out: np.ndarray) -> np.ndarray:
+        """The unscaled weights of the corners (0,0), (0,1), (1,0) and (1,1),
+        written into out [4, R, K], each the product of its row and column
+        factors from the masks and fractions."""
+        (wr0, wr1), (wc0, wc1) = _factors(*self.rows), _factors(*self.cols)
+        # (wr*rin)*(wc*cin) is wr*wc*(rin&cin) bit for bit: the masks are 0/1
+        # and the factors non-negative
         for o, (wr, wc) in zip(out, itertools.product((wr0, wr1), (wc0, wc1))):
             np.multiply(wr, wc, out=o)
         return out
 
-    def point_grads(self, s: slice, h: np.ndarray, weights, attn: np.ndarray, d_attn, d_off):
-        """The grads of the points of rows s: into d_attn [rows, K] (unless
-        None) the grad of each sample in its attention weight, from the
-        corner weights ``weights``, and into d_off [rows, K, 2] (unless None)
-        the grads in its row and column times its attention weight attn
-        [rows, K].
+    def point_grads(self, h: np.ndarray, weights, attn: np.ndarray, d_attn, d_off):
+        """The grads of the points: into d_attn [R, K] (unless None) the grad
+        of each sample in its attention weight, from the corner weights
+        ``weights``, and into d_off [R, K, 2] (unless None) the grads in its
+        row and column times its attention weight attn [R, K].
 
-        h [rows, K, 4] holds, per point and corner, the corner's row of the
+        h [R, K, 4] holds, per point and corner, the corner's row of the
         value table dotted with the output grad. Corners outside the map
         read as zero, so their dots are zeroed first. The weight grad sums
         w*h over the corners in corner order; the row grad is
         (1-fc)(h10-h00) + fc(h11-h01) and the column grad
         (1-fr)(h01-h00) + fr(h11-h10).
         """
-        rin0, rin1, fr = (a[s] for a in self.rows)
-        cin0, cin1, fc = (a[s] for a in self.cols)
+        rin0, rin1, fr = self.rows
+        cin0, cin1, fc = self.cols
         h00 = h[..., 0] * (rin0 & cin0)
         h01 = h[..., 1] * (rin0 & cin1)
         h10 = h[..., 2] * (rin1 & cin0)
@@ -897,60 +887,58 @@ def _sum_pairs(rows: np.ndarray, qry_idx: np.ndarray, n_out: int) -> np.ndarray:
     from scipy import sparse
 
     p = qry_idx.size
-    dtype = np.int32 if max(p, n_out) <= np.iinfo(np.int32).max else np.intp
+    dtype = _index_dtype(p, n_out)
     ones = sparse.csc_matrix((np.ones(p), qry_idx.astype(dtype), np.arange(p + 1, dtype=dtype)),
                              shape=(n_out, p))
     return ones @ rows
 
 
-def _block_pairs(m: int, k: int) -> int:
-    """Pairs per block of at most ``_BLOCK`` points of M heads of K points."""
-    return max(1, _BLOCK // (m * k))
+def _pair_blocks(p: int, m: int, k: int) -> list:
+    """The pair slices, in order, of deform_attend's blocks over P pairs of
+    M heads of K points: at most ``_BLOCK`` points, and one pair at least,
+    per block."""
+    step = max(1, _BLOCK // (m * k))
+    return [slice(lo, min(lo + step, p)) for lo in range(0, p, step)]
 
 
-class _PairPoints:
-    """The sample points of deform_attend's P pairs on B maps [H, W] of M
-    heads: per axis the offsets [T, M*K], contiguous, and the attention
-    weights [T, M*K]. ``matrix`` builds the attention-scaled corner weights of
-    a range of pairs, ``blocks`` those of every block of pairs in turn."""
+def _pair_attn(attn: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The attention weights [pairs*M, K] of pairs of queries q, from attn
+    [T,M,K]: one row per (pair, head)."""
+    return np.take(attn, q, axis=0).reshape(-1, attn.shape[2])
 
-    __slots__ = ("shape", "map_idx", "base_pts", "qry_idx", "m", "k", "offs", "attn")
 
-    def __init__(self, maps_bhw, map_idx, base_pts, offsets: np.ndarray, attn: np.ndarray,
-                 qry_idx):
-        t, self.m, self.k, _ = offsets.shape
-        self.shape = tuple(maps_bhw)
-        self.map_idx, self.base_pts, self.qry_idx = map_idx, base_pts, qry_idx
-        self.offs = [np.ascontiguousarray(offsets[..., axis]).reshape(t, self.m * self.k)
-                     for axis in (0, 1)]
-        self.attn = attn.reshape(t, self.m * self.k)
-
-    def matrix(self, ps, record):
-        """The [rows, B*H*W*M] CSR matrix of the attention-scaled corner
-        weights of pairs ps, and its plan."""
-        b, h, w = self.shape
-        m, k = self.m, self.k
-        q = self.qry_idx[ps]
+def _plan_blocks(maps_bhw, map_idx, base_pts, offsets: np.ndarray, attn: np.ndarray, qry_idx):
+    """Per block (``_pair_blocks``) of deform_attend's P pairs on B maps of
+    H x W, in pair order: the block's pair slice, its [pairs*M, B*H*W*M] CSR
+    matrix of attention-scaled corner weights, and its ``_BilinearPlan``.
+    Each block is built only when the one before it has been taken."""
+    b, h, w = maps_bhw
+    t, m, k, _ = offsets.shape
+    n_cols = b * h * w * m
+    offs = [np.ascontiguousarray(offsets[..., axis]).reshape(t, m * k) for axis in (0, 1)]
+    for ps in _pair_blocks(qry_idx.size, m, k):
+        q = qry_idx[ps]
         rows = q.size * m
         # sample rows and columns [pairs, M*K]: offset plus base point, as (rows, K)
         coords = []
-        for axis, o in enumerate(self.offs):
+        for axis, o in enumerate(offs):
             x = np.take(o, q, axis=0)
-            x += self.base_pts[ps, axis, None]
+            x += base_pts[ps, axis, None]
             coords.append(x.reshape(rows, k))
-        attnp = np.take(self.attn, q, axis=0).reshape(rows, k)
         # row of corner (0,0) of map map_idx in head m's block, per (pair, head)
-        row_base = (self.map_idx[ps, None] * (h * w * m) + np.arange(m)).reshape(-1)
-        n_cols = b * h * w * m
-        plan = _BilinearPlan((h, w), row_base, *coords, attnp, n_cols, m, record)
-        return _corner_matrix(plan.data, plan.indices, k, n_cols), plan
+        row_base = (map_idx[ps, None] * (h * w * m) + np.arange(m)).reshape(-1)
+        plan = _BilinearPlan((h, w), row_base, *coords, _pair_attn(attn, q), n_cols, m)
+        yield ps, _corner_matrix(plan.data, plan.indices, k, n_cols), plan
 
-    def blocks(self):
-        """The matrices of the pairs of one block at a time, in pair order:
-        each is built only when the one before it has been taken."""
-        step = _block_pairs(self.m, self.k)
-        for lo in range(0, self.qry_idx.size, step):
-            yield self.matrix(slice(lo, lo + step), False)[0]
+
+class _Blocks(tuple):
+    """The block matrices of ``attend_blocks``, in pair order, and the
+    (B, H, W) of the maps they were built for (``maps_bhw``)."""
+
+    def __new__(cls, mats, maps_bhw):
+        blocks = super().__new__(cls, mats)
+        blocks.maps_bhw = tuple(maps_bhw)
+        return blocks
 
 
 def _check_points(b: int, offsets: Tensor, attn: Tensor, map_idx, base_pts, qry_idx,
@@ -985,15 +973,16 @@ def attend_blocks(maps_bhw, map_idx, base_pts, offsets: Tensor, attn: Tensor,
                   qry_idx) -> tuple:
     """The block matrices that ``deform_attend`` multiplies out when no
     backward follows, for the same points on B maps of H x W (maps_bhw is
-    (B, H, W)), as a tuple; the other arguments are deform_attend's. They depend on
-    the points and the maps' shape only, so a caller that samples many maps
-    of one shape at the same points builds them once and hands them to each
-    call. Their arrays are read-only.
+    (B, H, W)), as a tuple that also carries maps_bhw; the other arguments
+    are deform_attend's. They depend on the points and the maps' shape only,
+    so a caller that samples many maps of one shape at the same points
+    builds them once and hands them to each call. Their arrays are
+    read-only.
     """
     map_idx, base_pts, qry_idx, _ = _check_points(maps_bhw[0], offsets, attn, map_idx,
                                                   base_pts, qry_idx, None, "attend_blocks")
-    blocks = tuple(_PairPoints(maps_bhw, map_idx, base_pts, offsets.data, attn.data,
-                               qry_idx).blocks())
+    built = _plan_blocks(maps_bhw, map_idx, base_pts, offsets.data, attn.data, qry_idx)
+    blocks = _Blocks((mat for _, mat, _ in built), maps_bhw)
     for mat in blocks:
         for a in (mat.data, mat.indices, mat.indptr):
             a.flags.writeable = False
@@ -1013,7 +1002,7 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
     order, and the sum of query q is multiplied by scale[q] (when given), into
     the output [T, M, D]. A query without pairs gets zeros. Read as the table
     ``feats.reshape(B*H*W*M, D)``, head m's corners are the rows
-    ``cell*M + m``, so every head's samples come from one sparse matmul,
+    ``cell*M + m``, so every head's samples come from sparse matmuls,
     without the [P,M,K,D] intermediates of sampling every point first.
     Corners outside a map read as zero, so a sample decays linearly to zero
     within one cell of the border and is zero beyond.
@@ -1028,44 +1017,38 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
     then gathers its row of each pair's query (g[qry_idx]), the vjps of the
     multiply and the sum; no pair row is kept for it.
 
-    Forward gathers the sample rows and columns as two [P, M*K] arrays and
-    builds the [P*M, B*H*W*M] CSR matrix of attention-scaled corner weights
-    block by block (see ``_BilinearPlan``). For backward it keeps of the
-    plan only each point's int32 corner (0,0) index and, per axis, the
-    in-range masks and the fraction: not the matrix, its values, the other
-    three corners' indices, the corner weights or the pairs' attention
-    weights, which backward rebuilds with forward's expressions, taking the
-    pairs' rows of attn's data. When no backward can
-    follow (under ``no_grad``, or when no input needs a grad), nothing needs
-    to outlive the call: forward builds the matrix rows of the pairs of one
-    block of at most ``_BLOCK`` points at a time and multiplies them out
-    before building the next, which changes no bits, since each output row
-    reads only its own row of the matrix. That loop takes the block matrices
-    as given when blocks holds them (``attend_blocks`` of the same points
-    and maps' shape, kept by a caller that samples other maps of that shape
-    at the same points) and builds them otherwise; with a backward to
-    follow, blocks is not read.
-    Backward rebuilds the corner indices of the whole call once, and
-    checks them: a corner index outside the value table raises
-    ContractError. It then works through the (pair, head) rows one block of
-    ``_BLOCK`` points (``_BLOCK // K`` rows) at a time. Per block it rebuilds
-    the rows' corner weights into one block-sized buffer, writes their
-    attention-scaled values into the call's value array, and, for the
-    attention and offset grads, gathers the 4K corner rows of the value
-    table of each row and dots each with that row's output grad g, as
-    Deformable DETR's MSDeformAttn backward does. The gathers take
-    ``_GATHER_ROWS`` rows at a time into one buffer allocated once per call
-    and write their dots into one block-sized buffer;
-    ``_BilinearPlan.point_grads`` turns them into the block's slices of the
-    call's attention and offset grads. Every point's arithmetic reads its
-    own row only, so the blocks change no bits. After the loop the
-    attention and offset grads are summed over the pairs of a query in pair
-    order by ``_sum_pairs``, the sum forward takes (when pair p is query p
-    for every p, only that sum's +0.0 start is added, which gives the same
-    bits), and the value grad is one product of the transposed CSR matrix
-    over the call's rebuilt indices and values, whose column order fixes
-    its sums. What spans the call is thus the rebuilt indices, the value
-    array and the pairs' rows of g, besides the grads themselves.
+    One loop over blocks of at most ``_BLOCK`` points (``_pair_blocks``)
+    serves forward, recorded or not, and backward. Per block, forward builds
+    the [pairs*M, B*H*W*M] CSR matrix of attention-scaled corner weights
+    (see ``_BilinearPlan``) and multiplies it out before building the next;
+    each output row reads only its own row of the matrix, so blocks change
+    no bits. When no backward can follow (under ``no_grad``, or when no
+    input needs a grad), the loop takes the block matrices from blocks when
+    given (``attend_blocks`` of the same points on maps of the same (B, H,
+    W), kept by a caller that samples many such maps; ContractError for
+    others) and nothing outlives its block. A recorded call ignores blocks
+    and keeps each block's plan, and of it only each point's corner (0,0)
+    index and, per axis, the in-range masks and the fraction: backward
+    rebuilds the rest with forward's expressions, taking the pairs' rows of
+    attn's data.
+
+    Backward walks the same blocks. Per block it rebuilds the corner
+    indices into one array that spans the call and checks them (a corner
+    index outside the value table raises ContractError), rebuilds the
+    corner weights into one block-sized buffer and their attention-scaled
+    values into the call's value array, and, for the attention and offset
+    grads, gathers the 4K corner rows of the value table of each (pair,
+    head) row and dots each with that row's output grad g, as Deformable
+    DETR's MSDeformAttn backward does, ``_GATHER_ROWS`` rows at a time into
+    one buffer per call; ``_BilinearPlan.point_grads`` turns the dots into
+    the block's slices of the point grads. After the loop the point grads
+    are summed per query in pair order by ``_sum_pairs``, the sum forward
+    takes (when pair p is query p for every p, only that sum's +0.0 start
+    is added, which gives the same bits), and the value grad is one product
+    of the transposed CSR matrix over the call's rebuilt indices and values,
+    whose column order fixes its sums. What spans the call is thus the
+    rebuilt indices, the value array and the pairs' rows of g, besides the
+    grads themselves.
 
     offsets must be [T,M,K,2] and attn [T,M,K]; map_idx, base_pts [P,2] and
     qry_idx must agree on P, with map_idx in [0,B) and qry_idx in [0,T), both
@@ -1088,39 +1071,35 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
 
     in_order = p == t and np.array_equal(qry_idx, np.arange(t))
     flat = feats.data.reshape(b * h * w * m, hd)
-
-    def per_query(pairs):
-        """The pair rows [P*M, D], a fresh array, summed and scaled per query."""
-        rows = pairs.reshape(p, m * hd)
-        if not in_order:
-            rows = _sum_pairs(rows, qry_idx, t)
-        if scale is not None:
-            rows *= scale[:, None]
-        return rows.reshape(t, m, hd)
-
-    if not (_grad_enabled.get()
-            and (feats.requires_grad or offsets.requires_grad or attn.requires_grad)):
-        # no backward follows, so no table needs to outlive its block's product
-        step = _block_pairs(m, k)
-        starts = range(0, p, step)
-        if blocks is None:
-            blocks = _PairPoints((b, h, w), map_idx, base_pts, offsets.data, attn.data,
-                                 qry_idx).blocks()
-        elif [mat.shape for mat in blocks] != [(min(step, p - lo) * m, flat.shape[0])
-                                               for lo in starts]:
-            raise ContractError(f"deform_attend: blocks {[mat.shape for mat in blocks]} are "
-                                f"not those of {p} pairs on maps {feats.shape}")
-        pairs = np.empty((p * m, hd))
-        for lo, mat in zip(starts, blocks):
-            pairs[lo * m:(lo + step) * m] = mat @ flat
-        return Tensor(per_query(pairs))
-    s_attn, plan = _PairPoints((b, h, w), map_idx, base_pts, offsets.data, attn.data,
-                               qry_idx).matrix(slice(None), True)
-    out = per_query(s_attn @ flat)
-    # backward rebuilds the matrix, its values and three of each point's four
-    # corner indices from the plan's masks and fractions: none outlives forward
-    del s_attn
-    plan.keep_for_backward()
+    slices = _pair_blocks(p, m, k)
+    record = _grad_enabled.get() and (feats.requires_grad or offsets.requires_grad
+                                      or attn.requires_grad)
+    if record or blocks is None:
+        built = _plan_blocks((b, h, w), map_idx, base_pts, offsets.data, attn.data, qry_idx)
+    else:
+        shapes, bhw = [mat.shape for mat in blocks], getattr(blocks, "maps_bhw", None)
+        if bhw != (b, h, w) or shapes != [((s.stop - s.start) * m, flat.shape[0])
+                                          for s in slices]:
+            raise ContractError(f"deform_attend: blocks {shapes} for maps {bhw} are not "
+                                f"those of {p} pairs on maps {feats.shape}")
+        built = ((s, mat, None) for s, mat in zip(slices, blocks))
+    pairs = np.empty((p * m, hd))
+    plans = []
+    for ps, mat, plan in built:
+        pairs[ps.start * m:ps.stop * m] = mat @ flat
+        if record:
+            # backward rebuilds the matrix, its values and three of each point's
+            # four corner indices from the plan's masks and fractions
+            plan.keep_for_backward()
+            plans.append(plan)
+    pairs = pairs.reshape(p, m * hd)
+    if not in_order:
+        pairs = _sum_pairs(pairs, qry_idx, t)
+    if scale is not None:
+        pairs *= scale[:, None]
+    out = pairs.reshape(t, m, hd)
+    if not record:
+        return Tensor(out)
     grads = offsets.requires_grad or attn.requires_grad
 
     def per_query_grad(d, shape):
@@ -1132,12 +1111,6 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
         return _sum_pairs(d.reshape(p, -1), qry_idx, t).reshape(shape)
 
     def vjp(g):
-        indices = plan.corner_indices()
-        # the corner gathers clip (see _GATHER_ROWS): check their indices once,
-        # both ends in one pass, since a negative index viewed as unsigned is huge
-        if grads and indices.view(f"u{indices.itemsize}").max() >= flat.shape[0]:
-            raise ContractError(f"deform_attend: a corner index lies outside the "
-                                f"{flat.shape[0]}-row value table")
         g2 = g.reshape(t, m * hd)
         if scale is not None:
             g2 = g2 * scale[:, None]
@@ -1146,7 +1119,8 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
             g2 = np.take(g2, qry_idx, axis=0)
         rows = p * m
         g2 = g2.reshape(rows, hd)
-        block = min(max(1, _BLOCK // k), rows)  # (pair, head) rows per block
+        block = (slices[0].stop - slices[0].start) * m  # (pair, head) rows of the longest block
+        indices = np.empty(4 * k * rows, dtype=_index_dtype(4 * k * rows, flat.shape[0]))
         need_weights = feats.requires_grad or attn.requires_grad
         weights = np.empty((4, block, k)) if need_weights else None
         values = np.empty((rows, k, 4)) if feats.requires_grad else None
@@ -1155,19 +1129,20 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
         dots = np.empty((block, 4 * k)) if grads else None
         d_attn = np.empty((rows, k)) if attn.requires_grad else None
         d_off = np.empty((rows, k, 2)) if offsets.requires_grad else None
-        for lo in range(0, rows, block):
-            hi = min(lo + block, rows)
+        for ps, plan in zip(slices, plans):
+            lo, hi = ps.start * m, ps.stop * m
             s = slice(lo, hi)
-            if in_order:
-                attnp = attn.data.reshape(rows, k)[s]
-            else:  # the attention weights of the pairs of rows lo..hi
-                first = lo // m
-                attnp = np.take(attn.data, qry_idx[first:-(-hi // m)], axis=0).reshape(-1, k)
-                attnp = attnp[lo - first * m:hi - first * m]
-            wgt = plan.corner_weights(s, weights[:, :hi - lo]) if need_weights else None
+            block_idx = plan.corner_indices(indices[4 * k * lo:4 * k * hi])
+            # the corner gathers clip (see _GATHER_ROWS): check their indices
+            # first, both ends in one pass, since a negative index viewed as
+            # unsigned is huge
+            if grads and block_idx.view(f"u{block_idx.itemsize}").max() >= flat.shape[0]:
+                raise ContractError(f"deform_attend: a corner index lies outside the "
+                                    f"{flat.shape[0]}-row value table")
+            attnp = _pair_attn(attn.data, qry_idx[ps])
+            wgt = plan.corner_weights(weights[:, :hi - lo]) if need_weights else None
             if values is not None:
-                for corner in range(4):
-                    np.multiply(wgt[corner], attnp, out=values[s, :, corner])
+                _scale_corners(wgt, attnp, values[s])
             if not grads:
                 continue
             for glo in range(lo, hi, gather):
@@ -1176,7 +1151,7 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
                                   out=buf[:4 * k * (ghi - glo)], mode="clip")
                 np.einsum("rjc,rc->rj", corners.reshape(ghi - glo, 4 * k, hd), g2[glo:ghi],
                           out=dots[glo - lo:ghi - lo])
-            plan.point_grads(s, dots[:hi - lo].reshape(hi - lo, k, 4), wgt, attnp,
+            plan.point_grads(dots[:hi - lo].reshape(hi - lo, k, 4), wgt, attnp,
                              None if d_attn is None else d_attn[s],
                              None if d_off is None else d_off[s])
         del weights, buf, dots

@@ -5,13 +5,16 @@ backward the corner dots replaced. Through a full Detector.loss the
 references also stand in for the fused residual_layer_norm and ffn with
 the add, layer norm, linear and relu ops they replaced, and the
 graph-consuming backward is checked bit for bit against a walk that keeps
-the graph. The corner tables forward builds block by block are checked
-against the reference's whole-call tables, at every block size and at offsets
-far outside any index range, and the corner indices backward rebuilds
-from corner (0,0)'s against forward's; backward's blocks of (pair, head)
-rows and its corner gathers, through one buffer per call, byte for byte at
-every block and gather size."""
+the graph. deform_attend works through its pairs in blocks, forward and
+backward alike, with one plan of corner tables per block: the plans' tables
+are checked against the reference's whole-call tables, at every block size
+and at offsets far outside any index range, and the corner indices backward
+rebuilds from corner (0,0)'s against forward's; a recorded and a no-grad
+forward build the same block matrices; and backward, through the same
+blocks and its corner gathers into one buffer per call, is checked byte for
+byte at every block and gather size."""
 
+import contextlib
 import itertools
 import types
 import warnings
@@ -100,13 +103,20 @@ def test_border_case_samples_off_map():
     assert np.any(pts < -1.0) and np.any(pts[..., 1] > 4.0)
 
 
-def test_plan_index_arrays_are_int32_and_shared(monkeypatch, plans):
-    """With every grad wanted, deform_attend builds one CSR matrix in forward,
-    over the plan's int32 index array, and one in backward, over the int32
-    indices it rebuilds from the kept corner (0,0) indices; neither matrix
-    copies its indices. Backward's indices and values, rebuilt from the
-    plan's masks and fractions, have the bytes of forward's, and the values
-    those of the reference's attention-scaled corner weights."""
+PAIRS_PER_BLOCK = [1, 2, "P", "P+1"]
+
+
+def set_pairs_per_block(monkeypatch, arrays, pairs):
+    """Set _BLOCK so that each of deform_attend's blocks holds ``pairs``
+    pairs: 1, 2, "P" (one block, ending with the call) or "P+1"."""
+    _, _, _, offsets, _, qry_idx = arrays
+    n = {"P": qry_idx.size, "P+1": qry_idx.size + 1}.get(pairs, pairs)
+    monkeypatch.setattr(T, "_BLOCK", max(n, 1) * offsets.shape[1] * offsets.shape[2])
+
+
+def csr_spy(monkeypatch):
+    """Every (data, indices, indptr, matrix) that scipy's csr_matrix builds
+    from now on."""
     from scipy import sparse
 
     built = []
@@ -118,29 +128,66 @@ def test_plan_index_arrays_are_int32_and_shared(monkeypatch, plans):
         return m
 
     monkeypatch.setattr(sparse, "csr_matrix", spy)
-    feats, map_idx, base, offsets, attn, qry_idx = attend_case(np.random.default_rng(70),
-                                                                "sources")
+    return built
+
+
+def test_plan_index_arrays_are_int32_and_shared(monkeypatch, plans):
+    """With every grad wanted, deform_attend builds one CSR matrix per block
+    in forward, over that block's plan's int32 index array, and one in
+    backward, over the int32 indices it rebuilds from the kept corner (0,0)
+    indices; no matrix copies its indices. Backward's indices and values,
+    rebuilt from the plans' masks and fractions, have the bytes of forward's,
+    and the values those of the reference's attention-scaled corner
+    weights."""
+    arrays = attend_case(np.random.default_rng(70), "sources")
+    set_pairs_per_block(monkeypatch, arrays, 2)
+    built = csr_spy(monkeypatch)
+    feats, map_idx, base, offsets, attn, qry_idx = arrays
     leaves = [Tensor(a, requires_grad=True) for a in (feats, offsets, attn)]
     out = T.deform_attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx)
-    assert len(built) == 1  # the attention-scaled weights
+    assert len(plans) == len(built) == -(-qry_idx.size // 2)  # the attention-scaled weights
     out.node.vjp(np.ones(out.shape))
-    assert len(built) == 2 and all(x.grad is not None for x in leaves)
-    plan, = plans
-    (fwd_values, fwd_idx, _, _), (bwd_values, bwd_idx, _, _) = built
-    assert fwd_idx is plan.forward_indices
+    assert len(built) == len(plans) + 1 and all(x.grad is not None for x in leaves)
+    *forward, (bwd_values, bwd_idx, _, _) = built
+    for plan, (_, fwd_idx, _, _) in zip(plans, forward):
+        assert fwd_idx is plan.forward_indices
+        assert plan.indices.dtype == np.int32 and np.array_equal(plan.indices, fwd_idx[::4])
     for values, indices, indptr, m in built:
         assert indices.dtype == np.int32 and indptr.dtype == np.int32
         # scipy slices indices to nnz (a view), so share, not identity, shows no copy
         assert np.shares_memory(m.indices, indices) and m.indptr is indptr
-    assert plan.indices.dtype == np.int32 and np.array_equal(plan.indices, fwd_idx[::4])
+    fwd_idx, fwd_values = (np.concatenate([x[i] for x in forward]) for i in (1, 0))
     assert bwd_idx.tobytes() == fwd_idx.tobytes()
     _, s_attn, _ = ref.pair_rows(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx)
     assert fwd_values.tobytes() == bwd_values.tobytes() == s_attn.data.tobytes()
 
 
+@pytest.mark.parametrize("case", ["sources", "border", "unordered"])
+@pytest.mark.parametrize("pairs", [1, 2])
+def test_recorded_and_no_grad_forwards_build_the_same_blocks(case, pairs, monkeypatch):
+    """One block loop serves both forwards: on blocks of 1 and 2 pairs, a
+    recorded call and a no_grad call build the same sequence of CSR
+    matrices, with the same bytes of data, indices and row pointers."""
+    arrays = attend_case(np.random.default_rng(40), case)
+    set_pairs_per_block(monkeypatch, arrays, pairs)
+    feats, map_idx, base, offsets, attn, qry_idx = arrays
+    built, tables = csr_spy(monkeypatch), []
+    for record in (True, False):
+        built.clear()
+        leaves = [Tensor(a, requires_grad=True) for a in (feats, offsets, attn)]
+        with contextlib.nullcontext() if record else T.no_grad():
+            out = T.deform_attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx)
+        assert (out.node is not None) == record
+        tables.append([tuple(a.tobytes() for a in x[:3]) for x in built])
+    recorded, no_grad = tables
+    assert len(recorded) == -(-qry_idx.size // pairs) > 1
+    assert recorded == no_grad
+
+
 @pytest.fixture
 def plans(monkeypatch):
-    """Every _BilinearPlan that deform_attend builds during the test."""
+    """Every _BilinearPlan that deform_attend builds during the test: one per
+    block of pairs, in pair order."""
     built = []
 
     class Spy(T._BilinearPlan):
@@ -158,42 +205,36 @@ def plans(monkeypatch):
 
 @pytest.mark.parametrize("requires", REQUIRES)
 @pytest.mark.parametrize("record", [True, False])
-def test_plan_keeps_backward_tables_only_for_offset_or_attention_grads(requires, record, plans):
-    """A plan holds its indices and values, and no corner weights. A recorded
-    call keeps the masks and fractions as well, and once forward has taken
-    its product it drops the values, with the matrix over them, and keeps of
-    its indices a copy of corner (0,0)'s only: the closure keeps no matrix."""
-    feats, map_idx, base, offsets, attn, qry_idx = attend_case(np.random.default_rng(40),
-                                                                "sources")
+def test_plan_keeps_backward_tables_only_for_offset_or_attention_grads(requires, record, plans,
+                                                                      monkeypatch):
+    """A plan holds its block's indices, values, masks and fractions, and no
+    corner weights. Only a recorded call keeps its plans, in its closure,
+    and once forward has taken a block's product its plan drops the values,
+    with the matrix over them, and keeps of its indices a copy of corner
+    (0,0)'s only: the closure keeps no matrix. Any other call keeps
+    nothing, so its plans die with their blocks."""
+    arrays = attend_case(np.random.default_rng(40), "sources")
+    set_pairs_per_block(monkeypatch, arrays, 2)
+    feats, map_idx, base, offsets, attn, qry_idx = arrays
     leaves = [Tensor(a, requires_grad=r) for a, r in zip((feats, offsets, attn), requires)]
-    if record:
+    with contextlib.nullcontext() if record else T.no_grad():
         out = T.deform_attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx)
-    else:
-        with T.no_grad():
-            out = T.deform_attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx)
-    plan, = plans
-    assert not hasattr(plan, "weights")
     kept = record and any(requires)
-    assert (plan.rows is not None, plan.cols is not None) == (kept, kept)
-    assert (plan.data is None) == kept
-    n = 4 * qry_idx.size * np.prod(offsets.shape[1:3])
-    assert plan.forward_indices.size == plan.forward_data.size == n
-    assert plan.indices.size == (n // 4 if kept else n)
-    assert np.shares_memory(plan.indices, plan.forward_indices) == (not kept)
-    if out.node is not None:
+    assert len(plans) == -(-qry_idx.size // 2)
+    assert (out.node is not None) == kept
+    if kept:
         cells = dict(zip(out.node.vjp.__code__.co_freevars, out.node.vjp.__closure__))
-        assert "s_attn" not in cells and "attnp" not in cells
-
-
-BLOCKS = [1, 3, 7, "over"]
-
-
-def set_block(monkeypatch, arrays, block):
-    """Set deform_attend's block, in points; "over" is one block over the call."""
-    if block == "over":
-        _, _, _, offsets, _, qry_idx = arrays
-        block = qry_idx.size * offsets.shape[1] * offsets.shape[2] + 1  # P*M*K + 1
-    monkeypatch.setattr(T, "_BLOCK", block)
+        assert cells["plans"].cell_contents == plans
+        assert not {"s_attn", "attnp", "mat", "built"} & set(cells)
+    n_pairs = [2] * (len(plans) - 1) + [qry_idx.size - 2 * (len(plans) - 1)]
+    for plan, pairs in zip(plans, n_pairs):
+        assert not hasattr(plan, "weights")
+        assert plan.rows is not None and plan.cols is not None
+        assert (plan.data is None) == kept
+        n = 4 * pairs * np.prod(offsets.shape[1:3])
+        assert plan.forward_indices.size == plan.forward_data.size == n
+        assert plan.indices.size == (n // 4 if kept else n)
+        assert np.shares_memory(plan.indices, plan.forward_indices) == (not kept)
 
 
 GATHERS = [1, 5, "over"]
@@ -208,35 +249,22 @@ def set_gather(monkeypatch, arrays, gather):
     monkeypatch.setattr(T, "_GATHER_ROWS", gather)
 
 
-BACKWARD_BLOCKS = ["1", "M-1", "R", "R+1"]
-
-
-def set_backward_block(monkeypatch, arrays, block):
-    """Set _BLOCK so that each block of deform_attend's backward holds
-    ``block`` (pair, head) rows: 1, M-1 (the block boundaries fall inside
-    pairs' heads), R = P*M (one block, ending with the call) or R+1."""
-    _, _, _, offsets, _, qry_idx = arrays
-    m, k = offsets.shape[1:3]
-    rows = qry_idx.size * m
-    n = {"1": 1, "M-1": m - 1, "R": rows, "R+1": rows + 1}[block]
-    monkeypatch.setattr(T, "_BLOCK", max(n, 1) * k)
-
-
 @pytest.mark.parametrize("case", ["sources", "border", "unordered", "empty"])
 @pytest.mark.parametrize("gather", GATHERS)
-@pytest.mark.parametrize("block", BACKWARD_BLOCKS)
+@pytest.mark.parametrize("pairs", PAIRS_PER_BLOCK)
 @pytest.mark.parametrize("requires", REQUIRES)
-def test_backward_blocks_change_no_bits(case, gather, block, requires, monkeypatch):
-    """Backward blocks of 1, M-1, R and R+1 (pair, head) rows, each with
-    corner gathers of one row, of 5 rows (the last gather partial: with
-    M = 3 heads the cases have 63, 27 and 36 rows) or one gather over the
-    whole call, for every set of inputs that want a grad: the output and
-    grads equal the unblocked reference's bit for bit."""
+def test_backward_blocks_change_no_bits(case, gather, pairs, requires, monkeypatch):
+    """Blocks of 1, 2, P and P+1 pairs of M = 3 heads (the last block
+    partial where 2 does not divide P), each with corner gathers of one
+    (pair, head) row, of 5 rows (the last gather partial: the cases have 63,
+    27 and 36 rows) or one gather over the whole call, for every set of
+    inputs that want a grad: the output and grads equal the unblocked
+    reference's bit for bit."""
     arrays = attend_case(np.random.default_rng(40), case, m=3)
     rows = arrays[5].size * arrays[3].shape[1]
     assert gather != 5 or rows % 5 or not rows
     set_gather(monkeypatch, arrays, gather)
-    set_backward_block(monkeypatch, arrays, block)
+    set_pairs_per_block(monkeypatch, arrays, pairs)
     out, grads = attend_grads(T.deform_attend, arrays, requires)
     want_out, want = attend_grads(ref.deform_attend_reference, arrays, requires)
     assert out.tobytes() == want_out.tobytes()
@@ -306,58 +334,54 @@ def test_backward_gathers_into_one_buffer_per_call(monkeypatch):
 
 
 @pytest.mark.parametrize("bad", ["negative", "past_end"])
-def test_backward_refuses_a_corner_index_outside_the_table(bad, plans):
-    """The gathers clip, so backward checks the indices of its plan first:
-    one planted outside the value table raises ContractError instead of being
-    clipped to a row inside it. feats needs no grad here, so the transposed
+def test_backward_refuses_a_corner_index_outside_the_table(bad, plans, monkeypatch):
+    """The gathers clip, so backward checks each block's indices before its
+    gathers: one planted outside the value table in a block past the first
+    raises ContractError instead of being clipped to a row inside it, and
+    before any grad changes. feats needs no grad here, so the transposed
     product would not read the planted index either, should the check go."""
-    feats, map_idx, base, offsets, attn, qry_idx = attend_case(np.random.default_rng(40),
-                                                                "sources")
+    arrays = attend_case(np.random.default_rng(40), "sources")
+    set_pairs_per_block(monkeypatch, arrays, 2)
+    feats, map_idx, base, offsets, attn, qry_idx = arrays
     leaves = [Tensor(feats), Tensor(offsets, requires_grad=True),
               Tensor(attn, requires_grad=True)]
     out = T.deform_attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx)
-    plan, = plans
+    assert len(plans) > 2
     n_rows = feats.size // feats.shape[-1] * offsets.shape[1]  # B*H*W*M
-    plan.indices[7] = -1 if bad == "negative" else n_rows
+    plans[len(plans) // 2].indices[7] = -1 if bad == "negative" else n_rows
     with pytest.raises(ContractError, match="outside"):
         out.node.vjp(np.ones(out.shape))
     assert leaves[1].grad is None and leaves[2].grad is None
 
 
 @pytest.mark.parametrize("case", ["sources", "border", "unordered"])
-@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("pairs", PAIRS_PER_BLOCK)
 @pytest.mark.parametrize("record", [True, False])
-def test_forward_blocks_change_no_bits(case, block, record, plans, monkeypatch):
+def test_forward_blocks_change_no_bits(case, pairs, record, plans, monkeypatch):
     """Forward builds its tables block by block: at every block size the
-    output equals the reference's bit for bit, and the plan's tables equal
-    the reference's whole-call corner tables (indices, attention-scaled
-    weights and, when kept for backward, the masks and fractions, and the
-    indices and weights rebuilt from them). Under no_grad each block of
-    pairs gets its own plan, taken in order."""
+    output equals the reference's bit for bit, and the plans' tables,
+    concatenated in order, equal the reference's whole-call corner tables
+    (indices, attention-scaled weights and, for a recorded call, the masks
+    and fractions, and the indices and weights rebuilt from them). Each
+    block of pairs gets its own plan, taken in order."""
     arrays = attend_case(np.random.default_rng(40), case)
-    set_block(monkeypatch, arrays, block)
+    set_pairs_per_block(monkeypatch, arrays, pairs)
     feats, map_idx, base, offsets, attn, qry_idx = arrays
     leaves = [Tensor(a, requires_grad=True) for a in (feats, offsets, attn)]
-    if record:
+    with contextlib.nullcontext() if record else T.no_grad():
         out = T.deform_attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx)
-    else:
-        with T.no_grad():
-            out = T.deform_attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx)
     want, _ = attend_grads(ref.deform_attend_reference, arrays, (False, False, False))
     assert np.array_equal(out.data, want)
 
     b, h, w, ch = feats.shape
     _, m, k, _ = offsets.shape
     p = qry_idx.size
-    if record:
-        plan, = plans
-    else:
-        step = max(1, T._BLOCK // (m * k))  # pairs per block
-        assert len(plans) == -(-p // step)
-        assert all(x.indices.size <= 4 * max(T._BLOCK, m * k) for x in plans)
-        plan = types.SimpleNamespace(
-            forward_indices=np.concatenate([x.forward_indices for x in plans]),
-            forward_data=np.concatenate([x.forward_data for x in plans]))
+    step = max(1, T._BLOCK // (m * k))  # pairs per block
+    assert len(plans) == -(-p // step)
+    assert all(x.forward_indices.size <= 4 * max(T._BLOCK, m * k) for x in plans)
+    plan = types.SimpleNamespace(
+        forward_indices=np.concatenate([x.forward_indices for x in plans]),
+        forward_data=np.concatenate([x.forward_data for x in plans]))
     pts = (base[:, None, None, :] + offsets[qry_idx]).reshape(p * m * k, 2)
     head_base = (map_idx[:, None] * (h * w * m) + np.arange(m)).repeat(k, axis=1).reshape(-1)
     idx, inside, wgt, _, _, fr, fc = ref.corner_tables((h, w), head_base, pts, m)
@@ -365,10 +389,14 @@ def test_forward_blocks_change_no_bits(case, block, record, plans, monkeypatch):
     assert np.array_equal(plan.forward_indices, idx.reshape(-1))
     assert np.array_equal(plan.forward_data, (wgt * attn[qry_idx].reshape(-1, 1)).reshape(-1))
     if record:
-        assert plan.corner_indices().tobytes() == plan.forward_indices.tobytes()
-        weights = plan.corner_weights(slice(None), np.empty((4,) + plan.rows[0].shape))
+        rebuilt = [x.corner_indices(np.empty_like(x.forward_indices)) for x in plans]
+        assert np.concatenate(rebuilt).tobytes() == plan.forward_indices.tobytes()
+        weights = np.concatenate([x.corner_weights(np.empty((4,) + x.rows[0].shape))
+                                  for x in plans], axis=1)
         assert np.stack(weights, axis=-1).reshape(-1, 4).tobytes() == wgt.tobytes()
-        (rin0, rin1, plan_fr), (cin0, cin1, plan_fc) = plan.rows, plan.cols
+        (rin0, rin1, plan_fr), (cin0, cin1, plan_fc) = (
+            [np.concatenate([getattr(x, axis)[i] for x in plans]) for i in range(3)]
+            for axis in ("rows", "cols"))
         assert np.array_equal(plan_fr.reshape(-1), fr) and np.array_equal(plan_fc.reshape(-1), fc)
         masks = [rin0 & cin0, rin0 & cin1, rin1 & cin0, rin1 & cin1]
         assert np.array_equal(np.stack([x.reshape(-1) for x in masks], axis=-1), inside)
@@ -377,9 +405,9 @@ def test_forward_blocks_change_no_bits(case, block, record, plans, monkeypatch):
 @pytest.mark.parametrize("wide", [False, True], ids=["int32", "intp"])
 @pytest.mark.parametrize("shape_hw", [(5, 4), (1, 4), (5, 1), (1, 1)])
 def test_rebuilt_corner_indices_equal_forwards(shape_hw, wide):
-    """The four corners' indices that a recorded plan rebuilds from corner
-    (0,0)'s and the masks have the bytes of those forward built: for points
-    inside the map, on each border, past each of the four borders, at a NaN
+    """The four corners' indices that a plan rebuilds from corner (0,0)'s
+    and the masks have the bytes of those forward built: for points inside
+    the map, on each border, past each of the four borders, at a NaN
     coordinate and on an axis of length 1, in an int32 plan and in an intp
     plan whose table rows lie past int32's range."""
     h, w = shape_hw
@@ -392,13 +420,13 @@ def test_rebuilt_corner_indices_equal_forwards(shape_hw, wide):
     row_base = rng.integers(0, stride, r) + (2**31 if wide else 0)
     n_rows = int(row_base.max()) + h * w * stride
     plan = T._BilinearPlan((h, w), row_base, pts[:, 0].reshape(r, k), pts[:, 1].reshape(r, k),
-                           rng.random((r, k)), n_rows, stride, True)
+                           rng.random((r, k)), n_rows, stride)
     full = plan.indices
     assert full.dtype == (np.intp if wide else np.int32)
     assert (full.max() > np.iinfo(np.int32).max) == wide
     plan.keep_for_backward()
     assert plan.data is None and plan.indices.tobytes() == full[::4].tobytes()
-    rebuilt = plan.corner_indices()
+    rebuilt = plan.corner_indices(np.empty_like(full))
     assert rebuilt.dtype == full.dtype and rebuilt.tobytes() == full.tobytes()
 
 
@@ -423,14 +451,14 @@ def extreme_case():
     return feats, map_idx, base, offsets, attn, qry_idx
 
 
-@pytest.mark.parametrize("block", [1, "over"])
-def test_extreme_offsets_cast_nothing_out_of_range(block, monkeypatch):
+@pytest.mark.parametrize("pairs", [1, "P+1"])
+def test_extreme_offsets_cast_nothing_out_of_range(pairs, monkeypatch):
     """Outputs and all three grads equal the reference's for offsets of
     +-1e12, +-(2**31 + 0.5) and +-(2**32 + 1.25) and points on every border,
     with every warning an error: no float outside an index range reaches a
     cast to int32 or intp."""
     arrays = extreme_case()
-    set_block(monkeypatch, arrays, block)
+    set_pairs_per_block(monkeypatch, arrays, pairs)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out, grads = attend_grads(T.deform_attend, arrays, (True, True, True))

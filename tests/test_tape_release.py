@@ -55,19 +55,20 @@ def graph(loss, constants=False):
 
 def deform_attend_refs(loss):
     """Weak references to the arrays each deform_attend closure captured for
-    its own use: its plan's corner (0,0) indices and per axis the in-range
-    masks and the fraction. The closure keeps no matrix, values, corner
-    weights, other corners' indices or gathered attention: backward rebuilds
-    them from these."""
+    its own use: per block of pairs, its plan's corner (0,0) indices and per
+    axis the in-range masks and the fraction. The closure keeps no matrix,
+    values, corner weights, other corners' indices or gathered attention:
+    backward rebuilds them from these."""
     refs = []
     for t in graph(loss):
         if t.node is not None and t.node.op == "deform_attend":
             vjp = t.node.vjp
             cells = dict(zip(vjp.__code__.co_freevars, vjp.__closure__))
-            plan = cells["plan"].cell_contents
-            assert plan.data is None and "s_attn" not in cells and "attnp" not in cells
-            assert plan.indices.size == plan.rows[0].size
-            refs += [weakref.ref(a) for a in (plan.indices, *plan.rows, *plan.cols)]
+            plans = cells["plans"].cell_contents
+            assert plans and "s_attn" not in cells and "attnp" not in cells
+            for plan in plans:
+                assert plan.data is None and plan.indices.size == plan.rows[0].size
+                refs += [weakref.ref(a) for a in (plan.indices, *plan.rows, *plan.cols)]
     return refs
 
 
@@ -264,7 +265,7 @@ def test_deform_attend_backward_rises_by_one_block_over_its_call_arrays():
     _, rise = held_and_peak_rise(forward, lambda out: out.node.vjp(g))
     rows = p * m
     spans = rows * 4 * k * (4 + 8) + rows * hd * 8 + rows * k * (8 + 2 * 8)
-    block_rows = T._BLOCK // k
+    block_rows = max(1, T._BLOCK // (m * k)) * m  # pairs per block, times M
     one_block = T._GATHER_ROWS * 4 * k * hd * 8 + 8 * block_rows * 4 * k * 8
     assert rise <= spans + one_block
 

@@ -840,6 +840,23 @@ class TestDeformAttendShapes:
                 T.attend_blocks((3, 5, 4), *[args[n] for n in ("map_idx", "base_pts",
                                                              "offsets", "attn", "qry_idx")])
 
+    def test_blocks_of_other_maps_are_refused(self):
+        """Blocks built for maps of H x W, handed to a call on maps of W x H,
+        have the call's matrix shapes but other columns, and blocks that do
+        not say which maps they were built for may be either: both raise
+        ContractError instead of sampling the wrong cells."""
+        args = self.args()
+        points = [args[n] for n in ("map_idx", "base_pts", "offsets", "attn", "qry_idx")]
+        b, h, w, _ = args["feats"].shape
+        own = T.attend_blocks((b, h, w), *points)
+        assert T.deform_attend(**args, blocks=own).data.tobytes() == \
+            T.deform_attend(**args).data.tobytes()
+        swapped = T.attend_blocks((b, w, h), *points)
+        assert [m.shape for m in swapped] == [m.shape for m in own]
+        for blocks in (swapped, tuple(own)):
+            with pytest.raises(ContractError, match="blocks"):
+                T.deform_attend(**args, blocks=blocks)
+
     @pytest.mark.parametrize("entry", ["deform_attend", "attend_blocks"])
     def test_empty_pair_lists_pass(self, entry):
         args = self.args(map_idx=[], base_pts=np.zeros((0, 2)), qry_idx=[])
