@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DataError, of_kind
 from .geometry import BEVGridSpec, CameraModel
-from .rng import seeded_rng
+from .rng import SEED_LIMIT, seeded_rng
 from .synthscene import (
     RenderedSample,
     SceneBox,
@@ -137,8 +137,8 @@ def generate_dataset(root, n_scenes: int, seed: int, params: SceneParams,
     params.validate()
     if not of_kind(n_scenes, 0) or n_scenes < 0:
         raise ConfigError(f"n_scenes must be a non-negative integer, got {n_scenes!r}")
-    if not of_kind(seed, 0):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    if not of_kind(seed, 0) or not 0 <= seed < SEED_LIMIT:
+        raise ConfigError(f"seed must be an integer in [0, 2**32), got {seed!r}")
     if not of_kind(lidar_shape, (0, 0)) or min(lidar_shape) < 1:
         raise ConfigError(f"lidar_shape must be two positive integers, got {lidar_shape!r}")
     if not of_kind((image_h, image_w), (0, 0)) or min(image_h, image_w) < 1:
@@ -241,9 +241,8 @@ class SceneDataset:
             raise DataError(f"missing scene record {path}")
         arrays = {}
         offset = 0
-        for spec_field in self.manifest["record_fields"]:
-            arrays[spec_field["name"]], offset = _read_array(path, raw, offset,
-                                                             spec_field["dtype"])
+        for name, dtype in _FIELDS:
+            arrays[name], offset = _read_array(path, raw, offset, dtype)
         if offset != len(raw):
             raise DataError(f"{path}: {len(raw) - offset} bytes past the last field")
         if arrays["camera_images"].shape != self._images_shape:

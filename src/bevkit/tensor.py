@@ -17,7 +17,8 @@ residual add, then a layer norm), ``ffn`` (linear, relu, linear),
 ``deform_attend``, which sums its (map, query) pair rows per query and
 scales each query's sum, and ``conv2d_3x3``. Each runs the expressions of
 the composition it replaces in the same order, so outputs and grads keep
-their bits. A vjp computes no grad for a parent that does not require one.
+their bits. ``_accum`` drops the grad of a parent that does not require
+one, so a vjp may compute it anyway, as deform_attend's does.
 
 What a vjp can rebuild bit for bit in one cheap pass, from its parents'
 data and from little else, is rebuilt rather than kept:
@@ -26,11 +27,11 @@ rebuilds the normalized sum from its two inputs; ``ffn`` keeps nothing but
 its input's view and rebuilds the post-relu hidden with one GEMM;
 ``conv2d_3x3`` keeps nothing and rebuilds its zero-padded input, and each
 tap's slice from it; a recorded ``deform_attend`` keeps, per block of pairs,
-of its corner tables only corner (0,0)'s int32 index and, per axis, the
-in-range masks and the fraction of each sample point, and its backward walks
-the same blocks and rebuilds the other corners' indices, the corner weights,
-the attention-scaled values and their sparse matrix. Each rebuild runs
-forward's expressions in forward's order, so it has forward's bits.
+a plan that holds per sample point only corner (0,0)'s int32 index and, per
+axis, the in-range masks and the fraction, and backward walks the same
+blocks and builds each block's corner indices, weights and attention-scaled
+values again with the plan method forward built them with. Each rebuild
+runs forward's expressions in forward's order, so it has forward's bits.
 
 Image and feature maps travel as one [B,H,W,C] tensor of B same-shape maps:
 ``conv2d_3x3``, ``avgpool2x2`` and ``deform_attend`` take that rank only.
@@ -713,23 +714,24 @@ def _index_dtype(*sizes) -> type:
 
 
 def _neighbours(x: np.ndarray, n: int):
-    """The lower and upper grid neighbours of coordinates x along an axis of
-    length n: their indices clipped into [0, n), as floats, and the axis'
-    (lower in-range mask, upper in-range mask, fraction f = x - floor(x)),
-    each a fresh array shaped like x.
+    """The lower grid neighbours of coordinates x along an axis of length n,
+    their indices clipped into [0, n), as floats, and the axis' (lower
+    in-range mask, upper in-range mask, fraction f = x - floor(x)), each a
+    fresh array shaped like x.
 
     The indices are clipped in float with fmax/fmin, which pass over NaN, so
-    a cast of them never sees a value outside [0, n), whatever x holds.
+    a cast of them never sees a value outside [0, n), whatever x holds. The
+    upper neighbour floor(x) + 1 is in range where floor(x) lies in [-1,
+    n - 1); a NaN compares false, so both its masks are false.
     """
     x0 = np.floor(x)
     f = x - x0
     lo = np.fmax(x0, 0.0)
     np.fmin(lo, n - 1.0, out=lo)
     in0 = lo == x0
-    x0 += 1.0
-    hi = np.fmax(x0, 0.0)
-    np.fmin(hi, n - 1.0, out=hi)
-    return lo, hi, (in0, hi == x0, f)
+    in1 = x0 >= -1.0
+    in1 &= x0 < n - 1.0
+    return lo, (in0, in1, f)
 
 
 def _factors(in0: np.ndarray, in1: np.ndarray, f: np.ndarray) -> tuple:
@@ -739,14 +741,6 @@ def _factors(in0: np.ndarray, in1: np.ndarray, f: np.ndarray) -> tuple:
     w0 = np.subtract(1.0, f)
     w0 *= in0
     return w0, f * in1
-
-
-def _scale_corners(weights: np.ndarray, attn: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The corner weights [4, R, K] times the points' attention weights
-    [R, K], written into out [R, K, 4] in corner order."""
-    for corner in range(4):
-        np.multiply(weights[corner], attn, out=out[..., corner])
-    return out
 
 
 def _corner_matrix(data: np.ndarray, indices: np.ndarray, k: int, n_cols: int):
@@ -766,87 +760,72 @@ class _BilinearPlan:
     Point (r, k) lies at (rows[r, k], cols[r, k]) of an H x W map; its corner
     at (row, col) is row ``row_base[r] + (row*W + col) * stride`` of the flat
     value table, so a table that interleaves ``stride`` rows per cell (one
-    per head) is addressed by per-row ``row_base`` offsets. The plan keeps
-    per axis the lower and upper in-range masks and the fraction [R,K]
-    (``rows``, ``cols``), and builds, per point and in corner order (0,0),
-    (0,1), (1,0), (1,1), the corner's table row (``indices``, of
-    ``_index_dtype``) and its bilinear weight times the point's attention
-    weight (``data``); a corner outside the map gets weight zero.
+    per head) is addressed by per-row ``row_base`` offsets. The plan holds
+    what a recorded call keeps for backward and nothing more: per point the
+    table row of its corner (0,0), clipped into the map (``indices`` [R*K],
+    of ``_index_dtype``), and per axis the lower and upper in-range masks and
+    the fraction [R,K] (``rows``, ``cols``).
 
-    A call that a backward may follow calls ``keep_for_backward`` once it
-    has taken the block's product: the plan drops the values and every index
-    but corner (0,0)'s, and these [R*K] indices with the masks and fractions
-    are all that backward reads. Backward rebuilds from them
-    ``corner_indices`` and ``corner_weights``, and ``point_grads`` turns the
-    block's corner dots (see ``deform_attend``) into its points' grads, each
-    into arrays the caller hands it. Forward builds its weights with
-    ``corner_weights`` too, and the rebuilds use forward's expressions in
-    forward's order, so they have forward's bits.
+    ``tables`` builds the rest of the block's tables from these, and forward
+    and backward both call it, so backward's tables have forward's bits;
+    ``point_grads`` turns the block's corner dots (see ``deform_attend``)
+    into its points' grads. Both write into arrays the caller hands them.
     """
 
-    __slots__ = ("indices", "data", "rows", "cols", "steps")
+    __slots__ = ("indices", "rows", "cols", "steps")
 
     def __init__(self, shape_hw, row_base: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                 attn: np.ndarray, n_rows: int, stride: int):
+                 n_rows: int, stride: int):
         h, w = shape_hw
         r, k = rows.shape
         dtype = _index_dtype(4 * r * k, n_rows)  # the 4RK row pointers and the table rows
-        r0, r1, self.rows = _neighbours(rows, h)
-        c0, c1, self.cols = _neighbours(cols, w)
+        r0, self.rows = _neighbours(rows, h)
+        c0, self.cols = _neighbours(cols, w)
         self.steps = (w * stride, stride)  # table rows between row and column neighbours
-        # table row = (base + row * W*stride) + col * stride, in integers
-        base = row_base.astype(dtype)[:, None]
-        row_part = [ri.astype(dtype) * (w * stride) + base for ri in (r0, r1)]
-        col_part = [ci.astype(dtype) * stride for ci in (c0, c1)]
-        idx = np.empty((r, k, 4), dtype=dtype)
-        for corner, (ri, ci) in enumerate(itertools.product(row_part, col_part)):
-            np.add(ri, ci, out=idx[..., corner])
+        # table row = base + row * W*stride + col * stride, in integers
+        idx = r0.astype(dtype)
+        idx *= w * stride
+        idx += row_base.astype(dtype)[:, None]
+        idx += c0.astype(dtype) * stride
         self.indices = idx.reshape(-1)
-        weights = self.corner_weights(np.empty((4, r, k)))
-        self.data = _scale_corners(weights, attn, np.empty((r, k, 4))).reshape(-1)
 
-    def keep_for_backward(self):
-        """Drop what only forward reads: the values, and the indices of every
-        corner but (0,0), which ``corner_indices`` rebuilds."""
-        self.data = None
-        self.indices = self.indices[::4].copy()
+    def tables(self, attn: np.ndarray, idx_out: np.ndarray, wgt_out: np.ndarray,
+               val_out: np.ndarray):
+        """The block's corner tables, per point in corner order (0,0), (0,1),
+        (1,0), (1,1), written into the arrays handed in: the corners' table
+        rows into idx_out [R*K*4], their bilinear weights into wgt_out [4, R,
+        K] (zero for a corner outside the map), and the weights times the
+        points' attention weights attn [R, K] into val_out [R, K, 4].
 
-    def corner_indices(self, out: np.ndarray) -> np.ndarray:
-        """The table rows [R*K*4] of every point's corners in forward's
-        order, written into out, rebuilt from the kept corner (0,0) rows and
-        in-range masks: corner (0,1) is (0,0)'s plus stride*(cin0 & cin1),
+        Along an axis the two neighbours' clipped indices differ by one
+        exactly where both lie inside it; elsewhere both clip to the same
+        border index, for a NaN coordinate too, and on an axis of length 1
+        always. So corner (0,1) is (0,0)'s row plus stride*(cin0 & cin1),
         (1,0) is (0,0)'s plus W*stride*(rin0 & rin1), and (1,1) is (1,0)'s
-        plus stride*(cin0 & cin1). Along an axis the two neighbours' clipped
-        indices differ by one exactly where both lie inside it; elsewhere
-        both clip to the same border index, for a NaN coordinate too, and on
-        an axis of length 1 always."""
+        plus stride*(cin0 & cin1). Each weight is the product of its row and
+        column factors (``_factors``).
+        """
         (rin0, rin1, _), (cin0, cin1, _) = self.rows, self.cols
         idx00 = self.indices.reshape(rin0.shape)
         row_step, col_step = self.steps
         d_col = np.multiply(cin0 & cin1, col_step, dtype=idx00.dtype)
-        idx = out.reshape(idx00.shape + (4,))
+        idx = idx_out.reshape(idx00.shape + (4,))
         idx[..., 0] = idx00
         np.add(idx00, d_col, out=idx[..., 1])
         np.add(idx00, np.multiply(rin0 & rin1, row_step, dtype=idx00.dtype), out=idx[..., 2])
         np.add(idx[..., 2], d_col, out=idx[..., 3])
-        return out
-
-    def corner_weights(self, out: np.ndarray) -> np.ndarray:
-        """The unscaled weights of the corners (0,0), (0,1), (1,0) and (1,1),
-        written into out [4, R, K], each the product of its row and column
-        factors from the masks and fractions."""
         (wr0, wr1), (wc0, wc1) = _factors(*self.rows), _factors(*self.cols)
         # (wr*rin)*(wc*cin) is wr*wc*(rin&cin) bit for bit: the masks are 0/1
         # and the factors non-negative
-        for o, (wr, wc) in zip(out, itertools.product((wr0, wr1), (wc0, wc1))):
-            np.multiply(wr, wc, out=o)
-        return out
+        for corner, (wr, wc) in enumerate(itertools.product((wr0, wr1), (wc0, wc1))):
+            np.multiply(wr, wc, out=wgt_out[corner])
+            np.multiply(wgt_out[corner], attn, out=val_out[..., corner])
 
     def point_grads(self, h: np.ndarray, weights, attn: np.ndarray, d_attn, d_off):
-        """The grads of the points: into d_attn [R, K] (unless None) the grad
-        of each sample in its attention weight, from the corner weights
-        ``weights``, and into d_off [R, K, 2] (unless None) the grads in its
-        row and column times its attention weight attn [R, K].
+        """The grads of the points: into d_attn [R, K] the grad of each
+        sample in its attention weight, from the corner weights ``weights``,
+        and into d_off [R, K, 2] the grads in its row and column times its
+        attention weight attn [R, K].
 
         h [R, K, 4] holds, per point and corner, the corner's row of the
         value table dotted with the output grad. Corners outside the map
@@ -861,15 +840,13 @@ class _BilinearPlan:
         h01 = h[..., 1] * (rin0 & cin1)
         h10 = h[..., 2] * (rin1 & cin0)
         h11 = h[..., 3] * (rin1 & cin1)
-        if d_attn is not None:
-            w00, w01, w10, w11 = weights
-            np.multiply(w00, h00, out=d_attn)
-            d_attn += w01 * h01
-            d_attn += w10 * h10
-            d_attn += w11 * h11
-        if d_off is not None:
-            np.multiply((1.0 - fc) * (h10 - h00) + fc * (h11 - h01), attn, out=d_off[..., 0])
-            np.multiply((1.0 - fr) * (h01 - h00) + fr * (h11 - h10), attn, out=d_off[..., 1])
+        w00, w01, w10, w11 = weights
+        np.multiply(w00, h00, out=d_attn)
+        d_attn += w01 * h01
+        d_attn += w10 * h10
+        d_attn += w11 * h11
+        np.multiply((1.0 - fc) * (h10 - h00) + fc * (h11 - h01), attn, out=d_off[..., 0])
+        np.multiply((1.0 - fr) * (h01 - h00) + fr * (h11 - h10), attn, out=d_off[..., 1])
 
 
 def _sum_pairs(rows: np.ndarray, qry_idx: np.ndarray, n_out: int) -> np.ndarray:
@@ -927,8 +904,10 @@ def _plan_blocks(maps_bhw, map_idx, base_pts, offsets: np.ndarray, attn: np.ndar
             coords.append(x.reshape(rows, k))
         # row of corner (0,0) of map map_idx in head m's block, per (pair, head)
         row_base = (map_idx[ps, None] * (h * w * m) + np.arange(m)).reshape(-1)
-        plan = _BilinearPlan((h, w), row_base, *coords, _pair_attn(attn, q), n_cols, m)
-        yield ps, _corner_matrix(plan.data, plan.indices, k, n_cols), plan
+        plan = _BilinearPlan((h, w), row_base, *coords, n_cols, m)
+        idx, values = np.empty(4 * rows * k, dtype=plan.indices.dtype), np.empty((rows, k, 4))
+        plan.tables(_pair_attn(attn, q), idx, np.empty((4, rows, k)), values)
+        yield ps, _corner_matrix(values.reshape(-1), idx, k, n_cols), plan
 
 
 class _Blocks(tuple):
@@ -1027,28 +1006,29 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
     given (``attend_blocks`` of the same points on maps of the same (B, H,
     W), kept by a caller that samples many such maps; ContractError for
     others) and nothing outlives its block. A recorded call ignores blocks
-    and keeps each block's plan, and of it only each point's corner (0,0)
-    index and, per axis, the in-range masks and the fraction: backward
-    rebuilds the rest with forward's expressions, taking the pairs' rows of
-    attn's data.
+    and keeps each block's plan, which holds only each point's corner (0,0)
+    index and, per axis, the in-range masks and the fraction; the block's
+    matrix, which its plan's ``tables`` filled, dies with the block.
 
-    Backward walks the same blocks. Per block it rebuilds the corner
-    indices into one array that spans the call and checks them (a corner
-    index outside the value table raises ContractError), rebuilds the
-    corner weights into one block-sized buffer and their attention-scaled
-    values into the call's value array, and, for the attention and offset
-    grads, gathers the 4K corner rows of the value table of each (pair,
-    head) row and dots each with that row's output grad g, as Deformable
+    Backward walks the same blocks and computes all three grads, since every
+    recorded call of the model wants them (``_accum`` drops any that is not
+    wanted). Per block, the plan's ``tables`` builds again, from the pairs'
+    rows of attn's data, the corner indices into one array that spans the
+    call, the corner weights into one block-sized buffer and the
+    attention-scaled values into the call's value array. The block's
+    indices are checked (one outside the value table raises ContractError);
+    the 4K corner rows of the value table of each (pair, head) row are
+    gathered and each dotted with that row's output grad g, as Deformable
     DETR's MSDeformAttn backward does, ``_GATHER_ROWS`` rows at a time into
-    one buffer per call; ``_BilinearPlan.point_grads`` turns the dots into
-    the block's slices of the point grads. After the loop the point grads
-    are summed per query in pair order by ``_sum_pairs``, the sum forward
-    takes (when pair p is query p for every p, only that sum's +0.0 start
-    is added, which gives the same bits), and the value grad is one product
-    of the transposed CSR matrix over the call's rebuilt indices and values,
+    one buffer per call; and ``_BilinearPlan.point_grads`` turns the dots
+    into the block's slices of the point grads. After the loop the point
+    grads are summed per query in pair order by ``_sum_pairs``, the sum
+    forward takes (when pair p is query p for every p, only that sum's +0.0
+    start is added, which gives the same bits), and the value grad is one
+    product of the transposed CSR matrix over the call's indices and values,
     whose column order fixes its sums. What spans the call is thus the
-    rebuilt indices, the value array and the pairs' rows of g, besides the
-    grads themselves.
+    indices, the value array and the pairs' rows of g, besides the grads
+    themselves.
 
     offsets must be [T,M,K,2] and attn [T,M,K]; map_idx, base_pts [P,2] and
     qry_idx must agree on P, with map_idx in [0,B) and qry_idx in [0,T), both
@@ -1088,9 +1068,6 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
     for ps, mat, plan in built:
         pairs[ps.start * m:ps.stop * m] = mat @ flat
         if record:
-            # backward rebuilds the matrix, its values and three of each point's
-            # four corner indices from the plan's masks and fractions
-            plan.keep_for_backward()
             plans.append(plan)
     pairs = pairs.reshape(p, m * hd)
     if not in_order:
@@ -1100,7 +1077,6 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
     out = pairs.reshape(t, m, hd)
     if not record:
         return Tensor(out)
-    grads = offsets.requires_grad or attn.requires_grad
 
     def per_query_grad(d, shape):
         """Point grads [P*M, ...] summed per query, as _sum_pairs sums them.
@@ -1121,48 +1097,35 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
         g2 = g2.reshape(rows, hd)
         block = (slices[0].stop - slices[0].start) * m  # (pair, head) rows of the longest block
         indices = np.empty(4 * k * rows, dtype=_index_dtype(4 * k * rows, flat.shape[0]))
-        need_weights = feats.requires_grad or attn.requires_grad
-        weights = np.empty((4, block, k)) if need_weights else None
-        values = np.empty((rows, k, 4)) if feats.requires_grad else None
+        weights, values = np.empty((4, block, k)), np.empty((rows, k, 4))
         gather = min(_GATHER_ROWS, block)
-        buf = np.empty((gather * 4 * k, hd)) if grads else None
-        dots = np.empty((block, 4 * k)) if grads else None
-        d_attn = np.empty((rows, k)) if attn.requires_grad else None
-        d_off = np.empty((rows, k, 2)) if offsets.requires_grad else None
+        buf, dots = np.empty((gather * 4 * k, hd)), np.empty((block, 4 * k))
+        d_attn, d_off = np.empty((rows, k)), np.empty((rows, k, 2))
         for ps, plan in zip(slices, plans):
             lo, hi = ps.start * m, ps.stop * m
-            s = slice(lo, hi)
-            block_idx = plan.corner_indices(indices[4 * k * lo:4 * k * hi])
+            attnp, wgt = _pair_attn(attn.data, qry_idx[ps]), weights[:, :hi - lo]
+            block_idx = indices[4 * k * lo:4 * k * hi]
+            plan.tables(attnp, block_idx, wgt, values[lo:hi])
             # the corner gathers clip (see _GATHER_ROWS): check their indices
             # first, both ends in one pass, since a negative index viewed as
             # unsigned is huge
-            if grads and block_idx.view(f"u{block_idx.itemsize}").max() >= flat.shape[0]:
+            if block_idx.view(f"u{block_idx.itemsize}").max() >= flat.shape[0]:
                 raise ContractError(f"deform_attend: a corner index lies outside the "
                                     f"{flat.shape[0]}-row value table")
-            attnp = _pair_attn(attn.data, qry_idx[ps])
-            wgt = plan.corner_weights(weights[:, :hi - lo]) if need_weights else None
-            if values is not None:
-                _scale_corners(wgt, attnp, values[s])
-            if not grads:
-                continue
             for glo in range(lo, hi, gather):
                 ghi = min(glo + gather, hi)
                 corners = np.take(flat, indices[4 * k * glo:4 * k * ghi], axis=0,
                                   out=buf[:4 * k * (ghi - glo)], mode="clip")
                 np.einsum("rjc,rc->rj", corners.reshape(ghi - glo, 4 * k, hd), g2[glo:ghi],
                           out=dots[glo - lo:ghi - lo])
-            plan.point_grads(dots[:hi - lo].reshape(hi - lo, k, 4), wgt, attnp,
-                             None if d_attn is None else d_attn[s],
-                             None if d_off is None else d_off[s])
+            plan.point_grads(dots[:hi - lo].reshape(hi - lo, k, 4), wgt, attnp, d_attn[lo:hi],
+                             d_off[lo:hi])
         del weights, buf, dots
-        if d_attn is not None:
-            _accum(attn, per_query_grad(d_attn, attn.shape), own=True)
-        if d_off is not None:
-            _accum(offsets, per_query_grad(d_off, offsets.shape), own=True)
+        _accum(attn, per_query_grad(d_attn, attn.shape), own=True)
+        _accum(offsets, per_query_grad(d_off, offsets.shape), own=True)
         del d_attn, d_off  # freed before the value grad's product allocates
-        if values is not None:
-            mat = _corner_matrix(values.reshape(-1), indices, k, flat.shape[0])
-            _accum(feats, (mat.T @ g2).reshape(feats.shape), own=True)
+        mat = _corner_matrix(values.reshape(-1), indices, k, flat.shape[0])
+        _accum(feats, (mat.T @ g2).reshape(feats.shape), own=True)
 
     return _make(out, "deform_attend", (feats, offsets, attn), vjp)
 

@@ -1,10 +1,12 @@
-"""Scene sampling invariants, dataset determinism, and the error contract of
-the dataset and checkpoint readers on corrupt files."""
+"""Scene sampling invariants, dataset determinism, the 32-bit range of seeds
+and of the named random streams' integer tags, and the error contract of the
+dataset and checkpoint readers on corrupt files."""
 
 import io
 import json
 import shutil
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from bevkit.dataset import (SceneDataset, _FIELDS, _read_array, _write_array, ge
                             render_scene_record)
 from bevkit.errors import ConfigError, ContractError, DataError
 from bevkit.geometry import BEVGridSpec
+from bevkit.rng import seeded_rng
 from bevkit.synthscene import SceneParams, default_rig, sample_scene
 
 SPEC = BEVGridSpec(h=8, w=8, d=2)
@@ -100,6 +103,11 @@ def test_bad_n_scenes_is_config_error_before_anything_is_written(n_scenes, tmp_p
     dict(seed=1.0),
     dict(seed=True),
     dict(seed=None),
+    dict(seed=-1),
+    dict(seed=2**32),
+    dict(seed=2**32 + 1),
+    dict(seed=np.int64(-1)),
+    dict(seed=np.uint64(2**63)),
     dict(lidar_shape=(2.5, 3)),
     dict(lidar_shape=(-1, 8)),
     dict(lidar_shape=(0, 8)),
@@ -123,15 +131,41 @@ def test_bad_n_scenes_is_config_error_before_anything_is_written(n_scenes, tmp_p
     dict(fx=True),
 ], ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()))
 def test_bad_seed_or_lidar_shape_is_config_error_before_anything_is_written(kw, tmp_path):
-    """A seed that is not an integer, a LiDAR shape or image size that is
-    not two positive integers, or an fx that is not finite and positive, is
-    refused before the manifest or any record exists (a zero side would
-    write a dataset of empty LiDAR maps)."""
+    """A seed that is not an integer in [0, 2**32), a LiDAR shape or image
+    size that is not two positive integers, or an fx that is not finite and
+    positive, is refused before the manifest or any record exists (a zero
+    side would write a dataset of empty LiDAR maps; seed 2**32 + 1 would
+    write seed 1's records)."""
     args = {**TINY, "seed": 0, **kw}
     seed = args.pop("seed")
     with pytest.raises(ConfigError):
         generate_dataset(tmp_path / "ds", 2, seed, SceneParams(), SPEC, **args)
     assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("seed, tags", [
+    (-1, ()), (2**32, ()), (2**32 + 1, ()), (np.int64(-1), ()), (np.uint64(2**32), ()),
+    (0, ("scene", -1)), (0, ("scene", 2**32)), (0, (np.uint64(2**40), "cam")),
+])
+def test_seeded_rng_refuses_a_seed_or_tag_outside_32_bits(seed, tags):
+    """The seed and each integer tag are 32-bit words of the stream's key:
+    one outside [0, 2**32) would fold onto one inside (seed 2**32 + 1 onto
+    seed 1, -1 onto 2**32 - 1), so it raises ContractError instead."""
+    with pytest.raises(ContractError, match=r"outside \[0, 2\*\*32\)"):
+        seeded_rng(seed, *tags)
+
+
+@pytest.mark.parametrize("seed, tags", [
+    (0, ()), (1, ("scene", 0)), (2**32 - 1, ("cam", 2**32 - 1)),
+    (np.uint32(7), (np.int64(5), "lidar", 3)),
+])
+def test_seeded_rng_streams_inside_32_bits_are_keyed_by_their_words(seed, tags):
+    """Seeds and integer tags in range key the stream as the words
+    themselves, a string tag as its crc32, in order."""
+    words = [int(seed)] + [zlib.crc32(t.encode()) if isinstance(t, str) else int(t)
+                           for t in tags]
+    want = np.random.default_rng(np.random.SeedSequence(words))
+    assert seeded_rng(seed, *tags).bit_generator.state == want.bit_generator.state
 
 
 def test_numpy_integers_write_the_bytes_of_python_ints(tmp_path):

@@ -6,10 +6,12 @@ references also stand in for the fused residual_layer_norm and ffn with
 the add, layer norm, linear and relu ops they replaced, and the
 graph-consuming backward is checked bit for bit against a walk that keeps
 the graph. deform_attend works through its pairs in blocks, forward and
-backward alike, with one plan of corner tables per block: the plans' tables
-are checked against the reference's whole-call tables, at every block size
-and at offsets far outside any index range, and the corner indices backward
-rebuilds from corner (0,0)'s against forward's; a recorded and a no-grad
+backward alike, with one plan per block whose one table method builds the
+block's corner tables for both: forward's tables are checked against the
+reference's whole-call tables, at every block size and at offsets far
+outside any index range, and a plan's corner indices against the
+reference's at every border; forward and backward each call the table
+method once per block, for the same blocks; a recorded and a no-grad
 forward build the same block matrices; and backward, through the same
 blocks and its corner gathers into one buffer per call, is checked byte for
 byte at every block and gather size."""
@@ -133,12 +135,12 @@ def csr_spy(monkeypatch):
 
 def test_plan_index_arrays_are_int32_and_shared(monkeypatch, plans):
     """With every grad wanted, deform_attend builds one CSR matrix per block
-    in forward, over that block's plan's int32 index array, and one in
-    backward, over the int32 indices it rebuilds from the kept corner (0,0)
-    indices; no matrix copies its indices. Backward's indices and values,
-    rebuilt from the plans' masks and fractions, have the bytes of forward's,
-    and the values those of the reference's attention-scaled corner
-    weights."""
+    in forward, over the int32 indices of that block's plan's tables, and
+    one in backward, over the int32 indices the same tables build into one
+    array for the call; no matrix copies its indices. Each plan keeps its
+    points' corner (0,0) indices, int32. Backward's indices and values have
+    the bytes of forward's, and the values those of the reference's
+    attention-scaled corner weights."""
     arrays = attend_case(np.random.default_rng(70), "sources")
     set_pairs_per_block(monkeypatch, arrays, 2)
     built = csr_spy(monkeypatch)
@@ -150,7 +152,6 @@ def test_plan_index_arrays_are_int32_and_shared(monkeypatch, plans):
     assert len(built) == len(plans) + 1 and all(x.grad is not None for x in leaves)
     *forward, (bwd_values, bwd_idx, _, _) = built
     for plan, (_, fwd_idx, _, _) in zip(plans, forward):
-        assert fwd_idx is plan.forward_indices
         assert plan.indices.dtype == np.int32 and np.array_equal(plan.indices, fwd_idx[::4])
     for values, indices, indptr, m in built:
         assert indices.dtype == np.int32 and indptr.dtype == np.int32
@@ -191,50 +192,73 @@ def plans(monkeypatch):
     built = []
 
     class Spy(T._BilinearPlan):
-        """A plan that also holds on to the indices and values forward built."""
-        __slots__ = ("forward_indices", "forward_data")
+        __slots__ = ()
 
         def __init__(self, *args, **kw):
             super().__init__(*args, **kw)
-            self.forward_indices, self.forward_data = self.indices, self.data
             built.append(self)
 
     monkeypatch.setattr(T, "_BilinearPlan", Spy)
     return built
 
 
+def test_forward_and_backward_build_each_blocks_tables_once(monkeypatch, plans):
+    """One plan method builds a block's corner indices, weights and values:
+    on a recorded call of several blocks, forward calls it once per block,
+    in pair order, and backward once per block again, for the same plans,
+    at the same sizes and with the same attention weights."""
+    arrays = attend_case(np.random.default_rng(70), "sources")
+    set_pairs_per_block(monkeypatch, arrays, 2)
+    calls = []
+    tables = T._BilinearPlan.tables
+
+    def spy(plan, attn, idx_out, wgt_out, val_out):
+        calls.append((plan, attn.tobytes(), idx_out.shape, wgt_out.shape, val_out.shape))
+        return tables(plan, attn, idx_out, wgt_out, val_out)
+
+    monkeypatch.setattr(T._BilinearPlan, "tables", spy)
+    feats, map_idx, base, offsets, attn, qry_idx = arrays
+    leaves = [Tensor(a, requires_grad=True) for a in (feats, offsets, attn)]
+    out = T.deform_attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx)
+    forward = calls.copy()
+    calls.clear()
+    out.node.vjp(np.ones(out.shape))
+    assert len(plans) == -(-qry_idx.size // 2) > 2
+    assert [c[0] for c in forward] == plans
+    assert calls == forward
+
+
 @pytest.mark.parametrize("requires", REQUIRES)
 @pytest.mark.parametrize("record", [True, False])
-def test_plan_keeps_backward_tables_only_for_offset_or_attention_grads(requires, record, plans,
-                                                                      monkeypatch):
-    """A plan holds its block's indices, values, masks and fractions, and no
-    corner weights. Only a recorded call keeps its plans, in its closure,
-    and once forward has taken a block's product its plan drops the values,
-    with the matrix over them, and keeps of its indices a copy of corner
-    (0,0)'s only: the closure keeps no matrix. Any other call keeps
-    nothing, so its plans die with their blocks."""
+def test_plan_holds_only_backward_tables_and_only_a_recorded_call_keeps_it(
+        requires, record, plans, monkeypatch):
+    """A plan holds its block's corner (0,0) indices, masks and fractions:
+    no values and no corner weights, and no other corner's indices, which
+    the block's matrix holds in an array of its own. Only a recorded call
+    keeps its plans, in its closure: the closure keeps no matrix. Any other
+    call keeps nothing, so its plans die with their blocks."""
     arrays = attend_case(np.random.default_rng(40), "sources")
     set_pairs_per_block(monkeypatch, arrays, 2)
     feats, map_idx, base, offsets, attn, qry_idx = arrays
     leaves = [Tensor(a, requires_grad=r) for a, r in zip((feats, offsets, attn), requires)]
+    built = csr_spy(monkeypatch)
     with contextlib.nullcontext() if record else T.no_grad():
         out = T.deform_attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx)
     kept = record and any(requires)
-    assert len(plans) == -(-qry_idx.size // 2)
+    assert len(plans) == len(built) == -(-qry_idx.size // 2)
     assert (out.node is not None) == kept
     if kept:
         cells = dict(zip(out.node.vjp.__code__.co_freevars, out.node.vjp.__closure__))
         assert cells["plans"].cell_contents == plans
         assert not {"s_attn", "attnp", "mat", "built"} & set(cells)
     n_pairs = [2] * (len(plans) - 1) + [qry_idx.size - 2 * (len(plans) - 1)]
-    for plan, pairs in zip(plans, n_pairs):
-        assert not hasattr(plan, "weights")
+    for plan, pairs, (fwd_data, fwd_idx, _, _) in zip(plans, n_pairs, built):
+        assert not hasattr(plan, "weights") and not hasattr(plan, "data")
         assert plan.rows is not None and plan.cols is not None
-        assert (plan.data is None) == kept
         n = 4 * pairs * np.prod(offsets.shape[1:3])
-        assert plan.forward_indices.size == plan.forward_data.size == n
-        assert plan.indices.size == (n // 4 if kept else n)
-        assert np.shares_memory(plan.indices, plan.forward_indices) == (not kept)
+        assert fwd_idx.size == fwd_data.size == n
+        assert plan.indices.size == n // 4
+        assert not np.shares_memory(plan.indices, fwd_idx)
 
 
 GATHERS = [1, 5, "over"]
@@ -336,10 +360,9 @@ def test_backward_gathers_into_one_buffer_per_call(monkeypatch):
 @pytest.mark.parametrize("bad", ["negative", "past_end"])
 def test_backward_refuses_a_corner_index_outside_the_table(bad, plans, monkeypatch):
     """The gathers clip, so backward checks each block's indices before its
-    gathers: one planted outside the value table in a block past the first
-    raises ContractError instead of being clipped to a row inside it, and
-    before any grad changes. feats needs no grad here, so the transposed
-    product would not read the planted index either, should the check go."""
+    gathers: a corner (0,0) index planted outside the value table in a block
+    past the first raises ContractError instead of being clipped to a row
+    inside it, and before any grad changes."""
     arrays = attend_case(np.random.default_rng(40), "sources")
     set_pairs_per_block(monkeypatch, arrays, 2)
     feats, map_idx, base, offsets, attn, qry_idx = arrays
@@ -359,17 +382,20 @@ def test_backward_refuses_a_corner_index_outside_the_table(bad, plans, monkeypat
 @pytest.mark.parametrize("record", [True, False])
 def test_forward_blocks_change_no_bits(case, pairs, record, plans, monkeypatch):
     """Forward builds its tables block by block: at every block size the
-    output equals the reference's bit for bit, and the plans' tables,
-    concatenated in order, equal the reference's whole-call corner tables
-    (indices, attention-scaled weights and, for a recorded call, the masks
-    and fractions, and the indices and weights rebuilt from them). Each
-    block of pairs gets its own plan, taken in order."""
+    output equals the reference's bit for bit, and the tables of its block
+    matrices, concatenated in order, equal the reference's whole-call corner
+    tables (indices and attention-scaled weights; for a recorded call also
+    the plans' masks and fractions, and the indices, weights and values
+    their tables build again). Each block of pairs gets its own plan, taken
+    in order."""
     arrays = attend_case(np.random.default_rng(40), case)
     set_pairs_per_block(monkeypatch, arrays, pairs)
     feats, map_idx, base, offsets, attn, qry_idx = arrays
     leaves = [Tensor(a, requires_grad=True) for a in (feats, offsets, attn)]
+    built = csr_spy(monkeypatch)
     with contextlib.nullcontext() if record else T.no_grad():
         out = T.deform_attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx)
+    built = built.copy()  # forward's matrices, not the reference's
     want, _ = attend_grads(ref.deform_attend_reference, arrays, (False, False, False))
     assert np.array_equal(out.data, want)
 
@@ -377,11 +403,10 @@ def test_forward_blocks_change_no_bits(case, pairs, record, plans, monkeypatch):
     _, m, k, _ = offsets.shape
     p = qry_idx.size
     step = max(1, T._BLOCK // (m * k))  # pairs per block
-    assert len(plans) == -(-p // step)
-    assert all(x.forward_indices.size <= 4 * max(T._BLOCK, m * k) for x in plans)
-    plan = types.SimpleNamespace(
-        forward_indices=np.concatenate([x.forward_indices for x in plans]),
-        forward_data=np.concatenate([x.forward_data for x in plans]))
+    assert len(plans) == len(built) == -(-p // step)
+    assert all(x[1].size <= 4 * max(T._BLOCK, m * k) for x in built)
+    plan = types.SimpleNamespace(forward_indices=np.concatenate([x[1] for x in built]),
+                                 forward_data=np.concatenate([x[0] for x in built]))
     pts = (base[:, None, None, :] + offsets[qry_idx]).reshape(p * m * k, 2)
     head_base = (map_idx[:, None] * (h * w * m) + np.arange(m)).repeat(k, axis=1).reshape(-1)
     idx, inside, wgt, _, _, fr, fc = ref.corner_tables((h, w), head_base, pts, m)
@@ -389,10 +414,18 @@ def test_forward_blocks_change_no_bits(case, pairs, record, plans, monkeypatch):
     assert np.array_equal(plan.forward_indices, idx.reshape(-1))
     assert np.array_equal(plan.forward_data, (wgt * attn[qry_idx].reshape(-1, 1)).reshape(-1))
     if record:
-        rebuilt = [x.corner_indices(np.empty_like(x.forward_indices)) for x in plans]
-        assert np.concatenate(rebuilt).tobytes() == plan.forward_indices.tobytes()
-        weights = np.concatenate([x.corner_weights(np.empty((4,) + x.rows[0].shape))
-                                  for x in plans], axis=1)
+        indices, weights, values = [], [], []
+        attn_rows = attn[qry_idx].reshape(-1, k)
+        for x in plans:
+            r = x.rows[0].shape[0]
+            indices.append(np.empty(4 * r * k, x.indices.dtype))
+            weights.append(np.empty((4, r, k)))
+            values.append(np.empty((r, k, 4)))
+            x.tables(attn_rows[:r], indices[-1], weights[-1], values[-1])
+            attn_rows = attn_rows[r:]
+        assert np.concatenate(indices).tobytes() == plan.forward_indices.tobytes()
+        assert np.concatenate(values).tobytes() == plan.forward_data.tobytes()
+        weights = np.concatenate(weights, axis=1)
         assert np.stack(weights, axis=-1).reshape(-1, 4).tobytes() == wgt.tobytes()
         (rin0, rin1, plan_fr), (cin0, cin1, plan_fc) = (
             [np.concatenate([getattr(x, axis)[i] for x in plans]) for i in range(3)]
@@ -404,12 +437,14 @@ def test_forward_blocks_change_no_bits(case, pairs, record, plans, monkeypatch):
 
 @pytest.mark.parametrize("wide", [False, True], ids=["int32", "intp"])
 @pytest.mark.parametrize("shape_hw", [(5, 4), (1, 4), (5, 1), (1, 1)])
-def test_rebuilt_corner_indices_equal_forwards(shape_hw, wide):
-    """The four corners' indices that a plan rebuilds from corner (0,0)'s
-    and the masks have the bytes of those forward built: for points inside
-    the map, on each border, past each of the four borders, at a NaN
-    coordinate and on an axis of length 1, in an int32 plan and in an intp
-    plan whose table rows lie past int32's range."""
+def test_corner_indices_equal_the_oracles(shape_hw, wide):
+    """The four corners' indices that a plan's tables build from corner
+    (0,0)'s and the masks are those of the oracle, backward_reference's
+    corner_tables: for points inside the map, on each border, past each of
+    the four borders and on an axis of length 1, in an int32 plan and in an
+    intp plan whose table rows lie past int32's range. A NaN coordinate,
+    which the oracle's cast to intp cannot take, reads the rows of one past
+    the lower border. The plan keeps corner (0,0)'s indices."""
     h, w = shape_hw
     stride = 3
     rows = [-4.5, -1.0, -0.5, 0.0, 0.25, h - 1.0, h - 0.5, h, h + 2.75, np.nan]
@@ -420,14 +455,14 @@ def test_rebuilt_corner_indices_equal_forwards(shape_hw, wide):
     row_base = rng.integers(0, stride, r) + (2**31 if wide else 0)
     n_rows = int(row_base.max()) + h * w * stride
     plan = T._BilinearPlan((h, w), row_base, pts[:, 0].reshape(r, k), pts[:, 1].reshape(r, k),
-                           rng.random((r, k)), n_rows, stride)
-    full = plan.indices
+                           n_rows, stride)
+    full = np.empty(4 * r * k, dtype=plan.indices.dtype)
+    plan.tables(rng.random((r, k)), full, np.empty((4, r, k)), np.empty((r, k, 4)))
     assert full.dtype == (np.intp if wide else np.int32)
     assert (full.max() > np.iinfo(np.int32).max) == wide
-    plan.keep_for_backward()
-    assert plan.data is None and plan.indices.tobytes() == full[::4].tobytes()
-    rebuilt = plan.corner_indices(np.empty_like(full))
-    assert rebuilt.dtype == full.dtype and rebuilt.tobytes() == full.tobytes()
+    assert plan.indices.tobytes() == full[::4].tobytes()
+    want, *_ = ref.corner_tables((h, w), row_base.repeat(k), np.nan_to_num(pts, nan=-4.5), stride)
+    assert np.array_equal(full, want.reshape(-1))
 
 
 EXTREME = [1e12, -1e12, 2.0**31 + 0.5, -(2.0**31 + 0.5), 2.0**32 + 1.25, -(2.0**32 + 1.25)]
@@ -470,7 +505,7 @@ def test_extreme_offsets_cast_nothing_out_of_range(pairs, monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_non_finite_offsets_keep_indices_in_range(bad, plans):
+def test_non_finite_offsets_keep_indices_in_range(bad, plans, monkeypatch):
     """A non-finite offset makes its samples non-finite, but every corner index
     still lies inside the value table. A NaN warns nowhere, as no cast sees
     it; an infinity's fraction is inf - inf, which numpy warns about."""
@@ -478,13 +513,15 @@ def test_non_finite_offsets_keep_indices_in_range(bad, plans):
                                                                 "sources")
     offsets = offsets.copy()
     offsets[0, 0, 0, 0] = offsets[1, 1, 2, 1] = bad
+    built = csr_spy(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error" if np.isnan(bad) else "ignore")
         out = T.deform_attend(Tensor(feats), map_idx, base, Tensor(offsets), Tensor(attn),
                               qry_idx)
-    plan, = plans
+    (_, indices, _, _), = built
+    assert len(plans) == 1
     n_rows = feats.size // feats.shape[-1] * offsets.shape[1]
-    assert plan.indices.min() >= 0 and plan.indices.max() < n_rows
+    assert indices.min() >= 0 and indices.max() < n_rows
     assert not np.all(np.isfinite(out.data))
 
 

@@ -67,7 +67,7 @@ def deform_attend_refs(loss):
             plans = cells["plans"].cell_contents
             assert plans and "s_attn" not in cells and "attnp" not in cells
             for plan in plans:
-                assert plan.data is None and plan.indices.size == plan.rows[0].size
+                assert not hasattr(plan, "data") and plan.indices.size == plan.rows[0].size
                 refs += [weakref.ref(a) for a in (plan.indices, *plan.rows, *plan.cols)]
     return refs
 
