@@ -12,7 +12,6 @@ changing a single byte.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -47,12 +46,14 @@ _FIELDS = [
 ]
 
 
-def _write_array(f, arr: np.ndarray, dtype: str):
-    arr = np.ascontiguousarray(arr, dtype=dtype)
-    f.write(struct.pack("<Q", arr.ndim))
-    for d in arr.shape:
-        f.write(struct.pack("<Q", d))
-    f.write(arr.tobytes())
+def _record_bytes(arrays) -> bytes:
+    """The record of arrays, a mapping from every name of _FIELDS to its
+    array: each field's header and payload in _FIELDS order, joined once."""
+    parts = []
+    for name, dtype in _FIELDS:
+        arr = np.ascontiguousarray(arrays[name], dtype=dtype)
+        parts += (struct.pack(f"<{arr.ndim + 1}Q", arr.ndim, *arr.shape), arr)
+    return b"".join(parts)
 
 
 def _read_array(path, buf: memoryview, offset: int, dtype: str):
@@ -106,7 +107,8 @@ def _tuples(value):
 
 def render_scene_record(seed: int, scene_id: int, params: SceneParams,
                         spec: BEVGridSpec, rig, lidar_shape) -> bytes:
-    """Render one scene to its record bytes (deterministic in all arguments)."""
+    """Render one scene to its record bytes (deterministic in all arguments).
+    ContractError unless seed and scene_id are integers in [0, 2**32)."""
     scene = sample_scene(seeded_rng(seed, "scene", scene_id), params, spec, scene_id)
     images = render_cameras(scene, rig, seeded_rng(seed, "cam", scene_id), params.sigma_cam)
     lidar = render_lidar(scene, spec, lidar_shape, seeded_rng(seed, "lidar", scene_id),
@@ -122,10 +124,7 @@ def render_scene_record(seed: int, scene_id: int, params: SceneParams,
         "gt_classes": np.array([b.class_id for b in scene.boxes], dtype=np.int64),
         "gt_appearance": np.array([b.appearance for b in scene.boxes]),
     }
-    buf = io.BytesIO()
-    for name, dtype in _FIELDS:
-        _write_array(buf, arrays[name], dtype)
-    return buf.getvalue()
+    return _record_bytes(arrays)
 
 
 def generate_dataset(root, n_scenes: int, seed: int, params: SceneParams,

@@ -11,6 +11,7 @@ spatially while first-order LiDAR channel statistics stay class-blind.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .detection import GroundTruthBox
-from .errors import ConfigError, GenerationError, check_field_kinds
+from .errors import ConfigError, ContractError, GenerationError, check_field_kinds
 from .geometry import BEVGridSpec, CameraModel, make_camera
 from .tensor import Parameter, Tensor
 
@@ -156,6 +157,23 @@ def _box_corners_3d(box: SceneBox) -> np.ndarray:
     return corners
 
 
+def _check_sigma(name: str, sigma: float):
+    """ContractError unless the noise level is finite and non-negative."""
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ContractError(f"{name} must be finite and non-negative, got {sigma!r}")
+
+
+def _normal_fill(rng: np.random.Generator, sigma: float, out: np.ndarray) -> np.ndarray:
+    """out filled, in C order, with the draws of rng.normal(0.0, sigma,
+    out.shape): that is loc + scale * z for each standard normal z of the
+    same stream, so one standard_normal fill times sigma plus 0.0 (which
+    turns a -0.0 into the 0.0 that loc + scale * z gives) is the same bits."""
+    rng.standard_normal(out=out)
+    out *= sigma
+    out += 0.0
+    return out
+
+
 def render_cameras(scene: Scene, rig: Sequence[CameraModel], rng: np.random.Generator,
                    sigma_cam: float) -> np.ndarray:
     """Painter's-algorithm Gaussian splats, far to near, plus pixel noise.
@@ -163,26 +181,47 @@ def render_cameras(scene: Scene, rig: Sequence[CameraModel], rng: np.random.Gene
     Color channel c carries (class == c) * (0.35 + 0.65 * appearance), so the
     class is readable from color alone while geometry is only implicit in the
     blob footprint.
+
+    The records depend on this draw order: per view, all splats far to near
+    (which draw nothing), then that view's [H,W,3] noise in C order from
+    rng.normal(0.0, sigma_cam). As the splats draw nothing, the views' noise
+    is one [V,H,W,3] fill (_normal_fill), added to each view's splats.
+    Each splat's exponent is a column term plus a row term, broadcast into
+    [H,W], and the blend runs on channel planes [3,H,W] with the per-pixel
+    arithmetic of img += alpha * (color - img).
+    ContractError for an empty rig, views of different image sizes, or a
+    negative or non-finite sigma_cam.
     """
-    v = len(rig)
-    h_img, w_img = rig[0].image_h, rig[0].image_w
-    images = np.zeros((v, h_img, w_img, 3))
-    vv, uu = np.meshgrid(np.arange(h_img), np.arange(w_img), indexing="ij")
+    if not rig:
+        raise ContractError("render_cameras needs at least one camera")
+    sizes = {(cam.image_h, cam.image_w) for cam in rig}
+    if len(sizes) != 1:
+        raise ContractError(f"cameras must share one image size, got {sorted(sizes)}")
+    _check_sigma("sigma_cam", sigma_cam)
+    (h_img, w_img), = sizes
+    images = _normal_fill(rng, sigma_cam, np.empty((len(rig), h_img, w_img, 3)))
+    rows, cols = np.arange(h_img), np.arange(w_img)
+    planes = np.empty((3, h_img, w_img))
+    blend = np.empty((3, h_img, w_img))
+    alpha = np.empty((h_img, w_img))
+    colors = []
+    for box in scene.boxes:
+        color = np.zeros((3, 1, 1))
+        color[box.class_id] = 0.35 + 0.65 * box.appearance
+        colors.append(color)
+    corners = [_box_corners_3d(box) for box in scene.boxes]
+    centers = [np.array([box.cx, box.cy, box.height / 2.0, 1.0]) for box in scene.boxes]
     for vi, cam in enumerate(rig):
         w2c = np.asarray(cam.world_to_cam)
-        order = []
-        for box in scene.boxes:
-            center = w2c @ np.array([box.cx, box.cy, box.height / 2.0, 1.0])
-            order.append((center[2], box))
-        order.sort(key=lambda t: -t[0])  # far first
-        img = images[vi]
-        for depth, box in order:
-            if depth < 0.5:
+        depths = [(w2c @ center)[2] for center in centers]
+        planes.fill(0.0)
+        for j in sorted(range(len(depths)), key=lambda j: -depths[j]):  # far first
+            if depths[j] < 0.5:
                 continue
-            pc = _box_corners_3d(box) @ w2c.T
+            # the corner depths pair up around the center's, so at least 4 of
+            # the 8 lie in front of the center's 0.5 and pass the 0.1 test
+            pc = corners[j] @ w2c.T
             good = pc[:, 2] > 0.1
-            if good.sum() < 4:
-                continue
             us = cam.fx * pc[good, 0] / pc[good, 2] + cam.cx
             vs = cam.fy * pc[good, 1] / pc[good, 2] + cam.cy
             cu, cv = us.mean(), vs.mean()
@@ -190,11 +229,13 @@ def render_cameras(scene: Scene, rig: Sequence[CameraModel], rng: np.random.Gene
             sv = max(0.7, (vs.max() - vs.min()) / 4.0)
             if cu < -3 * su or cu > w_img - 1 + 3 * su or cv < -3 * sv or cv > h_img - 1 + 3 * sv:
                 continue
-            alpha = np.exp(-0.5 * (((uu - cu) / su) ** 2 + ((vv - cv) / sv) ** 2))
-            color = np.zeros(3)
-            color[box.class_id] = 0.35 + 0.65 * box.appearance
-            img += alpha[:, :, None] * (color[None, None, :] - img)
-        img += rng.normal(0.0, sigma_cam, img.shape)
+            np.add(((cols - cu) / su) ** 2, (((rows - cv) / sv) ** 2)[:, None], out=alpha)
+            alpha *= -0.5
+            np.exp(alpha, out=alpha)
+            np.subtract(colors[j], planes, out=blend)
+            blend *= alpha
+            planes += blend
+        images[vi] += planes.transpose(1, 2, 0)
     return images
 
 
@@ -215,15 +256,24 @@ def render_lidar(scene: Scene, spec: BEVGridSpec, lidar_shape: Tuple[int, int],
     Cells inside a footprint survive with probability 1 - min(0.8, r/range);
     the height channel records the box height on surviving cells. No class
     information is rendered.
+
+    rng's draws, in order: the [H,W] keep field (rng.random), then one
+    [2,H,W] C-order fill of rng.normal(0.0, sigma_lidar)'s draws
+    (_normal_fill), the occupancy noise before the height noise.
+    ContractError for a negative or non-finite sigma_lidar, or a
+    drop_full_range that is not finite and positive.
     """
+    _check_sigma("sigma_lidar", sigma_lidar)
+    if not (math.isfinite(drop_full_range) and drop_full_range > 0):
+        raise ContractError(f"drop_full_range must be finite and positive, "
+                            f"got {drop_full_range!r}")
     h_l, w_l = lidar_shape
     x_min, x_max, y_min, y_max = spec.extent
     xs = x_min + (np.arange(w_l) + 0.5) * (x_max - x_min) / w_l
     ys = y_min + (np.arange(h_l) + 0.5) * (y_max - y_min) / h_l
     gx, gy = np.meshgrid(xs, ys)  # [h_l, w_l], row = y
     keep_field = rng.random((h_l, w_l))
-    occ_noise = rng.normal(0.0, sigma_lidar, (h_l, w_l))
-    hgt_noise = rng.normal(0.0, sigma_lidar, (h_l, w_l))
+    noise = _normal_fill(rng, sigma_lidar, np.empty((2, h_l, w_l)))
     r = np.hypot(gx, gy)
     kept = keep_field >= np.minimum(0.8, r / drop_full_range)
     occ = np.zeros((h_l, w_l))
@@ -232,7 +282,7 @@ def render_lidar(scene: Scene, spec: BEVGridSpec, lidar_shape: Tuple[int, int],
         inside = _interior_mask(box, gx, gy) & kept
         occ[inside] = 1.0
         hgt[inside] = np.maximum(hgt[inside], box.height)
-    return np.stack([occ + occ_noise, hgt + hgt_noise], axis=-1)
+    return np.stack([occ + noise[0], hgt + noise[1]], axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -42,11 +42,15 @@ def corner_tables(shape_hw, base, pts, stride):
     """Per point [N] and corner, in the order of CORNERS, as [N,4] arrays: the
     row of the value table, the in-range mask, the bilinear weight and its
     derivatives in row and in column (all three zero outside the map); and
-    the row and column fractions [N]."""
+    the row and column fractions [N].
+
+    The corners' rows and columns stay floats until they are clipped into
+    the map with fmax/fmin, which take a NaN to the lower border, so no cast
+    sees a NaN or a value past intp; a NaN is outside the map, as its
+    comparisons are false."""
     h, w = shape_hw
-    r0f, c0f = np.floor(pts[:, 0]), np.floor(pts[:, 1])
-    fr, fc = pts[:, 0] - r0f, pts[:, 1] - c0f
-    r0, c0 = r0f.astype(np.intp), c0f.astype(np.intp)
+    r0, c0 = np.floor(pts[:, 0]), np.floor(pts[:, 1])
+    fr, fc = pts[:, 0] - r0, pts[:, 1] - c0
     n = pts.shape[0]
     idx = np.empty((n, 4), dtype=np.intp)
     inside = np.empty((n, 4), dtype=bool)
@@ -56,7 +60,9 @@ def corner_tables(shape_hw, base, pts, stride):
         ok = (r >= 0) & (r < h) & (c >= 0) & (c < w)
         wr = fr if i else 1.0 - fr
         wc = fc if j else 1.0 - fc
-        idx[:, corner] = base + (np.clip(r, 0, h - 1) * w + np.clip(c, 0, w - 1)) * stride
+        rc = np.fmin(np.fmax(r, 0.0), h - 1.0).astype(np.intp)
+        cc = np.fmin(np.fmax(c, 0.0), w - 1.0).astype(np.intp)
+        idx[:, corner] = base + (rc * w + cc) * stride
         inside[:, corner] = ok
         wgt[:, corner] = wr * wc * ok
         dwr[:, corner] = (1.0 if i else -1.0) * wc * ok

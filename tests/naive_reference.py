@@ -176,3 +176,61 @@ def camera_pairs_naive(projections, n_queries: int):
                     hits[q] += 1
     return (np.array(map_idx, dtype=np.intp), np.array(base, dtype=np.float64).reshape(-1, 2),
             np.array(qry, dtype=np.intp), hits)
+
+
+def _box_corners_naive(box) -> np.ndarray:
+    """8 corners [8,4] in homogeneous world coordinates, box base on the
+    ground plane, exactly as the camera splats of render_cameras_naive
+    project them."""
+    c, s = np.cos(box.yaw), np.sin(box.yaw)
+    half = np.array([
+        [+box.l / 2, +box.w / 2], [+box.l / 2, -box.w / 2],
+        [-box.l / 2, +box.w / 2], [-box.l / 2, -box.w / 2],
+    ])
+    rot = np.array([[c, -s], [s, c]])
+    xy = half @ rot.T + np.array([box.cx, box.cy])
+    corners = np.zeros((8, 4))
+    corners[:4, :2] = xy
+    corners[4:, :2] = xy
+    corners[:4, 2] = 0.0
+    corners[4:, 2] = box.height
+    corners[:, 3] = 1.0
+    return corners
+
+
+def render_cameras_naive(scene, rig, rng: np.random.Generator, sigma_cam: float) -> np.ndarray:
+    """The camera renderer as first written: per view, every box's splat
+    from a full-grid meshgrid exponent blended into an [H,W,3] image, far to
+    near, then that view's noise from rng.normal."""
+    v = len(rig)
+    h_img, w_img = rig[0].image_h, rig[0].image_w
+    images = np.zeros((v, h_img, w_img, 3))
+    vv, uu = np.meshgrid(np.arange(h_img), np.arange(w_img), indexing="ij")
+    for vi, cam in enumerate(rig):
+        w2c = np.asarray(cam.world_to_cam)
+        order = []
+        for box in scene.boxes:
+            center = w2c @ np.array([box.cx, box.cy, box.height / 2.0, 1.0])
+            order.append((center[2], box))
+        order.sort(key=lambda t: -t[0])  # far first
+        img = images[vi]
+        for depth, box in order:
+            if depth < 0.5:
+                continue
+            pc = _box_corners_naive(box) @ w2c.T
+            good = pc[:, 2] > 0.1
+            if good.sum() < 4:
+                continue
+            us = cam.fx * pc[good, 0] / pc[good, 2] + cam.cx
+            vs = cam.fy * pc[good, 1] / pc[good, 2] + cam.cy
+            cu, cv = us.mean(), vs.mean()
+            su = max(0.7, (us.max() - us.min()) / 4.0)
+            sv = max(0.7, (vs.max() - vs.min()) / 4.0)
+            if cu < -3 * su or cu > w_img - 1 + 3 * su or cv < -3 * sv or cv > h_img - 1 + 3 * sv:
+                continue
+            alpha = np.exp(-0.5 * (((uu - cu) / su) ** 2 + ((vv - cv) / sv) ** 2))
+            color = np.zeros(3)
+            color[box.class_id] = 0.35 + 0.65 * box.appearance
+            img += alpha[:, :, None] * (color[None, None, :] - img)
+        img += rng.normal(0.0, sigma_cam, img.shape)
+    return images

@@ -2,7 +2,6 @@
 and of the named random streams' integer tags, and the error contract of the
 dataset and checkpoint readers on corrupt files."""
 
-import io
 import json
 import shutil
 import struct
@@ -12,7 +11,7 @@ import numpy as np
 import pytest
 
 from bevkit.checkpoint import load_checkpoint, save_checkpoint
-from bevkit.dataset import (SceneDataset, _FIELDS, _read_array, _write_array, generate_dataset,
+from bevkit.dataset import (SceneDataset, _FIELDS, _read_array, _record_bytes, generate_dataset,
                             render_scene_record)
 from bevkit.errors import ConfigError, ContractError, DataError
 from bevkit.geometry import BEVGridSpec
@@ -153,6 +152,27 @@ def test_seeded_rng_refuses_a_seed_or_tag_outside_32_bits(seed, tags):
     seed 1, -1 onto 2**32 - 1), so it raises ContractError instead."""
     with pytest.raises(ContractError, match=r"outside \[0, 2\*\*32\)"):
         seeded_rng(seed, *tags)
+
+
+@pytest.mark.parametrize("seed, tags", [
+    (1.5, ()), (1.0, ()), (True, ()), (np.float64(1.0), ()), (np.bool_(True), ()), ("1", ()),
+    (None, ()), (0, (2.0,)), (0, ("scene", False)), (0, (np.float32(3.0),)), (0, (None,)),
+    (0, (b"cam",)),
+])
+def test_seeded_rng_refuses_a_non_integer_seed_or_a_tag_neither_integer_nor_string(seed, tags):
+    """int() would take a bool or a float, so seeded_rng(1.5) or a tag True
+    would key the stream of 1, and str() would key a tag 2.0 as "2.0": such
+    a seed or tag raises ContractError instead."""
+    with pytest.raises(ContractError, match="not an integer"):
+        seeded_rng(seed, *tags)
+
+
+@pytest.mark.parametrize("seed, scene_id", [(1.5, 0), (1, 0.0), (True, 0), (0, np.float64(2))])
+def test_render_scene_record_refuses_a_non_integer_seed_or_scene_id(seed, scene_id):
+    """render_scene_record(1.5, 0, ...) would render seed 1's record."""
+    rig = default_rig(image_h=TINY["image_h"], image_w=TINY["image_w"], fx=TINY["fx"])
+    with pytest.raises(ContractError):
+        render_scene_record(seed, scene_id, SceneParams(), SPEC, rig, TINY["lidar_shape"])
 
 
 @pytest.mark.parametrize("seed, tags", [
@@ -306,11 +326,11 @@ class TestSceneRecordReader:
     def rewritten(self, ds, tmp_path, field, edit):
         """Copy of ds whose first record holds edit(array) in place of field."""
         raw = memoryview(self.record(ds))
-        buf, offset = io.BytesIO(), 0
+        arrays, offset = {}, 0
         for name, dtype in _FIELDS:
             arr, offset = _read_array("record", raw, offset, dtype)
-            _write_array(buf, edit(arr) if name == field else arr, dtype)
-        return corrupt_copy(ds, tmp_path, buf.getvalue())
+            arrays[name] = edit(arr) if name == field else arr
+        return corrupt_copy(ds, tmp_path, _record_bytes(arrays))
 
     def test_box_count_mismatch_is_data_error(self, tiny_dataset, tmp_path):
         # one yaw fewer than there are boxes

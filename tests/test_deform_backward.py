@@ -442,9 +442,8 @@ def test_corner_indices_equal_the_oracles(shape_hw, wide):
     (0,0)'s and the masks are those of the oracle, backward_reference's
     corner_tables: for points inside the map, on each border, past each of
     the four borders and on an axis of length 1, in an int32 plan and in an
-    intp plan whose table rows lie past int32's range. A NaN coordinate,
-    which the oracle's cast to intp cannot take, reads the rows of one past
-    the lower border. The plan keeps corner (0,0)'s indices."""
+    intp plan whose table rows lie past int32's range, and for a NaN
+    coordinate. The plan keeps corner (0,0)'s indices."""
     h, w = shape_hw
     stride = 3
     rows = [-4.5, -1.0, -0.5, 0.0, 0.25, h - 1.0, h - 0.5, h, h + 2.75, np.nan]
@@ -461,7 +460,7 @@ def test_corner_indices_equal_the_oracles(shape_hw, wide):
     assert full.dtype == (np.intp if wide else np.int32)
     assert (full.max() > np.iinfo(np.int32).max) == wide
     assert plan.indices.tobytes() == full[::4].tobytes()
-    want, *_ = ref.corner_tables((h, w), row_base.repeat(k), np.nan_to_num(pts, nan=-4.5), stride)
+    want, *_ = ref.corner_tables((h, w), row_base.repeat(k), pts, stride)
     assert np.array_equal(full, want.reshape(-1))
 
 
@@ -523,6 +522,34 @@ def test_non_finite_offsets_keep_indices_in_range(bad, plans, monkeypatch):
     n_rows = feats.size // feats.shape[-1] * offsets.shape[1]
     assert indices.min() >= 0 and indices.max() < n_rows
     assert not np.all(np.isfinite(out.data))
+
+
+def same_bits_and_nans(a, b):
+    """a and b are NaN at the same places and hold the same bits elsewhere."""
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+@pytest.mark.parametrize("pairs", [1, "P"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_offsets_give_the_oracles_outputs_and_grads(bad, pairs, monkeypatch):
+    """With a non-finite offset in two points, the output and all three
+    grads are NaN where the reference's are, and equal its bits elsewhere.
+    An infinity's fraction is inf - inf, which both warn about."""
+    feats, map_idx, base, offsets, attn, qry_idx = attend_case(np.random.default_rng(44),
+                                                                "sources")
+    offsets = offsets.copy()
+    offsets[0, 0, 0, 0] = offsets[1, 1, 2, 1] = bad
+    arrays = feats, map_idx, base, offsets, attn, qry_idx
+    set_pairs_per_block(monkeypatch, arrays, pairs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error" if np.isnan(bad) else "ignore")
+        out, grads = attend_grads(T.deform_attend, arrays, (True, True, True))
+        want_out, want = attend_grads(ref.deform_attend_reference, arrays, (True, True, True))
+    assert np.isnan(out).any() and not np.isnan(out).all()
+    assert same_bits_and_nans(out, want_out)
+    for a, b in zip(grads, want):
+        assert same_bits_and_nans(a, b)
 
 
 JET_RTOL = 1e-12  # of each grad's max-abs; only the summation order differs
