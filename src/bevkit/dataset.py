@@ -109,20 +109,20 @@ def render_scene_record(seed: int, scene_id: int, params: SceneParams,
                         spec: BEVGridSpec, rig, lidar_shape) -> bytes:
     """Render one scene to its record bytes (deterministic in all arguments).
     ContractError unless seed and scene_id are integers in [0, 2**32)."""
-    scene = sample_scene(seeded_rng(seed, "scene", scene_id), params, spec, scene_id)
-    images = render_cameras(scene, rig, seeded_rng(seed, "cam", scene_id), params.sigma_cam)
-    lidar = render_lidar(scene, spec, lidar_shape, seeded_rng(seed, "lidar", scene_id),
+    boxes = sample_scene(seeded_rng(seed, "scene", scene_id), params, spec)
+    images = render_cameras(boxes, rig, seeded_rng(seed, "cam", scene_id), params.sigma_cam)
+    lidar = render_lidar(boxes, spec, lidar_shape, seeded_rng(seed, "lidar", scene_id),
                          params.sigma_lidar, params.lidar_drop_full_range)
-    n = len(scene.boxes)
+    n = len(boxes)
     arrays = {
         "camera_images": images,
         "lidar_grid": lidar,
-        "gt_centers": np.array([[b.cx, b.cy] for b in scene.boxes]).reshape(n, 2),
-        "gt_sizes": np.array([[b.w, b.l] for b in scene.boxes]).reshape(n, 2),
-        "gt_yaws": np.array([b.yaw for b in scene.boxes]),
-        "gt_heights": np.array([b.height for b in scene.boxes]),
-        "gt_classes": np.array([b.class_id for b in scene.boxes], dtype=np.int64),
-        "gt_appearance": np.array([b.appearance for b in scene.boxes]),
+        "gt_centers": np.array([[b.cx, b.cy] for b in boxes]).reshape(n, 2),
+        "gt_sizes": np.array([[b.w, b.l] for b in boxes]).reshape(n, 2),
+        "gt_yaws": np.array([b.yaw for b in boxes]),
+        "gt_heights": np.array([b.height for b in boxes]),
+        "gt_classes": np.array([b.class_id for b in boxes], dtype=np.int64),
+        "gt_appearance": np.array([b.appearance for b in boxes]),
     }
     return _record_bytes(arrays)
 
@@ -131,9 +131,13 @@ def generate_dataset(root, n_scenes: int, seed: int, params: SceneParams,
                      spec: BEVGridSpec, lidar_shape=(32, 32), image_h: int = 48,
                      image_w: int = 64, fx: float = 24.0) -> "SceneDataset":
     """Render n_scenes scenes into root, a new or empty directory, and open
-    it. root, the scene parameters, n_scenes, seed, lidar_shape, image size
-    and fx are checked (ConfigError) before anything is written."""
-    params.validate()
+    it. root, the grid, the scene parameters (their margin against the
+    grid's extent too), n_scenes, seed, lidar_shape, image size and fx are
+    checked (ConfigError) before anything is written. The manifest is
+    written after the last record, so a run that stops part-way leaves no
+    directory that opens as a dataset."""
+    spec.validate()
+    params.validate().center_bounds(spec)
     if not of_kind(n_scenes, 0) or n_scenes < 0:
         raise ConfigError(f"n_scenes must be a non-negative integer, got {n_scenes!r}")
     if not of_kind(seed, 0) or not 0 <= seed < SEED_LIMIT:
@@ -163,12 +167,11 @@ def generate_dataset(root, n_scenes: int, seed: int, params: SceneParams,
         "cameras": [c.to_json() for c in rig],
         "record_fields": [{"name": n, "dtype": d} for n, d in _FIELDS],
     }
-    with open(root / "manifest.json", "w") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
-
     for i in range(n_scenes):
         record = render_scene_record(seed, i, params, spec, rig, lidar_shape)
         (root / "scenes" / f"scene_{i:06d}.bin").write_bytes(record)
+    with open(root / "manifest.json", "w") as f:
+        json.dump(manifest, f, indent=1, sort_keys=True)
     return SceneDataset(root)
 
 

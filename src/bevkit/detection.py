@@ -19,6 +19,10 @@ from .errors import ContractError, ShapeError
 from .geometry import BEVGridSpec
 from .tensor import Parameter, Tensor
 
+# DETR's loss weights (Carion et al., arXiv 2005.12872): the class and box
+# terms of the matching cost and the loss, and the no-object class's weight
+LAMBDA_CLS, LAMBDA_BOX, BACKGROUND_WEIGHT = 1.0, 2.0, 0.1
+
 
 @dataclass
 class BoxPrediction:
@@ -289,22 +293,22 @@ def box_targets(gts: Sequence[GroundTruthBox], spec: BEVGridSpec) -> np.ndarray:
 
 
 def matching_cost(logits: np.ndarray, boxes6: np.ndarray, targets: np.ndarray,
-                  gt_classes: np.ndarray, lambda_cls: float, lambda_box: float) -> np.ndarray:
-    """Detached [n_obj, n_gt] cost: -p(gt class) weighted by lambda_cls plus
-    lambda_box times the L1 distance in regression space."""
+                  gt_classes: np.ndarray) -> np.ndarray:
+    """Detached [n_obj, n_gt] cost: -p(gt class) weighted by LAMBDA_CLS plus
+    LAMBDA_BOX times the L1 distance in regression space."""
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     probs = e / e.sum(axis=1, keepdims=True)
     cls_cost = -probs[:, gt_classes]  # [n_obj, n_gt]
     l1 = np.abs(boxes6[:, None, :] - targets[None, :, :]).sum(axis=2)
-    return lambda_cls * cls_cost + lambda_box * l1
+    return LAMBDA_CLS * cls_cost + LAMBDA_BOX * l1
 
 
 def set_loss(logits: Tensor, box_raw: Tensor, gts: Sequence[GroundTruthBox],
-             spec: BEVGridSpec, lambda_cls: float, lambda_box: float,
-             background_weight: float) -> Tensor:
+             spec: BEVGridSpec) -> Tensor:
     """Cross-entropy over all queries (matched -> gt class, rest -> background,
-    background down-weighted) plus lambda_box * L1 on matched boxes, averaged
-    per scene. Empty gt list reduces to pure background classification."""
+    background weighted by BACKGROUND_WEIGHT) plus LAMBDA_BOX * L1 on matched
+    boxes, averaged per scene; the matching cost weighs its class term by
+    LAMBDA_CLS. Empty gt list reduces to pure background classification."""
     n_obj, n_classes = logits.shape
     bg = n_classes - 1
     center_norm, sizes, sincos = decode_boxes(box_raw)
@@ -318,8 +322,7 @@ def set_loss(logits: Tensor, box_raw: Tensor, gts: Sequence[GroundTruthBox],
         if gt_classes.min() < 0 or gt_classes.max() >= bg:
             raise ContractError(f"set_loss: class ids must lie in [0, {bg}) ({bg} is "
                                 f"background), got {sorted(set(gt_classes.tolist()))}")
-        cost = matching_cost(logits.data, boxes6.data, tgt, gt_classes,
-                             lambda_cls, lambda_box)
+        cost = matching_cost(logits.data, boxes6.data, tgt, gt_classes)
         assign = hungarian_match(cost)
         pred_idx = np.asarray(assign, dtype=np.intp)
         targets_cls[pred_idx] = gt_classes
@@ -330,7 +333,7 @@ def set_loss(logits: Tensor, box_raw: Tensor, gts: Sequence[GroundTruthBox],
     logp = T.log_softmax_lastaxis(logits)
     onehot = np.zeros((n_obj, n_classes))
     onehot[np.arange(n_obj), targets_cls] = 1.0
-    weights = np.where(targets_cls == bg, background_weight, 1.0)
+    weights = np.where(targets_cls == bg, BACKGROUND_WEIGHT, 1.0)
     picked = T.tsum(T.mul(logp, Tensor(onehot * weights[:, None])))
     ce = T.mul(T.neg(picked), Tensor(1.0 / weights.sum()))
-    return T.add(ce, T.mul(box_term, Tensor(float(lambda_box))))
+    return T.add(ce, T.mul(box_term, Tensor(LAMBDA_BOX)))

@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import ContractError, check_field_kinds
+from .errors import ConfigError, ContractError, check_field_kinds
 
 
 @dataclass(frozen=True)
@@ -33,11 +33,11 @@ class BEVGridSpec:
         x_min, x_max, y_min, y_max = self.extent
         z_min, z_max = self.z_range
         if min(self.h, self.w, self.d) < 1:
-            raise ContractError(f"grid dims must be >= 1, got {(self.h, self.w, self.d)}")
+            raise ConfigError(f"grid dims must be >= 1, got {(self.h, self.w, self.d)}")
         if not np.all(np.isfinite([*self.extent, *self.z_range])):
-            raise ContractError(f"non-finite extent {self.extent} / z_range {self.z_range}")
+            raise ConfigError(f"non-finite extent {self.extent} / z_range {self.z_range}")
         if not (x_max > x_min and y_max > y_min and z_max > z_min):
-            raise ContractError(f"degenerate extent {self.extent} / z_range {self.z_range}")
+            raise ConfigError(f"degenerate extent {self.extent} / z_range {self.z_range}")
         return self
 
 

@@ -44,9 +44,6 @@ class ModelConfig:
     fusion: str = "cnw"  # cnw | avg | concat
     query_mode: str = "shared"  # shared | separate
     normalize_by_hits: bool = False
-    lambda_cls: float = 1.0
-    lambda_box: float = 2.0
-    background_weight: float = 0.1
     cam_hidden: Tuple[int, int] = (8, 16)
     lidar_hidden: Tuple[int, int] = (12, 16)
 
@@ -66,12 +63,6 @@ class ModelConfig:
         if min(*self.cam_hidden, *self.lidar_hidden) < 1:
             raise ConfigError(f"hidden widths must be positive: cam_hidden={self.cam_hidden}, "
                               f"lidar_hidden={self.lidar_hidden}")
-        for name in ("lambda_cls", "lambda_box", "background_weight"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0):
-                # a negative weight rewards error; a non-finite one makes the loss or
-                # the matching costs non-finite
-                raise ConfigError(f"{name} must be finite and non-negative, got {value}")
         n_enc = self.encoder_channels
         if self.fusion == "concat" and self.channels % 2:
             raise ConfigError(f"concat fusion needs even channels, got {self.channels}")
@@ -250,8 +241,7 @@ class Detector:
         fused, = self.fused_maps(sample, [mask])
         tokens = T.reshape(fused, (self.spec.h * self.spec.w, self.cfg.channels))
         logits, box_raw = decode_raw(tokens, self.decoder)
-        return set_loss(logits, box_raw, sample.gts, self.spec, self.cfg.lambda_cls,
-                        self.cfg.lambda_box, self.cfg.background_weight)
+        return set_loss(logits, box_raw, sample.gts, self.spec)
 
     def predict(self, sample: RenderedSample, mask: ModalityMask) -> List[BoxPrediction]:
         return self.predict_many(sample, [mask])[0]

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .detection import GroundTruthBox
-from .errors import ConfigError, ContractError, GenerationError, check_field_kinds
+from .errors import ConfigError, ContractError, check_field_kinds
 from .geometry import BEVGridSpec, CameraModel, make_camera
 from .tensor import Parameter, Tensor
 
@@ -28,12 +28,6 @@ from .tensor import Parameter, Tensor
 class SceneBox(GroundTruthBox):
     height: float = 1.5
     appearance: float = 1.0
-
-
-@dataclass
-class Scene:
-    scene_id: int
-    boxes: List[SceneBox]
 
 
 @dataclass
@@ -88,30 +82,32 @@ class SceneParams:
             raise ConfigError("lidar_drop_full_range must be positive")
         return self
 
+    def center_bounds(self, spec: BEVGridSpec) -> Tuple[np.ndarray, np.ndarray]:
+        """(lo, hi) corners of where box centers may lie: spec's extent less
+        the margin on every side. ConfigError where the margin leaves no room."""
+        x_min, x_max, y_min, y_max = spec.extent
+        lo = np.array([x_min + self.margin, y_min + self.margin])
+        hi = np.array([x_max - self.margin, y_max - self.margin])
+        if np.any(hi <= lo):
+            raise ConfigError(f"margin {self.margin} leaves no room in extent {spec.extent}")
+        return lo, hi
 
-def sample_scene(rng: np.random.Generator, params: SceneParams, spec: BEVGridSpec,
-                 scene_id: int = 0) -> Scene:
+
+def sample_scene(rng: np.random.Generator, params: SceneParams,
+                 spec: BEVGridSpec) -> List[SceneBox]:
     """Rejection-sample box centers until the pairwise distance bound holds;
-    after 1000 failed attempts the box count is reduced."""
-    x_min, x_max, y_min, y_max = spec.extent
-    lo = np.array([x_min + params.margin, y_min + params.margin])
-    hi = np.array([x_max - params.margin, y_max - params.margin])
-    if np.any(hi <= lo):
-        raise GenerationError(f"margin {params.margin} leaves no room in extent {spec.extent}")
+    after 1000 failed attempts the box count is reduced (the first candidate
+    is always accepted, so a scene that asks for boxes gets at least one)."""
+    lo, hi = params.center_bounds(spec)
     n_target = int(rng.integers(params.n_boxes[0], params.n_boxes[1] + 1))
     centers: List[np.ndarray] = []
     attempts = 0
-    while len(centers) < n_target:
+    while len(centers) < n_target and attempts <= 1000:  # then give up on the rest
         c = rng.uniform(lo, hi)
         if all(np.hypot(*(c - o)) >= params.min_center_dist for o in centers):
             centers.append(c)
-            continue
-        attempts += 1
-        if attempts > 1000:
-            if not centers:
-                raise GenerationError("extent too small for even one box")
-            n_target = len(centers)  # give up on the rest
-            break
+        else:
+            attempts += 1
     boxes = []
     for c in centers:
         class_id = int(rng.integers(0, params.n_classes))
@@ -125,7 +121,7 @@ def sample_scene(rng: np.random.Generator, params: SceneParams, spec: BEVGridSpe
             height=float(rng.uniform(*params.height_range)),
             appearance=float(rng.uniform(*params.appearance_range)),
         ))
-    return Scene(scene_id=scene_id, boxes=boxes)
+    return boxes
 
 
 def default_rig(image_h: int = 48, image_w: int = 64, fx: float = 24.0) -> List[CameraModel]:
@@ -174,8 +170,8 @@ def _normal_fill(rng: np.random.Generator, sigma: float, out: np.ndarray) -> np.
     return out
 
 
-def render_cameras(scene: Scene, rig: Sequence[CameraModel], rng: np.random.Generator,
-                   sigma_cam: float) -> np.ndarray:
+def render_cameras(boxes: Sequence[SceneBox], rig: Sequence[CameraModel],
+                   rng: np.random.Generator, sigma_cam: float) -> np.ndarray:
     """Painter's-algorithm Gaussian splats, far to near, plus pixel noise.
 
     Color channel c carries (class == c) * (0.35 + 0.65 * appearance), so the
@@ -205,12 +201,12 @@ def render_cameras(scene: Scene, rig: Sequence[CameraModel], rng: np.random.Gene
     blend = np.empty((3, h_img, w_img))
     alpha = np.empty((h_img, w_img))
     colors = []
-    for box in scene.boxes:
+    for box in boxes:
         color = np.zeros((3, 1, 1))
         color[box.class_id] = 0.35 + 0.65 * box.appearance
         colors.append(color)
-    corners = [_box_corners_3d(box) for box in scene.boxes]
-    centers = [np.array([box.cx, box.cy, box.height / 2.0, 1.0]) for box in scene.boxes]
+    corners = [_box_corners_3d(box) for box in boxes]
+    centers = [np.array([box.cx, box.cy, box.height / 2.0, 1.0]) for box in boxes]
     for vi, cam in enumerate(rig):
         w2c = np.asarray(cam.world_to_cam)
         depths = [(w2c @ center)[2] for center in centers]
@@ -248,7 +244,7 @@ def _interior_mask(box: SceneBox, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return (np.abs(along) <= box.l / 2.0) & (np.abs(across) <= box.w / 2.0)
 
 
-def render_lidar(scene: Scene, spec: BEVGridSpec, lidar_shape: Tuple[int, int],
+def render_lidar(boxes: Sequence[SceneBox], spec: BEVGridSpec, lidar_shape: Tuple[int, int],
                  rng: np.random.Generator, sigma_lidar: float,
                  drop_full_range: float) -> np.ndarray:
     """Occupancy + height grid with range-dependent cell dropout.
@@ -278,7 +274,7 @@ def render_lidar(scene: Scene, spec: BEVGridSpec, lidar_shape: Tuple[int, int],
     kept = keep_field >= np.minimum(0.8, r / drop_full_range)
     occ = np.zeros((h_l, w_l))
     hgt = np.zeros((h_l, w_l))
-    for box in scene.boxes:
+    for box in boxes:
         inside = _interior_mask(box, gx, gy) & kept
         occ[inside] = 1.0
         hgt[inside] = np.maximum(hgt[inside], box.height)

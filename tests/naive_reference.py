@@ -198,7 +198,7 @@ def _box_corners_naive(box) -> np.ndarray:
     return corners
 
 
-def render_cameras_naive(scene, rig, rng: np.random.Generator, sigma_cam: float) -> np.ndarray:
+def render_cameras_naive(boxes, rig, rng: np.random.Generator, sigma_cam: float) -> np.ndarray:
     """The camera renderer as first written: per view, every box's splat
     from a full-grid meshgrid exponent blended into an [H,W,3] image, far to
     near, then that view's noise from rng.normal."""
@@ -209,7 +209,7 @@ def render_cameras_naive(scene, rig, rng: np.random.Generator, sigma_cam: float)
     for vi, cam in enumerate(rig):
         w2c = np.asarray(cam.world_to_cam)
         order = []
-        for box in scene.boxes:
+        for box in boxes:
             center = w2c @ np.array([box.cx, box.cy, box.height / 2.0, 1.0])
             order.append((center[2], box))
         order.sort(key=lambda t: -t[0])  # far first

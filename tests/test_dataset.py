@@ -10,6 +10,7 @@ import zlib
 import numpy as np
 import pytest
 
+from bevkit import dataset as dataset_module
 from bevkit.checkpoint import load_checkpoint, save_checkpoint
 from bevkit.dataset import (SceneDataset, _FIELDS, _read_array, _record_bytes, generate_dataset,
                             render_scene_record)
@@ -37,13 +38,25 @@ class TestSampleScene:
     def test_min_distance_and_margin(self, params):
         x_min, x_max, y_min, y_max = SPEC.extent
         for seed in range(30):
-            scene = sample_scene(np.random.default_rng(seed), params, SPEC, seed)
-            c = np.array([[b.cx, b.cy] for b in scene.boxes])
+            boxes = sample_scene(np.random.default_rng(seed), params, SPEC)
+            c = np.array([[b.cx, b.cy] for b in boxes])
             assert 1 <= len(c) <= params.n_boxes[1]
             assert np.all((c[:, 0] >= x_min + params.margin) & (c[:, 0] <= x_max - params.margin))
             assert np.all((c[:, 1] >= y_min + params.margin) & (c[:, 1] <= y_max - params.margin))
             d = np.hypot(*(c[:, None, :] - c[None, :, :]).transpose(2, 0, 1))
             assert np.all(d[np.triu_indices(len(c), 1)] >= params.min_center_dist)
+
+    def test_a_distance_wider_than_the_extent_gives_up_after_the_first_box(self):
+        """The first candidate is always accepted, and no second one can be,
+        so a scene that asks for 3 boxes gets exactly one."""
+        params = SceneParams(n_boxes=(3, 3), min_center_dist=100.0)
+        for seed in range(5):
+            assert len(sample_scene(np.random.default_rng(seed), params, SPEC)) == 1
+
+    @pytest.mark.parametrize("margin", [16.0, 20.0])
+    def test_a_margin_that_leaves_no_room_is_config_error(self, margin):
+        with pytest.raises(ConfigError, match="leaves no room"):
+            sample_scene(np.random.default_rng(0), SceneParams(margin=margin), SPEC)
 
 
 def test_records_rendered_out_of_order_are_the_files_bytes(tmp_path):
@@ -230,6 +243,38 @@ def test_an_empty_directory_root_is_generated_into(tmp_path):
     got = generate_dataset(tmp_path / "empty", 2, 3, SceneParams(), SPEC, **TINY)
     want = generate_dataset(tmp_path / "fresh", 2, 3, SceneParams(), SPEC, **TINY)
     assert dataset_files(got.root) == dataset_files(want.root)
+
+
+@pytest.mark.parametrize("params, spec", [
+    (SceneParams(margin=20.0), SPEC),
+    (SceneParams(margin=16.0), SPEC),
+    (SceneParams(), BEVGridSpec(h=0, w=8, d=2)),
+    (SceneParams(), BEVGridSpec(h=8, w=8, d=2, extent=(16.0, -16.0, -16.0, 16.0))),
+], ids=["margin-20", "margin-16", "h-0", "reversed-extent"])
+def test_a_margin_without_room_or_a_bad_grid_is_config_error_before_anything_is_written(
+        params, spec, tmp_path):
+    """A margin that leaves no room for box centers in the grid's extent
+    would fail at the first scene, after the directory was made."""
+    with pytest.raises(ConfigError):
+        generate_dataset(tmp_path / "ds", 3, 0, params, spec, **TINY)
+    assert not (tmp_path / "ds").exists()
+
+
+def test_a_generation_that_stops_part_way_leaves_no_dataset(tmp_path, monkeypatch):
+    """The manifest is written after the last record, so a run that stops
+    at scene 1 leaves a directory that does not open as a dataset."""
+    render = dataset_module.render_scene_record
+
+    def fail_on_scene_1(seed, scene_id, *args):
+        if scene_id == 1:
+            raise RuntimeError("interrupted")
+        return render(seed, scene_id, *args)
+
+    monkeypatch.setattr(dataset_module, "render_scene_record", fail_on_scene_1)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        generate_dataset(tmp_path / "ds", 3, 0, SceneParams(), SPEC, **TINY)
+    with pytest.raises(DataError, match="no manifest.json"):
+        SceneDataset(tmp_path / "ds")
 
 
 def test_scene_params_validate_accepts_edge_values():

@@ -24,7 +24,6 @@ from helpers import check_grads
 from naive_reference import hungarian_brute_force
 
 SPEC = BEVGridSpec(h=4, w=4, d=2, extent=(-8, 8, -8, 8), z_range=(-0.5, 1.5))
-WEIGHTS = (1.0, 2.0, 0.1)  # lambda_cls, lambda_box, background_weight, as in ModelConfig
 
 
 class TestHungarian:
@@ -148,18 +147,18 @@ class TestSetLoss:
             box_raw[j, 5] = math.cos(g.yaw)
             logits[j] = -20.0
             logits[j, g.class_id] = 20.0
-        loss = set_loss(Tensor(logits), Tensor(box_raw), gts, SPEC, *WEIGHTS)
+        loss = set_loss(Tensor(logits), Tensor(box_raw), gts, SPEC)
         assert loss.item() < 0.01
 
     def test_empty_gt_is_background_ce(self):
         logits = np.zeros((3, 4))
-        loss = set_loss(Tensor(logits), Tensor(np.zeros((3, 6))), [], SPEC, *WEIGHTS)
+        loss = set_loss(Tensor(logits), Tensor(np.zeros((3, 6))), [], SPEC)
         # uniform logits: -log(1/4) on every query, weights cancel in the mean
         assert abs(loss.item() - math.log(4.0)) < 1e-12
 
     def test_hand_rolled_scalar_oracle(self):
         # independently scripted computation of the full loss on a fixed
-        # 2-gt / 3-query instance with lambda_cls=1, lambda_box=2, bg_w=0.1
+        # 2-gt / 3-query instance with LAMBDA_CLS=1, LAMBDA_BOX=2, BACKGROUND_WEIGHT=0.1
         gts = [GroundTruthBox(2.0, 2.0, 2.0, 4.0, 0.0, 1),
                GroundTruthBox(-4.0, 0.0, 1.0, 1.0, 0.5, 0)]
         logits = np.array([
@@ -172,7 +171,7 @@ class TestSetLoss:
             [-0.6, 0.3, 0.0, 0.3, 0.4, 0.8],
             [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
         ])
-        loss = set_loss(Tensor(logits), Tensor(box_raw), gts, SPEC, *WEIGHTS).item()
+        loss = set_loss(Tensor(logits), Tensor(box_raw), gts, SPEC).item()
 
         # --- oracle: plain python/numpy, no package code ---
         def soft(v):
@@ -225,9 +224,9 @@ class TestSetLoss:
                GroundTruthBox(-2.0, 4.0, 1.0, 2.0, -0.4, class_id)]
         logits = np.zeros((4, 4))
         with pytest.raises(ContractError):
-            set_loss(Tensor(logits), Tensor(np.zeros((4, 6))), gts, SPEC, *WEIGHTS)
+            set_loss(Tensor(logits), Tensor(np.zeros((4, 6))), gts, SPEC)
         gts[1].class_id = 2
-        loss = set_loss(Tensor(logits), Tensor(np.zeros((4, 6))), gts, SPEC, *WEIGHTS)
+        loss = set_loss(Tensor(logits), Tensor(np.zeros((4, 6))), gts, SPEC)
         assert np.isfinite(loss.item())
 
     def test_nonnegative_and_gt_permutation_invariant(self):
@@ -237,8 +236,8 @@ class TestSetLoss:
                GroundTruthBox(5.0, -5.0, 1.5, 1.5, 1.2, 2)]
         logits = rng.standard_normal((6, 4))
         box_raw = rng.standard_normal((6, 6))
-        a = set_loss(Tensor(logits), Tensor(box_raw), gts, SPEC, *WEIGHTS).item()
-        b = set_loss(Tensor(logits), Tensor(box_raw), gts[::-1], SPEC, *WEIGHTS).item()
+        a = set_loss(Tensor(logits), Tensor(box_raw), gts, SPEC).item()
+        b = set_loss(Tensor(logits), Tensor(box_raw), gts[::-1], SPEC).item()
         assert a >= 0.0
         assert abs(a - b) < 1e-12
 
@@ -255,6 +254,6 @@ class TestSetLoss:
                 p.tensor = t
             tokens = T.reshape(ts[0], (4, 4))
             logits, box_raw = decode_raw(tokens, params)
-            return set_loss(logits, box_raw, gts, SPEC, *WEIGHTS)
+            return set_loss(logits, box_raw, gts, SPEC)
 
         check_grads(build, leaves)

@@ -210,7 +210,7 @@ class TestModalityDropout:
         assert a == b
 
     def test_invalid_probability(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError):
             MDConfig(1.5, 0.5).validate()
 
     @pytest.mark.parametrize("kw", [dict(p_md="0.5"), dict(p_md=True), dict(p_l=None),

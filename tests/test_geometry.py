@@ -66,9 +66,9 @@ class TestReferenceGrid:
         assert np.all(grid.points[:, 1, 2, 1] == grid.points[0, 1, 2, 1])
 
     def test_invalid_spec(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError):
             BEVGridSpec(h=0, w=2, d=1).validate()
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError):
             BEVGridSpec(extent=(1, -1, 0, 1)).validate()
 
     @pytest.mark.parametrize("field,value", [
@@ -79,7 +79,7 @@ class TestReferenceGrid:
     def test_non_finite_spec(self, field, value):
         spec = BEVGridSpec(h=2, w=2, d=1)
         spec.validate()
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError):
             dataclasses.replace(spec, **{field: value}).validate()
 
     @pytest.mark.parametrize("kw", [

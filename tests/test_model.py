@@ -99,12 +99,6 @@ def test_encoder_width_below_three_is_config_error(kw):
     dict(points=0),  # ContractError from DeformAttnParams without the check
     dict(cam_hidden=(8, 0)),  # OverflowError in the backbone without the check
     dict(lidar_hidden=(0, 16)),
-    dict(lambda_cls=-0.5),
-    dict(lambda_box=-1.0),  # gives a negative loss
-    dict(background_weight=-0.1),
-    dict(lambda_cls=float("nan")),  # hungarian_match's ContractError without the check
-    dict(lambda_box=float("inf")),
-    dict(background_weight=float("nan")),  # a NaN loss without the check
     dict(cam_hidden=(8, 16, 32)),  # ValueError (too many values to unpack) without the check
     dict(lidar_hidden=(12,)),
     dict(cam_hidden=8),
@@ -115,8 +109,6 @@ def test_encoder_width_below_three_is_config_error(kw):
     dict(cam_hidden=(8.0, 16)),
     dict(normalize_by_hits=1),
     dict(normalize_by_hits="yes"),
-    dict(lambda_cls=True),
-    dict(lambda_box="2"),
     dict(fusion=None),
 ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
 def test_degenerate_fields_are_config_error(kw):
@@ -126,16 +118,15 @@ def test_degenerate_fields_are_config_error(kw):
         Detector(ModelConfig(**kw), BEVGridSpec(h=4, w=4, d=1), np.random.default_rng(0))
 
 
-def test_smallest_sizes_and_zero_weights_are_accepted():
+def test_smallest_sizes_are_accepted():
     cfg = ModelConfig(channels=4, heads=1, points=1, enc_layers=1, dec_layers=1,
-                      cam_hidden=(1, 1), lidar_hidden=(1, 1), lambda_cls=0.0, lambda_box=0.0,
-                      background_weight=0.0)
+                      cam_hidden=(1, 1), lidar_hidden=(1, 1))
     assert cfg.validate() is cfg
 
 
 def test_numpy_sizes_and_list_widths_are_accepted():
     cfg = ModelConfig(channels=np.int64(8), heads=np.int32(2), cam_hidden=[4, 4],
-                      lidar_hidden=(np.int64(4), 4), lambda_box=np.float64(1.5), lambda_cls=1)
+                      lidar_hidden=(np.int64(4), 4))
     assert cfg.validate() is cfg
 
 

@@ -3,7 +3,8 @@ every import in a module of src/bevkit is used in that module (the
 package's __init__.py re-exports, so it is exempt), and every module-level
 private name (one leading underscore, not a dunder) is referenced somewhere
 in the package. A deletion that leaves an import or a helper behind fails
-here."""
+here. Every raise names an exception type of errors.py or re-raises, so no
+entry point lets a bare ValueError or RuntimeError of its own escape."""
 
 import ast
 from pathlib import Path
@@ -100,3 +101,26 @@ def test_every_private_module_name_is_referenced(module):
     refs = package_references()
     dead = sorted({n for n in module_level_names(TREES[module]) if is_private(n)} - refs)
     assert not dead, f"{module} defines private names that nothing in bevkit reads: {dead}"
+
+
+ERROR_TYPES = {node.name for node in TREES["errors.py"].body if isinstance(node, ast.ClassDef)}
+
+
+def is_error_type_or_re_raise(exc, caught):
+    """Whether raise exc raises a type of errors.py (called or not) or
+    re-raises: a bare raise, or the name an except clause bound."""
+    if exc is None:
+        return True
+    if isinstance(exc, ast.Call):
+        exc = exc.func
+    return isinstance(exc, ast.Name) and (exc.id in ERROR_TYPES or exc.id in caught)
+
+
+@pytest.mark.parametrize("module", list(TREES))
+def test_every_raise_names_an_error_type_or_re_raises(module):
+    assert {"ConfigError", "ContractError", "DataError"} <= ERROR_TYPES
+    tree = TREES[module]
+    caught = {n.name for n in ast.walk(tree) if isinstance(n, ast.ExceptHandler) and n.name}
+    stray = [f"line {n.lineno}: raise {ast.unparse(n.exc)}" for n in ast.walk(tree)
+             if isinstance(n, ast.Raise) and not is_error_type_or_re_raise(n.exc, caught)]
+    assert not stray, f"{module} raises types that errors.py does not define: {stray}"
