@@ -44,30 +44,20 @@ class Pairs:
     pair p has query qry_idx[p] sample map map_idx[p] around the (row, col)
     point base_pts[p]. A query's pairs are summed in pair order, which fixes
     the float sum, and the sum is then multiplied by scale[q] (None: by 1).
-    The arrays are read-only copies, checked once, here; map_idx and
-    qry_idx must hold integers (ShapeError otherwise).
+    The arrays are read-only copies, checked once, by ``tensor.pair_arrays``
+    (ShapeError, or ContractError for an index out of range).
     """
 
     def __init__(self, map_idx, base_pts, qry_idx, n_maps: int, n_queries: int,
                  scale=None):
-        self.map_idx = np.array(T.index_array(map_idx, "Pairs: map_idx"), dtype=np.intp)
-        self.base_pts = np.array(base_pts, dtype=np.float64)
-        self.qry_idx = np.array(T.index_array(qry_idx, "Pairs: qry_idx"), dtype=np.intp)
-        self.scale = None if scale is None else np.array(scale, dtype=np.float64)
-        self.n_maps, self.n_queries = n_maps, n_queries
-        p = self.qry_idx.size
-        shapes = (self.map_idx.shape, self.base_pts.shape, self.qry_idx.shape,
-                  (n_queries,) if scale is None else self.scale.shape)
-        if shapes != ((p,), (p, 2), (p,), (n_queries,)):
-            raise ShapeError(f"Pairs: map_idx, base_pts, qry_idx and scale are {shapes}, "
-                             f"not [P], [P,2], [P] and [T]")
-        if p and not (0 <= self.map_idx.min() and self.map_idx.max() < n_maps
-                      and 0 <= self.qry_idx.min() and self.qry_idx.max() < n_queries):
-            raise ContractError(f"Pairs: map_idx outside [0,{n_maps}) or qry_idx outside "
-                                f"[0,{n_queries})")
-        for a in (self.map_idx, self.base_pts, self.qry_idx, self.scale):
+        own = []
+        for a in T.pair_arrays(map_idx, base_pts, qry_idx, n_maps, n_queries, scale, "Pairs"):
             if a is not None:
+                a = np.array(a)
                 a.flags.writeable = False
+            own.append(a)
+        self.map_idx, self.base_pts, self.qry_idx, self.scale = own
+        self.n_maps, self.n_queries = n_maps, n_queries
 
     @classmethod
     def one_map(cls, base_pts, scale=None) -> "Pairs":

@@ -25,6 +25,9 @@ from .errors import ConfigError, ContractError, DataError, of_kind
 from .geometry import BEVGridSpec, CameraModel
 from .rng import SEED_LIMIT, seeded_rng
 from .synthscene import (
+    FX,
+    IMAGE_H,
+    IMAGE_W,
     RenderedSample,
     SceneBox,
     SceneParams,
@@ -105,10 +108,18 @@ def _tuples(value):
     return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
+def _check_lidar_shape(lidar_shape):
+    """ConfigError unless lidar_shape is two positive integers."""
+    if not of_kind(lidar_shape, (0, 0)) or min(lidar_shape) < 1:
+        raise ConfigError(f"lidar_shape must be two positive integers, got {lidar_shape!r}")
+
+
 def render_scene_record(seed: int, scene_id: int, params: SceneParams,
                         spec: BEVGridSpec, rig, lidar_shape) -> bytes:
     """Render one scene to its record bytes (deterministic in all arguments).
-    ContractError unless seed and scene_id are integers in [0, 2**32)."""
+    ContractError unless seed and scene_id are integers in [0, 2**32), and
+    ConfigError unless lidar_shape is two positive integers."""
+    _check_lidar_shape(lidar_shape)
     boxes = sample_scene(seeded_rng(seed, "scene", scene_id), params, spec)
     images = render_cameras(boxes, rig, seeded_rng(seed, "cam", scene_id), params.sigma_cam)
     lidar = render_lidar(boxes, spec, lidar_shape, seeded_rng(seed, "lidar", scene_id),
@@ -128,8 +139,8 @@ def render_scene_record(seed: int, scene_id: int, params: SceneParams,
 
 
 def generate_dataset(root, n_scenes: int, seed: int, params: SceneParams,
-                     spec: BEVGridSpec, lidar_shape=(32, 32), image_h: int = 48,
-                     image_w: int = 64, fx: float = 24.0) -> "SceneDataset":
+                     spec: BEVGridSpec, lidar_shape=(32, 32), image_h: int = IMAGE_H,
+                     image_w: int = IMAGE_W, fx: float = FX) -> "SceneDataset":
     """Render n_scenes scenes into root, a new or empty directory, and open
     it. root, the grid, the scene parameters (their margin against the
     grid's extent too), n_scenes, seed, lidar_shape, image size and fx are
@@ -142,8 +153,7 @@ def generate_dataset(root, n_scenes: int, seed: int, params: SceneParams,
         raise ConfigError(f"n_scenes must be a non-negative integer, got {n_scenes!r}")
     if not of_kind(seed, 0) or not 0 <= seed < SEED_LIMIT:
         raise ConfigError(f"seed must be an integer in [0, 2**32), got {seed!r}")
-    if not of_kind(lidar_shape, (0, 0)) or min(lidar_shape) < 1:
-        raise ConfigError(f"lidar_shape must be two positive integers, got {lidar_shape!r}")
+    _check_lidar_shape(lidar_shape)
     if not of_kind((image_h, image_w), (0, 0)) or min(image_h, image_w) < 1:
         raise ConfigError(f"image_h and image_w must be positive integers, "
                           f"got {(image_h, image_w)!r}")

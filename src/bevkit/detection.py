@@ -17,6 +17,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ContractError, ShapeError
 from .geometry import BEVGridSpec
+from .synthscene import SceneBox
 from .tensor import Parameter, Tensor
 
 # DETR's loss weights (Carion et al., arXiv 2005.12872): the class and box
@@ -42,16 +43,6 @@ class BoxPrediction:
         probs = self.class_probs()[:-1]
         j = int(probs.argmax())
         return j, float(probs[j])
-
-
-@dataclass
-class GroundTruthBox:
-    cx: float
-    cy: float
-    w: float
-    l: float
-    yaw: float
-    class_id: int
 
 
 class DecoderParams:
@@ -278,7 +269,7 @@ def hungarian_match(cost: np.ndarray) -> List[int]:
 # loss
 
 
-def box_targets(gts: Sequence[GroundTruthBox], spec: BEVGridSpec) -> np.ndarray:
+def box_targets(gts: Sequence[SceneBox], spec: BEVGridSpec) -> np.ndarray:
     """Targets aligned with the regression space: normalized center, sizes,
     (sin, cos) of yaw. Shape [n_gt, 6]."""
     x_min, x_max, y_min, y_max = spec.extent
@@ -303,7 +294,7 @@ def matching_cost(logits: np.ndarray, boxes6: np.ndarray, targets: np.ndarray,
     return LAMBDA_CLS * cls_cost + LAMBDA_BOX * l1
 
 
-def set_loss(logits: Tensor, box_raw: Tensor, gts: Sequence[GroundTruthBox],
+def set_loss(logits: Tensor, box_raw: Tensor, gts: Sequence[SceneBox],
              spec: BEVGridSpec) -> Tensor:
     """Cross-entropy over all queries (matched -> gt class, rest -> background,
     background weighted by BACKGROUND_WEIGHT) plus LAMBDA_BOX * L1 on matched

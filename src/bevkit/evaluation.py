@@ -9,7 +9,7 @@ both-sensors, LiDAR-only, and camera-only input, all from one set of weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -99,22 +99,14 @@ class MetricsReport:
     map_lc: float
     map_l: float
     map_c: float
-    summary_map: float
     ap_table: Dict[str, Dict[str, float]]  # condition -> "class/radius" -> AP
 
-    def check(self):
-        expected = summary_metric(self.map_lc, self.map_l, self.map_c)
-        if not abs(self.summary_map - expected) < 1e-12:
-            raise ContractError(
-                f"summary_map {self.summary_map} != mean of per-condition mAP {expected}"
-            )
-        return self
+    @property
+    def summary_map(self) -> float:
+        return summary_metric(self.map_lc, self.map_l, self.map_c)
 
     def to_json(self) -> dict:
-        return {
-            "map_lc": self.map_lc, "map_l": self.map_l, "map_c": self.map_c,
-            "summary_map": self.summary_map, "ap_table": self.ap_table,
-        }
+        return {**asdict(self), "summary_map": self.summary_map}
 
 
 def evaluate_conditions(model, dataset) -> MetricsReport:
@@ -144,15 +136,9 @@ def evaluate_conditions(model, dataset) -> MetricsReport:
         for name, scene_preds in zip(CONDITIONS, model.predict_many(sample, masks)):
             preds[name][i] = scene_preds
 
-    maps = {}
-    tables = {}
+    maps, tables = {}, {}
     for name in CONDITIONS:
-        m, table = mean_ap(preds[name], gts, classes)
-        maps[name] = m
+        maps[name], table = mean_ap(preds[name], gts, classes)
         tables[name] = {f"{c}/{r}": ap for (c, r), ap in table.items()}
-    report = MetricsReport(
-        map_lc=maps["both"], map_l=maps["lidar"], map_c=maps["camera"],
-        summary_map=summary_metric(maps["both"], maps["lidar"], maps["camera"]),
-        ap_table=tables,
-    )
-    return report.check()
+    return MetricsReport(map_lc=maps["both"], map_l=maps["lidar"], map_c=maps["camera"],
+                         ap_table=tables)

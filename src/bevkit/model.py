@@ -132,7 +132,8 @@ class Detector:
         return ps
 
     def param_arrays(self) -> Dict[str, np.ndarray]:
-        return {p.name: p.tensor.data for p in self.parameters()}
+        """The parameters as named copies, which later steps leave as they are."""
+        return {p.name: p.tensor.data.copy() for p in self.parameters()}
 
     def load_arrays(self, arrays: Dict[str, np.ndarray]):
         """Copy the named arrays into the parameters. Every name and shape is

@@ -52,11 +52,11 @@ class Adam:
             p.tensor.grad = None
 
     def state_arrays(self) -> Dict[str, np.ndarray]:
-        """Optimizer state as flat named arrays (for checkpointing)."""
+        """Copies of the optimizer state as flat named arrays (for checkpointing)."""
         out = {"opt.step": np.array([float(self.t)])}
         for p in self.params:
-            out[f"opt.m.{p.name}"] = self.m[p.name]
-            out[f"opt.v.{p.name}"] = self.v[p.name]
+            out[f"opt.m.{p.name}"] = self.m[p.name].copy()
+            out[f"opt.v.{p.name}"] = self.v[p.name].copy()
         return out
 
     def load_state_arrays(self, arrays: Dict[str, np.ndarray]):
@@ -66,13 +66,14 @@ class Adam:
         (step's in-place updates refuse integers), a negative second moment
         (its square root puts NaN in the parameters) or a step that is not a
         finite non-negative integer is a ConfigError."""
-        want = self.state_arrays()
-        for key, cur in want.items():
+        want = {"opt.step": (1,), **{f"opt.{moment}.{p.name}": p.data.shape
+                                     for p in self.params for moment in "mv"}}
+        for key, shape in want.items():
             if key not in arrays:
                 raise ConfigError(f"optimizer state is missing {key}")
-            if np.shape(arrays[key]) != cur.shape:
+            if np.shape(arrays[key]) != shape:
                 raise ConfigError(
-                    f"optimizer state shape {np.shape(arrays[key])} != {cur.shape} for {key}")
+                    f"optimizer state shape {np.shape(arrays[key])} != {shape} for {key}")
         moments = {key: np.asarray(arrays[key]) for key in want if key != "opt.step"}
         for key, a in moments.items():
             if not (a.dtype.kind == "f" and np.all(np.isfinite(a))

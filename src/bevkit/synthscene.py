@@ -18,14 +18,21 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from . import tensor as T
-from .detection import GroundTruthBox
 from .errors import ConfigError, ContractError, check_field_kinds
 from .geometry import BEVGridSpec, CameraModel, make_camera
 from .tensor import Parameter, Tensor
 
 
 @dataclass
-class SceneBox(GroundTruthBox):
+class SceneBox:
+    """A ground-truth box; only the renders read height and appearance."""
+
+    cx: float
+    cy: float
+    w: float
+    l: float
+    yaw: float
+    class_id: int
     height: float = 1.5
     appearance: float = 1.0
 
@@ -124,7 +131,12 @@ def sample_scene(rng: np.random.Generator, params: SceneParams,
     return boxes
 
 
-def default_rig(image_h: int = 48, image_w: int = 64, fx: float = 24.0) -> List[CameraModel]:
+# the default camera image: height and width in pixels, focal length in pixels
+IMAGE_H, IMAGE_W, FX = 48, 64, 24.0
+
+
+def default_rig(image_h: int = IMAGE_H, image_w: int = IMAGE_W,
+                fx: float = FX) -> List[CameraModel]:
     """Four cameras 1.6 m above the ego origin at yaw 0/90/180/270 degrees,
     pitched 5 degrees down."""
     return [

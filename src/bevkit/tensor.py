@@ -920,32 +920,40 @@ class _Blocks(tuple):
         return blocks
 
 
+def pair_arrays(map_idx, base_pts, qry_idx, n_maps: int, n_queries: int, scale, what: str):
+    """The pairs' arrays as intp, float64, intp and float64-or-None, copied
+    only to cast. ShapeError unless map_idx, base_pts [P,2] and qry_idx agree
+    on P with integer indices and scale is None or [n_queries]; ContractError
+    unless map_idx lies in [0, n_maps) and qry_idx in [0, n_queries)."""
+    map_idx = index_array(map_idx, f"{what}: map_idx").astype(np.intp, copy=False)
+    qry_idx = index_array(qry_idx, f"{what}: qry_idx").astype(np.intp, copy=False)
+    base_pts = np.asarray(base_pts, dtype=np.float64)
+    scale = None if scale is None else np.asarray(scale, dtype=np.float64)
+    p = qry_idx.size
+    shapes = (map_idx.shape, base_pts.shape, qry_idx.shape,
+              (n_queries,) if scale is None else scale.shape)
+    if shapes != ((p,), (p, 2), (p,), (n_queries,)):
+        raise ShapeError(f"{what}: map_idx, base_pts, qry_idx and scale are {shapes}, "
+                         f"not [P], [P,2], [P] and [{n_queries}]")
+    if p and not (0 <= map_idx.min() and map_idx.max() < n_maps
+                  and 0 <= qry_idx.min() and qry_idx.max() < n_queries):
+        raise ContractError(f"{what}: map_idx outside [0,{n_maps}) or qry_idx outside "
+                            f"[0,{n_queries})")
+    return map_idx, base_pts, qry_idx, scale
+
+
 def _check_points(b: int, offsets: Tensor, attn: Tensor, map_idx, base_pts, qry_idx,
                   scale, op: str):
-    """map_idx, base_pts, qry_idx and scale as arrays, once they and
-    offsets and attn are what deform_attend's docstring asks for on B maps
-    (ShapeError otherwise)."""
+    """``pair_arrays`` of the pairs on B maps and offsets' T queries, once
+    offsets and attn are [T,M,K,2] and [T,M,K] (ShapeError otherwise); on
+    every call, as scipy multiplies CSR columns past the maps silently."""
     if offsets.data.ndim != 4 or offsets.shape[3] != 2 or 0 in offsets.shape[1:3]:
         raise ShapeError(f"{op}: offsets must be [T,M,K,2] with M and K positive, got "
                          f"{offsets.shape}")
     if attn.shape != offsets.shape[:3]:
         raise ShapeError(f"{op}: attn {attn.shape} is not offsets' [T,M,K] "
                          f"{offsets.shape[:3]}")
-    t = offsets.shape[0]
-    map_idx = index_array(map_idx, f"{op}: map_idx").astype(np.intp, copy=False)
-    qry_idx = index_array(qry_idx, f"{op}: qry_idx").astype(np.intp, copy=False)
-    base_pts = np.asarray(base_pts)
-    p = qry_idx.size
-    if qry_idx.shape != (p,) or map_idx.shape != (p,) or base_pts.shape != (p, 2):
-        raise ShapeError(f"{op}: map_idx {map_idx.shape}, base_pts {base_pts.shape} "
-                         f"and qry_idx {qry_idx.shape} must be [P], [P,2] and [P]")
-    if scale is not None:
-        scale = np.asarray(scale, dtype=np.float64)
-        if scale.shape != (t,):
-            raise ShapeError(f"{op}: scale {scale.shape} is not [{t}]")
-    if p and (map_idx.min() < 0 or map_idx.max() >= b or qry_idx.min() < 0 or qry_idx.max() >= t):
-        raise ShapeError(f"{op}: map_idx outside [0,{b}) or qry_idx outside [0,{t})")
-    return map_idx, base_pts, qry_idx, scale
+    return pair_arrays(map_idx, base_pts, qry_idx, b, offsets.shape[0], scale, op)
 
 
 def attend_blocks(maps_bhw, map_idx, base_pts, offsets: Tensor, attn: Tensor,
@@ -1030,9 +1038,9 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
     indices, the value array and the pairs' rows of g, besides the grads
     themselves.
 
-    offsets must be [T,M,K,2] and attn [T,M,K]; map_idx, base_pts [P,2] and
-    qry_idx must agree on P, with map_idx in [0,B) and qry_idx in [0,T), both
-    of an integer dtype unless P is 0; scale is None or [T].
+    offsets must be [T,M,K,2] and attn [T,M,K] (ShapeError otherwise), and
+    map_idx, base_pts, qry_idx and scale P pairs over B maps and T queries,
+    as ``pair_arrays`` checks them.
     """
     if feats.data.ndim != 4:
         raise ShapeError(f"deform_attend: expected [B,H,W,M*D], got {feats.shape}")

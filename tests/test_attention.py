@@ -541,43 +541,6 @@ class TestPairsContract:
                                     scale=np.ones(3)))
         assert pairs.qry_idx.size == 0 and pairs.scale.shape == (3,)
 
-    @pytest.mark.parametrize("change", [
-        dict(map_idx=[0, 1]),
-        dict(qry_idx=[[2, 0, 2]]),
-        dict(base_pts=np.zeros((3, 3))),
-        dict(base_pts=np.zeros((2, 2))),
-        dict(scale=[1.0, 1.0]),
-        dict(scale=np.ones((3, 1))),
-        dict(scale=np.ones(4), map_idx=[0, 1, 1, 0], base_pts=np.zeros((4, 2)),
-             qry_idx=[2, 0, 2, 1]),
-    ], ids=["map_idx", "qry_idx_2d", "base_pts_3", "base_pts_short", "scale", "scale_2d",
-            "scale_per_pair"])
-    def test_lengths_must_agree(self, change):
-        with pytest.raises(ShapeError):
-            Pairs(**self.arrays(**change))
-
-    @pytest.mark.parametrize("change", [
-        dict(map_idx=[0, 2, 1]),
-        dict(map_idx=[0, -1, 1]),
-        dict(qry_idx=[2, 3, 0]),
-        dict(qry_idx=[-1, 0, 0]),
-    ], ids=["map_high", "map_negative", "query_high", "query_negative"])
-    def test_indices_must_be_in_range(self, change):
-        with pytest.raises(ContractError):
-            Pairs(**self.arrays(**change))
-
-    @pytest.mark.parametrize("change", [
-        dict(qry_idx=[0.7, 1.2, 2.9]),
-        dict(qry_idx=np.array([2.0, 0.0, 2.0])),
-        dict(qry_idx=np.array([True, False, True])),
-        dict(map_idx=np.array([0.0, 1.0, 1.0])),
-        dict(map_idx=[False, True, True]),
-    ], ids=["qry_fractions", "qry_float", "qry_bool", "map_float", "map_bool"])
-    def test_indices_must_be_integers(self, change):
-        """A float index is not truncated and a bool one not read as 0 and 1."""
-        with pytest.raises(ShapeError, match="integers"):
-            Pairs(**self.arrays(**change))
-
     def test_deform_attn_multi_checks_its_maps_and_queries(self):
         rng = np.random.default_rng(360)
         p = make_params(rng)
@@ -594,3 +557,78 @@ class TestPairsContract:
             deform_attn_multi(queries, Tensor(rng.standard_normal((2, 4, 4, 5))), pairs, p)
         with pytest.raises(ShapeError):  # two maps [2,H,C] without a width axis
             deform_attn_multi(queries, Tensor(feats[:2, 0]), pairs, p)
+
+
+# (id, change to TestMalformedPairs' valid pairs, error, message pattern)
+MALFORMED_PAIRS = [
+    ("map_idx_short", dict(map_idx=[0, 2]), ShapeError, None),
+    ("qry_idx_long", dict(qry_idx=[0, 3, 3, 1]), ShapeError, None),
+    ("qry_idx_2d", dict(qry_idx=[[0, 3, 3]]), ShapeError, None),
+    ("base_pts_long", dict(base_pts=np.zeros((4, 2))), ShapeError, None),
+    ("base_pts_short", dict(base_pts=np.zeros((2, 2))), ShapeError, None),
+    ("base_pts_3", dict(base_pts=np.zeros((3, 3))), ShapeError, None),
+    ("scale_short", dict(scale=np.ones(2)), ShapeError, None),
+    ("scale_per_pair", dict(scale=np.ones(3)), ShapeError, None),
+    ("scale_2d", dict(scale=np.ones((4, 1))), ShapeError, None),
+    ("qry_fractions", dict(qry_idx=[0.7, 1.2, 2.9]), ShapeError, "integers"),
+    ("qry_float", dict(qry_idx=np.array([0.0, 3.0, 3.0])), ShapeError, "integers"),
+    ("qry_bool", dict(qry_idx=np.array([True, False, True])), ShapeError, "integers"),
+    ("map_float", dict(map_idx=np.array([0.0, 2.0, 1.0])), ShapeError, "integers"),
+    ("map_bool", dict(map_idx=[False, True, True]), ShapeError, "integers"),
+    ("map_high", dict(map_idx=[0, 3, 1]), ContractError, "outside"),
+    ("map_negative", dict(map_idx=[0, -1, 1]), ContractError, "outside"),
+    ("query_high", dict(qry_idx=[0, 4, 3]), ContractError, "outside"),
+    ("query_negative", dict(qry_idx=[-1, 3, 3]), ContractError, "outside"),
+]
+PAIR_ENTRIES = ("Pairs", "deform_attend", "attend_blocks")
+
+
+class TestMalformedPairs:
+    """Pairs, which checks its arrays once, and deform_attend and
+    attend_blocks, which take plain arrays and check them on every call,
+    refuse each malformed pair set of one table alike, through
+    tensor.pair_arrays: ShapeError for a wrong shape or an index that is not
+    an integer, ContractError for an index out of range. attend_blocks takes
+    no scale, so the scale cases skip it."""
+
+    @staticmethod
+    def call(entry, **change):
+        """entry on 3 pairs over 3 maps of 5 x 4 and 4 queries, with change."""
+        rng = np.random.default_rng(720)
+        pairs = dict(map_idx=[0, 2, 1], base_pts=rng.uniform(0, 4, (3, 2)), qry_idx=[0, 3, 3],
+                     scale=None)
+        pairs.update(change)
+        offsets = Tensor(rng.standard_normal((4, 2, 3, 2)))
+        attn = Tensor(rng.standard_normal((4, 2, 3)))
+        if entry == "Pairs":
+            return Pairs(n_maps=3, n_queries=4, **pairs)
+        if entry == "deform_attend":
+            return T.deform_attend(Tensor(rng.standard_normal((3, 5, 4, 6))), offsets=offsets,
+                                   attn=attn, **pairs)
+        return T.attend_blocks((3, 5, 4), pairs["map_idx"], pairs["base_pts"], offsets, attn,
+                               pairs["qry_idx"])
+
+    @pytest.mark.parametrize("entry", PAIR_ENTRIES)
+    def test_valid_pairs_pass(self, entry):
+        self.call(entry)
+        self.call(entry, scale=np.ones(4))
+
+    @pytest.mark.parametrize("entry, change, error, match", [
+        pytest.param(entry, change, error, match, id=f"{name}-{entry}")
+        for name, change, error, match in MALFORMED_PAIRS for entry in PAIR_ENTRIES
+        if not ("scale" in change and entry == "attend_blocks")])
+    def test_malformed_pairs_are_refused(self, entry, change, error, match):
+        with pytest.raises(error, match=match):
+            self.call(entry, **change)
+
+    def test_pair_arrays_keeps_arrays_of_its_dtypes(self):
+        """The per-call check copies none of the arrays that Pairs hands on,
+        and casts the ones of other dtypes."""
+        pairs = Pairs(np.array([0, 1]), np.zeros((2, 2)), np.array([1, 0]), 2, 2, np.ones(2))
+        got = T.pair_arrays(pairs.map_idx, pairs.base_pts, pairs.qry_idx, 2, 2, pairs.scale, "t")
+        for own, checked in zip((pairs.map_idx, pairs.base_pts, pairs.qry_idx, pairs.scale), got):
+            assert checked is own
+        cast = T.pair_arrays(np.array([0, 1], dtype=np.int32), [[0, 0], [1, 1]],
+                             np.array([1, 0], dtype=np.uint8), 2, 2, [1, 2], "t")
+        assert [a.dtype for a in cast] == [np.intp, np.float64, np.intp, np.float64]
+        assert T.pair_arrays([0], [[0.0, 0.0]], [0], 1, 1, None, "t")[3] is None

@@ -110,6 +110,11 @@ def test_bad_n_scenes_is_config_error_before_anything_is_written(n_scenes, tmp_p
     assert not (tmp_path / "ds").exists()
 
 
+# LiDAR shapes that are not two positive integers: a zero side would render
+# an empty LiDAR map that no manifest describes
+BAD_LIDAR_SHAPES = [(2.5, 3), (-1, 8), (0, 8), (8, 0), (4,), (4, 4, 4), (True, 4), "44", "ab", 4]
+
+
 @pytest.mark.parametrize("kw", [
     dict(seed="x"),
     dict(seed=1.0),
@@ -120,15 +125,7 @@ def test_bad_n_scenes_is_config_error_before_anything_is_written(n_scenes, tmp_p
     dict(seed=2**32 + 1),
     dict(seed=np.int64(-1)),
     dict(seed=np.uint64(2**63)),
-    dict(lidar_shape=(2.5, 3)),
-    dict(lidar_shape=(-1, 8)),
-    dict(lidar_shape=(0, 8)),
-    dict(lidar_shape=(8, 0)),
-    dict(lidar_shape=(4,)),
-    dict(lidar_shape=(4, 4, 4)),
-    dict(lidar_shape=(True, 4)),
-    dict(lidar_shape="44"),
-    dict(lidar_shape=4),
+    *(dict(lidar_shape=shape) for shape in BAD_LIDAR_SHAPES),
     dict(image_h=0),
     dict(image_h=-2),
     dict(image_h=2.5),
@@ -186,6 +183,15 @@ def test_render_scene_record_refuses_a_non_integer_seed_or_scene_id(seed, scene_
     rig = default_rig(image_h=TINY["image_h"], image_w=TINY["image_w"], fx=TINY["fx"])
     with pytest.raises(ContractError):
         render_scene_record(seed, scene_id, SceneParams(), SPEC, rig, TINY["lidar_shape"])
+
+
+@pytest.mark.parametrize("lidar_shape", BAD_LIDAR_SHAPES, ids=repr)
+def test_render_scene_record_refuses_a_bad_lidar_shape(lidar_shape):
+    """The check generate_dataset makes, made by the public function the
+    benchmark calls per record, instead of numpy's errors or an empty map."""
+    rig = default_rig(image_h=TINY["image_h"], image_w=TINY["image_w"], fx=TINY["fx"])
+    with pytest.raises(ConfigError, match="lidar_shape"):
+        render_scene_record(0, 0, SceneParams(), SPEC, rig, lidar_shape)
 
 
 @pytest.mark.parametrize("seed, tags", [

@@ -9,7 +9,6 @@ import bevkit.tensor as T
 from bevkit.detection import (
     BoxPrediction,
     DecoderParams,
-    GroundTruthBox,
     box_targets,
     decode,
     decode_raw,
@@ -18,6 +17,7 @@ from bevkit.detection import (
 )
 from bevkit.errors import ContractError
 from bevkit.geometry import BEVGridSpec
+from bevkit.synthscene import SceneBox
 from bevkit.tensor import Tensor, backward
 
 from helpers import check_grads
@@ -130,8 +130,8 @@ class TestDecode:
 
 class TestSetLoss:
     def test_perfect_prediction(self):
-        gts = [GroundTruthBox(1.0, -2.0, 2.0, 4.0, 0.3, 0),
-               GroundTruthBox(-3.0, 5.0, 1.0, 1.5, -1.0, 2)]
+        gts = [SceneBox(1.0, -2.0, 2.0, 4.0, 0.3, 0),
+               SceneBox(-3.0, 5.0, 1.0, 1.5, -1.0, 2)]
         n_obj, n_classes = 4, 4
         tgt = box_targets(gts, SPEC)
         box_raw = np.zeros((n_obj, 6))
@@ -159,8 +159,8 @@ class TestSetLoss:
     def test_hand_rolled_scalar_oracle(self):
         # independently scripted computation of the full loss on a fixed
         # 2-gt / 3-query instance with LAMBDA_CLS=1, LAMBDA_BOX=2, BACKGROUND_WEIGHT=0.1
-        gts = [GroundTruthBox(2.0, 2.0, 2.0, 4.0, 0.0, 1),
-               GroundTruthBox(-4.0, 0.0, 1.0, 1.0, 0.5, 0)]
+        gts = [SceneBox(2.0, 2.0, 2.0, 4.0, 0.0, 1),
+               SceneBox(-4.0, 0.0, 1.0, 1.0, 0.5, 0)]
         logits = np.array([
             [2.0, 0.5, -1.0, 0.0],
             [-0.5, 1.5, 0.0, 0.5],
@@ -220,8 +220,8 @@ class TestSetLoss:
     def test_class_id_outside_head_is_contract_error(self, class_id):
         # with 4 head classes the background is 3: class 3 would train as
         # background, class 4 would index past the head
-        gts = [GroundTruthBox(1.0, 1.0, 2.0, 3.0, 0.2, 0),
-               GroundTruthBox(-2.0, 4.0, 1.0, 2.0, -0.4, class_id)]
+        gts = [SceneBox(1.0, 1.0, 2.0, 3.0, 0.2, 0),
+               SceneBox(-2.0, 4.0, 1.0, 2.0, -0.4, class_id)]
         logits = np.zeros((4, 4))
         with pytest.raises(ContractError):
             set_loss(Tensor(logits), Tensor(np.zeros((4, 6))), gts, SPEC)
@@ -231,9 +231,9 @@ class TestSetLoss:
 
     def test_nonnegative_and_gt_permutation_invariant(self):
         rng = np.random.default_rng(5)
-        gts = [GroundTruthBox(1.0, 1.0, 2.0, 3.0, 0.2, 0),
-               GroundTruthBox(-2.0, 4.0, 1.0, 2.0, -0.4, 1),
-               GroundTruthBox(5.0, -5.0, 1.5, 1.5, 1.2, 2)]
+        gts = [SceneBox(1.0, 1.0, 2.0, 3.0, 0.2, 0),
+               SceneBox(-2.0, 4.0, 1.0, 2.0, -0.4, 1),
+               SceneBox(5.0, -5.0, 1.5, 1.5, 1.2, 2)]
         logits = rng.standard_normal((6, 4))
         box_raw = rng.standard_normal((6, 6))
         a = set_loss(Tensor(logits), Tensor(box_raw), gts, SPEC).item()
@@ -244,7 +244,7 @@ class TestSetLoss:
     def test_fd_gradient_through_decode_and_loss(self):
         rng = np.random.default_rng(6)
         params = DecoderParams(n_obj=3, channels=4, n_classes=4, n_layers=1, rng=rng)
-        gts = [GroundTruthBox(1.0, -1.0, 2.0, 3.0, 0.4, 1)]
+        gts = [SceneBox(1.0, -1.0, 2.0, 3.0, 0.4, 1)]
         fused0 = rng.standard_normal((2, 2, 4))
         prms = params.parameters()
         leaves = [fused0] + [p.tensor.data.copy() for p in prms]

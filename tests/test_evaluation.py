@@ -6,7 +6,7 @@ import pytest
 
 import bevkit.model as model_mod
 from bevkit.dataset import generate_dataset
-from bevkit.detection import BoxPrediction, GroundTruthBox
+from bevkit.detection import BoxPrediction
 from bevkit.errors import ContractError
 from bevkit.evaluation import (
     CONDITIONS,
@@ -20,7 +20,7 @@ from bevkit.evaluation import (
 from bevkit.fusion import ModalityMask
 from bevkit.geometry import BEVGridSpec
 from bevkit.model import Detector, ModelConfig
-from bevkit.synthscene import SceneParams
+from bevkit.synthscene import SceneBox, SceneParams
 
 from naive_reference import average_precision_naive
 
@@ -64,9 +64,7 @@ def loop_oracle(det, ds):
         maps[name] = m
         tables[name] = {f"{c}/{r}": ap for (c, r), ap in table.items()}
     return MetricsReport(
-        map_lc=maps["both"], map_l=maps["lidar"], map_c=maps["camera"],
-        summary_map=summary_metric(maps["both"], maps["lidar"], maps["camera"]),
-        ap_table=tables,
+        map_lc=maps["both"], map_l=maps["lidar"], map_c=maps["camera"], ap_table=tables,
     )
 
 
@@ -140,12 +138,15 @@ def test_empty_dataset_is_contract_error(tmp_path):
         evaluate_conditions(tiny_detector(spec, "cnw", "shared"), empty)
 
 
-def test_report_check_raises_on_inconsistent_summary():
-    report = MetricsReport(map_lc=0.3, map_l=0.2, map_c=0.1, summary_map=0.5, ap_table={})
-    with pytest.raises(ContractError):
-        report.check()
-    report.summary_map = summary_metric(0.3, 0.2, 0.1)
-    assert report.check() is report
+def test_summary_map_follows_the_three_maps():
+    """The summary is derived, not stored, so no report can disagree with
+    the maps it is the mean of."""
+    report = MetricsReport(map_lc=0.3, map_l=0.2, map_c=0.1, ap_table={})
+    assert report.summary_map == report.to_json()["summary_map"] == summary_metric(0.3, 0.2, 0.1)
+    report.map_c = 0.7
+    assert report.summary_map == summary_metric(0.3, 0.2, 0.7)
+    with pytest.raises(TypeError):
+        MetricsReport(map_lc=0.3, map_l=0.2, map_c=0.1, summary_map=0.5, ap_table={})
 
 
 class TestAveragePrecision:
@@ -229,7 +230,7 @@ def test_mean_ap_matches_loop_oracle(seed):
             gts = {}
             preds = preds[: rng.integers(0, 2) * len(preds)]
         for s, centers in gts.items():
-            gts_by_scene[s] += [GroundTruthBox(x, y, 2.0, 4.0, 0.0, c) for x, y in centers]
+            gts_by_scene[s] += [SceneBox(x, y, 2.0, 4.0, 0.0, c) for x, y in centers]
         for s, score, x, y in preds:
             logits = np.zeros(4)
             logits[c] = np.log(3.0 * score / (1.0 - score))  # softmax puts `score` on c
@@ -254,7 +255,7 @@ def test_mean_ap_takes_one_class_softmax_per_prediction(monkeypatch):
     preds_by_scene = {s: [BoxPrediction(*rng.uniform(-4, 4, 2), 2.0, 4.0, 0.0,
                                         rng.standard_normal(4)) for _ in range(5)]
                       for s in range(3)}
-    gts_by_scene = {s: [GroundTruthBox(*rng.uniform(-4, 4, 2), 2.0, 4.0, 0.0, c)
+    gts_by_scene = {s: [SceneBox(*rng.uniform(-4, 4, 2), 2.0, 4.0, 0.0, c)
                         for c in (0, 1, 2)] for s in range(3)}
     calls = []
     softmax = BoxPrediction.class_probs

@@ -12,6 +12,7 @@ from bevkit.errors import ConfigError, ContractError
 from bevkit.fusion import ModalityMask
 from bevkit.geometry import BEVGridSpec
 from bevkit.model import Detector, ModelConfig
+from bevkit.optim import Adam
 from bevkit.synthscene import RenderedSample, default_rig
 
 # sha256 over (name, NUL, little-endian float64 bytes) of every array of
@@ -77,6 +78,23 @@ def test_load_arrays_checks_every_name_before_writing():
     assert {name: a.tobytes() for name, a in det.param_arrays().items()} == before
     det.load_arrays(other)
     assert all(np.array_equal(a, other[name]) for name, a in det.param_arrays().items())
+
+
+def test_param_arrays_are_a_snapshot():
+    """A checkpoint of the weights stays the weights it was taken of: an
+    Adam step after it, which writes the parameters in place, does not
+    reach it."""
+    cfg = ModelConfig(channels=8, heads=2, points=2, enc_layers=1, dec_layers=1,
+                      cam_hidden=(4, 4), lidar_hidden=(4, 4))
+    det = Detector(cfg, BEVGridSpec(h=8, w=8, d=2), np.random.default_rng(0))
+    arrays = det.param_arrays()
+    want = {name: a.tobytes() for name, a in arrays.items()}
+    opt = Adam(det.parameters(), lr=0.1)
+    for p in det.parameters():
+        p.tensor.grad = np.ones(p.tensor.shape)
+    opt.step()
+    assert {name: a.tobytes() for name, a in arrays.items()} == want
+    assert {name: a.tobytes() for name, a in det.param_arrays().items()} != want
 
 
 @pytest.mark.parametrize("kw", [

@@ -3,8 +3,9 @@ every import in a module of src/bevkit is used in that module (the
 package's __init__.py re-exports, so it is exempt), and every module-level
 private name (one leading underscore, not a dunder) is referenced somewhere
 in the package. A deletion that leaves an import or a helper behind fails
-here. Every raise names an exception type of errors.py or re-raises, so no
-entry point lets a bare ValueError or RuntimeError of its own escape."""
+here. No data-side module imports the detection head. Every raise names an
+exception type of errors.py or re-raises, so no entry point lets a bare
+ValueError or RuntimeError of its own escape."""
 
 import ast
 from pathlib import Path
@@ -101,6 +102,34 @@ def test_every_private_module_name_is_referenced(module):
     refs = package_references()
     dead = sorted({n for n in module_level_names(TREES[module]) if is_private(n)} - refs)
     assert not dead, f"{module} defines private names that nothing in bevkit reads: {dead}"
+
+
+# modules that make, store or key data and must not depend on the model's head
+DATA_SIDE = ["synthscene.py", "dataset.py", "geometry.py", "rng.py", "checkpoint.py"]
+
+
+def imported_modules(tree):
+    """The dotted name of each module or name the module imports, relative
+    imports read from inside bevkit (from .x import y gives bevkit.x and
+    bevkit.x.y)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = f"bevkit.{node.module or ''}" if node.level else node.module
+            base = base.rstrip(".")
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+@pytest.mark.parametrize("module", DATA_SIDE)
+def test_data_side_does_not_import_detection(module):
+    """Data generation, storage and seeding hold the ground truth the head
+    is trained on, so they stay free of the head: a rewrite of
+    detection.py cannot reach them."""
+    found = [name for name in imported_modules(TREES[module])
+             if name == "bevkit.detection" or name.startswith("bevkit.detection.")]
+    assert not found, f"{module} imports the detection head: {found}"
 
 
 ERROR_TYPES = {node.name for node in TREES["errors.py"].body if isinstance(node, ast.ClassDef)}
