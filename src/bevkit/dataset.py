@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DataError, of_kind
+from .errors import ConfigError, ContractError, DataError, finite, of_kind
 from .geometry import BEVGridSpec, CameraModel
 from .rng import SEED_LIMIT, seeded_rng
 from .synthscene import (
@@ -95,17 +95,12 @@ def _check_fields(d, template: dict, what: str):
                             f"got {d[key]!r}")
 
 
-def _params_from_json(d) -> SceneParams:
-    """The manifest's scene parameters, to be validated; DataError unless d
-    has exactly SceneParams' keys."""
-    if not isinstance(d, dict) or d.keys() != asdict(SceneParams()).keys():
-        raise DataError(f"manifest scene_params must have the keys of SceneParams, got {d!r}")
-    return SceneParams(**{key: _tuples(value) for key, value in d.items()})
-
-
-def _tuples(value):
-    """JSON lists as tuples, at every depth."""
-    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+def _config_from_json(cls, d, what: str):
+    """The manifest's section what as a cls, which checks itself when built;
+    DataError unless d has exactly cls's keys."""
+    if not isinstance(d, dict) or d.keys() != asdict(cls()).keys():
+        raise DataError(f"manifest {what} must have the keys of {cls.__name__}, got {d!r}")
+    return cls(**d)
 
 
 def _check_lidar_shape(lidar_shape):
@@ -121,9 +116,8 @@ def render_scene_record(seed: int, scene_id: int, params: SceneParams,
     ConfigError unless lidar_shape is two positive integers."""
     _check_lidar_shape(lidar_shape)
     boxes = sample_scene(seeded_rng(seed, "scene", scene_id), params, spec)
-    images = render_cameras(boxes, rig, seeded_rng(seed, "cam", scene_id), params.sigma_cam)
-    lidar = render_lidar(boxes, spec, lidar_shape, seeded_rng(seed, "lidar", scene_id),
-                         params.sigma_lidar, params.lidar_drop_full_range)
+    images = render_cameras(boxes, rig, seeded_rng(seed, "cam", scene_id), params)
+    lidar = render_lidar(boxes, spec, lidar_shape, seeded_rng(seed, "lidar", scene_id), params)
     n = len(boxes)
     arrays = {
         "camera_images": images,
@@ -142,13 +136,12 @@ def generate_dataset(root, n_scenes: int, seed: int, params: SceneParams,
                      spec: BEVGridSpec, lidar_shape=(32, 32), image_h: int = IMAGE_H,
                      image_w: int = IMAGE_W, fx: float = FX) -> "SceneDataset":
     """Render n_scenes scenes into root, a new or empty directory, and open
-    it. root, the grid, the scene parameters (their margin against the
-    grid's extent too), n_scenes, seed, lidar_shape, image size and fx are
-    checked (ConfigError) before anything is written. The manifest is
-    written after the last record, so a run that stops part-way leaves no
-    directory that opens as a dataset."""
-    spec.validate()
-    params.validate().center_bounds(spec)
+    it. root, the scene parameters' margin against the grid's extent,
+    n_scenes, seed, lidar_shape, image size and fx are checked (ConfigError)
+    before anything is written. The manifest is written after the last
+    record, so a run that stops part-way leaves no directory that opens as
+    a dataset."""
+    params.center_bounds(spec)
     if not of_kind(n_scenes, 0) or n_scenes < 0:
         raise ConfigError(f"n_scenes must be a non-negative integer, got {n_scenes!r}")
     if not of_kind(seed, 0) or not 0 <= seed < SEED_LIMIT:
@@ -157,7 +150,7 @@ def generate_dataset(root, n_scenes: int, seed: int, params: SceneParams,
     if not of_kind((image_h, image_w), (0, 0)) or min(image_h, image_w) < 1:
         raise ConfigError(f"image_h and image_w must be positive integers, "
                           f"got {(image_h, image_w)!r}")
-    if not (of_kind(fx, 0.0) and math.isfinite(fx) and fx > 0):
+    if not (of_kind(fx, 0.0) and finite(fx) and fx > 0):
         raise ConfigError(f"fx must be finite and positive, got {fx!r}")
     root = Path(root)
     if root.exists() and not (root.is_dir() and next(root.iterdir(), None) is None):
@@ -210,8 +203,7 @@ class SceneDataset:
             raise DataError(f"{manifest_path}: lidar_shape {manifest['lidar_shape']} below 1")
         if manifest.get("record_fields") != [{"name": n, "dtype": d} for n, d in _FIELDS]:
             raise DataError(f"{manifest_path}: record_fields are not {_FIELDS}")
-        grid, cameras = manifest.get("grid"), manifest.get("cameras")
-        _check_fields(grid, asdict(BEVGridSpec()), "grid")
+        cameras = manifest.get("cameras")
         if not isinstance(cameras, list):
             raise DataError(f"{manifest_path}: cameras must be a list, got {cameras!r}")
         camera_fields = default_rig()[0].to_json()
@@ -221,10 +213,9 @@ class SceneDataset:
         self.n_scenes = manifest["n_scenes"]
         self.lidar_shape = tuple(manifest["lidar_shape"])
         try:
-            self.params = _params_from_json(manifest.get("scene_params")).validate()
-            self.spec = BEVGridSpec(h=grid["h"], w=grid["w"], d=grid["d"],
-                                    extent=tuple(grid["extent"]),
-                                    z_range=tuple(grid["z_range"])).validate()
+            self.params = _config_from_json(SceneParams, manifest.get("scene_params"),
+                                            "scene_params")
+            self.spec = _config_from_json(BEVGridSpec, manifest.get("grid"), "grid")
             self.cams = [CameraModel.from_json(c).validate() for c in cameras]
         except (ConfigError, ContractError) as e:
             raise DataError(f"{manifest_path}: {e}") from None

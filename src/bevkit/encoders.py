@@ -43,7 +43,7 @@ class BEVQuerySet:
                  rng: np.random.Generator):
         if mode not in ("shared", "separate"):
             raise ContractError(f"query mode must be shared|separate, got {mode!r}")
-        self.spec = spec.validate()
+        self.spec = spec
         self.channels = channels
         self.mode = mode
         self.refs = build_reference_grid(spec)

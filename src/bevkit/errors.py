@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and the kind check of
-configuration dataclasses."""
+"""Exception types shared across the package, and the kind and finiteness
+checks of configuration dataclasses."""
 
 import dataclasses
+import math
 import numbers
 
 
@@ -34,12 +35,28 @@ _KINDS = {bool: bool, int: numbers.Integral, float: numbers.Real, str: str}
 
 
 def check_field_kinds(cfg):
-    """ConfigError unless each field of the dataclass cfg has its default's
-    kind: bool, integer, real (neither a bool) or str; for a tuple default, a
-    tuple or list item by item, and for one of tuples, one or more items."""
+    """ConfigError unless each field of the frozen dataclass cfg has its
+    default's kind: bool, integer, real (neither a bool) or str; for a tuple
+    default, a tuple or list item by item, and for one of tuples, one or more
+    items. Lists are then stored as tuples, so a checked cfg cannot change."""
     for f in dataclasses.fields(cfg):
-        if not of_kind(getattr(cfg, f.name), f.default):
-            raise ConfigError(f"{f.name} must be like {f.default!r}, got {getattr(cfg, f.name)!r}")
+        value = getattr(cfg, f.name)
+        if not of_kind(value, f.default):
+            raise ConfigError(f"{f.name} must be like {f.default!r}, got {value!r}")
+        object.__setattr__(cfg, f.name, _tuples(value))
+
+
+def _tuples(value):
+    """value with every list or tuple in it a tuple, at every depth."""
+    return tuple(map(_tuples, value)) if isinstance(value, (list, tuple)) else value
+
+
+def finite(*values) -> bool:
+    """Whether every real of values is finite (an int too large for a float is not)."""
+    try:
+        return all(map(math.isfinite, values))
+    except OverflowError:
+        return False
 
 
 def of_kind(value, like) -> bool:

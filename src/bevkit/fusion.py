@@ -43,10 +43,9 @@ class ModalityMask:
     use_cam: bool
     use_lidar: bool
 
-    def validate(self):
+    def __post_init__(self):
         if not (self.use_cam or self.use_lidar):
             raise ContractError("modality mask drops every sensor")
-        return self
 
     @property
     def label(self) -> str:
@@ -63,16 +62,14 @@ class MDConfig:
     p_md: float = 0.5
     p_l: float = 0.5
 
-    def validate(self):
+    def __post_init__(self):
         check_field_kinds(self)
         if not (0.0 <= self.p_md <= 1.0 and 0.0 <= self.p_l <= 1.0):
             raise ConfigError(f"probabilities out of range: p_md={self.p_md}, p_l={self.p_l}")
-        return self
 
 
 def sample_modality_mask(cfg: MDConfig, rng: np.random.Generator) -> ModalityMask:
     """Both with prob 1-p_md; lidar-only with p_md*p_l; cam-only otherwise."""
-    cfg.validate()
     u, v = rng.random(), rng.random()  # always two draws, branch-independent
     if u >= cfg.p_md:
         return ModalityMask(True, True)

@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, check_field_kinds
+from .errors import ConfigError, ContractError, check_field_kinds, finite
 
 
 @dataclass(frozen=True)
@@ -28,17 +28,16 @@ class BEVGridSpec:
     extent: Tuple[float, float, float, float] = (-16.0, 16.0, -16.0, 16.0)  # x_min,x_max,y_min,y_max
     z_range: Tuple[float, float] = (-1.0, 3.0)
 
-    def validate(self):
+    def __post_init__(self):
         check_field_kinds(self)
         x_min, x_max, y_min, y_max = self.extent
         z_min, z_max = self.z_range
         if min(self.h, self.w, self.d) < 1:
             raise ConfigError(f"grid dims must be >= 1, got {(self.h, self.w, self.d)}")
-        if not np.all(np.isfinite([*self.extent, *self.z_range])):
+        if not finite(*self.extent, *self.z_range):
             raise ConfigError(f"non-finite extent {self.extent} / z_range {self.z_range}")
         if not (x_max > x_min and y_max > y_min and z_max > z_min):
             raise ConfigError(f"degenerate extent {self.extent} / z_range {self.z_range}")
-        return self
 
 
 class ReferenceGrid:
@@ -53,14 +52,16 @@ class ReferenceGrid:
         return self.points.shape
 
 
+def cell_centers(lo: float, hi: float, n: int) -> np.ndarray:
+    """Centers of n equal cells over [lo, hi]: the BEV-to-LiDAR identity rests on it."""
+    return lo + (np.arange(n) + 0.5) * (hi - lo) / n
+
+
 def build_reference_grid(spec: BEVGridSpec) -> ReferenceGrid:
     """Cell-center anchors: (z,h,w) -> (x(w), y(h), z(z), 1)."""
-    spec.validate()
-    x_min, x_max, y_min, y_max = spec.extent
-    z_min, z_max = spec.z_range
-    xs = x_min + (np.arange(spec.w) + 0.5) * (x_max - x_min) / spec.w
-    ys = y_min + (np.arange(spec.h) + 0.5) * (y_max - y_min) / spec.h
-    zs = z_min + (np.arange(spec.d) + 0.5) * (z_max - z_min) / spec.d
+    xs = cell_centers(*spec.extent[:2], spec.w)
+    ys = cell_centers(*spec.extent[2:], spec.h)
+    zs = cell_centers(*spec.z_range, spec.d)
     pts = np.empty((spec.d, spec.h, spec.w, 4))
     pts[..., 0] = xs[None, None, :]
     pts[..., 1] = ys[None, :, None]

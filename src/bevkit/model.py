@@ -21,7 +21,7 @@ from .encoders import (BEVQuerySet, camera_pairs, encode_camera_bev, encode_lida
 from .errors import ConfigError, ContractError, check_field_kinds
 from .fusion import FusionWeights, ModalityMask, fuse
 from .geometry import BEVGridSpec, CameraModel, project_to_camera
-from .synthscene import ConvBackbone, RenderedSample
+from .synthscene import RenderedSample
 from .tensor import Parameter, Tensor
 
 
@@ -47,7 +47,7 @@ class ModelConfig:
     cam_hidden: Tuple[int, int] = (8, 16)
     lidar_hidden: Tuple[int, int] = (12, 16)
 
-    def validate(self):
+    def __post_init__(self):
         check_field_kinds(self)
         if self.fusion not in ("cnw", "avg", "concat"):
             raise ConfigError(f"fusion must be cnw|avg|concat, got {self.fusion!r}")
@@ -76,11 +76,46 @@ class ModelConfig:
             )
         if self.n_obj < 1 or self.n_classes < 2:
             raise ConfigError(f"bad head sizes: n_obj={self.n_obj}, n_classes={self.n_classes}")
-        return self
 
     @property
     def encoder_channels(self) -> int:
         return self.channels // 2 if self.fusion == "concat" else self.channels
+
+
+class ConvBackbone:
+    """conv3x3 -> relu -> [2x2 avg pool] -> conv3x3 -> relu -> 1x1 linear,
+    over a batch of same-shape maps [B,H,W,in_channels] at once, giving
+    [B,H/stride,W/stride,out_channels].
+
+    ``stride`` is how many input pixels one output cell spans along each
+    axis: 2 with the pool, 1 without.
+    """
+
+    def __init__(self, in_channels: int, hidden: Tuple[int, int], out_channels: int,
+                 pool: bool, prefix: str, rng: np.random.Generator):
+        h1, h2 = hidden
+        self.pool = pool
+        self.stride = 2 if pool else 1
+        s1 = 1.0 / np.sqrt(9 * in_channels)
+        s2 = 1.0 / np.sqrt(9 * h1)
+        s3 = 1.0 / np.sqrt(h2)
+        self.k1 = Parameter(f"{prefix}.conv1.kernel", rng.uniform(-s1, s1, (3, 3, in_channels, h1)))
+        self.b1 = Parameter(f"{prefix}.conv1.bias", np.zeros(h1))
+        self.k2 = Parameter(f"{prefix}.conv2.kernel", rng.uniform(-s2, s2, (3, 3, h1, h2)))
+        self.b2 = Parameter(f"{prefix}.conv2.bias", np.zeros(h2))
+        self.pw = Parameter(f"{prefix}.proj.weight", rng.uniform(-s3, s3, (h2, out_channels)))
+        self.pb = Parameter(f"{prefix}.proj.bias", np.zeros(out_channels))
+
+    def forward(self, maps) -> Tensor:
+        """Feature maps [B,H/stride,W/stride,out_channels] of maps [B,H,W,in_channels]."""
+        x = T.relu(T.conv2d_3x3(Tensor(maps), self.k1.tensor, self.b1.tensor))
+        if self.pool:
+            x = T.avgpool2x2(x)
+        x = T.relu(T.conv2d_3x3(x, self.k2.tensor, self.b2.tensor))
+        return T.linear(x, self.pw.tensor, self.pb.tensor)
+
+    def parameters(self) -> List[Parameter]:
+        return [self.k1, self.b1, self.k2, self.b2, self.pw, self.pb]
 
 
 class Detector:
@@ -101,8 +136,8 @@ class Detector:
     """
 
     def __init__(self, cfg: ModelConfig, spec: BEVGridSpec, rng: np.random.Generator):
-        self.cfg = cfg.validate()
-        self.spec = spec.validate()
+        self.cfg = cfg
+        self.spec = spec
         n_enc = cfg.encoder_channels
         self.cam_backbone = ConvBackbone(3, cfg.cam_hidden, n_enc, True, "backbone.camera", rng)
         self.lidar_backbone = ConvBackbone(2, cfg.lidar_hidden, n_enc, False, "backbone.lidar",
@@ -198,7 +233,6 @@ class Detector:
     def encode(self, sample: RenderedSample, mask: ModalityMask):
         """Per-modality BEV features under the given availability mask. Under
         no_grad the first encoder layer's query half comes from the memo."""
-        mask.validate()
         cam_bev = lidar_bev = None
         if mask.use_cam:
             # the pairs index feature maps of the cameras' image size
@@ -228,8 +262,6 @@ class Detector:
         """
         if not masks:
             raise ContractError("fused_maps: no masks")
-        for mask in masks:
-            mask.validate()
         union = ModalityMask(any(m.use_cam for m in masks), any(m.use_lidar for m in masks))
         cam_bev, lidar_bev = self.encode(sample, union)
         return [fuse(self.cfg.fusion,

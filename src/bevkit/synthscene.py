@@ -11,16 +11,13 @@ spatially while first-order LiDAR channel statistics stay class-blind.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from . import tensor as T
-from .errors import ConfigError, ContractError, check_field_kinds
-from .geometry import BEVGridSpec, CameraModel, make_camera
-from .tensor import Parameter, Tensor
+from .errors import ConfigError, ContractError, check_field_kinds, finite
+from .geometry import BEVGridSpec, CameraModel, cell_centers, make_camera
 
 
 @dataclass
@@ -66,7 +63,7 @@ class SceneParams:
     def n_classes(self) -> int:
         return len(self.aspect_ranges)
 
-    def validate(self):
+    def __post_init__(self):
         """ConfigError unless every field has its default's kind, n_boxes is
         0 <= lo <= hi, every range is finite with lo <= hi, areas and aspects
         are positive (a box's sides are square roots of their product and
@@ -76,18 +73,17 @@ class SceneParams:
         if not 0 <= self.n_boxes[0] <= self.n_boxes[1]:
             raise ConfigError(f"n_boxes must be 0 <= lo <= hi, got {self.n_boxes}")
         for r in (self.area_range, self.height_range, self.appearance_range, *self.aspect_ranges):
-            if not (np.all(np.isfinite(r)) and r[0] <= r[1]):
+            if not (finite(*r) and r[0] <= r[1]):
                 raise ConfigError(f"ranges must be finite (lo, hi) with lo <= hi, got {r}")
         if min(self.area_range[0], *(lo for lo, _ in self.aspect_ranges)) <= 0:
             raise ConfigError(f"areas and aspects must be positive: {self}")
         for name in ("min_center_dist", "margin", "sigma_cam", "sigma_lidar",
                      "lidar_drop_full_range"):
             value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0):
+            if not (finite(value) and value >= 0):
                 raise ConfigError(f"{name} must be finite and non-negative, got {value}")
         if self.lidar_drop_full_range == 0:
             raise ConfigError("lidar_drop_full_range must be positive")
-        return self
 
     def center_bounds(self, spec: BEVGridSpec) -> Tuple[np.ndarray, np.ndarray]:
         """(lo, hi) corners of where box centers may lie: spec's extent less
@@ -165,12 +161,6 @@ def _box_corners_3d(box: SceneBox) -> np.ndarray:
     return corners
 
 
-def _check_sigma(name: str, sigma: float):
-    """ContractError unless the noise level is finite and non-negative."""
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise ContractError(f"{name} must be finite and non-negative, got {sigma!r}")
-
-
 def _normal_fill(rng: np.random.Generator, sigma: float, out: np.ndarray) -> np.ndarray:
     """out filled, in C order, with the draws of rng.normal(0.0, sigma,
     out.shape): that is loc + scale * z for each standard normal z of the
@@ -183,7 +173,7 @@ def _normal_fill(rng: np.random.Generator, sigma: float, out: np.ndarray) -> np.
 
 
 def render_cameras(boxes: Sequence[SceneBox], rig: Sequence[CameraModel],
-                   rng: np.random.Generator, sigma_cam: float) -> np.ndarray:
+                   rng: np.random.Generator, params: SceneParams) -> np.ndarray:
     """Painter's-algorithm Gaussian splats, far to near, plus pixel noise.
 
     Color channel c carries (class == c) * (0.35 + 0.65 * appearance), so the
@@ -192,22 +182,20 @@ def render_cameras(boxes: Sequence[SceneBox], rig: Sequence[CameraModel],
 
     The records depend on this draw order: per view, all splats far to near
     (which draw nothing), then that view's [H,W,3] noise in C order from
-    rng.normal(0.0, sigma_cam). As the splats draw nothing, the views' noise
+    rng.normal(0.0, params.sigma_cam). As the splats draw nothing, the views' noise
     is one [V,H,W,3] fill (_normal_fill), added to each view's splats.
     Each splat's exponent is a column term plus a row term, broadcast into
     [H,W], and the blend runs on channel planes [3,H,W] with the per-pixel
     arithmetic of img += alpha * (color - img).
-    ContractError for an empty rig, views of different image sizes, or a
-    negative or non-finite sigma_cam.
+    ContractError for an empty rig or views of different image sizes.
     """
     if not rig:
         raise ContractError("render_cameras needs at least one camera")
     sizes = {(cam.image_h, cam.image_w) for cam in rig}
     if len(sizes) != 1:
         raise ContractError(f"cameras must share one image size, got {sorted(sizes)}")
-    _check_sigma("sigma_cam", sigma_cam)
     (h_img, w_img), = sizes
-    images = _normal_fill(rng, sigma_cam, np.empty((len(rig), h_img, w_img, 3)))
+    images = _normal_fill(rng, params.sigma_cam, np.empty((len(rig), h_img, w_img, 3)))
     rows, cols = np.arange(h_img), np.arange(w_img)
     planes = np.empty((3, h_img, w_img))
     blend = np.empty((3, h_img, w_img))
@@ -257,33 +245,25 @@ def _interior_mask(box: SceneBox, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 
 def render_lidar(boxes: Sequence[SceneBox], spec: BEVGridSpec, lidar_shape: Tuple[int, int],
-                 rng: np.random.Generator, sigma_lidar: float,
-                 drop_full_range: float) -> np.ndarray:
+                 rng: np.random.Generator, params: SceneParams) -> np.ndarray:
     """Occupancy + height grid with range-dependent cell dropout.
 
-    Cells inside a footprint survive with probability 1 - min(0.8, r/range);
+    Cells inside a footprint survive with probability
+    1 - min(0.8, r / params.lidar_drop_full_range);
     the height channel records the box height on surviving cells. No class
     information is rendered.
 
     rng's draws, in order: the [H,W] keep field (rng.random), then one
-    [2,H,W] C-order fill of rng.normal(0.0, sigma_lidar)'s draws
+    [2,H,W] C-order fill of rng.normal(0.0, params.sigma_lidar)'s draws
     (_normal_fill), the occupancy noise before the height noise.
-    ContractError for a negative or non-finite sigma_lidar, or a
-    drop_full_range that is not finite and positive.
     """
-    _check_sigma("sigma_lidar", sigma_lidar)
-    if not (math.isfinite(drop_full_range) and drop_full_range > 0):
-        raise ContractError(f"drop_full_range must be finite and positive, "
-                            f"got {drop_full_range!r}")
     h_l, w_l = lidar_shape
-    x_min, x_max, y_min, y_max = spec.extent
-    xs = x_min + (np.arange(w_l) + 0.5) * (x_max - x_min) / w_l
-    ys = y_min + (np.arange(h_l) + 0.5) * (y_max - y_min) / h_l
-    gx, gy = np.meshgrid(xs, ys)  # [h_l, w_l], row = y
+    gx, gy = np.meshgrid(cell_centers(*spec.extent[:2], w_l),
+                         cell_centers(*spec.extent[2:], h_l))  # [h_l, w_l], row = y
     keep_field = rng.random((h_l, w_l))
-    noise = _normal_fill(rng, sigma_lidar, np.empty((2, h_l, w_l)))
+    noise = _normal_fill(rng, params.sigma_lidar, np.empty((2, h_l, w_l)))
     r = np.hypot(gx, gy)
-    kept = keep_field >= np.minimum(0.8, r / drop_full_range)
+    kept = keep_field >= np.minimum(0.8, r / params.lidar_drop_full_range)
     occ = np.zeros((h_l, w_l))
     hgt = np.zeros((h_l, w_l))
     for box in boxes:
@@ -291,43 +271,3 @@ def render_lidar(boxes: Sequence[SceneBox], spec: BEVGridSpec, lidar_shape: Tupl
         occ[inside] = 1.0
         hgt[inside] = np.maximum(hgt[inside], box.height)
     return np.stack([occ + noise[0], hgt + noise[1]], axis=-1)
-
-
-# ---------------------------------------------------------------------------
-# tiny trainable backbones
-
-
-class ConvBackbone:
-    """conv3x3 -> relu -> [2x2 avg pool] -> conv3x3 -> relu -> 1x1 linear,
-    over a batch of same-shape maps [B,H,W,in_channels] at once, giving
-    [B,H/stride,W/stride,out_channels].
-
-    ``stride`` is how many input pixels one output cell spans along each
-    axis: 2 with the pool, 1 without.
-    """
-
-    def __init__(self, in_channels: int, hidden: Tuple[int, int], out_channels: int,
-                 pool: bool, prefix: str, rng: np.random.Generator):
-        h1, h2 = hidden
-        self.pool = pool
-        self.stride = 2 if pool else 1
-        s1 = 1.0 / np.sqrt(9 * in_channels)
-        s2 = 1.0 / np.sqrt(9 * h1)
-        s3 = 1.0 / np.sqrt(h2)
-        self.k1 = Parameter(f"{prefix}.conv1.kernel", rng.uniform(-s1, s1, (3, 3, in_channels, h1)))
-        self.b1 = Parameter(f"{prefix}.conv1.bias", np.zeros(h1))
-        self.k2 = Parameter(f"{prefix}.conv2.kernel", rng.uniform(-s2, s2, (3, 3, h1, h2)))
-        self.b2 = Parameter(f"{prefix}.conv2.bias", np.zeros(h2))
-        self.pw = Parameter(f"{prefix}.proj.weight", rng.uniform(-s3, s3, (h2, out_channels)))
-        self.pb = Parameter(f"{prefix}.proj.bias", np.zeros(out_channels))
-
-    def forward(self, maps) -> Tensor:
-        """Feature maps [B,H/stride,W/stride,out_channels] of maps [B,H,W,in_channels]."""
-        x = T.relu(T.conv2d_3x3(Tensor(maps), self.k1.tensor, self.b1.tensor))
-        if self.pool:
-            x = T.avgpool2x2(x)
-        x = T.relu(T.conv2d_3x3(x, self.k2.tensor, self.b2.tensor))
-        return T.linear(x, self.pw.tensor, self.pb.tensor)
-
-    def parameters(self) -> List[Parameter]:
-        return [self.k1, self.b1, self.k2, self.b2, self.pw, self.pb]

@@ -1,5 +1,7 @@
 """Fusion algebra and modality-dropout statistics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from bevkit.errors import ConfigError, ContractError, ShapeError
 from bevkit.fusion import (
     FusionWeights,
     MDConfig,
+    ModalityMask,
     fuse,
     normalize_weights,
     sample_modality_mask,
@@ -179,6 +182,13 @@ def test_cnw_of_both_maps_without_weights_is_contract_error():
     assert fuse("cnw", x, None, None) is x and fuse("cnw", None, x, None) is x
 
 
+def test_a_mask_that_drops_every_sensor_cannot_be_built():
+    with pytest.raises(ContractError, match="drops every sensor"):
+        ModalityMask(False, False)
+    with pytest.raises(ContractError, match="drops every sensor"):
+        dataclasses.replace(ModalityMask(True, False), use_cam=False)
+
+
 class TestModalityDropout:
     def test_frequencies(self):
         rng = seeded_rng(123, "md")
@@ -211,17 +221,17 @@ class TestModalityDropout:
 
     def test_invalid_probability(self):
         with pytest.raises(ConfigError):
-            MDConfig(1.5, 0.5).validate()
+            MDConfig(1.5, 0.5)
 
     @pytest.mark.parametrize("kw", [dict(p_md="0.5"), dict(p_md=True), dict(p_l=None),
                                     dict(p_l=False)],
                              ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()))
     def test_wrongly_kinded_probability_is_config_error(self, kw):
         with pytest.raises(ConfigError):
-            MDConfig(**kw).validate()
+            MDConfig(**kw)
         with pytest.raises(ConfigError):
             sample_modality_mask(MDConfig(**kw), seeded_rng(0, "md"))
 
     def test_integer_and_numpy_probabilities_are_accepted(self):
         cfg = MDConfig(p_md=1, p_l=np.float64(0.25))
-        assert cfg.validate() is cfg
+        assert (cfg.p_md, cfg.p_l) == (1, 0.25)

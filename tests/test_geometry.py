@@ -67,9 +67,9 @@ class TestReferenceGrid:
 
     def test_invalid_spec(self):
         with pytest.raises(ConfigError):
-            BEVGridSpec(h=0, w=2, d=1).validate()
+            BEVGridSpec(h=0, w=2, d=1)
         with pytest.raises(ConfigError):
-            BEVGridSpec(extent=(1, -1, 0, 1)).validate()
+            BEVGridSpec(extent=(1, -1, 0, 1))
 
     @pytest.mark.parametrize("field,value", [
         ("extent", (-16.0, INF, -16.0, 16.0)),
@@ -78,13 +78,12 @@ class TestReferenceGrid:
     ])
     def test_non_finite_spec(self, field, value):
         spec = BEVGridSpec(h=2, w=2, d=1)
-        spec.validate()
         with pytest.raises(ConfigError):
-            dataclasses.replace(spec, **{field: value}).validate()
+            dataclasses.replace(spec, **{field: value})
 
     @pytest.mark.parametrize("kw", [
         dict(h=2.5),  # TypeError in the detector without the check
-        dict(w="3"),  # TypeError in validate without the check
+        dict(w="3"),  # TypeError in the extent check without the kind check
         dict(d=True),
         dict(extent=(-16.0, 16.0)),  # a bare ValueError (unpacking) without the check
         dict(extent=(-16.0, 16.0, -16.0, "16")),
@@ -95,14 +94,14 @@ class TestReferenceGrid:
         from bevkit.model import Detector, ModelConfig
 
         with pytest.raises(ConfigError):
-            BEVGridSpec(**kw).validate()
+            BEVGridSpec(**kw)
         with pytest.raises(ConfigError):
             Detector(ModelConfig(), BEVGridSpec(**kw), np.random.default_rng(0))
 
     def test_numpy_sizes_and_integer_extents_are_accepted(self):
         spec = BEVGridSpec(h=np.int64(4), w=np.int32(3), d=2, extent=(-8, 8, -6, 6),
                            z_range=[np.int64(-1), 3])
-        assert spec.validate() is spec
+        assert spec.z_range == (-1, 3)
         assert build_reference_grid(spec).shape == (2, 4, 3, 4)
 
 

@@ -105,7 +105,7 @@ def test_param_arrays_are_a_snapshot():
 ])
 def test_encoder_width_below_three_is_config_error(kw):
     with pytest.raises(ConfigError):
-        ModelConfig(**kw).validate()
+        ModelConfig(**kw)
 
 
 @pytest.mark.parametrize("kw", [
@@ -131,7 +131,7 @@ def test_encoder_width_below_three_is_config_error(kw):
 ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
 def test_degenerate_fields_are_config_error(kw):
     with pytest.raises(ConfigError):
-        ModelConfig(**kw).validate()
+        ModelConfig(**kw)
     with pytest.raises(ConfigError):
         Detector(ModelConfig(**kw), BEVGridSpec(h=4, w=4, d=1), np.random.default_rng(0))
 
@@ -139,17 +139,27 @@ def test_degenerate_fields_are_config_error(kw):
 def test_smallest_sizes_are_accepted():
     cfg = ModelConfig(channels=4, heads=1, points=1, enc_layers=1, dec_layers=1,
                       cam_hidden=(1, 1), lidar_hidden=(1, 1))
-    assert cfg.validate() is cfg
+    assert cfg.encoder_channels == 4
+
+
+def test_a_checked_config_cannot_change_afterwards():
+    """cam_hidden given as a list is stored as a tuple: no append can undo
+    the check, and the config equals and hashes as the tuple-built one."""
+    cfg = ModelConfig(cam_hidden=[4, 4])
+    assert cfg.cam_hidden == (4, 4) and cfg == ModelConfig(cam_hidden=(4, 4))
+    assert hash(cfg) == hash(ModelConfig(cam_hidden=(4, 4)))
+    with pytest.raises(ConfigError):
+        dataclasses.replace(cfg, cam_hidden=[4, 0])
 
 
 def test_numpy_sizes_and_list_widths_are_accepted():
     cfg = ModelConfig(channels=np.int64(8), heads=np.int32(2), cam_hidden=[4, 4],
                       lidar_hidden=(np.int64(4), 4))
-    assert cfg.validate() is cfg
+    assert cfg.cam_hidden == (4, 4) and cfg.encoder_channels == 8
 
 
 def test_encoder_width_three_is_accepted():
-    assert ModelConfig(fusion="concat", channels=6, heads=3).validate().encoder_channels == 3
+    assert ModelConfig(fusion="concat", channels=6, heads=3).encoder_channels == 3
 
 
 def test_backbone_stride_matches_camera_scaling():

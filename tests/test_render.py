@@ -4,8 +4,9 @@ render_cameras must give the bytes of naive_reference.render_cameras_naive
 (a full-grid meshgrid splat and an HWC blend per box and view, then each
 view's rng.normal noise) on seeded scenes and on hand-built edge cases; the
 sha256 of whole records is pinned, so a change in sampling, either renderer,
-the record layout or numpy's normal stream fails here. Both renderers
-refuse arguments that would render wrong bytes without a word."""
+the record layout or numpy's normal stream fails here. The camera renderer
+refuses a rig it would render wrong bytes for without a word, and
+SceneParams the noise levels and LiDAR drop range that would."""
 
 import hashlib
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from bevkit.dataset import render_scene_record
-from bevkit.errors import ContractError
+from bevkit.errors import ConfigError, ContractError
 from bevkit.geometry import BEVGridSpec, make_camera
 from bevkit.rng import seeded_rng
 from bevkit.synthscene import (SceneBox, SceneParams, _box_corners_3d, default_rig, render_cameras,
@@ -63,7 +64,7 @@ def test_cameras_equal_the_loop_oracle_on_seeded_scenes():
     rig = default_rig()
     for scene_id in range(120):
         boxes = sample_scene(seeded_rng(5, "scene", scene_id), SceneParams(), SPEC)
-        got = render_cameras(boxes, rig, seeded_rng(5, "cam", scene_id), 0.05)
+        got = render_cameras(boxes, rig, seeded_rng(5, "cam", scene_id), SceneParams())
         want = render_cameras_naive(boxes, rig, seeded_rng(5, "cam", scene_id), 0.05)
         assert same_bytes(got, want), scene_id
 
@@ -108,7 +109,7 @@ def test_cameras_equal_the_loop_oracle_on_edge_cases(scene_name, rig_name):
     if scene_name in KINDS and rig_name == "default":
         assert splat_kind(boxes[0], rig[0]) == KINDS[scene_name]
     for sigma in (0.05, 0.0):
-        got = render_cameras(boxes, rig, seeded_rng(3, "cam"), sigma)
+        got = render_cameras(boxes, rig, seeded_rng(3, "cam"), SceneParams(sigma_cam=sigma))
         want = render_cameras_naive(boxes, rig, seeded_rng(3, "cam"), sigma)
         assert same_bytes(got, want)
 
@@ -119,7 +120,7 @@ def test_a_splat_on_a_steeply_pitched_camera_equals_the_oracle():
     cam = make_camera([0.0, 0.0, 1.6], yaw=0.3, pitch_down=np.deg2rad(60.0), fx=9.0, fy=7.0,
                       image_h=12, image_w=10)
     boxes = [box(1.5, 0.2, height=3.0), box(2.5, -0.5, class_id=0)]
-    got = render_cameras(boxes, [cam], seeded_rng(1, "cam"), 0.05)
+    got = render_cameras(boxes, [cam], seeded_rng(1, "cam"), SceneParams())
     assert same_bytes(got, render_cameras_naive(boxes, [cam], seeded_rng(1, "cam"), 0.05))
 
 
@@ -142,7 +143,7 @@ def test_the_noise_is_the_views_rng_normal_draws_in_order():
     """With no boxes the images are the views' noise: rng.normal(0, sigma)
     drawn view by view, each [H,W,3] in C order."""
     rig = default_rig(image_h=6, image_w=5, fx=4.0)
-    got = render_cameras([], rig, seeded_rng(2, "cam"), 0.3)
+    got = render_cameras([], rig, seeded_rng(2, "cam"), SceneParams(sigma_cam=0.3))
     rng = seeded_rng(2, "cam")
     want = np.stack([rng.normal(0.0, 0.3, (6, 5, 3)) for _ in rig])
     assert same_bytes(got, want)
@@ -151,7 +152,7 @@ def test_the_noise_is_the_views_rng_normal_draws_in_order():
 def test_lidar_draws_the_keep_field_then_occupancy_then_height_noise():
     """With no boxes the grid is its noise: after the [H,W] keep field,
     rng.normal(0, sigma) for occupancy, then for height."""
-    got = render_lidar([], SPEC, (5, 7), seeded_rng(2, "lidar"), 0.2, 40.0)
+    got = render_lidar([], SPEC, (5, 7), seeded_rng(2, "lidar"), SceneParams(sigma_lidar=0.2))
     rng = seeded_rng(2, "lidar")
     rng.random((5, 7))
     want = np.stack([rng.normal(0.0, 0.2, (5, 7)), rng.normal(0.0, 0.2, (5, 7))], axis=-1)
@@ -165,28 +166,28 @@ def test_lidar_draws_the_keep_field_then_occupancy_then_height_noise():
 ], ids=["empty", "mixed widths", "mixed heights"])
 def test_cameras_refuse_an_empty_or_mixed_rig(rig):
     with pytest.raises(ContractError):
-        render_cameras([box(10.0, 0.0)], rig, seeded_rng(0, "cam"), 0.05)
+        render_cameras([box(10.0, 0.0)], rig, seeded_rng(0, "cam"), SceneParams())
 
 
 BAD_SIGMAS = [-0.05, -np.inf, np.inf, np.nan]
 
 
 @pytest.mark.parametrize("sigma", BAD_SIGMAS)
-def test_cameras_refuse_a_negative_or_non_finite_sigma(sigma):
-    with pytest.raises(ContractError, match="sigma_cam"):
-        render_cameras([box(10.0, 0.0)], default_rig(), seeded_rng(0, "cam"), sigma)
+def test_scene_params_refuse_a_negative_or_non_finite_sigma_cam(sigma):
+    with pytest.raises(ConfigError, match="sigma_cam"):
+        SceneParams(sigma_cam=sigma)
 
 
 @pytest.mark.parametrize("sigma", BAD_SIGMAS)
-def test_lidar_refuses_a_negative_or_non_finite_sigma(sigma):
-    with pytest.raises(ContractError, match="sigma_lidar"):
-        render_lidar([box(10.0, 0.0)], SPEC, (8, 8), seeded_rng(0, "lidar"), sigma, 40.0)
+def test_scene_params_refuse_a_negative_or_non_finite_sigma_lidar(sigma):
+    with pytest.raises(ConfigError, match="sigma_lidar"):
+        SceneParams(sigma_lidar=sigma)
 
 
 @pytest.mark.parametrize("drop_full_range", [0.0, -0.0, -40.0, np.inf, -np.inf, np.nan])
-def test_lidar_refuses_a_drop_range_that_is_not_finite_and_positive(drop_full_range):
-    with pytest.raises(ContractError, match="drop_full_range"):
-        render_lidar([box(10.0, 0.0)], SPEC, (8, 8), seeded_rng(0, "lidar"), 0.05, drop_full_range)
+def test_scene_params_refuse_a_drop_range_that_is_not_finite_and_positive(drop_full_range):
+    with pytest.raises(ConfigError, match="drop_full_range"):
+        SceneParams(lidar_drop_full_range=drop_full_range)
 
 
 # sha256 of render_scene_record(seed, scene_id, SceneParams(), ...), first

@@ -3,9 +3,9 @@ every import in a module of src/bevkit is used in that module (the
 package's __init__.py re-exports, so it is exempt), and every module-level
 private name (one leading underscore, not a dunder) is referenced somewhere
 in the package. A deletion that leaves an import or a helper behind fails
-here. No data-side module imports the detection head. Every raise names an
-exception type of errors.py or re-raises, so no entry point lets a bare
-ValueError or RuntimeError of its own escape."""
+here. No data-side module imports the model or its autodiff engine. Every
+raise names an exception type of errors.py or re-raises, so no entry point
+lets a bare ValueError or RuntimeError of its own escape."""
 
 import ast
 from pathlib import Path
@@ -104,8 +104,10 @@ def test_every_private_module_name_is_referenced(module):
     assert not dead, f"{module} defines private names that nothing in bevkit reads: {dead}"
 
 
-# modules that make, store or key data and must not depend on the model's head
+# modules that make, store or key data and must not depend on the model
 DATA_SIDE = ["synthscene.py", "dataset.py", "geometry.py", "rng.py", "checkpoint.py"]
+MODEL_SIDE = ["tensor", "attention", "encoders", "fusion", "model", "detection", "evaluation",
+              "optim"]
 
 
 def imported_modules(tree):
@@ -123,13 +125,13 @@ def imported_modules(tree):
 
 
 @pytest.mark.parametrize("module", DATA_SIDE)
-def test_data_side_does_not_import_detection(module):
-    """Data generation, storage and seeding hold the ground truth the head
-    is trained on, so they stay free of the head: a rewrite of
-    detection.py cannot reach them."""
+def test_data_side_does_not_import_the_model_side(module):
+    """Data generation, storage and seeding hold the ground truth the model
+    is trained on, so they stay free of the model and its autodiff engine:
+    a rewrite of any module of MODEL_SIDE cannot reach them."""
     found = [name for name in imported_modules(TREES[module])
-             if name == "bevkit.detection" or name.startswith("bevkit.detection.")]
-    assert not found, f"{module} imports the detection head: {found}"
+             if any(name == f"bevkit.{m}" or name.startswith(f"bevkit.{m}.") for m in MODEL_SIDE)]
+    assert not found, f"{module} imports the model side: {found}"
 
 
 ERROR_TYPES = {node.name for node in TREES["errors.py"].body if isinstance(node, ast.ClassDef)}
