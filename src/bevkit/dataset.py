@@ -8,6 +8,8 @@ fields in order; every field is written as little-endian unsigned 64-bit
 pure function of (seed, params): per-scene rng streams are derived from
 (seed, kind, scene_id), so records can be produced in any order without
 changing a single byte.
+Each setting has one check, made by both the writer (ConfigError) and the
+reader (DataError); the configs and cameras make theirs when built.
 """
 
 from __future__ import annotations
@@ -16,12 +18,13 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict
+import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DataError, finite, of_kind
+from .errors import ConfigError, ContractError, DataError, fits, of_kind
 from .geometry import BEVGridSpec, CameraModel
 from .rng import SEED_LIMIT, seeded_rng
 from .synthscene import (
@@ -77,43 +80,32 @@ def _read_array(path, buf: memoryview, offset: int, dtype: str):
     return arr, offset + arr.nbytes
 
 
-def _check_fields(d, template: dict, what: str):
-    """DataError unless the parsed JSON object d has exactly template's keys,
-    each holding a number or nested list of numbers of the shape of
-    template's value, integers where template has integers."""
-    if not isinstance(d, dict) or d.keys() != template.keys():
-        raise DataError(f"manifest {what} must have the keys {sorted(template)}, got {d!r}")
-    for key, like in template.items():
-        want = np.asarray(like)
-        try:
-            got = np.asarray(d[key])
-        except ValueError:  # ragged nesting
-            got = np.asarray(None)
-        if (got.dtype.kind not in ("i" if want.dtype.kind == "i" else "if")
-                or got.shape != want.shape):
-            raise DataError(f"manifest {what}.{key} must be shaped and typed like {like!r}, "
-                            f"got {d[key]!r}")
-
-
 def _config_from_json(cls, d, what: str):
     """The manifest's section what as a cls, which checks itself when built;
-    DataError unless d has exactly cls's keys."""
-    if not isinstance(d, dict) or d.keys() != asdict(cls()).keys():
+    DataError unless d has exactly cls's fields as keys."""
+    if not isinstance(d, dict) or d.keys() != {f.name for f in fields(cls)}:
         raise DataError(f"manifest {what} must have the keys of {cls.__name__}, got {d!r}")
     return cls(**d)
 
 
+def _check_n_scenes(n_scenes):
+    """ConfigError unless n_scenes is an integer len() can return, >= 0."""
+    if not of_kind(n_scenes, 0) or not 0 <= n_scenes <= sys.maxsize:
+        raise ConfigError(f"n_scenes must be an integer in [0, sys.maxsize], got {n_scenes!r}")
+
+
 def _check_lidar_shape(lidar_shape):
-    """ConfigError unless lidar_shape is two positive integers."""
-    if not of_kind(lidar_shape, (0, 0)) or min(lidar_shape) < 1:
-        raise ConfigError(f"lidar_shape must be two positive integers, got {lidar_shape!r}")
+    """ConfigError unless lidar_shape is two sizes whose [h, w, 2] grid fits."""
+    if not (of_kind(lidar_shape, (0, 0)) and fits(lidar_shape, 2)):
+        raise ConfigError(f"lidar_shape must be two integers >= 1 that fit np.empty, "
+                          f"got {lidar_shape!r}")
 
 
 def render_scene_record(seed: int, scene_id: int, params: SceneParams,
                         spec: BEVGridSpec, rig, lidar_shape) -> bytes:
     """Render one scene to its record bytes (deterministic in all arguments).
     ContractError unless seed and scene_id are integers in [0, 2**32), and
-    ConfigError unless lidar_shape is two positive integers."""
+    ConfigError unless lidar_shape passes _check_lidar_shape."""
     _check_lidar_shape(lidar_shape)
     boxes = sample_scene(seeded_rng(seed, "scene", scene_id), params, spec)
     images = render_cameras(boxes, rig, seeded_rng(seed, "cam", scene_id), params)
@@ -137,28 +129,21 @@ def generate_dataset(root, n_scenes: int, seed: int, params: SceneParams,
                      image_w: int = IMAGE_W, fx: float = FX) -> "SceneDataset":
     """Render n_scenes scenes into root, a new or empty directory, and open
     it. root, the scene parameters' margin against the grid's extent,
-    n_scenes, seed, lidar_shape, image size and fx are checked (ConfigError)
-    before anything is written. The manifest is written after the last
-    record, so a run that stops part-way leaves no directory that opens as
-    a dataset."""
+    n_scenes, seed, lidar_shape and the cameras built from image_h, image_w
+    and fx are checked (ConfigError) before anything is written. The
+    manifest is written after the last record, so a run that stops part-way
+    leaves no directory that opens as a dataset."""
     params.center_bounds(spec)
-    if not of_kind(n_scenes, 0) or n_scenes < 0:
-        raise ConfigError(f"n_scenes must be a non-negative integer, got {n_scenes!r}")
+    _check_n_scenes(n_scenes)
     if not of_kind(seed, 0) or not 0 <= seed < SEED_LIMIT:
         raise ConfigError(f"seed must be an integer in [0, 2**32), got {seed!r}")
     _check_lidar_shape(lidar_shape)
-    if not of_kind((image_h, image_w), (0, 0)) or min(image_h, image_w) < 1:
-        raise ConfigError(f"image_h and image_w must be positive integers, "
-                          f"got {(image_h, image_w)!r}")
-    if not (of_kind(fx, 0.0) and finite(fx) and fx > 0):
-        raise ConfigError(f"fx must be finite and positive, got {fx!r}")
+    rig = default_rig(image_h=image_h, image_w=image_w, fx=fx)
     root = Path(root)
     if root.exists() and not (root.is_dir() and next(root.iterdir(), None) is None):
         raise ConfigError(f"{root} exists and is not an empty directory")
     n_scenes, seed, lidar_shape = int(n_scenes), int(seed), tuple(map(int, lidar_shape))
-    image_h, image_w, fx = int(image_h), int(image_w), float(fx)
     (root / "scenes").mkdir(parents=True, exist_ok=True)
-    rig = default_rig(image_h=image_h, image_w=image_w, fx=fx)
     manifest = {
         "format": "bevkit-dataset",
         "version": 1,
@@ -183,8 +168,8 @@ class SceneDataset:
 
     def __init__(self, root):
         """Open a dataset directory. A missing, truncated or malformed
-        manifest.json (not JSON, a key missing, a field of the wrong type or
-        shape) raises DataError."""
+        manifest.json (not JSON, a key missing, a setting that fails the
+        check generate_dataset makes) raises DataError."""
         self.root = Path(root)
         manifest_path = self.root / "manifest.json"
         if not manifest_path.exists():
@@ -195,30 +180,22 @@ class SceneDataset:
             raise DataError(f"{manifest_path}: not a JSON manifest: {e}") from None
         if not isinstance(manifest, dict) or manifest.get("format") != "bevkit-dataset":
             raise DataError(f"{self.root}: unrecognized dataset format")
-        _check_fields({k: manifest.get(k) for k in ("n_scenes", "lidar_shape")},
-                      {"n_scenes": 0, "lidar_shape": [0, 0]}, "top level")
-        if manifest["n_scenes"] < 0:
-            raise DataError(f"{manifest_path}: negative n_scenes {manifest['n_scenes']}")
-        if min(manifest["lidar_shape"]) < 1:
-            raise DataError(f"{manifest_path}: lidar_shape {manifest['lidar_shape']} below 1")
         if manifest.get("record_fields") != [{"name": n, "dtype": d} for n, d in _FIELDS]:
             raise DataError(f"{manifest_path}: record_fields are not {_FIELDS}")
         cameras = manifest.get("cameras")
         if not isinstance(cameras, list):
             raise DataError(f"{manifest_path}: cameras must be a list, got {cameras!r}")
-        camera_fields = default_rig()[0].to_json()
-        for cam in cameras:
-            _check_fields(cam, camera_fields, "camera")
-        self.manifest = manifest
-        self.n_scenes = manifest["n_scenes"]
-        self.lidar_shape = tuple(manifest["lidar_shape"])
         try:
+            _check_n_scenes(manifest.get("n_scenes"))
+            _check_lidar_shape(manifest.get("lidar_shape"))
             self.params = _config_from_json(SceneParams, manifest.get("scene_params"),
                                             "scene_params")
             self.spec = _config_from_json(BEVGridSpec, manifest.get("grid"), "grid")
-            self.cams = [CameraModel.from_json(c).validate() for c in cameras]
-        except (ConfigError, ContractError) as e:
+            self.cams = [_config_from_json(CameraModel, c, "camera") for c in cameras]
+        except ConfigError as e:
             raise DataError(f"{manifest_path}: {e}") from None
+        self.n_scenes = manifest["n_scenes"]
+        self.lidar_shape = tuple(manifest["lidar_shape"])
         image_sizes = {(c.image_h, c.image_w) for c in self.cams}
         if len(image_sizes) != 1:
             raise DataError(f"{manifest_path}: cameras must share one image size, "

@@ -1,9 +1,10 @@
-"""Exception types shared across the package, and the kind and finiteness
-checks of configuration dataclasses."""
+"""Exception types shared across the package, and the kind, finiteness
+and size checks of configuration dataclasses."""
 
 import dataclasses
 import math
 import numbers
+import sys
 
 
 class ShapeError(ValueError):
@@ -57,6 +58,13 @@ def finite(*values) -> bool:
         return all(map(math.isfinite, values))
     except OverflowError:
         return False
+
+
+def fits(sizes, per_cell: int) -> bool:
+    """Whether sizes are integers >= 1 (not bools) of a float64 array, per_cell
+    values a cell, that np.empty can make: sys.maxsize bytes (memory aside)."""
+    return (all(of_kind(n, 0) and n >= 1 for n in sizes)
+            and math.prod(map(int, sizes)) * per_cell * 8 <= sys.maxsize)
 
 
 def of_kind(value, like) -> bool:

@@ -116,7 +116,7 @@ def evaluate_conditions(model, dataset) -> MetricsReport:
     Each scene is encoded once per modality; the encoded maps are then fused
     and decoded three times, once per condition (see Detector.predict_many).
     """
-    if tuple(model.spec.extent) != tuple(dataset.spec.extent):
+    if model.spec.extent != dataset.spec.extent:
         raise ContractError(
             f"model extent {model.spec.extent} != dataset extent {dataset.spec.extent}"
         )

@@ -5,7 +5,9 @@ level z sits at (x_min + (w+0.5)dx, y_min + (h+0.5)dy, z_min + (z+0.5)dz).
 With matching resolutions this makes the BEV-to-LiDAR map an exact identity
 on cell indices.
 
-Pure functions over immutable inputs; safe for concurrent use.
+The grid spec and the camera check themselves when built (ConfigError) and
+cannot change afterwards, so the functions here take them unchecked and are
+safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, check_field_kinds, finite
+from .errors import ConfigError, check_field_kinds, finite, fits, of_kind
 
 
 @dataclass(frozen=True)
@@ -32,8 +34,9 @@ class BEVGridSpec:
         check_field_kinds(self)
         x_min, x_max, y_min, y_max = self.extent
         z_min, z_max = self.z_range
-        if min(self.h, self.w, self.d) < 1:
-            raise ConfigError(f"grid dims must be >= 1, got {(self.h, self.w, self.d)}")
+        if not fits((self.d, self.h, self.w), 4):
+            raise ConfigError(f"grid dims must be >= 1 and fit np.empty, "
+                              f"got {(self.h, self.w, self.d)}")
         if not finite(*self.extent, *self.z_range):
             raise ConfigError(f"non-finite extent {self.extent} / z_range {self.z_range}")
         if not (x_max > x_min and y_max > y_min and z_max > z_min):
@@ -70,6 +73,13 @@ def build_reference_grid(spec: BEVGridSpec) -> ReferenceGrid:
     return ReferenceGrid(pts, spec)
 
 
+def _check_image_size(image_h, image_w):
+    """ConfigError unless an [image_h, image_w, 3] image fits (errors.fits)."""
+    if not fits((image_h, image_w), 3):
+        raise ConfigError(f"image_h and image_w must be integers >= 1 and fit np.empty, "
+                          f"got {(image_h, image_w)!r}")
+
+
 @dataclass(frozen=True)
 class CameraModel:
     """Pinhole camera: focal lengths and principal point (zero skew), rigid
@@ -84,26 +94,35 @@ class CameraModel:
     image_h: int
     image_w: int
 
-    def validate(self):
-        if not np.all(np.isfinite([self.fx, self.fy, self.cx, self.cy])):
-            raise ContractError(f"non-finite fx, fy, cx, cy {(self.fx, self.fy, self.cx, self.cy)}")
+    def __post_init__(self):
+        """ConfigError unless fx, fy, cx, cy are finite reals (not bools), fx
+        and fy positive, the image size fits, and world_to_cam is a finite 4x4
+        rotation and translation, which is kept as a read-only float64 copy."""
+        intrinsics = (self.fx, self.fy, self.cx, self.cy)
+        if not (all(of_kind(v, 0.0) for v in intrinsics) and finite(*intrinsics)):
+            raise ConfigError(f"fx, fy, cx, cy must be finite reals, got {intrinsics!r}")
         if self.fx <= 0 or self.fy <= 0:
-            raise ContractError(f"focal lengths must be positive, got {(self.fx, self.fy)}")
-        if self.image_h < 1 or self.image_w < 1:
-            raise ContractError(f"image size must be >= 1, got {(self.image_h, self.image_w)}")
-        w2c = np.asarray(self.world_to_cam, dtype=np.float64)
-        if w2c.shape != (4, 4) or not np.all(np.isfinite(w2c)):
-            raise ContractError(f"world_to_cam must be a finite 4x4 matrix, got {w2c.tolist()}")
+            raise ConfigError(f"focal lengths must be positive, got {(self.fx, self.fy)}")
+        _check_image_size(self.image_h, self.image_w)
+        try:
+            w2c = np.asarray(self.world_to_cam)
+        except ValueError:  # ragged nesting
+            w2c = np.asarray(None)
+        if w2c.dtype.kind not in "iuf" or w2c.shape != (4, 4) or not np.isfinite(w2c).all():
+            raise ConfigError(f"world_to_cam must be a finite 4x4 of numbers, "
+                              f"got {self.world_to_cam!r}")
+        w2c = w2c.astype(np.float64)
         r = w2c[:3, :3]
         if not np.allclose(r @ r.T, np.eye(3), atol=1e-9) or abs(np.linalg.det(r) - 1.0) > 1e-9:
-            raise ContractError("world_to_cam upper-left 3x3 is not a rotation")
-        return self
+            raise ConfigError("world_to_cam upper-left 3x3 is not a rotation")
+        w2c.flags.writeable = False
+        object.__setattr__(self, "world_to_cam", w2c)
 
     def scaled(self, factor: float) -> "CameraModel":
         """Camera for a feature map `factor` times smaller than the image.
 
         Uses the half-pixel-aligned rescale so that a feature cell covers
-        exactly a factor x factor pixel block.
+        exactly a factor x factor pixel block; ConfigError for a map of no cell.
         """
         return CameraModel(
             fx=self.fx / factor,
@@ -116,19 +135,12 @@ class CameraModel:
         )
 
     def to_json(self) -> dict:
+        """The fields as plain floats, ints and nested lists."""
         return {
-            "fx": self.fx, "fy": self.fy, "cx": self.cx, "cy": self.cy,
-            "world_to_cam": np.asarray(self.world_to_cam).tolist(),
-            "image_h": self.image_h, "image_w": self.image_w,
+            "fx": float(self.fx), "fy": float(self.fy), "cx": float(self.cx), "cy": float(self.cy),
+            "world_to_cam": self.world_to_cam.tolist(),
+            "image_h": int(self.image_h), "image_w": int(self.image_w),
         }
-
-    @staticmethod
-    def from_json(d: dict) -> "CameraModel":
-        return CameraModel(
-            fx=d["fx"], fy=d["fy"], cx=d["cx"], cy=d["cy"],
-            world_to_cam=np.asarray(d["world_to_cam"], dtype=np.float64),
-            image_h=d["image_h"], image_w=d["image_w"],
-        )
 
 
 def project_to_camera(refs: ReferenceGrid, cam: CameraModel):
@@ -139,8 +151,7 @@ def project_to_camera(refs: ReferenceGrid, cam: CameraModel):
     exceeds 1e-6 and (u, v) lies inside [0, image_w-1] x [0, image_h-1].
     Invisible entries carry uv = (0, 0) and must be masked downstream.
     """
-    cam.validate()
-    p = refs.points @ np.asarray(cam.world_to_cam).T  # [...,4]
+    p = refs.points @ cam.world_to_cam.T  # [...,4]
     z = p[..., 2]
     in_front = z > 1e-6
     safe_z = np.where(in_front, z, 1.0)
@@ -170,7 +181,9 @@ def make_camera(position, yaw: float, pitch_down: float, fx: float, fy: float,
                 image_h: int, image_w: int) -> CameraModel:
     """Camera at `position` looking along world yaw (radians, 0 = +x), tilted
     `pitch_down` radians below horizontal. Optical axis = camera +z, image
-    right = +x, image down = +y; principal point at the image center."""
+    right = +x, image down = +y; principal point at the image center.
+    ConfigError where the camera would not build."""
+    _check_image_size(image_h, image_w)
     cp, sp = np.cos(pitch_down), np.sin(pitch_down)
     cy_, sy_ = np.cos(yaw), np.sin(yaw)
     forward = np.array([cy_ * cp, sy_ * cp, -sp])
@@ -184,4 +197,4 @@ def make_camera(position, yaw: float, pitch_down: float, fx: float, fy: float,
     return CameraModel(
         fx=fx, fy=fy, cx=(image_w - 1) / 2.0, cy=(image_h - 1) / 2.0,
         world_to_cam=w2c, image_h=image_h, image_w=image_w,
-    ).validate()
+    )

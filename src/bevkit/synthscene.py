@@ -208,7 +208,7 @@ def render_cameras(boxes: Sequence[SceneBox], rig: Sequence[CameraModel],
     corners = [_box_corners_3d(box) for box in boxes]
     centers = [np.array([box.cx, box.cy, box.height / 2.0, 1.0]) for box in boxes]
     for vi, cam in enumerate(rig):
-        w2c = np.asarray(cam.world_to_cam)
+        w2c = cam.world_to_cam
         depths = [(w2c @ center)[2] for center in centers]
         planes.fill(0.0)
         for j in sorted(range(len(depths)), key=lambda j: -depths[j]):  # far first

@@ -115,7 +115,8 @@ def test_bad_n_scenes_is_config_error_before_anything_is_written(n_scenes, tmp_p
 
 # LiDAR shapes that are not two positive integers: a zero side would render
 # an empty LiDAR map that no manifest describes
-BAD_LIDAR_SHAPES = [(2.5, 3), (-1, 8), (0, 8), (8, 0), (4,), (4, 4, 4), (True, 4), "44", "ab", 4]
+BAD_LIDAR_SHAPES = [(2.5, 3), (-1, 8), (0, 8), (8, 0), (4,), (4, 4, 4), (True, 4), "44", "ab", 4,
+                    (2**62, 4)]
 
 
 @pytest.mark.parametrize("kw", [
@@ -141,13 +142,16 @@ BAD_LIDAR_SHAPES = [(2.5, 3), (-1, 8), (0, 8), (8, 0), (4,), (4, 4, 4), (True, 4
     dict(fx=0.0),
     dict(fx="1"),
     dict(fx=True),
+    pytest.param(dict(image_w=10**400), id="image_w=10**400"),
+    dict(image_w=2**62),
 ], ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()))
 def test_bad_seed_or_lidar_shape_is_config_error_before_anything_is_written(kw, tmp_path):
     """A seed that is not an integer in [0, 2**32), a LiDAR shape or image
-    size that is not two positive integers, or an fx that is not finite and
-    positive, is refused before the manifest or any record exists (a zero
-    side would write a dataset of empty LiDAR maps; seed 2**32 + 1 would
-    write seed 1's records)."""
+    size that is not two positive integers of an array numpy can hold, or an
+    fx that is not finite and positive, is refused before the manifest or
+    any record exists (a zero side would write a dataset of empty LiDAR
+    maps; seed 2**32 + 1 would write seed 1's records; the size 2**62 would
+    raise numpy's bare ValueError)."""
     args = {**TINY, "seed": 0, **kw}
     seed = args.pop("seed")
     with pytest.raises(ConfigError):
@@ -575,6 +579,15 @@ class TestManifestReader:
         (("grid",), [8, 8, 2]),
         (("grid", "h"), 8.5),
         (("grid", "h"), 0),
+        (("grid", "h"), 2**62),
+        (("grid", "h"), 10**30),
+        (("n_scenes",), 2**63),
+        (("lidar_shape",), [2**62, 4]),
+        (("cameras", 0, "image_w"), 2**62),
+        (("cameras", 0, "fx"), True),
+        (("cameras", 0, "world_to_cam", 3), [0.0, 0.0, 1.0]),
+        (("cameras", 0, "world_to_cam", 3, 3), "1"),
+        (("cameras", 0, "unknown"), 1.0),
         (("grid", "extent"), [-16.0, 16.0, -16.0]),
         (("grid", "z_range"), [3.0, -1.0]),
         (("cameras",), {}),

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from bevkit.errors import ConfigError, ContractError
+from bevkit.errors import ConfigError
 from bevkit.geometry import (
     BEVGridSpec,
     CameraModel,
@@ -98,6 +98,14 @@ class TestReferenceGrid:
         with pytest.raises(ConfigError):
             Detector(ModelConfig(), BEVGridSpec(**kw), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("h", [2**62, 10**30], ids=["2**62", "10**30"])
+    def test_a_grid_numpy_cannot_hold_is_config_error(self, h):
+        """A [d, h, w, 4] reference grid of more than sys.maxsize bytes is
+        refused when the spec is built; build_reference_grid would raise
+        numpy's bare ValueError."""
+        with pytest.raises(ConfigError, match="fit np.empty"):
+            BEVGridSpec(h=h, w=2, d=1)
+
     def test_numpy_sizes_and_integer_extents_are_accepted(self):
         spec = BEVGridSpec(h=np.int64(4), w=np.int32(3), d=2, extent=(-8, 8, -6, 6),
                            z_range=[np.int64(-1), 3])
@@ -179,8 +187,8 @@ class TestCameraProjection:
     def test_rotation_validation(self):
         bad = np.eye(4)
         bad[0, 0] = 2.0
-        with pytest.raises(ContractError):
-            CameraModel(fx=1, fy=1, cx=0, cy=0, world_to_cam=bad, image_h=4, image_w=4).validate()
+        with pytest.raises(ConfigError, match="rotation"):
+            CameraModel(fx=1, fy=1, cx=0, cy=0, world_to_cam=bad, image_h=4, image_w=4)
 
     @pytest.mark.parametrize("field,value", [
         ("fx", NAN),
@@ -191,11 +199,68 @@ class TestCameraProjection:
         ("world_to_cam", translated([NAN, 0.0, 0.0])),
         ("image_h", 0),
         ("image_w", -1),
-    ])
+        ("fx", True),
+        ("cy", "0"),
+        pytest.param("fy", 10**400, id="fy-10**400"),
+        ("image_h", 2.5),
+        ("image_w", "12"),
+        ("image_w", False),
+        ("image_h", 2**62),
+        pytest.param("image_w", 10**400, id="image_w-10**400"),
+        ("world_to_cam", [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+                          [0.0, 0.0, 0.0, 1.0]]),
+        ("world_to_cam", np.eye(4, dtype=bool)),
+        ("world_to_cam", np.eye(3)),
+        ("world_to_cam", "eye"),
+        ("world_to_cam", None),
+    ], ids=lambda v: v if isinstance(v, str) else None)
     def test_non_finite_or_empty_camera(self, field, value):
-        cam = identity_camera().validate()
-        with pytest.raises(ContractError):
-            dataclasses.replace(cam, **{field: value}).validate()
+        """A non-finite value, a bool, a string or an integer too large for a
+        float where a finite real is needed, an image size that is not an
+        integer >= 1 or whose image numpy cannot hold, and a pose that is not
+        a finite 4x4 of numbers (a ragged list included) are refused when
+        the camera is built."""
+        with pytest.raises(ConfigError):
+            dataclasses.replace(identity_camera(), **{field: value})
+
+    def test_pose_is_a_read_only_float64_copy(self):
+        pose = np.eye(4, dtype=np.int64)
+        cam = CameraModel(fx=5, fy=5.0, cx=0, cy=0.0, world_to_cam=pose, image_h=np.int64(3),
+                          image_w=4)
+        assert cam.world_to_cam.dtype == np.float64 and not cam.world_to_cam.flags.writeable
+        pose[0, 3] = 7
+        assert np.array_equal(cam.world_to_cam, np.eye(4))
+        with pytest.raises(ValueError, match="read-only"):
+            cam.world_to_cam[0, 3] = 7.0
+        assert (cam.fx, cam.cx, cam.image_h) == (5, 0, 3)  # the other fields as given
+        assert type(cam.fx) is int and type(cam.image_h) is np.int64
+
+    def test_json_round_trip(self):
+        cam = CameraModel(fx=5, fy=5.0, cx=0, cy=0.5, world_to_cam=translated([1.0, -2.0, 0.5]),
+                          image_h=np.int64(3), image_w=4)
+        plain = cam.to_json()
+        assert plain == {"fx": 5.0, "fy": 5.0, "cx": 0.0, "cy": 0.5,
+                         "world_to_cam": translated([1.0, -2.0, 0.5]).tolist(),
+                         "image_h": 3, "image_w": 4}
+        assert [type(plain[k]) for k in ("fx", "cx", "image_h")] == [float, float, int]
+        assert CameraModel(**plain).to_json() == plain
+
+    @pytest.mark.parametrize("size", [(1, 8), (8, 1)])
+    def test_a_camera_scaled_to_no_pixel_is_config_error(self, size):
+        """A 1-pixel side halves to 0 at the camera backbone's stride 2."""
+        cam = default_rig(image_h=size[0], image_w=size[1], fx=1.0)[0]
+        with pytest.raises(ConfigError, match="image_h and image_w"):
+            cam.scaled(2)
+
+    @pytest.mark.parametrize("kw", [dict(image_w="4"), dict(image_h=None), pytest.param(dict(image_w=10**400), id="image_w=10**400"),
+                                    dict(image_h=2**62), dict(fx=float("nan")), dict(fy=True)],
+                             ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()))
+    def test_make_camera_refuses_a_bad_size_or_focal_length(self, kw):
+        """The size is checked before make_camera's arithmetic on it, which
+        would raise TypeError or OverflowError."""
+        args = {**dict(fx=6.0, fy=6.0, image_h=12, image_w=16), **kw}
+        with pytest.raises(ConfigError):
+            make_camera([0.0, 0.0, 1.6], 0.0, 0.0, **args)
 
 
 class TestLidarProjection:

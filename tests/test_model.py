@@ -265,19 +265,18 @@ def test_a_rig_changed_in_place_gets_new_camera_pairs():
     assert after == fresh and after != before
 
 
-def test_a_camera_moved_in_place_gets_new_camera_pairs():
-    """Writing a camera's pose in place, in the same camera object, changes
-    what the camera branch sees: every mask gives the bytes of a fresh
-    detector, which differ from the ones before. Pairs keyed by the camera
-    objects would keep the old view."""
+def test_a_camera_cannot_be_moved_in_place():
+    """A camera's pose is a read-only copy, so no write in place can move a
+    camera under the pairs derived from it; a moved camera is a new camera
+    (test_a_rig_changed_in_place_gets_new_camera_pairs). The detector's
+    outputs stay those of a fresh detector."""
     det = noisy_detector()
     rig = cache_rig()
     sample = cache_scene(np.random.default_rng(12), rig)
     before = outputs(det, sample)
-    rig[0].world_to_cam[:3, 3] += [0.5, -0.25, 0.0]
-    after = outputs(det, sample)
-    assert after == outputs(fresh_copy(det), sample)
-    assert after[0][MASKS.index(CAMERA)] != before[0][MASKS.index(CAMERA)]
+    with pytest.raises(ValueError, match="read-only"):
+        rig[0].world_to_cam[:3, 3] += [0.5, -0.25, 0.0]
+    assert outputs(det, sample) == before == outputs(fresh_copy(det), sample)
 
 
 @pytest.mark.parametrize("shape", [(3, 12, 16, 3), (5, 12, 16, 3), (4, 6, 8, 3),

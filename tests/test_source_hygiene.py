@@ -5,7 +5,9 @@ private name (one leading underscore, not a dunder) is referenced somewhere
 in the package. A deletion that leaves an import or a helper behind fails
 here. No data-side module imports the model or its autodiff engine. Every
 raise names an exception type of errors.py or re-raises, so no entry point
-lets a bare ValueError or RuntimeError of its own escape."""
+lets a bare ValueError or RuntimeError of its own escape. Every frozen
+dataclass checks itself when built, in __post_init__, and no class has a
+validate method to be called, or forgotten, later."""
 
 import ast
 from pathlib import Path
@@ -155,3 +157,25 @@ def test_every_raise_names_an_error_type_or_re_raises(module):
     stray = [f"line {n.lineno}: raise {ast.unparse(n.exc)}" for n in ast.walk(tree)
              if isinstance(n, ast.Raise) and not is_error_type_or_re_raise(n.exc, caught)]
     assert not stray, f"{module} raises types that errors.py does not define: {stray}"
+
+
+def is_frozen_dataclass_decorator(node):
+    """Whether the decorator node is dataclass(frozen=True), plain or as
+    dataclasses.dataclass."""
+    if not isinstance(node, ast.Call):
+        return False
+    name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", "")
+    return name == "dataclass" and any(
+        k.arg == "frozen" and isinstance(k.value, ast.Constant) and k.value.value is True
+        for k in node.keywords)
+
+
+@pytest.mark.parametrize("module", list(TREES))
+def test_frozen_dataclasses_check_themselves_when_built(module):
+    classes = [n for n in ast.walk(TREES[module]) if isinstance(n, ast.ClassDef)]
+    methods = {c.name: {f.name for f in c.body if isinstance(f, ast.FunctionDef)} for c in classes}
+    unchecked = [c.name for c in classes if any(map(is_frozen_dataclass_decorator, c.decorator_list))
+                 and "__post_init__" not in methods[c.name]]
+    assert not unchecked, f"{module}: frozen dataclasses without __post_init__: {unchecked}"
+    with_validate = [name for name, defs in methods.items() if "validate" in defs]
+    assert not with_validate, f"{module}: classes that define validate: {with_validate}"
