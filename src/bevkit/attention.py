@@ -5,7 +5,8 @@ and K softmax-normalized weights. Head m samples its value map at the K
 points and weights the samples; heads are concatenated and output-projected.
 
 Which (map, query, reference point) pairs a block samples, and how much
-each query's sum over its pairs counts (its scale), is one ``Pairs`` value.
+each query's sum over its pairs counts (its scale, 1 where nothing scales),
+is one ``Pairs`` value, with (row, col) reference points for every sensor.
 It depends only on the grid and the sensor geometry, so it is built once
 (``encoders.camera_pairs`` per camera rig, ``BEVQuerySet.self_pairs`` per
 grid) and every layer reuses it. Offsets and weights depend only on the
@@ -43,27 +44,24 @@ class Pairs:
     """The (map, query, reference point) pairs one attention block samples:
     pair p has query qry_idx[p] sample map map_idx[p] around the (row, col)
     point base_pts[p]. A query's pairs are summed in pair order, which fixes
-    the float sum, and the sum is then multiplied by scale[q] (None: by 1).
-    The arrays are read-only copies, checked once, by ``tensor.pair_arrays``
-    (ShapeError, or ContractError for an index out of range).
+    the float sum, and the sum is then multiplied by scale[q]; the scale's
+    length T is the query count. The arrays are read-only float64 or intp
+    copies, checked once, by ``tensor.pair_arrays`` (ShapeError, or
+    ContractError for an index out of range).
     """
 
-    def __init__(self, map_idx, base_pts, qry_idx, n_maps: int, n_queries: int,
-                 scale=None):
-        own = []
-        for a in T.pair_arrays(map_idx, base_pts, qry_idx, n_maps, n_queries, scale, "Pairs"):
-            if a is not None:
-                a = np.array(a)
-                a.flags.writeable = False
-            own.append(a)
+    def __init__(self, map_idx, base_pts, qry_idx, n_maps: int, scale):
+        own = [np.array(a) for a in T.pair_arrays(map_idx, base_pts, qry_idx, n_maps,
+                                                  np.size(scale), scale, "Pairs")]
+        for a in own:
+            a.flags.writeable = False
         self.map_idx, self.base_pts, self.qry_idx, self.scale = own
-        self.n_maps, self.n_queries = n_maps, n_queries
+        self.n_maps = n_maps
 
     @classmethod
-    def one_map(cls, base_pts, scale=None) -> "Pairs":
+    def one_map(cls, base_pts, scale) -> "Pairs":
         """Query q samples one map around base_pts[q]: T pairs in query order."""
-        t = len(base_pts)
-        return cls(np.zeros(t, dtype=np.intp), base_pts, np.arange(t), 1, t, scale)
+        return cls(np.zeros(len(scale), dtype=np.intp), base_pts, np.arange(len(scale)), 1, scale)
 
 
 class DeformAttnParams:
@@ -158,21 +156,19 @@ def deform_attn_multi(queries: Tensor, maps: Tensor, pairs: Pairs,
     sampling is the queries' own (``_query_offsets_weights``) when a caller
     has it already, and is computed from them otherwise.
     ContractError unless B is the pairs' map count; ShapeError for T not the
-    pairs' query count or maps of another rank or width.
+    length of the pairs' scale (``tensor.deform_attend`` checks it) or maps
+    of another rank or width.
     """
     if maps.shape[:1] != (pairs.n_maps,):
         raise ContractError(f"deform_attn_multi: maps {maps.shape} for pairs over "
                             f"{pairs.n_maps} maps")
-    t = queries.shape[0]
-    if t != pairs.n_queries:
-        raise ShapeError(f"deform_attn_multi: {t} queries for pairs over {pairs.n_queries}")
     off, attn, blocks = sampling or Sampling(*_query_offsets_weights(queries, params))
     cells = T.reshape(maps, (-1, maps.shape[-1]))  # a view: no copy of the maps
     values = T.reshape(T.matmul(cells, params.value_w.tensor),
                        (*maps.shape[:-1], params.channels))
     attended = T.deform_attend(values, pairs.map_idx, pairs.base_pts, off, attn,
                                pairs.qry_idx, pairs.scale, blocks)
-    return T.matmul(T.reshape(attended, (t, params.channels)), params.out_w.tensor)
+    return T.matmul(T.reshape(attended, (-1, params.channels)), params.out_w.tensor)
 
 
 def query_half(tokens: Tensor, grid_hw, self_pairs: Pairs,

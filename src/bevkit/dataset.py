@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DataError, fits, of_kind
 from .geometry import BEVGridSpec, CameraModel
-from .rng import SEED_LIMIT, seeded_rng
+from .rng import is_word, seeded_rng
 from .synthscene import (
     FX,
     IMAGE_H,
@@ -135,7 +135,7 @@ def generate_dataset(root, n_scenes: int, seed: int, params: SceneParams,
     leaves no directory that opens as a dataset."""
     params.center_bounds(spec)
     _check_n_scenes(n_scenes)
-    if not of_kind(seed, 0) or not 0 <= seed < SEED_LIMIT:
+    if not is_word(seed):
         raise ConfigError(f"seed must be an integer in [0, 2**32), got {seed!r}")
     _check_lidar_shape(lidar_shape)
     rig = default_rig(image_h=image_h, image_w=image_w, fx=fx)

@@ -1,13 +1,14 @@
 """Per-modality BEV feature construction from shared queries.
 
 Both sensors run one encoder body, ``encode_bev``. They differ only in where
-each BEV pillar's D reference points land on their feature maps, and this
-module turns that geometry into cross-attention ``Pairs``: one pair per
-visible (view, level, query) for the cameras (``camera_pairs``, from
-``geometry.project_to_camera``), and one pair per query, its sum scaled by
-D, for the LiDAR map, whose projection drops z (``lidar_pairs``). Each
+each BEV pillar's D reference points land, as (row, col), on their feature
+maps, and this module turns that geometry into cross-attention ``Pairs``:
+one pair per visible (view, level, query) for the cameras (``camera_pairs``,
+from ``geometry.project_to_camera``), and one pair per query, its sum scaled
+by D, for the LiDAR map, whose projection drops z (``lidar_pairs``). Each
 builder folds ``normalize_by_hits`` (BEVFormer's division by the hit count)
-into that per-query scale, so no encoder layer reads the flag.
+into that per-query scale, and every query has one (1 where nothing
+scales), so no encoder layer reads the flag.
 
 Each layer is ``attention.map_half`` of ``attention.query_half``.
 At inference the first layer's query half (its self-attention over the BEV
@@ -32,7 +33,7 @@ from .tensor import Parameter, Tensor
 
 
 class BEVQuerySet:
-    """Learnable BEV queries plus their reference grid.
+    """Learnable BEV queries plus their reference grid [D,H,W,4].
 
     mode="shared" exposes one parameter object to both encoders (the coupling
     that aligns the two feature spaces); mode="separate" gives each modality
@@ -47,9 +48,9 @@ class BEVQuerySet:
         self.channels = channels
         self.mode = mode
         self.refs = build_reference_grid(spec)
-        r, c = np.meshgrid(np.arange(spec.h), np.arange(spec.w), indexing="ij")
         # self-attention: each token samples the token map around its own cell
-        self.self_pairs = Pairs.one_map(np.stack([r.reshape(-1), c.reshape(-1)], axis=1))
+        self.self_pairs = Pairs.one_map(np.indices((spec.h, spec.w)).reshape(2, -1).T,
+                                        np.ones(spec.h * spec.w))
         shape = (spec.h, spec.w, channels)
         scale = 1.0 / np.sqrt(channels)
         if mode == "shared":
@@ -75,31 +76,31 @@ class BEVQuerySet:
         return [seen[k] for k in sorted(seen)]
 
 
-def camera_pairs(projections: Sequence, n_queries: int, normalize_by_hits: bool) -> Pairs:
+def camera_pairs(projections: Sequence, normalize_by_hits: bool) -> Pairs:
     """Cross-attention pairs of V camera views on their V maps, one per
     visible (view, pillar level, query): views outer, then levels, then
-    queries ascending. projections[v] is view v's (uv [D,H,W,2], visible
-    [D,H,W]) from ``project_to_camera``, H*W = n_queries; uv is (u, v), a
-    base point (row, col). With normalize_by_hits a query's sum is divided
-    by its pair count (at least 1)."""
+    queries ascending. projections[v] is view v's (rc [D,H,W,2], visible
+    [D,H,W]) from ``project_to_camera``, whose H*W cells are the queries.
+    Each query's sum is scaled by 1, or with normalize_by_hits divided by
+    its pair count (at least 1)."""
     if not projections:
         raise ContractError("camera_pairs: no camera views")
-    shape = (len(projections), -1, n_queries)  # [V, D, T]
-    view, level, qry = np.nonzero(np.stack([vis for _, vis in projections]).reshape(shape))
-    rc = np.stack([uv for uv, _ in projections]).reshape(*shape, 2)[view, level, qry, ::-1]
-    hits = np.bincount(qry, minlength=n_queries)
-    scale = 1.0 / np.maximum(hits, 1) if normalize_by_hits else None
-    return Pairs(view, np.ascontiguousarray(rc), qry, len(projections), n_queries, scale)
+    visible = np.stack([vis for _, vis in projections])
+    v, d, t = *visible.shape[:2], visible[0, 0].size
+    view, level, qry = np.nonzero(visible.reshape(v, d, t))
+    rc = np.stack([rc for rc, _ in projections]).reshape(v, d, t, 2)[view, level, qry]
+    hits = np.bincount(qry, minlength=t)
+    scale = 1.0 / np.maximum(hits, 1) if normalize_by_hits else np.ones(t)
+    return Pairs(view, rc, qry, v, scale)
 
 
-def lidar_pairs(refs, map_hw, normalize_by_hits: bool) -> Pairs:
-    """Cross-attention pairs of the LiDAR map [H_L,W_L]: it drops z, so the D
-    pillar levels of a query are one pair whose sum is scaled by D, or by
-    D/D = 1 with normalize_by_hits."""
-    rc = project_to_lidar(refs, map_hw)
+def lidar_pairs(refs, extent, map_hw, normalize_by_hits: bool) -> Pairs:
+    """Cross-attention pairs of the LiDAR map [H_L,W_L] over extent: it
+    drops z, so the D pillar levels of a query are one pair whose sum is
+    scaled by D, or by D/D = 1 with normalize_by_hits."""
+    rc = project_to_lidar(refs, extent, map_hw)
     depth, t = rc.shape[0], rc[0].size // 2
-    scale = None if depth == 1 or normalize_by_hits else np.full(t, float(depth))
-    return Pairs.one_map(rc[0].reshape(t, 2), scale)
+    return Pairs.one_map(rc[0].reshape(t, 2), np.full(t, 1.0 if normalize_by_hits else depth))
 
 
 def encode_bev(queries: BEVQuerySet, modality: str, maps: Tensor, pairs: Pairs,

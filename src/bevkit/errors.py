@@ -1,10 +1,12 @@
-"""Exception types shared across the package, and the kind, finiteness
-and size checks of configuration dataclasses."""
+"""Exception types shared across the package, the kind, finiteness and
+size checks of configuration dataclasses, and the check of loaded arrays."""
 
 import dataclasses
 import math
 import numbers
 import sys
+
+import numpy as np
 
 
 class ShapeError(ValueError):
@@ -65,6 +67,13 @@ def fits(sizes, per_cell: int) -> bool:
     values a cell, that np.empty can make: sys.maxsize bytes (memory aside)."""
     return (all(of_kind(n, 0) and n >= 1 for n in sizes)
             and math.prod(map(int, sizes)) * per_cell * 8 <= sys.maxsize)
+
+
+def real_floats(value, shape) -> bool:
+    """Whether value is a numpy array of finite real floats (any width) of
+    this shape, which a loader may copy into float64 state; a list is not."""
+    return (isinstance(value, np.ndarray) and value.dtype.kind == "f"
+            and value.shape == tuple(shape) and bool(np.isfinite(value).all()))
 
 
 def of_kind(value, like) -> bool:

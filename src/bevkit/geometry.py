@@ -1,4 +1,5 @@
-"""BEV reference grid and its projections into sensor feature coordinates.
+"""BEV reference grid and its projections into sensor feature coordinates,
+(row, col) on every sensor's map.
 
 The grid uses a cell-center convention throughout: cell (h, w) at pillar
 level z sits at (x_min + (w+0.5)dx, y_min + (h+0.5)dy, z_min + (z+0.5)dz).
@@ -43,25 +44,14 @@ class BEVGridSpec:
             raise ConfigError(f"degenerate extent {self.extent} / z_range {self.z_range}")
 
 
-class ReferenceGrid:
-    """Homogeneous 3D anchor points, D per BEV cell, shape [D,H,W,4]."""
-
-    def __init__(self, points: np.ndarray, spec: BEVGridSpec):
-        self.points = points
-        self.spec = spec
-
-    @property
-    def shape(self):
-        return self.points.shape
-
-
 def cell_centers(lo: float, hi: float, n: int) -> np.ndarray:
     """Centers of n equal cells over [lo, hi]: the BEV-to-LiDAR identity rests on it."""
     return lo + (np.arange(n) + 0.5) * (hi - lo) / n
 
 
-def build_reference_grid(spec: BEVGridSpec) -> ReferenceGrid:
-    """Cell-center anchors: (z,h,w) -> (x(w), y(h), z(z), 1)."""
+def build_reference_grid(spec: BEVGridSpec) -> np.ndarray:
+    """Homogeneous cell-center anchors [D,H,W,4], D per BEV cell:
+    (z,h,w) -> (x(w), y(h), z(z), 1)."""
     xs = cell_centers(*spec.extent[:2], spec.w)
     ys = cell_centers(*spec.extent[2:], spec.h)
     zs = cell_centers(*spec.z_range, spec.d)
@@ -70,7 +60,7 @@ def build_reference_grid(spec: BEVGridSpec) -> ReferenceGrid:
     pts[..., 1] = ys[None, :, None]
     pts[..., 2] = zs[:, None, None]
     pts[..., 3] = 1.0
-    return ReferenceGrid(pts, spec)
+    return pts
 
 
 def _check_image_size(image_h, image_w):
@@ -78,6 +68,17 @@ def _check_image_size(image_h, image_w):
     if not fits((image_h, image_w), 3):
         raise ConfigError(f"image_h and image_w must be integers >= 1 and fit np.empty, "
                           f"got {(image_h, image_w)!r}")
+
+
+def _finite_numbers(value, shape):
+    """value as a float64 copy if it is an array of that shape of finite
+    numbers (integers or reals, not bools or strings), else None."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # ragged nesting
+        return None
+    ok = a.dtype.kind in "iuf" and a.shape == shape and np.isfinite(a).all()
+    return a.astype(np.float64) if ok else None
 
 
 @dataclass(frozen=True)
@@ -104,14 +105,10 @@ class CameraModel:
         if self.fx <= 0 or self.fy <= 0:
             raise ConfigError(f"focal lengths must be positive, got {(self.fx, self.fy)}")
         _check_image_size(self.image_h, self.image_w)
-        try:
-            w2c = np.asarray(self.world_to_cam)
-        except ValueError:  # ragged nesting
-            w2c = np.asarray(None)
-        if w2c.dtype.kind not in "iuf" or w2c.shape != (4, 4) or not np.isfinite(w2c).all():
+        w2c = _finite_numbers(self.world_to_cam, (4, 4))
+        if w2c is None:
             raise ConfigError(f"world_to_cam must be a finite 4x4 of numbers, "
                               f"got {self.world_to_cam!r}")
-        w2c = w2c.astype(np.float64)
         r = w2c[:3, :3]
         if not np.allclose(r @ r.T, np.eye(3), atol=1e-9) or abs(np.linalg.det(r) - 1.0) > 1e-9:
             raise ConfigError("world_to_cam upper-left 3x3 is not a rotation")
@@ -122,8 +119,12 @@ class CameraModel:
         """Camera for a feature map `factor` times smaller than the image.
 
         Uses the half-pixel-aligned rescale so that a feature cell covers
-        exactly a factor x factor pixel block; ConfigError for a map of no cell.
+        exactly a factor x factor pixel block; ConfigError unless factor is a
+        real > 0 (not a bool) that leaves the map a finite, non-zero size.
         """
+        if not (of_kind(factor, 0.0) and factor > 0
+                and finite(max(self.image_h, self.image_w) / factor)):
+            raise ConfigError(f"scale factor {factor!r} is not a real > 0 giving a finite size")
         return CameraModel(
             fx=self.fx / factor,
             fy=self.fy / factor,
@@ -143,37 +144,38 @@ class CameraModel:
         }
 
 
-def project_to_camera(refs: ReferenceGrid, cam: CameraModel):
-    """Project anchors into camera feature coordinates.
+def project_to_camera(refs: np.ndarray, cam: CameraModel):
+    """Project anchors refs [...,4] into camera feature coordinates.
 
-    Returns (uv, visible): uv[...,0] is the horizontal coordinate u,
-    uv[...,1] the vertical v. A point is visible iff its camera depth
-    exceeds 1e-6 and (u, v) lies inside [0, image_w-1] x [0, image_h-1].
-    Invisible entries carry uv = (0, 0) and must be masked downstream.
+    Returns (rc, visible): rc[...,0] is the row, the vertical image
+    coordinate v, and rc[...,1] the column, the horizontal u. A point is
+    visible iff its camera depth exceeds 1e-6 and (u, v) lies inside
+    [0, image_w-1] x [0, image_h-1]. Invisible entries carry rc = (0, 0) and
+    must be masked downstream.
     """
-    p = refs.points @ cam.world_to_cam.T  # [...,4]
+    p = refs @ cam.world_to_cam.T  # [...,4]
     z = p[..., 2]
     in_front = z > 1e-6
     safe_z = np.where(in_front, z, 1.0)
     u = cam.fx * p[..., 0] / safe_z + cam.cx
     v = cam.fy * p[..., 1] / safe_z + cam.cy
     visible = in_front & (u >= 0.0) & (u <= cam.image_w - 1.0) & (v >= 0.0) & (v <= cam.image_h - 1.0)
-    uv = np.stack([np.where(visible, u, 0.0), np.where(visible, v, 0.0)], axis=-1)
-    return uv, visible
+    rc = np.stack([np.where(visible, v, 0.0), np.where(visible, u, 0.0)], axis=-1)
+    return rc, visible
 
 
-def project_to_lidar(refs: ReferenceGrid, lidar_shape: Tuple[int, int]) -> np.ndarray:
-    """Affine map from world (x, y) onto LiDAR grid (row, col) coordinates.
+def project_to_lidar(refs: np.ndarray, extent, lidar_shape: Tuple[int, int]) -> np.ndarray:
+    """Affine map from the world (x, y) of anchors refs [...,4] onto LiDAR
+    grid (row, col) coordinates.
 
-    The LiDAR grid covers the same extent as the BEV spec; with matching
-    resolution, cell centers land exactly on their own indices. The map drops
-    z, so all D levels share the same 2D coordinates.
+    The LiDAR grid covers extent, the BEV spec's (x_min, x_max, y_min,
+    y_max); with matching resolution, cell centers land exactly on their own
+    indices. The map drops z, so all D levels share the same 2D coordinates.
     """
     h_l, w_l = lidar_shape
-    spec = refs.spec
-    x_min, x_max, y_min, y_max = spec.extent
-    col = (refs.points[..., 0] - x_min) / (x_max - x_min) * w_l - 0.5
-    row = (refs.points[..., 1] - y_min) / (y_max - y_min) * h_l - 0.5
+    x_min, x_max, y_min, y_max = extent
+    col = (refs[..., 0] - x_min) / (x_max - x_min) * w_l - 0.5
+    row = (refs[..., 1] - y_min) / (y_max - y_min) * h_l - 0.5
     return np.stack([row, col], axis=-1)
 
 
@@ -182,8 +184,14 @@ def make_camera(position, yaw: float, pitch_down: float, fx: float, fy: float,
     """Camera at `position` looking along world yaw (radians, 0 = +x), tilted
     `pitch_down` radians below horizontal. Optical axis = camera +z, image
     right = +x, image down = +y; principal point at the image center.
-    ConfigError where the camera would not build."""
+    ConfigError unless position is 3 finite numbers, yaw and pitch_down
+    finite reals (not bools), and the camera builds."""
     _check_image_size(image_h, image_w)
+    pos = _finite_numbers(position, (3,))
+    if pos is None or not (of_kind(yaw, 0.0) and of_kind(pitch_down, 0.0)
+                           and finite(yaw, pitch_down)):
+        raise ConfigError(f"position must be 3 finite numbers and yaw, pitch_down finite "
+                          f"reals, got {position!r}, {yaw!r}, {pitch_down!r}")
     cp, sp = np.cos(pitch_down), np.sin(pitch_down)
     cy_, sy_ = np.cos(yaw), np.sin(yaw)
     forward = np.array([cy_ * cp, sy_ * cp, -sp])
@@ -193,7 +201,7 @@ def make_camera(position, yaw: float, pitch_down: float, fx: float, fy: float,
     r_cw = np.stack([right, down, forward], axis=1)  # camera axes as world columns
     w2c = np.eye(4)
     w2c[:3, :3] = r_cw.T
-    w2c[:3, 3] = -r_cw.T @ np.asarray(position, dtype=np.float64)
+    w2c[:3, 3] = -r_cw.T @ pos
     return CameraModel(
         fx=fx, fy=fy, cx=(image_w - 1) / 2.0, cy=(image_h - 1) / 2.0,
         world_to_cam=w2c, image_h=image_h, image_w=image_w,

@@ -18,7 +18,7 @@ from .attention import EncoderLayerParams, Pairs, Sampling, query_half
 from .detection import BoxPrediction, DecoderParams, decode, decode_raw, set_loss
 from .encoders import (BEVQuerySet, camera_pairs, encode_camera_bev, encode_lidar_bev,
                        lidar_pairs, make_encoder_layers)
-from .errors import ConfigError, ContractError, check_field_kinds
+from .errors import ConfigError, ContractError, check_field_kinds, real_floats
 from .fusion import FusionWeights, ModalityMask, fuse
 from .geometry import BEVGridSpec, CameraModel, project_to_camera
 from .synthscene import RenderedSample
@@ -171,17 +171,16 @@ class Detector:
         return {p.name: p.tensor.data.copy() for p in self.parameters()}
 
     def load_arrays(self, arrays: Dict[str, np.ndarray]):
-        """Copy the named arrays into the parameters. Every name and shape is
-        checked before any parameter is written, so a ConfigError leaves the
-        detector as it was."""
+        """Copy the named arrays into the parameters. Every name, and that each
+        array is ``errors.real_floats`` of its parameter's shape, is checked
+        before any parameter is written: a ConfigError leaves it as it was."""
         params = self.parameters()
         for p in params:
             if p.name not in arrays:
                 raise ConfigError(f"checkpoint is missing parameter {p.name}")
-            if tuple(arrays[p.name].shape) != p.tensor.shape:
-                raise ConfigError(
-                    f"checkpoint shape {arrays[p.name].shape} != {p.tensor.shape} for {p.name}"
-                )
+            if not real_floats(arrays[p.name], p.tensor.shape):
+                raise ConfigError(f"checkpoint {p.name} must be finite real floats of shape "
+                                  f"{p.tensor.shape}")
         for p in params:
             p.tensor.data[:] = arrays[p.name]
 
@@ -205,7 +204,7 @@ class Detector:
         stride = self.cam_backbone.stride
         return self._derive("camera_pairs", _array_key(rig), lambda: camera_pairs(
             [project_to_camera(self.queries.refs, cam.scaled(stride)) for cam in cams],
-            self.spec.h * self.spec.w, self.cfg.normalize_by_hits))
+            self.cfg.normalize_by_hits))
 
     def _first_half(self, modality: str, maps_shape, pairs: Pairs,
                     layer: EncoderLayerParams) -> Optional[Tuple[Tensor, Sampling]]:
@@ -223,7 +222,7 @@ class Detector:
                                       self.queries.self_pairs, layer)
             sampling = sampling._replace(blocks=T.attend_blocks(
                 maps_shape[:3], pairs.map_idx, pairs.base_pts, sampling.offsets, sampling.attn,
-                pairs.qry_idx))
+                pairs.qry_idx, pairs.scale))
             for t in (x1, sampling.offsets, sampling.attn):
                 t.data.flags.writeable = False
             return x1, sampling
@@ -248,7 +247,7 @@ class Detector:
             feat_l = self.lidar_backbone.forward(sample.lidar_grid[None])
             hw = feat_l.shape[1:3]
             pairs = self._derive("lidar_pairs", hw, lambda: lidar_pairs(
-                self.queries.refs, hw, self.cfg.normalize_by_hits))
+                self.queries.refs, self.spec.extent, hw, self.cfg.normalize_by_hits))
             half = self._first_half("lidar", feat_l.shape, pairs, self.lidar_layers[0])
             lidar_bev = encode_lidar_bev(self.queries, feat_l, pairs, self.lidar_layers, half)
         return cam_bev, lidar_bev

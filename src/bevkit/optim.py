@@ -6,7 +6,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, of_kind
+from .errors import ConfigError, ContractError, of_kind, real_floats
 from .tensor import Parameter
 
 # Kingma and Ba's moment decay rates and denominator offset (arXiv 1412.6980)
@@ -61,29 +61,24 @@ class Adam:
 
     def load_state_arrays(self, arrays: Dict[str, np.ndarray]):
         """Restore ``state_arrays()`` output as float64 copies. Every key,
-        shape, moment and the step are checked before any state changes; a
-        missing key, a wrong shape, a moment that is not finite real floats
-        (step's in-place updates refuse integers), a negative second moment
-        (its square root puts NaN in the parameters) or a step that is not a
-        finite non-negative integer is a ConfigError."""
+        array and the step are checked before any state changes; a missing
+        key, an array that is not ``errors.real_floats`` of its shape (step's
+        in-place updates refuse integers), a negative second moment (its
+        square root puts NaN in the parameters) or a step that is not a
+        non-negative integer is a ConfigError."""
         want = {"opt.step": (1,), **{f"opt.{moment}.{p.name}": p.data.shape
                                      for p in self.params for moment in "mv"}}
         for key, shape in want.items():
             if key not in arrays:
                 raise ConfigError(f"optimizer state is missing {key}")
-            if np.shape(arrays[key]) != shape:
-                raise ConfigError(
-                    f"optimizer state shape {np.shape(arrays[key])} != {shape} for {key}")
-        moments = {key: np.asarray(arrays[key]) for key in want if key != "opt.step"}
-        for key, a in moments.items():
-            if not (a.dtype.kind == "f" and np.all(np.isfinite(a))
-                    and not (key.startswith("opt.v.") and np.any(a < 0))):
-                raise ConfigError(f"optimizer state {key} must hold finite real floats, "
-                                  f"non-negative in a second moment (dtype {a.dtype})")
+            a = arrays[key]
+            if not real_floats(a, shape) or (key.startswith("opt.v.") and np.any(a < 0)):
+                raise ConfigError(f"optimizer state {key} must be finite real floats of shape "
+                                  f"{shape}, non-negative in a second moment")
         step = float(arrays["opt.step"][0])
-        if not (np.isfinite(step) and step >= 0 and step == int(step)):
+        if not (step >= 0 and step == int(step)):
             raise ConfigError(f"optimizer step must be a non-negative integer, got {step}")
         self.t = int(step)
         for p in self.params:
-            self.m[p.name] = moments[f"opt.m.{p.name}"].astype(np.float64)
-            self.v[p.name] = moments[f"opt.v.{p.name}"].astype(np.float64)
+            self.m[p.name] = arrays[f"opt.m.{p.name}"].astype(np.float64)
+            self.v[p.name] = arrays[f"opt.v.{p.name}"].astype(np.float64)

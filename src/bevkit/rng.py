@@ -11,7 +11,7 @@ import zlib
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, of_kind
 
 # seeds and integer tags are 32-bit words of the entropy: one outside [0,
 # SEED_LIMIT) would fold onto one inside, and two datasets meant to differ
@@ -19,16 +19,10 @@ from .errors import ContractError
 SEED_LIMIT = 2**32
 
 
-def _word(value, what: str) -> int:
-    """value as a 32-bit word of the entropy; ContractError unless it is an
-    integer (a bool or a float is not, though int() would take it) in [0,
-    2**32)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ContractError(f"seeded_rng: {what} {value!r} is not an integer")
-    word = int(value)
-    if not 0 <= word < SEED_LIMIT:
-        raise ContractError(f"seeded_rng: {what} {value!r} is outside [0, 2**32)")
-    return word
+def is_word(value) -> bool:
+    """Whether value is a 32-bit word of the entropy: an integer (a bool or a
+    float is not, though int() would take it) in [0, 2**32)."""
+    return of_kind(value, 0) and 0 <= value < SEED_LIMIT
 
 
 def seeded_rng(seed: int, *tags) -> np.random.Generator:
@@ -36,10 +30,9 @@ def seeded_rng(seed: int, *tags) -> np.random.Generator:
     seed and every integer tag must be integers in [0, 2**32), and every
     other tag a string (ContractError otherwise): seeded_rng(1.5) or a tag
     True would otherwise key the stream of 1, a tag 2.0 that of "2.0"."""
-    entropy = [_word(seed, "seed")]
-    for tag in tags:
-        if isinstance(tag, str):
-            entropy.append(zlib.crc32(tag.encode("utf-8")))
-        else:
-            entropy.append(_word(tag, "tag"))
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    words = [seed, *(zlib.crc32(t.encode("utf-8")) if isinstance(t, str) else t for t in tags)]
+    for word in words:
+        if not is_word(word):
+            raise ContractError(f"seeded_rng: seed or tag {word!r} is not an integer or is "
+                                f"outside [0, 2**32)")
+    return np.random.default_rng(np.random.SeedSequence(list(map(int, words))))

@@ -921,17 +921,16 @@ class _Blocks(tuple):
 
 
 def pair_arrays(map_idx, base_pts, qry_idx, n_maps: int, n_queries: int, scale, what: str):
-    """The pairs' arrays as intp, float64, intp and float64-or-None, copied
-    only to cast. ShapeError unless map_idx, base_pts [P,2] and qry_idx agree
-    on P with integer indices and scale is None or [n_queries]; ContractError
-    unless map_idx lies in [0, n_maps) and qry_idx in [0, n_queries)."""
+    """The pairs' arrays as intp, float64, intp and float64, copied only to
+    cast. ShapeError unless map_idx, base_pts [P,2] and qry_idx agree on P
+    with integer indices and scale is [n_queries]; ContractError unless
+    map_idx lies in [0, n_maps) and qry_idx in [0, n_queries)."""
     map_idx = index_array(map_idx, f"{what}: map_idx").astype(np.intp, copy=False)
     qry_idx = index_array(qry_idx, f"{what}: qry_idx").astype(np.intp, copy=False)
     base_pts = np.asarray(base_pts, dtype=np.float64)
-    scale = None if scale is None else np.asarray(scale, dtype=np.float64)
+    scale = np.asarray(scale, dtype=np.float64)
     p = qry_idx.size
-    shapes = (map_idx.shape, base_pts.shape, qry_idx.shape,
-              (n_queries,) if scale is None else scale.shape)
+    shapes = (map_idx.shape, base_pts.shape, qry_idx.shape, scale.shape)
     if shapes != ((p,), (p, 2), (p,), (n_queries,)):
         raise ShapeError(f"{what}: map_idx, base_pts, qry_idx and scale are {shapes}, "
                          f"not [P], [P,2], [P] and [{n_queries}]")
@@ -957,17 +956,17 @@ def _check_points(b: int, offsets: Tensor, attn: Tensor, map_idx, base_pts, qry_
 
 
 def attend_blocks(maps_bhw, map_idx, base_pts, offsets: Tensor, attn: Tensor,
-                  qry_idx) -> tuple:
+                  qry_idx, scale) -> tuple:
     """The block matrices that ``deform_attend`` multiplies out when no
     backward follows, for the same points on B maps of H x W (maps_bhw is
     (B, H, W)), as a tuple that also carries maps_bhw; the other arguments
-    are deform_attend's. They depend on the points and the maps' shape only,
-    so a caller that samples many maps of one shape at the same points
-    builds them once and hands them to each call. Their arrays are
-    read-only.
+    are deform_attend's, and scale is only checked. They depend on the
+    points and the maps' shape only, so a caller that samples many maps of
+    one shape at the same points builds them once and hands them to each
+    call. Their arrays are read-only.
     """
     map_idx, base_pts, qry_idx, _ = _check_points(maps_bhw[0], offsets, attn, map_idx,
-                                                  base_pts, qry_idx, None, "attend_blocks")
+                                                  base_pts, qry_idx, scale, "attend_blocks")
     built = _plan_blocks(maps_bhw, map_idx, base_pts, offsets.data, attn.data, qry_idx)
     blocks = _Blocks((mat for _, mat, _ in built), maps_bhw)
     for mat in blocks:
@@ -977,7 +976,7 @@ def attend_blocks(maps_bhw, map_idx, base_pts, offsets: Tensor, attn: Tensor,
 
 
 def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
-                  attn: Tensor, qry_idx, scale=None, blocks=None) -> Tensor:
+                  attn: Tensor, qry_idx, scale, blocks=None) -> Tensor:
     """Fused deformable-attention gather over per-head value maps, summed and
     scaled per query.
 
@@ -986,8 +985,9 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
     base_pts[p] on map map_idx[p], head m samples its own block at base +
     offsets[qry_idx[p], m, k] and combines its K points with attn[qry_idx[p],
     m, k]; the [M, D] rows of the pairs of each query are summed, in pair
-    order, and the sum of query q is multiplied by scale[q] (when given), into
-    the output [T, M, D]. A query without pairs gets zeros. Read as the table
+    order, and the sum of query q is multiplied by scale[q] (1 where nothing
+    scales, which changes no bit) into the output [T, M, D]. A query without
+    pairs gets zeros. Read as the table
     ``feats.reshape(B*H*W*M, D)``, head m's corners are the rows
     ``cell*M + m``, so every head's samples come from sparse matmuls,
     without the [P,M,K,D] intermediates of sampling every point first.
@@ -1080,8 +1080,7 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
     pairs = pairs.reshape(p, m * hd)
     if not in_order:
         pairs = _sum_pairs(pairs, qry_idx, t)
-    if scale is not None:
-        pairs *= scale[:, None]
+    pairs *= scale[:, None]
     out = pairs.reshape(t, m, hd)
     if not record:
         return Tensor(out)
@@ -1095,9 +1094,7 @@ def deform_attend(feats: Tensor, map_idx, base_pts: np.ndarray, offsets: Tensor,
         return _sum_pairs(d.reshape(p, -1), qry_idx, t).reshape(shape)
 
     def vjp(g):
-        g2 = g.reshape(t, m * hd)
-        if scale is not None:
-            g2 = g2 * scale[:, None]
+        g2 = g.reshape(t, m * hd) * scale[:, None]
         if not in_order:
             # the sum's vjp: each pair reads its query's row
             g2 = np.take(g2, qry_idx, axis=0)

@@ -107,14 +107,12 @@ def _attend(feats, map_idx, base_pts, offsets, attn, qry_idx, scale, grads):
     rows, s_attn, tables = pair_rows(feats, map_idx, base_pts, offsets, attn, qry_idx)
     out = np.zeros((t, m, ch))
     np.add.at(out, qry_idx, rows)
-    if scale is not None:
-        out = out * np.asarray(scale)[:, None, None]
+    out = out * np.asarray(scale)[:, None, None]
     attnp = attn.data[qry_idx]
     flat = feats.data.reshape(b * h * w * m, ch)
 
     def vjp(g):
-        if scale is not None:
-            g = g * np.asarray(scale)[:, None, None]
+        g = g * np.asarray(scale)[:, None, None]
         g2 = g[qry_idx].reshape(p * m, ch)
         if feats.requires_grad:
             T._accum(feats, (s_attn.T @ g2).reshape(feats.shape), own=True)
@@ -168,13 +166,13 @@ def jet_grads(tables, flat, g2):
 # building them, so the references take them and build their own
 
 
-def deform_attend_reference(feats, map_idx, base_pts, offsets, attn, qry_idx, scale=None,
+def deform_attend_reference(feats, map_idx, base_pts, offsets, attn, qry_idx, scale,
                             blocks=None):
     return _attend(feats, map_idx, base_pts, offsets, attn, qry_idx, scale, corner_dot_grads)
 
 
 def deform_attend_jet_reference(feats, map_idx, base_pts, offsets, attn, qry_idx,
-                                scale=None, blocks=None):
+                                scale, blocks=None):
     return _attend(feats, map_idx, base_pts, offsets, attn, qry_idx, scale, jet_grads)
 
 

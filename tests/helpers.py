@@ -61,20 +61,20 @@ def check_grads(build_loss, arrays, requires=None, h=1e-5, tol=1e-4):
     return worst
 
 
-def source_pairs(sources, n_maps, n_queries, scale=None):
+def source_pairs(sources, n_maps, scale):
     """Pairs of sources (map index, refs [T,2], visible [T] bool or None):
     each source's visible queries in ascending order, one source after the
-    other, with the per-query scale [T] (None: 1)."""
+    other, with the per-query scale [T]."""
     from bevkit.attention import Pairs
 
     map_idx, base, qry = [], [], []
     for m, refs, visible in sources:
-        q = np.arange(n_queries) if visible is None else np.nonzero(visible)[0]
+        q = np.arange(len(scale)) if visible is None else np.nonzero(visible)[0]
         map_idx.append(np.full(q.size, m))
         base.append(np.asarray(refs)[q])
         qry.append(q)
     return Pairs(np.concatenate(map_idx), np.concatenate(base), np.concatenate(qry), n_maps,
-                 n_queries, scale)
+                 scale)
 
 
 def grid_pairs(h, w):
@@ -82,7 +82,8 @@ def grid_pairs(h, w):
     from bevkit.attention import Pairs
 
     r, c = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    return Pairs.one_map(np.stack([r.reshape(-1), c.reshape(-1)], axis=1).astype(np.float64))
+    return Pairs.one_map(np.stack([r.reshape(-1), c.reshape(-1)], axis=1).astype(np.float64),
+                         np.ones(h * w))
 
 
 def encoder_layer(tokens, grid_hw, self_pairs, maps, pairs, params):

@@ -158,20 +158,20 @@ def scatter_rows_naive(rows: np.ndarray, idx, n_out: int) -> np.ndarray:
 
 
 def camera_pairs_naive(projections, n_queries: int):
-    """Per-(view, level, query) loop over the views' (uv [D,H,W,2], visible
-    [D,H,W]): one pair per visible entry, in loop order, as (view, (row, col)
-    = (v, u), query), plus each query's count of pairs. Returns (map_idx,
-    base_pts [P,2], qry_idx, hits)."""
+    """Per-(view, level, query) loop over the views' (rc [D,H,W,2], visible
+    [D,H,W]): one pair per visible entry, in loop order, as (view, (row, col),
+    query), plus each query's count of pairs. Returns (map_idx, base_pts
+    [P,2], qry_idx, hits)."""
     map_idx, base, qry = [], [], []
     hits = np.zeros(n_queries)
-    for view, (uv, visible) in enumerate(projections):
+    for view, (rc, visible) in enumerate(projections):
         for level in range(visible.shape[0]):
-            uv_level = uv[level].reshape(n_queries, 2)
+            rc_level = rc[level].reshape(n_queries, 2)
             visible_level = visible[level].reshape(n_queries)
             for q in range(n_queries):
                 if visible_level[q]:
                     map_idx.append(view)
-                    base.append((uv_level[q, 1], uv_level[q, 0]))
+                    base.append((rc_level[q, 0], rc_level[q, 1]))
                     qry.append(q)
                     hits[q] += 1
     return (np.array(map_idx, dtype=np.intp), np.array(base, dtype=np.float64).reshape(-1, 2),

@@ -44,7 +44,7 @@ def run_naive(queries, refs, feat, p, valid=None):
 def single(queries, refs, feat, p, valid=None):
     """deform_attn_multi over one map feat [H,W,C], one pair per valid query."""
     return deform_attn_multi(queries, T.reshape(feat, (1, *feat.shape)),
-                             source_pairs([(0, refs, valid)], 1, len(refs)), p)
+                             source_pairs([(0, refs, valid)], 1, np.ones(len(refs))), p)
 
 
 class TestDeformAttn:
@@ -131,7 +131,7 @@ class TestDeformAttn:
             sources.append((i, refs, valid))
             singles += run_naive(queries, refs, feat, p, valid)
         multi = deform_attn_multi(Tensor(queries), Tensor(np.stack(maps)),
-                                  source_pairs(sources, 3, 4), p)
+                                  source_pairs(sources, 3, np.ones(4)), p)
         assert np.max(np.abs(multi.data - singles)) < 1e-10
 
     def test_duplicated_source_doubles(self):
@@ -141,8 +141,9 @@ class TestDeformAttn:
         feat = Tensor(rng.standard_normal((1, 5, 5, 4)))
         refs = rng.uniform(0, 4, (4, 2))
         valid = np.ones(4, dtype=bool)
-        one = deform_attn_multi(queries, feat, source_pairs([(0, refs, valid)], 1, 4), p)
-        two = deform_attn_multi(queries, feat, source_pairs([(0, refs, valid)] * 2, 1, 4), p)
+        one = deform_attn_multi(queries, feat, source_pairs([(0, refs, valid)], 1, np.ones(4)), p)
+        two = deform_attn_multi(queries, feat,
+                                source_pairs([(0, refs, valid)] * 2, 1, np.ones(4)), p)
         assert np.array_equal(two.data, 2.0 * one.data)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -156,7 +157,7 @@ class TestDeformAttn:
         pairs = source_pairs(
             [(0, rng.integers(0, 3, (3, 2)) + rng.uniform(0.25, 0.75, (3, 2)), None),
              (1, rng.integers(0, 3, (3, 2)) + rng.uniform(0.25, 0.75, (3, 2)),
-              np.array([True, False, True]))], 2, 3)
+              np.array([True, False, True]))], 2, np.ones(3))
 
         leaves = [queries0, feat0,
                   p.offset_w.tensor.data.copy(), p.weight_w.tensor.data.copy(),
@@ -206,7 +207,7 @@ class TestValueProjectionBeforeSampling:
         for m, refs, valid in sources:
             want += run_naive(queries, refs, [shared, other][m], p, valid)
         got = deform_attn_multi(Tensor(queries), Tensor(np.stack([shared, other])),
-                                source_pairs(sources, 2, t, scale), p)
+                                source_pairs(sources, 2, scale), p)
         want *= scale[:, None]
         np.testing.assert_allclose(got.data, want, rtol=1e-12)
 
@@ -258,7 +259,7 @@ class TestScatterRows:
             (1, rng.uniform(-1, 5, (t, 2)), np.zeros(t, dtype=bool)),
             (2, rng.uniform(-1, 5, (t, 2)), rng.random(t) > 0.5),
             (0, rng.uniform(-1, 5, (t, 2)), None),
-        ], 3, t, rng.uniform(0.5, 4.0, t))
+        ], 3, rng.uniform(0.5, 4.0, t))
         q0 = rng.standard_normal((t, 4))
 
         def run():
@@ -316,7 +317,7 @@ class TestScatterRows:
         grads = []
         for attend in (T.deform_attend, ref.deform_attend_reference):
             leaves = [Tensor(a, requires_grad=True) for a in arrays]
-            got = attend(leaves[0], map_idx, base, leaves[1], leaves[2], idx)
+            got = attend(leaves[0], map_idx, base, leaves[1], leaves[2], idx, np.ones(n_out))
             if got.node is not None:
                 got.node.vjp(g)
             grads.append([got.data] + [x.grad for x in leaves])
@@ -333,7 +334,7 @@ def summed_through_scatter(queries, feat, refs, mult, p):
     off, attn = attention._query_offsets_weights(queries, p)
     cells = T.reshape(feat, (hf * wf, vd))
     values = T.reshape(T.matmul(cells, p.value_w.tensor), (1, hf, wf, p.channels))
-    scale = np.full(t, float(mult)) if mult != 1 else None
+    scale = np.full(t, float(mult))
     summed = ref.deform_attend_reference(values, np.zeros(t, dtype=np.intp), refs, off, attn,
                                          np.arange(t), scale)
     return T.matmul(T.reshape(summed, (t, p.channels)), p.out_w.tensor)
@@ -362,7 +363,7 @@ def test_lone_source_skips_the_sum_bitexact(seed, mult):
         backward(T.tsum(T.mul(out, out)))
         return [out.data, queries.grad, feat.grad] + [prm.tensor.grad for prm in p.parameters()]
 
-    scale = None if mult == 1 else np.full(t, float(mult))
+    scale = np.full(t, float(mult))
     got = run(lambda q, f: deform_attn_multi(q, f, Pairs.one_map(refs, scale), p))
     want = run(lambda q, f: summed_through_scatter(q, f, refs, mult, p))
     for a, b in zip(got, want):
@@ -376,7 +377,7 @@ class TestEncoderLayer:
         rng = np.random.default_rng(10)
         lp = self.make_layer(rng)
         tokens = Tensor(rng.standard_normal((6, 4)))
-        pairs = source_pairs([(0, rng.uniform(0, 3, (6, 2)), np.ones(6, bool))], 1, 6)
+        pairs = source_pairs([(0, rng.uniform(0, 3, (6, 2)), np.ones(6, bool))], 1, np.ones(6))
         out = encoder_layer(tokens, (2, 3), grid_pairs(2, 3),
                             Tensor(rng.standard_normal((1, 4, 4, 4))), pairs, lp)
         assert out.shape == (6, 4)
@@ -389,7 +390,7 @@ class TestEncoderLayer:
         lp.cross_attn.out_w.tensor.data[:] = 0.0
         lp.ffn_w2.tensor.data[:] = 0.0
         tokens = rng.standard_normal((6, 4))
-        pairs = source_pairs([(0, rng.uniform(0, 3, (6, 2)), np.ones(6, bool))], 1, 6)
+        pairs = source_pairs([(0, rng.uniform(0, 3, (6, 2)), np.ones(6, bool))], 1, np.ones(6))
         out = encoder_layer(Tensor(tokens), (2, 3), grid_pairs(2, 3),
                             Tensor(rng.standard_normal((1, 4, 4, 4))), pairs, lp)
 
@@ -406,8 +407,9 @@ class TestEncoderLayer:
         tokens = Tensor(rng.standard_normal((6, 4)))
         feat = Tensor(rng.standard_normal((1, 4, 4, 4)))
         source = (0, rng.uniform(0, 3, (6, 2)), np.ones(6, bool))
-        one = deform_attn_multi(tokens, feat, source_pairs([source], 1, 6), lp.cross_attn)
-        two = deform_attn_multi(tokens, feat, source_pairs([source] * 2, 1, 6), lp.cross_attn)
+        one = deform_attn_multi(tokens, feat, source_pairs([source], 1, np.ones(6)), lp.cross_attn)
+        two = deform_attn_multi(tokens, feat, source_pairs([source] * 2, 1, np.ones(6)),
+                                lp.cross_attn)
         assert np.array_equal(two.data, 2.0 * one.data)
 
     def test_source_count_mismatch_raises(self):
@@ -415,7 +417,7 @@ class TestEncoderLayer:
         lp = self.make_layer(rng)
         tokens = Tensor(rng.standard_normal((6, 4)))
         maps = rng.standard_normal((2, 4, 4, 4))
-        pairs = Pairs.one_map(rng.uniform(0, 3, (6, 2)))
+        pairs = Pairs.one_map(rng.uniform(0, 3, (6, 2)), np.ones(6))
         with pytest.raises(ContractError):  # 6 tokens on a 2x4 grid
             encoder_layer(tokens, (2, 4), grid_pairs(2, 3), Tensor(maps[:1]), pairs, lp)
         with pytest.raises(ContractError):  # no maps for pairs over one
@@ -431,7 +433,7 @@ class TestEncoderLayer:
         tokens = Tensor(rng.standard_normal((4, 4)))
         feat = Tensor(rng.standard_normal((1, 4, 4, 4)))
         source = (0, rng.uniform(0, 3, (4, 2)), np.ones(4, bool))
-        pairs = source_pairs([source] * 2, 1, 4)
+        pairs = source_pairs([source] * 2, 1, np.ones(4))
         residuals = []  # the y of every residual_layer_norm(x, y, ...)
         real = T.residual_layer_norm
 
@@ -442,7 +444,7 @@ class TestEncoderLayer:
         monkeypatch.setattr(T, "residual_layer_norm", spy)
         plain = encoder_layer(tokens, (2, 2), grid_pairs(2, 2), feat, pairs, lp)
         halved = encoder_layer(tokens, (2, 2), grid_pairs(2, 2), feat,
-                               source_pairs([source] * 2, 1, 4, np.full(4, 0.5)), lp)
+                               source_pairs([source] * 2, 1, np.full(4, 0.5)), lp)
         assert np.array_equal(residuals[0], residuals[3])  # self-attention term
         assert np.array_equal(residuals[4], 0.5 * residuals[1])  # cross-attention term
         assert not np.allclose(plain.data, halved.data)
@@ -461,7 +463,7 @@ class TestEncoderLayer:
         feat0 = rng.standard_normal((2, 3, 3, 4))  # two maps, each query on both
         pairs = source_pairs(
             [(m, rng.integers(0, 2, (4, 2)) + rng.uniform(0.25, 0.75, (4, 2)), None)
-             for m in (0, 1)], 2, 4)
+             for m in (0, 1)], 2, np.ones(4))
 
         names = []
         for prm in lp.parameters():
@@ -491,7 +493,7 @@ def test_one_pair_per_query_out_of_order_is_still_summed():
                (1, rng.uniform(0, 4, (t, 2)), ~late)]
     queries = rng.standard_normal((t, 4))
     want = sum(run_naive(queries, refs, feats.data[m], p, vis) for m, refs, vis in sources)
-    got = deform_attn_multi(Tensor(queries), feats, source_pairs(sources, 2, t), p)
+    got = deform_attn_multi(Tensor(queries), feats, source_pairs(sources, 2, np.ones(t)), p)
     np.testing.assert_allclose(got.data, want, rtol=1e-12, atol=1e-14)
 
 
@@ -502,17 +504,17 @@ class TestPairsContract:
 
     def arrays(self, **change):
         arrays = dict(map_idx=[0, 1, 1], base_pts=np.zeros((3, 2)), qry_idx=[2, 0, 2],
-                      n_maps=2, n_queries=3, scale=None)
+                      n_maps=2, scale=np.ones(3))
         arrays.update(change)
         return arrays
 
     def test_fields_and_scale(self):
         pairs = Pairs(**self.arrays(scale=[1, 4, 2]))
         assert pairs.map_idx.dtype == pairs.qry_idx.dtype == np.intp
-        assert (pairs.n_maps, pairs.n_queries) == (2, 3)
+        assert pairs.n_maps == 2
         assert pairs.scale.dtype == np.float64
         assert np.array_equal(pairs.scale, [1.0, 4.0, 2.0])
-        assert Pairs(**self.arrays()).scale is None
+        assert np.array_equal(Pairs(**self.arrays()).scale, np.ones(3))
 
     def test_arrays_are_read_only_copies(self):
         """A Pairs owns read-only copies of its arrays, so nothing can change
@@ -531,14 +533,13 @@ class TestPairsContract:
         refs = np.arange(8.0).reshape(4, 2)
         pairs = Pairs.one_map(refs, np.full(4, 3.0))
         assert np.array_equal(pairs.map_idx, np.zeros(4)) and pairs.n_maps == 1
-        assert np.array_equal(pairs.qry_idx, np.arange(4)) and pairs.n_queries == 4
+        assert np.array_equal(pairs.qry_idx, np.arange(4))
         assert np.array_equal(pairs.base_pts, refs)
         assert np.array_equal(pairs.scale, np.full(4, 3.0))
 
     def test_no_pairs(self):
         """A scale is per query, so it has T entries when there are no pairs."""
-        pairs = Pairs(**self.arrays(map_idx=[], base_pts=np.zeros((0, 2)), qry_idx=[],
-                                    scale=np.ones(3)))
+        pairs = Pairs(**self.arrays(map_idx=[], base_pts=np.zeros((0, 2)), qry_idx=[]))
         assert pairs.qry_idx.size == 0 and pairs.scale.shape == (3,)
 
     def test_deform_attn_multi_checks_its_maps_and_queries(self):
@@ -551,7 +552,7 @@ class TestPairsContract:
         for maps in (feats[:0], feats[:1], feats, feats[0, 0, 0, 0]):
             with pytest.raises(ContractError):  # not two maps, or no map axis at all
                 deform_attn_multi(queries, Tensor(maps), pairs, p)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError):  # 4 queries for a scale of 3
             deform_attn_multi(Tensor(rng.standard_normal((4, 4))), Tensor(feats[:2]), pairs, p)
         with pytest.raises(ShapeError):  # maps of another width than the value weight's
             deform_attn_multi(queries, Tensor(rng.standard_normal((2, 4, 4, 5))), pairs, p)
@@ -570,6 +571,7 @@ MALFORMED_PAIRS = [
     ("scale_short", dict(scale=np.ones(2)), ShapeError, None),
     ("scale_per_pair", dict(scale=np.ones(3)), ShapeError, None),
     ("scale_2d", dict(scale=np.ones((4, 1))), ShapeError, None),
+    ("scale_none", dict(scale=None), ShapeError, None),
     ("qry_fractions", dict(qry_idx=[0.7, 1.2, 2.9]), ShapeError, "integers"),
     ("qry_float", dict(qry_idx=np.array([0.0, 3.0, 3.0])), ShapeError, "integers"),
     ("qry_bool", dict(qry_idx=np.array([True, False, True])), ShapeError, "integers"),
@@ -581,6 +583,9 @@ MALFORMED_PAIRS = [
     ("query_negative", dict(qry_idx=[-1, 3, 3]), ContractError, "outside"),
 ]
 PAIR_ENTRIES = ("Pairs", "deform_attend", "attend_blocks")
+# a Pairs takes its query count from its scale, so a shorter scale leaves
+# query 3 outside it
+SHORT_SCALES = {"scale_short", "scale_per_pair"}
 
 
 class TestMalformedPairs:
@@ -588,35 +593,35 @@ class TestMalformedPairs:
     attend_blocks, which take plain arrays and check them on every call,
     refuse each malformed pair set of one table alike, through
     tensor.pair_arrays: ShapeError for a wrong shape or an index that is not
-    an integer, ContractError for an index out of range. attend_blocks takes
-    no scale, so the scale cases skip it."""
+    an integer, ContractError for an index out of range."""
 
     @staticmethod
     def call(entry, **change):
         """entry on 3 pairs over 3 maps of 5 x 4 and 4 queries, with change."""
         rng = np.random.default_rng(720)
         pairs = dict(map_idx=[0, 2, 1], base_pts=rng.uniform(0, 4, (3, 2)), qry_idx=[0, 3, 3],
-                     scale=None)
+                     scale=np.ones(4))
         pairs.update(change)
         offsets = Tensor(rng.standard_normal((4, 2, 3, 2)))
         attn = Tensor(rng.standard_normal((4, 2, 3)))
         if entry == "Pairs":
-            return Pairs(n_maps=3, n_queries=4, **pairs)
+            return Pairs(n_maps=3, **pairs)
         if entry == "deform_attend":
             return T.deform_attend(Tensor(rng.standard_normal((3, 5, 4, 6))), offsets=offsets,
                                    attn=attn, **pairs)
         return T.attend_blocks((3, 5, 4), pairs["map_idx"], pairs["base_pts"], offsets, attn,
-                               pairs["qry_idx"])
+                               pairs["qry_idx"], pairs["scale"])
 
     @pytest.mark.parametrize("entry", PAIR_ENTRIES)
     def test_valid_pairs_pass(self, entry):
         self.call(entry)
-        self.call(entry, scale=np.ones(4))
+        self.call(entry, scale=np.full(4, 0.5))
 
     @pytest.mark.parametrize("entry, change, error, match", [
-        pytest.param(entry, change, error, match, id=f"{name}-{entry}")
-        for name, change, error, match in MALFORMED_PAIRS for entry in PAIR_ENTRIES
-        if not ("scale" in change and entry == "attend_blocks")])
+        pytest.param(entry, change, *((ContractError, "outside")
+                                      if entry == "Pairs" and name in SHORT_SCALES
+                                      else (error, match)), id=f"{name}-{entry}")
+        for name, change, error, match in MALFORMED_PAIRS for entry in PAIR_ENTRIES])
     def test_malformed_pairs_are_refused(self, entry, change, error, match):
         with pytest.raises(error, match=match):
             self.call(entry, **change)
@@ -624,11 +629,12 @@ class TestMalformedPairs:
     def test_pair_arrays_keeps_arrays_of_its_dtypes(self):
         """The per-call check copies none of the arrays that Pairs hands on,
         and casts the ones of other dtypes."""
-        pairs = Pairs(np.array([0, 1]), np.zeros((2, 2)), np.array([1, 0]), 2, 2, np.ones(2))
+        pairs = Pairs(np.array([0, 1]), np.zeros((2, 2)), np.array([1, 0]), 2, np.ones(2))
         got = T.pair_arrays(pairs.map_idx, pairs.base_pts, pairs.qry_idx, 2, 2, pairs.scale, "t")
         for own, checked in zip((pairs.map_idx, pairs.base_pts, pairs.qry_idx, pairs.scale), got):
             assert checked is own
         cast = T.pair_arrays(np.array([0, 1], dtype=np.int32), [[0, 0], [1, 1]],
                              np.array([1, 0], dtype=np.uint8), 2, 2, [1, 2], "t")
         assert [a.dtype for a in cast] == [np.intp, np.float64, np.intp, np.float64]
-        assert T.pair_arrays([0], [[0.0, 0.0]], [0], 1, 1, None, "t")[3] is None
+        with pytest.raises(ShapeError):  # every query has a scale
+            T.pair_arrays([0], [[0.0, 0.0]], [0], 1, 1, None, "t")

@@ -78,7 +78,8 @@ def attend_case(rng, case, m=2):
 def attend_grads(fn, arrays, requires):
     feats, map_idx, base, offsets, attn, qry_idx = arrays
     leaves = [Tensor(a, requires_grad=r) for a, r in zip((feats, offsets, attn), requires)]
-    out = fn(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx)
+    out = fn(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx,
+             np.ones(leaves[1].shape[0]))
     if out.node is not None:
         out.node.vjp(np.random.default_rng(41).standard_normal(out.shape))
     return out.data, [x.grad for x in leaves]
@@ -146,7 +147,8 @@ def test_plan_index_arrays_are_int32_and_shared(monkeypatch, plans):
     built = csr_spy(monkeypatch)
     feats, map_idx, base, offsets, attn, qry_idx = arrays
     leaves = [Tensor(a, requires_grad=True) for a in (feats, offsets, attn)]
-    out = T.deform_attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx)
+    out = T.deform_attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx,
+                          np.ones(leaves[1].shape[0]))
     assert len(plans) == len(built) == -(-qry_idx.size // 2)  # the attention-scaled weights
     out.node.vjp(np.ones(out.shape))
     assert len(built) == len(plans) + 1 and all(x.grad is not None for x in leaves)
@@ -177,7 +179,8 @@ def test_recorded_and_no_grad_forwards_build_the_same_blocks(case, pairs, monkey
         built.clear()
         leaves = [Tensor(a, requires_grad=True) for a in (feats, offsets, attn)]
         with contextlib.nullcontext() if record else T.no_grad():
-            out = T.deform_attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx)
+            out = T.deform_attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx,
+                                  np.ones(leaves[1].shape[0]))
         assert (out.node is not None) == record
         tables.append([tuple(a.tobytes() for a in x[:3]) for x in built])
     recorded, no_grad = tables
@@ -219,7 +222,8 @@ def test_forward_and_backward_build_each_blocks_tables_once(monkeypatch, plans):
     monkeypatch.setattr(T._BilinearPlan, "tables", spy)
     feats, map_idx, base, offsets, attn, qry_idx = arrays
     leaves = [Tensor(a, requires_grad=True) for a in (feats, offsets, attn)]
-    out = T.deform_attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx)
+    out = T.deform_attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx,
+                          np.ones(leaves[1].shape[0]))
     forward = calls.copy()
     calls.clear()
     out.node.vjp(np.ones(out.shape))
@@ -243,7 +247,8 @@ def test_plan_holds_only_backward_tables_and_only_a_recorded_call_keeps_it(
     leaves = [Tensor(a, requires_grad=r) for a, r in zip((feats, offsets, attn), requires)]
     built = csr_spy(monkeypatch)
     with contextlib.nullcontext() if record else T.no_grad():
-        out = T.deform_attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx)
+        out = T.deform_attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx,
+                              np.ones(leaves[1].shape[0]))
     kept = record and any(requires)
     assert len(plans) == len(built) == -(-qry_idx.size // 2)
     assert (out.node is not None) == kept
@@ -327,7 +332,8 @@ def test_in_order_grads_have_the_reference_bytes(gather, monkeypatch):
     grads = []
     for fn in (T.deform_attend, ref.deform_attend_reference):
         leaves = [Tensor(a, requires_grad=True) for a in (feats, offsets, attn)]
-        fn(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx).node.vjp(g)
+        fn(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx,
+           np.ones(qry_idx.size)).node.vjp(g)
         grads.append([x.grad for x in leaves])
     (_, d_off, d_attn), (_, want_off, want_attn) = grads
     assert np.all(want_attn[2] == 0.0) and not np.any(np.signbit(want_attn[2]))
@@ -342,7 +348,8 @@ def test_backward_gathers_into_one_buffer_per_call(monkeypatch):
     set_gather(monkeypatch, arrays, 5)
     feats, map_idx, base, offsets, attn, qry_idx = arrays
     leaves = [Tensor(a, requires_grad=True) for a in (feats, offsets, attn)]
-    out = T.deform_attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx)
+    out = T.deform_attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx,
+                          np.ones(leaves[1].shape[0]))
     outs = []
     take = np.take
 
@@ -368,7 +375,8 @@ def test_backward_refuses_a_corner_index_outside_the_table(bad, plans, monkeypat
     feats, map_idx, base, offsets, attn, qry_idx = arrays
     leaves = [Tensor(feats), Tensor(offsets, requires_grad=True),
               Tensor(attn, requires_grad=True)]
-    out = T.deform_attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx)
+    out = T.deform_attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx,
+                          np.ones(leaves[1].shape[0]))
     assert len(plans) > 2
     n_rows = feats.size // feats.shape[-1] * offsets.shape[1]  # B*H*W*M
     plans[len(plans) // 2].indices[7] = -1 if bad == "negative" else n_rows
@@ -394,7 +402,8 @@ def test_forward_blocks_change_no_bits(case, pairs, record, plans, monkeypatch):
     leaves = [Tensor(a, requires_grad=True) for a in (feats, offsets, attn)]
     built = csr_spy(monkeypatch)
     with contextlib.nullcontext() if record else T.no_grad():
-        out = T.deform_attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx)
+        out = T.deform_attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx,
+                              np.ones(leaves[1].shape[0]))
     built = built.copy()  # forward's matrices, not the reference's
     want, _ = attend_grads(ref.deform_attend_reference, arrays, (False, False, False))
     assert np.array_equal(out.data, want)
@@ -516,7 +525,7 @@ def test_non_finite_offsets_keep_indices_in_range(bad, plans, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error" if np.isnan(bad) else "ignore")
         out = T.deform_attend(Tensor(feats), map_idx, base, Tensor(offsets), Tensor(attn),
-                              qry_idx)
+                              qry_idx, np.ones(len(offsets)))
     (_, indices, _, _), = built
     assert len(plans) == 1
     n_rows = feats.size // feats.shape[-1] * offsets.shape[1]
@@ -588,7 +597,7 @@ def test_deform_attn_multi_matches_reference(seed, monkeypatch):
         (1, rng.uniform(-1, 5, (t, 2)), np.zeros(t, dtype=bool)),
         (2, rng.uniform(-1, 5, (t, 2)), rng.random(t) > 0.5),
         (0, rng.uniform(-1, 5, (t, 2)), None),
-    ], 3, t, rng.integers(1, 5, t) * rng.choice([1.0, 0.37], t))
+    ], 3, rng.integers(1, 5, t) * rng.choice([1.0, 0.37], t))
     q0 = rng.standard_normal((t, 4))
 
     def run():

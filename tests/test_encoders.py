@@ -39,23 +39,23 @@ def make_setup(seed=0, channels=4, mode="shared", n_layers=2, h=4, w=4, d=2):
 
 
 def front_camera(queries, yaw=0.0):
-    """(uv, visible) of a small camera at the origin looking along `yaw`."""
+    """(rc, visible) of a small camera at the origin looking along `yaw`."""
     cam = make_camera([0, 0, 1.6], yaw, 0.087, fx=3, fy=3, image_h=6, image_w=8)
     return project_to_camera(queries.refs, cam)
 
 
 def lidar_as_camera(queries, shape):
-    """project_to_lidar's coordinates as a camera view: (u, v), all visible,
-    so the camera path makes D explicit pairs per query from them."""
-    rc = project_to_lidar(queries.refs, shape)
-    return rc[..., ::-1], np.ones(rc.shape[:-1], dtype=bool)
+    """project_to_lidar's (row, col) coordinates as a camera view, all
+    visible, so the camera path makes D explicit pairs per query from them."""
+    rc = project_to_lidar(queries.refs, queries.spec.extent, shape)
+    return rc, np.ones(rc.shape[:-1], dtype=bool)
 
 
 class TestUniformity:
     def test_lidar_source_through_camera_modality_matches_lidar_bitexact(self):
         rng, spec, queries, layers = make_setup(seed=1)
         feat = Tensor(rng.standard_normal((1, spec.h, spec.w, 4)))
-        pairs = lidar_pairs(queries.refs, (4, 4), False)
+        pairs = lidar_pairs(queries.refs, spec.extent, (4, 4), False)
         via_camera = encode_bev(queries, "camera", feat, pairs, layers)
         via_lidar = encode_lidar_bev(queries, feat, pairs, layers)
         assert np.array_equal(via_camera.data, via_lidar.data)
@@ -74,18 +74,18 @@ class TestUniformity:
                 for prm in attn.parameters():
                     prm.tensor.data[:] += 0.3 * rng.standard_normal(prm.tensor.shape)
         feat = Tensor(rng.standard_normal((1, 7, 9, 4)))  # resolution differs from grid
-        pairs = camera_pairs([lidar_as_camera(queries, (7, 9))], spec.h * spec.w,
-                             normalize_by_hits)
+        pairs = camera_pairs([lidar_as_camera(queries, (7, 9))], normalize_by_hits)
         levels = encode_camera_bev(queries, feat, pairs, layers)
         one = encode_lidar_bev(queries, feat,
-                               lidar_pairs(queries.refs, (7, 9), normalize_by_hits), layers)
+                               lidar_pairs(queries.refs, spec.extent, (7, 9), normalize_by_hits),
+                               layers)
         assert np.array_equal(levels.data, one.data)
 
-    def test_camera_pairs_order_and_flip(self):
+    def test_camera_pairs_order(self):
         rng, spec, queries, layers = make_setup(seed=2, d=2)
         views = [front_camera(queries, yaw) for yaw in (0.0, 0.5, 1.0)]
         t = spec.h * spec.w
-        pairs = camera_pairs(views, t, False)
+        pairs = camera_pairs(views, False)
         assert_pairs_equal_oracle(pairs, views, t)
         assert len(np.unique(pairs.map_idx)) == len(views)
         feats = rng.standard_normal((len(views), 6, 8, 4))
@@ -96,18 +96,18 @@ class TestUniformity:
         rng, spec, queries, layers = make_setup(seed=2)
         cam_feat = Tensor(rng.standard_normal((1, 6, 8, 4)))
         lidar_feat = Tensor(rng.standard_normal((1, 7, 9, 4)))  # resolution differs from grid
-        pairs = camera_pairs([front_camera(queries)], spec.h * spec.w, False)
+        pairs = camera_pairs([front_camera(queries)], False)
         out_c = encode_camera_bev(queries, cam_feat, pairs, layers)
-        out_l = encode_lidar_bev(queries, lidar_feat, lidar_pairs(queries.refs, (7, 9), False),
-                                 layers)
+        out_l = encode_lidar_bev(queries, lidar_feat,
+                                 lidar_pairs(queries.refs, spec.extent, (7, 9), False), layers)
         assert out_c.shape == (spec.h, spec.w, 4)
         assert out_l.shape == (spec.h, spec.w, 4)
 
     def test_no_views_is_contract_error(self):
         _, spec, queries, layers = make_setup(seed=3)
         with pytest.raises(ContractError):
-            camera_pairs([], spec.h * spec.w, False)
-        pairs = camera_pairs([front_camera(queries)], spec.h * spec.w, False)
+            camera_pairs([], False)
+        pairs = camera_pairs([front_camera(queries)], False)
         with pytest.raises(ContractError):
             encode_camera_bev(queries, Tensor(np.zeros((0, 6, 8, 4))), pairs, layers)
 
@@ -117,32 +117,67 @@ class TestUniformity:
         proj = lidar_as_camera(queries, (spec.h, spec.w))
         feats = Tensor(rng.standard_normal((2, spec.h, spec.w, 5)))
         with pytest.raises(ShapeError):
-            encode_camera_bev(queries, feats, camera_pairs([proj, proj], spec.h * spec.w, False),
+            encode_camera_bev(queries, feats, camera_pairs([proj, proj], False),
                               layers)
 
     def test_entry_points_are_encode_bev(self):
         rng, spec, queries, layers = make_setup(seed=3, mode="separate")
-        pairs = camera_pairs([front_camera(queries)], spec.h * spec.w, False)
+        pairs = camera_pairs([front_camera(queries)], False)
         feat = Tensor(rng.standard_normal((1, 6, 8, 4)))
         assert np.array_equal(encode_camera_bev(queries, feat, pairs, layers).data,
                               encode_bev(queries, "camera", feat, pairs, layers).data)
         lidar_feat = Tensor(rng.standard_normal((1, 7, 9, 4)))
-        lidar = lidar_pairs(queries.refs, (7, 9), False)
+        lidar = lidar_pairs(queries.refs, spec.extent, (7, 9), False)
         assert np.array_equal(encode_lidar_bev(queries, lidar_feat, lidar, layers).data,
                               encode_bev(queries, "lidar", lidar_feat, lidar, layers).data)
 
     def test_lidar_pairs_are_one_per_query_scaled_by_d(self):
         _, spec, queries, _ = make_setup(seed=3, d=3)
-        pairs = lidar_pairs(queries.refs, (7, 9), False)
-        rc = project_to_lidar(queries.refs, (7, 9))
+        pairs = lidar_pairs(queries.refs, spec.extent, (7, 9), False)
+        rc = project_to_lidar(queries.refs, spec.extent, (7, 9))
         t = spec.h * spec.w
         assert np.array_equal(pairs.qry_idx, np.arange(t)) and pairs.n_maps == 1
         assert pairs.base_pts.tobytes() == rc[0].reshape(t, 2).tobytes()
         assert np.array_equal(pairs.scale, np.full(t, 3.0))
         # normalized, the sum is divided by its D hits: D/D = 1
-        assert lidar_pairs(queries.refs, (7, 9), True).scale is None
+        assert np.array_equal(lidar_pairs(queries.refs, spec.extent, (7, 9), True).scale,
+                              np.ones(t))
         _, _, queries, _ = make_setup(seed=3, d=1)
-        assert lidar_pairs(queries.refs, (7, 9), False).scale is None
+        assert np.array_equal(lidar_pairs(queries.refs, spec.extent, (7, 9), False).scale,
+                              np.ones(t))
+
+
+@pytest.mark.parametrize("builder", ["camera", "camera_normalized", "lidar_d1", "lidar_d4",
+                                     "self"])
+def test_every_pair_builder_gives_one_form(builder):
+    """Each builder's Pairs has a read-only float64 scale with one entry per
+    query, and (row, col) base points that equal its projection's output at
+    the visible entries, in pair order."""
+    d = {"lidar_d1": 1, "lidar_d4": 4}.get(builder, 2)
+    _, spec, queries, _ = make_setup(seed=11, h=4, w=5, d=d)
+    t = spec.h * spec.w
+    if builder.startswith("camera"):
+        views = [front_camera(queries, yaw) for yaw in (0.0, 0.6)]
+        pairs = camera_pairs(views, builder == "camera_normalized")
+        # views outer, then levels, then queries: the C order of [V,D,H,W]
+        want = np.stack([rc for rc, _ in views])[np.stack([vis for _, vis in views])]
+        hits = np.bincount(pairs.qry_idx, minlength=t)
+        scale = 1.0 / np.maximum(hits, 1) if builder == "camera_normalized" else np.ones(t)
+        assert want[:, 0].max() <= 5.0 < want[:, 1].max()  # rows of 6, columns of 8
+    elif builder.startswith("lidar"):
+        pairs = lidar_pairs(queries.refs, spec.extent, (7, 9), False)
+        rc = project_to_lidar(queries.refs, spec.extent, (7, 9))
+        assert all(np.array_equal(level, rc[0]) for level in rc)
+        want, scale = rc[0].reshape(t, 2), np.full(t, float(d))
+    else:
+        pairs = queries.self_pairs
+        r, c = np.meshgrid(np.arange(spec.h), np.arange(spec.w), indexing="ij")
+        want, scale = np.stack([r, c], axis=-1).reshape(t, 2), np.ones(t)
+    assert pairs.scale.dtype == np.float64 and pairs.scale.shape == (t,)
+    assert not pairs.scale.flags.writeable
+    assert pairs.scale.tobytes() == scale.tobytes()
+    assert pairs.base_pts.dtype == np.float64 and pairs.base_pts.shape == want.shape
+    assert pairs.base_pts.tobytes() == want.astype(np.float64).tobytes()
 
 
 def assert_pairs_equal_oracle(pairs, projections, t):
@@ -151,13 +186,13 @@ def assert_pairs_equal_oracle(pairs, projections, t):
     pairs (at least 1)."""
     map_idx, base, qry, hits = camera_pairs_naive(projections, t)
     scale = 1.0 / np.maximum(hits, 1.0)
-    normalized = camera_pairs(projections, t, True)
+    normalized = camera_pairs(projections, True)
     for got, want in [(pairs.map_idx, map_idx), (pairs.base_pts, base), (pairs.qry_idx, qry),
                       (normalized.qry_idx, qry), (normalized.scale, scale)]:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-    assert pairs.scale is None
-    assert (pairs.n_maps, pairs.n_queries) == (len(projections), t)
+    assert np.array_equal(pairs.scale, np.ones(t))
+    assert pairs.n_maps == len(projections)
 
 
 @pytest.mark.parametrize("rig", ["default", "empty_view"])
@@ -169,7 +204,7 @@ def test_camera_pairs_of_the_default_rig_match_the_loop_oracle(rig):
     if rig == "empty_view":
         cams[1] = make_camera([100.0, 0, 1.6], 0.0, 0.0, fx=12, fy=12, image_h=24, image_w=32)
     projections = [project_to_camera(build_reference_grid(spec), cam) for cam in cams]
-    pairs = camera_pairs(projections, spec.h * spec.w, False)
+    pairs = camera_pairs(projections, False)
     assert_pairs_equal_oracle(pairs, projections, spec.h * spec.w)
     assert (1 in pairs.map_idx) == (rig == "default")
     assert pairs.qry_idx.size > 1000
@@ -191,7 +226,8 @@ class TestCrossAttentionStructure:
         lp.cross_attn.out_w.tensor.data[:] = np.eye(4)
         feat = rng.standard_normal((1, spec.h, spec.w, 4))
         cross = cross_term(queries, Tensor(feat),
-                           lidar_pairs(queries.refs, feat.shape[1:3], False), layers)
+                           lidar_pairs(queries.refs, spec.extent, feat.shape[1:3], False),
+                           layers)
         assert np.allclose(cross, feat.reshape(-1, 4), atol=1e-12)
 
     def test_two_views_double_one_view(self):
@@ -200,9 +236,9 @@ class TestCrossAttentionStructure:
         proj = lidar_as_camera(queries, (spec.h, spec.w))
         feat = rng.standard_normal((spec.h, spec.w, 4))
         t = spec.h * spec.w
-        one = cross_term(queries, Tensor(feat[None]), camera_pairs([proj], t, False), layers)
+        one = cross_term(queries, Tensor(feat[None]), camera_pairs([proj], False), layers)
         two = cross_term(queries, Tensor(np.stack([feat, feat])),
-                         camera_pairs([proj, proj], t, False), layers)
+                         camera_pairs([proj, proj], False), layers)
         assert np.array_equal(two, 2.0 * one)
 
     def test_fully_invisible_cell_contributes_zero(self):
@@ -210,7 +246,7 @@ class TestCrossAttentionStructure:
         # camera looking away from the whole grid -> nothing visible
         cam = make_camera([100.0, 0, 1.6], 0.0, 0.0, fx=3, fy=3, image_h=6, image_w=8)
         feat = Tensor(rng.standard_normal((1, 6, 8, 4)))
-        pairs = camera_pairs([project_to_camera(queries.refs, cam)], spec.h * spec.w, False)
+        pairs = camera_pairs([project_to_camera(queries.refs, cam)], False)
         assert pairs.qry_idx.size == 0
         assert np.array_equal(cross_term(queries, feat, pairs, layers),
                               np.zeros((spec.h * spec.w, 4)))
@@ -221,10 +257,10 @@ class TestCrossAttentionStructure:
         feat = Tensor(rng.standard_normal((1, spec.h, spec.w, 4)))
         t = spec.h * spec.w
         # D=2 levels x 2 views = 4 hits per cell, which normalize_by_hits divides by
-        assert np.array_equal(camera_pairs([proj, proj], t, True).scale, np.full(t, 0.25))
-        plain = encode_camera_bev(queries, feat, camera_pairs([proj], t, False), layers).data
+        assert np.array_equal(camera_pairs([proj, proj], True).scale, np.full(t, 0.25))
+        plain = encode_camera_bev(queries, feat, camera_pairs([proj], False), layers).data
         assert not np.array_equal(plain, encode_camera_bev(
-            queries, feat, camera_pairs([proj], t, True), layers).data)
+            queries, feat, camera_pairs([proj], True), layers).data)
 
 
 def test_camera_cross_attention_samples_each_view_map_once(monkeypatch):
@@ -239,12 +275,12 @@ def test_camera_cross_attention_samples_each_view_map_once(monkeypatch):
     calls = []
     attend = T.deform_attend
 
-    def spy(feats, map_idx, base_pts, offsets, attn, qry_idx, scale=None, blocks=None):
+    def spy(feats, map_idx, base_pts, offsets, attn, qry_idx, scale, blocks=None):
         calls.append((feats.shape[0], len(qry_idx)))
         return attend(feats, map_idx, base_pts, offsets, attn, qry_idx, scale, blocks)
 
     monkeypatch.setattr(T, "deform_attend", spy)
-    encode_camera_bev(queries, feats, camera_pairs(views, spec.h * spec.w, False), layers)
+    encode_camera_bev(queries, feats, camera_pairs(views, False), layers)
     # per layer: self-attention over the token map, then cross-attention
     t = spec.h * spec.w
     assert calls == [(1, t), (len(views), visible)] * len(layers)
@@ -266,7 +302,7 @@ class TestQuerySharing:
         cam = front_camera(queries)
         feat = Tensor(rng.standard_normal((1, 6, 8, 4)))
         before = queries.tokens("lidar").data.copy()
-        out = encode_camera_bev(queries, feat, camera_pairs([cam], spec.h * spec.w, False), layers)
+        out = encode_camera_bev(queries, feat, camera_pairs([cam], False), layers)
         backward(T.tsum(T.sigmoid(out)))
         Adam(queries.parameters(), lr=1e-2).step()
         after = queries.tokens("lidar").data
@@ -277,7 +313,7 @@ class TestQuerySharing:
         cam = front_camera(queries)
         feat = Tensor(rng.standard_normal((1, 6, 8, 4)))
         before = queries.tokens("lidar").data.copy()
-        out = encode_camera_bev(queries, feat, camera_pairs([cam], spec.h * spec.w, False), layers)
+        out = encode_camera_bev(queries, feat, camera_pairs([cam], False), layers)
         backward(T.tsum(T.sigmoid(out)))
         Adam(queries.parameters(), lr=1e-2).step()
         assert np.array_equal(before, queries.tokens("lidar").data)
@@ -300,7 +336,8 @@ def test_fd_gradient_through_lidar_encoder():
         qparam.tensor = ts[1]
         for prm, t in zip(lp.parameters(), ts[2:]):
             prm.tensor = t
-        out = encode_lidar_bev(queries, feat, lidar_pairs(queries.refs, feat.shape[1:3], False),
+        out = encode_lidar_bev(queries, feat,
+                               lidar_pairs(queries.refs, spec.extent, feat.shape[1:3], False),
                                layers)
         return T.tsum(T.sigmoid(out))
 
@@ -345,9 +382,9 @@ class TestTapeStructure:
         lidar_feat = Tensor(rng.standard_normal((1, 32, 32, n)), requires_grad=True)
         return det, {
             "camera": (det.cam_layers[0], cam_feats,
-                       camera_pairs(projections, det.spec.h * det.spec.w, False)),
+                       camera_pairs(projections, False)),
             "lidar": (det.lidar_layers[0], lidar_feat,
-                      lidar_pairs(det.queries.refs, (32, 32), False)),
+                      lidar_pairs(det.queries.refs, det.spec.extent, (32, 32), False)),
         }
 
     @pytest.mark.parametrize("modality", ["camera", "lidar"])

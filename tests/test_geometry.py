@@ -42,28 +42,28 @@ class TestReferenceGrid:
     def test_single_cell_center(self):
         spec = BEVGridSpec(h=1, w=1, d=1, extent=(-1, 1, -1, 1), z_range=(-1, 1))
         grid = build_reference_grid(spec)
-        assert np.allclose(grid.points[0, 0, 0], [0.0, 0.0, 0.0, 1.0])
+        assert np.allclose(grid[0, 0, 0], [0.0, 0.0, 0.0, 1.0])
 
     def test_hand_arithmetic_2x2(self):
         spec = BEVGridSpec(h=2, w=2, d=1, extent=(0, 2, 0, 2), z_range=(0, 1))
         grid = build_reference_grid(spec)
-        assert sorted(set(grid.points[..., 0].reshape(-1))) == [0.5, 1.5]
-        assert sorted(set(grid.points[..., 1].reshape(-1))) == [0.5, 1.5]
+        assert sorted(set(grid[..., 0].reshape(-1))) == [0.5, 1.5]
+        assert sorted(set(grid[..., 1].reshape(-1))) == [0.5, 1.5]
 
     def test_homogeneous_component(self):
         grid = build_reference_grid(BEVGridSpec(h=3, w=4, d=2))
-        assert np.all(grid.points[..., 3] == 1.0)
+        assert np.all(grid[..., 3] == 1.0)
 
     def test_monotone_axes(self):
         grid = build_reference_grid(BEVGridSpec(h=4, w=5, d=3))
-        assert np.all(np.diff(grid.points[0, 0, :, 0]) > 0)  # x grows with w
-        assert np.all(np.diff(grid.points[0, :, 0, 1]) > 0)  # y grows with h
-        assert np.all(np.diff(grid.points[:, 0, 0, 2]) > 0)  # z grows with level
+        assert np.all(np.diff(grid[0, 0, :, 0]) > 0)  # x grows with w
+        assert np.all(np.diff(grid[0, :, 0, 1]) > 0)  # y grows with h
+        assert np.all(np.diff(grid[:, 0, 0, 2]) > 0)  # z grows with level
 
     def test_pillar_shares_xy(self):
         grid = build_reference_grid(BEVGridSpec(h=3, w=3, d=4))
-        assert np.all(grid.points[:, 1, 2, 0] == grid.points[0, 1, 2, 0])
-        assert np.all(grid.points[:, 1, 2, 1] == grid.points[0, 1, 2, 1])
+        assert np.all(grid[:, 1, 2, 0] == grid[0, 1, 2, 0])
+        assert np.all(grid[:, 1, 2, 1] == grid[0, 1, 2, 1])
 
     def test_invalid_spec(self):
         with pytest.raises(ConfigError):
@@ -121,9 +121,9 @@ class TestCameraProjection:
         spec = BEVGridSpec(h=1, w=1, d=1, extent=(-0.01, 0.01, -0.01, 0.01), z_range=(0.99, 1.01))
         grid = build_reference_grid(spec)
         cam = identity_camera()
-        uv, vis = project_to_camera(grid, cam)
+        rc, vis = project_to_camera(grid, cam)
         assert vis[0, 0, 0]
-        assert np.allclose(uv[0, 0, 0], [0.0, 0.0], atol=1e-9)
+        assert np.allclose(rc[0, 0, 0], [0.0, 0.0], atol=1e-9)
 
     def test_hand_multiply_oracle(self):
         # independent 3x4 multiply for a nontrivial pose
@@ -135,15 +135,15 @@ class TestCameraProjection:
         v_ref = cam.fy * pc[1] / pc[2] + cam.cy
         spec = BEVGridSpec(h=1, w=1, d=1,
                            extent=(5.99, 6.01, 1.49, 1.51), z_range=(0.79, 0.81))
-        uv, vis = project_to_camera(build_reference_grid(spec), cam)
+        rc, vis = project_to_camera(build_reference_grid(spec), cam)
         assert vis[0, 0, 0]
-        assert np.allclose(uv[0, 0, 0], [u_ref, v_ref], atol=1e-9)
+        assert np.allclose(rc[0, 0, 0], [v_ref, u_ref], atol=1e-9)  # (row, col)
 
     def test_behind_camera_invisible(self):
         spec = BEVGridSpec(h=1, w=1, d=1, extent=(-0.01, 0.01, -0.01, 0.01), z_range=(-1.01, -0.99))
-        uv, vis = project_to_camera(build_reference_grid(spec), identity_camera())
+        rc, vis = project_to_camera(build_reference_grid(spec), identity_camera())
         assert not vis[0, 0, 0]
-        assert np.all(uv[0, 0, 0] == 0.0)
+        assert np.all(rc[0, 0, 0] == 0.0)
 
     def test_rigid_invariance_under_joint_translation(self):
         offset = np.array([3.0, -1.0, 0.25])
@@ -155,10 +155,10 @@ class TestCameraProjection:
         spec_b = BEVGridSpec(h=2, w=2, d=2,
                              extent=(4 + offset[0], 6 + offset[0], -1 + offset[1], 1 + offset[1]),
                              z_range=(0 + offset[2], 1 + offset[2]))
-        uv_a, vis_a = project_to_camera(build_reference_grid(spec_a), cam_a)
-        uv_b, vis_b = project_to_camera(build_reference_grid(spec_b), cam_b)
+        rc_a, vis_a = project_to_camera(build_reference_grid(spec_a), cam_a)
+        rc_b, vis_b = project_to_camera(build_reference_grid(spec_b), cam_b)
         assert np.array_equal(vis_a, vis_b)
-        assert np.allclose(uv_a, uv_b, atol=1e-9)
+        assert np.allclose(rc_a, rc_b, atol=1e-9)
 
     def test_pixel_roundtrip(self):
         cam = make_camera([0.5, 1.0, 1.6], yaw=1.1, pitch_down=0.09, fx=24, fy=24,
@@ -262,12 +262,31 @@ class TestCameraProjection:
         with pytest.raises(ConfigError):
             make_camera([0.0, 0.0, 1.6], 0.0, 0.0, **args)
 
+    @pytest.mark.parametrize("kw", [dict(position="ab"), dict(position=[0, 0]), dict(yaw="x"),
+                                    dict(pitch_down=None)],
+                             ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()))
+    def test_make_camera_refuses_a_bad_pose(self, kw):
+        """A position that is not 3 numbers, or a yaw or pitch that is not a
+        real, would raise numpy's ValueError or TypeError from the pose
+        arithmetic."""
+        args = {**dict(position=[0.0, 0.0, 1.6], yaw=0.0, pitch_down=0.0), **kw}
+        with pytest.raises(ConfigError, match="position"):
+            make_camera(**args, fx=6.0, fy=6.0, image_h=12, image_w=16)
+
+    @pytest.mark.parametrize("factor", [0, "2", float("nan"), 1e-320], ids=repr)
+    def test_a_bad_scale_factor_is_config_error(self, factor):
+        """scaled(0) would divide by zero, scaled("2") raise TypeError,
+        scaled(nan) raise ValueError from int(nan) and scaled(1e-320)
+        OverflowError from int(inf)."""
+        with pytest.raises(ConfigError, match="factor"):
+            identity_camera().scaled(factor)
+
 
 class TestLidarProjection:
     def test_identity_at_matching_resolution(self):
         spec = BEVGridSpec(h=4, w=6, d=2)
         grid = build_reference_grid(spec)
-        rc = project_to_lidar(grid, (4, 6))
+        rc = project_to_lidar(grid, spec.extent, (4, 6))
         for h in range(4):
             for w in range(6):
                 assert np.allclose(rc[0, h, w], [h, w], atol=1e-12)
@@ -275,14 +294,14 @@ class TestLidarProjection:
     def test_doubled_resolution_corner_cells(self):
         # hand-computed: cell center h maps to row 2h + 0.5 when H_L = 2H
         spec = BEVGridSpec(h=4, w=4, d=1)
-        rc = project_to_lidar(build_reference_grid(spec), (8, 8))
+        rc = project_to_lidar(build_reference_grid(spec), spec.extent, (8, 8))
         assert np.allclose(rc[0, 0, 0], [0.5, 0.5])
         assert np.allclose(rc[0, 3, 3], [6.5, 6.5])
         assert np.allclose(rc[0, 0, 3], [0.5, 6.5])
 
     def test_all_levels_share_coords(self):
         spec = BEVGridSpec(h=3, w=3, d=4)
-        rc = project_to_lidar(build_reference_grid(spec), (3, 3))
+        rc = project_to_lidar(build_reference_grid(spec), spec.extent, (3, 3))
         for z in range(1, 4):
             assert np.array_equal(rc[z], rc[0])
 
@@ -294,8 +313,8 @@ def test_feature_scaled_camera_consistency():
     feat_cam = cam.scaled(2.0)
     spec = BEVGridSpec(h=2, w=2, d=2, extent=(4, 8, -2, 2), z_range=(-0.5, 1.5))
     grid = build_reference_grid(spec)
-    uv_img, vis_img = project_to_camera(grid, cam)
-    uv_feat, vis_feat = project_to_camera(grid, feat_cam)
+    rc_img, vis_img = project_to_camera(grid, cam)
+    rc_feat, vis_feat = project_to_camera(grid, feat_cam)
     sel = vis_img & vis_feat
     assert sel.any()
-    assert np.allclose(uv_feat[sel], (uv_img[sel] + 0.5) / 2.0 - 0.5, atol=1e-9)
+    assert np.allclose(rc_feat[sel], (rc_img[sel] + 0.5) / 2.0 - 0.5, atol=1e-9)

@@ -58,6 +58,27 @@ def test_default_init_is_unchanged():
     assert init_digest(per_head) == PER_HEAD_VALUE_INIT_SHA256
 
 
+@pytest.mark.parametrize("bad", ["nan", "complex", "list"])
+def test_load_arrays_refuses_what_is_not_finite_real_floats(bad):
+    """A NaN (which one flipped checkpoint byte can decode to), a complex
+    array (whose imaginary part the copy would drop) and a list (which has no
+    shape) are each ConfigError, raised before any parameter is written, as
+    Adam.load_state_arrays refuses them."""
+    spec = BEVGridSpec(h=8, w=8, d=2)
+    cfg = ModelConfig(channels=8, heads=2, points=2, enc_layers=1, dec_layers=1,
+                      cam_hidden=(4, 4), lidar_hidden=(4, 4))
+    det = Detector(cfg, spec, np.random.default_rng(0))
+    before = {name: a.tobytes() for name, a in det.param_arrays().items()}
+    arrays = {name: a + 1.0 for name, a in det.param_arrays().items()}
+    last = list(arrays)[-1]
+    arrays[last] = {"nan": np.full_like(arrays[last], np.nan),
+                    "complex": arrays[last] + 0j,
+                    "list": arrays[last].tolist()}[bad]
+    with pytest.raises(ConfigError, match=last):
+        det.load_arrays(arrays)
+    assert {name: a.tobytes() for name, a in det.param_arrays().items()} == before
+
+
 def test_load_arrays_checks_every_name_before_writing():
     """A checkpoint of the per-head value layout has every name but the value
     weights, and one with the last parameter's shape wrong has every name:
@@ -208,9 +229,9 @@ def test_camera_pairs_are_built_once_per_rig(monkeypatch):
     built = []
     real = model.camera_pairs
 
-    def spy(projections, n_queries, normalize_by_hits):
+    def spy(projections, normalize_by_hits):
         built.append(len(projections))
-        return real(projections, n_queries, normalize_by_hits)
+        return real(projections, normalize_by_hits)
 
     monkeypatch.setattr(model, "camera_pairs", spy)
     spec = BEVGridSpec(h=8, w=8, d=2)
@@ -573,7 +594,7 @@ def test_first_half_keys_on_the_maps_shape(builds):
     from bevkit.tensor import Tensor
 
     det = noisy_detector()
-    pairs = lidar_pairs(det.queries.refs, (4, 4), False)
+    pairs = lidar_pairs(det.queries.refs, det.spec.extent, (4, 4), False)
     rng = np.random.default_rng(13)
     for hw in [(4, 4), (5, 6), (4, 4)]:
         feat = Tensor(rng.standard_normal((1, *hw, det.cfg.encoder_channels)))

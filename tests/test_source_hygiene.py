@@ -2,14 +2,17 @@
 every import in a module of src/bevkit is used in that module (the
 package's __init__.py re-exports, so it is exempt), and every module-level
 private name (one leading underscore, not a dunder) is referenced somewhere
-in the package. A deletion that leaves an import or a helper behind fails
-here. No data-side module imports the model or its autodiff engine. Every
-raise names an exception type of errors.py or re-raises, so no entry point
-lets a bare ValueError or RuntimeError of its own escape. Every frozen
-dataclass checks itself when built, in __post_init__, and no class has a
-validate method to be called, or forgotten, later."""
+in the package, and every public function, class and method outside its
+own definition, in the package or the benchmark. A deletion that leaves an
+import, a helper or an entry point behind fails here. No data-side module
+imports the model or its autodiff engine. Every raise names an exception
+type of errors.py or re-raises, so no entry point lets a bare ValueError or
+RuntimeError of its own escape. Every frozen dataclass checks itself when
+built, in __post_init__, and no class has a validate method to be called,
+or forgotten, later."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,8 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bevkit"
 MODULES = sorted(PACKAGE.glob("*.py"))
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+BENCH = sorted((PACKAGE.parent.parent / "bench").glob("*.py"))
+BENCH_TREES = [ast.parse(path.read_text(), filename=str(path)) for path in BENCH]
 
 
 def annotation_names(tree):
@@ -104,6 +109,45 @@ def test_every_private_module_name_is_referenced(module):
     refs = package_references()
     dead = sorted({n for n in module_level_names(TREES[module]) if is_private(n)} - refs)
     assert not dead, f"{module} defines private names that nothing in bevkit reads: {dead}"
+
+
+def reference_counts(node):
+    """How often the code under node reads each name: loaded Names,
+    attributes, names imported from a module and names of string
+    annotations."""
+    counts = Counter(annotation_names(node))
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            counts[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            counts[n.attr] += 1
+        elif isinstance(n, ast.ImportFrom):
+            counts.update(alias.name for alias in n.names)
+    return counts
+
+
+def public_definitions(tree):
+    """(qualified name, node) of each public module-level function and class
+    of the module, and of each public method of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{f.name}", f) for f in node.body
+                        if isinstance(f, ast.FunctionDef) and not f.name.startswith("_"))
+
+
+# resuming a training run (ROADMAP item 2) restores both; only tests call them now
+NOT_YET_CALLED = {"Adam.load_state_arrays", "Detector.load_arrays"}
+
+
+@pytest.mark.parametrize("module", list(TREES))
+def test_every_public_name_is_referenced(module):
+    counts = sum(map(reference_counts, [*TREES.values(), *BENCH_TREES]), Counter())
+    dead = sorted(name for name, node in public_definitions(TREES[module])
+                  if name not in NOT_YET_CALLED
+                  and counts[node.name] <= reference_counts(node)[node.name])
+    assert not dead, f"{module} defines public names that bevkit and bench never read: {dead}"
 
 
 # modules that make, store or key data and must not depend on the model

@@ -259,7 +259,8 @@ def test_deform_attend_backward_rises_by_one_block_over_its_call_arrays():
     g = rng.standard_normal((t, m, hd))
 
     def forward():
-        return T.deform_attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx)
+        return T.deform_attend(leaves[0], map_idx, base, leaves[1], leaves[2], qry_idx,
+                               np.ones(leaves[1].shape[0]))
 
     forward()  # imports what the first call imports
     _, rise = held_and_peak_rise(forward, lambda out: out.node.vjp(g))

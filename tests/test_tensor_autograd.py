@@ -79,7 +79,7 @@ def sample(feats: Tensor, pts: Tensor, map_idx=None) -> Tensor:
     p, ch = pts.shape[0], feats.shape[-1]
     map_idx = np.zeros(p, dtype=np.intp) if map_idx is None else map_idx
     out = T.deform_attend(feats, map_idx, np.zeros((p, 2)), T.reshape(pts, (p, 1, 1, 2)),
-                          Tensor(np.ones((p, 1, 1))), np.arange(p))
+                          Tensor(np.ones((p, 1, 1))), np.arange(p), np.ones(p))
     return T.reshape(out, (p, ch))
 
 
@@ -371,7 +371,7 @@ def test_fd_deform_attend(seed):
     offsets = rng.integers(0, 2, (t, m, k, 2)) + rng.uniform(0.2, 0.8, (t, m, k, 2))
     attn = rng.uniform(-1, 1, (t, m, k))
     check_grads(lambda ts: T.tsum(T.sigmoid(T.deform_attend(ts[0], map_idx, base, ts[1],
-                                                            ts[2], qry_idx))),
+                                                            ts[2], qry_idx, np.ones(t)))),
                 [f, offsets, attn])
 
 
@@ -508,6 +508,7 @@ class TestAdam:
         "int64_v": ("opt.v.a", np.ones(2, dtype=np.int64)),
         "bool_v": ("opt.v.a", np.ones(2, dtype=bool)),
         "complex_m": ("opt.m.a", np.ones(2, dtype=complex)),
+        "list_m": ("opt.m.a", [0.1, 0.2]),
         "nan_m": ("opt.m.a", np.array([0.1, np.nan])),
         "inf_v": ("opt.v.b", np.full((2, 3), np.inf)),
         # the square root of a negative second moment is NaN
@@ -797,9 +798,9 @@ def test_deform_attend_no_grad_matches_grad_mode(seed):
     qry_idx = np.concatenate([np.arange(7), np.nonzero(rng.random(7) > 0.5)[0]])
     map_idx = rng.integers(0, 3, qry_idx.size)
     base = rng.uniform(-1, 5, (qry_idx.size, 2))
-    recorded = T.deform_attend(feats, map_idx, base, offsets, attn, qry_idx)
+    recorded = T.deform_attend(feats, map_idx, base, offsets, attn, qry_idx, np.ones(7))
     with T.no_grad():
-        plain = T.deform_attend(feats, map_idx, base, offsets, attn, qry_idx)
+        plain = T.deform_attend(feats, map_idx, base, offsets, attn, qry_idx, np.ones(7))
     assert recorded.node is not None and plain.node is None
     assert np.array_equal(recorded.data, plain.data)
 
@@ -814,14 +815,15 @@ class TestDeformAttendShapes:
         rng = np.random.default_rng(720)
         args = dict(feats=Tensor(rnd(rng, 3, 5, 4, 6)), map_idx=np.array([0, 2, 1]),
                     base_pts=rng.uniform(0, 4, (3, 2)), offsets=Tensor(rnd(rng, 4, 2, 3, 2)),
-                    attn=Tensor(rnd(rng, 4, 2, 3)), qry_idx=np.array([0, 3, 3]))
+                    attn=Tensor(rnd(rng, 4, 2, 3)), qry_idx=np.array([0, 3, 3]),
+                    scale=np.ones(4))
         args.update(change)
         return args
 
     def test_valid_arguments_pass(self):
         # one [M, D] row per query: 4 queries, 2 heads of 3 channels
         assert T.deform_attend(**self.args()).shape == (4, 2, 3)
-        assert T.deform_attend(**self.args(scale=np.ones(4))).shape == (4, 2, 3)
+        assert T.deform_attend(**self.args(scale=np.full(4, 0.5))).shape == (4, 2, 3)
 
     @pytest.mark.parametrize("shape", [(4, 2, 3), (4, 2, 3, 1), (4, 2, 3, 2, 1)])
     def test_offsets_not_tmk2(self, shape):
@@ -843,7 +845,8 @@ class TestDeformAttendShapes:
         not say which maps they were built for may be either: both raise
         ContractError instead of sampling the wrong cells."""
         args = self.args()
-        points = [args[n] for n in ("map_idx", "base_pts", "offsets", "attn", "qry_idx")]
+        points = [args[n] for n in ("map_idx", "base_pts", "offsets", "attn", "qry_idx",
+                                    "scale")]
         b, h, w, _ = args["feats"].shape
         own = T.attend_blocks((b, h, w), *points)
         assert T.deform_attend(**args, blocks=own).data.tobytes() == \
@@ -862,7 +865,7 @@ class TestDeformAttendShapes:
             assert out.shape == (4, 2, 3) and not np.any(out.data)
         else:
             assert T.attend_blocks((3, 5, 4), *[args[n] for n in (
-                "map_idx", "base_pts", "offsets", "attn", "qry_idx")]) == ()
+                "map_idx", "base_pts", "offsets", "attn", "qry_idx", "scale")]) == ()
 
     @pytest.mark.parametrize("shape", [(4, 0, 3), (4, 2, 0)])
     def test_offsets_without_heads_or_points(self, shape):
@@ -871,7 +874,7 @@ class TestDeformAttendShapes:
             T.deform_attend(**args)
         with pytest.raises(ShapeError):
             T.attend_blocks((3, 5, 4), *[args[n] for n in ("map_idx", "base_pts", "offsets",
-                                                         "attn", "qry_idx")])
+                                                         "attn", "qry_idx", "scale")])
 
 
 def test_no_grad_in_a_thread_leaves_other_threads_recording():
